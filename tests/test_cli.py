@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,13 @@ class TestVerify:
             assert record["tolerance"] >= 0.0
             assert record["points"] > 0
             assert "wall" not in " ".join(record)  # timing never serialized
+
+    def test_golden_report(self, capsys):
+        # committed before the tape evaluator replaced the tree walker
+        golden = Path(__file__).parent / "golden" / "verify_all_n2_seed7.jsonl"
+        code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "2", "--seed", "7"])
+        assert code == 0
+        assert out.encode("utf-8") == golden.read_bytes()
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
