@@ -172,17 +172,16 @@ def _check_not_singular(metric, point: PhasePoint):
 def christoffel(metric, point: PhasePoint) -> np.ndarray:
     """Evaluate ``Gamma^c_ab`` at a point; raises for singular metrics."""
     _check_not_singular(metric, point)
-    gamma = christoffel_symbolic(metric)
     dim = metric.space.dim
-    bindings = point.bindings()
-    memo: dict = {}
+    upper = np.triu_indices(dim)
+    tape = getattr(metric, "_gamma_tape", None)
+    if tape is None:
+        gamma = christoffel_symbolic(metric)
+        tape = metric._gamma_tape = expr.compile(gamma[:, upper[0], upper[1]].reshape(-1))
+    vals = np.array(tape.run(point.bindings()), dtype=float).reshape(dim, -1)
     out = np.empty((dim, dim, dim), dtype=float)
-    for c in range(dim):
-        for a in range(dim):
-            for b in range(a, dim):
-                v = expr._eval(gamma[c, a, b], bindings, memo)
-                out[c, a, b] = v
-                out[c, b, a] = v
+    out[:, upper[0], upper[1]] = vals
+    out[:, upper[1], upper[0]] = vals
     return out
 
 
@@ -245,16 +244,15 @@ def ricci(metric, point: PhasePoint, lam: float | None = None, nu: float | None 
     from .phase_space import contact_form
 
     g_mat = _check_not_singular(metric, point)
-    ric_sym = ricci_symbolic(metric)
     space = metric.space
-    bindings = point.bindings()
-    memo: dict = {}
+    upper = np.triu_indices(space.dim)
+    tape = getattr(metric, "_ricci_tape", None)
+    if tape is None:
+        tape = metric._ricci_tape = expr.compile(ricci_symbolic(metric)[upper])
+    vals = np.array(tape.run(point.bindings()), dtype=float)
     ric = np.empty((space.dim, space.dim), dtype=float)
-    for a in range(space.dim):
-        for b in range(a, space.dim):
-            v = expr._eval(ric_sym[a, b], bindings, memo)
-            ric[a, b] = v
-            ric[b, a] = v
+    ric[upper] = vals
+    ric[upper[1], upper[0]] = vals
 
     eta_vals = contact_form(space).evaluate(point)
     ee = np.outer(eta_vals, eta_vals)

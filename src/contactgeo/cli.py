@@ -4,7 +4,7 @@ Reports are JSON lines, one record per check plus a summary record, printed
 with 17 significant digits.  Given the same configuration and seed the
 serialized report is byte-identical across runs (timing goes to stderr, never
 into the records).  Exit codes: 0 all checks passed, 1 at least one failed,
-2 configuration error.
+2 configuration, parse or evaluation error (one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -681,7 +681,8 @@ def _emit(lines: list[str], json_path: str | None):
 def _cmd_verify(args) -> int:
     overrides = {}
     if args.config:
-        raw = parse_flat(open(args.config, encoding="utf-8").read())
+        with open(args.config, encoding="utf-8") as fh:
+            raw = parse_flat(fh.read())
         for key in ("suite", "n", "m", "seed", "points"):
             if key in raw:
                 overrides[key] = raw[key]
@@ -861,7 +862,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, expr.ParseError, ValueError, OSError) as err:
+    except (ConfigError, expr.ExprError, ValueError, OSError, ArithmeticError,
+            RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,24 +72,30 @@ class FundamentalRelation:
     def _bindings(self, qvals) -> dict[str, float]:
         return dict(zip(self.coords, map(float, qvals)))
 
+    # compiled on first use and kept for the relation's lifetime: the conjugate
+    # solves call gradient and hessian tens of thousands of times
+    @cached_property
+    def _value_tape(self) -> expr.Tape:
+        return expr.compile((self.wbar,))
+
+    @cached_property
+    def _gradient_tape(self) -> expr.Tape:
+        return expr.compile([expr.differentiate(self.wbar, c) for c in self.coords])
+
+    @cached_property
+    def _hessian_tape(self) -> expr.Tape:
+        firsts = [expr.differentiate(self.wbar, c) for c in self.coords]
+        return expr.compile([expr.differentiate(di, cj) for di in firsts for cj in self.coords])
+
     def value(self, qvals) -> float:
-        return expr.evaluate(self.wbar, self._bindings(qvals))
+        return self._value_tape.run(self._bindings(qvals))[0]
 
     def gradient(self, qvals) -> np.ndarray:
-        b = self._bindings(qvals)
-        memo: dict = {}
-        return np.array([expr._eval(expr.differentiate(self.wbar, c), b, memo)
-                         for c in self.coords])
+        return np.array(self._gradient_tape.run(self._bindings(qvals)))
 
     def hessian(self, qvals) -> np.ndarray:
-        b = self._bindings(qvals)
-        memo: dict = {}
-        out = np.empty((self.n, self.n))
-        for i, ci in enumerate(self.coords):
-            di = expr.differentiate(self.wbar, ci)
-            for j, cj in enumerate(self.coords):
-                out[i, j] = expr._eval(expr.differentiate(di, cj), b, memo)
-        return out
+        out = np.array(self._hessian_tape.run(self._bindings(qvals)), dtype=float)
+        return out.reshape(self.n, self.n)
 
     def contains(self, qvals, tol: float = 1e-9) -> bool:
         return all(lo - tol <= v <= hi + tol

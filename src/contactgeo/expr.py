@@ -19,12 +19,18 @@ Identifiers are ``[A-Za-z][A-Za-z0-9_]*``.  Exponents are stored as exact
 Only light simplification is performed at construction time (constant folding
 and 0/1 identities); correctness elsewhere is checked by evaluation, not by
 tree equality.
+
+Every node stores its hash, computed once from its children's stored hashes,
+so keying a node in a cache costs O(1) however large its subtree is.
+Evaluation goes through :func:`compile`, which orders the unique nodes of
+some expressions into a :class:`Tape` once; ``Tape.run`` then evaluates each
+node once per binding without recursion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,6 +54,8 @@ __all__ = [
     "parse",
     "differentiate",
     "evaluate",
+    "compile",
+    "Tape",
     "to_string",
     "free_variables",
 ]
@@ -86,6 +94,31 @@ class Expr:
     value: float = 0.0
     name: str = ""
     exponent: Fraction | None = None
+    # the generated dataclass hash of the fields above, computed once; a
+    # child's hash is read from its own slot, so this is O(1) per node
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.args, self.value, self.name, self.exponent)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        return ((self.kind, self.args, self.value, self.name, self.exponent)
+                == (other.kind, other.args, other.value, other.name, other.exponent))
+
+    def __reduce__(self):
+        # rebuild through __init__: a stored string hash is only valid in the
+        # process (and PYTHONHASHSEED) that computed it
+        return (Expr, (self.kind, self.args, self.value, self.name, self.exponent))
 
     def __add__(self, other):
         return add(self, _lift(other))
@@ -326,55 +359,119 @@ def _pow_value(base: float, r: Fraction) -> float:
     return math.pow(base, r.numerator / r.denominator)
 
 
+# opcodes of a tape; constants are not instructions but slots filled at compile time
+(_VAR, _ADD, _SUB, _MUL, _DIV, _NEG, _POW, _EXP, _LOG, _SIN, _COS, _NONZERO) = range(12)
+_OPCODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV, "neg": _NEG, "pow": _POW,
+           "exp": _EXP, "log": _LOG, "sin": _SIN, "cos": _COS}
+
+
+class Tape:
+    """Straight-line program over the unique nodes of some expressions.
+
+    Built by :func:`compile`.  Each instruction is ``(opcode, destination,
+    operand, operand)`` over a list of slots, one slot per unique node.
+    """
+
+    __slots__ = ("_template", "_code", "_outputs")
+
+    def __init__(self, template: list, code: list, outputs: list):
+        self._template = template
+        self._code = code
+        self._outputs = outputs
+
+    def run(self, bindings) -> list:
+        """Values of the compiled expressions, in order, with all free variables bound.
+
+        Each node is evaluated once, children first, in the order a recursive
+        walk of the expressions in turn finishes them (a quotient's denominator
+        and its zero check come before its numerator), so the values and the
+        first :class:`EvalError` raised are those of evaluating each
+        expression alone.
+        """
+        v = self._template.copy()
+        # branches in the order of how often the verify suites execute them
+        for op, dst, a, b in self._code:
+            if op == _MUL:
+                v[dst] = v[a] * v[b]
+            elif op == _VAR:
+                try:
+                    v[dst] = bindings[a]
+                except KeyError:
+                    raise EvalError(f"unbound variable '{a}'") from None
+            elif op == _POW:
+                v[dst] = _pow_value(v[a], b)
+            elif op == _ADD:
+                v[dst] = v[a] + v[b]
+            elif op == _NEG:
+                v[dst] = -v[a]
+            elif op == _SUB:
+                v[dst] = v[a] - v[b]
+            elif op == _NONZERO:
+                if v[a] == 0.0:
+                    raise EvalError("division by zero")
+            elif op == _DIV:
+                v[dst] = v[a] / v[b]
+            elif op == _EXP:
+                v[dst] = math.exp(v[a])
+            elif op == _LOG:
+                arg = v[a]
+                if arg <= 0.0:
+                    raise EvalError("log of a non-positive value")
+                v[dst] = math.log(arg)
+            elif op == _SIN:
+                v[dst] = math.sin(v[a])
+            else:
+                v[dst] = math.cos(v[a])
+        return list(map(v.__getitem__, self._outputs))
+
+
+def compile(exprs) -> Tape:
+    """Order the unique nodes of ``exprs`` into one :class:`Tape`, iteratively."""
+    roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
+    slot: dict[int, int] = {}
+    template: list = []
+    code: list = []
+    outputs: list = []
+    for root in roots:
+        stack = [(root, 0)]
+        while stack:
+            node, phase = stack.pop()
+            if phase == 0:  # reached
+                if id(node) in slot:
+                    continue
+                k = node.kind
+                if k == "const":
+                    slot[id(node)] = len(template)
+                    template.append(node.value)
+                    continue
+                if k == "var":
+                    slot[id(node)] = len(template)
+                    code.append((_VAR, len(template), node.name, None))
+                    template.append(0.0)
+                    continue
+                if k not in _OPCODE:
+                    raise AssertionError(f"unknown node kind {k!r}")
+                stack.append((node, 2))
+                if k == "div":
+                    num, den = node.args
+                    stack += ((num, 0), (node, 1), (den, 0))
+                else:
+                    stack.extend((a, 0) for a in reversed(node.args))
+            elif phase == 1:  # denominator done, numerator next
+                code.append((_NONZERO, -1, slot[id(node.args[1])], None))
+            else:  # operands done
+                args = node.args
+                second = slot[id(args[1])] if len(args) == 2 else node.exponent
+                code.append((_OPCODE[node.kind], len(template), slot[id(args[0])], second))
+                slot[id(node)] = len(template)
+                template.append(0.0)
+        outputs.append(slot[id(root)])
+    return Tape(template, code, outputs)
+
+
 def evaluate(e: Expr, bindings) -> float:
     """IEEE-double evaluation of the tree with all free variables bound."""
-    return _eval(e, bindings, {})
-
-
-def _eval(e: Expr, b, memo: dict) -> float:
-    # keyed by id; the stored node reference keeps the id from being recycled
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    k = e.kind
-    if k == "const":
-        v = e.value
-    elif k == "var":
-        try:
-            v = b[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{e.name}'") from None
-    elif k == "add":
-        v = _eval(e.args[0], b, memo) + _eval(e.args[1], b, memo)
-    elif k == "sub":
-        v = _eval(e.args[0], b, memo) - _eval(e.args[1], b, memo)
-    elif k == "mul":
-        v = _eval(e.args[0], b, memo) * _eval(e.args[1], b, memo)
-    elif k == "div":
-        den = _eval(e.args[1], b, memo)
-        if den == 0.0:
-            raise EvalError("division by zero")
-        v = _eval(e.args[0], b, memo) / den
-    elif k == "neg":
-        v = -_eval(e.args[0], b, memo)
-    elif k == "pow":
-        v = _pow_value(_eval(e.args[0], b, memo), e.exponent)
-    elif k == "exp":
-        v = math.exp(_eval(e.args[0], b, memo))
-    elif k == "log":
-        arg = _eval(e.args[0], b, memo)
-        if arg <= 0.0:
-            raise EvalError("log of a non-positive value")
-        v = math.log(arg)
-    elif k == "sin":
-        v = math.sin(_eval(e.args[0], b, memo))
-    elif k == "cos":
-        v = math.cos(_eval(e.args[0], b, memo))
-    else:
-        raise AssertionError(f"unknown node kind {k!r}")
-    memo[key] = (e, v)
-    return v
+    return compile((e,)).run(bindings)[0]
 
 
 # ---------------------------------------------------------------------------

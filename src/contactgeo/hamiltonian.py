@@ -41,7 +41,6 @@ __all__ = [
     "closed_form_commutator",
     "legendre_map",
     "scaling_map",
-    "rotation_map",
     "random_polynomial_hamiltonian",
 ]
 
@@ -174,12 +173,10 @@ def integrate_flow(X: TensorField, x: PhasePoint, t: float, steps: int) -> Phase
     if X.valence != (1, 0):
         raise ValueError("integrate_flow expects a vector field")
     names = x.space.coord_names()
-    comps = X.comps
+    run = X.tape.run
 
     def rhs(arr: np.ndarray) -> np.ndarray:
-        bindings = dict(zip(names, arr))
-        memo: dict = {}
-        return np.array([expr._eval(e, bindings, memo) for e in comps])
+        return np.array(run(dict(zip(names, arr.tolist()))))
 
     h = t / steps
     y = x.as_array()
@@ -249,22 +246,6 @@ def scaling_map(space: PhaseSpace, t: float) -> CoordinateMap:
         exprs[space.q_index(a)] = expr.const(em) * expr.var(f"q{a}")
         exprs[space.p_index(a)] = expr.const(ep) * expr.var(f"p{a}")
     return CoordinateMap(exprs, label=f"scaling(t={t})")
-
-
-def rotation_map(space: PhaseSpace, t: float, I: IndexSubset) -> CoordinateMap:
-    """The finite rotation flow at time ``t`` as a symbolic coordinate map."""
-    I.validate(space.n)
-    exprs = _identity_exprs(space)
-    ct, st = expr.const(math.cos(t)), expr.const(math.sin(t))
-    half = expr.const(0.5)
-    w = exprs[0]
-    for i in I:
-        qi, pi = expr.var(f"q{i}"), expr.var(f"p{i}")
-        w = w - half * st * ((pi * pi - qi * qi) * ct + expr.const(2.0) * st * qi * pi)
-        exprs[space.q_index(i)] = qi * ct - pi * st
-        exprs[space.p_index(i)] = qi * st + pi * ct
-    exprs[0] = w
-    return CoordinateMap(exprs, label=f"rotation(t={t},{I.indices})")
 
 
 def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator,

@@ -17,7 +17,9 @@ flat map ``X -> eta(X) eta + i_X d_eta`` carry a factor 1/2 as well
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +96,7 @@ class PhasePoint:
         if len(self.q) != len(self.p):
             raise ValueError("q and p must have the same length")
         vals = (self.w,) + self.q + self.p
-        if not all(np.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError("phase point has non-finite entries")
 
     @property
@@ -153,15 +155,13 @@ class TensorField:
     def n(self) -> int:
         return (self.dim - 1) // 2
 
+    @cached_property
+    def tape(self) -> expr.Tape:
+        """The components, flattened in C order, compiled on first use."""
+        return expr.compile(self.comps.reshape(-1))
+
     def evaluate(self, point: PhasePoint) -> np.ndarray:
-        bindings = point.bindings()
-        memo: dict = {}
-        out = np.empty(self.comps.shape, dtype=float)
-        flat_in = self.comps.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i, e in enumerate(flat_in):
-            flat_out[i] = expr._eval(e, bindings, memo)
-        return out
+        return np.array(self.tape.run(point.bindings()), dtype=float).reshape(self.comps.shape)
 
     def to_json(self) -> dict:
         def nest(a):
@@ -295,21 +295,23 @@ class CoordinateMap:
     def dim(self) -> int:
         return self.exprs.shape[0]
 
+    @cached_property
+    def tape(self) -> expr.Tape:
+        """The image coordinates, compiled on first use."""
+        return expr.compile(self.exprs)
+
+    @cached_property
+    def jacobian_tape(self) -> expr.Tape:
+        """The Jacobian entries row by row, differentiated and compiled on first use."""
+        names = PhaseSpace((self.dim - 1) // 2).coord_names()
+        return expr.compile([expr.differentiate(e, name) for e in self.exprs for name in names])
+
     def apply(self, point: PhasePoint) -> PhasePoint:
-        bindings = point.bindings()
-        memo: dict = {}
-        vals = np.array([expr._eval(e, bindings, memo) for e in self.exprs])
-        return PhasePoint.from_array(vals)
+        return PhasePoint.from_array(np.array(self.tape.run(point.bindings())))
 
     def jacobian(self, point: PhasePoint) -> np.ndarray:
-        names = point.space.coord_names()
-        bindings = point.bindings()
-        memo: dict = {}
-        J = np.empty((self.dim, self.dim), dtype=float)
-        for i, e in enumerate(self.exprs):
-            for j, name in enumerate(names):
-                J[i, j] = expr._eval(expr.differentiate(e, name), bindings, memo)
-        return J
+        J = np.array(self.jacobian_tape.run(point.bindings()), dtype=float)
+        return J.reshape(self.dim, self.dim)
 
 
 def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int,

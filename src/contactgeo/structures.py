@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class LambdaFamily:
     @property
     def n(self) -> int:
         return len(self.exprs)
+
+    @cached_property
+    def tape(self) -> expr.Tape:
+        """The scaling functions, compiled on first use."""
+        return expr.compile(self.exprs)
 
     @classmethod
     def of(cls, items, **flags) -> "LambdaFamily":
@@ -234,10 +240,7 @@ def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,
             acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
             acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
         residual_exprs.append(acc)
-    bindings = point.bindings()
-    memo: dict = {}
-    # the id-keyed memo is only valid while every tree in residual_exprs is alive
-    return np.array([expr._eval(e, bindings, memo) for e in residual_exprs])
+    return np.array(expr.compile(residual_exprs).run(point.bindings()))
 
 
 def lambda_legendre_residual(space: PhaseSpace, lam: LambdaFamily, I: IndexSubset,
@@ -250,11 +253,9 @@ def lambda_legendre_residual(space: PhaseSpace, lam: LambdaFamily, I: IndexSubse
     """
     I.validate(space.n)
     image = partial_legendre(I, point)
-    b_here = point.bindings()
-    b_image = image.bindings()
+    here = lam.tape.run(point.bindings())
+    there = lam.tape.run(image.bindings())
     out = np.empty(space.n)
-    for a, la in enumerate(lam.exprs, start=1):
-        here = expr.evaluate(la, b_here)
-        there = expr.evaluate(la, b_image)
-        out[a - 1] = there + here if a in I else there - here
+    for a, (h, t) in enumerate(zip(here, there), start=1):
+        out[a - 1] = t + h if a in I else t - h
     return out

@@ -42,7 +42,7 @@ class TestVerify:
             assert "wall" not in " ".join(record)  # timing never serialized
 
     def test_golden_report(self, capsys):
-        # committed before the tape evaluator replaced the tree walker
+        # byte for byte: a refactor that changes the report must say which bytes and why
         golden = Path(__file__).parent / "golden" / "verify_all_n2_seed7.jsonl"
         code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "2", "--seed", "7"])
         assert code == 0
@@ -228,6 +228,14 @@ class TestFlowCommand:
         code, _, err = _run(capsys, ["flow", "--hamiltonian", "q1*(",
                                      "--t", "1", "--point", "1,2,3"])
         assert code == 2
+
+    def test_evaluation_error_exits_two(self, capsys):
+        # w goes negative along the flow of log(w), where log is undefined
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", "log(w)",
+                                       "--point", "0.5,1,1", "--t", "5", "--steps", "10"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: log of a non-positive value\n"
 
 
 class TestPullbackCommand:

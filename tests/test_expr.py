@@ -1,6 +1,8 @@
 """Expression core: parsing, exact differentiation, evaluation."""
 
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +114,68 @@ class TestEvaluate:
     def test_negative_base_even_root(self):
         with pytest.raises(EvalError):
             evaluate(parse("V^(1/2)"), {"V": -4.0})
+
+    def test_denominator_is_checked_before_numerator(self):
+        with pytest.raises(EvalError, match="division by zero"):
+            evaluate(parse("log(q1)/p1"), {"q1": -1.0, "p1": 0.0})
+
+    def test_deep_sum_has_no_recursion_limit(self):
+        q = expr.var("q1")
+        e = expr.ZERO
+        for i in range(1, 3001):
+            e = e + expr.const(float(i)) * q
+        assert evaluate(e, {"q1": 0.5}) == sum(i * 0.5 for i in range(1, 3001))
+
+
+class TestCompile:
+    def test_shared_subtrees_give_the_values_of_each_tree_alone(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            parts = [random_expression(rng, NAMES, depth=3) for _ in range(3)]
+            a, b, c = parts
+            trees = parts + [a + b, b * c, a / (c * c + expr.const(1.0)), expr.sin(a - c)]
+            tape = expr.compile(trees)
+            for _ in range(5):
+                bindings = {name: float(rng.uniform(-2.0, 2.0)) for name in NAMES}
+                try:
+                    alone = [evaluate(t, bindings) for t in trees]
+                except EvalError as err:
+                    with pytest.raises(EvalError, match=re.escape(str(err))):
+                        tape.run(bindings)
+                    continue
+                assert tape.run(bindings) == alone
+
+    def test_empty_and_constant_outputs(self):
+        assert expr.compile([]).run({}) == []
+        assert expr.compile([expr.ONE, expr.var("w"), expr.ONE]).run({"w": 2.5}) == [1.0, 2.5, 1.0]
+
+    def test_unbound_variable(self):
+        with pytest.raises(EvalError, match="unbound variable 'p7'"):
+            expr.compile([parse("q1"), parse("q1 + p7")]).run({"q1": 1.0})
+
+
+class TestHash:
+    def test_stored_hash_is_the_field_tuple_hash(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            e = random_expression(rng, NAMES, depth=4)
+            assert hash(e) == hash((e.kind, e.args, e.value, e.name, e.exponent))
+
+    def test_equal_trees_built_apart(self):
+        a, b = parse("q1*p1 + sin(w)"), parse("q1*p1 + sin(w)")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != parse("q1*p1 + cos(w)")
+
+    def test_pickle_rebuilds_the_hash(self):
+        e = parse("exp(S)*V^(-2/3) + q1")
+        state = e.__reduce__()
+        assert state == (expr.Expr, (e.kind, e.args, e.value, e.name, e.exponent))
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and hash(copy) == hash(e)
+
+    def test_differentiate_cache_reports_counts(self):
+        info = differentiate.cache_info()
+        assert isinstance(info.hits, int) and isinstance(info.misses, int)
 
 
 NAMES = ("w", "q1", "p1", "q2", "p2")

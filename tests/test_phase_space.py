@@ -43,6 +43,8 @@ class TestPhasePoint:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PhasePoint(np.inf, (1.0,), (2.0,))
+        with pytest.raises(ValueError):
+            PhasePoint(0.0, (np.float64("nan"),), (2.0,))
 
     def test_rejects_mismatched_pairs(self):
         with pytest.raises(ValueError):
