@@ -15,28 +15,29 @@ import math
 import sys
 import time
 import zlib
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import calculus, equilibrium, expr, tables
 from ._config import parse_flat
-from .hamiltonian import (IndexSubset, hamiltonian_vector_field, integrate_flow,
+from .calculus import lie_bracket, lie_derivative
+from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commutator,
+                          hamiltonian_vector_field, integrate_flow,
                           legendre_map, partial_legendre,
                           random_polynomial_hamiltonian, rotation_flow,
                           rotation_generator, scaling_flow, scaling_generator,
                           scaling_map)
 from .metrics import Metric, MetricKind, metric_from_structure, pullback
-from .phase_space import (PhasePoint, PhaseSpace, TensorField, contact_form,
+from .phase_space import (PhasePoint, PhaseSpace, contact_form,
                           d_eta, frame, outer_11, sample_points)
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          check_structure_identities, lambda_legendre_residual,
                          lambda_scaling_residual, product_lambda)
 
 __all__ = ["main", "run_suite", "RunConfig", "CheckRecord", "Report"]
-
-_SUITES = ("heisenberg", "hamiltonian", "flows", "commutator", "structures",
-           "table1", "einstein", "legendre", "nablaxi", "equilibrium")
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,8 @@ def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ValueError(f"cannot write the non-finite value {float(v)} as JSON")
         return f"{float(v):.17g}"
     if isinstance(v, str):
         import json
@@ -128,16 +131,12 @@ class RunConfig:
     catalog_path: str | None = None
     json_path: str | None = None
 
-    def space(self) -> PhaseSpace:
-        return PhaseSpace(self.n)
-
-    def lambda_family(self, n: int | None = None) -> LambdaFamily:
-        n = self.n if n is None else n
-        if self.lam is not None:
-            if self.lam.n != n:
-                raise ConfigError(f"lambda family has {self.lam.n} entries, need {n}")
-            return self.lam
-        return product_lambda(n)
+    def lambda_family(self) -> LambdaFamily:
+        if self.lam is None:
+            return product_lambda(self.n)
+        if self.lam.n != self.n:
+            raise ConfigError(f"lambda family has {self.lam.n} entries, need {self.n}")
+        return self.lam
 
     def rng(self, check_id: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
@@ -148,276 +147,41 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# checks
+# checks: one declared table, one runner
+
+@dataclass(frozen=True)
+class Check:
+    """One verification check, declared as data.
+
+    ``residuals(cfg, rng)`` yields one residual per case the record counts: a
+    number, an array, or a tuple of them.  ``_run_check`` reduces each case to
+    its largest absolute value and the cases with ``max`` (``min`` for
+    ``mode="min"``).
+    """
+
+    id: str
+    anchor: str
+    tolerance: float
+    residuals: Callable[[RunConfig, np.random.Generator], Iterable]
+    mode: str = "max"
+
 
 def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _check_heisenberg_commutators(cfg: RunConfig) -> CheckRecord:
-    from .calculus import lie_bracket
-
-    rng = cfg.rng("heisenberg.commutators")
-    worst, total = 0.0, 0
-    for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        fields = frame(space)
-        xi, Q, P = fields[0], fields[1:n + 1], fields[n + 1:]
-        pts = sample_points(space, rng, cfg.points)
-        total += len(pts)
-        brackets = []
-        for a in range(n):
-            for b in range(n):
-                target = xi if a == b else None
-                brackets.append((lie_bracket(space, P[a], Q[b]), target))
-            brackets.append((lie_bracket(space, xi, Q[a]), None))
-            brackets.append((lie_bracket(space, xi, P[a]), None))
-        for pt in pts:
-            for bracket, target in brackets:
-                want = target.evaluate(pt) if target is not None else 0.0
-                worst = max(worst, _max_abs(bracket.evaluate(pt) - want))
-    return CheckRecord("heisenberg.commutators",
-                       "[P^a,Q_b] = delta^a_b xi; [xi,Q_a] = [xi,P^a] = 0",
-                       worst, 1e-12, total)
-
-
-def _check_heisenberg_reeb(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("heisenberg.reeb")
-    worst, total = 0.0, 0
-    for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        eta, deta, xi = contact_form(space), d_eta(space), frame(space)[0]
-        pts = sample_points(space, rng, cfg.points)
-        total += len(pts)
-        for pt in pts:
-            ev, dv, xv = eta.evaluate(pt), deta.evaluate(pt), xi.evaluate(pt)
-            worst = max(worst, abs(ev @ xv - 1.0))
-            X = rng.standard_normal(space.dim)
-            worst = max(worst, _max_abs(xv @ dv), abs(xv @ dv @ X))
-    return CheckRecord("heisenberg.reeb", "eta(xi) = 1 and d_eta(xi, .) = 0",
-                       worst, 1e-12, total)
-
-
-def _check_heisenberg_gram(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("heisenberg.gram")
-    worst, total = 0.0, 0
-    for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        deta = d_eta(space)
-        fields = frame(space)[1:]
-        pts = sample_points(space, rng, cfg.points)
-        total += len(pts)
-        for pt in pts:
-            E = np.column_stack([f.evaluate(pt) for f in fields])
-            gram = E.T @ deta.evaluate(pt) @ E
-            worst = max(worst, abs(abs(np.linalg.det(gram)) - 0.25 ** n))
-    return CheckRecord("heisenberg.gram",
-                       "d_eta restricted to span(Q, P) has |det| = (1/2)^(2n)",
-                       worst, 1e-12, total)
-
-
-def _check_hamiltonian_eta(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("hamiltonian.eta_of_field")
-    space = cfg.space()
-    eta = contact_form(space)
-    worst, total = 0.0, 0
-    for _ in range(20):
-        h = random_polynomial_hamiltonian(space, rng)
-        X = hamiltonian_vector_field(space, h)
-        for pt in sample_points(space, rng, 5):
-            total += 1
-            lhs = eta.evaluate(pt) @ X.evaluate(pt)
-            worst = max(worst, abs(lhs - expr.evaluate(h.h, pt.bindings())))
-    return CheckRecord("hamiltonian.eta_of_field", "eta(X_h) = h",
-                       worst, 1e-12, total)
-
-
-def _check_hamiltonian_lie_eta(cfg: RunConfig) -> CheckRecord:
-    from .calculus import lie_derivative
-
-    rng = cfg.rng("hamiltonian.lie_eta")
-    space = cfg.space()
-    eta = contact_form(space)
-    worst, total = 0.0, 0
-    for _ in range(20):
-        h = random_polynomial_hamiltonian(space, rng)
-        X = hamiltonian_vector_field(space, h)
-        led = lie_derivative(space, eta, X)
-        dh_dw = expr.differentiate(h.h, "w")
-        for pt in sample_points(space, rng, 5):
-            total += 1
-            scale = expr.evaluate(dh_dw, pt.bindings())
-            worst = max(worst, _max_abs(led.evaluate(pt) - scale * eta.evaluate(pt)))
-    return CheckRecord("hamiltonian.lie_eta", "L_{X_h} eta = (dh/dw) eta",
-                       worst, 1e-12, total)
-
-
-def _check_flows_rotation(cfg: RunConfig) -> CheckRecord:
-    space = PhaseSpace(1)
-    start = space.point(1.0, [2.0], [3.0])
-    X = hamiltonian_vector_field(space, rotation_generator(1))
-    end = integrate_flow(X, start, math.pi / 2, 10_000)
-    target = rotation_flow(math.pi / 2, IndexSubset.of(1), start)
-    worst = _max_abs(end.as_array() - target.as_array())
-    worst = max(worst, _max_abs(target.as_array() - np.array([-5.0, -3.0, 2.0])))
-    return CheckRecord("flows.rotation_vs_rk4",
-                       "RK4 flow of the rotation generator matches the closed form",
-                       worst, 1e-8, 1)
-
-
-def _check_flows_scaling(cfg: RunConfig) -> CheckRecord:
-    space = PhaseSpace(1)
-    start = space.point(1.0, [2.0], [3.0])
-    X = hamiltonian_vector_field(space, scaling_generator(1))
-    end = integrate_flow(X, start, math.log(2.0), 10_000)
-    target = scaling_flow(math.log(2.0), start)
-    worst = _max_abs(end.as_array() - target.as_array())
-    worst = max(worst, _max_abs(target.as_array() - np.array([1.0, 1.0, 6.0])))
-    return CheckRecord("flows.scaling_vs_rk4",
-                       "RK4 flow of the scaling generator matches q e^-t, p e^t",
-                       worst, 1e-8, 1)
-
-
-def _check_flows_legendre_order(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("flows.legendre_order_four")
-    space = cfg.space()
-    worst, total = 0.0, 0
-    pts = [PhasePoint(1.0, (2.0,) * space.n, (3.0,) * space.n)]
-    for _ in range(20):
-        vals = rng.integers(-9, 10, size=2 * space.n + 1).astype(float)
-        pts.append(PhasePoint.from_array(vals))
-    subsets = [IndexSubset.of(c) for r in range(1, space.n + 1)
-               for c in itertools.combinations(range(1, space.n + 1), r)]
-    for pt in pts:
-        for I in subsets:
-            image = pt
-            for _ in range(4):
-                image = partial_legendre(I, image)
-            total += 1
-            worst = max(worst, _max_abs(image.as_array() - pt.as_array()))
-    return CheckRecord("flows.legendre_order_four",
-                       "the partial Legendre map applied four times is the identity",
-                       worst, 0.0, total)
-
-
-def _check_flows_eta_preserved(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("flows.eta_preserved")
-    space = cfg.space()
-    eta = contact_form(space)
-    maps = [legendre_map(space, IndexSubset.of(range(1, space.n + 1))),
-            legendre_map(space, IndexSubset.of(1)),
-            scaling_map(space, 0.37)]
-    worst, total = 0.0, 0
-    for pt in sample_points(space, rng, cfg.points):
-        for mapping in maps:
-            total += 1
-            J = mapping.jacobian(pt)
-            pulled = J.T @ eta.evaluate(mapping.apply(pt))
-            worst = max(worst, _max_abs(pulled - eta.evaluate(pt)))
-    return CheckRecord("flows.eta_preserved",
-                       "the Legendre and scaling maps pull the contact form back to itself",
-                       worst, 1e-12, total)
-
-
-def _check_commutator(cfg: RunConfig) -> CheckRecord:
-    from .hamiltonian import closed_form_commutator, generator_commutator
-
-    rng = cfg.rng("commutator.closed_form")
-    space = cfg.space()
-    bracket = generator_commutator(space, cfg.m)
-    closed = closed_form_commutator(space, cfg.m)
-    worst = 0.0
-    pts = sample_points(space, rng, cfg.points)
-    for pt in pts:
-        worst = max(worst, _max_abs(bracket.evaluate(pt) - closed.evaluate(pt)))
-    return CheckRecord("commutator.closed_form",
-                       "[X_hS, X_hL] = sum_i [(p_i^2 - q_i^2) xi - 2 (p_i Q_i + q^i P^i)]",
-                       worst, 1e-10, len(pts))
-
-
-def _structure_check(kind: StructureKind):
-    def run(cfg: RunConfig) -> CheckRecord:
-        rng = cfg.rng(f"structures.{kind.value}")
-        space = cfg.space()
-        lam = cfg.lambda_family() if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
-        pts = sample_points(space, rng, cfg.points)
-        report = check_structure_identities(space, kind, lam, points=pts)
-        anchors = {
-            StructureKind.ALMOST_CONTACT: "phi^2 = -1 + eta (x) xi, phi(xi) = 0, eta o phi = 0",
-            StructureKind.PI_ROTATION: "phi_pi^2 = 1 - eta (x) xi, phi_pi(xi) = 0, eta o phi_pi = 0",
-            StructureKind.REFLECTION: "phi_r^2 = 1 - eta (x) xi, phi_r(xi) = 0, eta o phi_r = 0",
-            StructureKind.COMPOSITE: "phi_s^2 = 1 - eta (x) xi, phi_s(xi) = 0, eta o phi_s = 0",
-            StructureKind.LAMBDA: "phi_L^2 = 1_L - eta (x) xi and phi_L o phi_Lbar = 1 - eta (x) xi",
-            StructureKind.LAMBDA_BAR: "phi_Lbar^2 = 1_Lbar - eta (x) xi and duality with phi_L",
-        }
-        return CheckRecord(f"structures.{kind.value}", anchors[kind],
-                           report.max_residual, 1e-12, len(pts))
-
-    return run
-
-
-def _check_structures_scaling_pde(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("structures.scaling_pde")
-    space = cfg.space()
-    lam = cfg.lambda_family()
-    worst = 0.0
-    pts = sample_points(space, rng, cfg.points)
-    for pt in pts:
-        worst = max(worst, _max_abs(lambda_scaling_residual(space, lam, pt)))
-    return CheckRecord("structures.scaling_pde",
-                       "sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b) = 0 for the product family",
-                       worst, 1e-12, len(pts))
-
-
-def _table1_check(kind: MetricKind):
-    def run(cfg: RunConfig) -> CheckRecord:
-        from .calculus import lie_derivative
-
-        rng = cfg.rng(f"table1.{kind.value}")
-        space = cfg.space()
-        lam = cfg.lambda_family() if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
-        metric = metric_from_structure(space, kind, lam)
-        XL = hamiltonian_vector_field(space, rotation_generator(cfg.m))
-        XS = hamiltonian_vector_field(space, scaling_generator(space.n))
-        worst = 0.0
-        pts = sample_points(space, rng, cfg.points)
-        for X, generator in ((XL, "rotation"), (XS, "scaling")):
-            got = lie_derivative(space, metric.tensor, X)
-            want = tables.lie_derivative_closed_form(space, kind, generator, m=cfg.m, lam=lam)
-            for pt in pts:
-                worst = max(worst, _max_abs(got.evaluate(pt) - want.evaluate(pt)))
-        return CheckRecord(f"table1.{kind.value}",
-                           f"Lie derivatives of the {kind.value} tensor along both generators",
-                           worst, 1e-9, len(pts))
-
-    return run
-
-
-def _check_einstein(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("einstein.acs")
-    space = cfg.space()
-    metric = metric_from_structure(space, MetricKind.ACS)
-    worst = 0.0
-    pts = sample_points(space, rng, min(cfg.points, 20))
-    for pt in pts:
-        worst = max(worst, calculus.ricci(metric, pt).eta_einstein_residual)
-    return CheckRecord("einstein.acs",
-                       "Ric = (2n + 2) eta (x) eta - 2 g for the almost-contact metric",
-                       worst, 1e-8, len(pts))
-
-
-def _check_einstein_fit(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("einstein.fitted_constants")
-    space = cfg.space()
-    metric = metric_from_structure(space, MetricKind.ACS)
-    worst = 0.0
-    pts = sample_points(space, rng, min(cfg.points, 20))
-    for pt in pts:
-        rep = calculus.ricci(metric, pt, fit=True)
-        worst = max(worst, abs(rep.lam - (2 * space.n + 2)), abs(rep.nu + 2.0))
-    return CheckRecord("einstein.fitted_constants",
-                       "least-squares (lam, nu) against eta (x) eta and g give 2n+2 and -2",
-                       worst, 1e-8, len(pts))
+def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
+    """Draw from the check's own stream, reduce its residuals, and time it."""
+    t0 = time.perf_counter()
+    worst = []
+    for case in check.residuals(cfg, cfg.rng(check.id)):
+        parts = [_max_abs(x) for x in (case if isinstance(case, tuple) else (case,))]
+        if not all(map(math.isfinite, parts)):
+            raise expr.EvalError(f"check {check.id}: non-finite residual in case {len(worst) + 1}")
+        worst.append(max(parts))
+    reduce = min if check.mode == "min" else max
+    return CheckRecord(check.id, check.anchor, reduce(worst), check.tolerance, len(worst),
+                       check.mode, time.perf_counter() - t0)
 
 
 def _subsets(n: int) -> list[IndexSubset]:
@@ -425,96 +189,204 @@ def _subsets(n: int) -> list[IndexSubset]:
             for c in itertools.combinations(range(1, n + 1), r)]
 
 
-def _legendre_invariance(check_id: str, power: int):
-    def run(cfg: RunConfig) -> CheckRecord:
-        rng = cfg.rng(check_id)
-        worst, total = 0.0, 0
-        for n in range(1, min(cfg.n, 3) + 1):
-            space = PhaseSpace(n)
-            lam = product_lambda(n, power=power)
-            metric = metric_from_structure(space, MetricKind.LAMBDA, lam)
-            pts = sample_points(space, rng, cfg.points)
-            for I in _subsets(n):
-                mapping = legendre_map(space, I)
-                for pt in pts:
-                    total += 1
-                    pulled = pullback(mapping, metric, pt)
-                    worst = max(worst, _max_abs(pulled - metric.tensor.evaluate(pt)))
-        return CheckRecord(check_id,
-                           f"pullback of g_L under every partial Legendre map equals g_L "
-                           f"for L_a = (q^a p_a)^{power}",
-                           worst, 1e-9, total)
-
-    return run
+def _heisenberg_commutators(cfg, rng):
+    for n in (1, 2, 3):
+        space = PhaseSpace(n)
+        fields = frame(space)
+        xi, Q, P = fields[0], fields[1:n + 1], fields[n + 1:]
+        pts = sample_points(space, rng, cfg.points)
+        brackets = []
+        for a in range(n):
+            for b in range(n):
+                brackets.append((lie_bracket(space, P[a], Q[b]), xi if a == b else None))
+            brackets.append((lie_bracket(space, xi, Q[a]), None))
+            brackets.append((lie_bracket(space, xi, P[a]), None))
+        for pt in pts:
+            yield tuple(bracket.evaluate(pt) - (0.0 if target is None else target.evaluate(pt))
+                        for bracket, target in brackets)
 
 
-def _check_legendre_even_control(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("legendre.even_family_control")
-    space = cfg.space()
-    lam = product_lambda(space.n, power=2)
-    metric = metric_from_structure(space, MetricKind.LAMBDA, lam)
-    mapping = legendre_map(space, IndexSubset.of(1))
-    smallest = math.inf
-    pts = sample_points(space, rng, cfg.points)
+def _heisenberg_reeb(cfg, rng):
+    for n in (1, 2, 3):
+        space = PhaseSpace(n)
+        eta, deta, xi = contact_form(space), d_eta(space), frame(space)[0]
+        for pt in sample_points(space, rng, cfg.points):
+            ev, dv, xv = eta.evaluate(pt), deta.evaluate(pt), xi.evaluate(pt)
+            yield ev @ xv - 1.0, xv @ dv, xv @ dv @ rng.standard_normal(space.dim)
+
+
+def _heisenberg_gram(cfg, rng):
+    for n in (1, 2, 3):
+        space = PhaseSpace(n)
+        deta, fields = d_eta(space), frame(space)[1:]
+        for pt in sample_points(space, rng, cfg.points):
+            E = np.column_stack([f.evaluate(pt) for f in fields])
+            yield abs(np.linalg.det(E.T @ deta.evaluate(pt) @ E)) - 0.25 ** n
+
+
+def _hamiltonian_eta(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    eta = contact_form(space)
+    for _ in range(20):
+        h = random_polynomial_hamiltonian(space, rng)
+        X = hamiltonian_vector_field(space, h)
+        for pt in sample_points(space, rng, 5):
+            yield eta.evaluate(pt) @ X.evaluate(pt) - expr.evaluate(h.h, pt.bindings())
+
+
+def _hamiltonian_lie_eta(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    eta = contact_form(space)
+    for _ in range(20):
+        h = random_polynomial_hamiltonian(space, rng)
+        led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
+        dh_dw = expr.differentiate(h.h, "w")
+        for pt in sample_points(space, rng, 5):
+            scale = expr.evaluate(dh_dw, pt.bindings())
+            yield led.evaluate(pt) - scale * eta.evaluate(pt)
+
+
+def _flows_rotation(cfg, rng):
+    space = PhaseSpace(1)
+    start = space.point(1.0, [2.0], [3.0])
+    X = hamiltonian_vector_field(space, rotation_generator(1))
+    end = integrate_flow(X, start, math.pi / 2, 10_000).as_array()
+    target = rotation_flow(math.pi / 2, IndexSubset.of(1), start).as_array()
+    yield end - target, target - np.array([-5.0, -3.0, 2.0])
+
+
+def _flows_scaling(cfg, rng):
+    space = PhaseSpace(1)
+    start = space.point(1.0, [2.0], [3.0])
+    X = hamiltonian_vector_field(space, scaling_generator(1))
+    end = integrate_flow(X, start, math.log(2.0), 10_000).as_array()
+    target = scaling_flow(math.log(2.0), start).as_array()
+    yield end - target, target - np.array([1.0, 1.0, 6.0])
+
+
+def _flows_legendre_order(cfg, rng):
+    pts = [PhasePoint(1.0, (2.0,) * cfg.n, (3.0,) * cfg.n)]
+    pts += [PhasePoint.from_array(rng.integers(-9, 10, size=2 * cfg.n + 1).astype(float))
+            for _ in range(20)]
+    subsets = _subsets(cfg.n)
     for pt in pts:
-        pulled = pullback(mapping, metric, pt)
-        smallest = min(smallest, _max_abs(pulled - metric.tensor.evaluate(pt)))
-    return CheckRecord("legendre.even_family_control",
-                       "the even family (q^a p_a)^2 breaks Legendre invariance",
-                       smallest, 1e-2, len(pts), mode="min")
+        for I in subsets:
+            image = pt
+            for _ in range(4):
+                image = partial_legendre(I, image)
+            yield image.as_array() - pt.as_array()
 
 
-def _check_legendre_conditions(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("legendre.lambda_conditions")
-    space = cfg.space()
-    worst, total = 0.0, 0
+def _flows_eta_preserved(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    eta = contact_form(space)
+    maps = [legendre_map(space, IndexSubset.of(range(1, space.n + 1))),
+            legendre_map(space, IndexSubset.of(1)),
+            scaling_map(space, 0.37)]
+    for pt in sample_points(space, rng, cfg.points):
+        for mapping in maps:
+            yield mapping.jacobian(pt).T @ eta.evaluate(mapping.apply(pt)) - eta.evaluate(pt)
+
+
+def _commutator(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    bracket = generator_commutator(space, cfg.m)
+    closed = closed_form_commutator(space, cfg.m)
+    for pt in sample_points(space, rng, cfg.points):
+        yield bracket.evaluate(pt) - closed.evaluate(pt)
+
+
+def _structure(kind: StructureKind, cfg, rng):
+    space = PhaseSpace(cfg.n)
+    lam = cfg.lambda_family() if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
+    pts = sample_points(space, rng, cfg.points)
+    return check_structure_identities(space, kind, lam, points=pts).per_point
+
+
+def _structures_scaling_pde(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    lam = cfg.lambda_family()
+    for pt in sample_points(space, rng, cfg.points):
+        yield lambda_scaling_residual(space, lam, pt)
+
+
+def _table1(kind: MetricKind, cfg, rng):
+    space = PhaseSpace(cfg.n)
+    lam = cfg.lambda_family() if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
+    metric = metric_from_structure(space, kind, lam)
+    XL = hamiltonian_vector_field(space, rotation_generator(cfg.m))
+    XS = hamiltonian_vector_field(space, scaling_generator(space.n))
+    pts = sample_points(space, rng, cfg.points)
+    pairs = [(lie_derivative(space, metric.tensor, X),
+              tables.lie_derivative_closed_form(space, kind, generator, m=cfg.m, lam=lam))
+             for X, generator in ((XL, "rotation"), (XS, "scaling"))]
+    for pt in pts:
+        yield tuple(got.evaluate(pt) - want.evaluate(pt) for got, want in pairs)
+
+
+def _einstein(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    metric = metric_from_structure(space, MetricKind.ACS)
+    for pt in sample_points(space, rng, min(cfg.points, 20)):
+        yield calculus.ricci(metric, pt).eta_einstein_residual
+
+
+def _einstein_fit(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    metric = metric_from_structure(space, MetricKind.ACS)
+    for pt in sample_points(space, rng, min(cfg.points, 20)):
+        rep = calculus.ricci(metric, pt, fit=True)
+        yield rep.lam - (2 * space.n + 2), rep.nu + 2.0
+
+
+def _legendre_invariance(power: int, cfg, rng):
+    for n in range(1, min(cfg.n, 3) + 1):
+        space = PhaseSpace(n)
+        metric = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(n, power=power))
+        pts = sample_points(space, rng, cfg.points)
+        for I in _subsets(n):
+            mapping = legendre_map(space, I)
+            for pt in pts:
+                yield pullback(mapping, metric, pt) - metric.tensor.evaluate(pt)
+
+
+def _legendre_even_control(cfg, rng):
+    space = PhaseSpace(cfg.n)
+    metric = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(space.n, power=2))
+    mapping = legendre_map(space, IndexSubset.of(1))
+    for pt in sample_points(space, rng, cfg.points):
+        yield pullback(mapping, metric, pt) - metric.tensor.evaluate(pt)
+
+
+def _legendre_conditions(cfg, rng):
+    space = PhaseSpace(cfg.n)
     pts = sample_points(space, rng, cfg.points)
     for power in (1, 3):
         lam = product_lambda(space.n, power=power)
         for I in _subsets(space.n):
             for pt in pts:
-                total += 1
-                worst = max(worst, _max_abs(lambda_legendre_residual(space, lam, I, pt)))
-    return CheckRecord("legendre.lambda_conditions",
-                       "L_i(Phi x) = -L_i(x) on transformed indices, unchanged elsewhere",
-                       worst, 1e-12, total)
+                yield lambda_legendre_residual(space, lam, I, pt)
 
 
-def _check_nabla_reeb(check_id: str, kind: MetricKind, dual_kind: StructureKind):
-    def run(cfg: RunConfig) -> CheckRecord:
-        rng = cfg.rng(check_id)
-        space = cfg.space()
-        lam = cfg.lambda_family()
-        metric = metric_from_structure(space, kind, lam)
-        dual = build_structure(space, dual_kind, lam)
-        worst = 0.0
-        pts = sample_points(space, rng, cfg.points)
-        for pt in pts:
-            worst = max(worst, _max_abs(calculus.nabla_reeb(metric, pt) + dual.evaluate(pt)))
-        return CheckRecord(check_id,
-                           f"nabla xi of the {kind.value} metric equals minus the "
-                           f"{dual_kind.value} automorphism",
-                           worst, 1e-9, len(pts))
-
-    return run
+def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
+    space = PhaseSpace(cfg.n)
+    lam = cfg.lambda_family()
+    metric = metric_from_structure(space, kind, lam)
+    dual = build_structure(space, dual_kind, lam)
+    for pt in sample_points(space, rng, cfg.points):
+        yield calculus.nabla_reeb(metric, pt) + dual.evaluate(pt)
 
 
-def _check_nabla_duality(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("nabla_reeb.duality")
-    space = cfg.space()
+def _nabla_duality(cfg, rng):
+    space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family()
     m_lam = metric_from_structure(space, MetricKind.LAMBDA, lam)
     m_bar = metric_from_structure(space, MetricKind.LAMBDA_BAR, lam)
     eta_xi = outer_11(contact_form(space), frame(space)[0])
     identity = np.eye(space.dim)
-    worst = 0.0
-    pts = sample_points(space, rng, cfg.points)
-    for pt in pts:
+    for pt in sample_points(space, rng, cfg.points):
         composed = calculus.nabla_reeb(m_lam, pt) @ calculus.nabla_reeb(m_bar, pt)
-        worst = max(worst, _max_abs(composed - (identity - eta_xi.evaluate(pt))))
-    return CheckRecord("nabla_reeb.duality",
-                       "the two nabla xi endomorphisms compose to 1 - eta (x) xi",
-                       worst, 1e-9, len(pts))
+        yield composed - (identity - eta_xi.evaluate(pt))
 
 
 def _catalog_entries(cfg: RunConfig):
@@ -524,6 +396,10 @@ def _catalog_entries(cfg: RunConfig):
     return entries
 
 
+def _builtin_relation(entry_id: str):
+    return next(e.relation for e in equilibrium.catalog() if e.id == entry_id)
+
+
 def _domain_samples(rel, rng, count):
     lo = np.array([d[0] for d in rel.domain])
     hi = np.array([d[1] for d in rel.domain])
@@ -531,110 +407,147 @@ def _domain_samples(rel, rng, count):
     return lo + margin + (hi - lo - 2 * margin) * rng.random((count, rel.n))
 
 
-def _check_equilibrium_hessian(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("equilibrium.hessian_pullback")
-    worst, total = 0.0, 0
+def _equilibrium_hessian(cfg, rng):
     for entry in _catalog_entries(cfg):
         rel = entry.relation
         gr = metric_from_structure(PhaseSpace(rel.n), MetricKind.R)
         for qvals in _domain_samples(rel, rng, cfg.points):
-            total += 1
-            pulled = equilibrium.pullback_metric_on_E(rel, gr, qvals)
-            worst = max(worst, _max_abs(pulled + rel.hessian(qvals)))
-    return CheckRecord("equilibrium.hessian_pullback",
-                       "pullback of g_r onto each equilibrium space is minus the Hessian",
-                       worst, 1e-10, total)
+            yield equilibrium.pullback_metric_on_E(rel, gr, qvals) + rel.hessian(qvals)
 
 
-def _check_equilibrium_eta(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("equilibrium.eta_pullback")
-    worst, total = 0.0, 0
+def _equilibrium_eta(cfg, rng):
     for entry in _catalog_entries(cfg):
         rel = entry.relation
         eta = contact_form(PhaseSpace(rel.n))
         for qvals in _domain_samples(rel, rng, cfg.points):
-            total += 1
             x = equilibrium.embed(rel, qvals)
-            J = equilibrium.embedding_jacobian(rel, qvals)
-            worst = max(worst, _max_abs(eta.evaluate(x) @ J))
-    return CheckRecord("equilibrium.eta_pullback",
-                       "the embedded state space kills the contact form",
-                       worst, 1e-12, total)
+            yield eta.evaluate(x) @ equilibrium.embedding_jacobian(rel, qvals)
 
 
-def _check_equilibrium_transform(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("equilibrium.ideal_gas_transform")
-    ideal = next(e.relation for e in equilibrium.catalog() if e.id == "ideal_gas")
+def _equilibrium_transform(cfg, rng):
+    ideal = _builtin_relation("ideal_gas")
     F = equilibrium.legendre_potential(ideal, "S")
-    worst = 0.0
     for S, V in _domain_samples(ideal, rng, 20):
         T = math.exp(S) * V ** (-2.0 / 3.0)
         closed = T * (1.0 - math.log(T) - (2.0 / 3.0) * math.log(V))
-        worst = max(worst, abs(F.value([T, V]) - closed))
-        worst = max(worst, abs(F.gradient([T, V])[0] + S))
-    return CheckRecord("equilibrium.ideal_gas_transform",
-                       "the numeric conjugate transform of the ideal gas matches "
-                       "T (1 - log T - (2/3) log V)",
-                       worst, 1e-8, 20)
+        yield F.value([T, V]) - closed, F.gradient([T, V])[0] + S
 
 
-def _check_equilibrium_involution(cfg: RunConfig) -> CheckRecord:
-    rng = cfg.rng("equilibrium.involution")
-    worst, total = 0.0, 0
-    ideal = next(e.relation for e in equilibrium.catalog() if e.id == "ideal_gas")
+def _equilibrium_involution(cfg, rng):
+    ideal = _builtin_relation("ideal_gas")
     for qvals in _domain_samples(ideal, rng, 10):
-        total += 1
-        worst = max(worst, equilibrium.involution_check(ideal, IndexSubset.of(1), qvals))
-    quad = next(e.relation for e in equilibrium.catalog() if e.id == "quadratic")
+        yield equilibrium.involution_check(ideal, IndexSubset.of(1), qvals)
+    quad = _builtin_relation("quadratic")
     for I in _subsets(quad.n):
         for qvals in _domain_samples(quad, rng, 10):
-            total += 1
-            worst = max(worst, equilibrium.involution_check(quad, I, qvals))
-    return CheckRecord("equilibrium.involution",
-                       "the quarter-turn image of a state space lies on the "
-                       "transformed relation's embedding",
-                       worst, 1e-8, total)
+            yield equilibrium.involution_check(quad, I, qvals)
 
 
-_CHECKS: dict[str, list] = {
-    "heisenberg": [_check_heisenberg_commutators, _check_heisenberg_reeb,
-                   _check_heisenberg_gram],
-    "hamiltonian": [_check_hamiltonian_eta, _check_hamiltonian_lie_eta],
-    "flows": [_check_flows_rotation, _check_flows_scaling,
-              _check_flows_legendre_order, _check_flows_eta_preserved],
-    "commutator": [_check_commutator],
-    "structures": [_structure_check(kind) for kind in StructureKind]
-                  + [_check_structures_scaling_pde],
-    "table1": [_table1_check(kind) for kind in MetricKind],
-    "einstein": [_check_einstein, _check_einstein_fit],
-    "legendre": [_legendre_invariance("legendre.invariance_qp", 1),
-                 _legendre_invariance("legendre.invariance_qp_cubed", 3),
-                 _check_legendre_even_control, _check_legendre_conditions],
-    "nablaxi": [_check_nabla_reeb("nabla_reeb.lambda", MetricKind.LAMBDA,
-                                  StructureKind.LAMBDA_BAR),
-                _check_nabla_reeb("nabla_reeb.lambdabar", MetricKind.LAMBDA_BAR,
-                                  StructureKind.LAMBDA),
-                _check_nabla_duality],
-    "equilibrium": [_check_equilibrium_hessian, _check_equilibrium_eta,
-                    _check_equilibrium_transform, _check_equilibrium_involution],
+_STRUCTURE_ANCHORS = {
+    StructureKind.ALMOST_CONTACT: "phi^2 = -1 + eta (x) xi, phi(xi) = 0, eta o phi = 0",
+    StructureKind.PI_ROTATION: "phi_pi^2 = 1 - eta (x) xi, phi_pi(xi) = 0, eta o phi_pi = 0",
+    StructureKind.REFLECTION: "phi_r^2 = 1 - eta (x) xi, phi_r(xi) = 0, eta o phi_r = 0",
+    StructureKind.COMPOSITE: "phi_s^2 = 1 - eta (x) xi, phi_s(xi) = 0, eta o phi_s = 0",
+    StructureKind.LAMBDA: "phi_L^2 = 1_L - eta (x) xi and phi_L o phi_Lbar = 1 - eta (x) xi",
+    StructureKind.LAMBDA_BAR: "phi_Lbar^2 = 1_Lbar - eta (x) xi and duality with phi_L",
 }
+
+# suite -> its checks, in run order; each check draws from its own id-keyed stream
+_CHECKS: dict[str, tuple[Check, ...]] = {
+    "heisenberg": (
+        Check("heisenberg.commutators", "[P^a,Q_b] = delta^a_b xi; [xi,Q_a] = [xi,P^a] = 0",
+              1e-12, _heisenberg_commutators),
+        Check("heisenberg.reeb", "eta(xi) = 1 and d_eta(xi, .) = 0", 1e-12, _heisenberg_reeb),
+        Check("heisenberg.gram", "d_eta restricted to span(Q, P) has |det| = (1/2)^(2n)",
+              1e-12, _heisenberg_gram),
+    ),
+    "hamiltonian": (
+        Check("hamiltonian.eta_of_field", "eta(X_h) = h", 1e-12, _hamiltonian_eta),
+        Check("hamiltonian.lie_eta", "L_{X_h} eta = (dh/dw) eta", 1e-12, _hamiltonian_lie_eta),
+    ),
+    "flows": (
+        Check("flows.rotation_vs_rk4",
+              "RK4 flow of the rotation generator matches the closed form", 1e-8, _flows_rotation),
+        Check("flows.scaling_vs_rk4",
+              "RK4 flow of the scaling generator matches q e^-t, p e^t", 1e-8, _flows_scaling),
+        Check("flows.legendre_order_four",
+              "the partial Legendre map applied four times is the identity",
+              0.0, _flows_legendre_order),
+        Check("flows.eta_preserved",
+              "the Legendre and scaling maps pull the contact form back to itself",
+              1e-12, _flows_eta_preserved),
+    ),
+    "commutator": (
+        Check("commutator.closed_form",
+              "[X_hS, X_hL] = sum_i [(p_i^2 - q_i^2) xi - 2 (p_i Q_i + q^i P^i)]",
+              1e-10, _commutator),
+    ),
+    "structures": (
+        *(Check(f"structures.{kind.value}", anchor, 1e-12, partial(_structure, kind))
+          for kind, anchor in _STRUCTURE_ANCHORS.items()),
+        Check("structures.scaling_pde",
+              "sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b) = 0 for the product family",
+              1e-12, _structures_scaling_pde),
+    ),
+    "table1": tuple(
+        Check(f"table1.{kind.value}",
+              f"Lie derivatives of the {kind.value} tensor along both generators",
+              1e-9, partial(_table1, kind))
+        for kind in MetricKind),
+    "einstein": (
+        Check("einstein.acs", "Ric = (2n + 2) eta (x) eta - 2 g for the almost-contact metric",
+              1e-8, _einstein),
+        Check("einstein.fitted_constants",
+              "least-squares (lam, nu) against eta (x) eta and g give 2n+2 and -2",
+              1e-8, _einstein_fit),
+    ),
+    "legendre": (
+        Check("legendre.invariance_qp", "pullback of g_L under every partial Legendre map "
+              "equals g_L for L_a = (q^a p_a)^1", 1e-9, partial(_legendre_invariance, 1)),
+        Check("legendre.invariance_qp_cubed", "pullback of g_L under every partial Legendre map "
+              "equals g_L for L_a = (q^a p_a)^3", 1e-9, partial(_legendre_invariance, 3)),
+        Check("legendre.even_family_control",
+              "the even family (q^a p_a)^2 breaks Legendre invariance",
+              1e-2, _legendre_even_control, mode="min"),
+        Check("legendre.lambda_conditions",
+              "L_i(Phi x) = -L_i(x) on transformed indices, unchanged elsewhere",
+              1e-12, _legendre_conditions),
+    ),
+    "nablaxi": (
+        Check("nabla_reeb.lambda",
+              "nabla xi of the lambda metric equals minus the lambdabar automorphism", 1e-9,
+              partial(_nabla_reeb, MetricKind.LAMBDA, StructureKind.LAMBDA_BAR)),
+        Check("nabla_reeb.lambdabar",
+              "nabla xi of the lambdabar metric equals minus the lambda automorphism", 1e-9,
+              partial(_nabla_reeb, MetricKind.LAMBDA_BAR, StructureKind.LAMBDA)),
+        Check("nabla_reeb.duality", "the two nabla xi endomorphisms compose to 1 - eta (x) xi",
+              1e-9, _nabla_duality),
+    ),
+    "equilibrium": (
+        Check("equilibrium.hessian_pullback",
+              "pullback of g_r onto each equilibrium space is minus the Hessian",
+              1e-10, _equilibrium_hessian),
+        Check("equilibrium.eta_pullback", "the embedded state space kills the contact form",
+              1e-12, _equilibrium_eta),
+        Check("equilibrium.ideal_gas_transform", "the numeric conjugate transform of the ideal "
+              "gas matches T (1 - log T - (2/3) log V)", 1e-8, _equilibrium_transform),
+        Check("equilibrium.involution", "the quarter-turn image of a state space lies on the "
+              "transformed relation's embedding", 1e-8, _equilibrium_involution),
+    ),
+}
+_SUITES = tuple(_CHECKS)
 
 
 def run_suite(config: RunConfig) -> Report:
     """Run the selected verification suites and collect one record per check."""
-    if config.suite != "all" and config.suite not in _SUITES:
+    if config.suite != "all" and config.suite not in _CHECKS:
         raise ConfigError(f"unknown suite {config.suite!r}")
     if not 1 <= config.m <= config.n:
         raise ConfigError(f"m={config.m} must satisfy 1 <= m <= n={config.n}")
+    if config.points < 1:
+        raise ConfigError(f"points={config.points} must be at least 1")
     suites = _SUITES if config.suite == "all" else (config.suite,)
-    report = Report()
-    for suite in suites:
-        for check in _CHECKS[suite]:
-            t0 = time.perf_counter()
-            record = check(config)
-            record.wall_time = time.perf_counter() - t0
-            report.checks.append(record)
-    return report
+    return Report([_run_check(check, config) for suite in suites for check in _CHECKS[suite]])
 
 
 # ---------------------------------------------------------------------------
@@ -784,21 +697,6 @@ def _cmd_pullback(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    cfg = RunConfig(
-        suite="table1",
-        n=args.n if args.n is not None else 2,
-        m=args.m if args.m is not None else 1,
-        seed=args.seed if args.seed is not None else 0,
-        points=args.points if args.points is not None else 50,
-        lam=_parse_lambda(args.lam, args.n if args.n is not None else 2),
-        json_path=args.json,
-    )
-    report = run_suite(cfg)
-    _emit(report.lines(cfg), cfg.json_path)
-    return 0 if report.failures == 0 else 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contactgeo",
@@ -807,20 +705,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, point=False):
         p.add_argument("--n", type=int, default=None, help="number of conjugate pairs")
-        p.add_argument("--seed", type=int, default=None, help="sampler seed")
-        p.add_argument("--points", type=int, default=None, help="sample count per check")
         p.add_argument("--json", default=None, help="also write the JSON report here")
-        p.add_argument("--config", default=None, help="key = value config file")
         if point:
             p.add_argument("--point", required=True,
                            help="comma-separated w,q1..qn,p1..pn")
 
+    def sampled(p):
+        common(p)
+        p.add_argument("--seed", type=int, default=None, help="sampler seed")
+        p.add_argument("--points", type=int, default=None, help="sample count per check")
+        p.add_argument("--config", default=None, help="key = value config file")
+        p.add_argument("--m", type=int, default=None,
+                       help="rotated pairs for the rotation generator")
+        p.add_argument("--lambda", dest="lam", default=None,
+                       help="scaling family: 'qp', 'qp3', or ';'-separated expressions")
+
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    sampled(p)
     p.add_argument("--suite", choices=("all",) + _SUITES, default=None)
-    p.add_argument("--m", type=int, default=None, help="rotated pairs for the rotation generator")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="scaling family: 'qp', 'qp3', or ';'-separated expressions")
     p.add_argument("--catalog", default=None, help="extra relation catalog file")
     p.set_defaults(func=_cmd_verify)
 
@@ -848,11 +750,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=None)
     p.set_defaults(func=_cmd_pullback)
 
-    p = sub.add_parser("table", help="verify the Lie-derivative table rows")
-    common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.set_defaults(func=_cmd_table)
+    p = sub.add_parser("table", help="verify --suite table1: the Lie-derivative table rows")
+    sampled(p)
+    p.set_defaults(func=_cmd_verify, suite="table1", catalog=None)
 
     return parser
 
@@ -861,7 +761,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # non-finite results are caught by the runner and by _fmt, not by numpy's warnings
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, expr.ExprError, ValueError, OSError, ArithmeticError,
             RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -157,16 +157,22 @@ def scaled_horizontal_identity(space: PhaseSpace, coeffs: tuple[Expr, ...]) -> T
 
 @dataclass
 class StructureReport:
-    """Max residuals of the defining identities over the sampled points."""
+    """Residuals of the defining identities over the sampled points.
+
+    ``residuals`` maps each identity to its max over the points and
+    ``per_point`` holds the worst identity at each point.  A NaN residual is
+    kept, never dropped by the max.
+    """
 
     kind: StructureKind
     n: int
     points: int
     residuals: dict[str, float]
+    per_point: list[float]
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))
 
 
 def check_structure_identities(space: PhaseSpace, kind: StructureKind,
@@ -208,22 +214,20 @@ def check_structure_identities(space: PhaseSpace, kind: StructureKind,
         other = StructureKind.LAMBDA_BAR if kind == StructureKind.LAMBDA else StructureKind.LAMBDA
         dual = build_structure(space, other, lam)
 
-    residuals = {"square": 0.0, "eta_phi": 0.0, "kills_reeb": 0.0}
-    if dual is not None:
-        residuals["duality"] = 0.0
+    names = ["square", "eta_phi", "kills_reeb"] + (["duality"] if dual is not None else [])
+    rows = []
     for pt in points:
         m = phi.evaluate(pt)
         eta_vals = eta.evaluate(pt)
         xi_vals = xi.evaluate(pt)
-        residuals["square"] = max(residuals["square"],
-                                  float(np.max(np.abs(m @ m - square_target(pt)))))
-        residuals["eta_phi"] = max(residuals["eta_phi"], float(np.max(np.abs(eta_vals @ m))))
-        residuals["kills_reeb"] = max(residuals["kills_reeb"], float(np.max(np.abs(m @ xi_vals))))
+        row = [m @ m - square_target(pt), eta_vals @ m, m @ xi_vals]
         if dual is not None:
-            target = identity - eta_xi.evaluate(pt)
-            residuals["duality"] = max(residuals["duality"],
-                                       float(np.max(np.abs(m @ dual.evaluate(pt) - target))))
-    return StructureReport(kind, space.n, len(points), residuals)
+            row.append(m @ dual.evaluate(pt) - (identity - eta_xi.evaluate(pt)))
+        rows.append([np.max(np.abs(r)) for r in row])
+    table = np.array(rows, dtype=float).reshape(len(points), len(names))
+    return StructureReport(kind, space.n, len(points),
+                           dict(zip(names, table.max(axis=0, initial=0.0).tolist())),
+                           table.max(axis=1).tolist())
 
 
 def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,

@@ -9,6 +9,9 @@ import pytest
 
 from contactgeo import cli
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
+from contactgeo.expr import EvalError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(capsys, argv):
@@ -43,7 +46,7 @@ class TestVerify:
 
     def test_golden_report(self, capsys):
         # byte for byte: a refactor that changes the report must say which bytes and why
-        golden = Path(__file__).parent / "golden" / "verify_all_n2_seed7.jsonl"
+        golden = GOLDEN / "verify_all_n2_seed7.jsonl"
         code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "2", "--seed", "7"])
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
@@ -116,6 +119,22 @@ class TestVerify:
         assert code == 2
         assert "lambda" in err
 
+    def test_non_finite_residual_exits_two(self, capsys):
+        # inf * q1 * p1: phi_L o phi_L is NaN, which a plain max(worst, nan) would drop
+        code, out, err = _run(capsys, ["verify", "--suite", "structures", "--n", "2",
+                                       "--seed", "1", "--points", "5",
+                                       "--lambda", "1e200*1e200*q1*p1;q2*p2"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: check structures.lambda: non-finite residual in case 1\n"
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_is_config_error(self, capsys, points):
+        code, out, err = _run(capsys, ["verify", "--suite", "legendre", "--points", points])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: points={points} must be at least 1\n"
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         out_path = tmp_path / "report.jsonl"
@@ -168,9 +187,33 @@ class TestRunSuiteApi:
         ids = [json.loads(line)["check"] for line in lines[:-1]]
         assert ids == sorted(ids)
 
+    def test_runner_reduces_each_case_to_one_residual(self):
+        cases = [0.25, (-0.5, np.array([0.1, -0.3])), np.array([[0.0, 0.2]])]
+        for mode, want in (("max", 0.5), ("min", 0.2)):
+            check = cli.Check("demo.cases", "a", 1.0, lambda cfg, rng: cases, mode=mode)
+            record = cli._run_check(check, RunConfig())
+            assert (record.max_residual, record.points, record.mode) == (want, 3, mode)
+
+    @pytest.mark.parametrize("case", [math.nan, (0.5, math.nan), np.array([0.5, -math.inf])])
+    def test_non_finite_residual_names_the_check(self, case):
+        check = cli.Check("demo.nan", "a", 1.0, lambda cfg, rng: [0.5, case])
+        with pytest.raises(EvalError, match="check demo.nan: non-finite residual in case 2"):
+            cli._run_check(check, RunConfig())
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(cli.ConfigError):
             run_suite(RunConfig(suite="bogus"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--config", "run.cfg", "--hamiltonian", "hL", "--t", "1", "--point", "1,2,3"],
+    ["curvature", "--seed", "1", "--metric", "acs", "--n", "1", "--point", "1,2,3"],
+    ["pullback", "--points", "5", "--n", "1", "--point", "1,2,3"],
+])
+def test_commands_reject_options_they_would_ignore(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 class TestCurvatureCommand:
@@ -258,6 +301,14 @@ class TestPullbackCommand:
         assert code == 0
         assert json.loads(out)["max_residual"] > 0.1  # scalings do not preserve g
 
+    def test_non_finite_value_is_not_printed(self, capsys):
+        code, out, err = _run(capsys, ["pullback", "--map", "legendre", "--indices", "1",
+                                       "--metric", "lambda", "--lambda", "1e200*1e200*q1*p1;q2*p2",
+                                       "--n", "2", "--point", "0.5,1,2,3,4"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: cannot write the non-finite value nan as JSON\n"
+
 
 class TestTableCommand:
     def test_six_rows(self, capsys):
@@ -268,3 +319,12 @@ class TestTableCommand:
         rows = [r for r in records if r["check"].startswith("table1.")]
         assert len(rows) == 6
         assert all(r["max_residual"] < 1e-9 for r in rows)
+        assert out.encode("utf-8") == (GOLDEN / "table_n2_m1_seed11_p10.jsonl").read_bytes()
+
+    def test_config_file(self, tmp_path, capsys):
+        # table is verify with the suite fixed to table1: the config's suite is overridden
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text('suite = "structures"\nseed = 11\npoints = 10\n')
+        code, out, _ = _run(capsys, ["table", "--config", str(cfg), "--n", "2"])
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / "table_n2_m1_seed11_p10.jsonl").read_bytes()

@@ -87,7 +87,17 @@ class TestDefiningIdentities:
         lam = product_lambda(2) if kind.value.startswith("lambda") else None
         report = check_structure_identities(SP2, kind, lam, rng=rng, count=100)
         assert report.max_residual < 1e-12
-        assert report.points == 100
+        assert report.points == len(report.per_point) == 100
+        assert max(report.per_point) == report.max_residual
+
+    def test_nan_residual_is_kept(self):
+        # an infinite coefficient makes phi_L o phi_L NaN; the max over points must keep it
+        lam = LambdaFamily.of(["1e200*1e200*q1*p1", "q2*p2"])
+        pts = sample_points(SP2, np.random.default_rng(35), 3)
+        with np.errstate(all="ignore"):
+            report = check_structure_identities(SP2, StructureKind.LAMBDA, lam, points=pts)
+        assert np.isnan(report.max_residual)
+        assert np.isnan(report.per_point).all()
 
     def test_lambda_square_scales_quadratically(self):
         phi = build_structure(SP1, StructureKind.LAMBDA, product_lambda(1))
