@@ -6,10 +6,11 @@ pulled-back contact form identically.  The pullback of the reflection metric
 onto the embedded submanifold is minus the Hessian of the potential -- the
 classical Hessian metric of the equilibrium state space.
 
-Potential transforms: ``legendre_potential`` replaces one independent
-coordinate by its conjugate, inverting ``p_i = d wbar / d q^i`` numerically
-(safeguarded Newton with bisection fallback) and returning a relation that
-evaluates ``wbar - q^i p_i``.  Sign bookkeeping linking these numeric
+Potential transforms: ``legendre_potential`` replaces the coordinates of an
+index set ``I`` (one coordinate is ``|I| = 1``) by their conjugates in one
+transform: it solves ``p_I = grad_I wbar(q)`` for ``q_I`` numerically (damped,
+box-safeguarded Newton on the I x I Hessian block) and returns a relation that
+evaluates ``wbar - sum_{i in I} q^i p_i``.  Sign bookkeeping linking these numeric
 transforms to the phase-space quarter-turn map: with the Darboux
 identification ``q = (S, V), p = (T, -P)`` for ``eta = dU - T dS + P dV``,
 the transformed patch coordinates relate to the quarter-turn image by
@@ -19,6 +20,7 @@ the transformed patch coordinates relate to the quarter-turn image by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,8 +61,14 @@ class FundamentalRelation:
     domain: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if len(set(self.coords)) != len(self.coords):
+            raise ValueError(f"duplicate coordinate names in {list(self.coords)}")
         if len(self.coords) != len(self.domain):
             raise ValueError("domain box must match the coordinate count")
+        # the box also bounds the conjugate solves, so it must be a real box
+        for c, (lo, hi) in zip(self.coords, self.domain):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"domain of '{c}' must be finite with lo < hi, got [{lo}, {hi}]")
         unknown = expr.free_variables(self.wbar) - set(self.coords)
         if unknown:
             raise ValueError(f"wbar uses unknown variables {sorted(unknown)}")
@@ -102,144 +110,139 @@ class FundamentalRelation:
                    for v, (lo, hi) in zip(qvals, self.domain))
 
 
-def _invert_monotone(fun, dfun, target: float, lo: float, hi: float,
-                     tol: float = 1e-12, max_iter: int = 100) -> float:
-    """Solve ``fun(x) = target`` for a monotone ``fun`` on an expandable bracket."""
-
-    def shifted(x):
-        try:
-            v = fun(x) - target
-        except (expr.EvalError, OverflowError) as err:
-            raise RootFindError(f"conjugate map not evaluable at {x}: {err}") from None
-        if not np.isfinite(v):
-            raise RootFindError(f"conjugate map not finite at {x}")
-        return v
-
-    flo, fhi = shifted(lo), shifted(hi)
-    span = hi - lo
-    expansions = 0
-    while flo * fhi > 0.0:
-        if expansions >= 60:
-            raise RootFindError("could not bracket the conjugate-variable root")
-        lo -= span
-        hi += span
-        span = hi - lo
-        flo, fhi = shifted(lo), shifted(hi)
-        expansions += 1
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        f = shifted(x)
-        if f == 0.0:
-            return x
-        if f * flo < 0.0:
-            hi = x
-        else:
-            lo, flo = x, f
-        d = dfun(x)
-        step_ok = d != 0.0
-        if step_ok:
-            x_new = x - f / d
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol * (1.0 + abs(x_new)):
-            return x_new
-        x = x_new
-    raise RootFindError(f"inversion did not converge within {max_iter} iterations")
-
-
 class TransformedRelation:
-    """Numeric relation with one coordinate replaced by its conjugate.
+    """Numeric relation with the coordinates of an index set replaced by their conjugates.
 
-    Value and gradient come from the envelope identities
-    ``F(u) = wbar(q*) - q*_i u_i`` and ``dF/du_i = -q*_i``; the Hessian is the
-    Schur-complement update of the base Hessian, so repeated transforms nest.
+    With ``I`` the transformed slots and ``R`` the rest, the base coordinates
+    ``x*`` keep ``x*_R = u_R`` and solve ``grad_I wbar(x*) = u_I``.  Value and
+    gradient come from the envelope identities ``F(u) = wbar(x*) - x*_I . u_I``,
+    ``dF/du_I = -x*_I`` and ``dF/du_R = d wbar / dx_R``; the Hessian is one block
+    Schur complement of the base Hessian.  This is the convex conjugate
+    restricted to a block (Rockafellar, Convex Analysis, section 26).
     """
 
-    def __init__(self, base, index: int):
-        if not 1 <= index <= base.n:
-            raise ValueError(f"index {index} out of range 1..{base.n}")
-        self.base = base
-        self.index = index
-        self._i = index - 1
-        self.potential = f"L{index}[{base.potential}]"
-        self.coords = tuple(f"{c}_dual" if k == self._i else c
-                            for k, c in enumerate(base.coords))
-        self._check_monotone()
-        self.domain = self._estimate_domain()
+    def __init__(self, base, indices):
+        I = IndexSubset.of(indices)
+        I.validate(base.n)
+        self.base, self.indices = base, I.indices
+        self._I = np.array(I.indices) - 1
+        self._II = np.ix_(self._I, self._I)
+        self.potential = f"L{','.join(map(str, I))}[{base.potential}]"
+        self.coords = tuple(f"{c}_dual" if k + 1 in I else c for k, c in enumerate(base.coords))
+        self._lo, self._hi = np.array(base.domain, dtype=float)[self._I].T
+        self._last = (None, None)
+        self.domain = self._probe()
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def _check_monotone(self, samples: int = 32):
+    def _probe(self, samples: int = 32):
+        """Check at seeded samples that the I-block of the base Hessian is definite,
+        and return the domain whose transformed slots are the ranges of their
+        conjugates over those samples and the corners of the box."""
+        box = np.array(self.base.domain, dtype=float)
         rng = np.random.default_rng(170)
-        lo = np.array([d[0] for d in self.base.domain])
-        hi = np.array([d[1] for d in self.base.domain])
-        pts = lo + (hi - lo) * rng.random((samples, self.n))
-        signs = set()
-        for row in pts:
-            signs.add(np.sign(self.base.hessian(row)[self._i, self._i]))
-        if len(signs) != 1 or 0.0 in signs:
-            raise ValueError(
-                f"conjugate map of '{self.base.coords[self._i]}' is not monotone on the domain")
+        pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((samples, self.n))
+        blocks = np.array([self.base.hessian(p)[self._II] for p in pts])
+        # a non-finite block counts as indefinite (and would make eigvalsh raise)
+        eig = np.linalg.eigvalsh(blocks) if np.isfinite(blocks).all() else np.array([np.nan])
+        if not ((eig > 0.0).all() or (eig < 0.0).all()):
+            names = ", ".join(repr(self.base.coords[k]) for k in self._I)
+            raise ValueError(f"conjugate map of {names} is not monotone on the domain")
+        pts = np.vstack([pts, list(itertools.product(*self.base.domain))])
+        vals = np.array([self.base.gradient(p)[self._I] for p in pts])
+        domain = list(self.base.domain)
+        for k, lo, hi in zip(self._I, vals.min(axis=0), vals.max(axis=0)):
+            domain[k] = (float(lo), float(hi))
+        return tuple(domain)
 
-    def _estimate_domain(self):
-        # corner grid plus random interior samples; the i-slot becomes the
-        # observed range of the conjugate variable
-        lo = np.array([d[0] for d in self.base.domain])
-        hi = np.array([d[1] for d in self.base.domain])
-        rng = np.random.default_rng(171)
-        pts = [lo + (hi - lo) * rng.random(self.n) for _ in range(32)]
-        pts.extend(np.array(c) for c in itertools.product(*self.base.domain))
-        vals = [self.base.gradient(p)[self._i] for p in pts]
-        new = list(self.base.domain)
-        new[self._i] = (float(min(vals)), float(max(vals)))
-        return tuple(new)
+    def _mismatch(self, q, target):
+        """``grad_I wbar(q) - u_I``, or None where the base cannot be evaluated."""
+        try:
+            g = self.base.gradient(q)[self._I] - target
+        except (expr.EvalError, OverflowError, RootFindError):
+            return None
+        return g if all(map(math.isfinite, g)) else None
 
-    def _solve(self, qvals) -> np.ndarray:
-        """Recover base coordinates: invert the conjugate map in slot ``i``."""
-        qvals = np.asarray(qvals, dtype=float)
-        target = qvals[self._i]
-        lo, hi = self.base.domain[self._i]
-        rest = qvals.copy()
-
-        def fun(x):
-            rest[self._i] = x
-            return self.base.gradient(rest)[self._i]
-
-        def dfun(x):
-            rest[self._i] = x
-            return self.base.hessian(rest)[self._i, self._i]
-
-        root = _invert_monotone(fun, dfun, target, lo, hi)
-        rest[self._i] = root
-        return rest
+    def _solve(self, u, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+        """Base coordinates ``x*`` at ``u``: damped Newton on ``phi(x_I) = s (wbar(x_I,
+        u_R) - u_I . x_I)``, ``s`` the sign of the I-block, from the middle of the box.
+        Steps are clipped to the box, which grows by its span (at most 60 times) only
+        where the iterate is on its edge and the step points out; a step is halved
+        while its end cannot be evaluated or does not reduce ``|grad phi|``; one that
+        passes the size test is taken in full.  The last solve is kept, for ``embed``
+        asks for value and gradient at one point."""
+        u = np.asarray(u, dtype=float)
+        key = u.tobytes()
+        if self._last[0] == key:
+            return self._last[1]
+        I, target, lo, hi = self._I, u[self._I], self._lo, self._hi
+        q = u.copy()
+        q[I] = x = 0.5 * (lo + hi)
+        g = self._mismatch(q, target)
+        if g is None:
+            raise RootFindError(f"conjugate map not evaluable at {q.tolist()}")
+        expansions = 0
+        for _ in range(max_iter):
+            try:
+                dx = -np.linalg.solve(self.base.hessian(q)[self._II], g)
+            except (np.linalg.LinAlgError, expr.EvalError, OverflowError) as err:
+                raise RootFindError(f"no Newton step at {q.tolist()}: {err}") from None
+            if not all(map(math.isfinite, dx)):
+                raise RootFindError(f"non-finite conjugate block at {q.tolist()}")
+            new = x + dx
+            if all(abs(d) <= tol * (1.0 + abs(v)) for v, d in zip(new, dx)):
+                q[I] = new
+                self._last = (key, q)
+                return q
+            if not all(a <= v <= b for a, v, b in zip(lo, new, hi)):
+                down, up = (x <= lo) & (dx < 0.0), (x >= hi) & (dx > 0.0)
+                if (down | up).any():
+                    expansions += 1
+                    if expansions > 60:
+                        raise RootFindError("could not bracket the conjugate-variable root")
+                    lo, hi = lo - down * (hi - lo), hi + up * (hi - lo)
+                new = np.clip(new, lo, hi)
+            size = g @ g
+            for _ in range(60):
+                q[I] = new
+                g_new = self._mismatch(q, target)
+                if g_new is not None and g_new @ g_new < size:
+                    break
+                new = 0.5 * (x + new)
+            else:
+                raise RootFindError(f"damped Newton step made no progress at {q.tolist()}")
+            x, g = new, g_new
+        raise RootFindError(f"inversion did not converge within {max_iter} iterations")
 
     def value(self, qvals) -> float:
         qstar = self._solve(qvals)
-        return self.base.value(qstar) - qstar[self._i] * float(np.asarray(qvals)[self._i])
+        u = np.asarray(qvals, dtype=float)
+        return self.base.value(qstar) - float(qstar[self._I] @ u[self._I])
 
     def gradient(self, qvals) -> np.ndarray:
         qstar = self._solve(qvals)
         grad = self.base.gradient(qstar)
-        grad[self._i] = -qstar[self._i]
+        grad[self._I] = -qstar[self._I]
         return grad
 
     def hessian(self, qvals) -> np.ndarray:
-        qstar = self._solve(qvals)
-        H = self.base.hessian(qstar)
-        i = self._i
-        hii = H[i, i]
-        out = H - np.outer(H[:, i], H[i, :]) / hii
-        out[i, :] = H[i, :] / hii
-        out[:, i] = H[:, i] / hii
-        out[i, i] = -1.0 / hii
-        return out
+        """Block Schur complement: ``-A^-1`` on I x I, ``A^-1 B`` across and
+        ``C - B^T A^-1 B`` on the rest, for the base Hessian ``[[A, B], [B^T, C]]``."""
+        H = self.base.hessian(self._solve(qvals))
+        try:
+            A_inv = np.linalg.inv(H[self._II])
+        except np.linalg.LinAlgError:
+            A_inv = None
+        if A_inv is None or not np.isfinite(A_inv).all():
+            raise RootFindError(f"singular or non-finite conjugate block at {qvals}")
+        M = H[:, self._I] @ A_inv  # (A^-1 H_I.)^T: identity on I, B^T A^-1 on R
+        out = H - M @ H[self._I, :]
+        out[self._I, :] = M.T
+        out[:, self._I] = M
+        out[self._II] = -A_inv
+        return 0.5 * (out + out.T)  # exactly symmetric, as the Hessian of a relation is
 
     def contains(self, qvals, tol: float = 1e-9) -> bool:
         return all(lo - tol <= v <= hi + tol
@@ -288,19 +291,25 @@ def hessian(rel, qvals) -> np.ndarray:
     return rel.hessian(qvals)
 
 
-def legendre_potential(rel, index) -> TransformedRelation:
-    """Replace coordinate ``index`` (1-based position or name) by its conjugate.
+def legendre_potential(rel, indices) -> TransformedRelation:
+    """Replace the coordinates of ``indices`` by their conjugates, in one transform.
 
-    The returned relation evaluates ``wbar - q^i p_i`` numerically; its own
-    gradient carries the quarter-turn sign rules (the new conjugate of the
-    transformed slot is minus the old coordinate).
+    ``indices`` is one coordinate -- a 1-based position or a name -- or an index
+    set of them (an ``IndexSubset`` or any iterable).  The returned relation
+    evaluates ``wbar - sum_{i in I} q^i p_i`` numerically; its own gradient
+    carries the quarter-turn sign rules (the new conjugate of a transformed
+    slot is minus the old coordinate).
     """
-    if isinstance(index, str):
-        try:
-            index = rel.coords.index(index) + 1
-        except ValueError:
-            raise ValueError(f"no coordinate named {index!r}") from None
-    return TransformedRelation(rel, int(index))
+    if isinstance(indices, (int, np.integer, str)):
+        indices = (indices,)
+    positions = []
+    for i in indices:
+        if isinstance(i, str):
+            if i not in rel.coords:
+                raise ValueError(f"no coordinate named {i!r}")
+            i = rel.coords.index(i) + 1
+        positions.append(int(i))
+    return TransformedRelation(rel, positions)
 
 
 def involution_check(rel, I: IndexSubset, qvals) -> float:
@@ -315,18 +324,9 @@ def involution_check(rel, I: IndexSubset, qvals) -> float:
     I = I if isinstance(I, IndexSubset) else IndexSubset.of(I)
     I.validate(rel.n)
     y = partial_legendre(I, embed(rel, qvals))
-
-    transformed = rel
-    for i in I:
-        transformed = legendre_potential(transformed, i)
-    u = np.array([-y.q[i - 1] if i in I else y.q[i - 1] for i in range(1, rel.n + 1)])
-    z = embed(transformed, u)
-
-    residual = abs(y.w - z.w)
-    for i in range(1, rel.n + 1):
-        expected_p = -z.p[i - 1] if i in I else z.p[i - 1]
-        residual = max(residual, abs(y.p[i - 1] - expected_p))
-    return float(residual)
+    signs = np.array([-1.0 if i in I else 1.0 for i in range(1, rel.n + 1)])
+    z = embed(legendre_potential(rel, I), signs * np.array(y.q))
+    return float(max(abs(y.w - z.w), np.max(np.abs(np.array(y.p) - signs * np.array(z.p)))))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,20 @@ class TestVerify:
                                      "--catalog", str(path)])
         assert code == 0
 
+    @pytest.mark.parametrize("coords, domain, message", [
+        ('["x", "x"]', "[[0.1, 1.0], [0.1, 1.0]]", "duplicate coordinate"),
+        ('["x", "y"]', "[[0.1, 1.0], [1.0, 0.1]]", "lo < hi"),
+    ])
+    def test_malformed_catalog_is_config_error(self, tmp_path, capsys, coords, domain, message):
+        # duplicate names used to pass, evaluating both slots at the last value
+        path = tmp_path / "bad.cfg"
+        path.write_text(f'potential = "Phi"\ncoords = {coords}\nwbar = "x^2"\n'
+                        f'domain = {domain}\n')
+        code, out, err = _run(capsys, ["verify", "--suite", "equilibrium", "--points", "2",
+                                       "--catalog", str(path)])
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
 
 class TestRunSuiteApi:
     def test_wall_time_tracked_in_memory_only(self):

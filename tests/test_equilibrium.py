@@ -1,9 +1,12 @@
 """Legendre submanifolds: embeddings, Hessian pullbacks, potential transforms."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactgeo import expr
 from contactgeo.equilibrium import (FundamentalRelation, RootFindError,
@@ -66,6 +69,19 @@ class TestEmbed:
             FundamentalRelation("bad", ("x",), expr.parse("x + y"), ((0.0, 1.0),))
         with pytest.raises(ValueError, match="domain"):
             FundamentalRelation("bad", ("x", "y"), expr.parse("x*y"), ((0.0, 1.0),))
+
+    @pytest.mark.parametrize("coords, box, match", [
+        (("x", "x"), ((0.0, 1.0), (0.0, 1.0)), "duplicate coordinate"),
+        (("x", "y"), ((0.0, 1.0), (1.0, 0.5)), "lo < hi"),
+        (("x", "y"), ((0.0, 1.0), (1.0, 1.0)), "lo < hi"),
+        (("x", "y"), ((0.0, math.inf), (0.0, 1.0)), "finite"),
+        (("x", "y"), ((math.nan, 1.0), (0.0, 1.0)), "finite"),
+    ])
+    def test_rejects_malformed_relations(self, coords, box, match):
+        # duplicate names evaluated both slots at the last value; a reversed box
+        # failed later as a misleading "outside the domain"
+        with pytest.raises(ValueError, match=match):
+            FundamentalRelation("bad", coords, expr.parse("x^2"), box)
 
 
 class TestHessian:
@@ -263,3 +279,144 @@ class TestCatalog:
         path.write_text('potential = "X"\ncoords = ["x"]\n')
         with pytest.raises(ValueError, match="missing"):
             load_catalog(path)
+
+
+# the coupled convex quadratic of the conjugate benchmark, wbar = x.A x / 2 + b.x
+COUPLED_A = np.array([[1.0, 0.05, 0.0, 0.08],
+                      [0.05, 1.04, 0.0, 0.0],
+                      [0.0, 0.0, 1.26, -0.15],
+                      [0.08, 0.0, -0.15, 0.91]])
+COUPLED_B = np.array([0.44, -0.12, 0.27, -0.46])
+
+
+def _quadratic_relation(A, b, half_width=1.0):
+    names = [f"x{k + 1}" for k in range(len(b))]
+    xs = [expr.var(c) for c in names]
+    w = expr.ZERO
+    for j, k in itertools.product(range(len(b)), repeat=2):
+        w = w + expr.const(0.5 * float(A[j, k])) * xs[j] * xs[k]
+    for k in range(len(b)):
+        w = w + expr.const(float(b[k])) * xs[k]
+    return FundamentalRelation("U", tuple(names), w, ((-half_width, half_width),) * len(b))
+
+
+def _subsets(n):
+    return [I for r in range(1, n + 1) for I in itertools.combinations(range(1, n + 1), r)]
+
+
+def _conjugate_point(rel, I, q):
+    """Coordinates of the I-transformed relation at the state ``q``: p_i on I, q^i off it."""
+    return np.array([g if k + 1 in I else v for k, (g, v) in enumerate(zip(rel.gradient(q), q))])
+
+
+def _quadratic_oracle_gradient(A, b, I, u):
+    """Gradient of the transformed quadratic from one direct solve of
+    A_II x_I = u_I - b_I - A_IR x_R with x_R = u_R."""
+    idx = [i - 1 for i in I]
+    rest = [k for k in range(len(b)) if k not in idx]
+    x = np.array(u, dtype=float)
+    x[idx] = np.linalg.solve(A[np.ix_(idx, idx)],
+                             x[idx] - b[idx] - A[np.ix_(idx, rest)] @ x[rest])
+    grad = A @ x + b
+    grad[idx] = -x[idx]
+    return x, grad
+
+
+class TestJointTransform:
+    COUPLED = _quadratic_relation(COUPLED_A, COUPLED_B)
+
+    def test_coupled_quadratic_every_index_set_against_direct_solve(self):
+        rng = np.random.default_rng(101)
+        rel = self.COUPLED
+        for I in _subsets(4):
+            F = legendre_potential(rel, I)
+            idx = [i - 1 for i in I]
+            for q in _domain_points(rel, rng, 3):
+                u = _conjugate_point(rel, I, q)
+                x, want_grad = _quadratic_oracle_gradient(COUPLED_A, COUPLED_B, I, u)
+                want_value = rel.value(x) - x[idx] @ u[idx]
+                assert F.value(u) == pytest.approx(want_value, abs=1e-12)
+                assert np.max(np.abs(F.gradient(u) - want_grad)) < 1e-12
+                # the gradient is affine in u: unit differences give the Hessian exactly
+                want_hess = np.column_stack([
+                    _quadratic_oracle_gradient(COUPLED_A, COUPLED_B, I, u + e)[1] - want_grad
+                    for e in np.eye(4)])
+                assert np.max(np.abs(F.hessian(u) - want_hess)) < 1e-12
+
+    def test_index_set_forms_and_labels(self):
+        F = legendre_potential(IDEAL, IndexSubset.of([1, 2]))
+        assert F.potential == "L1,2[U]"
+        assert F.coords == ("S_dual", "V_dual")
+        assert F.indices == (1, 2)
+        assert legendre_potential(IDEAL, ["V", "S"]).indices == (1, 2)
+        assert legendre_potential(IDEAL, [2]).potential == "L2[U]"
+        with pytest.raises(ValueError, match="non-empty"):
+            legendre_potential(IDEAL, [])
+
+    def test_ideal_gas_joint_equals_nested(self):
+        joint = legendre_potential(IDEAL, (1, 2))
+        nested = legendre_potential(legendre_potential(IDEAL, 1), 2)
+        rng = np.random.default_rng(102)
+        for q in _domain_points(IDEAL, rng, 10):
+            u = IDEAL.gradient(q)
+            assert abs(joint.value(u) - nested.value(u)) < 1e-10
+            assert np.max(np.abs(joint.gradient(u) - nested.gradient(u))) < 1e-10
+            assert np.max(np.abs(joint.gradient(u) + q)) < 1e-10  # recovers (S, V)
+
+    @pytest.mark.parametrize("rel, I", [(IDEAL, (1, 2)), (IDEAL, (2,)), (VDW, (1,)),
+                                        (_quadratic_relation(COUPLED_A, COUPLED_B), (1, 3, 4))])
+    def test_hessian_matches_central_differences(self, rel, I):
+        F = legendre_potential(rel, I)
+        rng = np.random.default_rng(103)
+        h = 1e-5
+        for q in _domain_points(rel, rng, 4):
+            u = _conjugate_point(rel, I, q)
+            fd = np.column_stack([(F.gradient(u + h * e) - F.gradient(u - h * e)) / (2 * h)
+                                  for e in np.eye(rel.n)])
+            H = F.hessian(u)
+            assert np.array_equal(H, H.T)
+            assert np.max(np.abs(H - fd)) < 1e-6 * (1.0 + np.max(np.abs(H)))
+
+    def test_indefinite_block_rejected_at_construction(self):
+        # F_TT < 0 < F_VV: the joint van der Waals map is not monotone; it used
+        # to fail deep in a nested solve with a log-domain RootFindError
+        with pytest.raises(ValueError, match="not monotone"):
+            legendre_potential(VDW, (1, 2))
+
+    def test_non_finite_block_rejected_at_construction(self):
+        rel = FundamentalRelation("huge", ("x",), expr.parse("1e308*x^2"), ((-1.0, 1.0),))
+        with pytest.raises(ValueError, match="not monotone"):
+            legendre_potential(rel, 1)
+
+    def test_singular_block_raises_root_find_error(self):
+        # x^4 passes the sampled probe, but its Hessian vanishes at the box middle
+        rel = FundamentalRelation("quartic", ("x",), expr.parse("x^4"), ((-1.0, 1.0),))
+        F = legendre_potential(rel, 1)
+        with pytest.raises(RootFindError, match="no Newton step"):
+            F.value([0.5])
+
+    def test_odd_root_branch_is_not_entered(self):
+        # an unclipped Newton step from the box middle crosses V = 0, where the
+        # odd root makes V^(-2/3) real and convex again
+        q = [1.9052991806869062, 0.60682829079533]
+        assert involution_check(IDEAL, IndexSubset.of(2), q) <= 1e-12
+
+
+@st.composite
+def spd_quadratics(draw):
+    n = draw(st.sampled_from([3, 4]))
+    entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    M = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    b = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    I = draw(st.sampled_from(_subsets(n)))
+    q = np.array(draw(st.lists(st.floats(min_value=-0.95, max_value=0.95),
+                               min_size=n, max_size=n)))
+    return M.T @ M + 0.5 * np.eye(n), b, I, q
+
+
+@settings(max_examples=25, deadline=None)
+@given(spd_quadratics())
+def test_involution_on_random_spd_quadratics(case):
+    A, b, I, q = case
+    rel = _quadratic_relation(A, b)
+    assert involution_check(rel, IndexSubset.of(I), q) <= 1e-10
