@@ -230,8 +230,9 @@ def _hamiltonian_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         X = hamiltonian_vector_field(space, h)
+        h_tape = expr.compile((h.h,))
         for pt in sample_points(space, rng, 5):
-            yield eta.evaluate(pt) @ X.evaluate(pt) - expr.evaluate(h.h, pt.bindings())
+            yield eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.bindings())[0]
 
 
 def _hamiltonian_lie_eta(cfg, rng):
@@ -240,9 +241,9 @@ def _hamiltonian_lie_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
-        dh_dw = expr.differentiate(h.h, "w")
+        dh_dw = expr.compile((expr.differentiate(h.h, "w"),))
         for pt in sample_points(space, rng, 5):
-            scale = expr.evaluate(dh_dw, pt.bindings())
+            scale = dh_dw.run(pt.bindings())[0]
             yield led.evaluate(pt) - scale * eta.evaluate(pt)
 
 

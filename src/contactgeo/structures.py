@@ -75,6 +75,18 @@ class LambdaFamily:
         """The scaling functions, compiled on first use."""
         return expr.compile(self.exprs)
 
+    @cached_property
+    def scaling_tape(self) -> expr.Tape:
+        """``sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b)`` for each ``a``, compiled on first use."""
+        residuals = []
+        for la in self.exprs:
+            acc = expr.ZERO
+            for b in range(1, self.n + 1):
+                acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
+                acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
+            residuals.append(acc)
+        return expr.compile(residuals)
+
     @classmethod
     def of(cls, items, **flags) -> "LambdaFamily":
         parsed = tuple(e if isinstance(e, Expr) else expr.parse(e) for e in items)
@@ -237,14 +249,9 @@ def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,
     This is the condition for the scaled structure to be preserved by the
     polarization scaling flow.
     """
-    residual_exprs = []
-    for la in lam.exprs:
-        acc = expr.ZERO
-        for b in range(1, space.n + 1):
-            acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
-            acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
-        residual_exprs.append(acc)
-    return np.array(expr.compile(residual_exprs).run(point.bindings()))
+    if lam.n != space.n:
+        raise ValueError(f"LambdaFamily has {lam.n} entries, space needs {space.n}")
+    return np.array(lam.scaling_tape.run(point.bindings()))
 
 
 def lambda_legendre_residual(space: PhaseSpace, lam: LambdaFamily, I: IndexSubset,

@@ -167,6 +167,22 @@ class TestVerify:
                                      "--catalog", str(path)])
         assert code == 0
 
+    def test_hostile_coordinate_name_is_only_data(self, tmp_path, monkeypatch, capsys):
+        # a catalog coordinate is any string; it must reach tapes only as data
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "hostile.cfg"
+        path.write_text(
+            'potential = "Phi"\n'
+            'coords = ["x", "x\'] or __import__(\'os\').system(\'touch PWNED\') or b[\'"]\n'
+            'wbar = "x^4 + x^2"\n'
+            'domain = [[0.5, 2.0], [0.5, 2.0]]\n'
+        )
+        code, out, _ = _run(capsys, ["verify", "--suite", "equilibrium",
+                                     "--seed", "4", "--points", "5",
+                                     "--catalog", str(path)])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hostile.cfg"]
+
     @pytest.mark.parametrize("coords, domain, message", [
         ('["x", "x"]', "[[0.1, 1.0], [0.1, 1.0]]", "duplicate coordinate"),
         ('["x", "y"]', "[[0.1, 1.0], [1.0, 0.1]]", "lo < hi"),

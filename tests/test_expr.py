@@ -2,7 +2,7 @@
 
 import math
 import pickle
-import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,23 +127,44 @@ class TestEvaluate:
         assert evaluate(e, {"q1": 0.5}) == sum(i * 0.5 for i in range(1, 3001))
 
 
+def _heat(tape, bindings):
+    """Run ``tape`` until its next run calls the generated function."""
+    for _ in range(expr._HOT_RUNS):
+        try:
+            tape.run(bindings)
+        except EvalError:
+            pass
+
+
 class TestCompile:
-    def test_shared_subtrees_give_the_values_of_each_tree_alone(self):
+    # "hot" runs each tape past the threshold first, so every checked run
+    # calls the generated function instead of the interpreter
+    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    def test_shared_subtrees_give_the_values_of_each_tree_alone(self, tier):
         rng = np.random.default_rng(11)
         for _ in range(40):
             parts = [random_expression(rng, NAMES, depth=3) for _ in range(3)]
             a, b, c = parts
-            trees = parts + [a + b, b * c, a / (c * c + expr.const(1.0)), expr.sin(a - c)]
+            trees = parts + [a + b, b * c, a / (c * c + expr.const(1.0)), expr.sin(a - c),
+                             expr.log(a) / b, c / (a - b)]
             tape = expr.compile(trees)
-            for _ in range(5):
-                bindings = {name: float(rng.uniform(-2.0, 2.0)) for name in NAMES}
+            if tier == "hot":
+                _heat(tape, {})
+            cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in NAMES} for _ in range(5)]
+            # zero denominators and log arguments, and an unbound name: the
+            # first error raised must be the one of the trees in turn, where a
+            # quotient checks its denominator before its numerator
+            cases += [dict.fromkeys(NAMES, 0.0), dict.fromkeys(NAMES[1:], 0.5)]
+            for bindings in cases:
                 try:
                     alone = [evaluate(t, bindings) for t in trees]
                 except EvalError as err:
-                    with pytest.raises(EvalError, match=re.escape(str(err))):
+                    with pytest.raises(EvalError) as raised:
                         tape.run(bindings)
+                    assert str(raised.value) == str(err)
                     continue
                 assert tape.run(bindings) == alone
+            assert (tape._kernel is not None) == (tier == "hot")
 
     def test_empty_and_constant_outputs(self):
         assert expr.compile([]).run({}) == []
@@ -152,6 +173,20 @@ class TestCompile:
     def test_unbound_variable(self):
         with pytest.raises(EvalError, match="unbound variable 'p7'"):
             expr.compile([parse("q1"), parse("q1 + p7")]).run({"q1": 1.0})
+
+    def test_names_and_constants_never_become_source_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        hostile = ["x'] or __import__('os').system('touch PWNED') or b['", "a\nb",
+                   '"""\n__import__("os").system("touch PWNED")\n"""']
+        x, y, z = map(expr.var, hostile)
+        tape = expr.compile([x * y + expr.const(math.inf), z ** Fraction(1, 3), y])
+        bindings = dict(zip(hostile, (2.0, 3.0, 8.0)))
+        _heat(tape, bindings)
+        assert tape.run(bindings) == [math.inf, 2.0, 3.0]
+        with pytest.raises(EvalError) as err:
+            tape.run({hostile[0]: 1.0})
+        assert str(err.value) == "unbound variable 'a\nb'"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHash:

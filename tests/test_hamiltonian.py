@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from contactgeo import expr
+from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     generator_commutator,
@@ -186,7 +186,6 @@ class TestIntegrateFlow:
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
         assert integrate_flow(X, PT, 0.0, 5) == PT
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nonfinite_state_raises(self):
         from contactgeo.phase_space import TensorField, _obj
 
@@ -200,6 +199,40 @@ class TestIntegrateFlow:
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
         with pytest.raises(ValueError):
             integrate_flow(X, PT, 1.0, 0)
+
+    def test_equals_numpy_rk4_exactly(self):
+        # the reference steps numpy vectors and evaluates each component alone,
+        # so neither the float-list stepping nor the generated tape is in it;
+        # the steps are long enough that summing k1..k4 in another order shows
+        space = PhaseSpace(2)
+        names = space.coord_names()
+        rng = np.random.default_rng(9)
+
+        def rhs(X, arr):
+            bindings = dict(zip(names, arr.tolist()))
+            return np.array([expr.evaluate(c, bindings) for c in X.comps])
+
+        for _ in range(2):
+            X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
+            x = sample_points(space, rng, 1)[0]
+            t, steps = 0.5, 300
+            h = t / steps
+            y = x.as_array()
+            for _ in range(steps):
+                k1 = rhs(X, y)
+                k2 = rhs(X, y + 0.5 * h * k1)
+                k3 = rhs(X, y + 0.5 * h * k2)
+                k4 = rhs(X, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert integrate_flow(X, x, t, steps).as_array().tolist() == y.tolist()
+
+    def test_domain_error_late_in_a_long_run(self, capsys):
+        # w reaches 0 at step 3552, long after the field's tape runs generated code
+        code = cli.main(["flow", "--hamiltonian", "log(w)", "--point", "0.9,0.5,0.5",
+                         "--t", "5", "--steps", "10000"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: log of a non-positive value\n"
 
 
 class TestGeneratorCommutator:

@@ -211,6 +211,12 @@ class TestScalingCondition:
         # p f(q) g'(p) - q f'(q) g(p) = 2*2*13 - 1*4*10 = 12
         assert lambda_scaling_residual(SP1, lam, pt)[0] == pytest.approx(12.0)
 
+    def test_family_size_must_match_the_space(self):
+        # the compiled condition sums over the family's own n conjugate pairs
+        pt = SP2.point(0.0, [1.0, 2.0], [3.0, 4.0])
+        with pytest.raises(ValueError, match="space needs 2"):
+            lambda_scaling_residual(SP2, LambdaFamily.of(["q1*p1"]), pt)
+
 
 class TestLegendreCondition:
     def test_product_family_passes(self):
