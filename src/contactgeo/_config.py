@@ -2,14 +2,16 @@
 
 Values are JSON where possible (``coords = ["S","V"]``, ``domain = [[0.5,2]]``,
 ``wbar = "exp(S)*V^(-2/3)"``); bare words fall back to plain strings.
-Lines starting with ``#`` are comments.
+Lines starting with ``#`` are comments.  Readers check each value they use
+with :func:`typed`, so a value of the wrong type is one ``ValueError`` that
+names its key.
 """
 
 from __future__ import annotations
 
 import json
 
-__all__ = ["parse_blocks", "parse_flat"]
+__all__ = ["parse_blocks", "parse_flat", "typed"]
 
 
 def _parse_value(raw: str):
@@ -48,3 +50,22 @@ def parse_flat(text: str) -> dict:
     for block in parse_blocks(text):
         merged.update(block)
     return merged
+
+
+# JSON types by the words an error message uses for them; the checks test type(),
+# so a bool (a subclass of int) is neither an integer nor a number
+_TYPES = {
+    "an integer": lambda v: type(v) is int,
+    "a string": lambda v: type(v) is str,
+    "a list of strings": lambda v: type(v) is list and all(type(x) is str for x in v),
+    "a list of [lo, hi] number pairs": lambda v: type(v) is list and all(
+        type(x) is list and len(x) == 2 and all(type(y) in (int, float) for y in x) for x in v),
+}
+
+
+def typed(mapping: dict, key: str, kind: str):
+    """``mapping[key]`` if it is ``kind`` (a key of ``_TYPES``), else a ValueError naming ``key``."""
+    value = mapping[key]
+    if not _TYPES[kind](value):
+        raise ValueError(f"'{key}' must be {kind}, got {json.dumps(value)}")
+    return value

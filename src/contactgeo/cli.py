@@ -17,12 +17,12 @@ import time
 import zlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import calculus, equilibrium, expr, tables
-from ._config import parse_flat
+from ._config import parse_flat, typed
 from .calculus import lie_bracket, lie_derivative
 from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commutator,
                           hamiltonian_vector_field, integrate_flow,
@@ -137,6 +137,18 @@ class RunConfig:
         if self.lam.n != self.n:
             raise ConfigError(f"lambda family has {self.lam.n} entries, need {self.n}")
         return self.lam
+
+    @cached_property
+    def catalog(self) -> tuple[equilibrium.SystemCatalogEntry, ...]:
+        """The built-in relations, then those of ``catalog_path``; built on first use.
+
+        Built once per run, so every check walks the same relations and reuses
+        their compiled tapes.
+        """
+        entries = equilibrium.catalog()
+        if self.catalog_path:
+            entries += equilibrium.load_catalog(self.catalog_path)
+        return entries
 
     def rng(self, check_id: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
@@ -390,15 +402,9 @@ def _nabla_duality(cfg, rng):
         yield composed - (identity - eta_xi.evaluate(pt))
 
 
-def _catalog_entries(cfg: RunConfig):
-    entries = list(equilibrium.catalog())
-    if cfg.catalog_path:
-        entries.extend(equilibrium.load_catalog(cfg.catalog_path))
-    return entries
-
-
-def _builtin_relation(entry_id: str):
-    return next(e.relation for e in equilibrium.catalog() if e.id == entry_id)
+def _builtin_relation(cfg: RunConfig, entry_id: str):
+    # the built-in entries come first, so a loaded entry of the same id never shadows one
+    return next(e.relation for e in cfg.catalog if e.id == entry_id)
 
 
 def _domain_samples(rel, rng, count):
@@ -409,7 +415,7 @@ def _domain_samples(rel, rng, count):
 
 
 def _equilibrium_hessian(cfg, rng):
-    for entry in _catalog_entries(cfg):
+    for entry in cfg.catalog:
         rel = entry.relation
         gr = metric_from_structure(PhaseSpace(rel.n), MetricKind.R)
         for qvals in _domain_samples(rel, rng, cfg.points):
@@ -417,7 +423,7 @@ def _equilibrium_hessian(cfg, rng):
 
 
 def _equilibrium_eta(cfg, rng):
-    for entry in _catalog_entries(cfg):
+    for entry in cfg.catalog:
         rel = entry.relation
         eta = contact_form(PhaseSpace(rel.n))
         for qvals in _domain_samples(rel, rng, cfg.points):
@@ -426,7 +432,7 @@ def _equilibrium_eta(cfg, rng):
 
 
 def _equilibrium_transform(cfg, rng):
-    ideal = _builtin_relation("ideal_gas")
+    ideal = _builtin_relation(cfg, "ideal_gas")
     F = equilibrium.legendre_potential(ideal, "S")
     for S, V in _domain_samples(ideal, rng, 20):
         T = math.exp(S) * V ** (-2.0 / 3.0)
@@ -435,10 +441,10 @@ def _equilibrium_transform(cfg, rng):
 
 
 def _equilibrium_involution(cfg, rng):
-    ideal = _builtin_relation("ideal_gas")
+    ideal = _builtin_relation(cfg, "ideal_gas")
     for qvals in _domain_samples(ideal, rng, 10):
         yield equilibrium.involution_check(ideal, IndexSubset.of(1), qvals)
-    quad = _builtin_relation("quadratic")
+    quad = _builtin_relation(cfg, "quadratic")
     for I in _subsets(quad.n):
         for qvals in _domain_samples(quad, rng, 10):
             yield equilibrium.involution_check(quad, I, qvals)
@@ -597,21 +603,22 @@ def _cmd_verify(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = parse_flat(fh.read())
-        for key in ("suite", "n", "m", "seed", "points"):
+        for key, kind in (("suite", "a string"), ("n", "an integer"), ("m", "an integer"),
+                          ("seed", "an integer"), ("points", "an integer")):
             if key in raw:
-                overrides[key] = raw[key]
-        lam_entries = {k: v for k, v in raw.items() if k.startswith("lambda.")}
+                overrides[key] = typed(raw, key, kind)
+        lam_entries = {k: typed(raw, k, "a string") for k in raw if k.startswith("lambda.")}
         if lam_entries:
             ordered = [lam_entries[k] for k in sorted(lam_entries, key=lambda k: int(k.split(".")[1]))]
             overrides["lam"] = LambdaFamily.of(ordered)
         if "output" in raw:
-            overrides["json_path"] = raw["output"]
+            overrides["json_path"] = typed(raw, "output", "a string")
     cfg = RunConfig(
         suite=args.suite or overrides.get("suite", "all"),
-        n=args.n if args.n is not None else int(overrides.get("n", 2)),
-        m=args.m if args.m is not None else int(overrides.get("m", 1)),
-        seed=args.seed if args.seed is not None else int(overrides.get("seed", 0)),
-        points=args.points if args.points is not None else int(overrides.get("points", 50)),
+        n=args.n if args.n is not None else overrides.get("n", 2),
+        m=args.m if args.m is not None else overrides.get("m", 1),
+        seed=args.seed if args.seed is not None else overrides.get("seed", 0),
+        points=args.points if args.points is not None else overrides.get("points", 50),
         lam=overrides.get("lam"),
         catalog_path=args.catalog,
         json_path=args.json or overrides.get("json_path"),

@@ -375,7 +375,7 @@ def load_catalog(path) -> tuple[SystemCatalogEntry, ...]:
     Each block carries ``potential = "<name>"``, ``coords = ["S","V"]``,
     ``wbar = "<expr>"``, ``domain = [[lo,hi],...]`` and an optional ``id``.
     """
-    from ._config import parse_blocks
+    from ._config import parse_blocks, typed
 
     with open(path, encoding="utf-8") as fh:
         blocks = parse_blocks(fh.read())
@@ -385,10 +385,12 @@ def load_catalog(path) -> tuple[SystemCatalogEntry, ...]:
         if missing:
             raise ValueError(f"catalog block is missing {sorted(missing)}")
         rel = FundamentalRelation(
-            str(block["potential"]),
-            tuple(block["coords"]),
-            expr.parse(block["wbar"]),
-            tuple((float(lo), float(hi)) for lo, hi in block["domain"]),
+            typed(block, "potential", "a string"),
+            tuple(typed(block, "coords", "a list of strings")),
+            expr.parse(typed(block, "wbar", "a string")),
+            tuple((float(lo), float(hi))
+                  for lo, hi in typed(block, "domain", "a list of [lo, hi] number pairs")),
         )
-        entries.append(SystemCatalogEntry(str(block.get("id", rel.potential)), rel))
+        entry_id = typed(block, "id", "a string") if "id" in block else rel.potential
+        entries.append(SystemCatalogEntry(entry_id, rel))
     return tuple(entries)

@@ -20,21 +20,21 @@ Only light simplification is performed at construction time (constant folding
 and 0/1 identities); correctness elsewhere is checked by evaluation, not by
 tree equality.
 
-Every node stores its hash, computed once from its children's stored hashes,
-so keying a node in a cache costs O(1) however large its subtree is.
-Evaluation goes through :func:`compile`, which orders the unique nodes of
-some expressions into a :class:`Tape` once; ``Tape.run`` then evaluates each
-node once per binding without recursion, by interpreting the tape at first and
-through a generated Python function once the tape has run often.
+Nodes are interned, so equal trees are one object, equality is identity and
+keying a node in a cache costs O(1).  :func:`compile` orders the unique nodes
+of some expressions into a :class:`Tape` once, equal subtrees sharing a slot;
+``Tape.run`` then evaluates each node once per binding without recursion, by
+interpreting the tape at first and through a generated Python function once
+the tape has run often.
 """
 
 from __future__ import annotations
 
 import builtins
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from weakref import WeakValueDictionary
 
 __all__ = [
     "Expr",
@@ -82,44 +82,41 @@ class EvalError(ExprError):
     """Raised for unbound variables and arithmetic domain errors."""
 
 
-@dataclass(frozen=True, slots=True)
+# the intern table: a node lives while something outside the table holds it
+_NODES: WeakValueDictionary = WeakValueDictionary()
+
+
 class Expr:
-    """Immutable expression node.
+    """Immutable, interned expression node.
 
     ``kind`` is one of ``const, var, add, sub, mul, div, pow, neg, exp, log,
     sin, cos``.  ``value`` is used for constants, ``name`` for variables and
-    ``exponent`` (an exact rational) for ``pow`` nodes.
+    ``exponent`` (an exact rational) for ``pow`` nodes.  Building a node equal
+    to a live one returns that node, so ``==`` is ``is``.
     """
 
-    kind: str
-    args: tuple["Expr", ...] = ()
-    value: float = 0.0
-    name: str = ""
-    exponent: Fraction | None = None
-    # the generated dataclass hash of the fields above, computed once; a
-    # child's hash is read from its own slot, so this is O(1) per node
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "args", "value", "name", "exponent", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.kind, self.args, self.value, self.name, self.exponent)))
+    def __new__(cls, kind: str, args: tuple["Expr", ...] = (), value: float = 0.0,
+                name: str = "", exponent: Fraction | None = None):
+        # children are interned, so the key hashes and compares them by identity
+        key = (kind, args, value, name, exponent)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for slot, field in zip(cls.__slots__, key):  # the key's fields, in slot order
+                object.__setattr__(node, slot, field)
+            _NODES[key] = node
+        return node
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Expr is immutable: cannot set {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if self._hash != other._hash:
-            return False
-        return ((self.kind, self.args, self.value, self.name, self.exponent)
-                == (other.kind, other.args, other.value, other.name, other.exponent))
+    def __delattr__(self, name):
+        raise AttributeError(f"Expr is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # rebuild through __init__: a stored string hash is only valid in the
-        # process (and PYTHONHASHSEED) that computed it
+        # unpickling goes through __new__, so it returns the live node
         return (Expr, (self.kind, self.args, self.value, self.name, self.exponent))
 
     def __add__(self, other):
@@ -151,9 +148,6 @@ class Expr:
 
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def diff(self, name: str) -> "Expr":
-        return differentiate(self, name)
 
     def __str__(self) -> str:
         return to_string(self)
@@ -187,8 +181,8 @@ def var(name: str) -> Expr:
     return Expr("var", name=name)
 
 
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return e.kind == "const" and (v is None or e.value == v)
+def _is_const(e: Expr) -> bool:
+    return e.kind == "const"
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -196,9 +190,9 @@ def add(a: Expr, b: Expr) -> Expr:
         s = a.value + b.value
         if math.isfinite(s):
             return const(s)
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return b
-    if _is_const(b, 0.0):
+    if b is ZERO:
         return a
     return Expr("add", (a, b))
 
@@ -208,11 +202,11 @@ def sub(a: Expr, b: Expr) -> Expr:
         s = a.value - b.value
         if math.isfinite(s):
             return const(s)
-    if _is_const(b, 0.0):
+    if b is ZERO:
         return a
-    if _is_const(a, 0.0):
+    if a is ZERO:
         return neg(b)
-    if a == b:
+    if a is b:
         return ZERO
     return Expr("sub", (a, b))
 
@@ -222,11 +216,11 @@ def mul(a: Expr, b: Expr) -> Expr:
         s = a.value * b.value
         if math.isfinite(s):
             return const(s)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a is ZERO or b is ZERO:
         return ZERO
-    if _is_const(a, 1.0):
+    if a is ONE:
         return b
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
     # keep constants in front and collapse nested constant factors
     if _is_const(b) and not _is_const(a):
@@ -239,9 +233,9 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
+    if b is ONE:
         return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    if a is ZERO and b is not ZERO:
         return ZERO
     if _is_const(a) and _is_const(b) and b.value != 0.0:
         s = a.value / b.value
@@ -518,7 +512,11 @@ class Tape:
 
 
 def compile(exprs) -> Tape:
-    """Order the unique nodes of ``exprs`` into one :class:`Tape`, iteratively."""
+    """Order the unique nodes of ``exprs`` into one :class:`Tape`, iteratively.
+
+    Nodes are interned, so equal subtrees, even of expressions built apart,
+    are one node and share one slot.
+    """
     roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
     slot: dict[int, int] = {}
     template: list = []

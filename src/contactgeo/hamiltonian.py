@@ -72,8 +72,8 @@ class IndexSubset:
             indices = (indices,)
         return cls(tuple(int(i) for i in indices))
 
-    def validate(self, n: int, require_nonempty: bool = True):
-        if require_nonempty and not self.indices:
+    def validate(self, n: int):
+        if not self.indices:
             raise ValueError("index subset must be non-empty")
         if any(i > n for i in self.indices):
             raise ValueError(f"index out of range for n={n}")

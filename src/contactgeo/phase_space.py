@@ -62,9 +62,6 @@ class PhaseSpace:
         n = self.n
         return ("w",) + tuple(f"q{a}" for a in range(1, n + 1)) + tuple(f"p{a}" for a in range(1, n + 1))
 
-    def coord_vars(self) -> tuple[Expr, ...]:
-        return tuple(expr.var(name) for name in self.coord_names())
-
     def q_index(self, a: int) -> int:
         """Position of q^a (1-based a) in the coordinate ordering."""
         if not 1 <= a <= self.n:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactgeo import cli
+from contactgeo import cli, equilibrium
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
 
@@ -186,6 +186,14 @@ class TestVerify:
     @pytest.mark.parametrize("coords, domain, message", [
         ('["x", "x"]', "[[0.1, 1.0], [0.1, 1.0]]", "duplicate coordinate"),
         ('["x", "y"]', "[[0.1, 1.0], [1.0, 0.1]]", "lo < hi"),
+        pytest.param("5", "[[0.1, 1.0]]", "'coords' must be a list of strings",
+                     id="coords-number"),
+        pytest.param('"SV"', "[[0.1, 1.0], [0.1, 1.0]]", "'coords' must be a list of strings",
+                     id="coords-string"),
+        *(pytest.param('["x"]', domain, "'domain' must be a list of [lo, hi] number pairs",
+                       id=f"domain-{name}")
+          for name, domain in (("number", "7"), ("string-bound", '[[0.1, "1"]]'),
+                               ("bool-bound", "[[true, 1.0]]"), ("triple", "[[0.1, 1.0, 2.0]]"))),
     ])
     def test_malformed_catalog_is_config_error(self, tmp_path, capsys, coords, domain, message):
         # duplicate names used to pass, evaluating both slots at the last value
@@ -196,6 +204,40 @@ class TestVerify:
                                        "--catalog", str(path)])
         assert code == 2 and out == ""
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option, text, key", [
+        *(pytest.param("--config", f"{key} = {value}", key, id=f"config-{key}-{value}")
+          for key, value in (("n", "[1]"), ("n", "true"), ("m", "1.0"), ("seed", "1.5"),
+                             ("points", '"5"'), ("suite", "3"), ("lambda.1", "5"),
+                             ("output", "1"))),
+        *(pytest.param("--catalog", 'potential = "P"\ncoords = ["x"]\nwbar = "x^2"\n'
+                       f"domain = [[0.1, 1.0]]\n{key} = 5", key, id=f"catalog-{key}-5")
+          for key in ("potential", "wbar", "id")),
+    ])
+    def test_value_of_wrong_type_is_config_error(self, tmp_path, capsys, option, text, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code, out, err = _run(capsys, ["verify", "--suite", "equilibrium", "--points", "2",
+                                       option, str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: '{key}' must be ") and err.count("\n") == 1
+
+    def test_catalog_is_loaded_once_per_run(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "extra.cfg"
+        path.write_text('potential = "Phi"\ncoords = ["x"]\nwbar = "x^4 + x^2"\n'
+                        "domain = [[0.5, 2.0]]\n")
+        argv = ["verify", "--suite", "equilibrium", "--seed", "4", "--points", "3",
+                "--catalog", str(path)]
+        want = _run(capsys, argv)[:2]  # exit code and stdout
+        calls = []
+        load = equilibrium.load_catalog
+        monkeypatch.setattr(equilibrium, "load_catalog", lambda p: calls.append(p) or load(p))
+        assert _run(capsys, argv)[:2] == want
+        assert calls == [str(path)]
+        # a suite that walks no catalog never reads the file
+        code, _, _ = _run(capsys, ["verify", "--suite", "heisenberg", "--points", "2",
+                                   "--catalog", str(tmp_path / "missing.cfg")])
+        assert code == 0 and calls == [str(path)]
 
 
 class TestRunSuiteApi:
