@@ -177,8 +177,9 @@ def christoffel(metric, point: PhasePoint) -> np.ndarray:
     tape = getattr(metric, "_gamma_tape", None)
     if tape is None:
         gamma = christoffel_symbolic(metric)
-        tape = metric._gamma_tape = expr.compile(gamma[:, upper[0], upper[1]].reshape(-1))
-    vals = np.array(tape.run(point.bindings()), dtype=float).reshape(dim, -1)
+        tape = metric._gamma_tape = expr.compile(gamma[:, upper[0], upper[1]].reshape(-1),
+                                                 metric.space.coord_names())
+    vals = np.array(tape.run(point.values), dtype=float).reshape(dim, -1)
     out = np.empty((dim, dim, dim), dtype=float)
     out[:, upper[0], upper[1]] = vals
     out[:, upper[1], upper[0]] = vals
@@ -248,8 +249,9 @@ def ricci(metric, point: PhasePoint, lam: float | None = None, nu: float | None 
     upper = np.triu_indices(space.dim)
     tape = getattr(metric, "_ricci_tape", None)
     if tape is None:
-        tape = metric._ricci_tape = expr.compile(ricci_symbolic(metric)[upper])
-    vals = np.array(tape.run(point.bindings()), dtype=float)
+        tape = metric._ricci_tape = expr.compile(ricci_symbolic(metric)[upper],
+                                                 space.coord_names())
+    vals = np.array(tape.run(point.values), dtype=float)
     ric = np.empty((space.dim, space.dim), dtype=float)
     ric[upper] = vals
     ric[upper[1], upper[0]] = vals

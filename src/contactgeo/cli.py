@@ -242,9 +242,9 @@ def _hamiltonian_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         X = hamiltonian_vector_field(space, h)
-        h_tape = expr.compile((h.h,))
+        h_tape = expr.compile((h.h,), space.coord_names())
         for pt in sample_points(space, rng, 5):
-            yield eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.bindings())[0]
+            yield eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.values)[0]
 
 
 def _hamiltonian_lie_eta(cfg, rng):
@@ -253,9 +253,9 @@ def _hamiltonian_lie_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
-        dh_dw = expr.compile((expr.differentiate(h.h, "w"),))
+        dh_dw = expr.compile((expr.differentiate(h.h, "w"),), space.coord_names())
         for pt in sample_points(space, rng, 5):
-            scale = dh_dw.run(pt.bindings())[0]
+            scale = dh_dw.run(pt.values)[0]
             yield led.evaluate(pt) - scale * eta.evaluate(pt)
 
 
@@ -598,21 +598,37 @@ def _emit(lines: list[str], json_path: str | None):
             fh.write(text)
 
 
+# the keys a --config file may set besides lambda.<k>, with the type of each value
+_CONFIG_KEYS = {"suite": "a string", "n": "an integer", "m": "an integer",
+                "seed": "an integer", "points": "an integer", "output": "a string"}
+
+
+def _read_config(path: str) -> dict:
+    """The typed values of a ``--config`` file; ``lam`` holds its ``lambda.<k>``
+    entries as one family, ordered by ``k``.  Any other key exits 2."""
+    with open(path, encoding="utf-8") as fh:
+        raw = parse_flat(fh.read())
+    lam_keys: dict[int, str] = {}
+    for key in raw:
+        if key.startswith("lambda."):
+            index = key[len("lambda."):]
+            if not (index.isascii() and index.isdigit()):
+                raise ConfigError(f"config key '{key}': the lambda index must be an integer")
+            if int(index) in lam_keys:
+                raise ConfigError(f"config keys '{lam_keys[int(index)]}' and '{key}' "
+                                  f"set the same lambda entry")
+            lam_keys[int(index)] = key
+        elif key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key '{key}'")
+    values = {key: typed(raw, key, kind) for key, kind in _CONFIG_KEYS.items() if key in raw}
+    if lam_keys:
+        values["lam"] = LambdaFamily.of([typed(raw, lam_keys[k], "a string")
+                                         for k in sorted(lam_keys)])
+    return values
+
+
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = parse_flat(fh.read())
-        for key, kind in (("suite", "a string"), ("n", "an integer"), ("m", "an integer"),
-                          ("seed", "an integer"), ("points", "an integer")):
-            if key in raw:
-                overrides[key] = typed(raw, key, kind)
-        lam_entries = {k: typed(raw, k, "a string") for k in raw if k.startswith("lambda.")}
-        if lam_entries:
-            ordered = [lam_entries[k] for k in sorted(lam_entries, key=lambda k: int(k.split(".")[1]))]
-            overrides["lam"] = LambdaFamily.of(ordered)
-        if "output" in raw:
-            overrides["json_path"] = typed(raw, "output", "a string")
+    overrides = _read_config(args.config) if args.config else {}
     cfg = RunConfig(
         suite=args.suite or overrides.get("suite", "all"),
         n=args.n if args.n is not None else overrides.get("n", 2),
@@ -621,7 +637,7 @@ def _cmd_verify(args) -> int:
         points=args.points if args.points is not None else overrides.get("points", 50),
         lam=overrides.get("lam"),
         catalog_path=args.catalog,
-        json_path=args.json or overrides.get("json_path"),
+        json_path=args.json or overrides.get("output"),
     )
     if args.lam:
         cfg.lam = _parse_lambda(args.lam, cfg.n)

@@ -77,32 +77,32 @@ class FundamentalRelation:
     def n(self) -> int:
         return len(self.coords)
 
-    def _bindings(self, qvals) -> dict[str, float]:
-        return dict(zip(self.coords, map(float, qvals)))
-
-    # compiled on first use and kept for the relation's lifetime: the conjugate
-    # solves call gradient and hessian tens of thousands of times
+    # compiled against ``coords`` on first use and kept for the relation's
+    # lifetime: the conjugate solves call gradient and hessian tens of
+    # thousands of times.  Each reads ``qvals`` as Python floats in that order.
     @cached_property
     def _value_tape(self) -> expr.Tape:
-        return expr.compile((self.wbar,))
+        return expr.compile((self.wbar,), self.coords)
 
     @cached_property
     def _gradient_tape(self) -> expr.Tape:
-        return expr.compile([expr.differentiate(self.wbar, c) for c in self.coords])
+        return expr.compile([expr.differentiate(self.wbar, c) for c in self.coords], self.coords)
 
     @cached_property
     def _hessian_tape(self) -> expr.Tape:
         firsts = [expr.differentiate(self.wbar, c) for c in self.coords]
-        return expr.compile([expr.differentiate(di, cj) for di in firsts for cj in self.coords])
+        return expr.compile([expr.differentiate(di, cj) for di in firsts for cj in self.coords],
+                            self.coords)
 
     def value(self, qvals) -> float:
-        return self._value_tape.run(self._bindings(qvals))[0]
+        return self._value_tape.run(np.asarray(qvals, dtype=float).tolist())[0]
 
     def gradient(self, qvals) -> np.ndarray:
-        return np.array(self._gradient_tape.run(self._bindings(qvals)))
+        return np.array(self._gradient_tape.run(np.asarray(qvals, dtype=float).tolist()))
 
     def hessian(self, qvals) -> np.ndarray:
-        out = np.array(self._hessian_tape.run(self._bindings(qvals)), dtype=float)
+        out = np.array(self._hessian_tape.run(np.asarray(qvals, dtype=float).tolist()),
+                       dtype=float)
         return out.reshape(self.n, self.n)
 
     def contains(self, qvals, tol: float = 1e-9) -> bool:
@@ -260,7 +260,7 @@ def embed(rel, qvals) -> PhasePoint:
     p = rel.gradient(qvals)
     if not (np.isfinite(w) and np.all(np.isfinite(p))):
         raise ValueError("non-finite potential value or gradient")
-    return PhasePoint(float(w), tuple(qvals), tuple(p))
+    return PhasePoint(float(w), tuple(qvals.tolist()), tuple(p.tolist()))
 
 
 def embedding_jacobian(rel, qvals) -> np.ndarray:

@@ -23,9 +23,11 @@ tree equality.
 Nodes are interned, so equal trees are one object, equality is identity and
 keying a node in a cache costs O(1).  :func:`compile` orders the unique nodes
 of some expressions into a :class:`Tape` once, equal subtrees sharing a slot;
-``Tape.run`` then evaluates each node once per binding without recursion, by
+``Tape.run`` then evaluates each node once per point without recursion, by
 interpreting the tape at first and through a generated Python function once
-the tape has run often.
+the tape has run often.  A tape compiled against a coordinate order reads a
+point as the sequence of its coordinate values, in that order; without one it
+reads a mapping from variable names to values, as :func:`evaluate` does.
 """
 
 from __future__ import annotations
@@ -260,7 +262,7 @@ def power(base: Expr, exponent) -> Expr:
         return base
     if _is_const(base):
         try:
-            v = _pow_value(base.value, r)
+            v = _pow_value(base.value, *_exponent(r))
         except (EvalError, OverflowError):
             v = None
         if v is not None and math.isfinite(v):
@@ -339,41 +341,61 @@ def differentiate(e: Expr, name: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _pow_value(base: float, r: Fraction) -> float:
+# how a negative base takes the rational power num/den: directly for an integer
+# exponent, as a real odd root (negative for an odd num) or not at all
+_INTEGER, _ODD_ROOT_NEGATIVE, _ODD_ROOT_POSITIVE, _EVEN_ROOT = range(4)
+
+
+def _exponent(r: Fraction) -> tuple[float, int]:
+    """The data ``_pow_value`` takes for the exponent ``r``, computed once per slot."""
+    num, den = r.numerator, r.denominator
+    if den == 1:
+        root = _INTEGER
+    elif den % 2 == 0:
+        root = _EVEN_ROOT
+    else:
+        root = _ODD_ROOT_NEGATIVE if num % 2 == 1 else _ODD_ROOT_POSITIVE
+    return num / den, root
+
+
+def _zero_power(e: float) -> float:
+    if e < 0.0:
+        raise EvalError("zero raised to a negative power")
+    return 0.0
+
+
+def _pow_value(base: float, e: float, root: int) -> float:
+    """``base`` to the rational power ``r``, given as ``e, root = _exponent(r)``."""
     if base == 0.0:
-        if r < 0:
-            raise EvalError("zero raised to a negative power")
-        return 0.0
-    if base < 0.0:
-        if r.denominator == 1:
-            return math.pow(base, r.numerator)
-        if r.denominator % 2 == 1:
-            # odd root of a negative number is real
-            mag = math.pow(-base, r.numerator / r.denominator)
-            return -mag if r.numerator % 2 == 1 else mag
-        raise EvalError("negative base with even-root exponent")
-    return math.pow(base, r.numerator / r.denominator)
+        return _zero_power(e)
+    if base < 0.0 and root != _INTEGER:
+        if root == _EVEN_ROOT:
+            raise EvalError("negative base with even-root exponent")
+        mag = math.pow(-base, e)
+        return -mag if root == _ODD_ROOT_NEGATIVE else mag
+    return math.pow(base, e)
 
 
-# opcodes of a tape; constants are not instructions but slots filled at compile time
-(_VAR, _ADD, _SUB, _MUL, _DIV, _NEG, _POW, _EXP, _LOG, _SIN, _COS, _NONZERO) = range(12)
+# opcodes of a tape; constants are not instructions but slots filled at compile
+# time.  A power with an integer exponent is _POWI, any other _POW.
+(_VAR, _ADD, _SUB, _MUL, _DIV, _NEG, _POWI, _POW, _EXP, _LOG, _SIN, _COS, _NONZERO) = range(13)
 _OPCODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV, "neg": _NEG, "pow": _POW,
            "exp": _EXP, "log": _LOG, "sin": _SIN, "cos": _COS}
 
 # A tape is interpreted for its first _HOT_RUNS runs; the next run generates one
-# straight-line Python function from it, used from then on.  Measured on the
-# verify tapes: generating costs about 0.1 ms plus 10 to 15 us per instruction,
-# and the function saves 35 to 80 per cent of every later run (less where
-# _pow_value dominates), so it pays for itself after 70 to 300 runs, mostly 90
-# to 160.  Of the 300 or more tapes that verify compiles, about 300 run fewer
-# than 50 times and would never repay it; the RK4 and scaling-family tapes run
-# 25,000 to 40,000 times.
+# straight-line Python function from it, used from then on.  Measured on the 154
+# verify tapes of five or more instructions at n=2: generating costs about
+# 0.2 ms plus 10 us per instruction, and the function saves 70 to 80 per cent
+# of every later run (10th to 90th percentile, tapes with powers included), so
+# it pays for itself after 120 to 280 runs, mostly about 160.  Of the 300 or
+# more tapes that verify compiles, about 300 run fewer than 50 times and would
+# never repay it; the RK4 and scaling-family tapes run 25,000 to 40,000 times.
 _HOT_RUNS = 128
 
 # The statements of each instruction, formatted with integer slot numbers only:
-# {0} is the destination, {1} and {2} the operand slots.  A variable's name is
-# the parameter n<dst> and a power's exponent r<dst>, so no name, constant or
-# exponent ever becomes source text.
+# {0} is the destination, {1} and {2} the operand slots.  A variable's name or
+# position is the parameter n<dst> and a power's exponent data r<dst> (and
+# s<dst>), so no name, constant or exponent ever becomes source text.
 _STATEMENT = {
     _VAR: "v{0:d} = b[n{0:d}]",
     _ADD: "v{0:d} = v{1:d} + v{2:d}",
@@ -381,7 +403,8 @@ _STATEMENT = {
     _MUL: "v{0:d} = v{1:d} * v{2:d}",
     _DIV: "v{0:d} = v{1:d} / v{2:d}",
     _NEG: "v{0:d} = -v{1:d}",
-    _POW: "v{0:d} = _pow_value(v{1:d}, r{0:d})",
+    _POWI: "v{0:d} = _pow(v{1:d}, r{0:d}) if v{1:d} != 0.0 else _zero_power(r{0:d})",
+    _POW: "v{0:d} = _pow_value(v{1:d}, r{0:d}, s{0:d})",
     _EXP: "v{0:d} = _exp(v{1:d})",
     _LOG: "if v{1:d} <= 0.0: raise EvalError('log of a non-positive value')\n"
           "v{0:d} = _log(v{1:d})",
@@ -396,23 +419,33 @@ def _unbound(err: KeyError):
     raise EvalError(f"unbound variable '{err.args[0]}'") from None
 
 
-_KERNEL_GLOBALS = {"__builtins__": {}, "KeyError": KeyError, "EvalError": EvalError,
-                   "_unbound": _unbound, "_pow_value": _pow_value, "_exp": math.exp,
-                   "_log": math.log, "_sin": math.sin, "_cos": math.cos}
+def _wrong_length(arity: int, point):
+    raise EvalError(f"expected {arity} coordinate values, got {len(point)}")
 
 
-def _generate(template: list, code: list, outputs: list):
-    """The function ``bindings -> values`` that runs ``code`` as Python statements.
+_KERNEL_GLOBALS = {"__builtins__": {}, "KeyError": KeyError, "EvalError": EvalError, "len": len,
+                   "_unbound": _unbound, "_wrong_length": _wrong_length,
+                   "_zero_power": _zero_power, "_pow_value": _pow_value, "_pow": math.pow,
+                   "_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
 
-    Every constant slot, variable name and exponent is a parameter whose value
-    is set as the function's default arguments, so a call passes the bindings
-    alone.
+
+def _generate(template: list, code: list, outputs: list, arity: int | None):
+    """The function ``point -> values`` that runs ``code`` as Python statements.
+
+    Every constant slot, variable name or position and exponent is a parameter
+    whose value is set as the function's default arguments, so a call passes
+    the point alone.
     """
     assigned = {dst for _, dst, _, _ in code}
     params = {f"v{s:d}": template[s] for s in range(len(template)) if s not in assigned}
-    params.update((f"n{dst:d}", a) for op, dst, a, _ in code if op == _VAR)
-    params.update((f"r{dst:d}", b) for op, dst, _, b in code if op == _POW)
-    body = []
+    for op, dst, a, b in code:
+        if op == _VAR:
+            params[f"n{dst:d}"] = a
+        elif op == _POWI:
+            params[f"r{dst:d}"] = b
+        elif op == _POW:
+            params[f"r{dst:d}"], params[f"s{dst:d}"] = b
+    body = [] if arity is None else [f"if len(b) != {arity:d}: _wrong_length({arity:d}, b)"]
     for op, dst, a, b in code:
         text = _STATEMENT[op].format(dst, None if op == _VAR else a,
                                      b if op in _BINARY else None)
@@ -436,28 +469,39 @@ class Tape:
     """Straight-line program over the unique nodes of some expressions.
 
     Built by :func:`compile`.  Each instruction is ``(opcode, destination,
-    operand, operand)`` over a list of slots, one slot per unique node.
+    operand, operand)`` over a list of slots, one slot per unique node.  A
+    variable's operand is its position in the coordinate order the tape was
+    compiled against, or its name for a tape compiled without one.  A power's
+    second operand is its exponent as a float where that is an integer
+    (``_POWI``), and the pair :func:`_exponent` gives otherwise (``_POW``).
 
     A tape runs in two tiers.  Its first ``_HOT_RUNS`` runs interpret the
     instruction list.  The run after that generates one straight-line Python
     function from the same list, one statement per instruction in tape order,
     and every later run calls it.  Generating costs about as much as a hundred
-    interpreted runs save, so only a tape that runs often repays it.  Both tiers do the same
-    operations in the same order, so they return bit-identical values and
-    raise the same first :class:`EvalError`.
+    interpreted runs save, so only a tape that runs often repays it.  Both tiers
+    do the same operations in the same order, so they return bit-identical
+    values and raise the same first :class:`EvalError`.
     """
 
-    __slots__ = ("_template", "_code", "_outputs", "_runs", "_kernel")
+    __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel")
 
-    def __init__(self, template: list, code: list, outputs: list):
+    def __init__(self, template: list, code: list, outputs: list, arity: int | None):
         self._template = template
         self._code = code
         self._outputs = outputs
+        self._arity = arity
         self._runs = 0
         self._kernel = None
 
-    def run(self, bindings) -> list:
-        """Values of the compiled expressions, in order, with all free variables bound.
+    def run(self, point) -> list:
+        """Values of the compiled expressions, in order, at ``point``.
+
+        For a tape compiled against a coordinate order, ``point`` is the
+        sequence of the coordinate values in that order, best as Python floats;
+        a sequence of another length raises :class:`EvalError`.  For a tape
+        compiled without one, ``point`` maps every free variable's name to its
+        value.
 
         Each node is evaluated once, children first, in the order a recursive
         walk of the expressions in turn finishes them (a quotient's denominator
@@ -469,11 +513,14 @@ class Tape:
         if kernel is None:
             self._runs += 1
             if self._runs <= _HOT_RUNS:
-                return self._interpret(bindings)
-            kernel = self._kernel = _generate(self._template, self._code, self._outputs)
-        return kernel(bindings)
+                return self._interpret(point)
+            kernel = self._kernel = _generate(self._template, self._code, self._outputs,
+                                              self._arity)
+        return kernel(point)
 
-    def _interpret(self, bindings) -> list:
+    def _interpret(self, point) -> list:
+        if self._arity is not None and len(point) != self._arity:
+            _wrong_length(self._arity, point)
         v = self._template.copy()
         # branches in the order of how often the verify suites execute them
         for op, dst, a, b in self._code:
@@ -481,13 +528,14 @@ class Tape:
                 v[dst] = v[a] * v[b]
             elif op == _VAR:
                 try:
-                    v[dst] = bindings[a]
+                    v[dst] = point[a]
                 except KeyError:
                     raise EvalError(f"unbound variable '{a}'") from None
-            elif op == _POW:
-                v[dst] = _pow_value(v[a], b)
             elif op == _ADD:
                 v[dst] = v[a] + v[b]
+            elif op == _POWI:
+                x = v[a]
+                v[dst] = math.pow(x, b) if x != 0.0 else _zero_power(b)
             elif op == _NEG:
                 v[dst] = -v[a]
             elif op == _SUB:
@@ -497,6 +545,8 @@ class Tape:
                     raise EvalError("division by zero")
             elif op == _DIV:
                 v[dst] = v[a] / v[b]
+            elif op == _POW:
+                v[dst] = _pow_value(v[a], *b)
             elif op == _EXP:
                 v[dst] = math.exp(v[a])
             elif op == _LOG:
@@ -511,13 +561,17 @@ class Tape:
         return list(map(v.__getitem__, self._outputs))
 
 
-def compile(exprs) -> Tape:
+def compile(exprs, coords=None) -> Tape:
     """Order the unique nodes of ``exprs`` into one :class:`Tape`, iteratively.
 
-    Nodes are interned, so equal subtrees, even of expressions built apart,
-    are one node and share one slot.
+    With ``coords``, a sequence of variable names, the tape reads a point as
+    the values of those names in that order, and a free variable outside
+    ``coords`` raises :class:`EvalError` here.  Without it the tape reads a
+    mapping from names to values.  Nodes are interned, so equal subtrees, even
+    of expressions built apart, are one node and share one slot.
     """
     roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
+    position = None if coords is None else {name: k for k, name in enumerate(coords)}
     slot: dict[int, int] = {}
     template: list = []
     code: list = []
@@ -535,8 +589,13 @@ def compile(exprs) -> Tape:
                     template.append(node.value)
                     continue
                 if k == "var":
+                    operand = node.name
+                    if position is not None:
+                        if operand not in position:
+                            raise EvalError(f"unbound variable '{operand}'")
+                        operand = position[operand]
                     slot[id(node)] = len(template)
-                    code.append((_VAR, len(template), node.name, None))
+                    code.append((_VAR, len(template), operand, None))
                     template.append(0.0)
                     continue
                 if k not in _OPCODE:
@@ -551,16 +610,22 @@ def compile(exprs) -> Tape:
                 code.append((_NONZERO, -1, slot[id(node.args[1])], None))
             else:  # operands done
                 args = node.args
-                second = slot[id(args[1])] if len(args) == 2 else node.exponent
-                code.append((_OPCODE[node.kind], len(template), slot[id(args[0])], second))
+                op, second = _OPCODE[node.kind], None
+                if len(args) == 2:
+                    second = slot[id(args[1])]
+                elif op == _POW:
+                    second = _exponent(node.exponent)
+                    if second[1] == _INTEGER:
+                        op, second = _POWI, second[0]
+                code.append((op, len(template), slot[id(args[0])], second))
                 slot[id(node)] = len(template)
                 template.append(0.0)
         outputs.append(slot[id(root)])
-    return Tape(template, code, outputs)
+    return Tape(template, code, outputs, None if coords is None else len(coords))
 
 
 def evaluate(e: Expr, bindings) -> float:
-    """IEEE-double evaluation of the tree with all free variables bound."""
+    """IEEE-double evaluation of the tree with all free variables bound by name."""
     return compile((e,)).run(bindings)[0]
 
 

@@ -172,21 +172,21 @@ def integrate_flow(X: TensorField, x: PhasePoint, t: float, steps: int) -> Phase
         raise ValueError("steps must be >= 1")
     if X.valence != (1, 0):
         raise ValueError("integrate_flow expects a vector field")
-    names = x.space.coord_names()
     run = X.tape.run
     isfinite = math.isfinite
 
     # Python floats, with numpy's association order of the array form
     # y + (0.5*h)*k and y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so the result is
-    # bit-identical to stepping numpy vectors
+    # bit-identical to stepping numpy vectors; each stage passes its state list
+    # to the tape as the point
     h = t / steps
     half, sixth = 0.5 * h, h / 6.0
     y = x.as_array().tolist()
     for k in range(steps):
-        k1 = run(dict(zip(names, y)))
-        k2 = run(dict(zip(names, [a + half * b for a, b in zip(y, k1)])))
-        k3 = run(dict(zip(names, [a + half * b for a, b in zip(y, k2)])))
-        k4 = run(dict(zip(names, [a + h * b for a, b in zip(y, k3)])))
+        k1 = run(y)
+        k2 = run([a + half * b for a, b in zip(y, k1)])
+        k3 = run([a + half * b for a, b in zip(y, k2)])
+        k4 = run([a + h * b for a, b in zip(y, k3)])
         y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if not all(map(isfinite, y)):

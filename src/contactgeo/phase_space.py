@@ -18,7 +18,7 @@ flat map ``X -> eta(X) eta + i_X d_eta`` carry a factor 1/2 as well
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -83,11 +83,16 @@ class PhaseSpace:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point ``(w, q^1..q^n, p_1..p_n)`` of the phase space."""
+    """A point ``(w, q^1..q^n, p_1..p_n)`` of the phase space.
+
+    ``values`` is the tuple ``(w, q1..qn, p1..pn)`` in the coordinate order,
+    the form in which the compiled tapes read a point.
+    """
 
     w: float
     q: tuple[float, ...]
     p: tuple[float, ...]
+    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.q) != len(self.p):
@@ -95,6 +100,7 @@ class PhasePoint:
         vals = (self.w,) + self.q + self.p
         if not all(map(math.isfinite, vals)):
             raise ValueError("phase point has non-finite entries")
+        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
@@ -105,7 +111,7 @@ class PhasePoint:
         return PhaseSpace(self.n)
 
     def as_array(self) -> np.ndarray:
-        return np.array((self.w,) + self.q + self.p, dtype=float)
+        return np.array(self.values, dtype=float)
 
     @classmethod
     def from_array(cls, arr) -> "PhasePoint":
@@ -113,14 +119,8 @@ class PhasePoint:
         if arr.ndim != 1 or arr.size % 2 == 0 or arr.size < 3:
             raise ValueError("expected a flat array of odd length >= 3")
         n = (arr.size - 1) // 2
-        return cls(float(arr[0]), tuple(arr[1:n + 1]), tuple(arr[n + 1:]))
-
-    def bindings(self) -> dict[str, float]:
-        b = {"w": self.w}
-        for a, (qa, pa) in enumerate(zip(self.q, self.p), start=1):
-            b[f"q{a}"] = qa
-            b[f"p{a}"] = pa
-        return b
+        vals = arr.tolist()
+        return cls(vals[0], tuple(vals[1:n + 1]), tuple(vals[n + 1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,11 +154,12 @@ class TensorField:
 
     @cached_property
     def tape(self) -> expr.Tape:
-        """The components, flattened in C order, compiled on first use."""
-        return expr.compile(self.comps.reshape(-1))
+        """The components, flattened in C order, compiled on first use against
+        the coordinate order."""
+        return expr.compile(self.comps.reshape(-1), PhaseSpace(self.n).coord_names())
 
     def evaluate(self, point: PhasePoint) -> np.ndarray:
-        return np.array(self.tape.run(point.bindings()), dtype=float).reshape(self.comps.shape)
+        return np.array(self.tape.run(point.values), dtype=float).reshape(self.comps.shape)
 
     def to_json(self) -> dict:
         def nest(a):
@@ -295,19 +296,20 @@ class CoordinateMap:
     @cached_property
     def tape(self) -> expr.Tape:
         """The image coordinates, compiled on first use."""
-        return expr.compile(self.exprs)
+        return expr.compile(self.exprs, PhaseSpace((self.dim - 1) // 2).coord_names())
 
     @cached_property
     def jacobian_tape(self) -> expr.Tape:
         """The Jacobian entries row by row, differentiated and compiled on first use."""
         names = PhaseSpace((self.dim - 1) // 2).coord_names()
-        return expr.compile([expr.differentiate(e, name) for e in self.exprs for name in names])
+        return expr.compile([expr.differentiate(e, name) for e in self.exprs for name in names],
+                            names)
 
     def apply(self, point: PhasePoint) -> PhasePoint:
-        return PhasePoint.from_array(np.array(self.tape.run(point.bindings())))
+        return PhasePoint.from_array(self.tape.run(point.values))
 
     def jacobian(self, point: PhasePoint) -> np.ndarray:
-        J = np.array(self.jacobian_tape.run(point.bindings()), dtype=float)
+        J = np.array(self.jacobian_tape.run(point.values), dtype=float)
         return J.reshape(self.dim, self.dim)
 
 
@@ -323,6 +325,6 @@ def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int,
         w = rng.uniform(*w_range)
         mags = rng.uniform(magnitude[0], magnitude[1], size=2 * space.n)
         signs = rng.choice((-1.0, 1.0), size=2 * space.n)
-        vals = mags * signs
+        vals = (mags * signs).tolist()
         pts.append(PhasePoint(w, tuple(vals[:space.n]), tuple(vals[space.n:])))
     return pts

@@ -72,8 +72,8 @@ class LambdaFamily:
 
     @cached_property
     def tape(self) -> expr.Tape:
-        """The scaling functions, compiled on first use."""
-        return expr.compile(self.exprs)
+        """The scaling functions, compiled on first use against the coordinate order."""
+        return expr.compile(self.exprs, PhaseSpace(self.n).coord_names())
 
     @cached_property
     def scaling_tape(self) -> expr.Tape:
@@ -85,7 +85,7 @@ class LambdaFamily:
                 acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
                 acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
             residuals.append(acc)
-        return expr.compile(residuals)
+        return expr.compile(residuals, PhaseSpace(self.n).coord_names())
 
     @classmethod
     def of(cls, items, **flags) -> "LambdaFamily":
@@ -251,7 +251,7 @@ def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,
     """
     if lam.n != space.n:
         raise ValueError(f"LambdaFamily has {lam.n} entries, space needs {space.n}")
-    return np.array(lam.scaling_tape.run(point.bindings()))
+    return np.array(lam.scaling_tape.run(point.values))
 
 
 def lambda_legendre_residual(space: PhaseSpace, lam: LambdaFamily, I: IndexSubset,
@@ -264,8 +264,8 @@ def lambda_legendre_residual(space: PhaseSpace, lam: LambdaFamily, I: IndexSubse
     """
     I.validate(space.n)
     image = partial_legendre(I, point)
-    here = lam.tape.run(point.bindings())
-    there = lam.tape.run(image.bindings())
+    here = lam.tape.run(point.values)
+    there = lam.tape.run(image.values)
     out = np.empty(space.n)
     for a, (h, t) in enumerate(zip(here, there), start=1):
         out[a - 1] = t + h if a in I else t - h

@@ -7,6 +7,11 @@ from contactgeo.hamiltonian import integrate_flow
 from contactgeo.phase_space import PhasePoint
 
 
+def bindings(point):
+    """The name-keyed mapping that ``expr.evaluate`` reads, for a phase point."""
+    return dict(zip(point.space.coord_names(), point.values))
+
+
 def central_difference(e, name, bindings, h=1e-5):
     """Independent derivative oracle for a single variable."""
     up = dict(bindings)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import bindings
 from contactgeo import expr
 from contactgeo.calculus import (lie_bracket, lie_derivative, nabla_reeb,
                                  ricci)
@@ -79,7 +80,7 @@ def test_criterion_02_hamiltonian_field_identities():
         led = lie_derivative(space, eta, X)
         dh_dw = expr.differentiate(h.h, "w")
         for pt in sample_points(space, rng, 5):
-            b = pt.bindings()
+            b = bindings(pt)
             worst = max(worst, abs(eta.evaluate(pt) @ X.evaluate(pt) - expr.evaluate(h.h, b)))
             scale = expr.evaluate(dh_dw, b)
             worst = max(worst, _max_abs(led.evaluate(pt) - scale * eta.evaluate(pt)))

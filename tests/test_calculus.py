@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import flow_lie_derivative
+from conftest import bindings, flow_lie_derivative
 from contactgeo import expr
 from contactgeo.calculus import (SingularMetricError, christoffel,
                                  christoffel_fd, kappa, killing_residual,
@@ -147,7 +147,7 @@ class TestChristoffel:
             for pt in sample_points(SP2, rng, 10):
                 gamma = christoffel(metric, pt)
                 g = metric.tensor.evaluate(pt)
-                partials = np.reshape(tape.run(pt.bindings()), dg.shape)
+                partials = np.reshape(tape.run(bindings(pt)), dg.shape)
                 for c in range(SP2.dim):
                     for a in range(SP2.dim):
                         for b in range(SP2.dim):

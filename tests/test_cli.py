@@ -2,14 +2,16 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contactgeo import cli, equilibrium
+from contactgeo import cli, equilibrium, expr
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
+from contactgeo.phase_space import PhasePoint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -154,6 +156,31 @@ class TestVerify:
         assert summary["suite"] == "structures"
         assert summary["seed"] == 9
 
+    @pytest.mark.parametrize("text, message", [
+        # misspelt seed and points used to run with the defaults and exit 0
+        ("seeds = 3", "unknown config key 'seeds'"),
+        ("n = 1\npoint = 4", "unknown config key 'point'"),
+        ('lambda = "q1*p1"', "unknown config key 'lambda'"),
+        ('lambda.x = "q1*p1"', "config key 'lambda.x': the lambda index must be an integer"),
+        ('lambda.-1 = "q1*p1"', "config key 'lambda.-1': the lambda index must be an integer"),
+        ('lambda.1 = "q1*p1"\nlambda.01 = "q2*p2"',
+         "config keys 'lambda.1' and 'lambda.01' set the same lambda entry"),
+    ])
+    def test_bad_config_key_is_config_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code, out, err = _run(capsys, ["verify", "--suite", "heisenberg", "--points", "2",
+                                       "--config", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_lambda_keys_are_ordered_by_index(self, tmp_path):
+        # lambda.10 comes after lambda.9, not between lambda.1 and lambda.2
+        path = tmp_path / "run.cfg"
+        path.write_text("".join(f'lambda.{k} = "q{k}"\n' for k in (10, 9, 1)))
+        lam = cli._read_config(str(path))["lam"]
+        assert [str(e) for e in lam.exprs] == ["q1", "q9", "q10"]
+
     def test_extra_catalog(self, tmp_path, capsys):
         path = tmp_path / "extra.cfg"
         path.write_text(
@@ -276,6 +303,60 @@ class TestRunSuiteApi:
         with pytest.raises(cli.ConfigError):
             run_suite(RunConfig(suite="bogus"))
 
+    def test_positional_tapes_equal_name_keyed_evaluation(self, monkeypatch):
+        # every tape verify compiles against a coordinate order at n=3 reads a
+        # point by position exactly as expr.evaluate reads it by name, cold and hot
+        compiled = {}
+        compile_ = expr.compile
+
+        def recording(exprs, coords=None):
+            exprs = tuple(exprs)
+            tape = compile_(exprs, coords)
+            if coords is not None:
+                compiled.setdefault((exprs, tuple(coords)), (sys._getframe(1).f_code.co_qualname,
+                                                             tape))
+            return tape
+
+        monkeypatch.setattr(expr, "compile", recording)
+        run_suite(RunConfig(n=3, m=2, seed=5, points=2))
+        monkeypatch.undo()
+        assert {"TensorField.tape", "CoordinateMap.tape", "CoordinateMap.jacobian_tape",
+                "christoffel", "ricci", "LambdaFamily.tape", "LambdaFamily.scaling_tape",
+                "_hamiltonian_eta", "_hamiltonian_lie_eta", "FundamentalRelation._value_tape",
+                "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
+                } <= {caller for caller, _ in compiled.values()}
+
+        def outcome(fn):
+            try:
+                return [v.hex() for v in fn()]
+            except EvalError as err:
+                return str(err)
+
+        rng = np.random.default_rng(8)
+
+        def coordinate(name):
+            # phase coordinates as sample_points draws them; relation
+            # coordinates inside every built-in domain
+            if name == "w":
+                return float(rng.uniform(-1.0, 1.0))
+            if name[0] in "qp" and name[1:].isdigit():
+                return float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0))
+            return float(rng.uniform(1.6, 1.9))
+
+        values_compared = 0
+        for (exprs, coords), (_, tape) in compiled.items():
+            hot = compile_(exprs, coords)
+            hot._runs = expr._HOT_RUNS  # the next run generates the kernel
+            for _ in range(2):
+                point = [coordinate(c) for c in coords]
+                named = dict(zip(coords, point))
+                want = outcome(lambda: [expr.evaluate(e, named) for e in exprs])
+                for positional in (tape, compile_(exprs, coords), hot):
+                    assert outcome(lambda: positional.run(point)) == want, coords
+                values_compared += isinstance(want, list)
+            assert hot._kernel is not None
+        assert values_compared == 2 * len(compiled)
+
 
 @pytest.mark.parametrize("argv", [
     ["flow", "--config", "run.cfg", "--hamiltonian", "hL", "--t", "1", "--point", "1,2,3"],
@@ -343,6 +424,21 @@ class TestFlowCommand:
         code, _, err = _run(capsys, ["flow", "--hamiltonian", "q1*(",
                                      "--t", "1", "--point", "1,2,3"])
         assert code == 2
+
+    def test_variable_outside_the_coordinates_exits_two(self, capsys):
+        # the field's tape is compiled against (w, q1, p1), which has no q2
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", "q1*p1 + q2",
+                                       "--t", "1", "--point", "1,2,3"])
+        assert (code, out, err) == (2, "", "error: unbound variable 'q2'\n")
+
+    def test_point_of_another_dimension_exits_two(self, capsys, monkeypatch):
+        # a 5-coordinate point reaching the 3-coordinate field's tape is an
+        # evaluation error, not an IndexError and not a silent partial binding
+        monkeypatch.setattr(cli, "_parse_point",
+                            lambda csv, n: PhasePoint(1.0, (2.0, 3.0), (4.0, 5.0)))
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", "hS", "--n", "1",
+                                       "--t", "1", "--point", "1,2,3,4,5"])
+        assert (code, out, err) == (2, "", "error: expected 3 coordinate values, got 5\n")
 
     def test_evaluation_error_exits_two(self, capsys):
         # w goes negative along the flow of log(w), where log is undefined

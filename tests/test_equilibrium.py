@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bindings
 from contactgeo import expr
 from contactgeo.equilibrium import (FundamentalRelation, RootFindError,
                                     SystemCatalogEntry, catalog, embed,
@@ -132,7 +133,7 @@ class TestPullbackOntoStateSpace:
             gl = metric_from_structure(space, MetricKind.LAMBDA, lam)
             for qvals in _domain_points(rel, rng, 15):
                 x = embed(rel, qvals)
-                lam_vals = np.array([expr.evaluate(e, x.bindings()) for e in lam.exprs])
+                lam_vals = np.array([expr.evaluate(e, bindings(x)) for e in lam.exprs])
                 H = hessian(rel, qvals)
                 want = -0.5 * (lam_vals[:, None] + lam_vals[None, :]) * H
                 pulled = pullback_metric_on_E(rel, gl, qvals)

@@ -191,6 +191,103 @@ class TestCompile:
         assert list(tmp_path.iterdir()) == []
 
 
+def _outcome(fn):
+    """``fn()``'s values as hex strings, so 0.0 and -0.0 differ, or its error."""
+    try:
+        return [v.hex() for v in fn()]
+    except (EvalError, OverflowError) as err:
+        return type(err), str(err)
+
+
+class TestPositional:
+    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    def test_values_and_errors_equal_name_keyed_evaluation(self, tier):
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            parts = [random_expression(rng, NAMES, depth=3) for _ in range(3)]
+            a, b, c = parts
+            trees = parts + [a * b, expr.log(a) / b, c / (a - b), expr.power(a - c, -3)]
+            tape = expr.compile(trees, NAMES)
+            if tier == "hot":
+                _heat(tape, [0.5] * len(NAMES))
+            cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in NAMES} for _ in range(5)]
+            cases += [dict.fromkeys(NAMES, 0.0), dict.fromkeys(NAMES, -0.0)]
+            for bindings in cases:
+                by_name = _outcome(lambda: [evaluate(t, bindings) for t in trees])
+                assert _outcome(lambda: tape.run([bindings[n] for n in NAMES])) == by_name
+            assert (tape._kernel is not None) == (tier == "hot")
+
+    def test_instruction_list_differs_from_the_name_keyed_one_only_in_variables(self):
+        trees = [parse("q1^3*p1 - w/q1 + exp(p1)^(2/3)"), parse("q1*p1")]
+        by_name, by_position = expr.compile(trees)._code, expr.compile(trees, NAMES)._code
+        assert len(by_name) == len(by_position)
+        for named, placed in zip(by_name, by_position):
+            if named[0] == expr._VAR:
+                assert placed == (expr._VAR, named[1], NAMES.index(named[2]), None)
+            else:
+                assert placed == named
+
+    def test_free_variable_outside_the_coordinates(self):
+        with pytest.raises(EvalError, match="unbound variable 'p7'"):
+            expr.compile([parse("q1"), parse("q1 + p7")], ("q1", "p1"))
+
+    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0], (), [1.0] * 4])
+    def test_point_of_another_length(self, tier, point):
+        tape = expr.compile([parse("q1*p1 + w"), parse("q1")], ("w", "q1", "p1"))
+        if tier == "hot":
+            _heat(tape, [1.0, 2.0, 3.0])
+        assert tape.run([1.0, 2.0, 3.0]) == [7.0, 2.0]
+        with pytest.raises(EvalError) as err:
+            tape.run(point)
+        assert str(err.value) == f"expected 3 coordinate values, got {len(point)}"
+        assert (tape._kernel is not None) == (tier == "hot")
+
+    def test_constant_tape_still_checks_the_length(self):
+        tape = expr.compile([expr.ONE], ("w",))
+        assert tape.run([5.0]) == [1.0]
+        with pytest.raises(EvalError, match="expected 1 coordinate values, got 0"):
+            tape.run([])
+
+    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    def test_integer_power_opcode_equals_pow_value_bit_for_bit(self, tier):
+        x = expr.var("x")
+        bases = [-2.5, -1.0, -0.3, -0.0, 0.0, 1e-300, 0.3, 1.0, 1.7, 1e200, -1e200]
+        for r in [*range(-7, 0), *range(2, 8)]:
+            for tape in (expr.compile([expr.power(x, r)], ("x",)),
+                         expr.compile([expr.power(x, r)])):
+                assert [op for op, *_ in tape._code] == [expr._VAR, expr._POWI]
+                point = (lambda v: [v]) if tape._arity else (lambda v: {"x": v})
+                if tier == "hot":
+                    _heat(tape, point(1.5))
+                for base in bases:
+                    want = _outcome(lambda: [expr._pow_value(base, *expr._exponent(Fraction(r)))])
+                    assert _outcome(lambda: tape.run(point(base))) == want
+                assert (tape._kernel is not None) == (tier == "hot")
+        # a zero base gives +0.0 for any sign, and raises for a negative exponent
+        assert _outcome(lambda: [expr._pow_value(-0.0, 3.0, expr._INTEGER)]) == [(0.0).hex()]
+        assert _outcome(lambda: [expr._pow_value(-0.0, -2.0, expr._INTEGER)]) == (
+            EvalError, "zero raised to a negative power")
+
+    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    def test_rational_powers_keep_their_rules(self, tier):
+        x = expr.var("x")
+        cases = {Fraction(2, 3): 4.0, Fraction(1, 3): -2.0, Fraction(-1, 3): -0.5}
+        for r, want in cases.items():
+            tape = expr.compile([expr.power(x, r)], ("x",))
+            assert tape._code[1] == (expr._POW, 1, 0, expr._exponent(r))
+            if tier == "hot":
+                _heat(tape, [1.0])
+            assert tape.run([-8.0]) == [pytest.approx(want)]
+            assert tape.run([-8.0]) == [evaluate(expr.power(x, r), {"x": -8.0})]
+        tape = expr.compile([expr.power(x, Fraction(1, 2))], ("x",))
+        if tier == "hot":
+            _heat(tape, [1.0])
+        with pytest.raises(EvalError, match="even-root"):
+            tape.run([-4.0])
+        assert tape.run([-0.0]) == [0.0]
+
+
 class TestHash:
     def test_equal_trees_built_apart(self):
         a, b = parse("q1*p1 + sin(w)"), parse("q1*p1 + sin(w)")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bindings
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
@@ -64,7 +65,7 @@ class TestHamiltonianVectorField:
             X = hamiltonian_vector_field(space, h)
             for pt in sample_points(space, rng, 5):
                 got = eta.evaluate(pt) @ X.evaluate(pt)
-                assert got == pytest.approx(expr.evaluate(h.h, pt.bindings()), abs=1e-12)
+                assert got == pytest.approx(expr.evaluate(h.h, bindings(pt)), abs=1e-12)
 
     def test_contact_transformation_property(self):
         # L_{X_h} eta = (dh/dw) eta, componentwise
@@ -77,7 +78,7 @@ class TestHamiltonianVectorField:
             led = lie_derivative(space, eta, X)
             dh_dw = expr.differentiate(h.h, "w")
             for pt in sample_points(space, rng, 5):
-                scale = expr.evaluate(dh_dw, pt.bindings())
+                scale = expr.evaluate(dh_dw, bindings(pt))
                 assert np.max(np.abs(led.evaluate(pt) - scale * eta.evaluate(pt))) < 1e-12
 
 
@@ -205,12 +206,11 @@ class TestIntegrateFlow:
         # so neither the float-list stepping nor the generated tape is in it;
         # the steps are long enough that summing k1..k4 in another order shows
         space = PhaseSpace(2)
-        names = space.coord_names()
         rng = np.random.default_rng(9)
 
         def rhs(X, arr):
-            bindings = dict(zip(names, arr.tolist()))
-            return np.array([expr.evaluate(c, bindings) for c in X.comps])
+            b = bindings(PhasePoint.from_array(arr))
+            return np.array([expr.evaluate(c, b) for c in X.comps])
 
         for _ in range(2):
             X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))

@@ -51,7 +51,9 @@ class TestPhasePoint:
             PhasePoint(0.0, (1.0, 2.0), (3.0,))
 
     def test_bindings(self, pt123):
-        assert pt123.bindings() == {"w": 1.0, "q1": 2.0, "p1": 3.0}
+        # tapes read a point as its coordinate tuple, in the order (w, q1, p1)
+        assert pt123.values == (1.0, 2.0, 3.0)
+        assert PhasePoint(0.5, (2.0, 3.0), (4.0, 5.0)).values == (0.5, 2.0, 3.0, 4.0, 5.0)
 
 
 class TestContactForm:
