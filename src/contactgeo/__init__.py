@@ -10,7 +10,7 @@ from .expr import (EvalError, Expr, ParseError, const, differentiate, evaluate,
                    parse, to_string, var)
 from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
                           coframe, contact_form, d_eta, frame, sample_points)
-from .hamiltonian import (ContactHamiltonian, IndexSubset, closed_form_commutator,
+from .hamiltonian import (IndexSubset, closed_form_commutator,
                           generator_commutator, hamiltonian_vector_field,
                           integrate_flow, legendre_map, partial_legendre,
                           rotation_flow, rotation_generator, scaling_flow,
@@ -19,13 +19,11 @@ from .structures import (LambdaFamily, StructureKind, build_structure,
                          check_structure_identities, lambda_legendre_residual,
                          lambda_scaling_residual, product_lambda)
 from .metrics import (Metric, MetricKind, associated_residual,
-                      compatibility_residual, frame_gram, metric_from_structure,
-                      pullback)
+                      compatibility_residual, metric_from_structure, pullback)
 from .calculus import (CurvatureReport, SingularMetricError, christoffel,
-                       kappa, killing_residual, lie_bracket, lie_derivative,
-                       nabla_reeb, ricci)
+                       lie_bracket, lie_derivative, nabla_reeb, ricci)
 from .equilibrium import (FundamentalRelation, SystemCatalogEntry, catalog,
-                          embed, hessian, involution_check, legendre_potential,
+                          embed, involution_check, legendre_potential,
                           pullback_metric_on_E)
 
 __version__ = "0.1.0"

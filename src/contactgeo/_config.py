@@ -2,9 +2,10 @@
 
 Values are JSON where possible (``coords = ["S","V"]``, ``domain = [[0.5,2]]``,
 ``wbar = "exp(S)*V^(-2/3)"``); bare words fall back to plain strings.
-Lines starting with ``#`` are comments.  Readers check each value they use
-with :func:`typed`, so a value of the wrong type is one ``ValueError`` that
-names its key.
+Lines starting with ``#`` are comments.  A key may be set once per mapping: a
+repeated key is one ``ValueError`` that names it and both of its lines.
+Readers check each value they use with :func:`typed`, so a value of the wrong
+type is one ``ValueError`` that names its key.
 """
 
 from __future__ import annotations
@@ -22,34 +23,40 @@ def _parse_value(raw: str):
         return raw
 
 
-def parse_blocks(text: str) -> list[dict]:
-    """Parse blank-line-separated blocks of ``key = value`` lines."""
-    blocks: list[dict] = []
-    current: dict = {}
+def _entries(text: str) -> list[list[tuple[int, str, object]]]:
+    """The ``(line number, key, value)`` entries of each blank-line-separated block."""
+    blocks: list[list] = [[]]
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
-            if current:
-                blocks.append(current)
-                current = {}
-            continue
-        if stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        current[key.strip()] = _parse_value(raw)
-    if current:
-        blocks.append(current)
-    return blocks
+            blocks.append([])
+        elif not stripped.startswith("#"):
+            if "=" not in stripped:
+                raise ValueError(f"line {lineno}: expected 'key = value', got {stripped!r}")
+            key, _, raw = stripped.partition("=")
+            blocks[-1].append((lineno, key.strip(), _parse_value(raw)))
+    return [block for block in blocks if block]
+
+
+def _mapping(entries) -> dict:
+    """The entries as one mapping; a key given twice is a ValueError."""
+    values: dict = {}
+    lines: dict = {}
+    for lineno, key, value in entries:
+        if key in lines:
+            raise ValueError(f"line {lineno}: key '{key}' is already set on line {lines[key]}")
+        values[key], lines[key] = value, lineno
+    return values
+
+
+def parse_blocks(text: str) -> list[dict]:
+    """Parse blank-line-separated blocks of ``key = value`` lines."""
+    return [_mapping(block) for block in _entries(text)]
 
 
 def parse_flat(text: str) -> dict:
     """Parse a config file as a single flat mapping (blocks merged in order)."""
-    merged: dict = {}
-    for block in parse_blocks(text):
-        merged.update(block)
-    return merged
+    return _mapping(entry for block in _entries(text) for entry in block)
 
 
 # JSON types by the words an error message uses for them; the checks test type(),

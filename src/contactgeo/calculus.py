@@ -9,10 +9,6 @@ tensor follows the convention
            + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb,
 
 which gives ``Ric = diag(1, sin^2 theta)`` for the unit round sphere.
-
-A central finite-difference fallback (``christoffel_fd`` / ``ricci_fd``) is
-provided for black-box metrics given only as point evaluations; it carries
-truncation error around 1e-4 and exists as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -36,10 +32,6 @@ __all__ = [
     "ricci",
     "ricci_symbolic",
     "nabla_reeb",
-    "kappa",
-    "killing_residual",
-    "christoffel_fd",
-    "ricci_fd",
 ]
 
 
@@ -276,70 +268,3 @@ def nabla_reeb(metric, point: PhasePoint) -> np.ndarray:
     """Covariant derivative of the Reeb field: ``(nabla xi)^c_b = Gamma^c_{w b}``."""
     gamma = christoffel(metric, point)
     return gamma[:, 0, :]
-
-
-def kappa(space: PhaseSpace, structure: TensorField) -> TensorField:
-    """``(1/2) L_xi phi``; vanishes when the structure has w-free components."""
-    from .phase_space import frame, scale_tensor
-
-    xi = frame(space)[0]
-    return scale_tensor(lie_derivative(space, structure, xi), 0.5)
-
-
-def killing_residual(space: PhaseSpace, metric, X: TensorField, point: PhasePoint) -> float:
-    """``max_ab |(L_X g)_ab|`` at the point; zero iff X is Killing there."""
-    tensor = metric.tensor if hasattr(metric, "tensor") else metric
-    lg = lie_derivative(space, tensor, X)
-    return float(np.max(np.abs(lg.evaluate(point))))
-
-
-# ---------------------------------------------------------------------------
-# finite-difference fallback for black-box metrics
-
-def _fd_metric_derivs(metric_fn, arr: np.ndarray, h: float):
-    dim = arr.size
-    g0 = np.asarray(metric_fn(arr), dtype=float)
-    dg = np.empty((dim, dim, dim))
-    for c in range(dim):
-        step = np.zeros(dim)
-        step[c] = h
-        dg[c] = (np.asarray(metric_fn(arr + step)) - np.asarray(metric_fn(arr - step))) / (2 * h)
-    return g0, dg
-
-
-def christoffel_fd(metric_fn, arr: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference Christoffel symbols of a black-box metric ``x -> g(x)``."""
-    arr = np.asarray(arr, dtype=float)
-    g0, dg = _fd_metric_derivs(metric_fn, arr, h)
-    ginv = np.linalg.inv(g0)
-    dim = arr.size
-    gamma = np.empty((dim, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            bracket = dg[a, :, b] + dg[b, :, a] - dg[:, a, b]
-            gamma[:, a, b] = 0.5 * ginv @ bracket
-    return gamma
-
-
-def ricci_fd(metric_fn, arr: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference Ricci tensor of a black-box metric (tolerance ~1e-4)."""
-    arr = np.asarray(arr, dtype=float)
-    dim = arr.size
-    dgamma = np.empty((dim, dim, dim, dim))  # dgamma[e][c][a][b] = d_e Gamma^c_ab
-    for e in range(dim):
-        step = np.zeros(dim)
-        step[e] = h
-        dgamma[e] = (christoffel_fd(metric_fn, arr + step, h)
-                     - christoffel_fd(metric_fn, arr - step, h)) / (2 * h)
-    gamma = christoffel_fd(metric_fn, arr, h)
-    ric = np.empty((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            val = 0.0
-            for c in range(dim):
-                val += dgamma[c, c, a, b] - dgamma[a, c, c, b]
-            for c in range(dim):
-                for d_i in range(dim):
-                    val += gamma[c, c, d_i] * gamma[d_i, a, b] - gamma[c, a, d_i] * gamma[d_i, c, b]
-            ric[a, b] = val
-    return ric

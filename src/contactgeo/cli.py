@@ -242,7 +242,7 @@ def _hamiltonian_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         X = hamiltonian_vector_field(space, h)
-        h_tape = expr.compile((h.h,), space.coord_names())
+        h_tape = expr.compile((h,), space.coord_names())
         for pt in sample_points(space, rng, 5):
             yield eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.values)[0]
 
@@ -253,7 +253,7 @@ def _hamiltonian_lie_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
-        dh_dw = expr.compile((expr.differentiate(h.h, "w"),), space.coord_names())
+        dh_dw = expr.compile((expr.differentiate(h, "w"),), space.coord_names())
         for pt in sample_points(space, rng, 5):
             scale = dh_dw.run(pt.values)[0]
             yield led.evaluate(pt) - scale * eta.evaluate(pt)
@@ -313,7 +313,7 @@ def _structure(kind: StructureKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family() if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
     pts = sample_points(space, rng, cfg.points)
-    return check_structure_identities(space, kind, lam, points=pts).per_point
+    return check_structure_identities(space, kind, lam, pts)
 
 
 def _structures_scaling_pde(cfg, rng):

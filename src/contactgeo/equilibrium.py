@@ -40,7 +40,6 @@ __all__ = [
     "embed",
     "embedding_jacobian",
     "pullback_metric_on_E",
-    "hessian",
     "legendre_potential",
     "involution_check",
     "catalog",
@@ -244,10 +243,6 @@ class TransformedRelation:
         out[self._II] = -A_inv
         return 0.5 * (out + out.T)  # exactly symmetric, as the Hessian of a relation is
 
-    def contains(self, qvals, tol: float = 1e-9) -> bool:
-        return all(lo - tol <= v <= hi + tol
-                   for v, (lo, hi) in zip(qvals, self.domain))
-
 
 def embed(rel, qvals) -> PhasePoint:
     """Embedding point ``(w = wbar(q), q, p = grad wbar(q))`` of the relation."""
@@ -283,12 +278,6 @@ def pullback_metric_on_E(rel, metric: Metric, qvals) -> np.ndarray:
     x = embed(rel, qvals)
     J = embedding_jacobian(rel, qvals)
     return J.T @ metric.tensor.evaluate(x) @ J
-
-
-def hessian(rel, qvals) -> np.ndarray:
-    """Second derivatives of the potential at ``qvals`` (exact for symbolic relations)."""
-    qvals = np.asarray(qvals, dtype=float)
-    return rel.hessian(qvals)
 
 
 def legendre_potential(rel, indices) -> TransformedRelation:
@@ -336,10 +325,6 @@ class SystemCatalogEntry:
     id: str
     relation: FundamentalRelation
 
-    @property
-    def domain(self):
-        return self.relation.domain
-
 
 def catalog() -> tuple[SystemCatalogEntry, ...]:
     """Built-in relations: an exact quadratic, an ideal gas, and a van der Waals form.
@@ -373,7 +358,8 @@ def load_catalog(path) -> tuple[SystemCatalogEntry, ...]:
     """Load relations from a block-format file.
 
     Each block carries ``potential = "<name>"``, ``coords = ["S","V"]``,
-    ``wbar = "<expr>"``, ``domain = [[lo,hi],...]`` and an optional ``id``.
+    ``wbar = "<expr>"``, ``domain = [[lo,hi],...]`` and an optional ``id``;
+    any other key is an error.
     """
     from ._config import parse_blocks, typed
 
@@ -381,6 +367,9 @@ def load_catalog(path) -> tuple[SystemCatalogEntry, ...]:
         blocks = parse_blocks(fh.read())
     entries = []
     for block in blocks:
+        for key in block:
+            if key not in ("potential", "coords", "wbar", "domain", "id"):
+                raise ValueError(f"unknown catalog key '{key}'")
         missing = {"potential", "coords", "wbar", "domain"} - set(block)
         if missing:
             raise ValueError(f"catalog block is missing {sorted(missing)}")

@@ -25,9 +25,8 @@ keying a node in a cache costs O(1).  :func:`compile` orders the unique nodes
 of some expressions into a :class:`Tape` once, equal subtrees sharing a slot;
 ``Tape.run`` then evaluates each node once per point without recursion, by
 interpreting the tape at first and through a generated Python function once
-the tape has run often.  A tape compiled against a coordinate order reads a
-point as the sequence of its coordinate values, in that order; without one it
-reads a mapping from variable names to values, as :func:`evaluate` does.
+the tape has run often.  A tape is compiled against a coordinate order and
+reads a point as the sequence of its coordinate values, in that order.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ __all__ = [
     "to_string",
     "free_variables",
 ]
-
-_FUNCTIONS = ("exp", "log", "sin", "cos")
-
 
 class ExprError(Exception):
     """Base class for expression errors."""
@@ -393,9 +389,9 @@ _OPCODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV, "neg": _NEG, "pow
 _HOT_RUNS = 128
 
 # The statements of each instruction, formatted with integer slot numbers only:
-# {0} is the destination, {1} and {2} the operand slots.  A variable's name or
-# position is the parameter n<dst> and a power's exponent data r<dst> (and
-# s<dst>), so no name, constant or exponent ever becomes source text.
+# {0} is the destination, {1} and {2} the operand slots.  A variable's position
+# is the parameter n<dst> and a power's exponent data r<dst> (and s<dst>), so no
+# constant or exponent ever becomes source text.
 _STATEMENT = {
     _VAR: "v{0:d} = b[n{0:d}]",
     _ADD: "v{0:d} = v{1:d} + v{2:d}",
@@ -415,24 +411,20 @@ _STATEMENT = {
 _BINARY = (_ADD, _SUB, _MUL, _DIV)
 
 
-def _unbound(err: KeyError):
-    raise EvalError(f"unbound variable '{err.args[0]}'") from None
-
-
 def _wrong_length(arity: int, point):
     raise EvalError(f"expected {arity} coordinate values, got {len(point)}")
 
 
-_KERNEL_GLOBALS = {"__builtins__": {}, "KeyError": KeyError, "EvalError": EvalError, "len": len,
-                   "_unbound": _unbound, "_wrong_length": _wrong_length,
-                   "_zero_power": _zero_power, "_pow_value": _pow_value, "_pow": math.pow,
+_KERNEL_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len,
+                   "_wrong_length": _wrong_length, "_zero_power": _zero_power,
+                   "_pow_value": _pow_value, "_pow": math.pow,
                    "_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
 
 
-def _generate(template: list, code: list, outputs: list, arity: int | None):
+def _generate(template: list, code: list, outputs: list, arity: int):
     """The function ``point -> values`` that runs ``code`` as Python statements.
 
-    Every constant slot, variable name or position and exponent is a parameter
+    Every constant slot, variable position and exponent is a parameter
     whose value is set as the function's default arguments, so a call passes
     the point alone.
     """
@@ -445,17 +437,14 @@ def _generate(template: list, code: list, outputs: list, arity: int | None):
             params[f"r{dst:d}"] = b
         elif op == _POW:
             params[f"r{dst:d}"], params[f"s{dst:d}"] = b
-    body = [] if arity is None else [f"if len(b) != {arity:d}: _wrong_length({arity:d}, b)"]
+    body = [f"if len(b) != {arity:d}: _wrong_length({arity:d}, b)"]
     for op, dst, a, b in code:
         text = _STATEMENT[op].format(dst, None if op == _VAR else a,
                                      b if op in _BINARY else None)
         body += text.split("\n")
     source = "\n".join([
         f"def kernel(b, {', '.join(params)}):",
-        "    try:",
-        *["        " + line for line in body or ["pass"]],
-        "    except KeyError as err:",
-        "        _unbound(err)",
+        *["    " + line for line in body],
         "    return [" + "".join(f"v{s:d}, " for s in outputs) + "]",
     ])
     scope: dict = {}
@@ -471,9 +460,9 @@ class Tape:
     Built by :func:`compile`.  Each instruction is ``(opcode, destination,
     operand, operand)`` over a list of slots, one slot per unique node.  A
     variable's operand is its position in the coordinate order the tape was
-    compiled against, or its name for a tape compiled without one.  A power's
-    second operand is its exponent as a float where that is an integer
-    (``_POWI``), and the pair :func:`_exponent` gives otherwise (``_POW``).
+    compiled against.  A power's second operand is its exponent as a float
+    where that is an integer (``_POWI``), and the pair :func:`_exponent` gives
+    otherwise (``_POW``).
 
     A tape runs in two tiers.  Its first ``_HOT_RUNS`` runs interpret the
     instruction list.  The run after that generates one straight-line Python
@@ -486,7 +475,7 @@ class Tape:
 
     __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel")
 
-    def __init__(self, template: list, code: list, outputs: list, arity: int | None):
+    def __init__(self, template: list, code: list, outputs: list, arity: int):
         self._template = template
         self._code = code
         self._outputs = outputs
@@ -497,11 +486,9 @@ class Tape:
     def run(self, point) -> list:
         """Values of the compiled expressions, in order, at ``point``.
 
-        For a tape compiled against a coordinate order, ``point`` is the
-        sequence of the coordinate values in that order, best as Python floats;
-        a sequence of another length raises :class:`EvalError`.  For a tape
-        compiled without one, ``point`` maps every free variable's name to its
-        value.
+        ``point`` is the sequence of the coordinate values in the order the
+        tape was compiled against, best as Python floats; a sequence of another
+        length raises :class:`EvalError`.
 
         Each node is evaluated once, children first, in the order a recursive
         walk of the expressions in turn finishes them (a quotient's denominator
@@ -519,7 +506,7 @@ class Tape:
         return kernel(point)
 
     def _interpret(self, point) -> list:
-        if self._arity is not None and len(point) != self._arity:
+        if len(point) != self._arity:
             _wrong_length(self._arity, point)
         v = self._template.copy()
         # branches in the order of how often the verify suites execute them
@@ -527,10 +514,7 @@ class Tape:
             if op == _MUL:
                 v[dst] = v[a] * v[b]
             elif op == _VAR:
-                try:
-                    v[dst] = point[a]
-                except KeyError:
-                    raise EvalError(f"unbound variable '{a}'") from None
+                v[dst] = point[a]
             elif op == _ADD:
                 v[dst] = v[a] + v[b]
             elif op == _POWI:
@@ -561,17 +545,16 @@ class Tape:
         return list(map(v.__getitem__, self._outputs))
 
 
-def compile(exprs, coords=None) -> Tape:
+def compile(exprs, coords) -> Tape:
     """Order the unique nodes of ``exprs`` into one :class:`Tape`, iteratively.
 
-    With ``coords``, a sequence of variable names, the tape reads a point as
-    the values of those names in that order, and a free variable outside
-    ``coords`` raises :class:`EvalError` here.  Without it the tape reads a
-    mapping from names to values.  Nodes are interned, so equal subtrees, even
+    ``coords`` is a sequence of variable names: the tape reads a point as the
+    values of those names in that order, and a free variable outside ``coords``
+    raises :class:`EvalError` here.  Nodes are interned, so equal subtrees, even
     of expressions built apart, are one node and share one slot.
     """
     roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
-    position = None if coords is None else {name: k for k, name in enumerate(coords)}
+    position = {name: k for k, name in enumerate(coords)}
     slot: dict[int, int] = {}
     template: list = []
     code: list = []
@@ -589,13 +572,10 @@ def compile(exprs, coords=None) -> Tape:
                     template.append(node.value)
                     continue
                 if k == "var":
-                    operand = node.name
-                    if position is not None:
-                        if operand not in position:
-                            raise EvalError(f"unbound variable '{operand}'")
-                        operand = position[operand]
+                    if node.name not in position:
+                        raise EvalError(f"unbound variable '{node.name}'")
                     slot[id(node)] = len(template)
-                    code.append((_VAR, len(template), operand, None))
+                    code.append((_VAR, len(template), position[node.name], None))
                     template.append(0.0)
                     continue
                 if k not in _OPCODE:
@@ -621,16 +601,20 @@ def compile(exprs, coords=None) -> Tape:
                 slot[id(node)] = len(template)
                 template.append(0.0)
         outputs.append(slot[id(root)])
-    return Tape(template, code, outputs, None if coords is None else len(coords))
+    return Tape(template, code, outputs, len(coords))
 
 
 def evaluate(e: Expr, bindings) -> float:
     """IEEE-double evaluation of the tree with all free variables bound by name."""
-    return compile((e,)).run(bindings)[0]
+    names = tuple(bindings)
+    return compile((e,), names).run([bindings[name] for name in names])[0]
 
 
 # ---------------------------------------------------------------------------
 # parsing
+
+_FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos}
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -712,7 +696,7 @@ class _Parser:
                 open_pos = self.pos
                 self.pos += 1
                 arg = self.parse_group_body(open_pos)
-                return Expr(name, (arg,))
+                return _FUNCTIONS[name](arg)
             return var(name)
         self.error(f"unexpected character {c!r}")
 

@@ -28,7 +28,6 @@ from .expr import Expr
 from .phase_space import CoordinateMap, PhasePoint, PhaseSpace, TensorField, _obj, frame
 
 __all__ = [
-    "ContactHamiltonian",
     "IndexSubset",
     "rotation_generator",
     "scaling_generator",
@@ -43,14 +42,6 @@ __all__ = [
     "scaling_map",
     "random_polynomial_hamiltonian",
 ]
-
-
-@dataclass(frozen=True)
-class ContactHamiltonian:
-    """A smooth function of ``(w, q, p)`` acting as a contact Hamiltonian."""
-
-    h: Expr
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -88,36 +79,35 @@ class IndexSubset:
         return len(self.indices)
 
 
-def rotation_generator(m: int) -> ContactHamiltonian:
+def rotation_generator(m: int) -> Expr:
     """``(1/2) sum_{i<=m} (q_i^2 + p_i^2)``: rotates the first m contact planes."""
     if m < 1:
         raise ValueError("m must be >= 1")
     h = expr.ZERO
     for i in range(1, m + 1):
         h = h + (expr.var(f"q{i}") ** 2 + expr.var(f"p{i}") ** 2)
-    return ContactHamiltonian(expr.const(0.5) * h, label="hL")
+    return expr.const(0.5) * h
 
 
-def scaling_generator(n: int) -> ContactHamiltonian:
+def scaling_generator(n: int) -> Expr:
     """``sum_{a<=n} q^a p_a``: generates the anisotropic polarization scalings."""
     if n < 1:
         raise ValueError("n must be >= 1")
     h = expr.ZERO
     for a in range(1, n + 1):
         h = h + expr.var(f"q{a}") * expr.var(f"p{a}")
-    return ContactHamiltonian(h, label="hS")
+    return h
 
 
-def hamiltonian_vector_field(space: PhaseSpace, h: ContactHamiltonian | Expr) -> TensorField:
+def hamiltonian_vector_field(space: PhaseSpace, h: Expr) -> TensorField:
     """The unique field with ``eta(X_h) = h``, via Hamilton's equations."""
-    hh = h.h if isinstance(h, ContactHamiltonian) else h
     comps = _obj(space.dim)
-    dh_dw = expr.differentiate(hh, "w")
-    wdot = hh
+    dh_dw = expr.differentiate(h, "w")
+    wdot = h
     for a in range(1, space.n + 1):
-        dh_dpa = expr.differentiate(hh, f"p{a}")
+        dh_dpa = expr.differentiate(h, f"p{a}")
         comps[space.q_index(a)] = expr.neg(dh_dpa)
-        comps[space.p_index(a)] = expr.differentiate(hh, f"q{a}") + expr.var(f"p{a}") * dh_dw
+        comps[space.p_index(a)] = expr.differentiate(h, f"q{a}") + expr.var(f"p{a}") * dh_dw
         wdot = wdot - expr.var(f"p{a}") * dh_dpa
     comps[0] = wdot
     return TensorField((1, 0), comps)
@@ -252,7 +242,7 @@ def scaling_map(space: PhaseSpace, t: float) -> CoordinateMap:
 
 
 def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator,
-                                  terms: int = 4, max_degree: int = 2) -> ContactHamiltonian:
+                                  terms: int = 4, max_degree: int = 2) -> Expr:
     """A random polynomial in ``(w, q, p)`` with small integer coefficients."""
     names = space.coord_names()
     h = expr.ZERO
@@ -266,4 +256,4 @@ def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator,
             if d:
                 term = term * expr.power(expr.var(name), d)
         h = h + term
-    return ContactHamiltonian(h, label="random")
+    return h

@@ -1,4 +1,4 @@
-"""(0,2) tensors built from the structures, Gram tables, and pullbacks.
+"""(0,2) tensors built from the structures, their defining identities, and pullbacks.
 
 Every tensor here is ``eta (x) eta + s * d_eta o (phi (x) 1)`` with ``s = +1``
 for the quarter-turn structure and the half turn, and ``s = -1`` for the
@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from . import expr
-from .expr import Expr
 from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
                           _obj, contact_form, d_eta, frame)
 from .structures import LambdaFamily, StructureKind, build_structure
@@ -33,12 +32,9 @@ __all__ = [
     "MetricKind",
     "Metric",
     "metric_from_structure",
-    "frame_gram",
     "compatibility_residual",
     "associated_residual",
     "pullback",
-    "flat_metric",
-    "metric_from_components",
 ]
 
 
@@ -73,19 +69,17 @@ _SIGN_OF = {
 
 @dataclass(eq=False)
 class Metric:
-    """A (0,2) tensor with its classification and (for metrics) symbolic inverse."""
+    """A (0,2) tensor with, for metrics, its symbolic inverse."""
 
     kind: MetricKind | str
     space: PhaseSpace
     tensor: TensorField
-    classification: str
-    structure: TensorField | None = None
-    lam: LambdaFamily | None = None
     inverse: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def is_metric(self) -> bool:
-        return self.classification == "metric"
+        """False only for the half-turn tensor, whose horizontal part is antisymmetric."""
+        return self.kind != MetricKind.ALPHA_PI
 
 
 def _frame_block_inverse(space: PhaseSpace, qq, pp, qp) -> np.ndarray:
@@ -139,10 +133,10 @@ def _inverse_components(space: PhaseSpace, kind: MetricKind,
 
 def metric_from_structure(space: PhaseSpace, kind: MetricKind,
                           lam: LambdaFamily | None = None) -> Metric:
-    """Construct ``eta (x) eta + s * d_eta o (phi (x) 1)`` and classify it.
+    """Construct ``eta (x) eta + s * d_eta o (phi (x) 1)``.
 
-    The half-turn tensor has an antisymmetric horizontal part and is flagged
-    ``degenerate/antisymmetric``; it is retained for its invariance checks but
+    The half-turn tensor has an antisymmetric horizontal part, so it is no
+    metric and has no inverse; it is retained for its invariance checks but
     excluded from the metric-only operations.
     """
     kind = MetricKind(kind)
@@ -160,21 +154,7 @@ def metric_from_structure(space: PhaseSpace, kind: MetricKind,
                 term = expr.mul(phi.comps[c, a], deta.comps[c, b])
                 acc = expr.add(acc, expr.mul(expr.const(sign), term))
             comps[a, b] = acc
-    tensor = TensorField((0, 2), comps)
-
-    classification = "degenerate/antisymmetric" if kind == MetricKind.ALPHA_PI else "metric"
-    inverse = _inverse_components(space, kind, lam)
-    return Metric(kind, space, tensor, classification, phi, lam, inverse)
-
-
-def frame_gram(metric: Metric, point: PhasePoint) -> np.ndarray:
-    """Gram matrix of ``(xi, Q_1..Q_n, P^1..P^n)`` under the metric at a point."""
-    if not metric.is_metric:
-        raise ValueError(f"{metric.kind} is not a metric; no Gram table")
-    space = metric.space
-    E = np.column_stack([f.evaluate(point) for f in frame(space)])
-    g = metric.tensor.evaluate(point)
-    return E.T @ g @ E
+    return Metric(kind, space, TensorField((0, 2), comps), _inverse_components(space, kind, lam))
 
 
 def compatibility_residual(metric: Metric, phi: TensorField, X, Y,
@@ -217,22 +197,3 @@ def pullback(mapping: CoordinateMap, T: TensorField | Metric,
     image = mapping.apply(point)
     J = mapping.jacobian(point)
     return J.T @ tensor.evaluate(image) @ J
-
-
-def metric_from_components(space: PhaseSpace, comps: np.ndarray,
-                           inverse: np.ndarray | None = None,
-                           label: str = "custom") -> Metric:
-    """Wrap explicit (0,2) components (plus optional symbolic inverse) as a metric."""
-    tensor = TensorField((0, 2), comps)
-    return Metric(label, space, tensor, "metric", None, None, inverse)
-
-
-def flat_metric(space: PhaseSpace) -> Metric:
-    """The Euclidean test metric (identity components) with its trivial inverse."""
-    dim = space.dim
-    comps = _obj((dim, dim))
-    inverse = _obj((dim, dim))
-    for i in range(dim):
-        comps[i, i] = expr.ONE
-        inverse[i, i] = expr.ONE
-    return metric_from_components(space, comps, inverse, label="flat")

@@ -106,10 +106,6 @@ class PhasePoint:
     def n(self) -> int:
         return len(self.q)
 
-    @property
-    def space(self) -> PhaseSpace:
-        return PhaseSpace(self.n)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.values, dtype=float)
 
@@ -160,14 +156,6 @@ class TensorField:
 
     def evaluate(self, point: PhasePoint) -> np.ndarray:
         return np.array(self.tape.run(point.values), dtype=float).reshape(self.comps.shape)
-
-    def to_json(self) -> dict:
-        def nest(a):
-            if isinstance(a, np.ndarray):
-                return [nest(x) for x in a]
-            return expr.to_string(a)
-
-        return {"valence": list(self.valence), "components": nest(self.comps)}
 
 
 def _obj(shape) -> np.ndarray:

@@ -28,14 +28,14 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .hamiltonian import IndexSubset, partial_legendre
-from .phase_space import PhasePoint, PhaseSpace, TensorField, _obj
+from .phase_space import (PhasePoint, PhaseSpace, TensorField, _obj, contact_form, frame,
+                          outer_11)
 
 __all__ = [
     "StructureKind",
     "LambdaFamily",
     "product_lambda",
     "build_structure",
-    "StructureReport",
     "check_structure_identities",
     "scaled_horizontal_identity",
     "lambda_scaling_residual",
@@ -54,17 +54,14 @@ class StructureKind(Enum):
 
 @dataclass(frozen=True)
 class LambdaFamily:
-    """Index-wise scaling functions ``L_a(w, q, p)`` with symmetry metadata.
+    """Index-wise scaling functions ``L_a(w, q, p)``.
 
-    The claim flags record what the family is supposed to satisfy; they are
-    validated at runtime through :func:`lambda_scaling_residual` and
-    :func:`lambda_legendre_residual` rather than trusted.
+    What a family satisfies is not declared but checked:
+    :func:`lambda_scaling_residual` tests invariance under the polarization
+    scalings and :func:`lambda_legendre_residual` under the partial Legendre maps.
     """
 
     exprs: tuple[Expr, ...]
-    claims_scaling_invariant: bool = False
-    claims_legendre_invariant: bool = False
-    claims_odd: bool = False
 
     @property
     def n(self) -> int:
@@ -88,18 +85,14 @@ class LambdaFamily:
         return expr.compile(residuals, PhaseSpace(self.n).coord_names())
 
     @classmethod
-    def of(cls, items, **flags) -> "LambdaFamily":
-        parsed = tuple(e if isinstance(e, Expr) else expr.parse(e) for e in items)
-        return cls(parsed, **flags)
+    def of(cls, items) -> "LambdaFamily":
+        return cls(tuple(e if isinstance(e, Expr) else expr.parse(e) for e in items))
 
 
 def product_lambda(n: int, power: int = 1) -> LambdaFamily:
     """The product family ``L_a = (q^a p_a)^power``; odd powers are invariant."""
-    exprs = tuple(expr.power(expr.var(f"q{a}") * expr.var(f"p{a}"), power)
-                  for a in range(1, n + 1))
-    odd = power % 2 == 1
-    return LambdaFamily(exprs, claims_scaling_invariant=True,
-                        claims_legendre_invariant=odd, claims_odd=odd)
+    return LambdaFamily(tuple(expr.power(expr.var(f"q{a}") * expr.var(f"p{a}"), power)
+                              for a in range(1, n + 1)))
 
 
 def _reciprocal(lam: LambdaFamily) -> tuple[Expr, ...]:
@@ -167,44 +160,16 @@ def scaled_horizontal_identity(space: PhaseSpace, coeffs: tuple[Expr, ...]) -> T
     return TensorField((1, 1), comps)
 
 
-@dataclass
-class StructureReport:
-    """Residuals of the defining identities over the sampled points.
-
-    ``residuals`` maps each identity to its max over the points and
-    ``per_point`` holds the worst identity at each point.  A NaN residual is
-    kept, never dropped by the max.
-    """
-
-    kind: StructureKind
-    n: int
-    points: int
-    residuals: dict[str, float]
-    per_point: list[float]
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(list(self.residuals.values())))
-
-
 def check_structure_identities(space: PhaseSpace, kind: StructureKind,
-                               lam: LambdaFamily | None = None,
-                               points: list[PhasePoint] | None = None,
-                               rng: np.random.Generator | None = None,
-                               count: int = 100) -> StructureReport:
-    """Evaluate the defining identities of the structure at sampled points.
+                               lam: LambdaFamily | None,
+                               points: list[PhasePoint]) -> list[float]:
+    """The worst residual of the structure's defining identities at each point.
 
-    Residuals are reported, never raised: ``square`` is the deviation of
-    ``phi o phi`` from its target, ``eta_phi`` of ``eta o phi`` from zero,
-    ``kills_reeb`` of ``phi(xi)`` from zero, and for the scaled families
-    ``duality`` of ``phi_L o phi_Lbar`` from ``1 - eta (x) xi``.
+    Residuals are reported, never raised: the deviation of ``phi o phi`` from
+    its target, of ``eta o phi`` and ``phi(xi)`` from zero, and for the scaled
+    families of ``phi_L o phi_Lbar`` from ``1 - eta (x) xi``.  A NaN residual
+    is kept, never dropped by the max.
     """
-    from .phase_space import contact_form, frame, outer_11, sample_points
-
-    if points is None:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        points = sample_points(space, rng, count)
-
     phi = build_structure(space, kind, lam)
     eta = contact_form(space)
     xi = frame(space)[0]
@@ -226,20 +191,14 @@ def check_structure_identities(space: PhaseSpace, kind: StructureKind,
         other = StructureKind.LAMBDA_BAR if kind == StructureKind.LAMBDA else StructureKind.LAMBDA
         dual = build_structure(space, other, lam)
 
-    names = ["square", "eta_phi", "kills_reeb"] + (["duality"] if dual is not None else [])
-    rows = []
+    worst = []
     for pt in points:
         m = phi.evaluate(pt)
-        eta_vals = eta.evaluate(pt)
-        xi_vals = xi.evaluate(pt)
-        row = [m @ m - square_target(pt), eta_vals @ m, m @ xi_vals]
+        row = [m @ m - square_target(pt), eta.evaluate(pt) @ m, m @ xi.evaluate(pt)]
         if dual is not None:
             row.append(m @ dual.evaluate(pt) - (identity - eta_xi.evaluate(pt)))
-        rows.append([np.max(np.abs(r)) for r in row])
-    table = np.array(rows, dtype=float).reshape(len(points), len(names))
-    return StructureReport(kind, space.n, len(points),
-                           dict(zip(names, table.max(axis=0, initial=0.0).tolist())),
-                           table.max(axis=1).tolist())
+        worst.append(float(np.max([np.max(np.abs(r)) for r in row])))
+    return worst
 
 
 def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,

@@ -165,6 +165,11 @@ class TestVerify:
         ('lambda.-1 = "q1*p1"', "config key 'lambda.-1': the lambda index must be an integer"),
         ('lambda.1 = "q1*p1"\nlambda.01 = "q2*p2"',
          "config keys 'lambda.1' and 'lambda.01' set the same lambda entry"),
+        # a repeated key used to keep its last value and exit 0
+        ("seed = 3\n\nseed = 5", "line 3: key 'seed' is already set on line 1"),
+        ("n = 1\n# n = 2 below\nn = 2", "line 3: key 'n' is already set on line 1"),
+        ('lambda.1 = "q1*p1"\n\nlambda.1 = "q2*p2"',
+         "line 3: key 'lambda.1' is already set on line 1"),
     ])
     def test_bad_config_key_is_config_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.cfg"
@@ -232,13 +237,33 @@ class TestVerify:
         assert code == 2 and out == ""
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, message", [
+        # a repeated key used to keep its last value and an unknown one to be ignored
+        ('potential = "Phi"\ncoords = ["x"]\nwbar = "x^2"\nwbar = "x^4"\ndomain = [[0.5, 2]]',
+         "line 4: key 'wbar' is already set on line 3"),
+        ('potential = "Phi"\ncoords = ["x"]\nwbar = "x^2"\ndomain = [[0.5, 2]]\ncolour = "red"',
+         "unknown catalog key 'colour'"),
+        ('id = "a"\npotential = "Phi"\ncoords = ["x"]\nwbar = "x^2"\ndomain = [[0.5, 2]]\n\n'
+         'id = "b"\npotential = "Psi"\ncoords = ["y"]\nwbar = "y^2"\ndomain = [[0.5, 2]]\n'
+         'coords = ["z"]', "line 12: key 'coords' is already set on line 9"),
+    ])
+    def test_repeated_or_unknown_catalog_key_is_config_error(self, tmp_path, capsys, text,
+                                                             message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        code, out, err = _run(capsys, ["verify", "--suite", "equilibrium", "--points", "2",
+                                       "--catalog", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("option, text, key", [
         *(pytest.param("--config", f"{key} = {value}", key, id=f"config-{key}-{value}")
           for key, value in (("n", "[1]"), ("n", "true"), ("m", "1.0"), ("seed", "1.5"),
                              ("points", '"5"'), ("suite", "3"), ("lambda.1", "5"),
                              ("output", "1"))),
-        *(pytest.param("--catalog", 'potential = "P"\ncoords = ["x"]\nwbar = "x^2"\n'
-                       f"domain = [[0.1, 1.0]]\n{key} = 5", key, id=f"catalog-{key}-5")
+        *(pytest.param("--catalog", "\n".join(f"{k} = {5 if k == key else v}" for k, v in {
+            "potential": '"P"', "coords": '["x"]', "wbar": '"x^2"', "domain": "[[0.1, 1.0]]",
+            "id": '"e"'}.items()), key, id=f"catalog-{key}-5")
           for key in ("potential", "wbar", "id")),
     ])
     def test_value_of_wrong_type_is_config_error(self, tmp_path, capsys, option, text, key):
@@ -309,12 +334,10 @@ class TestRunSuiteApi:
         compiled = {}
         compile_ = expr.compile
 
-        def recording(exprs, coords=None):
+        def recording(exprs, coords):
             exprs = tuple(exprs)
             tape = compile_(exprs, coords)
-            if coords is not None:
-                compiled.setdefault((exprs, tuple(coords)), (sys._getframe(1).f_code.co_qualname,
-                                                             tape))
+            compiled.setdefault((exprs, tuple(coords)), (sys._getframe(1).f_code.co_qualname, tape))
             return tape
 
         monkeypatch.setattr(expr, "compile", recording)

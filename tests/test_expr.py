@@ -129,11 +129,11 @@ class TestEvaluate:
         assert evaluate(e, {"q1": 0.5}) == sum(i * 0.5 for i in range(1, 3001))
 
 
-def _heat(tape, bindings):
+def _heat(tape, point):
     """Run ``tape`` until its next run calls the generated function."""
     for _ in range(expr._HOT_RUNS):
         try:
-            tape.run(bindings)
+            tape.run(point)
         except EvalError:
             pass
 
@@ -149,44 +149,49 @@ class TestCompile:
             a, b, c = parts
             trees = parts + [a + b, b * c, a / (c * c + expr.const(1.0)), expr.sin(a - c),
                              expr.log(a) / b, c / (a - b)]
-            tape = expr.compile(trees)
+            tape = expr.compile(trees, NAMES)
             if tier == "hot":
-                _heat(tape, {})
+                _heat(tape, [0.0] * len(NAMES))
             cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in NAMES} for _ in range(5)]
-            # zero denominators and log arguments, and an unbound name: the
-            # first error raised must be the one of the trees in turn, where a
-            # quotient checks its denominator before its numerator
-            cases += [dict.fromkeys(NAMES, 0.0), dict.fromkeys(NAMES[1:], 0.5)]
+            # zero denominators and log arguments: the first error raised must
+            # be the one of the trees in turn, where a quotient checks its
+            # denominator before its numerator
+            cases += [dict.fromkeys(NAMES, 0.0)]
             for bindings in cases:
+                point = [bindings[name] for name in NAMES]
                 try:
                     alone = [evaluate(t, bindings) for t in trees]
                 except EvalError as err:
                     with pytest.raises(EvalError) as raised:
-                        tape.run(bindings)
+                        tape.run(point)
                     assert str(raised.value) == str(err)
                     continue
-                assert tape.run(bindings) == alone
+                assert tape.run(point) == alone
             assert (tape._kernel is not None) == (tier == "hot")
 
     def test_empty_and_constant_outputs(self):
-        assert expr.compile([]).run({}) == []
-        assert expr.compile([expr.ONE, expr.var("w"), expr.ONE]).run({"w": 2.5}) == [1.0, 2.5, 1.0]
+        assert expr.compile([], ()).run([]) == []
+        assert expr.compile([expr.ONE, expr.var("w"), expr.ONE], ("w",)).run([2.5]) == [
+            1.0, 2.5, 1.0]
 
     def test_unbound_variable(self):
+        # evaluate compiles against its bindings' names, so a name missing from
+        # them fails as a variable outside the coordinates does
         with pytest.raises(EvalError, match="unbound variable 'p7'"):
-            expr.compile([parse("q1"), parse("q1 + p7")]).run({"q1": 1.0})
+            evaluate(parse("q1 + p7"), {"q1": 1.0, "p1": 2.0})
 
     def test_names_and_constants_never_become_source_text(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         hostile = ["x'] or __import__('os').system('touch PWNED') or b['", "a\nb",
                    '"""\n__import__("os").system("touch PWNED")\n"""']
         x, y, z = map(expr.var, hostile)
-        tape = expr.compile([x * y + expr.const(math.inf), z ** Fraction(1, 3), y])
-        bindings = dict(zip(hostile, (2.0, 3.0, 8.0)))
-        _heat(tape, bindings)
-        assert tape.run(bindings) == [math.inf, 2.0, 3.0]
+        trees = [x * y + expr.const(math.inf), z ** Fraction(1, 3), y]
+        tape = expr.compile(trees, hostile)
+        _heat(tape, [2.0, 3.0, 8.0])
+        assert tape.run([2.0, 3.0, 8.0]) == [math.inf, 2.0, 3.0]
+        assert evaluate(trees[0], dict(zip(hostile, (2.0, 3.0, 8.0)))) == math.inf
         with pytest.raises(EvalError) as err:
-            tape.run({hostile[0]: 1.0})
+            expr.compile(trees, hostile[:1])
         assert str(err.value) == "unbound variable 'a\nb'"
         assert list(tmp_path.iterdir()) == []
 
@@ -199,33 +204,41 @@ def _outcome(fn):
         return type(err), str(err)
 
 
+# the coordinates in another order, with an unused name among them
+OTHER_ORDER = ("p2", "q1", "x", "w", "p1", "q2")
+
+
 class TestPositional:
     @pytest.mark.parametrize("tier", ["cold", "hot"])
     def test_values_and_errors_equal_name_keyed_evaluation(self, tier):
+        # by name through evaluate, and by position in two coordinate orders
         rng = np.random.default_rng(12)
         for _ in range(40):
             parts = [random_expression(rng, NAMES, depth=3) for _ in range(3)]
             a, b, c = parts
             trees = parts + [a * b, expr.log(a) / b, c / (a - b), expr.power(a - c, -3)]
-            tape = expr.compile(trees, NAMES)
+            tapes = [expr.compile(trees, NAMES), expr.compile(trees, OTHER_ORDER)]
             if tier == "hot":
-                _heat(tape, [0.5] * len(NAMES))
-            cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in NAMES} for _ in range(5)]
-            cases += [dict.fromkeys(NAMES, 0.0), dict.fromkeys(NAMES, -0.0)]
+                _heat(tapes[0], [0.5] * len(NAMES))
+                _heat(tapes[1], [0.5] * len(OTHER_ORDER))
+            cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in OTHER_ORDER}
+                     for _ in range(5)]
+            cases += [dict.fromkeys(OTHER_ORDER, 0.0), dict.fromkeys(OTHER_ORDER, -0.0)]
             for bindings in cases:
                 by_name = _outcome(lambda: [evaluate(t, bindings) for t in trees])
-                assert _outcome(lambda: tape.run([bindings[n] for n in NAMES])) == by_name
-            assert (tape._kernel is not None) == (tier == "hot")
+                for tape, order in zip(tapes, (NAMES, OTHER_ORDER)):
+                    assert _outcome(lambda: tape.run([bindings[n] for n in order])) == by_name
+            assert all((tape._kernel is not None) == (tier == "hot") for tape in tapes)
 
-    def test_instruction_list_differs_from_the_name_keyed_one_only_in_variables(self):
+    def test_instruction_lists_differ_only_in_variable_positions(self):
         trees = [parse("q1^3*p1 - w/q1 + exp(p1)^(2/3)"), parse("q1*p1")]
-        by_name, by_position = expr.compile(trees)._code, expr.compile(trees, NAMES)._code
-        assert len(by_name) == len(by_position)
-        for named, placed in zip(by_name, by_position):
-            if named[0] == expr._VAR:
-                assert placed == (expr._VAR, named[1], NAMES.index(named[2]), None)
+        first, second = expr.compile(trees, NAMES)._code, expr.compile(trees, OTHER_ORDER)._code
+        assert len(first) == len(second)
+        for one, other in zip(first, second):
+            if one[0] == expr._VAR:
+                assert other == (expr._VAR, one[1], OTHER_ORDER.index(NAMES[one[2]]), None)
             else:
-                assert placed == named
+                assert other == one
 
     def test_free_variable_outside_the_coordinates(self):
         with pytest.raises(EvalError, match="unbound variable 'p7'"):
@@ -254,16 +267,14 @@ class TestPositional:
         x = expr.var("x")
         bases = [-2.5, -1.0, -0.3, -0.0, 0.0, 1e-300, 0.3, 1.0, 1.7, 1e200, -1e200]
         for r in [*range(-7, 0), *range(2, 8)]:
-            for tape in (expr.compile([expr.power(x, r)], ("x",)),
-                         expr.compile([expr.power(x, r)])):
-                assert [op for op, *_ in tape._code] == [expr._VAR, expr._POWI]
-                point = (lambda v: [v]) if tape._arity else (lambda v: {"x": v})
-                if tier == "hot":
-                    _heat(tape, point(1.5))
-                for base in bases:
-                    want = _outcome(lambda: [expr._pow_value(base, *expr._exponent(Fraction(r)))])
-                    assert _outcome(lambda: tape.run(point(base))) == want
-                assert (tape._kernel is not None) == (tier == "hot")
+            tape = expr.compile([expr.power(x, r)], ("x",))
+            assert [op for op, *_ in tape._code] == [expr._VAR, expr._POWI]
+            if tier == "hot":
+                _heat(tape, [1.5])
+            for base in bases:
+                want = _outcome(lambda: [expr._pow_value(base, *expr._exponent(Fraction(r)))])
+                assert _outcome(lambda: tape.run([base])) == want
+            assert (tape._kernel is not None) == (tier == "hot")
         # a zero base gives +0.0 for any sign, and raises for a negative exponent
         assert _outcome(lambda: [expr._pow_value(-0.0, 3.0, expr._INTEGER)]) == [(0.0).hex()]
         assert _outcome(lambda: [expr._pow_value(-0.0, -2.0, expr._INTEGER)]) == (
@@ -307,8 +318,8 @@ class TestHash:
 
     def test_tape_over_equal_trees_built_apart_has_one_tree_of_slots(self):
         text = "q1*p1 + sin(w)"
-        assert len(expr.compile([parse(text)])._code) == 6
-        assert len(expr.compile([parse(text), parse(text)])._code) == 6
+        assert len(expr.compile([parse(text)], NAMES)._code) == 6
+        assert len(expr.compile([parse(text), parse(text)], NAMES)._code) == 6
 
     def test_node_never_differentiated_dies(self):
         e = parse("q1*p1 + 271.828*w")

@@ -1,7 +1,5 @@
 """Darboux phase space: contact form, Heisenberg frame, exterior derivative."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -148,18 +146,6 @@ class TestDEta:
 
 
 class TestTensorField:
-    def test_json_serialization(self, space1):
-        doc = contact_form(space1).to_json()
-        assert doc["valence"] == [0, 1]
-        assert doc["components"] == ["1", "-p1", "0"]
-        json.dumps(doc)  # serializable
-
-    def test_json_nested_arrays_for_rank_two(self, space1):
-        doc = d_eta(space1).to_json()
-        assert doc["valence"] == [0, 2]
-        assert doc["components"][1][2] == "0.5"
-        assert doc["components"][2][1] == "-0.5"
-
     def test_valence_validation(self):
         with pytest.raises(ValueError):
             TensorField((2, 0), np.empty((3, 3), dtype=object))
