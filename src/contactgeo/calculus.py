@@ -1,9 +1,9 @@
 """Lie brackets and derivatives, Levi-Civita connection, and curvature.
 
 All differential operators act on expression-backed tensor fields, so the
-results are exact at every sampled point.  Christoffel symbols and their
-derivatives are built symbolically once per metric and cached; the Ricci
-tensor follows the convention
+results are exact at every sampled point.  The connection and curvature are
+built here once per metric, which keeps what it evaluates from them as memos
+that die with it.  The Ricci tensor follows the convention
 
     R_ab = d_c Gamma^c_ab - d_a Gamma^c_cb
            + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb,
@@ -44,18 +44,10 @@ def _d(e: Expr, name: str) -> Expr:
 
 
 def lie_bracket(space: PhaseSpace, X: TensorField, Y: TensorField) -> TensorField:
-    """``[X, Y]^c = X^a d_a Y^c - Y^a d_a X^c``."""
+    """``[X, Y]^c = X^a d_a Y^c - Y^a d_a X^c``, the Lie derivative of ``Y`` along ``X``."""
     if X.valence != (1, 0) or Y.valence != (1, 0):
         raise ValueError("lie_bracket expects vector fields")
-    names = space.coord_names()
-    comps = _obj(space.dim)
-    for c in range(space.dim):
-        acc = expr.ZERO
-        for a, name in enumerate(names):
-            acc = acc + X.comps[a] * _d(Y.comps[c], name)
-            acc = acc - Y.comps[a] * _d(X.comps[c], name)
-        comps[c] = acc
-    return TensorField((1, 0), comps)
+    return lie_derivative(space, Y, X)
 
 
 def directional_derivative(space: PhaseSpace, X: TensorField, f: Expr) -> Expr:
@@ -67,60 +59,34 @@ def directional_derivative(space: PhaseSpace, X: TensorField, f: Expr) -> Expr:
 
 
 def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorField:
-    """Lie derivative of ``T`` along the vector field ``X`` (same valence out)."""
+    """Lie derivative of ``T`` along the vector field ``X`` (same valence out).
+
+    Each component sums over ``c`` the term ``X^c d_c T``, then slot by slot
+    ``- T[..c..] d_c X^i`` for an upper slot holding ``i``, ``+ T[..c..] d_i X^c``
+    for a lower one."""
     if X.valence != (1, 0):
         raise ValueError("the direction X must be a vector field")
     names = space.coord_names()
-    dim = space.dim
-
-    if T.valence == (1, 0):
-        return lie_bracket(space, X, T)
-
-    if T.valence == (0, 1):
-        comps = _obj(dim)
-        for a in range(dim):
-            acc = expr.ZERO
-            for c, name in enumerate(names):
-                acc = acc + X.comps[c] * _d(T.comps[a], name)
-                acc = acc + T.comps[c] * _d(X.comps[c], names[a])
-            comps[a] = acc
-        return TensorField((0, 1), comps)
-
-    if T.valence == (1, 1):
-        comps = _obj((dim, dim))
-        for a in range(dim):
-            for b in range(dim):
-                acc = expr.ZERO
-                for c, name in enumerate(names):
-                    acc = acc + X.comps[c] * _d(T.comps[a, b], name)
-                    acc = acc - T.comps[c, b] * _d(X.comps[a], name)
-                    acc = acc + T.comps[a, c] * _d(X.comps[c], names[b])
-                comps[a, b] = acc
-        return TensorField((1, 1), comps)
-
-    if T.valence == (0, 2):
-        comps = _obj((dim, dim))
-        for a in range(dim):
-            for b in range(dim):
-                acc = expr.ZERO
-                for c, name in enumerate(names):
-                    acc = acc + X.comps[c] * _d(T.comps[a, b], name)
-                    acc = acc + T.comps[c, b] * _d(X.comps[c], names[a])
-                    acc = acc + T.comps[a, c] * _d(X.comps[c], names[b])
-                comps[a, b] = acc
-        return TensorField((0, 2), comps)
-
-    raise ValueError(f"unsupported valence {T.valence}")
+    comps = _obj(T.comps.shape)
+    for idx in np.ndindex(T.comps.shape):
+        acc = expr.ZERO
+        for c, name in enumerate(names):
+            acc = acc + X.comps[c] * _d(T.comps[idx], name)
+            for slot, i in enumerate(idx):
+                moved = T.comps[idx[:slot] + (c,) + idx[slot + 1:]]
+                if slot < T.valence[0]:
+                    acc = acc - moved * _d(X.comps[i], name)
+                else:
+                    acc = acc + moved * _d(X.comps[c], names[i])
+        comps[idx] = acc
+    return TensorField(T.valence, comps)
 
 
 # ---------------------------------------------------------------------------
 # Levi-Civita connection and curvature
 
 def christoffel_symbolic(metric) -> np.ndarray:
-    """Symbolic ``Gamma^c_ab`` for a metric with expression-backed inverse."""
-    cached = getattr(metric, "_gamma_sym", None)
-    if cached is not None:
-        return cached
+    """Build ``Gamma^c_ab`` for a metric with expression-backed inverse (``Metric.gamma``)."""
     if metric.inverse is None:
         raise SingularMetricError(f"{metric.kind} is not a metric; no connection")
     space = metric.space
@@ -147,7 +113,6 @@ def christoffel_symbolic(metric) -> np.ndarray:
                 val = half * acc
                 gamma[c, a, b] = val
                 gamma[c, b, a] = val
-    metric._gamma_sym = gamma
     return gamma
 
 
@@ -164,29 +129,15 @@ def _check_not_singular(metric, point: PhasePoint):
 def christoffel(metric, point: PhasePoint) -> np.ndarray:
     """Evaluate ``Gamma^c_ab`` at a point; raises for singular metrics."""
     _check_not_singular(metric, point)
-    dim = metric.space.dim
-    upper = np.triu_indices(dim)
-    tape = getattr(metric, "_gamma_tape", None)
-    if tape is None:
-        gamma = christoffel_symbolic(metric)
-        tape = metric._gamma_tape = expr.compile(gamma[:, upper[0], upper[1]].reshape(-1),
-                                                 metric.space.coord_names())
-    vals = np.array(tape.run(point.values), dtype=float).reshape(dim, -1)
-    out = np.empty((dim, dim, dim), dtype=float)
-    out[:, upper[0], upper[1]] = vals
-    out[:, upper[1], upper[0]] = vals
-    return out
+    return np.array(metric.gamma_tape.run(point.values), dtype=float).reshape(metric.gamma.shape)
 
 
 def ricci_symbolic(metric) -> np.ndarray:
-    """Symbolic Ricci tensor components built from the symbolic connection."""
-    cached = getattr(metric, "_ricci_sym", None)
-    if cached is not None:
-        return cached
+    """Build the symbolic Ricci tensor from the metric's symbolic connection."""
     space = metric.space
     names = space.coord_names()
     dim = space.dim
-    gamma = christoffel_symbolic(metric)
+    gamma = metric.gamma
 
     # contracted symbol Gamma^c_cb, reused by two of the four terms
     contracted = np.empty(dim, dtype=object)
@@ -209,7 +160,6 @@ def ricci_symbolic(metric) -> np.ndarray:
                     acc = acc - gamma[c, a, d_i] * gamma[d_i, c, b]
             ric[a, b] = acc
             ric[b, a] = acc
-    metric._ricci_sym = ric
     return ric
 
 
@@ -238,15 +188,7 @@ def ricci(metric, point: PhasePoint, lam: float | None = None, nu: float | None 
 
     g_mat = _check_not_singular(metric, point)
     space = metric.space
-    upper = np.triu_indices(space.dim)
-    tape = getattr(metric, "_ricci_tape", None)
-    if tape is None:
-        tape = metric._ricci_tape = expr.compile(ricci_symbolic(metric)[upper],
-                                                 space.coord_names())
-    vals = np.array(tape.run(point.values), dtype=float)
-    ric = np.empty((space.dim, space.dim), dtype=float)
-    ric[upper] = vals
-    ric[upper[1], upper[0]] = vals
+    ric = np.array(metric.ricci_tape.run(point.values), dtype=float).reshape(g_mat.shape)
 
     eta_vals = contact_form(space).evaluate(point)
     ee = np.outer(eta_vals, eta_vals)

@@ -130,6 +130,7 @@ class RunConfig:
     lam: LambdaFamily | None = None
     catalog_path: str | None = None
     json_path: str | None = None
+    _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def lambda_family(self) -> LambdaFamily:
         if self.lam is None:
@@ -149,6 +150,14 @@ class RunConfig:
         if self.catalog_path:
             entries += equilibrium.load_catalog(self.catalog_path)
         return entries
+
+    def metric(self, kind: MetricKind, n: int, lam: LambdaFamily | None = None) -> Metric:
+        """The ``kind`` metric on ``n`` pairs, built on first use: the run's checks
+        share it, so its symbolic work is done once per run and dies with it."""
+        key = (n, kind, lam)
+        if key not in self._metrics:
+            self._metrics[key] = metric_from_structure(PhaseSpace(n), kind, lam)
+        return self._metrics[key]
 
     def rng(self, check_id: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
@@ -326,7 +335,7 @@ def _structures_scaling_pde(cfg, rng):
 def _table1(kind: MetricKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family() if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
-    metric = metric_from_structure(space, kind, lam)
+    metric = cfg.metric(kind, cfg.n, lam)
     XL = hamiltonian_vector_field(space, rotation_generator(cfg.m))
     XS = hamiltonian_vector_field(space, scaling_generator(space.n))
     pts = sample_points(space, rng, cfg.points)
@@ -339,14 +348,14 @@ def _table1(kind: MetricKind, cfg, rng):
 
 def _einstein(cfg, rng):
     space = PhaseSpace(cfg.n)
-    metric = metric_from_structure(space, MetricKind.ACS)
+    metric = cfg.metric(MetricKind.ACS, cfg.n)
     for pt in sample_points(space, rng, min(cfg.points, 20)):
         yield calculus.ricci(metric, pt).eta_einstein_residual
 
 
 def _einstein_fit(cfg, rng):
     space = PhaseSpace(cfg.n)
-    metric = metric_from_structure(space, MetricKind.ACS)
+    metric = cfg.metric(MetricKind.ACS, cfg.n)
     for pt in sample_points(space, rng, min(cfg.points, 20)):
         rep = calculus.ricci(metric, pt, fit=True)
         yield rep.lam - (2 * space.n + 2), rep.nu + 2.0
@@ -355,7 +364,7 @@ def _einstein_fit(cfg, rng):
 def _legendre_invariance(power: int, cfg, rng):
     for n in range(1, min(cfg.n, 3) + 1):
         space = PhaseSpace(n)
-        metric = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(n, power=power))
+        metric = cfg.metric(MetricKind.LAMBDA, n, product_lambda(n, power=power))
         pts = sample_points(space, rng, cfg.points)
         for I in _subsets(n):
             mapping = legendre_map(space, I)
@@ -365,7 +374,7 @@ def _legendre_invariance(power: int, cfg, rng):
 
 def _legendre_even_control(cfg, rng):
     space = PhaseSpace(cfg.n)
-    metric = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(space.n, power=2))
+    metric = cfg.metric(MetricKind.LAMBDA, space.n, product_lambda(space.n, power=2))
     mapping = legendre_map(space, IndexSubset.of(1))
     for pt in sample_points(space, rng, cfg.points):
         yield pullback(mapping, metric, pt) - metric.tensor.evaluate(pt)
@@ -384,7 +393,7 @@ def _legendre_conditions(cfg, rng):
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family()
-    metric = metric_from_structure(space, kind, lam)
+    metric = cfg.metric(kind, cfg.n, lam)
     dual = build_structure(space, dual_kind, lam)
     for pt in sample_points(space, rng, cfg.points):
         yield calculus.nabla_reeb(metric, pt) + dual.evaluate(pt)
@@ -393,8 +402,8 @@ def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
 def _nabla_duality(cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family()
-    m_lam = metric_from_structure(space, MetricKind.LAMBDA, lam)
-    m_bar = metric_from_structure(space, MetricKind.LAMBDA_BAR, lam)
+    m_lam = cfg.metric(MetricKind.LAMBDA, cfg.n, lam)
+    m_bar = cfg.metric(MetricKind.LAMBDA_BAR, cfg.n, lam)
     eta_xi = outer_11(contact_form(space), frame(space)[0])
     identity = np.eye(space.dim)
     for pt in sample_points(space, rng, cfg.points):
@@ -417,7 +426,7 @@ def _domain_samples(rel, rng, count):
 def _equilibrium_hessian(cfg, rng):
     for entry in cfg.catalog:
         rel = entry.relation
-        gr = metric_from_structure(PhaseSpace(rel.n), MetricKind.R)
+        gr = cfg.metric(MetricKind.R, rel.n)
         for qvals in _domain_samples(rel, rng, cfg.points):
             yield equilibrium.pullback_metric_on_E(rel, gr, qvals) + rel.hessian(qvals)
 

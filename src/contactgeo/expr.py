@@ -20,9 +20,10 @@ Only light simplification is performed at construction time (constant folding
 and 0/1 identities); correctness elsewhere is checked by evaluation, not by
 tree equality.
 
-Nodes are interned, so equal trees are one object, equality is identity and
-keying a node in a cache costs O(1).  :func:`compile` orders the unique nodes
-of some expressions into a :class:`Tape` once, equal subtrees sharing a slot;
+Nodes are interned, so equal trees are one object and equality is identity.
+A node keeps its free variables and derivatives in its own slots, so that
+work dies with the node.  :func:`compile` orders the unique nodes of some
+expressions into a :class:`Tape` once, equal subtrees sharing a slot;
 ``Tape.run`` then evaluates each node once per point without recursion, by
 interpreting the tape at first and through a generated Python function once
 the tape has run often.  A tape is compiled against a coordinate order and
@@ -33,8 +34,8 @@ from __future__ import annotations
 
 import builtins
 import math
+from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from weakref import WeakValueDictionary
 
 __all__ = [
@@ -90,10 +91,12 @@ class Expr:
     ``kind`` is one of ``const, var, add, sub, mul, div, pow, neg, exp, log,
     sin, cos``.  ``value`` is used for constants, ``name`` for variables and
     ``exponent`` (an exact rational) for ``pow`` nodes.  Building a node equal
-    to a live one returns that node, so ``==`` is ``is``.
+    to a live one returns that node, so ``==`` is ``is``.  ``_free`` and
+    ``_derivs`` are the memos of :func:`free_variables` and
+    :func:`differentiate`, None until first asked for.
     """
 
-    __slots__ = ("kind", "args", "value", "name", "exponent", "__weakref__")
+    __slots__ = ("kind", "args", "value", "name", "exponent", "_free", "_derivs", "__weakref__")
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), value: float = 0.0,
                 name: str = "", exponent: Fraction | None = None):
@@ -102,7 +105,7 @@ class Expr:
         node = _NODES.get(key)
         if node is None:
             node = object.__new__(cls)
-            for slot, field in zip(cls.__slots__, key):  # the key's fields, in slot order
+            for slot, field in zip(cls.__slots__, (*key, None, None)):  # key, then memos
                 object.__setattr__(node, slot, field)
             _NODES[key] = node
         return node
@@ -285,52 +288,90 @@ def cos(a: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # differentiation
 
-@lru_cache(maxsize=None)
+_NO_VARIABLES: frozenset[str] = frozenset()
+
+
 def free_variables(e: Expr) -> frozenset[str]:
-    if e.kind == "var":
-        return frozenset((e.name,))
-    if e.kind == "const":
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for a in e.args:
-        out |= free_variables(a)
-    return out
+    """The names of the variables in ``e``; each node of ``e`` keeps its own set."""
+    stack = [e] if e._free is None else []
+    while stack:
+        node = stack.pop()
+        if node._free is not None:
+            continue
+        pending = [a for a in node.args if a._free is None]
+        if pending:
+            stack += [node, *pending]
+            continue
+        free = frozenset((node.name,)) if node.kind == "var" else _NO_VARIABLES
+        for a in node.args:  # share an operand's set where it holds them all
+            if not a._free <= free:
+                free = a._free if free <= a._free else free | a._free
+        object.__setattr__(node, "_free", free)
+    return e._free
 
 
-@lru_cache(maxsize=None)
+# derivatives answered from a node's memo, and rules applied, in this process
+_diff_counts = [0, 0]
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+
+
 def differentiate(e: Expr, name: str) -> Expr:
-    """Exact partial derivative of ``e`` with respect to variable ``name``."""
+    """Exact partial derivative of ``e`` with respect to variable ``name``.
+
+    The walk stops at nodes that already hold their derivative by ``name``;
+    a zero derivative is read from the free variables, not stored."""
+    if e._derivs is not None and name in e._derivs:
+        _diff_counts[0] += 1
+        return e._derivs[name]
     if name not in free_variables(e):
         return ZERO
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:  # every operand's derivative is answered
+            if node._derivs is None:
+                object.__setattr__(node, "_derivs", {})
+            node._derivs[name] = _rule(node, name)
+            _diff_counts[1] += 1
+        elif node._derivs is not None and name in node._derivs:
+            _diff_counts[0] += 1
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args if name in a._free)
+    return e._derivs[name]
+
+
+differentiate.cache_info = lambda: _CacheInfo(*_diff_counts)
+
+
+def _rule(e: Expr, name: str) -> Expr:
+    """The derivative of ``e`` from the answered derivatives of its operands."""
     k = e.kind
     if k == "var":
         return ONE
+    a, b = e.args[0], e.args[-1]  # b is a for a node of one operand
+    da = a._derivs[name] if name in a._free else ZERO
+    db = b._derivs[name] if name in b._free else ZERO
     if k == "add":
-        return add(differentiate(e.args[0], name), differentiate(e.args[1], name))
+        return add(da, db)
     if k == "sub":
-        return sub(differentiate(e.args[0], name), differentiate(e.args[1], name))
+        return sub(da, db)
     if k == "mul":
-        a, b = e.args
-        return add(mul(differentiate(a, name), b), mul(a, differentiate(b, name)))
+        return add(mul(da, b), mul(a, db))
     if k == "div":
-        a, b = e.args
-        num = sub(mul(differentiate(a, name), b), mul(a, differentiate(b, name)))
-        return div(num, mul(b, b))
+        return div(sub(mul(da, b), mul(a, db)), mul(b, b))
     if k == "neg":
-        return neg(differentiate(e.args[0], name))
+        return neg(da)
     if k == "pow":
-        a = e.args[0]
-        r = e.exponent
-        scale = mul(const(float(r)), power(a, r - 1))
-        return mul(scale, differentiate(a, name))
+        return mul(mul(const(float(e.exponent)), power(a, e.exponent - 1)), da)
     if k == "exp":
-        return mul(e, differentiate(e.args[0], name))
+        return mul(e, da)
     if k == "log":
-        return div(differentiate(e.args[0], name), e.args[0])
+        return div(da, a)
     if k == "sin":
-        return mul(cos(e.args[0]), differentiate(e.args[0], name))
+        return mul(cos(a), da)
     if k == "cos":
-        return neg(mul(sin(e.args[0]), differentiate(e.args[0], name)))
+        return neg(mul(sin(a), da))
     raise AssertionError(f"unknown node kind {k!r}")
 
 
@@ -788,55 +829,45 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
-# precedence slots of the grammar: expr(0) < term(1) < factor(2) < base(3)
-_LEVEL = {
-    "add": 0, "sub": 0,
-    "mul": 1, "div": 1,
-    "pow": 2,
-    "const": 3, "var": 3, "neg": 3, "exp": 3, "log": 3, "sin": 3, "cos": 3,
-}
-
-
 def _num_str(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
 
-def _exp_str(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"({r.numerator}/{r.denominator})"
-
-
-def _pr(e: Expr, need: int) -> str:
-    s = _render(e)
-    if _LEVEL[e.kind] < need:
-        return f"({s})"
-    return s
-
-
-def _render(e: Expr) -> str:
-    k = e.kind
-    if k == "const":
-        return _num_str(e.value)
-    if k == "var":
-        return e.name
-    if k == "add":
-        return f"{_pr(e.args[0], 0)} + {_pr(e.args[1], 1)}"
-    if k == "sub":
-        return f"{_pr(e.args[0], 0)} - {_pr(e.args[1], 1)}"
-    if k == "mul":
-        return f"{_pr(e.args[0], 1)}*{_pr(e.args[1], 2)}"
-    if k == "div":
-        return f"{_pr(e.args[0], 1)}/{_pr(e.args[1], 2)}"
+def _pieces(e: Expr) -> tuple[int, tuple]:
+    """The grammar level of ``e`` (expr 0 < term 1 < factor 2 < base 3) and what
+    it prints as: text, and each operand with the level its place needs."""
+    k, args = e.kind, e.args
+    if k in ("add", "sub"):
+        return 0, ((args[0], 0), " + " if k == "add" else " - ", (args[1], 1))
+    if k in ("mul", "div"):
+        return 1, ((args[0], 1), "*" if k == "mul" else "/", (args[1], 2))
     if k == "pow":
-        return f"{_pr(e.args[0], 3)}^{_exp_str(e.exponent)}"
+        r = e.exponent
+        return 2, ((args[0], 3), f"^{r.numerator}" if r.denominator == 1
+                   else f"^({r.numerator}/{r.denominator})")
+    if k == "const":
+        return 3, (_num_str(e.value),)
+    if k == "var":
+        return 3, (e.name,)
     if k == "neg":
-        return f"-{_pr(e.args[0], 3)}"
-    return f"{k}({_render(e.args[0])})"
+        return 3, ("-", (args[0], 3))
+    return 3, (f"{k}(", (args[0], 0), ")")
 
 
 def to_string(e: Expr) -> str:
-    """Render ``e`` so that ``parse(to_string(e))`` rebuilds the identical tree."""
-    return _render(e)
+    """Render ``e``, through an explicit stack, so that ``parse(to_string(e))``
+    rebuilds the identical tree."""
+    out: list[str] = []
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        level, pieces = _pieces(item[0])
+        if level < item[1]:
+            pieces = ("(", *pieces, ")")
+        stack.extend(reversed(pieces))
+    return "".join(out)

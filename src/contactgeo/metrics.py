@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from . import expr
+from . import calculus, expr
 from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
                           _obj, contact_form, d_eta, frame)
 from .structures import LambdaFamily, StructureKind, build_structure
@@ -80,6 +81,22 @@ class Metric:
     def is_metric(self) -> bool:
         """False only for the half-turn tensor, whose horizontal part is antisymmetric."""
         return self.kind != MetricKind.ALPHA_PI
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """The symbolic Levi-Civita connection ``Gamma^c_ab``, built on first use."""
+        return calculus.christoffel_symbolic(self)
+
+    @cached_property
+    def gamma_tape(self) -> expr.Tape:
+        """All of ``gamma`` in C order, compiled on first use; ``Gamma^c_ba`` shares a slot."""
+        return expr.compile(self.gamma.reshape(-1), self.space.coord_names())
+
+    @cached_property
+    def ricci_tape(self) -> expr.Tape:
+        """The symbolic Ricci tensor ``R_ab`` in C order, built and compiled on first
+        use; ``R_ba`` shares a slot."""
+        return expr.compile(calculus.ricci_symbolic(self).reshape(-1), self.space.coord_names())
 
 
 def _frame_block_inverse(space: PhaseSpace, qq, pp, qp) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Batch front-end: suites, report format, determinism, exit codes."""
 
+import gc
 import json
 import math
 import sys
@@ -293,6 +294,20 @@ class TestVerify:
 
 
 class TestRunSuiteApi:
+    def test_runs_leave_no_expression_nodes_alive(self):
+        # symbolic work lives on nodes owned by the run, so it all dies with the run.
+        # exp(S) holds itself through its derivative memo, and its parent's key in
+        # the intern table holds it until the parent is freed, so the cycle goes
+        # one collection after its parent: collect until nothing more is found.
+        while gc.collect():
+            pass
+        before = len(expr._NODES)
+        for _ in range(2):
+            run_suite(RunConfig(suite="all", n=2, points=2))
+        while gc.collect():
+            pass
+        assert len(expr._NODES) == before
+
     def test_wall_time_tracked_in_memory_only(self):
         report = run_suite(RunConfig(suite="flows", seed=1, points=4))
         assert all(c.wall_time >= 0.0 for c in report.checks)
@@ -344,7 +359,8 @@ class TestRunSuiteApi:
         run_suite(RunConfig(n=3, m=2, seed=5, points=2))
         monkeypatch.undo()
         assert {"TensorField.tape", "CoordinateMap.tape", "CoordinateMap.jacobian_tape",
-                "christoffel", "ricci", "LambdaFamily.tape", "LambdaFamily.scaling_tape",
+                "Metric.gamma_tape", "Metric.ricci_tape",
+                "LambdaFamily.tape", "LambdaFamily.scaling_tape",
                 "_hamiltonian_eta", "_hamiltonian_lie_eta", "FundamentalRelation._value_tape",
                 "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
                 } <= {caller for caller, _ in compiled.values()}

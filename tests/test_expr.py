@@ -127,6 +127,9 @@ class TestEvaluate:
         for i in range(1, 3001):
             e = e + expr.const(float(i)) * q
         assert evaluate(e, {"q1": 0.5}) == sum(i * 0.5 for i in range(1, 3001))
+        assert differentiate(e, "q1") is expr.const(sum(range(1, 3001)))
+        assert expr.free_variables(e) == {"q1"}
+        assert parse(to_string(e)) is e
 
 
 def _heat(tape, point):
@@ -328,6 +331,15 @@ class TestHash:
         gc.collect()
         assert ref() is None
 
+    def test_differentiated_node_dies_with_its_derivatives(self):
+        e = parse("q1*p1*exp(271.828*w)")
+        derivatives = [weakref.ref(differentiate(e, name)) for name in ("q1", "p1", "w")]
+        ref = weakref.ref(e)
+        del e
+        gc.collect()
+        assert ref() is None
+        assert all(d() is None for d in derivatives)
+
     def test_pickle_returns_the_live_node(self):
         e = parse("exp(S)*V^(-2/3) + q1")
         state = e.__reduce__()
@@ -346,6 +358,12 @@ class TestHash:
     def test_differentiate_cache_reports_counts(self):
         info = differentiate.cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int)
+        e = parse("u7*v7 + 314.159*u7")  # names no other test uses
+        differentiate(e, "u7")  # rules for the sum, both products and u7, then u7's memo
+        after = differentiate.cache_info()
+        assert (after.hits - info.hits, after.misses - info.misses) == (1, 4)
+        differentiate(e, "u7")  # answered from the sum's memo
+        assert differentiate.cache_info() == (after.hits + 1, after.misses)
 
 
 NAMES = ("w", "q1", "p1", "q2", "p2")

@@ -47,10 +47,7 @@ def _function_of(member):
         return member.func
     if isinstance(member, (classmethod, staticmethod)):
         return member.__func__
-    if inspect.isfunction(member):
-        return member
-    wrapped = getattr(member, "__wrapped__", None)  # an lru_cache
-    return wrapped if inspect.isfunction(wrapped) else None
+    return member if inspect.isfunction(member) else None
 
 
 def _public_functions():
