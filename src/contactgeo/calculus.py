@@ -9,6 +9,12 @@ that die with it.  The Ricci tensor follows the convention
            + Gamma^c_cd Gamma^d_ab - Gamma^c_ad Gamma^d_cb,
 
 which gives ``Ric = diag(1, sin^2 theta)`` for the unit round sphere.
+
+Darboux components are mostly zero, so no sum here builds a product with a
+structurally zero factor (one that ``is expr.ZERO``), and a derivative is
+taken only for a variable free in the node.  The zeros would fold away
+(``add(acc, ZERO) is acc``, ``mul(x, ZERO) is ZERO``), so every component is
+the node the dense sum builds.
 """
 
 from __future__ import annotations
@@ -40,7 +46,17 @@ class SingularMetricError(ValueError):
 
 
 def _d(e: Expr, name: str) -> Expr:
-    return expr.differentiate(e, name)
+    """``d e / d name``, differentiated only where ``name`` is free in ``e``."""
+    return expr.differentiate(e, name) if name in expr.free_variables(e) else expr.ZERO
+
+
+def _add_times_d(acc: Expr, f: Expr, e: Expr, name: str, op=expr.add) -> Expr:
+    """``op(acc, f * d e / d name)``; neither the derivative nor the product is
+    built when ``f`` is ZERO, and the product is not built when the derivative is."""
+    if f is expr.ZERO:
+        return acc
+    de = _d(e, name)
+    return acc if de is expr.ZERO else op(acc, expr.mul(f, de))
 
 
 def lie_bracket(space: PhaseSpace, X: TensorField, Y: TensorField) -> TensorField:
@@ -54,7 +70,7 @@ def directional_derivative(space: PhaseSpace, X: TensorField, f: Expr) -> Expr:
     """The scalar derivative ``X(f) = X^c d_c f``."""
     acc = expr.ZERO
     for c, name in enumerate(space.coord_names()):
-        acc = acc + X.comps[c] * _d(f, name)
+        acc = _add_times_d(acc, X.comps[c], f, name)
     return acc
 
 
@@ -71,13 +87,13 @@ def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorF
     for idx in np.ndindex(T.comps.shape):
         acc = expr.ZERO
         for c, name in enumerate(names):
-            acc = acc + X.comps[c] * _d(T.comps[idx], name)
+            acc = _add_times_d(acc, X.comps[c], T.comps[idx], name)
             for slot, i in enumerate(idx):
                 moved = T.comps[idx[:slot] + (c,) + idx[slot + 1:]]
                 if slot < T.valence[0]:
-                    acc = acc - moved * _d(X.comps[i], name)
+                    acc = _add_times_d(acc, moved, X.comps[i], name, expr.sub)
                 else:
-                    acc = acc + moved * _d(X.comps[c], names[i])
+                    acc = _add_times_d(acc, moved, X.comps[c], names[i])
         comps[idx] = acc
     return TensorField(T.valence, comps)
 
@@ -106,10 +122,12 @@ def christoffel_symbolic(metric) -> np.ndarray:
     for a in range(dim):
         for b in range(a, dim):
             brackets = [dg[a, d_i, b] + dg[b, d_i, a] - dg[d_i, a, b] for d_i in range(dim)]
+            live = [d_i for d_i in range(dim) if brackets[d_i] is not expr.ZERO]
             for c in range(dim):
                 acc = expr.ZERO
-                for d_i in range(dim):
-                    acc = acc + ginv[c, d_i] * brackets[d_i]
+                for d_i in live:
+                    if ginv[c, d_i] is not expr.ZERO:
+                        acc = acc + ginv[c, d_i] * brackets[d_i]
                 val = half * acc
                 gamma[c, a, b] = val
                 gamma[c, b, a] = val
@@ -155,9 +173,11 @@ def ricci_symbolic(metric) -> np.ndarray:
                 acc = acc + _d(gamma[c, a, b], names[c])
             acc = acc - _d(contracted[b], names[a])
             for d_i in range(dim):
-                acc = acc + contracted[d_i] * gamma[d_i, a, b]
+                if contracted[d_i] is not expr.ZERO and gamma[d_i, a, b] is not expr.ZERO:
+                    acc = acc + contracted[d_i] * gamma[d_i, a, b]
                 for c in range(dim):
-                    acc = acc - gamma[c, a, d_i] * gamma[d_i, c, b]
+                    if gamma[c, a, d_i] is not expr.ZERO and gamma[d_i, c, b] is not expr.ZERO:
+                        acc = acc - gamma[c, a, d_i] * gamma[d_i, c, b]
             ric[a, b] = acc
             ric[b, a] = acc
     return ric

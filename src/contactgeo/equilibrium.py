@@ -185,7 +185,13 @@ class TransformedRelation:
         expansions = 0
         for _ in range(max_iter):
             try:
-                dx = -np.linalg.solve(self.base.hessian(q)[self._II], g)
+                A = self.base.hessian(q)[self._II]
+                if A.shape != (1, 1):
+                    dx = -np.linalg.solve(A, g)
+                elif A[0, 0] != 0.0:  # g / a is LAPACK's answer bit for bit, without numpy's calls
+                    dx = -g / A[0, 0]
+                else:
+                    raise np.linalg.LinAlgError("Singular matrix")
             except (np.linalg.LinAlgError, expr.EvalError, OverflowError) as err:
                 raise RootFindError(f"no Newton step at {q.tolist()}: {err}") from None
             if not all(map(math.isfinite, dx)):
@@ -230,10 +236,14 @@ class TransformedRelation:
         """Block Schur complement: ``-A^-1`` on I x I, ``A^-1 B`` across and
         ``C - B^T A^-1 B`` on the rest, for the base Hessian ``[[A, B], [B^T, C]]``."""
         H = self.base.hessian(self._solve(qvals))
-        try:
-            A_inv = np.linalg.inv(H[self._II])
-        except np.linalg.LinAlgError:
-            A_inv = None
+        A = H[self._II]
+        if A.shape == (1, 1):  # 1 / a is LAPACK's inverse bit for bit
+            A_inv = 1.0 / A if A[0, 0] != 0.0 else None
+        else:
+            try:
+                A_inv = np.linalg.inv(A)
+            except np.linalg.LinAlgError:
+                A_inv = None
         if A_inv is None or not np.isfinite(A_inv).all():
             raise RootFindError(f"singular or non-finite conjugate block at {qvals}")
         M = H[:, self._I] @ A_inv  # (A^-1 H_I.)^T: identity on I, B^T A^-1 on R

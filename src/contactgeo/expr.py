@@ -100,12 +100,14 @@ class Expr:
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), value: float = 0.0,
                 name: str = "", exponent: Fraction | None = None):
-        # children are interned, so the key hashes and compares them by identity
-        key = (kind, args, value, name, exponent)
+        # children are interned, so the key holds their ids: a live node holds its
+        # children, whose ids stay theirs while its key exists, and the table holds
+        # no node strongly, so a collection frees a dead cycle and its children at once
+        key = (kind, value, name, exponent, *map(id, args))
         node = _NODES.get(key)
         if node is None:
             node = object.__new__(cls)
-            for slot, field in zip(cls.__slots__, (*key, None, None)):  # key, then memos
+            for slot, field in zip(cls.__slots__, (kind, args, value, name, exponent, None, None)):
                 object.__setattr__(node, slot, field)
             _NODES[key] = node
         return node

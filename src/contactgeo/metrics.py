@@ -13,7 +13,9 @@ reflection-type structures.  In coordinates the horizontal parts are
 
 The inverse of each metric is assembled symbolically from the frame Gram
 blocks (the frame is g-orthogonal in pairs), so the Levi-Civita pipeline in
-:mod:`contactgeo.calculus` stays fully symbolic.
+:mod:`contactgeo.calculus` stays fully symbolic.  As there, a product with a
+factor that ``is expr.ZERO`` is never built: a column of ``d_eta`` has at most
+one non-zero, so the sum over ``c`` keeps at most one of its ``2n + 1`` terms.
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def metric_from_structure(space: PhaseSpace, kind: MetricKind,
     phi = build_structure(space, _STRUCTURE_OF[kind], lam)
     eta = contact_form(space)
     deta = d_eta(space)
-    sign = _SIGN_OF[kind]
+    sign = expr.const(_SIGN_OF[kind])
     dim = space.dim
 
     comps = _obj((dim, dim))
@@ -168,8 +170,10 @@ def metric_from_structure(space: PhaseSpace, kind: MetricKind,
         for b in range(dim):
             acc = expr.mul(eta.comps[a], eta.comps[b])
             for c in range(dim):
+                if phi.comps[c, a] is expr.ZERO or deta.comps[c, b] is expr.ZERO:
+                    continue
                 term = expr.mul(phi.comps[c, a], deta.comps[c, b])
-                acc = expr.add(acc, expr.mul(expr.const(sign), term))
+                acc = expr.add(acc, expr.mul(sign, term))
             comps[a, b] = acc
     return Metric(kind, space, TensorField((0, 2), comps), _inverse_components(space, kind, lam))
 

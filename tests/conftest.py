@@ -150,3 +150,101 @@ def ricci_fd(metric_fn, arr: np.ndarray, h: float = 1e-4) -> np.ndarray:
                     val += gamma[c, c, d_i] * gamma[d_i, a, b] - gamma[c, a, d_i] * gamma[d_i, c, b]
             ric[a, b] = val
     return ric
+
+
+# the dense symbolic builders as they were before products and derivatives with
+# a structurally zero factor were skipped: every term of every sum is built and
+# mul/add fold the zeros away.  They are the oracle for the sparse builders,
+# which must give the same interned node for every component.
+
+def dense_directional_derivative(space, X, f):
+    acc = expr.ZERO
+    for c, name in enumerate(space.coord_names()):
+        acc = acc + X.comps[c] * expr.differentiate(f, name)
+    return acc
+
+
+def dense_lie_derivative(space, T, X):
+    names = space.coord_names()
+    comps = _obj(T.comps.shape)
+    for idx in np.ndindex(T.comps.shape):
+        acc = expr.ZERO
+        for c, name in enumerate(names):
+            acc = acc + X.comps[c] * expr.differentiate(T.comps[idx], name)
+            for slot, i in enumerate(idx):
+                moved = T.comps[idx[:slot] + (c,) + idx[slot + 1:]]
+                if slot < T.valence[0]:
+                    acc = acc - moved * expr.differentiate(X.comps[i], name)
+                else:
+                    acc = acc + moved * expr.differentiate(X.comps[c], names[i])
+        comps[idx] = acc
+    return TensorField(T.valence, comps)
+
+
+def dense_christoffel_symbolic(metric):
+    space = metric.space
+    names = space.coord_names()
+    dim = space.dim
+    g = metric.tensor.comps
+    ginv = metric.inverse
+
+    dg = np.empty((dim, dim, dim), dtype=object)  # dg[d][a][b] = d_d g_ab
+    for d_i, name in enumerate(names):
+        for a in range(dim):
+            for b in range(dim):
+                dg[d_i, a, b] = expr.differentiate(g[a, b], name)
+
+    gamma = np.empty((dim, dim, dim), dtype=object)
+    half = expr.const(0.5)
+    for a in range(dim):
+        for b in range(a, dim):
+            brackets = [dg[a, d_i, b] + dg[b, d_i, a] - dg[d_i, a, b] for d_i in range(dim)]
+            for c in range(dim):
+                acc = expr.ZERO
+                for d_i in range(dim):
+                    acc = acc + ginv[c, d_i] * brackets[d_i]
+                val = half * acc
+                gamma[c, a, b] = val
+                gamma[c, b, a] = val
+    return gamma
+
+
+def dense_ricci_symbolic(space, gamma):
+    names = space.coord_names()
+    dim = space.dim
+
+    contracted = np.empty(dim, dtype=object)
+    for b in range(dim):
+        acc = expr.ZERO
+        for c in range(dim):
+            acc = acc + gamma[c, c, b]
+        contracted[b] = acc
+
+    ric = np.empty((dim, dim), dtype=object)
+    for a in range(dim):
+        for b in range(a, dim):
+            acc = expr.ZERO
+            for c in range(dim):
+                acc = acc + expr.differentiate(gamma[c, a, b], names[c])
+            acc = acc - expr.differentiate(contracted[b], names[a])
+            for d_i in range(dim):
+                acc = acc + contracted[d_i] * gamma[d_i, a, b]
+                for c in range(dim):
+                    acc = acc - gamma[c, a, d_i] * gamma[d_i, c, b]
+            ric[a, b] = acc
+            ric[b, a] = acc
+    return ric
+
+
+def dense_metric_sum(eta, deta, phi, sign):
+    """``eta (x) eta + sign * d_eta o (phi (x) 1)``, the sum of ``metric_from_structure``."""
+    dim = eta.comps.shape[0]
+    comps = _obj((dim, dim))
+    for a in range(dim):
+        for b in range(dim):
+            acc = expr.mul(eta.comps[a], eta.comps[b])
+            for c in range(dim):
+                term = expr.mul(phi.comps[c, a], deta.comps[c, b])
+                acc = expr.add(acc, expr.mul(expr.const(sign), term))
+            comps[a, b] = acc
+    return comps

@@ -1,8 +1,10 @@
 """Batch front-end: suites, report format, determinism, exit codes."""
 
 import gc
+import hashlib
 import json
 import math
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,12 +49,29 @@ class TestVerify:
             assert record["points"] > 0
             assert "wall" not in " ".join(record)  # timing never serialized
 
-    def test_golden_report(self, capsys):
+    @staticmethod
+    def _assert_golden(capsys, n):
         # byte for byte: a refactor that changes the report must say which bytes and why
-        golden = GOLDEN / "verify_all_n2_seed7.jsonl"
-        code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "2", "--seed", "7"])
+        golden = GOLDEN / f"verify_all_n{n}_seed7.jsonl"
+        code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", str(n), "--seed", "7"])
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
+
+    def test_golden_report(self, capsys):
+        self._assert_golden(capsys, 2)
+
+    def test_golden_report_n4(self, capsys):
+        # the symbolic sums grow as dim^3 and dim^4, so n = 2 alone barely exercises them
+        self._assert_golden(capsys, 4)
+
+    def test_report_sweep_prints_exit_code_and_digest(self, capsys):
+        # the sweep compares two checkouts; its line must be the run's own code and bytes
+        sweep = Path(__file__).parent / "report_sweep.py"
+        done = subprocess.run([sys.executable, str(sweep), "1", "0"], capture_output=True,
+                              text=True, check=True, timeout=120)
+        code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "1", "--seed", "0"])
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert done.stdout == f"1 0 {code} {digest}\n"
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -296,16 +315,14 @@ class TestVerify:
 class TestRunSuiteApi:
     def test_runs_leave_no_expression_nodes_alive(self):
         # symbolic work lives on nodes owned by the run, so it all dies with the run.
-        # exp(S) holds itself through its derivative memo, and its parent's key in
-        # the intern table holds it until the parent is freed, so the cycle goes
-        # one collection after its parent: collect until nothing more is found.
+        # exp(S) holds itself through its derivative memo; the intern table keys
+        # hold no node, so one collection frees such a cycle and its parent together.
         while gc.collect():
             pass
         before = len(expr._NODES)
         for _ in range(2):
             run_suite(RunConfig(suite="all", n=2, points=2))
-        while gc.collect():
-            pass
+        gc.collect()
         assert len(expr._NODES) == before
 
     def test_wall_time_tracked_in_memory_only(self):

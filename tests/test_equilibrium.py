@@ -391,6 +391,20 @@ class TestJointTransform:
         with pytest.raises(RootFindError, match="no Newton step"):
             F.value([0.5])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("pivot", [0.0, math.nan])
+    def test_bad_scalar_pivot_raises_root_find_error(self, pivot, monkeypatch):
+        # a one-index block is divided directly: a zero pivot must neither raise
+        # ZeroDivisionError nor warn, and a NaN one must not pass as a step
+        rel = FundamentalRelation("quadratic", ("x",), expr.parse("x^2"), ((-1.0, 1.0),))
+        F = legendre_potential(rel, 1)
+        monkeypatch.setattr(FundamentalRelation, "hessian", lambda self, q: np.array([[pivot]]))
+        with pytest.raises(RootFindError, match="no Newton step|non-finite conjugate block"):
+            F.value([0.5])
+        F._solve = lambda u: np.array([0.25])
+        with pytest.raises(RootFindError, match="singular or non-finite"):
+            F.hessian([0.5])
+
     def test_odd_root_branch_is_not_entered(self):
         # an unclipped Newton step from the box middle crosses V = 0, where the
         # odd root makes V^(-2/3) real and convex again
