@@ -9,7 +9,7 @@ curvature, and Legendre-submanifold pullbacks from fundamental relations.
 from .expr import (EvalError, Expr, ParseError, const, differentiate, evaluate,
                    parse, to_string, var)
 from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
-                          coframe, contact_form, d_eta, frame, sample_points)
+                          contact_form, d_eta, frame, sample_points)
 from .hamiltonian import (IndexSubset, closed_form_commutator,
                           generator_commutator, hamiltonian_vector_field,
                           integrate_flow, legendre_map, partial_legendre,

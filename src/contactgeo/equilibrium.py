@@ -104,8 +104,8 @@ class FundamentalRelation:
                        dtype=float)
         return out.reshape(self.n, self.n)
 
-    def contains(self, qvals, tol: float = 1e-9) -> bool:
-        return all(lo - tol <= v <= hi + tol
+    def contains(self, qvals) -> bool:
+        return all(lo - 1e-9 <= v <= hi + 1e-9
                    for v, (lo, hi) in zip(qvals, self.domain))
 
 
@@ -136,13 +136,13 @@ class TransformedRelation:
     def n(self) -> int:
         return self.base.n
 
-    def _probe(self, samples: int = 32):
-        """Check at seeded samples that the I-block of the base Hessian is definite,
+    def _probe(self):
+        """Check at 32 seeded samples that the I-block of the base Hessian is definite,
         and return the domain whose transformed slots are the ranges of their
         conjugates over those samples and the corners of the box."""
         box = np.array(self.base.domain, dtype=float)
         rng = np.random.default_rng(170)
-        pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((samples, self.n))
+        pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((32, self.n))
         blocks = np.array([self.base.hessian(p)[self._II] for p in pts])
         # a non-finite block counts as indefinite (and would make eigvalsh raise)
         eig = np.linalg.eigvalsh(blocks) if np.isfinite(blocks).all() else np.array([np.nan])
@@ -164,14 +164,15 @@ class TransformedRelation:
             return None
         return g if all(map(math.isfinite, g)) else None
 
-    def _solve(self, u, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+    def _solve(self, u) -> np.ndarray:
         """Base coordinates ``x*`` at ``u``: damped Newton on ``phi(x_I) = s (wbar(x_I,
         u_R) - u_I . x_I)``, ``s`` the sign of the I-block, from the middle of the box.
         Steps are clipped to the box, which grows by its span (at most 60 times) only
         where the iterate is on its edge and the step points out; a step is halved
         while its end cannot be evaluated or does not reduce ``|grad phi|``; one that
-        passes the size test is taken in full.  The last solve is kept, for ``embed``
-        asks for value and gradient at one point."""
+        passes the size test ``|dx| <= 1e-12 (1 + |x|)`` is taken in full, within 100
+        steps.  The last solve is kept, for ``embed`` asks for value and gradient at
+        one point."""
         u = np.asarray(u, dtype=float)
         key = u.tobytes()
         if self._last[0] == key:
@@ -183,7 +184,7 @@ class TransformedRelation:
         if g is None:
             raise RootFindError(f"conjugate map not evaluable at {q.tolist()}")
         expansions = 0
-        for _ in range(max_iter):
+        for _ in range(100):
             try:
                 A = self.base.hessian(q)[self._II]
                 if A.shape != (1, 1):
@@ -197,7 +198,7 @@ class TransformedRelation:
             if not all(map(math.isfinite, dx)):
                 raise RootFindError(f"non-finite conjugate block at {q.tolist()}")
             new = x + dx
-            if all(abs(d) <= tol * (1.0 + abs(v)) for v, d in zip(new, dx)):
+            if all(abs(d) <= 1e-12 * (1.0 + abs(v)) for v, d in zip(new, dx)):
                 q[I] = new
                 self._last = (key, q)
                 return q
@@ -219,7 +220,7 @@ class TransformedRelation:
             else:
                 raise RootFindError(f"damped Newton step made no progress at {q.tolist()}")
             x, g = new, g_new
-        raise RootFindError(f"inversion did not converge within {max_iter} iterations")
+        raise RootFindError("inversion did not converge within 100 iterations")
 
     def value(self, qvals) -> float:
         qstar = self._solve(qvals)

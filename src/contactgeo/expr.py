@@ -14,8 +14,12 @@ Grammar accepted by :func:`parse`::
     exponent := signed number | '(' signed rational ')'     e.g.  2, -2, 0.5, (-2/3)
     func     := 'exp' | 'log' | 'sin' | 'cos'
 
-Identifiers are ``[A-Za-z][A-Za-z0-9_]*``.  Exponents are stored as exact
-``fractions.Fraction`` values so that e.g. ``V^(-2/3)`` differentiates cleanly.
+Identifiers are ``[A-Za-z][A-Za-z0-9_]*``.  A number is a decimal literal such
+as ``2``, ``.5`` or ``1.5e-3`` that is finite as a float; ``1e999`` is an error.
+Exponents are stored as exact ``fractions.Fraction`` values so that e.g.
+``V^(-2/3)`` differentiates cleanly.  The parser is one loop over an explicit
+stack, so nesting has no depth limit; an error at the end of the input is
+reported at the innermost ``(`` still open.
 Only light simplification is performed at construction time (constant folding
 and 0/1 identities); correctness elsewhere is checked by evaluation, not by
 tree equality.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
 from weakref import WeakValueDictionary
@@ -657,6 +662,11 @@ def evaluate(e: Expr, bindings) -> float:
 # parsing
 
 _FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos}
+# binary operators: precedence level and constructor
+_OPERATORS = {"+": (0, add), "-": (0, sub), "*": (1, mul), "/": (1, div)}
+_SPACE = re.compile(r"[ \t\r\n]*")
+# \d is a Unicode decimal digit, as float reads them
+_NUMBER = re.compile(r"(\d*\.?\d*)([eE][+-]?\d+)?")
 
 
 class _Parser:
@@ -667,120 +677,79 @@ class _Parser:
     def error(self, message: str, position: int | None = None):
         raise ParseError(message, self.pos if position is None else position)
 
-    def skip_ws(self):
-        t = self.text
-        while self.pos < len(t) and t[self.pos] in " \t\r\n":
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
     def parse(self) -> Expr:
-        e = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected character {self.text[self.pos]!r}")
-        return e
-
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
-                e = add(e, self.parse_term())
-            elif c == "-":
-                self.pos += 1
-                e = sub(e, self.parse_term())
-            else:
-                return e
-
-    def parse_term(self) -> Expr:
-        e = self.parse_factor()
-        while True:
-            c = self.peek()
-            if c == "*":
-                self.pos += 1
-                e = mul(e, self.parse_factor())
-            elif c == "/":
-                self.pos += 1
-                e = div(e, self.parse_factor())
-            else:
-                return e
-
-    def parse_factor(self) -> Expr:
-        e = self.parse_base()
-        if self.peek() == "^":
-            self.pos += 1
-            e = power(e, self.parse_exponent())
-        return e
-
-    def parse_base(self) -> Expr:
-        c = self.peek()
-        if c == "":
-            self.error("unexpected end of input")
-        if c == "-":
-            self.pos += 1
-            return neg(self.parse_base())
-        if c == "(":
-            open_pos = self.pos
-            self.pos += 1
-            e = self.parse_group_body(open_pos)
-            return e
-        if c.isdigit() or c == ".":
-            return const(self.parse_number())
-        if c.isalpha():
-            start = self.pos
-            name = self.parse_ident()
-            if self.peek() == "(":
-                if name not in _FUNCTIONS:
-                    self.error(f"unknown function '{name}'", start)
-                open_pos = self.pos
-                self.pos += 1
-                arg = self.parse_group_body(open_pos)
-                return _FUNCTIONS[name](arg)
-            return var(name)
-        self.error(f"unexpected character {c!r}")
-
-    def parse_group_body(self, open_pos: int) -> Expr:
-        # errors hitting end-of-input inside a group are blamed on the '('
+        """One loop over an explicit stack that holds, innermost last, a pending
+        prefix ``neg``, an open group as ``(position, function)`` and a pending
+        binary operator as ``(left operand, level, constructor)``."""
+        stack: list = []
         try:
-            e = self.parse_expr()
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                raise ParseError("unbalanced '('", open_pos)
-            if self.text[self.pos] != ")":
-                self.error(f"expected ')' but found {self.text[self.pos]!r}")
-            self.pos += 1
-            return e
+            while True:
+                c = self.peek()  # an operand: prefix signs and open groups, then a number or name
+                if c == "-" or c == "(":
+                    stack.append(neg if c == "-" else (self.pos, None))
+                    self.pos += 1
+                    continue
+                if c == "." or c.isdecimal():
+                    e = const(self.parse_number())
+                elif c.isalpha():
+                    start = self.pos
+                    name = self.parse_ident()
+                    if self.peek() == "(":
+                        if name not in _FUNCTIONS:
+                            self.error(f"unknown function '{name}'", start)
+                        stack.append((self.pos, _FUNCTIONS[name]))
+                        self.pos += 1
+                        continue
+                    e = var(name)
+                else:
+                    self.error(f"unexpected character {c!r}" if c else "unexpected end of input")
+                while True:  # e is a base: take its signs and power, then an operator or a ')'
+                    while stack and stack[-1] is neg:
+                        stack.pop()
+                        e = neg(e)
+                    if self.peek() == "^":
+                        self.pos += 1
+                        e = power(e, self.parse_exponent())
+                    c = self.peek()
+                    level, build = _OPERATORS.get(c, (-1, None))
+                    # pending operators that bind at least as tightly take e as right operand
+                    while stack and len(stack[-1]) == 3 and stack[-1][1] >= level:
+                        left, _, combine = stack.pop()
+                        e = combine(left, e)
+                    if build is not None:
+                        stack.append((e, level, build))
+                        self.pos += 1
+                        break
+                    if not stack:
+                        if c:
+                            self.error(f"unexpected character {c!r}")
+                        return e
+                    if c != ")":
+                        self.error(f"expected ')' but found {c!r}")
+                    self.pos += 1
+                    function = stack.pop()[1]
+                    if function is not None:
+                        e = function(e)
         except ParseError as err:
-            if err.position >= len(self.text):
-                raise ParseError("unbalanced '('", open_pos) from None
+            # an error at end of input is blamed on the innermost open '('
+            opened = [item[0] for item in stack if item is not neg and len(item) == 2]
+            if opened and err.position >= len(self.text):
+                raise ParseError("unbalanced '('", opened[-1]) from None
             raise
 
     def parse_number(self) -> float:
-        t = self.text
-        start = self.pos
-        while self.pos < len(t) and t[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(t) and t[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(t) and t[self.pos].isdigit():
-                self.pos += 1
-        if self.pos == start or t[start:self.pos] == ".":
-            self.error("expected a number", start)
-        if self.pos < len(t) and t[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(t) and t[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(t) and t[self.pos].isdigit():
-                while self.pos < len(t) and t[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not scientific notation; 'e...' starts the next token
-        return float(t[start:self.pos])
+        match = _NUMBER.match(self.text, self.pos)
+        if match[1] in ("", "."):
+            self.error("expected a number")
+        value = float(match[0])
+        if not math.isfinite(value):
+            self.error("number out of range")
+        self.pos = match.end()
+        return value
 
     def parse_ident(self) -> str:
         t = self.text
@@ -791,24 +760,20 @@ class _Parser:
         return t[start:self.pos]
 
     def parse_exponent(self) -> Fraction:
-        self.skip_ws()
-        if self.peek() == "(":
-            open_pos = self.pos
-            self.pos += 1
-            r = self.parse_signed_rational(allow_slash=True)
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                self.error("unbalanced '(' in exponent", open_pos)
-            self.pos += 1
-            return r
-        return self.parse_signed_rational(allow_slash=False)
+        if self.peek() != "(":
+            return self.parse_signed_rational(allow_slash=False)
+        open_pos = self.pos
+        self.pos += 1
+        r = self.parse_signed_rational(allow_slash=True)
+        if self.peek() != ")":
+            self.error("unbalanced '(' in exponent", open_pos)
+        self.pos += 1
+        return r
 
     def parse_signed_rational(self, allow_slash: bool) -> Fraction:
-        self.skip_ws()
-        sign = 1
-        if self.peek() in "+-":
-            if self.text[self.pos] == "-":
-                sign = -1
+        c = self.peek()
+        sign = -1 if c == "-" else 1
+        if c in ("+", "-"):
             self.pos += 1
         start = self.pos
         num = self.parse_number()

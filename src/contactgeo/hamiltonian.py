@@ -241,18 +241,18 @@ def scaling_map(space: PhaseSpace, t: float) -> CoordinateMap:
     return CoordinateMap(exprs, label=f"scaling(t={t})")
 
 
-def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator,
-                                  terms: int = 4, max_degree: int = 2) -> Expr:
-    """A random polynomial in ``(w, q, p)`` with small integer coefficients."""
+def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator) -> Expr:
+    """A random polynomial in ``(w, q, p)`` of four terms with small integer
+    coefficients, each coordinate to a power from 0 to 2."""
     names = space.coord_names()
     h = expr.ZERO
-    for _ in range(terms):
+    for _ in range(4):
         coeff = float(rng.integers(-3, 4))
         if coeff == 0.0:
             coeff = 1.0
         term = expr.const(coeff)
         for name in names:
-            d = int(rng.integers(0, max_degree + 1))
+            d = int(rng.integers(0, 3))
             if d:
                 term = term * expr.power(expr.var(name), d)
         h = h + term

@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
-from .expr import Expr
 
 __all__ = [
     "PhaseSpace",
@@ -33,13 +32,8 @@ __all__ = [
     "CoordinateMap",
     "contact_form",
     "frame",
-    "coframe",
     "d_eta",
-    "outer_02",
     "outer_11",
-    "add_tensors",
-    "scale_tensor",
-    "zero_tensor",
     "sample_points",
 ]
 
@@ -164,11 +158,6 @@ def _obj(shape) -> np.ndarray:
     return a
 
 
-def zero_tensor(space: PhaseSpace, valence: tuple[int, int]) -> TensorField:
-    shape = (space.dim,) * sum(valence)
-    return TensorField(valence, _obj(shape))
-
-
 def contact_form(space: PhaseSpace) -> TensorField:
     """The Darboux contact form ``eta = dw - sum_a p_a dq^a`` as a covector field."""
     comps = _obj(space.dim)
@@ -196,16 +185,6 @@ def frame(space: PhaseSpace) -> tuple[TensorField, ...]:
     return tuple(fields)
 
 
-def coframe(space: PhaseSpace) -> tuple[TensorField, ...]:
-    """The coordinate coframe ``(dw, dq^1..dq^n, dp_1..dp_n)``."""
-    fields = []
-    for c in range(space.dim):
-        comps = _obj(space.dim)
-        comps[c] = expr.ONE
-        fields.append(TensorField((0, 1), comps))
-    return tuple(fields)
-
-
 def d_eta(space: PhaseSpace) -> TensorField:
     """Exterior derivative of the contact form under the 1/2 convention.
 
@@ -221,18 +200,6 @@ def d_eta(space: PhaseSpace) -> TensorField:
     return TensorField((0, 2), comps)
 
 
-def outer_02(alpha: TensorField, beta: TensorField) -> TensorField:
-    """Tensor product of two covector fields: ``(alpha (x) beta)_ab = alpha_a beta_b``."""
-    if alpha.valence != (0, 1) or beta.valence != (0, 1):
-        raise ValueError("outer_02 expects two covector fields")
-    dim = alpha.dim
-    comps = _obj((dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            comps[i, j] = expr.mul(alpha.comps[i], beta.comps[j])
-    return TensorField((0, 2), comps)
-
-
 def outer_11(alpha: TensorField, X: TensorField) -> TensorField:
     """The endomorphism ``alpha (x) X : Y -> alpha(Y) X`` as a (1,1) field."""
     if alpha.valence != (0, 1) or X.valence != (1, 0):
@@ -243,27 +210,6 @@ def outer_11(alpha: TensorField, X: TensorField) -> TensorField:
         for b in range(dim):
             comps[c, b] = expr.mul(X.comps[c], alpha.comps[b])
     return TensorField((1, 1), comps)
-
-
-def add_tensors(*fields: TensorField) -> TensorField:
-    valence = fields[0].valence
-    if any(f.valence != valence for f in fields):
-        raise ValueError("cannot add tensor fields of different valence")
-    comps = _obj(fields[0].comps.shape)
-    flat = comps.reshape(-1)
-    for f in fields:
-        for i, e in enumerate(f.comps.reshape(-1)):
-            flat[i] = expr.add(flat[i], e)
-    return TensorField(valence, comps)
-
-
-def scale_tensor(field: TensorField, s) -> TensorField:
-    s = s if isinstance(s, Expr) else expr.const(s)
-    comps = _obj(field.comps.shape)
-    flat_out = comps.reshape(-1)
-    for i, e in enumerate(field.comps.reshape(-1)):
-        flat_out[i] = expr.mul(s, e)
-    return TensorField(field.valence, comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,17 +247,16 @@ class CoordinateMap:
         return J.reshape(self.dim, self.dim)
 
 
-def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int,
-                  w_range=(-1.0, 1.0), magnitude=(0.5, 2.0)) -> list[PhasePoint]:
-    """Draw points with ``|q|, |p|`` in ``magnitude`` (random sign) and ``w`` in ``w_range``.
+def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> list[PhasePoint]:
+    """Draw points with ``|q|, |p|`` in ``[0.5, 2]`` (random sign) and ``w`` in ``[-1, 1]``.
 
     Keeping the coordinates away from zero keeps sampled points off the
     ``Lambda = 0`` loci of the reciprocal structures.
     """
     pts = []
     for _ in range(count):
-        w = rng.uniform(*w_range)
-        mags = rng.uniform(magnitude[0], magnitude[1], size=2 * space.n)
+        w = rng.uniform(-1.0, 1.0)
+        mags = rng.uniform(0.5, 2.0, size=2 * space.n)
         signs = rng.choice((-1.0, 1.0), size=2 * space.n)
         vals = (mags * signs).tolist()
         pts.append(PhasePoint(w, tuple(vals[:space.n]), tuple(vals[space.n:])))

@@ -26,15 +26,10 @@ from .calculus import directional_derivative
 from .hamiltonian import (hamiltonian_vector_field, rotation_generator,
                           scaling_generator)
 from .metrics import MetricKind
-from .phase_space import (PhaseSpace, TensorField, add_tensors, coframe,
-                          outer_02, scale_tensor, zero_tensor)
+from .phase_space import PhaseSpace, TensorField, _obj
 from .structures import LambdaFamily, _reciprocal
 
 __all__ = ["lie_derivative_closed_form"]
-
-
-def _sym(dq: TensorField, dp: TensorField) -> TensorField:
-    return add_tensors(outer_02(dp, dq), outer_02(dq, dp))
 
 
 def lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: str,
@@ -53,51 +48,29 @@ def lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: s
             raise ValueError("the rotation generator needs m")
         if not 1 <= m <= space.n:
             raise ValueError(f"m must satisfy 1 <= m <= {space.n}")
-    co = coframe(space)
-    dq = [co[space.q_index(a)] for a in range(1, space.n + 1)]
-    dp = [co[space.p_index(a)] for a in range(1, space.n + 1)]
-    zero = zero_tensor(space, (0, 2))
-
-    if kind == MetricKind.ALPHA_PI:
-        return zero
-
-    if kind == MetricKind.ACS:
-        if rotation:
-            return zero
-        return add_tensors(*[add_tensors(outer_02(dp[a], dp[a]),
-                                         scale_tensor(outer_02(dq[a], dq[a]), -1.0))
-                             for a in range(space.n)])
-
-    if kind == MetricKind.R:
-        if not rotation:
-            return zero
-        return add_tensors(*[add_tensors(scale_tensor(outer_02(dq[i], dq[i]), -1.0),
-                                         outer_02(dp[i], dp[i]))
-                             for i in range(m)])
-
-    if kind == MetricKind.S:
-        if rotation:
-            return add_tensors(*[scale_tensor(_sym(dq[i], dp[i]), -1.0) for i in range(m)])
-        return add_tensors(*[scale_tensor(add_tensors(outer_02(dp[a], dp[a]),
-                                                      outer_02(dq[a], dq[a])), -1.0)
-                             for a in range(space.n)])
-
-    if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
+    zero, one, minus = expr.ZERO, expr.ONE, expr.const(-1.0)
+    pairs = range(m) if rotation else range(space.n)
+    # pair a -> the coefficients of (dq (x) dq, dp (x) dp, dq (x) dp + dp (x) dq)
+    rows = {}
+    if (kind == MetricKind.ACS and not rotation) or (kind == MetricKind.R and rotation):
+        rows = {a: (minus, one, zero) for a in pairs}
+    elif kind == MetricKind.S:
+        rows = {a: (zero, zero, minus) if rotation else (minus, minus, zero) for a in pairs}
+    elif kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
         if lam is None:
             raise ValueError(f"{kind.value} needs a LambdaFamily")
         coeffs = lam.exprs if kind == MetricKind.LAMBDA else _reciprocal(lam)
         gen = rotation_generator(m) if rotation else scaling_generator(space.n)
         X = hamiltonian_vector_field(space, gen)
-        pieces = []
         for a in range(space.n):
             rate = directional_derivative(space, X, coeffs[a])
-            pieces.append(scale_tensor(_sym(dq[a], dp[a]),
-                                       expr.mul(expr.const(-0.5), rate)))
+            rows[a] = (zero, zero, expr.mul(expr.const(-0.5), rate))
         if rotation:
             for i in range(m):
-                pieces.append(scale_tensor(add_tensors(outer_02(dq[i], dq[i]),
-                                                       scale_tensor(outer_02(dp[i], dp[i]), -1.0)),
-                                           expr.neg(coeffs[i])))
-        return add_tensors(*pieces)
-
-    raise ValueError(f"unknown metric kind {kind}")
+                c = expr.neg(coeffs[i])
+                rows[i] = (c, expr.mul(c, minus), rows[i][2])
+    comps = _obj((space.dim, space.dim))
+    for a, (qq, pp, sym) in rows.items():
+        q, p = space.q_index(a + 1), space.p_index(a + 1)
+        comps[q, q], comps[p, p], comps[q, p], comps[p, q] = qq, pp, sym, sym
+    return TensorField((0, 2), comps)

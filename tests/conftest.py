@@ -1,11 +1,19 @@
-"""Shared test helpers: random expression trees, test metrics and independent numeric oracles."""
+"""Shared test helpers: random expression trees, test metrics, tensor algebra and
+independent oracles."""
+
+from fractions import Fraction
 
 import numpy as np
 
 from contactgeo import expr
-from contactgeo.hamiltonian import integrate_flow
-from contactgeo.metrics import Metric
+from contactgeo.calculus import directional_derivative
+from contactgeo.expr import (_FUNCTIONS, Expr, ParseError, add, const, div, mul, neg, power,
+                             sub, var)
+from contactgeo.hamiltonian import (hamiltonian_vector_field, integrate_flow,
+                                    rotation_generator, scaling_generator)
+from contactgeo.metrics import Metric, MetricKind
 from contactgeo.phase_space import PhasePoint, PhaseSpace, TensorField, _obj
+from contactgeo.structures import LambdaFamily, _reciprocal
 
 
 def bindings(point):
@@ -248,3 +256,295 @@ def dense_metric_sum(eta, deta, phi, sign):
                 acc = expr.add(acc, expr.mul(expr.const(sign), term))
             comps[a, b] = acc
     return comps
+
+
+# covector algebra that only the tests use: the coordinate coframe, tensor
+# products of covectors, and sums and scalar multiples of fields
+
+def coframe(space: PhaseSpace) -> tuple[TensorField, ...]:
+    """The coordinate coframe ``(dw, dq^1..dq^n, dp_1..dp_n)``."""
+    fields = []
+    for c in range(space.dim):
+        comps = _obj(space.dim)
+        comps[c] = expr.ONE
+        fields.append(TensorField((0, 1), comps))
+    return tuple(fields)
+
+
+def outer_02(alpha: TensorField, beta: TensorField) -> TensorField:
+    """Tensor product of two covector fields: ``(alpha (x) beta)_ab = alpha_a beta_b``."""
+    if alpha.valence != (0, 1) or beta.valence != (0, 1):
+        raise ValueError("outer_02 expects two covector fields")
+    dim = alpha.dim
+    comps = _obj((dim, dim))
+    for i in range(dim):
+        for j in range(dim):
+            comps[i, j] = expr.mul(alpha.comps[i], beta.comps[j])
+    return TensorField((0, 2), comps)
+
+
+def add_tensors(*fields: TensorField) -> TensorField:
+    valence = fields[0].valence
+    if any(f.valence != valence for f in fields):
+        raise ValueError("cannot add tensor fields of different valence")
+    comps = _obj(fields[0].comps.shape)
+    flat = comps.reshape(-1)
+    for f in fields:
+        for i, e in enumerate(f.comps.reshape(-1)):
+            flat[i] = expr.add(flat[i], e)
+    return TensorField(valence, comps)
+
+
+def scale_tensor(field: TensorField, s) -> TensorField:
+    s = s if isinstance(s, Expr) else expr.const(s)
+    comps = _obj(field.comps.shape)
+    flat_out = comps.reshape(-1)
+    for i, e in enumerate(field.comps.reshape(-1)):
+        flat_out[i] = expr.mul(s, e)
+    return TensorField(field.valence, comps)
+
+
+# Table 1 as the library composed it before it wrote coefficient rows: sums of
+# scaled tensor products of the coframe.  It is the oracle of the rows, which
+# must give the same interned node for every component.
+
+def _sym(dq: TensorField, dp: TensorField) -> TensorField:
+    return add_tensors(outer_02(dp, dq), outer_02(dq, dp))
+
+
+def composed_lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: str,
+                                        m: int | None = None,
+                                        lam: LambdaFamily | None = None) -> TensorField:
+    """Expected ``L_X g`` for the tensor of ``kind`` along one generator.
+
+    ``generator`` is ``"rotation"`` (needs ``m``) or ``"scaling"``.
+    """
+    kind = MetricKind(kind)
+    if generator not in ("rotation", "scaling"):
+        raise ValueError("generator must be 'rotation' or 'scaling'")
+    rotation = generator == "rotation"
+    if rotation:
+        if m is None:
+            raise ValueError("the rotation generator needs m")
+        if not 1 <= m <= space.n:
+            raise ValueError(f"m must satisfy 1 <= m <= {space.n}")
+    co = coframe(space)
+    dq = [co[space.q_index(a)] for a in range(1, space.n + 1)]
+    dp = [co[space.p_index(a)] for a in range(1, space.n + 1)]
+    zero = TensorField((0, 2), _obj((space.dim, space.dim)))
+
+    if kind == MetricKind.ALPHA_PI:
+        return zero
+
+    if kind == MetricKind.ACS:
+        if rotation:
+            return zero
+        return add_tensors(*[add_tensors(outer_02(dp[a], dp[a]),
+                                         scale_tensor(outer_02(dq[a], dq[a]), -1.0))
+                             for a in range(space.n)])
+
+    if kind == MetricKind.R:
+        if not rotation:
+            return zero
+        return add_tensors(*[add_tensors(scale_tensor(outer_02(dq[i], dq[i]), -1.0),
+                                         outer_02(dp[i], dp[i]))
+                             for i in range(m)])
+
+    if kind == MetricKind.S:
+        if rotation:
+            return add_tensors(*[scale_tensor(_sym(dq[i], dp[i]), -1.0) for i in range(m)])
+        return add_tensors(*[scale_tensor(add_tensors(outer_02(dp[a], dp[a]),
+                                                      outer_02(dq[a], dq[a])), -1.0)
+                             for a in range(space.n)])
+
+    if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
+        if lam is None:
+            raise ValueError(f"{kind.value} needs a LambdaFamily")
+        coeffs = lam.exprs if kind == MetricKind.LAMBDA else _reciprocal(lam)
+        gen = rotation_generator(m) if rotation else scaling_generator(space.n)
+        X = hamiltonian_vector_field(space, gen)
+        pieces = []
+        for a in range(space.n):
+            rate = directional_derivative(space, X, coeffs[a])
+            pieces.append(scale_tensor(_sym(dq[a], dp[a]),
+                                       expr.mul(expr.const(-0.5), rate)))
+        if rotation:
+            for i in range(m):
+                pieces.append(scale_tensor(add_tensors(outer_02(dq[i], dq[i]),
+                                                       scale_tensor(outer_02(dp[i], dp[i]), -1.0)),
+                                           expr.neg(coeffs[i])))
+        return add_tensors(*pieces)
+
+    raise ValueError(f"unknown metric kind {kind}")
+
+
+# the recursive-descent parser as it was before parsing became one loop over an
+# explicit stack: the oracle of the differential parse test.  It recurses once
+# per nesting level and crashes on some malformed input.
+
+class _Parser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str, position: int | None = None):
+        raise ParseError(message, self.pos if position is None else position)
+
+    def skip_ws(self):
+        t = self.text
+        while self.pos < len(t) and t[self.pos] in " \t\r\n":
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> Expr:
+        e = self.parse_expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error(f"unexpected character {self.text[self.pos]!r}")
+        return e
+
+    def parse_expr(self) -> Expr:
+        e = self.parse_term()
+        while True:
+            c = self.peek()
+            if c == "+":
+                self.pos += 1
+                e = add(e, self.parse_term())
+            elif c == "-":
+                self.pos += 1
+                e = sub(e, self.parse_term())
+            else:
+                return e
+
+    def parse_term(self) -> Expr:
+        e = self.parse_factor()
+        while True:
+            c = self.peek()
+            if c == "*":
+                self.pos += 1
+                e = mul(e, self.parse_factor())
+            elif c == "/":
+                self.pos += 1
+                e = div(e, self.parse_factor())
+            else:
+                return e
+
+    def parse_factor(self) -> Expr:
+        e = self.parse_base()
+        if self.peek() == "^":
+            self.pos += 1
+            e = power(e, self.parse_exponent())
+        return e
+
+    def parse_base(self) -> Expr:
+        c = self.peek()
+        if c == "":
+            self.error("unexpected end of input")
+        if c == "-":
+            self.pos += 1
+            return neg(self.parse_base())
+        if c == "(":
+            open_pos = self.pos
+            self.pos += 1
+            e = self.parse_group_body(open_pos)
+            return e
+        if c.isdigit() or c == ".":
+            return const(self.parse_number())
+        if c.isalpha():
+            start = self.pos
+            name = self.parse_ident()
+            if self.peek() == "(":
+                if name not in _FUNCTIONS:
+                    self.error(f"unknown function '{name}'", start)
+                open_pos = self.pos
+                self.pos += 1
+                arg = self.parse_group_body(open_pos)
+                return _FUNCTIONS[name](arg)
+            return var(name)
+        self.error(f"unexpected character {c!r}")
+
+    def parse_group_body(self, open_pos: int) -> Expr:
+        # errors hitting end-of-input inside a group are blamed on the '('
+        try:
+            e = self.parse_expr()
+            self.skip_ws()
+            if self.pos >= len(self.text):
+                raise ParseError("unbalanced '('", open_pos)
+            if self.text[self.pos] != ")":
+                self.error(f"expected ')' but found {self.text[self.pos]!r}")
+            self.pos += 1
+            return e
+        except ParseError as err:
+            if err.position >= len(self.text):
+                raise ParseError("unbalanced '('", open_pos) from None
+            raise
+
+    def parse_number(self) -> float:
+        t = self.text
+        start = self.pos
+        while self.pos < len(t) and t[self.pos].isdigit():
+            self.pos += 1
+        if self.pos < len(t) and t[self.pos] == ".":
+            self.pos += 1
+            while self.pos < len(t) and t[self.pos].isdigit():
+                self.pos += 1
+        if self.pos == start or t[start:self.pos] == ".":
+            self.error("expected a number", start)
+        if self.pos < len(t) and t[self.pos] in "eE":
+            mark = self.pos
+            self.pos += 1
+            if self.pos < len(t) and t[self.pos] in "+-":
+                self.pos += 1
+            if self.pos < len(t) and t[self.pos].isdigit():
+                while self.pos < len(t) and t[self.pos].isdigit():
+                    self.pos += 1
+            else:
+                self.pos = mark  # not scientific notation; 'e...' starts the next token
+        return float(t[start:self.pos])
+
+    def parse_ident(self) -> str:
+        t = self.text
+        start = self.pos
+        self.pos += 1
+        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
+            self.pos += 1
+        return t[start:self.pos]
+
+    def parse_exponent(self) -> Fraction:
+        self.skip_ws()
+        if self.peek() == "(":
+            open_pos = self.pos
+            self.pos += 1
+            r = self.parse_signed_rational(allow_slash=True)
+            self.skip_ws()
+            if self.pos >= len(self.text) or self.text[self.pos] != ")":
+                self.error("unbalanced '(' in exponent", open_pos)
+            self.pos += 1
+            return r
+        return self.parse_signed_rational(allow_slash=False)
+
+    def parse_signed_rational(self, allow_slash: bool) -> Fraction:
+        self.skip_ws()
+        sign = 1
+        if self.peek() in "+-":
+            if self.text[self.pos] == "-":
+                sign = -1
+            self.pos += 1
+        start = self.pos
+        num = self.parse_number()
+        if allow_slash and self.peek() == "/":
+            self.pos += 1
+            den = self.parse_number()
+            if den == 0:
+                self.error("zero denominator in exponent", start)
+            if num != int(num) or den != int(den):
+                self.error("rational exponent must use integers", start)
+            return Fraction(sign * int(num), int(den))
+        return sign * Fraction(num).limit_denominator(10**12) if num != int(num) else Fraction(sign * int(num))
+
+
+def reference_parse(text):
+    return _Parser(text).parse()

@@ -425,6 +425,34 @@ def test_commands_reject_options_they_would_ignore(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("entry", ["flow --hamiltonian", "verify --lambda", "config lambda.1",
+                                   "catalog wbar"])
+@pytest.mark.parametrize("text, message", [
+    # these raised IndexError, ValueError or OverflowError, or parsed 1e999 to inf
+    ("q1^", "expected a number (offset 3)"),
+    ("2^(", "expected a number (offset 3)"),
+    ("(x^", "unbalanced '(' (offset 0)"),
+    ("\u00b2", "unexpected character '\u00b2' (offset 0)"),
+    ("1e999", "number out of range (offset 0)"),
+    ("q1^1e999", "number out of range (offset 3)"),
+])
+def test_malformed_expression_is_config_error(tmp_path, capsys, entry, text, message):
+    path = tmp_path / "run.cfg"
+    verify = ["verify", "--suite", "structures", "--n", "1", "--points", "1"]
+    if entry == "config lambda.1":
+        path.write_text(f"lambda.1 = {json.dumps(text)}\n")
+    elif entry == "catalog wbar":
+        path.write_text(f'potential = "P"\ncoords = ["x"]\nwbar = {json.dumps(text)}\n'
+                        "domain = [[0.5, 2.0]]\n")
+        verify = ["verify", "--suite", "equilibrium", "--points", "2"]
+    argv = {"flow --hamiltonian": ["flow", "--hamiltonian", text, "--t", "0.1", "--steps", "2",
+                                   "--point", "1,2,3"],
+            "verify --lambda": [*verify, "--lambda", text],
+            "config lambda.1": [*verify, "--config", str(path)],
+            "catalog wbar": [*verify, "--catalog", str(path)]}[entry]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 class TestCurvatureCommand:
     def test_frozen_ricci(self, capsys):
         code, out, _ = _run(capsys, ["curvature", "--metric", "acs", "--n", "1",
@@ -475,6 +503,14 @@ class TestFlowCommand:
                                      "--point", "1,2,3"])
         assert code == 0
         assert "closed_form" not in json.loads(out)
+
+    def test_deeply_nested_hamiltonian(self, capsys):
+        # 1500 nested parentheses used to exhaust the recursive parser
+        argv = ["flow", "--t", "0.25", "--steps", "100", "--point", "1,2,3", "--hamiltonian"]
+        code, out, _ = _run(capsys, [*argv, "(" * 1500 + "q1*p1" + ")" * 1500])
+        assert code == 0
+        plain = json.loads(_run(capsys, [*argv, "q1*p1"])[1])
+        assert json.loads(out)["endpoint"] == plain["endpoint"]
 
     def test_parse_error_is_config_error(self, capsys):
         code, _, err = _run(capsys, ["flow", "--hamiltonian", "q1*(",

@@ -3,6 +3,7 @@
 import gc
 import math
 import pickle
+import re
 import weakref
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, random_expression
+from conftest import central_difference, random_expression, reference_parse
 from contactgeo import expr
 from contactgeo.expr import (EvalError, ParseError, differentiate, evaluate,
                              parse, to_string)
@@ -62,6 +63,42 @@ class TestParse:
 
     def test_whitespace(self):
         assert parse(" q1 * p1 ") == parse("q1*p1")
+
+    @pytest.mark.parametrize("text, message, position", [
+        # the first seven raised IndexError, ValueError or OverflowError, or parsed 1e999 to inf
+        ("q1^", "expected a number", 3),
+        ("2^(", "expected a number", 3),
+        ("(x^", "unbalanced '('", 0),
+        ("\u00b2", "unexpected character '\u00b2'", 0),
+        ("1e999", "number out of range", 0),
+        ("q1^1e999", "number out of range", 3),
+        ("q1^(1/1e999)", "number out of range", 6),
+        ("exp((x + 1)", "unbalanced '('", 3),  # the innermost open '('
+    ])
+    def test_error_message_and_offset(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.position) == (message, position)
+
+    def test_decimal_digits_of_any_script(self):
+        # float reads every Unicode decimal digit, and so does the number syntax
+        assert parse("\u0663.\u0665*x") is parse("3.5*x")
+
+    # these three raised RecursionError while the parser recursed
+    def test_deep_right_nested_difference_round_trips(self):
+        e = expr.var("x3000")
+        for i in reversed(range(3000)):
+            e = expr.sub(expr.var(f"x{i}"), e)
+        text = to_string(e)
+        assert text.count("(") == 2999
+        assert parse(text) is e
+
+    def test_nested_parentheses(self):
+        assert parse("(" * 5000 + "x" + ")" * 5000) is expr.var("x")
+
+    def test_prefix_minus_signs(self):
+        assert parse("-" * 5001 + "x") is expr.neg(expr.var("x"))
+        assert parse("-" * 5000 + "x") is expr.var("x")
 
 
 class TestDifferentiate:
@@ -468,3 +505,76 @@ def test_light_simplification_only():
     assert expr.power(q, 1) is q
     # but no deep canonicalization: q*p and p*q stay distinct trees
     assert parse("q1*p1") != parse("p1*q1")
+
+
+# the parser against the recursive-descent parser it replaced (conftest.reference_parse):
+# the same node for a text the reference parses, the same message and offset for a
+# text it rejects, and a ParseError where it crashed.  The one new error is an
+# overflowing literal: "number out of range" at its start.  The reference reads such
+# a literal to inf and may meet its own error later, which it blames on an earlier
+# '(' when that error is at the end of the input, or fold the inf away (1e999*0).
+
+_TOKENS = ["x", "q1", "p_2", "exp", "sinh", "2", "0", "1.5", "1e", "1e999", ".", "+", "-",
+           "*", "/", "^", "(", ")", "(-2/3)", " ", "\t"]
+# texts of the grammar, which random token strings seldom are: most parse
+_GRAMMAR_TEXTS = st.recursive(
+    st.sampled_from(["x", "q1", "p_2", "2", "0", "0.5", "3e2", "1e999"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", " - ", "*", "/"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["^2", "^-1", "^0.5", "^(-2/3)"])).map("".join),
+        st.tuples(st.sampled_from(["-", "(", "exp(", "log("]), inner).map(
+            lambda p: p[0] + p[1] + (")" if p[0].endswith("(") else ""))),
+    max_leaves=10)
+_LITERAL = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
+def _parsed(parse_text, text):
+    try:
+        return parse_text(text)
+    except ParseError as err:
+        return err.message, err.position
+
+
+def _finite(e):
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node.kind == "const" and not math.isfinite(node.value):
+            return False
+        stack.extend(node.args)
+    return True
+
+
+def _assert_parses_as_the_reference(text):
+    got = _parsed(parse, text)  # any other exception fails the test
+    assert isinstance(got, tuple) or _finite(got), text
+    try:
+        want = _parsed(reference_parse, text)
+    except (IndexError, ValueError, OverflowError):
+        assert isinstance(got, tuple), text
+        return
+    if isinstance(got, tuple) and got[0] == "number out of range":
+        literal = _LITERAL.match(text, got[1])
+        assert literal and math.isinf(float(literal[0])), text
+        if isinstance(want, tuple):
+            assert got[1] <= want[1] or want[0] == "unbalanced '('", (text, want)
+        return
+    assert got == want, text  # nodes compare by identity
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join))
+def test_parse_agrees_with_the_recursive_reference_on_token_strings(text):
+    _assert_parses_as_the_reference(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_GRAMMAR_TEXTS)
+def test_parse_agrees_with_the_recursive_reference_on_grammar_texts(text):
+    _assert_parses_as_the_reference(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(max_size=24))
+def test_parse_agrees_with_the_recursive_reference_on_any_text(text):
+    _assert_parses_as_the_reference(text)

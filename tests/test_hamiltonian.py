@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bindings
+from conftest import bindings, coframe
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
@@ -16,8 +16,8 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     rotation_flow, rotation_generator,
                                     scaling_flow, scaling_generator,
                                     scaling_map)
-from contactgeo.phase_space import (PhasePoint, PhaseSpace, coframe,
-                                    contact_form, frame, sample_points)
+from contactgeo.phase_space import (PhasePoint, PhaseSpace, contact_form, frame,
+                                    sample_points)
 
 SP1 = PhaseSpace(1)
 PT = SP1.point(1.0, [2.0], [3.0])

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import add_tensors, coframe, outer_02
 from contactgeo import expr
 from contactgeo.calculus import SingularMetricError, christoffel, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
@@ -13,8 +14,7 @@ from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
 from contactgeo.metrics import (MetricKind, associated_residual,
                                 compatibility_residual, metric_from_structure,
                                 pullback)
-from contactgeo.phase_space import (PhaseSpace, TensorField, add_tensors,
-                                    coframe, contact_form, frame, outer_02,
+from contactgeo.phase_space import (PhaseSpace, TensorField, contact_form, frame,
                                     sample_points)
 from contactgeo.structures import StructureKind, build_structure, product_lambda
 from contactgeo.tables import lie_derivative_closed_form

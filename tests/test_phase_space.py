@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import coframe, outer_02
 from contactgeo import expr
 from contactgeo.calculus import lie_bracket
-from contactgeo.phase_space import (PhasePoint, PhaseSpace, TensorField,
-                                    coframe, contact_form, d_eta, frame,
-                                    outer_02, outer_11, sample_points)
+from contactgeo.phase_space import (PhasePoint, PhaseSpace, TensorField, contact_form,
+                                    d_eta, frame, outer_11, sample_points)
 
 
 @pytest.fixture

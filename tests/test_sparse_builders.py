@@ -4,13 +4,16 @@
 ``ricci_symbolic`` and ``metric_from_structure`` build a product only when no
 factor is structurally zero and a derivative only for a free variable.  Nodes
 are interned, so each component must be the very node the dense sum builds.
+Table 1's closed forms, written as one coefficient row per conjugate pair, are
+held to the sums of scaled coframe products they replace in the same way.
 """
 
 import numpy as np
 import pytest
 
-from conftest import (dense_christoffel_symbolic, dense_directional_derivative,
-                      dense_lie_derivative, dense_metric_sum, dense_ricci_symbolic)
+from conftest import (composed_lie_derivative_closed_form, dense_christoffel_symbolic,
+                      dense_directional_derivative, dense_lie_derivative, dense_metric_sum,
+                      dense_ricci_symbolic)
 from contactgeo import metrics
 from contactgeo.calculus import (christoffel_symbolic, directional_derivative,
                                  lie_derivative, ricci_symbolic)
@@ -19,7 +22,9 @@ from contactgeo.hamiltonian import (hamiltonian_vector_field,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import PhaseSpace, contact_form, d_eta, frame
-from contactgeo.structures import StructureKind, build_structure, product_lambda
+from contactgeo.structures import (LambdaFamily, StructureKind, build_structure,
+                                   product_lambda)
+from contactgeo.tables import lie_derivative_closed_form
 
 NS = (1, 2, 3)
 
@@ -88,3 +93,20 @@ def test_christoffel_and_ricci(kind, n):
     dense_gamma = dense_christoffel_symbolic(metric)
     _assert_same_nodes(gamma, dense_gamma)
     _assert_same_nodes(ricci_symbolic(metric), dense_ricci_symbolic(space, dense_gamma))
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("kind", list(MetricKind))
+def test_table1_rows(kind, n):
+    space = PhaseSpace(n)
+    # invariant, non-invariant, constant (whose rates fold to zero) and mixed families
+    families = [product_lambda(n), product_lambda(n, power=2),
+                LambdaFamily.of([str(a + 2) for a in range(n)]),
+                LambdaFamily.of([f"w*q{a} + p{a}^2" for a in range(1, n + 1)])]
+    cases = [("scaling", None)] + [("rotation", m) for m in range(1, n + 1)]
+    for lam in families if kind.value.startswith("lambda") else [None]:
+        for generator, m in cases:
+            got = lie_derivative_closed_form(space, kind, generator, m=m, lam=lam)
+            want = composed_lie_derivative_closed_form(space, kind, generator, m=m, lam=lam)
+            assert got.valence == want.valence == (0, 2)
+            _assert_same_nodes(got.comps, want.comps)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import add_tensors, coframe, scale_tensor
 from contactgeo import expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.expr import EvalError
 from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
                                     rotation_generator, scaling_generator)
-from contactgeo.phase_space import (PhaseSpace, add_tensors, coframe,
-                                    contact_form, frame, outer_11,
-                                    sample_points, scale_tensor)
+from contactgeo.phase_space import (PhaseSpace, contact_form, frame, outer_11,
+                                    sample_points)
 from contactgeo.structures import (LambdaFamily, StructureKind,
                                    build_structure,
                                    check_structure_identities,
