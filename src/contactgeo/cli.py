@@ -26,7 +26,7 @@ from ._config import parse_flat, typed
 from .calculus import lie_bracket, lie_derivative
 from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commutator,
                           hamiltonian_vector_field, integrate_flow,
-                          legendre_map, partial_legendre,
+                          legendre_map, legendre_rows,
                           random_polynomial_hamiltonian, rotation_flow,
                           rotation_generator, scaling_flow, scaling_generator,
                           scaling_map)
@@ -175,9 +175,9 @@ class Check:
     """One verification check, declared as data.
 
     ``residuals(cfg, rng)`` yields one residual per case the record counts: a
-    number, an array, or a tuple of them.  ``_run_check`` reduces each case to
-    its largest absolute value and the cases with ``max`` (``min`` for
-    ``mode="min"``).
+    number, an array, or a tuple of them; or a :class:`Cases` block of many
+    cases.  ``_run_check`` reduces each case to its largest absolute value and
+    the cases with ``max`` (``min`` for ``mode="min"``).
     """
 
     id: str
@@ -187,8 +187,28 @@ class Check:
     mode: str = "max"
 
 
+class Cases(tuple):
+    """A block of cases, yielded as one: ``Cases(a, b)`` holds ``len(a)`` cases,
+    case ``j`` being ``(a[j], b[j])``.  Only this marker makes a block: an
+    array yielded alone is one case, whatever its shape."""
+
+    def __new__(cls, *parts):
+        return super().__new__(cls, parts)
+
+
 def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
+
+
+def _worst(case) -> list[float]:
+    """The largest absolute value of each case in ``case``, NaN where a case
+    holds a non-finite value."""
+    if isinstance(case, Cases):
+        # np.max propagates NaN, so a row is finite only if all its values are
+        return np.max([np.abs(x).reshape(len(x), -1).max(axis=1) for x in case],
+                      axis=0).tolist()
+    parts = [_max_abs(x) for x in (case if isinstance(case, tuple) else (case,))]
+    return [max(parts) if all(map(math.isfinite, parts)) else math.nan]
 
 
 def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
@@ -196,10 +216,11 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
     t0 = time.perf_counter()
     worst = []
     for case in check.residuals(cfg, cfg.rng(check.id)):
-        parts = [_max_abs(x) for x in (case if isinstance(case, tuple) else (case,))]
-        if not all(map(math.isfinite, parts)):
-            raise expr.EvalError(f"check {check.id}: non-finite residual in case {len(worst) + 1}")
-        worst.append(max(parts))
+        rows = _worst(case)
+        if not all(map(math.isfinite, rows)):
+            first = next(k for k, v in enumerate(rows, len(worst) + 1) if not math.isfinite(v))
+            raise expr.EvalError(f"check {check.id}: non-finite residual in case {first}")
+        worst += rows
     reduce = min if check.mode == "min" else max
     return CheckRecord(check.id, check.anchor, reduce(worst), check.tolerance, len(worst),
                        check.mode, time.perf_counter() - t0)
@@ -208,6 +229,11 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
 def _subsets(n: int) -> list[IndexSubset]:
     return [IndexSubset.of(c) for r in range(1, n + 1)
             for c in itertools.combinations(range(1, n + 1), r)]
+
+
+def _subset_masks(n: int) -> np.ndarray:
+    """The membership rows of ``_subsets(n)``, in its order (by size)."""
+    return np.array([I.mask(n) for I in _subsets(n)])
 
 
 def _heisenberg_commutators(cfg, rng):
@@ -290,13 +316,13 @@ def _flows_legendre_order(cfg, rng):
     pts = [PhasePoint(1.0, (2.0,) * cfg.n, (3.0,) * cfg.n)]
     pts += [PhasePoint.from_array(rng.integers(-9, 10, size=2 * cfg.n + 1).astype(float))
             for _ in range(20)]
-    subsets = _subsets(cfg.n)
-    for pt in pts:
-        for I in subsets:
-            image = pt
-            for _ in range(4):
-                image = partial_legendre(I, image)
-            yield image.as_array() - pt.as_array()
+    masks = _subset_masks(cfg.n)
+    for pt in pts:  # one block per point, its cases in subset order
+        start = np.tile(pt.values, (len(masks), 1))
+        image = start
+        for _ in range(4):
+            image = legendre_rows(masks, image)
+        yield Cases(image - start)
 
 
 def _flows_eta_preserved(cfg, rng):
@@ -382,12 +408,19 @@ def _legendre_even_control(cfg, rng):
 
 def _legendre_conditions(cfg, rng):
     space = PhaseSpace(cfg.n)
-    pts = sample_points(space, rng, cfg.points)
+    pts = np.array([pt.values for pt in sample_points(space, rng, cfg.points)])
+    masks = _subset_masks(space.n)
+    sizes = masks.sum(axis=1)
     for power in (1, 3):
         lam = product_lambda(space.n, power=power)
-        for I in _subsets(space.n):
-            for pt in pts:
-                yield lambda_legendre_residual(space, lam, I, pt)
+        here = lam.tape.run_batch(pts)
+        # cases in (I, point) order, one block per subset size: all 255 index sets
+        # of n = 8 in one block would hold 12,750 rows at once
+        for r in range(1, space.n + 1):
+            block = masks[sizes == r]
+            yield Cases(lambda_legendre_residual(
+                lam, np.repeat(block, len(pts), axis=0), np.tile(pts, (len(block), 1)),
+                np.tile(here, len(block))))
 
 
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
@@ -558,6 +591,8 @@ def run_suite(config: RunConfig) -> Report:
     """Run the selected verification suites and collect one record per check."""
     if config.suite != "all" and config.suite not in _CHECKS:
         raise ConfigError(f"unknown suite {config.suite!r}")
+    if config.n < 1:
+        raise ConfigError(f"n={config.n} must be at least 1")
     if not 1 <= config.m <= config.n:
         raise ConfigError(f"m={config.m} must satisfy 1 <= m <= n={config.n}")
     if config.points < 1:

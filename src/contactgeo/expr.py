@@ -17,7 +17,8 @@ Grammar accepted by :func:`parse`::
 Identifiers are ``[A-Za-z][A-Za-z0-9_]*``.  A number is a decimal literal such
 as ``2``, ``.5`` or ``1.5e-3`` that is finite as a float; ``1e999`` is an error.
 Exponents are stored as exact ``fractions.Fraction`` values so that e.g.
-``V^(-2/3)`` differentiates cleanly.  The parser is one loop over an explicit
+``V^(-2/3)`` differentiates cleanly; a decimal exponent is the rational its
+digits spell (``1e-13`` is 1/10^13).  The parser is one loop over an explicit
 stack, so nesting has no depth limit; an error at the end of the input is
 reported at the innermost ``(`` still open.
 Only light simplification is performed at construction time (constant folding
@@ -30,18 +31,23 @@ work dies with the node.  :func:`compile` orders the unique nodes of some
 expressions into a :class:`Tape` once, equal subtrees sharing a slot;
 ``Tape.run`` then evaluates each node once per point without recursion, by
 interpreting the tape at first and through a generated Python function once
-the tape has run often.  A tape is compiled against a coordinate order and
-reads a point as the sequence of its coordinate values, in that order.
+the tape has run often; ``Tape.run_batch`` evaluates it at many points at
+once, one numpy operation per instruction.  A tape is compiled against a
+coordinate order and reads a point as the sequence of its coordinate values,
+in that order.
 """
 
 from __future__ import annotations
 
 import builtins
+import itertools
 import math
 import re
 from collections import namedtuple
 from fractions import Fraction
 from weakref import WeakValueDictionary
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -502,6 +508,21 @@ def _generate(template: list, code: list, outputs: list, arity: int):
     return kernel
 
 
+def _powi_value(x: float, e: float) -> float:
+    return math.pow(x, e) if x != 0.0 else _zero_power(e)
+
+
+_FUNCTION = {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}
+
+
+def _mapped(f, x, *data):
+    """``f(value, *data)`` for a constant slot, or for each value of a column as
+    a column: the scalar tier's own call, so the bits are its bits."""
+    if not isinstance(x, np.ndarray):
+        return f(x, *data)
+    return np.array(list(map(f, x.tolist(), *map(itertools.repeat, data))), dtype=float)
+
+
 class Tape:
     """Straight-line program over the unique nodes of some expressions.
 
@@ -519,6 +540,15 @@ class Tape:
     interpreted runs save, so only a tape that runs often repays it.  Both tiers
     do the same operations in the same order, so they return bit-identical
     values and raise the same first :class:`EvalError`.
+
+    :meth:`run_batch` runs the same list over many points at once, one
+    instruction at a time over a column of values.  Arithmetic and negation
+    are numpy operations, which round as the scalar ones do; powers and the
+    functions apply the scalar tier's own ``math`` calls to each value of the
+    column, since numpy's differ from them in the last bit.  Its values are
+    therefore those of ``run`` at each point, bit for bit, and a batch in
+    which any point fails is re-run point by point, so it raises the scalar
+    tier's error.
     """
 
     __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel")
@@ -552,6 +582,57 @@ class Tape:
             kernel = self._kernel = _generate(self._template, self._code, self._outputs,
                                               self._arity)
         return kernel(point)
+
+    def run_batch(self, rows) -> np.ndarray:
+        """Values of the compiled expressions at each row of ``rows``.
+
+        ``rows`` is a ``(k, arity)`` array, one point per row in the coordinate
+        order; another shape raises :class:`EvalError`.  Row ``j`` of the
+        ``(outputs, k)`` result holds output ``j`` at the k points, each equal
+        bit for bit to what :meth:`run` returns at that point.  If any point
+        fails, the rows are run in order through :meth:`run`, so the error
+        raised is that of the first failing point.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != self._arity:
+            raise EvalError(f"expected rows of {self._arity} coordinate values, "
+                            f"got an array of shape {rows.shape}")
+        v = self._template.copy()  # a constant stays a float, broadcast by numpy
+        try:
+            with np.errstate(all="ignore"):
+                for op, dst, a, b in self._code:
+                    if op == _MUL:
+                        v[dst] = v[a] * v[b]
+                    elif op == _VAR:
+                        v[dst] = rows[:, a]
+                    elif op == _ADD:
+                        v[dst] = v[a] + v[b]
+                    elif op == _POWI:
+                        v[dst] = _mapped(_powi_value, v[a], b)
+                    elif op == _NEG:
+                        v[dst] = -v[a]
+                    elif op == _SUB:
+                        v[dst] = v[a] - v[b]
+                    elif op == _NONZERO:
+                        if np.any(v[a] == 0.0):
+                            raise EvalError("division by zero")
+                    elif op == _DIV:
+                        v[dst] = v[a] / v[b]
+                    elif op == _POW:
+                        v[dst] = _mapped(_pow_value, v[a], *b)
+                    elif op == _LOG:
+                        if np.any(v[a] <= 0.0):
+                            raise EvalError("log of a non-positive value")
+                        v[dst] = _mapped(math.log, v[a])
+                    else:
+                        v[dst] = _mapped(_FUNCTION[op], v[a])
+        except (EvalError, ArithmeticError, ValueError):
+            values = [self.run(point) for point in rows.tolist()]
+            return np.array(values, dtype=float).reshape(len(rows), len(self._outputs)).T
+        out = np.empty((len(self._outputs), len(rows)))
+        for j, s in enumerate(self._outputs):
+            out[j] = v[s]
+        return out
 
     def _interpret(self, point) -> list:
         if len(point) != self._arity:
@@ -694,7 +775,7 @@ class _Parser:
                     self.pos += 1
                     continue
                 if c == "." or c.isdecimal():
-                    e = const(self.parse_number())
+                    e = const(float(self.parse_literal()))
                 elif c.isalpha():
                     start = self.pos
                     name = self.parse_ident()
@@ -741,15 +822,15 @@ class _Parser:
                 raise ParseError("unbalanced '('", opened[-1]) from None
             raise
 
-    def parse_number(self) -> float:
+    def parse_literal(self) -> str:
+        """The text of a decimal literal that is finite as a float."""
         match = _NUMBER.match(self.text, self.pos)
         if match[1] in ("", "."):
             self.error("expected a number")
-        value = float(match[0])
-        if not math.isfinite(value):
+        if not math.isfinite(float(match[0])):
             self.error("number out of range")
         self.pos = match.end()
-        return value
+        return match[0]
 
     def parse_ident(self) -> str:
         t = self.text
@@ -776,16 +857,29 @@ class _Parser:
         if c in ("+", "-"):
             self.pos += 1
         start = self.pos
-        num = self.parse_number()
+        r = self.exact(self.parse_literal(), start)
         if allow_slash and self.peek() == "/":
             self.pos += 1
-            den = self.parse_number()
+            den = self.exact(self.parse_literal(), start)
             if den == 0:
                 self.error("zero denominator in exponent", start)
-            if num != int(num) or den != int(den):
+            if r.denominator != 1 or den.denominator != 1:
                 self.error("rational exponent must use integers", start)
-            return Fraction(sign * int(num), int(den))
-        return sign * Fraction(num).limit_denominator(10**12) if num != int(num) else Fraction(sign * int(num))
+            r /= den
+        return sign * r
+
+    def exact(self, literal: str, start: int) -> Fraction:
+        """The rational a decimal literal spells, digit for digit: ``1e-13`` is
+        1/10^13, never rounded to a nearby fraction or to zero."""
+        if float(literal) == 0.0:
+            # a zero literal is 0; a non-zero digit here means the value underflows
+            if any(d != "." and int(d) for d in _NUMBER.match(literal)[1]):
+                self.error("exponent out of range", start)
+            return Fraction(0)
+        try:
+            return Fraction(literal)
+        except ValueError:  # more digits than int() converts
+            self.error("exponent out of range", start)
 
 
 def parse(text: str) -> Expr:

@@ -35,6 +35,7 @@ __all__ = [
     "rotation_flow",
     "scaling_flow",
     "partial_legendre",
+    "legendre_rows",
     "integrate_flow",
     "generator_commutator",
     "closed_form_commutator",
@@ -68,6 +69,13 @@ class IndexSubset:
             raise ValueError("index subset must be non-empty")
         if any(i > n for i in self.indices):
             raise ValueError(f"index out of range for n={n}")
+
+    def mask(self, n: int) -> np.ndarray:
+        """Membership of the indices 1..n, as the boolean row :func:`legendre_rows` takes."""
+        self.validate(n)
+        mask = np.zeros(n, dtype=bool)
+        mask[[i - 1 for i in self.indices]] = True
+        return mask
 
     def __iter__(self):
         return iter(self.indices)
@@ -143,17 +151,38 @@ def partial_legendre(I: IndexSubset, x: PhasePoint) -> PhasePoint:
 
     ``w -> w - sum_{i in I} q^i p_i`` and ``(q^i, p_i) -> (-p_i, q^i)`` for
     ``i in I``; identity elsewhere.  Equals ``rotation_flow(pi/2, I, x)`` up to
-    roundoff, but is computed with exact arithmetic on the coordinates.
+    roundoff, but is computed with exact arithmetic on the coordinates.  This
+    is the one-row case of :func:`legendre_rows`.
     """
-    I.validate(x.n)
-    q = list(x.q)
-    p = list(x.p)
-    w = x.w
-    for i in I:
-        w -= x.q[i - 1] * x.p[i - 1]
-        q[i - 1] = -x.p[i - 1]
-        p[i - 1] = x.q[i - 1]
-    return PhasePoint(w, tuple(q), tuple(p))
+    (values,) = legendre_rows(I.mask(x.n)[None, :], [x.values]).tolist()
+    return PhasePoint(values[0], tuple(values[1:x.n + 1]), tuple(values[x.n + 1:]))
+
+
+def legendre_rows(mask, rows) -> np.ndarray:
+    """The partial Legendre map of each row of ``rows``, on the indices its row
+    of ``mask`` selects.
+
+    ``rows`` is a ``(k, 2n+1)`` array of points ``(w, q1..qn, p1..pn)`` and
+    ``mask`` a ``(k, n)`` boolean array.  Each row's ``w`` takes ``- q^i p_i``
+    for its selected ``i`` in increasing ``i``, from the original ``q`` and
+    ``p``, and an unselected ``i`` subtracts ``+0.0``, which leaves every float
+    as it is; so a row is bit for bit the scalar map of that point.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    rows = np.asarray(rows, dtype=float)
+    k, n = mask.shape
+    if rows.shape != (k, 2 * n + 1):
+        raise ValueError(f"expected {k} rows of {2 * n + 1} coordinates, got shape {rows.shape}")
+    q, p = rows[:, 1:n + 1], rows[:, n + 1:]
+    qp = q * p
+    out = np.empty_like(rows)
+    w = rows[:, 0]
+    for i in range(n):
+        w = w - np.where(mask[:, i], qp[:, i], 0.0)
+    out[:, 0] = w
+    out[:, 1:n + 1] = np.where(mask, -p, q)
+    out[:, n + 1:] = np.where(mask, q, p)
+    return out
 
 
 def integrate_flow(X: TensorField, x: PhasePoint, t: float, steps: int) -> PhasePoint:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .hamiltonian import IndexSubset, partial_legendre
+from .hamiltonian import legendre_rows
 from .phase_space import (PhasePoint, PhaseSpace, TensorField, _obj, contact_form, frame,
                           outer_11)
 
@@ -213,19 +213,19 @@ def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,
     return np.array(lam.scaling_tape.run(point.values))
 
 
-def lambda_legendre_residual(space: PhaseSpace, lam: LambdaFamily, I: IndexSubset,
-                             point: PhasePoint) -> np.ndarray:
-    """Per-index residual of the finite Legendre-invariance conditions.
+def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here=None) -> np.ndarray:
+    """Per-index residuals of the finite Legendre-invariance conditions, one row
+    per point.
 
-    Under the partial Legendre map on ``I`` the family must flip sign on the
-    transformed indices and be unchanged on the rest:
-    ``L_i(Phi x) = -L_i(x)`` for ``i in I`` and ``L_a(Phi x) = L_a(x)`` otherwise.
+    Row ``j`` of the ``(k, 2n+1)`` array ``rows`` is a point ``x`` and row ``j``
+    of the ``(k, n)`` boolean ``mask`` the index set ``I`` of the partial
+    Legendre map ``Phi`` (see :func:`legendre_rows`).  The family must flip
+    sign on the transformed indices and be unchanged on the rest:
+    ``L_i(Phi x) = -L_i(x)`` for ``i in I`` and ``L_a(Phi x) = L_a(x)``
+    otherwise.  ``here`` is ``L(x)`` as ``lam.tape.run_batch(rows)`` gives it,
+    when the caller already has it.  Returns a ``(k, n)`` array.
     """
-    I.validate(space.n)
-    image = partial_legendre(I, point)
-    here = lam.tape.run(point.values)
-    there = lam.tape.run(image.values)
-    out = np.empty(space.n)
-    for a, (h, t) in enumerate(zip(here, there), start=1):
-        out[a - 1] = t + h if a in I else t - h
-    return out
+    if here is None:
+        here = lam.tape.run_batch(rows)
+    there = lam.tape.run_batch(legendre_rows(mask, rows))
+    return np.where(mask, (there + here).T, (there - here).T)

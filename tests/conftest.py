@@ -1,6 +1,8 @@
 """Shared test helpers: random expression trees, test metrics, tensor algebra and
 independent oracles."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,18 @@ from contactgeo.structures import LambdaFamily, _reciprocal
 def bindings(point):
     """The name-keyed mapping that ``expr.evaluate`` reads, for a phase point."""
     return dict(zip(PhaseSpace(point.n).coord_names(), point.values))
+
+
+def partial_legendre_scalar(I, x):
+    """The partial Legendre map as it was computed before it took rows: one point,
+    Python floats, ``w -= q_i p_i`` in increasing ``i`` from the original ``q`` and
+    ``p``.  The oracle of ``hamiltonian.legendre_rows``."""
+    q, p, w = list(x.q), list(x.p), x.w
+    for i in I:
+        w -= x.q[i - 1] * x.p[i - 1]
+        q[i - 1] = -x.p[i - 1]
+        p[i - 1] = x.q[i - 1]
+    return PhasePoint(w, tuple(q), tuple(p))
 
 
 def metric_from_components(space, comps, inverse=None, label="custom"):
@@ -380,7 +394,9 @@ def composed_lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, gen
 
 # the recursive-descent parser as it was before parsing became one loop over an
 # explicit stack: the oracle of the differential parse test.  It recurses once
-# per nesting level and crashes on some malformed input.
+# per nesting level and crashes on some malformed input.  It reads an exponent
+# literal as the exact decimal it spells (through decimal.Decimal), as parse
+# does, where it once rounded it to a fraction of denominator at most 10^12.
 
 class _Parser:
     def __init__(self, text: str):
@@ -534,16 +550,28 @@ class _Parser:
                 sign = -1
             self.pos += 1
         start = self.pos
-        num = self.parse_number()
+        num = self.exact_number(start)
         if allow_slash and self.peek() == "/":
             self.pos += 1
-            den = self.parse_number()
+            den = self.exact_number(start)
             if den == 0:
                 self.error("zero denominator in exponent", start)
-            if num != int(num) or den != int(den):
+            if num.denominator != 1 or den.denominator != 1:
                 self.error("rational exponent must use integers", start)
-            return Fraction(sign * int(num), int(den))
-        return sign * Fraction(num).limit_denominator(10**12) if num != int(num) else Fraction(sign * int(num))
+            return sign * num / den
+        return sign * num
+
+    def exact_number(self, start: int) -> Fraction:
+        begin = self.pos
+        value = self.parse_number()
+        if math.isinf(value):
+            raise OverflowError("cannot convert Infinity to integer ratio")  # as Fraction(inf)
+        exact = Decimal(self.text[begin:self.pos])
+        if value != 0.0:
+            return Fraction(exact)
+        if exact != 0:  # a non-zero literal that underflows
+            self.error("exponent out of range", start)
+        return Fraction(0)
 
 
 def reference_parse(text):

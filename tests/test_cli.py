@@ -50,10 +50,10 @@ class TestVerify:
             assert "wall" not in " ".join(record)  # timing never serialized
 
     @staticmethod
-    def _assert_golden(capsys, n):
+    def _assert_golden(capsys, n, suite="all"):
         # byte for byte: a refactor that changes the report must say which bytes and why
-        golden = GOLDEN / f"verify_all_n{n}_seed7.jsonl"
-        code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", str(n), "--seed", "7"])
+        golden = GOLDEN / f"verify_{suite}_n{n}_seed7.jsonl"
+        code, out, _ = _run(capsys, ["verify", "--suite", suite, "--n", str(n), "--seed", "7"])
         assert code == 0
         assert out.encode("utf-8") == golden.read_bytes()
 
@@ -63,6 +63,11 @@ class TestVerify:
     def test_golden_report_n4(self, capsys):
         # the symbolic sums grow as dim^3 and dim^4, so n = 2 alone barely exercises them
         self._assert_golden(capsys, 4)
+
+    @pytest.mark.parametrize("suite", ["legendre", "flows"])
+    def test_golden_report_n8_subset_sweeps(self, capsys, suite):
+        # the index-set sweeps reach all 255 sets at n = 8, but only 3 and 15 at n = 2 and 4
+        self._assert_golden(capsys, 8, suite)
 
     def test_report_sweep_prints_exit_code_and_digest(self, capsys):
         # the sweep compares two checkouts; its line must be the run's own code and bytes
@@ -149,6 +154,12 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: check structures.lambda: non-finite residual in case 1\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_is_config_error(self, capsys, n):
+        # n is checked before m, whose range it bounds
+        code, out, err = _run(capsys, ["verify", "--n", n])
+        assert (code, out, err) == (2, "", f"error: n={n} must be at least 1\n")
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_points_below_one_is_config_error(self, capsys, points):
@@ -356,6 +367,41 @@ class TestRunSuiteApi:
         with pytest.raises(EvalError, match="check demo.nan: non-finite residual in case 2"):
             cli._run_check(check, RunConfig())
 
+    @staticmethod
+    def _block_and_rows(block_parts, mode="max"):
+        """The records of a check yielding ``Cases(*block_parts)`` between two single
+        cases, and of one yielding the same rows one by one."""
+        rows = list(zip(*block_parts))
+        blocked = cli.Check("demo.block", "a", 1.0, lambda cfg, rng: [
+            0.25, cli.Cases(*block_parts), (0.5, np.array([0.1]))], mode)
+        single = cli.Check("demo.block", "a", 1.0, lambda cfg, rng: [
+            0.25, *rows, (0.5, np.array([0.1]))], mode)
+        return [cli._run_check(check, RunConfig()) for check in (blocked, single)]
+
+    @pytest.mark.parametrize("mode", ["max", "min"])
+    def test_a_block_reduces_as_its_rows_one_by_one(self, mode):
+        rng = np.random.default_rng(4)
+        parts = (rng.standard_normal((6, 3, 2)), rng.standard_normal(6) * 3.0)
+        blocked, single = self._block_and_rows(parts, mode)
+        assert blocked.to_record() == single.to_record()
+        assert blocked.points == 8
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", [0, 3, 5])
+    def test_a_non_finite_row_of_a_block_names_its_case(self, bad, row):
+        parts = (np.ones((6, 4)), np.zeros(6))
+        parts[0][row, 2] = bad
+        for check in (lambda cfg, rng: [0.25, cli.Cases(*parts)],
+                      lambda cfg, rng: [0.25, *zip(*parts)]):
+            with pytest.raises(EvalError) as err:
+                cli._run_check(cli.Check("demo.nan", "a", 1.0, check), RunConfig())
+            assert str(err.value) == f"check demo.nan: non-finite residual in case {row + 2}"
+
+    def test_an_array_yielded_alone_is_one_case(self):
+        # only the Cases marker makes a block, never an array's shape
+        check = cli.Check("demo.one", "a", 1.0, lambda cfg, rng: [np.full((6, 4), 0.5)])
+        assert cli._run_check(check, RunConfig()).points == 1
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(cli.ConfigError):
             run_suite(RunConfig(suite="bogus"))
@@ -503,6 +549,15 @@ class TestFlowCommand:
                                      "--point", "1,2,3"])
         assert code == 0
         assert "closed_form" not in json.loads(out)
+
+    def test_small_decimal_exponent_is_not_rounded_away(self, capsys):
+        # q1^1e-13 once parsed as the constant 1, so p stayed 3 and w grew as for H = 1
+        argv = ["flow", "--t", "0.1", "--steps", "2", "--point", "1,2,3", "--hamiltonian"]
+        code, out, _ = _run(capsys, [*argv, "q1^1e-13"])
+        assert code == 0
+        w, q, p = json.loads(out)["endpoint"]
+        assert q == 2.0 and p > 3.0
+        assert json.loads(_run(capsys, [*argv, "1"])[1])["endpoint"] != [w, q, p]
 
     def test_deeply_nested_hamiltonian(self, capsys):
         # 1500 nested parentheses used to exhaust the recursive parser

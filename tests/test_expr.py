@@ -339,6 +339,103 @@ class TestPositional:
         assert tape.run([-0.0]) == [0.0]
 
 
+# values that reach every rule of the scalar tier: zeros of both signs (a divisor,
+# a zero base, log), negative bases (roots, log), and magnitudes that overflow pow
+# and exp or make an infinity that sin and cos reject
+_BATCH_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -8.0, 800.0, 1e200, -1e200]),
+                         st.floats(-3.0, 3.0))
+_BATCH_COORDS = ("x", "y", "z")
+
+
+def _batch_trees(seed):
+    rng = np.random.default_rng(seed)
+    x, y, z = map(expr.var, _BATCH_COORDS)
+    trees = [random_expression(rng, list(_BATCH_COORDS), depth=3) for _ in range(3)]
+    return trees + [expr.power(x, 3), expr.power(y, -2), expr.power(x, Fraction(1, 3)),
+                    expr.power(y, Fraction(2, 3)), expr.power(z, Fraction(1, 2)),
+                    expr.exp(y), expr.log(z), expr.sin(x * y), expr.cos(z * z), x / y]
+
+
+def _row_outcome(tape, row):
+    """``tape.run(row)`` as hex strings, so 0.0 and -0.0 differ, or its error."""
+    try:
+        return [v.hex() for v in tape.run(row)]
+    except (EvalError, ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestRunBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), hot=st.booleans(),
+           rows=st.lists(st.tuples(_BATCH_VALUE, _BATCH_VALUE, _BATCH_VALUE),
+                         min_size=1, max_size=6))
+    def test_equals_run_row_by_row_bit_for_bit(self, seed, hot, rows):
+        trees = _batch_trees(seed)
+        # each tree alone, where most rows succeed, and all trees in one tape
+        tapes = [expr.compile([t], _BATCH_COORDS) for t in trees]
+        tapes.append(expr.compile(trees, _BATCH_COORDS))
+        for tape in tapes:
+            if hot:
+                _heat(tape, [0.5, 0.5, 0.5])
+            want = [_row_outcome(tape, list(row)) for row in rows]
+            failed = [w for w in want if isinstance(w, tuple)]
+            try:
+                got = tape.run_batch(np.array(rows))
+            except (EvalError, ArithmeticError, ValueError) as err:
+                assert failed and (type(err), str(err)) == failed[0]
+            else:
+                assert not failed
+                assert [[v.hex() for v in row] for row in got.T.tolist()] == want
+
+    def test_first_failing_row_decides_the_error(self):
+        # the batch meets row 3's zero divisor first; row by row, row 2's log fails first
+        tape = expr.compile([parse("1/y"), parse("log(x)")], ("x", "y"))
+        with pytest.raises(EvalError, match="log of a non-positive value"):
+            tape.run_batch([[1.0, 1.0], [-1.0, 1.0], [1.0, 0.0]])
+        assert tape.run_batch([[1.0, 4.0], [math.e, 0.5]]).tolist() == [[0.25, 2.0], [0.0, 1.0]]
+
+    def test_constant_and_variable_outputs_fill_their_rows(self):
+        tape = expr.compile([expr.ONE, expr.var("w"), expr.exp(expr.const(2.0))], ("w", "q1"))
+        got = tape.run_batch([[3.0, 4.0], [5.0, 6.0]])
+        assert got.tolist() == [[1.0, 1.0], [3.0, 5.0], [math.exp(2.0)] * 2]
+        assert tape.run_batch(np.zeros((0, 2))).shape == (3, 0)
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 2)), np.zeros((2, 4)), np.zeros(3),
+                                      np.zeros((1, 1, 3))])
+    def test_rows_of_another_shape(self, rows):
+        tape = expr.compile([parse("q1*p1 + w")], ("w", "q1", "p1"))
+        with pytest.raises(EvalError, match="expected rows of 3 coordinate values"):
+            tape.run_batch(rows)
+
+
+class TestExactExponents:
+    def test_small_decimal_exponent_is_kept_exactly(self):
+        # it was rounded to the nearest fraction of denominator <= 10^12: 0, so q1^1e-13 was 1
+        e = parse("q1^1e-13")
+        assert e.kind == "pow" and e.exponent == Fraction(1, 10**13)
+        assert parse("q1^0.1e-300").exponent == Fraction(1, 10**301)
+
+    def test_short_decimals_read_as_before(self):
+        assert parse("q1^0.5").exponent == Fraction(1, 2)
+        assert parse("q1^0.1").exponent == Fraction(1, 10)
+        assert parse("q1^-2.5").exponent == Fraction(-5, 2)
+        assert parse("q1^(2.0/4)").exponent == Fraction(1, 2)
+        assert parse("q1^0e-99999999") is expr.ONE
+
+    @pytest.mark.parametrize("text, position", [
+        ("q1^1e-400", 3), ("q1^-0.1e-99999999", 4), ("q1^(1/1e-400)", 4),
+        pytest.param("q1^1" + "0" * 5000 + "e-5000", 3, id="more digits than int() converts"),
+    ])
+    def test_exponent_beyond_float_range_is_an_error(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.position) == ("exponent out of range", position)
+
+    def test_rational_exponent_must_still_use_integers(self):
+        with pytest.raises(ParseError, match="rational exponent must use integers"):
+            parse("q1^(1.5/2)")
+
+
 class TestHash:
     def test_equal_trees_built_apart(self):
         a, b = parse("q1*p1 + sin(w)"), parse("q1*p1 + sin(w)")

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bindings, coframe
+from conftest import bindings, coframe, partial_legendre_scalar
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     generator_commutator,
                                     hamiltonian_vector_field, integrate_flow,
-                                    legendre_map, partial_legendre,
+                                    legendre_map, legendre_rows, partial_legendre,
                                     random_polynomial_hamiltonian,
                                     rotation_flow, rotation_generator,
                                     scaling_flow, scaling_generator,
@@ -150,6 +150,40 @@ class TestPartialLegendre:
                 for _ in range(4):
                     x = partial_legendre(I, x)
                 assert x == pt
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_equal_the_scalar_map_bit_for_bit(self, n):
+        # random masks, the empty one included, on integer and on float points
+        rng = np.random.default_rng(200 + n)
+        ints = rng.integers(-9, 10, size=(30, 2 * n + 1)).astype(float)
+        floats = rng.standard_normal((30, 2 * n + 1)) * 10.0 ** rng.integers(-3, 4, (30, 2 * n + 1))
+        rows = np.vstack([ints, floats])
+        mask = rng.random((len(rows), n)) < 0.5
+        images = [rows]
+        for _ in range(4):
+            images.append(legendre_rows(mask, images[-1]))
+        for j, (row, m) in enumerate(zip(rows, mask)):
+            I = IndexSubset.of(np.flatnonzero(m) + 1)
+            x = PhasePoint.from_array(row)
+            for image in images[1:]:
+                x = partial_legendre_scalar(I, x)
+                assert image[j].tobytes() == x.as_array().tobytes()
+        # four applications are the identity, exactly on integer points
+        assert images[4][:len(ints)].tobytes() == ints.tobytes()
+        assert np.allclose(images[4], rows, rtol=1e-12, atol=1e-9)
+
+    def test_point_form_is_the_one_row_case(self):
+        rng = np.random.default_rng(18)
+        space = PhaseSpace(4)
+        for pt in sample_points(space, rng, 10):
+            for I in (IndexSubset.of(2), IndexSubset.of([1, 3, 4])):
+                assert partial_legendre(I, pt) == partial_legendre_scalar(I, pt)
+                (row,) = legendre_rows(I.mask(4)[None, :], [pt.values])
+                assert partial_legendre(I, pt).values == tuple(row.tolist())
+
+    def test_rows_and_mask_must_agree(self):
+        with pytest.raises(ValueError, match="expected 2 rows of 5 coordinates"):
+            legendre_rows(np.ones((2, 2), dtype=bool), np.zeros((2, 3)))
 
     def test_matches_quarter_rotation(self):
         rng = np.random.default_rng(16)

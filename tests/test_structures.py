@@ -218,29 +218,46 @@ class TestScalingCondition:
             lambda_scaling_residual(SP2, LambdaFamily.of(["q1*p1"]), pt)
 
 
+def _legendre_residual(lam, I, pts):
+    """The residual rows of ``lam`` under the partial Legendre map on ``I`` at ``pts``."""
+    mask = np.tile(I.mask(lam.n), (len(pts), 1))
+    return lambda_legendre_residual(lam, mask, [pt.values for pt in pts])
+
+
 class TestLegendreCondition:
     def test_product_family_passes(self):
-        assert np.max(np.abs(
-            lambda_legendre_residual(SP1, product_lambda(1), IndexSubset.of(1), PT))) == 0.0
+        assert np.max(np.abs(_legendre_residual(product_lambda(1), IndexSubset.of(1), [PT]))) == 0.0
 
     def test_cubed_family_passes(self):
         assert np.max(np.abs(
-            lambda_legendre_residual(SP1, product_lambda(1, power=3), IndexSubset.of(1), PT))) == 0.0
+            _legendre_residual(product_lambda(1, power=3), IndexSubset.of(1), [PT]))) == 0.0
 
     def test_even_family_fails_with_known_residual(self):
-        res = lambda_legendre_residual(SP1, product_lambda(1, power=2), IndexSubset.of(1), PT)
-        assert res[0] == pytest.approx(72.0)
+        res = _legendre_residual(product_lambda(1, power=2), IndexSubset.of(1), [PT])
+        assert res.shape == (1, 1)
+        assert res[0, 0] == pytest.approx(72.0)
 
     def test_separable_odd_family_passes(self):
         rng = np.random.default_rng(40)
         lam = LambdaFamily.of(["(q1^3 + q1)*(p1^3 + p1)"])
-        for pt in sample_points(SP1, rng, 20):
-            assert np.max(np.abs(
-                lambda_legendre_residual(SP1, lam, IndexSubset.of(1), pt))) < 1e-10
+        res = _legendre_residual(lam, IndexSubset.of(1), sample_points(SP1, rng, 20))
+        assert res.shape == (20, 1)
+        assert np.max(np.abs(res)) < 1e-10
 
     def test_untransformed_indices_must_be_unchanged(self):
         rng = np.random.default_rng(41)
         lam = product_lambda(2)
-        for pt in sample_points(SP2, rng, 20):
-            for I in (IndexSubset.of(1), IndexSubset.of(2), IndexSubset.of([1, 2])):
-                assert np.max(np.abs(lambda_legendre_residual(SP2, lam, I, pt))) < 1e-12
+        pts = sample_points(SP2, rng, 20)
+        for I in (IndexSubset.of(1), IndexSubset.of(2), IndexSubset.of([1, 2])):
+            assert np.max(np.abs(_legendre_residual(lam, I, pts))) < 1e-12
+
+    def test_rows_take_each_their_own_index_set(self):
+        # a block mixing index sets, with L(x) passed in, gives each row's own residual
+        lam = product_lambda(2, power=2)
+        pts = sample_points(SP2, np.random.default_rng(42), 3)
+        subsets = (IndexSubset.of(1), IndexSubset.of(2), IndexSubset.of([1, 2]))
+        rows = np.array([pt.values for pt in pts])
+        mask = np.array([I.mask(2) for I in subsets])
+        block = lambda_legendre_residual(lam, mask, rows, lam.tape.run_batch(rows))
+        for j, (I, pt) in enumerate(zip(subsets, pts)):
+            assert block[j].tolist() == _legendre_residual(lam, I, [pt])[0].tolist()
