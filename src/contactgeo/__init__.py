@@ -16,8 +16,8 @@ from .hamiltonian import (IndexSubset, closed_form_commutator,
                           rotation_flow, rotation_generator, scaling_flow,
                           scaling_generator, scaling_map)
 from .structures import (LambdaFamily, StructureKind, build_structure,
-                         check_structure_identities, lambda_legendre_residual,
-                         lambda_scaling_residual, product_lambda)
+                         lambda_legendre_residual, product_lambda,
+                         structure_identities)
 from .metrics import (Metric, MetricKind, associated_residual,
                       compatibility_residual, metric_from_structure, pullback)
 from .calculus import (CurvatureReport, SingularMetricError, christoffel,

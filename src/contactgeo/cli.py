@@ -34,8 +34,7 @@ from .metrics import Metric, MetricKind, metric_from_structure, pullback
 from .phase_space import (PhasePoint, PhaseSpace, contact_form,
                           d_eta, frame, outer_11, sample_points)
 from .structures import (LambdaFamily, StructureKind, build_structure,
-                         check_structure_identities, lambda_legendre_residual,
-                         lambda_scaling_residual, product_lambda)
+                         lambda_legendre_residual, product_lambda, structure_identities)
 
 __all__ = ["main", "run_suite", "RunConfig", "CheckRecord", "Report"]
 
@@ -226,6 +225,14 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
                        check.mode, time.perf_counter() - t0)
 
 
+def _differences(space: PhaseSpace, pairs, points: list[PhasePoint]) -> Cases:
+    """One case per point: ``lhs - rhs`` for every component of every ``(lhs, rhs)``
+    pair of symbolic arrays, compiled into one tape and run as one block."""
+    diffs = [expr.sub(a, b) for lhs, rhs in pairs for a, b in np.broadcast(lhs, rhs)]
+    tape = expr.compile(diffs, space.coord_names())
+    return Cases(tape.run_batch([pt.values for pt in points]).T)
+
+
 def _subsets(n: int) -> list[IndexSubset]:
     return [IndexSubset.of(c) for r in range(1, n + 1)
             for c in itertools.combinations(range(1, n + 1), r)]
@@ -241,25 +248,18 @@ def _heisenberg_commutators(cfg, rng):
         space = PhaseSpace(n)
         fields = frame(space)
         xi, Q, P = fields[0], fields[1:n + 1], fields[n + 1:]
-        pts = sample_points(space, rng, cfg.points)
-        brackets = []
-        for a in range(n):
-            for b in range(n):
-                brackets.append((lie_bracket(space, P[a], Q[b]), xi if a == b else None))
-            brackets.append((lie_bracket(space, xi, Q[a]), None))
-            brackets.append((lie_bracket(space, xi, P[a]), None))
-        for pt in pts:
-            yield tuple(bracket.evaluate(pt) - (0.0 if target is None else target.evaluate(pt))
-                        for bracket, target in brackets)
+        pairs = [(lie_bracket(space, P[a], Q[b]).comps, xi.comps if a == b else expr.ZERO)
+                 for a in range(n) for b in range(n)]
+        pairs += [(lie_bracket(space, xi, X).comps, expr.ZERO) for X in Q + P]
+        yield _differences(space, pairs, sample_points(space, rng, cfg.points))
 
 
 def _heisenberg_reeb(cfg, rng):
     for n in (1, 2, 3):
         space = PhaseSpace(n)
-        eta, deta, xi = contact_form(space), d_eta(space), frame(space)[0]
-        for pt in sample_points(space, rng, cfg.points):
-            ev, dv, xv = eta.evaluate(pt), deta.evaluate(pt), xi.evaluate(pt)
-            yield ev @ xv - 1.0, xv @ dv, xv @ dv @ rng.standard_normal(space.dim)
+        eta, xi = contact_form(space).comps, frame(space)[0].comps
+        pairs = [(eta @ xi, expr.ONE), (xi @ d_eta(space).comps, expr.ZERO)]
+        yield _differences(space, pairs, sample_points(space, rng, cfg.points))
 
 
 def _heisenberg_gram(cfg, rng):
@@ -288,10 +288,8 @@ def _hamiltonian_lie_eta(cfg, rng):
     for _ in range(20):
         h = random_polynomial_hamiltonian(space, rng)
         led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
-        dh_dw = expr.compile((expr.differentiate(h, "w"),), space.coord_names())
-        for pt in sample_points(space, rng, 5):
-            scale = dh_dw.run(pt.values)[0]
-            yield led.evaluate(pt) - scale * eta.evaluate(pt)
+        pair = (led.comps, eta.comps * expr.differentiate(h, "w"))
+        yield _differences(space, [pair], sample_points(space, rng, 5))
 
 
 def _flows_rotation(cfg, rng):
@@ -338,38 +336,31 @@ def _flows_eta_preserved(cfg, rng):
 
 def _commutator(cfg, rng):
     space = PhaseSpace(cfg.n)
-    bracket = generator_commutator(space, cfg.m)
-    closed = closed_form_commutator(space, cfg.m)
-    for pt in sample_points(space, rng, cfg.points):
-        yield bracket.evaluate(pt) - closed.evaluate(pt)
+    pair = (generator_commutator(space, cfg.m).comps, closed_form_commutator(space, cfg.m).comps)
+    yield _differences(space, [pair], sample_points(space, rng, cfg.points))
 
 
 def _structure(kind: StructureKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family() if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
-    pts = sample_points(space, rng, cfg.points)
-    return check_structure_identities(space, kind, lam, pts)
+    pairs = structure_identities(space, kind, lam)
+    yield _differences(space, pairs, sample_points(space, rng, cfg.points))
 
 
 def _structures_scaling_pde(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    lam = cfg.lambda_family()
-    for pt in sample_points(space, rng, cfg.points):
-        yield lambda_scaling_residual(space, lam, pt)
+    rows = [pt.values for pt in sample_points(PhaseSpace(cfg.n), rng, cfg.points)]
+    yield Cases(cfg.lambda_family().scaling_tape.run_batch(rows).T)
 
 
 def _table1(kind: MetricKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family() if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
     metric = cfg.metric(kind, cfg.n, lam)
-    XL = hamiltonian_vector_field(space, rotation_generator(cfg.m))
-    XS = hamiltonian_vector_field(space, scaling_generator(space.n))
-    pts = sample_points(space, rng, cfg.points)
-    pairs = [(lie_derivative(space, metric.tensor, X),
-              tables.lie_derivative_closed_form(space, kind, generator, m=cfg.m, lam=lam))
-             for X, generator in ((XL, "rotation"), (XS, "scaling"))]
-    for pt in pts:
-        yield tuple(got.evaluate(pt) - want.evaluate(pt) for got, want in pairs)
+    generators = {"rotation": rotation_generator(cfg.m), "scaling": scaling_generator(space.n)}
+    pairs = [(lie_derivative(space, metric.tensor, hamiltonian_vector_field(space, h)).comps,
+              tables.lie_derivative_closed_form(space, kind, name, m=cfg.m, lam=lam).comps)
+             for name, h in generators.items()]
+    yield _differences(space, pairs, sample_points(space, rng, cfg.points))
 
 
 def _einstein(cfg, rng):

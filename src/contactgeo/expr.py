@@ -513,6 +513,7 @@ def _powi_value(x: float, e: float) -> float:
 
 
 _FUNCTION = {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}
+_CALL_NAME = {_POWI: "pow", _POW: "pow", _EXP: "exp", _LOG: "log", _SIN: "sin", _COS: "cos"}
 
 
 def _mapped(f, x, *data):
@@ -539,7 +540,8 @@ class Tape:
     and every later run calls it.  Generating costs about as much as a hundred
     interpreted runs save, so only a tape that runs often repays it.  Both tiers
     do the same operations in the same order, so they return bit-identical
-    values and raise the same first :class:`EvalError`.
+    values and raise the same first :class:`EvalError`, which names a failing
+    ``math`` call and its operand: ``exp(1000.0): math range error``.
 
     :meth:`run_batch` runs the same list over many points at once, one
     instruction at a time over a column of values.  Arithmetic and negation
@@ -581,7 +583,10 @@ class Tape:
                 return self._interpret(point)
             kernel = self._kernel = _generate(self._template, self._code, self._outputs,
                                               self._arity)
-        return kernel(point)
+        try:
+            return kernel(point)
+        except (OverflowError, ValueError):  # the interpreter names the failing call
+            return self._interpret(point)
 
     def run_batch(self, rows) -> np.ndarray:
         """Values of the compiled expressions at each row of ``rows``.
@@ -638,39 +643,43 @@ class Tape:
         if len(point) != self._arity:
             _wrong_length(self._arity, point)
         v = self._template.copy()
-        # branches in the order of how often the verify suites execute them
-        for op, dst, a, b in self._code:
-            if op == _MUL:
-                v[dst] = v[a] * v[b]
-            elif op == _VAR:
-                v[dst] = point[a]
-            elif op == _ADD:
-                v[dst] = v[a] + v[b]
-            elif op == _POWI:
-                x = v[a]
-                v[dst] = math.pow(x, b) if x != 0.0 else _zero_power(b)
-            elif op == _NEG:
-                v[dst] = -v[a]
-            elif op == _SUB:
-                v[dst] = v[a] - v[b]
-            elif op == _NONZERO:
-                if v[a] == 0.0:
-                    raise EvalError("division by zero")
-            elif op == _DIV:
-                v[dst] = v[a] / v[b]
-            elif op == _POW:
-                v[dst] = _pow_value(v[a], *b)
-            elif op == _EXP:
-                v[dst] = math.exp(v[a])
-            elif op == _LOG:
-                arg = v[a]
-                if arg <= 0.0:
-                    raise EvalError("log of a non-positive value")
-                v[dst] = math.log(arg)
-            elif op == _SIN:
-                v[dst] = math.sin(v[a])
-            else:
-                v[dst] = math.cos(v[a])
+        try:
+            # branches in the order of how often the verify suites execute them
+            for op, dst, a, b in self._code:
+                if op == _MUL:
+                    v[dst] = v[a] * v[b]
+                elif op == _VAR:
+                    v[dst] = point[a]
+                elif op == _ADD:
+                    v[dst] = v[a] + v[b]
+                elif op == _POWI:
+                    x = v[a]
+                    v[dst] = math.pow(x, b) if x != 0.0 else _zero_power(b)
+                elif op == _NEG:
+                    v[dst] = -v[a]
+                elif op == _SUB:
+                    v[dst] = v[a] - v[b]
+                elif op == _NONZERO:
+                    if v[a] == 0.0:
+                        raise EvalError("division by zero")
+                elif op == _DIV:
+                    v[dst] = v[a] / v[b]
+                elif op == _POW:
+                    v[dst] = _pow_value(v[a], *b)
+                elif op == _EXP:
+                    v[dst] = math.exp(v[a])
+                elif op == _LOG:
+                    arg = v[a]
+                    if arg <= 0.0:
+                        raise EvalError("log of a non-positive value")
+                    v[dst] = math.log(arg)
+                elif op == _SIN:
+                    v[dst] = math.sin(v[a])
+                else:
+                    v[dst] = math.cos(v[a])
+        except (OverflowError, ValueError) as err:  # raised by a math call alone
+            operands = f"{v[a]}, {b if op == _POWI else b[0]}" if op in (_POWI, _POW) else v[a]
+            raise EvalError(f"{_CALL_NAME[op]}({operands}): {err}") from None
         return list(map(v.__getitem__, self._outputs))
 
 

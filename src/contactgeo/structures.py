@@ -28,17 +28,15 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .hamiltonian import legendre_rows
-from .phase_space import (PhasePoint, PhaseSpace, TensorField, _obj, contact_form, frame,
-                          outer_11)
+from .phase_space import PhaseSpace, TensorField, _obj, contact_form, frame, outer_11
 
 __all__ = [
     "StructureKind",
     "LambdaFamily",
     "product_lambda",
     "build_structure",
-    "check_structure_identities",
+    "structure_identities",
     "scaled_horizontal_identity",
-    "lambda_scaling_residual",
     "lambda_legendre_residual",
 ]
 
@@ -56,9 +54,9 @@ class StructureKind(Enum):
 class LambdaFamily:
     """Index-wise scaling functions ``L_a(w, q, p)``.
 
-    What a family satisfies is not declared but checked:
-    :func:`lambda_scaling_residual` tests invariance under the polarization
-    scalings and :func:`lambda_legendre_residual` under the partial Legendre maps.
+    What a family satisfies is not declared but checked: :attr:`scaling_tape`
+    computes the residual of invariance under the polarization scalings and
+    :func:`lambda_legendre_residual` that under the partial Legendre maps.
     """
 
     exprs: tuple[Expr, ...]
@@ -160,57 +158,28 @@ def scaled_horizontal_identity(space: PhaseSpace, coeffs: tuple[Expr, ...]) -> T
     return TensorField((1, 1), comps)
 
 
-def check_structure_identities(space: PhaseSpace, kind: StructureKind,
-                               lam: LambdaFamily | None,
-                               points: list[PhasePoint]) -> list[float]:
-    """The worst residual of the structure's defining identities at each point.
-
-    Residuals are reported, never raised: the deviation of ``phi o phi`` from
-    its target, of ``eta o phi`` and ``phi(xi)`` from zero, and for the scaled
-    families of ``phi_L o phi_Lbar`` from ``1 - eta (x) xi``.  A NaN residual
-    is kept, never dropped by the max.
-    """
-    phi = build_structure(space, kind, lam)
-    eta = contact_form(space)
-    xi = frame(space)[0]
-    eta_xi = outer_11(eta, xi)
-    identity = np.eye(space.dim)
-
-    if kind == StructureKind.ALMOST_CONTACT:
-        square_target = lambda pt: -identity + eta_xi.evaluate(pt)
-    elif kind in (StructureKind.PI_ROTATION, StructureKind.REFLECTION, StructureKind.COMPOSITE):
-        square_target = lambda pt: identity - eta_xi.evaluate(pt)
-    else:
-        coeffs = lam.exprs if kind == StructureKind.LAMBDA else _reciprocal(lam)
-        squared = tuple(expr.mul(c, c) for c in coeffs)
-        one_lam = scaled_horizontal_identity(space, squared)
-        square_target = lambda pt: one_lam.evaluate(pt) - eta_xi.evaluate(pt)
-
-    dual = None
+def structure_identities(space: PhaseSpace, kind: StructureKind,
+                         lam: LambdaFamily | None) -> list[tuple]:
+    """The defining identities of the ``kind`` structure as ``(lhs, rhs)`` pairs
+    of symbolic component arrays: ``phi o phi`` against the horizontal identity
+    ``1 - eta (x) xi`` scaled index-wise by -1, 1 or ``c_a^2``, where ``phi(Q_a) =
+    c_a Q_a``; ``eta o phi`` and ``phi(xi)`` against zero; and for the scaled
+    families ``phi_L o phi_Lbar`` against ``1 - eta (x) xi``.  An object-array
+    ``@`` sums the contracted index in increasing order."""
+    phi = build_structure(space, kind, lam).comps
+    eta, xi = contact_form(space), frame(space)[0]
+    eta_xi = outer_11(eta, xi).comps
+    ones = (expr.ONE,) * space.n
+    square = (expr.const(-1.0),) * space.n if kind == StructureKind.ALMOST_CONTACT else ones
+    if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
+        square = tuple(expr.mul(c, c) for c in _pair_action(space, kind, lam)[0])
+    pairs = [(phi @ phi, scaled_horizontal_identity(space, square).comps - eta_xi),
+             (eta.comps @ phi, expr.ZERO), (phi @ xi.comps, expr.ZERO)]
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
         other = StructureKind.LAMBDA_BAR if kind == StructureKind.LAMBDA else StructureKind.LAMBDA
-        dual = build_structure(space, other, lam)
-
-    worst = []
-    for pt in points:
-        m = phi.evaluate(pt)
-        row = [m @ m - square_target(pt), eta.evaluate(pt) @ m, m @ xi.evaluate(pt)]
-        if dual is not None:
-            row.append(m @ dual.evaluate(pt) - (identity - eta_xi.evaluate(pt)))
-        worst.append(float(np.max([np.max(np.abs(r)) for r in row])))
-    return worst
-
-
-def lambda_scaling_residual(space: PhaseSpace, lam: LambdaFamily,
-                            point: PhasePoint) -> np.ndarray:
-    """Per-index residual of ``sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b) = 0``.
-
-    This is the condition for the scaled structure to be preserved by the
-    polarization scaling flow.
-    """
-    if lam.n != space.n:
-        raise ValueError(f"LambdaFamily has {lam.n} entries, space needs {space.n}")
-    return np.array(lam.scaling_tape.run(point.values))
+        dual = build_structure(space, other, lam).comps
+        pairs.append((phi @ dual, scaled_horizontal_identity(space, ones).comps - eta_xi))
+    return pairs
 
 
 def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here=None) -> np.ndarray:

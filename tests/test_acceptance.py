@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import bindings
-from contactgeo import expr
+from contactgeo import cli, expr
 from contactgeo.calculus import (lie_bracket, lie_derivative, nabla_reeb,
                                  ricci)
 from contactgeo.equilibrium import (catalog, embed, involution_check,
@@ -28,8 +28,8 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
 from contactgeo.metrics import MetricKind, metric_from_structure, pullback
 from contactgeo.phase_space import (PhasePoint, PhaseSpace, contact_form,
                                     d_eta, frame, sample_points)
-from contactgeo.structures import (StructureKind, build_structure,
-                                   check_structure_identities, product_lambda)
+from contactgeo.structures import (StructureKind, build_structure, product_lambda,
+                                   structure_identities)
 from contactgeo.tables import lie_derivative_closed_form
 
 
@@ -123,7 +123,8 @@ def test_criterion_05_structure_identities():
     worst = 0.0
     for kind in StructureKind:
         fam = lam if kind.value.startswith("lambda") else None
-        worst = max(worst, *check_structure_identities(space, kind, fam, pts))
+        cases = cli._differences(space, structure_identities(space, kind, fam), pts)
+        worst = max(worst, *cli._worst(cases))
     _report(5, worst < 1e-12, f"residual {worst:.3e} over all six structures, 100 points")
 
 

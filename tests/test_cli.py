@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactgeo import cli, equilibrium, expr
+from contactgeo import cli, equilibrium, expr, structures, tables
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
-from contactgeo.phase_space import PhasePoint
+from contactgeo.metrics import MetricKind
+from contactgeo.phase_space import PhasePoint, TensorField
+from contactgeo.structures import StructureKind
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,10 +67,18 @@ class TestVerify:
         # the symbolic sums grow as dim^3 and dim^4, so n = 2 alone barely exercises them
         self._assert_golden(capsys, 4)
 
-    @pytest.mark.parametrize("suite", ["legendre", "flows"])
-    def test_golden_report_n8_subset_sweeps(self, capsys, suite):
-        # the index-set sweeps reach all 255 sets at n = 8, but only 3 and 15 at n = 2 and 4
-        self._assert_golden(capsys, 8, suite)
+    def test_golden_report_n8(self):
+        # the whole report at n = 8, where the index-set sweeps reach all 255 sets, in a
+        # fresh process under the hash seed perfbench sets.  Exit 1 is the known float
+        # defect: hamiltonian.eta_of_field and hamiltonian.lie_eta miss their 1e-12 gates
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-m", "contactgeo.cli", "verify", "--suite", "all", "--n", "8",
+             "--seed", "7"], capture_output=True, timeout=600,
+            env={**os.environ, "PYTHONHASHSEED": "601", "PYTHONPATH": path})
+        assert done.returncode == 1
+        assert done.stdout == (GOLDEN / "verify_all_n8_seed7.jsonl").read_bytes()
 
     def test_report_sweep_prints_exit_code_and_digest(self, capsys):
         # the sweep compares two checkouts; its line must be the run's own code and bytes
@@ -424,7 +435,7 @@ class TestRunSuiteApi:
         assert {"TensorField.tape", "CoordinateMap.tape", "CoordinateMap.jacobian_tape",
                 "Metric.gamma_tape", "Metric.ricci_tape",
                 "LambdaFamily.tape", "LambdaFamily.scaling_tape",
-                "_hamiltonian_eta", "_hamiltonian_lie_eta", "FundamentalRelation._value_tape",
+                "_hamiltonian_eta", "_differences", "FundamentalRelation._value_tape",
                 "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
                 } <= {caller for caller, _ in compiled.values()}
 
@@ -497,6 +508,58 @@ def test_malformed_expression_is_config_error(tmp_path, capsys, entry, text, mes
             "config lambda.1": [*verify, "--config", str(path)],
             "catalog wbar": [*verify, "--catalog", str(path)]}[entry]
     assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+class TestDeclaredResiduals:
+    """The checks declared as ``(lhs, rhs)`` residual pairs give verdicts and errors."""
+
+    def test_a_flipped_structure_sign_fails_its_check(self, monkeypatch):
+        build = structures.build_structure
+
+        def flipped(space, kind, lam=None):
+            # phi(Q_1) = -P^1 becomes +P^1 for the quarter turn alone
+            phi = build(space, kind, lam)
+            if kind != StructureKind.ALMOST_CONTACT:
+                return phi
+            comps = phi.comps.copy()
+            comps[space.p_index(1), space.q_index(1)] = expr.ONE
+            return TensorField((1, 1), comps)
+
+        monkeypatch.setattr(structures, "build_structure", flipped)
+        report = run_suite(RunConfig(suite="structures", n=2, seed=3, points=5))
+        monkeypatch.undo()
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.check for c in failed] == ["structures.phi"] and failed[0].max_residual >= 2.0
+        assert structures.build_structure is build
+
+    def test_a_flipped_closed_form_coefficient_fails_its_row(self, monkeypatch):
+        closed_form = tables.lie_derivative_closed_form
+
+        def flipped(space, kind, generator, m=None, lam=None):
+            # L_{X_S} g has -dq^1 (x) dq^1; the flip makes it +dq^1 (x) dq^1
+            field = closed_form(space, kind, generator, m=m, lam=lam)
+            if (kind, generator) != (MetricKind.ACS, "scaling"):
+                return field
+            comps = field.comps.copy()
+            comps[space.q_index(1), space.q_index(1)] = expr.ONE
+            return TensorField((0, 2), comps)
+
+        monkeypatch.setattr(tables, "lie_derivative_closed_form", flipped)
+        report = run_suite(RunConfig(suite="table1", n=2, seed=3, points=5))
+        monkeypatch.undo()
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.check for c in failed] == ["table1.acs"] and failed[0].max_residual >= 2.0
+        assert tables.lie_derivative_closed_form is closed_form
+
+    @pytest.mark.parametrize("lam, points, message", [
+        # q1 < 0 at the first point: L = exp(-1000 |q1|) is 0, so phi_Lbar divides by it
+        ("exp(q1*1000)", "2", "division by zero"),
+        ("log(q1)", "5", "log of a non-positive value"),
+    ])
+    def test_first_failing_point_raises_the_scalar_error(self, capsys, lam, points, message):
+        code, out, err = _run(capsys, ["verify", "--suite", "structures", "--n", "1",
+                                       "--lambda", lam, "--points", points])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestCurvatureCommand:
@@ -586,6 +649,16 @@ class TestFlowCommand:
         code, out, err = _run(capsys, ["flow", "--hamiltonian", "hS", "--n", "1",
                                        "--t", "1", "--point", "1,2,3,4,5"])
         assert (code, out, err) == (2, "", "error: expected 3 coordinate values, got 5\n")
+
+    @pytest.mark.parametrize("hamiltonian, message", [
+        # these printed the bare "math range error" and "math domain error"
+        ("exp(q1*1000)", "exp(2000.0): math range error"),
+        ("sin(1e200*1e200*q1)", "sin(inf): math domain error"),
+    ])
+    def test_math_error_names_its_call(self, capsys, hamiltonian, message):
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", hamiltonian, "--t", "0.1",
+                                       "--steps", "2", "--point", "1,2,3"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_evaluation_error_exits_two(self, capsys):
         # w goes negative along the flow of log(w), where log is undefined

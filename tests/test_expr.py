@@ -313,6 +313,8 @@ class TestPositional:
                 _heat(tape, [1.5])
             for base in bases:
                 want = _outcome(lambda: [expr._pow_value(base, *expr._exponent(Fraction(r)))])
+                if want[0] is OverflowError:  # the tape names the call that overflowed
+                    want = (EvalError, f"pow({base}, {float(r)}): {want[1]}")
                 assert _outcome(lambda: tape.run([base])) == want
             assert (tape._kernel is not None) == (tier == "hot")
         # a zero base gives +0.0 for any sign, and raises for a negative exponent
@@ -362,6 +364,27 @@ def _row_outcome(tape, row):
         return [v.hex() for v in tape.run(row)]
     except (EvalError, ArithmeticError, ValueError) as err:
         return type(err), str(err)
+
+
+class TestNamedMathErrors:
+    @pytest.mark.parametrize("text, value, message", [
+        ("exp(x*1000)", 2.0, "exp(2000.0): math range error"),
+        ("sin(x*1e300)", 1e300, "sin(inf): math domain error"),
+        ("cos(x*1e300)", -1e300, "cos(-inf): math domain error"),
+        ("x^400", 20.0, "pow(20.0, 400.0): math range error"),
+        ("x^(401/3)", 1e300, "pow(1e+300, 133.66666666666666): math range error"),
+    ])
+    def test_every_tier_names_the_call_and_its_operand(self, text, value, message):
+        # these raised a bare OverflowError or ValueError: "math range error"
+        cold, hot = (expr.compile([parse(text)], ("x",)) for _ in range(2))
+        _heat(hot, [0.5])
+        for run in (lambda: cold.run([value]), lambda: hot.run([value]),
+                    lambda: cold.run_batch([[0.5], [value], [0.5]])):
+            with pytest.raises(EvalError) as err:
+                run()
+            assert str(err.value) == message
+        assert hot._kernel is not None
+        assert hot.run([0.5]) == cold.run([0.5])  # the kernel stays in use
 
 
 class TestRunBatch:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import add_tensors, coframe, scale_tensor
-from contactgeo import expr
+from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.expr import EvalError
 from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
@@ -12,10 +12,8 @@ from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
 from contactgeo.phase_space import (PhaseSpace, contact_form, frame, outer_11,
                                     sample_points)
 from contactgeo.structures import (LambdaFamily, StructureKind,
-                                   build_structure,
-                                   check_structure_identities,
-                                   lambda_legendre_residual,
-                                   lambda_scaling_residual, product_lambda)
+                                   build_structure, lambda_legendre_residual,
+                                   product_lambda, structure_identities)
 
 SP1 = PhaseSpace(1)
 SP2 = PhaseSpace(2)
@@ -80,12 +78,18 @@ class TestBuildStructure:
             phi.evaluate(SP1.point(0.0, [0.0], [1.0]))
 
 
+def _worst_identity_residuals(kind, lam, pts):
+    """The worst residual of the structure's declared identities at each point,
+    as verify's residual helper and runner reduce them."""
+    return cli._worst(cli._differences(SP2, structure_identities(SP2, kind, lam), pts))
+
+
 class TestDefiningIdentities:
     @pytest.mark.parametrize("kind", list(StructureKind))
     def test_identities_hold(self, kind):
         rng = np.random.default_rng(33)
         lam = product_lambda(2) if kind.value.startswith("lambda") else None
-        worst = check_structure_identities(SP2, kind, lam, sample_points(SP2, rng, 100))
+        worst = _worst_identity_residuals(kind, lam, sample_points(SP2, rng, 100))
         assert len(worst) == 100
         assert max(worst) < 1e-12
 
@@ -93,11 +97,17 @@ class TestDefiningIdentities:
         # an infinite coefficient makes phi_L o phi_L NaN; the max over points must keep it
         lam = LambdaFamily.of(["1e200*1e200*q1*p1", "q2*p2"])
         pts = sample_points(SP2, np.random.default_rng(35), 3)
-        with np.errstate(all="ignore"):
-            worst = check_structure_identities(SP2, StructureKind.LAMBDA, lam, pts)
+        worst = _worst_identity_residuals(StructureKind.LAMBDA, lam, pts)
         assert len(worst) == 3
         assert np.isnan(worst).all()
         assert np.isnan(np.max(worst))
+
+    @pytest.mark.parametrize("kind", list(StructureKind))
+    def test_one_pair_per_identity(self, kind):
+        lam = product_lambda(2) if kind.value.startswith("lambda") else None
+        pairs = structure_identities(SP2, kind, lam)
+        assert len(pairs) == (4 if lam else 3)
+        assert [np.shape(lhs) for lhs, _ in pairs] == [(5, 5), (5,), (5,), (5, 5)][:len(pairs)]
 
     def test_lambda_square_scales_quadratically(self):
         phi = build_structure(SP1, StructureKind.LAMBDA, product_lambda(1))
@@ -180,42 +190,50 @@ class TestSymmetriesUnderGenerators:
         self._assert_zero(lie_derivative(SP2, phi_s, bracket))
 
 
+def _scaling_residual(lam, pts):
+    """``(len(pts), n)``: the scaling condition of each ``L_a`` at each point."""
+    return lam.scaling_tape.run_batch([pt.values for pt in pts]).T
+
+
 class TestScalingCondition:
     def test_product_family_is_exact_solution(self):
         rng = np.random.default_rng(37)
         lam = product_lambda(2)
-        for pt in sample_points(SP2, rng, 25):
-            assert np.max(np.abs(lambda_scaling_residual(SP2, lam, pt))) < 1e-15
+        assert np.max(np.abs(_scaling_residual(lam, sample_points(SP2, rng, 25)))) < 1e-15
 
     def test_single_coordinate_fails(self):
         lam = LambdaFamily.of(["q1"])
         pt = SP1.point(0.0, [2.0], [3.0])
-        assert lambda_scaling_residual(SP1, lam, pt)[0] == pytest.approx(-2.0)
+        assert _scaling_residual(lam, [pt])[0, 0] == pytest.approx(-2.0)
 
     def test_w_only_family_passes(self):
         lam = LambdaFamily.of(["w"])
         rng = np.random.default_rng(38)
-        for pt in sample_points(SP1, rng, 10):
-            assert lambda_scaling_residual(SP1, lam, pt)[0] == 0.0
+        assert (_scaling_residual(lam, sample_points(SP1, rng, 10)) == 0.0).all()
 
     def test_general_scaling_family_instances(self):
         # ratios and cross products of the scaling-invariant general form
         rng = np.random.default_rng(39)
         lam = LambdaFamily.of(["q1*p2", "q2/q1"])
-        for pt in sample_points(SP2, rng, 25):
-            assert np.max(np.abs(lambda_scaling_residual(SP2, lam, pt))) < 1e-12
+        assert np.max(np.abs(_scaling_residual(lam, sample_points(SP2, rng, 25)))) < 1e-12
 
     def test_separable_odd_family_breaks_scaling(self):
         lam = LambdaFamily.of(["(q1^3 + q1)*(p1^3 + p1)"])
         pt = SP1.point(0.0, [1.0], [2.0])
         # p f(q) g'(p) - q f'(q) g(p) = 2*2*13 - 1*4*10 = 12
-        assert lambda_scaling_residual(SP1, lam, pt)[0] == pytest.approx(12.0)
+        assert _scaling_residual(lam, [pt])[0, 0] == pytest.approx(12.0)
 
-    def test_family_size_must_match_the_space(self):
-        # the compiled condition sums over the family's own n conjugate pairs
-        pt = SP2.point(0.0, [1.0, 2.0], [3.0, 4.0])
-        with pytest.raises(ValueError, match="space needs 2"):
-            lambda_scaling_residual(SP2, LambdaFamily.of(["q1*p1"]), pt)
+    def test_family_size_must_match_the_space(self, tmp_path, capsys):
+        # the compiled condition sums over the family's own n conjugate pairs, so a
+        # run refuses a family of another size, from a config file or the command line
+        with pytest.raises(cli.ConfigError, match="lambda family has 1 entries, need 2"):
+            cli.RunConfig(n=2, lam=LambdaFamily.of(["q1*p1"])).lambda_family()
+        config = tmp_path / "run.cfg"
+        config.write_text('n = 2\nlambda.1 = "q1*p1"\n')
+        code = cli.main(["verify", "--suite", "structures", "--config", str(config)])
+        assert (code, capsys.readouterr().err) == (2, "error: lambda family has 1 entries, need 2\n")
+        code = cli.main(["verify", "--suite", "structures", "--n", "2", "--lambda", "q1*p1;q2;w"])
+        assert (code, capsys.readouterr().err) == (2, "error: need 2 lambda expressions, got 3\n")
 
 
 def _legendre_residual(lam, I, pts):
