@@ -67,6 +67,11 @@ class TestVerify:
         # the symbolic sums grow as dim^3 and dim^4, so n = 2 alone barely exercises them
         self._assert_golden(capsys, 4)
 
+    @pytest.mark.parametrize("suite", ["legendre", "flows"])
+    def test_golden_report_n8_subset_sweeps(self, capsys, suite):
+        # the index-set sweeps reach all 255 sets at n = 8, but only 3 and 15 at n = 2 and 4
+        self._assert_golden(capsys, 8, suite)
+
     def test_golden_report_n8(self):
         # the whole report at n = 8, where the index-set sweeps reach all 255 sets, in a
         # fresh process under the hash seed perfbench sets.  Exit 1 is the known float
