@@ -12,16 +12,15 @@ from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
                           contact_form, d_eta, frame, sample_points)
 from .hamiltonian import (IndexSubset, closed_form_commutator,
                           generator_commutator, hamiltonian_vector_field,
-                          integrate_flow, legendre_map, partial_legendre,
-                          rotation_flow, rotation_generator, scaling_flow,
-                          scaling_generator, scaling_map)
+                          integrate_flow, legendre_map, rotation_flow,
+                          rotation_generator, scaling_generator, scaling_map)
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda,
                          structure_identities)
 from .metrics import (Metric, MetricKind, associated_residual,
                       compatibility_residual, metric_from_structure, pullback)
-from .calculus import (CurvatureReport, SingularMetricError, christoffel,
-                       lie_bracket, lie_derivative, nabla_reeb, ricci)
+from .calculus import (CurvatureReport, SingularMetricError, lie_bracket,
+                       lie_derivative, require_nonsingular, ricci)
 from .equilibrium import (FundamentalRelation, SystemCatalogEntry, catalog,
                           embed, involution_check, legendre_potential,
                           pullback_metric_on_E)

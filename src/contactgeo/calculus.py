@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .phase_space import PhasePoint, PhaseSpace, TensorField, _obj
+from .phase_space import PhasePoint, PhaseSpace, TensorField, _obj, contact_form
 
 __all__ = [
     "SingularMetricError",
@@ -33,11 +33,10 @@ __all__ = [
     "lie_bracket",
     "lie_derivative",
     "directional_derivative",
-    "christoffel",
     "christoffel_symbolic",
+    "require_nonsingular",
     "ricci",
     "ricci_symbolic",
-    "nabla_reeb",
 ]
 
 
@@ -104,7 +103,8 @@ def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorF
 def christoffel_symbolic(metric) -> np.ndarray:
     """Build ``Gamma^c_ab`` for a metric with expression-backed inverse (``Metric.gamma``)."""
     if metric.inverse is None:
-        raise SingularMetricError(f"{metric.kind} is not a metric; no connection")
+        kind = getattr(metric.kind, "value", metric.kind)  # as --metric spells it
+        raise SingularMetricError(f"{kind} is not a metric; no connection")
     space = metric.space
     names = space.coord_names()
     dim = space.dim
@@ -134,7 +134,9 @@ def christoffel_symbolic(metric) -> np.ndarray:
     return gamma
 
 
-def _check_not_singular(metric, point: PhasePoint):
+def require_nonsingular(metric, point: PhasePoint) -> np.ndarray:
+    """The metric's components at ``point``; raises :class:`SingularMetricError`
+    where they are undefined or their determinant is below 1e-12 in size."""
     try:
         g_mat = metric.tensor.evaluate(point)
     except expr.EvalError as err:
@@ -142,12 +144,6 @@ def _check_not_singular(metric, point: PhasePoint):
     if abs(np.linalg.det(g_mat)) < 1e-12:
         raise SingularMetricError("metric is singular at the point")
     return g_mat
-
-
-def christoffel(metric, point: PhasePoint) -> np.ndarray:
-    """Evaluate ``Gamma^c_ab`` at a point; raises for singular metrics."""
-    _check_not_singular(metric, point)
-    return np.array(metric.gamma_tape.run(point.values), dtype=float).reshape(metric.gamma.shape)
 
 
 def ricci_symbolic(metric) -> np.ndarray:
@@ -195,38 +191,28 @@ class CurvatureReport:
     symmetry_residual: float
 
 
-def ricci(metric, point: PhasePoint, lam: float | None = None, nu: float | None = None,
-          fit: bool = False) -> CurvatureReport:
+def ricci(metric, point: PhasePoint, fit: bool = False) -> CurvatureReport:
     """Ricci tensor at ``point`` and the residual of ``Ric = lam eta (x) eta + nu g``.
 
-    With no constants supplied, the canonical almost-contact metric asserts
-    ``lam = 2n + 2`` and ``nu = -2``; other metrics (or ``fit=True``) fit the
-    constants by least squares over the components.
+    The canonical almost-contact metric asserts ``lam = 2n + 2`` and
+    ``nu = -2``; other metrics (or ``fit=True``) fit the constants by least
+    squares over the components.
     """
     from .metrics import MetricKind
-    from .phase_space import contact_form
 
-    g_mat = _check_not_singular(metric, point)
+    g_mat = require_nonsingular(metric, point)
     space = metric.space
     ric = np.array(metric.ricci_tape.run(point.values), dtype=float).reshape(g_mat.shape)
 
     eta_vals = contact_form(space).evaluate(point)
     ee = np.outer(eta_vals, eta_vals)
-    fitted = fit
-    if lam is None or nu is None:
-        if not fit and metric.kind == MetricKind.ACS:
-            lam, nu = float(2 * space.n + 2), -2.0
-        else:
-            design = np.stack([ee.reshape(-1), g_mat.reshape(-1)], axis=1)
-            sol, *_ = np.linalg.lstsq(design, ric.reshape(-1), rcond=None)
-            lam, nu = float(sol[0]), float(sol[1])
-            fitted = True
+    fitted = fit or metric.kind != MetricKind.ACS
+    if fitted:
+        design = np.stack([ee.reshape(-1), g_mat.reshape(-1)], axis=1)
+        sol, *_ = np.linalg.lstsq(design, ric.reshape(-1), rcond=None)
+        lam, nu = float(sol[0]), float(sol[1])
+    else:
+        lam, nu = float(2 * space.n + 2), -2.0
     residual = float(np.max(np.abs(ric - lam * ee - nu * g_mat)))
     sym_residual = float(np.max(np.abs(ric - ric.T)))
     return CurvatureReport(ric, lam, nu, fitted, residual, sym_residual)
-
-
-def nabla_reeb(metric, point: PhasePoint) -> np.ndarray:
-    """Covariant derivative of the Reeb field: ``(nabla xi)^c_b = Gamma^c_{w b}``."""
-    gamma = christoffel(metric, point)
-    return gamma[:, 0, :]

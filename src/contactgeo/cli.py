@@ -28,8 +28,7 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
                           hamiltonian_vector_field, integrate_flow,
                           legendre_map, legendre_rows,
                           random_polynomial_hamiltonian, rotation_flow,
-                          rotation_generator, scaling_flow, scaling_generator,
-                          scaling_map)
+                          rotation_generator, scaling_generator, scaling_map)
 from .metrics import Metric, MetricKind, metric_from_structure, pullback
 from .phase_space import (PhasePoint, PhaseSpace, contact_form,
                           d_eta, frame, outer_11, sample_points)
@@ -306,7 +305,7 @@ def _flows_scaling(cfg, rng):
     start = space.point(1.0, [2.0], [3.0])
     X = hamiltonian_vector_field(space, scaling_generator(1))
     end = integrate_flow(X, start, math.log(2.0), 10_000).as_array()
-    target = scaling_flow(math.log(2.0), start).as_array()
+    target = scaling_map(space, math.log(2.0)).apply(start).as_array()
     yield end - target, target - np.array([1.0, 1.0, 6.0])
 
 
@@ -363,11 +362,24 @@ def _table1(kind: MetricKind, cfg, rng):
     yield _differences(space, pairs, sample_points(space, rng, cfg.points))
 
 
+def _nonsingular_points(space: PhaseSpace, rng, count: int, *metrics: Metric):
+    """``count`` sampled points, each checked by ``calculus.require_nonsingular``
+    for every metric, in point order."""
+    points = sample_points(space, rng, count)
+    for pt in points:
+        for metric in metrics:
+            calculus.require_nonsingular(metric, pt)
+    return points
+
+
 def _einstein(cfg, rng):
     space = PhaseSpace(cfg.n)
     metric = cfg.metric(MetricKind.ACS, cfg.n)
-    for pt in sample_points(space, rng, min(cfg.points, 20)):
-        yield calculus.ricci(metric, pt).eta_einstein_residual
+    points = _nonsingular_points(space, rng, min(cfg.points, 20), metric)
+    eta = contact_form(space).comps
+    # the grouping of the numeric ric - lam * ee - nu * g; an Expr takes no array operand
+    lhs = metric.ricci - np.outer(eta, eta) * expr.const(2 * space.n + 2)
+    yield _differences(space, [(lhs, metric.tensor.comps * expr.const(-2.0))], points)
 
 
 def _einstein_fit(cfg, rng):
@@ -415,12 +427,13 @@ def _legendre_conditions(cfg, rng):
 
 
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
+    # (nabla xi)^c_b = Gamma^c_{w b}
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family()
     metric = cfg.metric(kind, cfg.n, lam)
-    dual = build_structure(space, dual_kind, lam)
-    for pt in sample_points(space, rng, cfg.points):
-        yield calculus.nabla_reeb(metric, pt) + dual.evaluate(pt)
+    points = _nonsingular_points(space, rng, cfg.points, metric)
+    pair = (metric.gamma[:, 0, :], -build_structure(space, dual_kind, lam).comps)
+    yield _differences(space, [pair], points)
 
 
 def _nabla_duality(cfg, rng):
@@ -428,11 +441,11 @@ def _nabla_duality(cfg, rng):
     lam = cfg.lambda_family()
     m_lam = cfg.metric(MetricKind.LAMBDA, cfg.n, lam)
     m_bar = cfg.metric(MetricKind.LAMBDA_BAR, cfg.n, lam)
-    eta_xi = outer_11(contact_form(space), frame(space)[0])
-    identity = np.eye(space.dim)
-    for pt in sample_points(space, rng, cfg.points):
-        composed = calculus.nabla_reeb(m_lam, pt) @ calculus.nabla_reeb(m_bar, pt)
-        yield composed - (identity - eta_xi.evaluate(pt))
+    points = _nonsingular_points(space, rng, cfg.points, m_lam, m_bar)
+    identity = np.where(np.eye(space.dim, dtype=bool), expr.ONE, expr.ZERO)
+    eta_xi = outer_11(contact_form(space), frame(space)[0]).comps
+    pair = (m_lam.gamma[:, 0, :] @ m_bar.gamma[:, 0, :], identity - eta_xi)
+    yield _differences(space, [pair], points)
 
 
 def _builtin_relation(cfg: RunConfig, entry_id: str):
@@ -712,11 +725,13 @@ def _cmd_flow(args) -> int:
     m = args.m if args.m is not None else n
     closed = None
     if args.hamiltonian == "hL":
+        if m > n:
+            raise ConfigError(f"m={m} must satisfy 1 <= m <= n={n}")
         h = rotation_generator(m)
         closed = rotation_flow(args.t, IndexSubset.of(range(1, m + 1)), point)
     elif args.hamiltonian == "hS":
         h = scaling_generator(n)
-        closed = scaling_flow(args.t, point)
+        closed = scaling_map(space, args.t).apply(point)
     else:
         h = expr.parse(args.hamiltonian)
     X = hamiltonian_vector_field(space, h)
@@ -739,7 +754,11 @@ def _cmd_pullback(args) -> int:
     metric = _metric_for(args, space)
     point = _parse_point(args.point, space.n)
     if args.map == "legendre":
-        indices = [int(s) for s in (args.indices or "1").split(",")]
+        try:
+            indices = [int(s) for s in (args.indices or "1").split(",")]
+        except ValueError:
+            raise ConfigError(f"--indices must be comma-separated integers, "
+                              f"got {args.indices!r}") from None
         mapping = legendre_map(space, IndexSubset.of(indices))
     else:
         mapping = scaling_map(space, args.t)

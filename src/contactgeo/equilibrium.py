@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .hamiltonian import IndexSubset, partial_legendre
+from .hamiltonian import IndexSubset, legendre_rows
 from .metrics import Metric
 from .phase_space import PhasePoint
 
@@ -285,7 +285,7 @@ def pullback_metric_on_E(rel, metric: Metric, qvals) -> np.ndarray:
     For the reflection metric this equals minus the Hessian of ``wbar``.
     """
     if not metric.is_metric:
-        raise ValueError(f"{metric.kind} is not a metric")
+        raise ValueError(f"{getattr(metric.kind, 'value', metric.kind)} is not a metric")
     x = embed(rel, qvals)
     J = embedding_jacobian(rel, qvals)
     return J.T @ metric.tensor.evaluate(x) @ J
@@ -315,18 +315,18 @@ def legendre_potential(rel, indices) -> TransformedRelation:
 def involution_check(rel, I: IndexSubset, qvals) -> float:
     """Residual of: quarter-turn image of the submanifold lies on the transformed one.
 
-    The embedding image under ``partial_legendre(I)`` is compared against the
-    embedding of the numerically transformed relation through the sign
-    dictionary ``q'_i = -u_i, p'_i = -v_i`` on transformed slots (identity on
-    the rest), where ``(u, v)`` are the transformed relation's coordinates and
-    conjugates.
+    The embedding image under the partial Legendre map of ``I``, one row of
+    :func:`legendre_rows`, is compared against the embedding of the
+    numerically transformed relation through the sign dictionary
+    ``q'_i = -u_i, p'_i = -v_i`` on transformed slots (identity on the rest),
+    where ``(u, v)`` are the transformed relation's coordinates and conjugates.
     """
     I = I if isinstance(I, IndexSubset) else IndexSubset.of(I)
     I.validate(rel.n)
-    y = partial_legendre(I, embed(rel, qvals))
+    (y,) = legendre_rows(I.mask(rel.n)[None, :], [embed(rel, qvals).values])
     signs = np.array([-1.0 if i in I else 1.0 for i in range(1, rel.n + 1)])
-    z = embed(legendre_potential(rel, I), signs * np.array(y.q))
-    return float(max(abs(y.w - z.w), np.max(np.abs(np.array(y.p) - signs * np.array(z.p)))))
+    z = embed(legendre_potential(rel, I), signs * y[1:rel.n + 1])
+    return float(max(abs(y[0] - z.w), np.max(np.abs(y[rel.n + 1:] - signs * np.array(z.p)))))
 
 
 @dataclass(frozen=True)

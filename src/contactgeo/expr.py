@@ -512,7 +512,7 @@ def _powi_value(x: float, e: float) -> float:
     return math.pow(x, e) if x != 0.0 else _zero_power(e)
 
 
-_FUNCTION = {_EXP: math.exp, _SIN: math.sin, _COS: math.cos}
+_FUNCTION = {_EXP: math.exp, _LOG: math.log, _SIN: math.sin, _COS: math.cos}
 _CALL_NAME = {_POWI: "pow", _POW: "pow", _EXP: "exp", _LOG: "log", _SIN: "sin", _COS: "cos"}
 
 
@@ -543,14 +543,14 @@ class Tape:
     values and raise the same first :class:`EvalError`, which names a failing
     ``math`` call and its operand: ``exp(1000.0): math range error``.
 
-    :meth:`run_batch` runs the same list over many points at once, one
-    instruction at a time over a column of values.  Arithmetic and negation
-    are numpy operations, which round as the scalar ones do; powers and the
-    functions apply the scalar tier's own ``math`` calls to each value of the
-    column, since numpy's differ from them in the last bit.  Its values are
-    therefore those of ``run`` at each point, bit for bit, and a batch in
-    which any point fails is re-run point by point, so it raises the scalar
-    tier's error.
+    :meth:`run_batch` runs the same list over many points at once, through
+    the interpreter's own loop with a column of values in each slot.
+    Arithmetic and negation are then numpy operations, which round as the
+    scalar ones do; powers and the functions apply the scalar tier's own
+    ``math`` calls to each value of the column, since numpy's differ from them
+    in the last bit.  Its values are therefore those of ``run`` at each point,
+    bit for bit, and a batch in which any point fails is re-run point by
+    point, so it raises the scalar tier's error.
     """
 
     __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel")
@@ -602,47 +602,29 @@ class Tape:
         if rows.ndim != 2 or rows.shape[1] != self._arity:
             raise EvalError(f"expected rows of {self._arity} coordinate values, "
                             f"got an array of shape {rows.shape}")
-        v = self._template.copy()  # a constant stays a float, broadcast by numpy
         try:
             with np.errstate(all="ignore"):
-                for op, dst, a, b in self._code:
-                    if op == _MUL:
-                        v[dst] = v[a] * v[b]
-                    elif op == _VAR:
-                        v[dst] = rows[:, a]
-                    elif op == _ADD:
-                        v[dst] = v[a] + v[b]
-                    elif op == _POWI:
-                        v[dst] = _mapped(_powi_value, v[a], b)
-                    elif op == _NEG:
-                        v[dst] = -v[a]
-                    elif op == _SUB:
-                        v[dst] = v[a] - v[b]
-                    elif op == _NONZERO:
-                        if np.any(v[a] == 0.0):
-                            raise EvalError("division by zero")
-                    elif op == _DIV:
-                        v[dst] = v[a] / v[b]
-                    elif op == _POW:
-                        v[dst] = _mapped(_pow_value, v[a], *b)
-                    elif op == _LOG:
-                        if np.any(v[a] <= 0.0):
-                            raise EvalError("log of a non-positive value")
-                        v[dst] = _mapped(math.log, v[a])
-                    else:
-                        v[dst] = _mapped(_FUNCTION[op], v[a])
+                values = self._interpret(rows.T, np.any)
         except (EvalError, ArithmeticError, ValueError):
             values = [self.run(point) for point in rows.tolist()]
             return np.array(values, dtype=float).reshape(len(rows), len(self._outputs)).T
-        out = np.empty((len(self._outputs), len(rows)))
-        for j, s in enumerate(self._outputs):
-            out[j] = v[s]
+        out = np.empty((len(values), len(rows)))
+        for j, column in enumerate(values):
+            out[j] = column  # a constant output is a float, broadcast over the row
         return out
 
-    def _interpret(self, point) -> list:
+    def _interpret(self, point, test=bool) -> list:
+        """The outputs after one pass over the instruction list.
+
+        ``point[a]`` is the value of coordinate ``a``: a float for one point,
+        or a column of values for a block, the transposed rows.  A slot holds a
+        float or a column alike, as numpy's arithmetic and :func:`_mapped` do;
+        ``test`` reduces a division's zero test and a log's domain test to one
+        verdict, ``bool`` for a float and ``np.any`` for a column.
+        """
         if len(point) != self._arity:
             _wrong_length(self._arity, point)
-        v = self._template.copy()
+        v = self._template.copy()  # a constant stays a float, broadcast by numpy
         try:
             # branches in the order of how often the verify suites execute them
             for op, dst, a, b in self._code:
@@ -653,30 +635,22 @@ class Tape:
                 elif op == _ADD:
                     v[dst] = v[a] + v[b]
                 elif op == _POWI:
-                    x = v[a]
-                    v[dst] = math.pow(x, b) if x != 0.0 else _zero_power(b)
+                    v[dst] = _mapped(_powi_value, v[a], b)
                 elif op == _NEG:
                     v[dst] = -v[a]
                 elif op == _SUB:
                     v[dst] = v[a] - v[b]
                 elif op == _NONZERO:
-                    if v[a] == 0.0:
+                    if test(v[a] == 0.0):
                         raise EvalError("division by zero")
                 elif op == _DIV:
                     v[dst] = v[a] / v[b]
                 elif op == _POW:
-                    v[dst] = _pow_value(v[a], *b)
-                elif op == _EXP:
-                    v[dst] = math.exp(v[a])
-                elif op == _LOG:
-                    arg = v[a]
-                    if arg <= 0.0:
-                        raise EvalError("log of a non-positive value")
-                    v[dst] = math.log(arg)
-                elif op == _SIN:
-                    v[dst] = math.sin(v[a])
-                else:
-                    v[dst] = math.cos(v[a])
+                    v[dst] = _mapped(_pow_value, v[a], *b)
+                elif op == _LOG and test(v[a] <= 0.0):
+                    raise EvalError("log of a non-positive value")
+                else:  # exp, sin, cos, and a log in its domain
+                    v[dst] = _mapped(_FUNCTION[op], v[a])
         except (OverflowError, ValueError) as err:  # raised by a math call alone
             operands = f"{v[a]}, {b if op == _POWI else b[0]}" if op in (_POWI, _POW) else v[a]
             raise EvalError(f"{_CALL_NAME[op]}({operands}): {err}") from None

@@ -12,7 +12,7 @@ property ``L_{X_h} eta = (dh/dw) eta`` hold exactly.
 Two horizontal generators get closed-form flows: the per-plane rotation
 generator ``(1/2) sum_i (q_i^2 + p_i^2)`` whose quarter turn is the partial
 Legendre transformation, and the scaling generator ``sum_a q^a p_a`` whose
-flow is ``q -> q e^-t, p -> p e^t``.
+flow is the finite map ``scaling_map``: ``q -> q e^-t, p -> p e^t``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ __all__ = [
     "scaling_generator",
     "hamiltonian_vector_field",
     "rotation_flow",
-    "scaling_flow",
-    "partial_legendre",
     "legendre_rows",
     "integrate_flow",
     "generator_commutator",
@@ -138,24 +136,6 @@ def rotation_flow(t: float, I: IndexSubset, x: PhasePoint) -> PhasePoint:
         q[i - 1] = q0 * ct - p0 * st
         p[i - 1] = q0 * st + p0 * ct
     return PhasePoint(w, tuple(q), tuple(p))
-
-
-def scaling_flow(t: float, x: PhasePoint) -> PhasePoint:
-    """Anisotropic scaling ``q -> q e^-t``, ``p -> p e^t``; ``w`` unchanged."""
-    em, ep = math.exp(-t), math.exp(t)
-    return PhasePoint(x.w, tuple(q * em for q in x.q), tuple(p * ep for p in x.p))
-
-
-def partial_legendre(I: IndexSubset, x: PhasePoint) -> PhasePoint:
-    """Exact partial Legendre transformation (quarter turn of the selected planes).
-
-    ``w -> w - sum_{i in I} q^i p_i`` and ``(q^i, p_i) -> (-p_i, q^i)`` for
-    ``i in I``; identity elsewhere.  Equals ``rotation_flow(pi/2, I, x)`` up to
-    roundoff, but is computed with exact arithmetic on the coordinates.  This
-    is the one-row case of :func:`legendre_rows`.
-    """
-    (values,) = legendre_rows(I.mask(x.n)[None, :], [x.values]).tolist()
-    return PhasePoint(values[0], tuple(values[1:x.n + 1]), tuple(values[x.n + 1:]))
 
 
 def legendre_rows(mask, rows) -> np.ndarray:

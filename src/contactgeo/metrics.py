@@ -90,15 +90,14 @@ class Metric:
         return calculus.christoffel_symbolic(self)
 
     @cached_property
-    def gamma_tape(self) -> expr.Tape:
-        """All of ``gamma`` in C order, compiled on first use; ``Gamma^c_ba`` shares a slot."""
-        return expr.compile(self.gamma.reshape(-1), self.space.coord_names())
+    def ricci(self) -> np.ndarray:
+        """The symbolic Ricci tensor ``R_ab``, built on first use."""
+        return calculus.ricci_symbolic(self)
 
     @cached_property
     def ricci_tape(self) -> expr.Tape:
-        """The symbolic Ricci tensor ``R_ab`` in C order, built and compiled on first
-        use; ``R_ba`` shares a slot."""
-        return expr.compile(calculus.ricci_symbolic(self).reshape(-1), self.space.coord_names())
+        """All of ``ricci`` in C order, compiled on first use; ``R_ba`` shares a slot."""
+        return expr.compile(self.ricci.reshape(-1), self.space.coord_names())
 
 
 def _frame_block_inverse(space: PhaseSpace, qq, pp, qp) -> np.ndarray:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from contactgeo import expr
-from contactgeo.calculus import directional_derivative
+from contactgeo.calculus import directional_derivative, require_nonsingular
 from contactgeo.expr import (_FUNCTIONS, Expr, ParseError, add, const, div, mul, neg, power,
                              sub, var)
 from contactgeo.hamiltonian import (hamiltonian_vector_field, integrate_flow,
@@ -33,6 +33,14 @@ def partial_legendre_scalar(I, x):
         q[i - 1] = -x.p[i - 1]
         p[i - 1] = x.q[i - 1]
     return PhasePoint(w, tuple(q), tuple(p))
+
+
+def gamma_at(metric, point):
+    """``Gamma^c_ab`` of ``metric`` at ``point``: the singular-metric guard, then the
+    symbolic connection ``Metric.gamma`` compiled and run there."""
+    require_nonsingular(metric, point)
+    tape = expr.compile(metric.gamma.reshape(-1), metric.space.coord_names())
+    return np.array(tape.run(point.values)).reshape(metric.gamma.shape)
 
 
 def metric_from_components(space, comps, inverse=None, label="custom"):

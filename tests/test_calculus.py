@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (christoffel_fd, flat_metric, flow_lie_derivative,
+from conftest import (christoffel_fd, flat_metric, flow_lie_derivative, gamma_at,
                       metric_from_components, ricci_fd)
 from contactgeo import expr
-from contactgeo.calculus import (SingularMetricError, christoffel, lie_bracket,
-                                 lie_derivative, nabla_reeb, ricci)
+from contactgeo.calculus import SingularMetricError, lie_bracket, lie_derivative, ricci
 from contactgeo.hamiltonian import (hamiltonian_vector_field,
                                     random_polynomial_hamiltonian,
                                     rotation_generator, scaling_generator)
@@ -112,11 +111,11 @@ class TestLieDerivative:
 
 class TestChristoffel:
     def test_flat_metric_has_no_connection_coefficients(self):
-        gamma = christoffel(flat_metric(SP1), PT)
+        gamma = gamma_at(flat_metric(SP1), PT)
         assert np.max(np.abs(gamma)) == 0.0
 
     def test_symmetry_in_lower_indices(self):
-        gamma = christoffel(metric_from_structure(SP1, MetricKind.ACS), PT)
+        gamma = gamma_at(metric_from_structure(SP1, MetricKind.ACS), PT)
         assert np.isfinite(gamma).all()
         assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) == 0.0
 
@@ -126,7 +125,7 @@ class TestChristoffel:
         def g_fn(arr):
             return metric.tensor.evaluate(PhasePoint.from_array(arr))
 
-        gamma = christoffel(metric, PT)
+        gamma = gamma_at(metric, PT)
         gamma_fd = christoffel_fd(g_fn, PT.as_array())
         assert np.max(np.abs(gamma - gamma_fd)) < 1e-6
 
@@ -143,7 +142,7 @@ class TestChristoffel:
                         dg[c, a, b] = expr.differentiate(metric.tensor.comps[a, b], name)
             tape = expr.compile(dg.reshape(-1), names)
             for pt in sample_points(SP2, rng, 10):
-                gamma = christoffel(metric, pt)
+                gamma = gamma_at(metric, pt)
                 g = metric.tensor.evaluate(pt)
                 partials = np.reshape(tape.run(pt.values), dg.shape)
                 for c in range(SP2.dim):
@@ -156,7 +155,7 @@ class TestChristoffel:
     def test_singular_point_raises(self):
         metric = _lambda_metric(SP1)
         with pytest.raises(SingularMetricError):
-            christoffel(metric, SP1.point(0.0, [0.0], [1.0]))
+            gamma_at(metric, SP1.point(0.0, [0.0], [1.0]))
 
 
 class TestRicci:
@@ -170,12 +169,12 @@ class TestRicci:
         inv[2, 2] = expr.div(expr.ONE, sin_sq)
         sphere = metric_from_components(SP1, comps, inv, label="sphere")
         pt = SP1.point(0.4, [0.7], [2.0])
-        rep = ricci(sphere, pt, lam=0.0, nu=0.0)
+        rep = ricci(sphere, pt)
         want = np.diag([0.0, 1.0, math.sin(0.7) ** 2])
         assert np.max(np.abs(rep.ricci - want)) < 1e-12
 
     def test_flat_metric_is_ricci_flat(self):
-        rep = ricci(flat_metric(SP2), SP2.point(0.1, [1, 2], [3, 4]), lam=0.0, nu=0.0)
+        rep = ricci(flat_metric(SP2), SP2.point(0.1, [1, 2], [3, 4]))
         assert np.max(np.abs(rep.ricci)) == 0.0
         assert rep.eta_einstein_residual == 0.0
 
@@ -221,7 +220,7 @@ class TestRicci:
 
 class TestNablaReeb:
     def test_lambda_metric_frozen_components(self):
-        got = nabla_reeb(_lambda_metric(SP1), PT)
+        got = gamma_at(_lambda_metric(SP1), PT)[:, 0, :]
         # -(1/6) (dq (x) Q - dp (x) P) at (1,2,3)
         want = np.array([[0.0, -0.5, 0.0], [0.0, -1.0 / 6.0, 0.0], [0.0, 0.0, 1.0 / 6.0]])
         assert np.allclose(got, want)
@@ -237,15 +236,15 @@ class TestNablaReeb:
         ]
         for metric, dual in pairs:
             for pt in sample_points(SP2, rng, 25):
-                assert np.max(np.abs(nabla_reeb(metric, pt) + dual.evaluate(pt))) < 1e-9
+                assert np.max(np.abs(gamma_at(metric, pt)[:, 0, :] + dual.evaluate(pt))) < 1e-9
 
     def test_lambda_bar_frozen_scale(self):
-        got = nabla_reeb(_lambda_metric(SP1, MetricKind.LAMBDA_BAR), PT)
+        got = gamma_at(_lambda_metric(SP1, MetricKind.LAMBDA_BAR), PT)[:, 0, :]
         want = np.array([[0.0, -18.0, 0.0], [0.0, -6.0, 0.0], [0.0, 0.0, 6.0]])
         assert np.allclose(got, want)
 
     def test_kills_reeb_direction(self):
-        got = nabla_reeb(_lambda_metric(SP2), SP2.point(0.3, [1.0, -0.7], [0.9, 1.4]))
+        got = gamma_at(_lambda_metric(SP2), SP2.point(0.3, [1.0, -0.7], [0.9, 1.4]))[:, 0, :]
         assert np.max(np.abs(got[:, 0])) < 1e-12
 
     def test_duality_composition(self):
@@ -257,7 +256,7 @@ class TestNablaReeb:
         m2 = metric_from_structure(SP2, MetricKind.LAMBDA_BAR, lam)
         eta_xi = outer_11(contact_form(SP2), frame(SP2)[0])
         for pt in sample_points(SP2, rng, 10):
-            composed = nabla_reeb(m1, pt) @ nabla_reeb(m2, pt)
+            composed = gamma_at(m1, pt)[:, 0, :] @ gamma_at(m2, pt)[:, 0, :]
             target = np.eye(SP2.dim) - eta_xi.evaluate(pt)
             assert np.max(np.abs(composed - target)) < 1e-9
 
@@ -267,7 +266,7 @@ class TestNablaReeb:
         metric = metric_from_structure(SP2, MetricKind.LAMBDA, ones)
         phi_r = build_structure(SP2, StructureKind.REFLECTION)
         pt = SP2.point(0.2, [1.1, -0.6], [0.8, 1.3])
-        assert np.max(np.abs(nabla_reeb(metric, pt) + phi_r.evaluate(pt))) < 1e-12
+        assert np.max(np.abs(gamma_at(metric, pt)[:, 0, :] + phi_r.evaluate(pt))) < 1e-12
 
 
 class TestKappa:

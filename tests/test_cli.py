@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactgeo import cli, equilibrium, expr, structures, tables
+from contactgeo import cli, equilibrium, expr, metrics, structures, tables
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
 from contactgeo.metrics import MetricKind
-from contactgeo.phase_space import PhasePoint, TensorField
+from contactgeo.phase_space import PhasePoint, PhaseSpace, TensorField
 from contactgeo.structures import StructureKind
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,6 +84,16 @@ class TestVerify:
             env={**os.environ, "PYTHONHASHSEED": "601", "PYTHONPATH": path})
         assert done.returncode == 1
         assert done.stdout == (GOLDEN / "verify_all_n8_seed7.jsonl").read_bytes()
+
+    def test_golden_report_custom_lambda(self, capsys):
+        # every other golden uses the product family (q^a p_a)^k; this one reaches the
+        # nablaxi guard, the connection and the Table 1 rows through user expressions.
+        # Exit 1: structures.scaling_pde holds only for the product family
+        argv = ["verify", "--suite", "all", "--n", "3", "--m", "3", "--seed", "4",
+                "--lambda", "q1*p1+3;1.7*q2*p2;0.3*exp(q3)*p3"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 1
+        assert out.encode("utf-8") == (GOLDEN / "verify_all_n3_m3_custom_seed4.jsonl").read_bytes()
 
     def test_report_sweep_prints_exit_code_and_digest(self, capsys):
         # the sweep compares two checkouts; its line must be the run's own code and bytes
@@ -438,7 +448,7 @@ class TestRunSuiteApi:
         run_suite(RunConfig(n=3, m=2, seed=5, points=2))
         monkeypatch.undo()
         assert {"TensorField.tape", "CoordinateMap.tape", "CoordinateMap.jacobian_tape",
-                "Metric.gamma_tape", "Metric.ricci_tape",
+                "Metric.ricci_tape",
                 "LambdaFamily.tape", "LambdaFamily.scaling_tape",
                 "_hamiltonian_eta", "_differences", "FundamentalRelation._value_tape",
                 "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
@@ -556,6 +566,42 @@ class TestDeclaredResiduals:
         assert [c.check for c in failed] == ["table1.acs"] and failed[0].max_residual >= 2.0
         assert tables.lie_derivative_closed_form is closed_form
 
+    @pytest.mark.parametrize("kind, suite, failing", [
+        (MetricKind.LAMBDA, "nablaxi", ["nabla_reeb.lambda", "nabla_reeb.duality"]),
+        (MetricKind.ACS, "einstein", ["einstein.acs", "einstein.fitted_constants"]),
+    ])
+    def test_a_scaled_inverse_coefficient_fails_the_connection_checks(
+            self, monkeypatch, kind, suite, failing):
+        inverse = metrics._inverse_components
+
+        def scaled(space, k, family):
+            # one entry, g^{q1 p1} or g^{q1 q1}, times 1.5; the metric tensor is untouched
+            inv = inverse(space, k, family)
+            if k == kind:
+                j = space.p_index(1) if k == MetricKind.LAMBDA else space.q_index(1)
+                inv[space.q_index(1), j] = expr.mul(expr.const(1.5), inv[space.q_index(1), j])
+            return inv
+
+        lam = structures.product_lambda(2)
+        clean = metrics.metric_from_structure(PhaseSpace(2), kind, lam)
+        monkeypatch.setattr(metrics, "_inverse_components", scaled)
+        patched = metrics.metric_from_structure(PhaseSpace(2), kind, lam)
+        report = run_suite(RunConfig(suite=suite, n=2, seed=3, points=5))
+        monkeypatch.undo()
+        assert (patched.tensor.comps == clean.tensor.comps).all()  # so the guard passes
+        assert [c.check for c in report.checks if not c.passed] == failing
+        assert metrics._inverse_components is inverse
+
+    @pytest.mark.parametrize("lam, message", [
+        ("q1-q1", "metric is singular at the point"),
+        ("log(q1)", "metric undefined at point: log of a non-positive value"),
+        ("q1^(1/2)", "metric undefined at point: negative base with even-root exponent"),
+    ])
+    def test_the_connection_guard_names_a_singular_metric(self, capsys, lam, message):
+        code, out, err = _run(capsys, ["verify", "--suite", "nablaxi", "--n", "1",
+                                       "--points", "5", "--lambda", lam])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("lam, points, message", [
         # q1 < 0 at the first point: L = exp(-1000 |q1|) is 0, so phi_Lbar divides by it
         ("exp(q1*1000)", "2", "division by zero"),
@@ -584,6 +630,11 @@ class TestCurvatureCommand:
         record = json.loads(out)
         assert record["fitted"]
         assert record["lambda"] == pytest.approx(6.0, abs=1e-8)
+
+    def test_a_tensor_that_is_no_metric_is_named_by_its_value(self, capsys):
+        code, out, err = _run(capsys, ["curvature", "--metric", "alpha_pi",
+                                       "--point", "0.1,1,2,3,4"])
+        assert (code, out, err) == (2, "", "error: alpha_pi is not a metric; no connection\n")
 
     def test_wrong_point_length(self, capsys):
         code, _, err = _run(capsys, ["curvature", "--metric", "acs", "--n", "2",
@@ -665,6 +716,12 @@ class TestFlowCommand:
                                        "--steps", "2", "--point", "1,2,3"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_m_above_n_is_config_error(self, capsys):
+        # the words verify uses, not the closed form's "index out of range"
+        code, out, err = _run(capsys, ["flow", "--n", "2", "--m", "3", "--hamiltonian", "hL",
+                                       "--t", "1", "--point", "1,2,3,4,5"])
+        assert (code, out, err) == (2, "", "error: m=3 must satisfy 1 <= m <= n=2\n")
+
     def test_evaluation_error_exits_two(self, capsys):
         # w goes negative along the flow of log(w), where log is undefined
         code, out, err = _run(capsys, ["flow", "--hamiltonian", "log(w)",
@@ -693,6 +750,12 @@ class TestPullbackCommand:
                                      "--metric", "acs", "--n", "1", "--point", "1,2,3"])
         assert code == 0
         assert json.loads(out)["max_residual"] > 0.1  # scalings do not preserve g
+
+    def test_indices_that_are_not_integers_name_the_option(self, capsys):
+        code, out, err = _run(capsys, ["pullback", "--point", "0.1,1,2,3,4",
+                                       "--indices", "1,a"])
+        assert (code, out, err) == (
+            2, "", "error: --indices must be comma-separated integers, got '1,a'\n")
 
     def test_non_finite_value_is_not_printed(self, capsys):
         code, out, err = _run(capsys, ["pullback", "--map", "legendre", "--indices", "1",
