@@ -17,8 +17,8 @@ from .hamiltonian import (IndexSubset, closed_form_commutator,
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda,
                          structure_identities)
-from .metrics import (Metric, MetricKind, associated_residual,
-                      compatibility_residual, metric_from_structure, pullback)
+from .metrics import (Metric, MetricKind, associated_pairs, compatibility_pairs,
+                      metric_from_structure, pullback)
 from .calculus import (CurvatureReport, SingularMetricError, lie_bracket,
                        lie_derivative, require_nonsingular, ricci)
 from .equilibrium import (FundamentalRelation, SystemCatalogEntry, catalog,

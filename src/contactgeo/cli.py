@@ -347,8 +347,9 @@ def _structure(kind: StructureKind, cfg, rng):
 
 
 def _structures_scaling_pde(cfg, rng):
-    rows = [pt.values for pt in sample_points(PhaseSpace(cfg.n), rng, cfg.points)]
-    yield Cases(cfg.lambda_family().scaling_tape.run_batch(rows).T)
+    space = PhaseSpace(cfg.n)
+    points = sample_points(space, rng, cfg.points)
+    yield _differences(space, [(cfg.lambda_family().scaling_residuals, expr.ZERO)], points)
 
 
 def _table1(kind: MetricKind, cfg, rng):
@@ -601,6 +602,8 @@ def run_suite(config: RunConfig) -> Report:
         raise ConfigError(f"m={config.m} must satisfy 1 <= m <= n={config.n}")
     if config.points < 1:
         raise ConfigError(f"points={config.points} must be at least 1")
+    if config.seed < 0:
+        raise ConfigError(f"seed={config.seed} must be at least 0")
     suites = _SUITES if config.suite == "all" else (config.suite,)
     return Report([_run_check(check, config) for suite in suites for check in _CHECKS[suite]])
 
@@ -624,10 +627,29 @@ def _parse_lambda(text: str | None, n: int) -> LambdaFamily | None:
 
 
 def _parse_point(csv: str, n: int) -> PhasePoint:
-    vals = [float(v) for v in csv.split(",")]
+    try:
+        vals = [float(v) for v in csv.split(",")]
+    except ValueError:
+        raise ConfigError(f"--point must be comma-separated numbers, got {csv!r}") from None
     if len(vals) != 2 * n + 1:
         raise ConfigError(f"point needs {2 * n + 1} values for n={n}, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"--point must be finite, got {csv!r}")
     return PhasePoint.from_array(np.array(vals))
+
+
+def _finite_t(t: float) -> float:
+    if not math.isfinite(t):
+        raise ConfigError(f"--t must be finite, got {t}")
+    return t
+
+
+def _scaling_map(space: PhaseSpace, t: float):
+    """``scaling_map`` at ``--t``, whose factors ``exp(-t)`` and ``exp(t)`` must be finite."""
+    try:
+        return scaling_map(space, t)
+    except OverflowError:
+        raise ConfigError(f"--t must keep the scaling factor exp(|t|) finite, got {t}") from None
 
 
 def _metric_for(args, space: PhaseSpace) -> Metric:
@@ -676,17 +698,13 @@ def _read_config(path: str) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    overrides = _read_config(args.config) if args.config else {}
-    cfg = RunConfig(
-        suite=args.suite or overrides.get("suite", "all"),
-        n=args.n if args.n is not None else overrides.get("n", 2),
-        m=args.m if args.m is not None else overrides.get("m", 1),
-        seed=args.seed if args.seed is not None else overrides.get("seed", 0),
-        points=args.points if args.points is not None else overrides.get("points", 50),
-        lam=overrides.get("lam"),
-        catalog_path=args.catalog,
-        json_path=args.json or overrides.get("output"),
-    )
+    # RunConfig's defaults, under the --config values, under the options given
+    values = _read_config(args.config) if args.config else {}
+    values["json_path"] = values.pop("output", None)
+    given = {"suite": args.suite, "n": args.n, "m": args.m, "seed": args.seed,
+             "points": args.points, "json_path": args.json or None}
+    values.update((key, value) for key, value in given.items() if value is not None)
+    cfg = RunConfig(**values, catalog_path=args.catalog)
     if args.lam:
         cfg.lam = _parse_lambda(args.lam, cfg.n)
     t0 = time.perf_counter()
@@ -722,23 +740,24 @@ def _cmd_flow(args) -> int:
     n = args.n if args.n is not None else 1
     space = PhaseSpace(n)
     point = _parse_point(args.point, n)
+    t = _finite_t(args.t)
     m = args.m if args.m is not None else n
     closed = None
     if args.hamiltonian == "hL":
         if m > n:
             raise ConfigError(f"m={m} must satisfy 1 <= m <= n={n}")
         h = rotation_generator(m)
-        closed = rotation_flow(args.t, IndexSubset.of(range(1, m + 1)), point)
+        closed = rotation_flow(t, IndexSubset.of(range(1, m + 1)), point)
     elif args.hamiltonian == "hS":
         h = scaling_generator(n)
-        closed = scaling_map(space, args.t).apply(point)
+        closed = _scaling_map(space, t).apply(point)
     else:
         h = expr.parse(args.hamiltonian)
     X = hamiltonian_vector_field(space, h)
-    end = integrate_flow(X, point, args.t, args.steps)
+    end = integrate_flow(X, point, t, args.steps)
     record = {
         "hamiltonian": args.hamiltonian,
-        "t": args.t,
+        "t": t,
         "steps": args.steps,
         "endpoint": end.as_array().tolist(),
     }
@@ -754,14 +773,17 @@ def _cmd_pullback(args) -> int:
     metric = _metric_for(args, space)
     point = _parse_point(args.point, space.n)
     if args.map == "legendre":
+        text = "1" if args.indices is None else args.indices
         try:
-            indices = [int(s) for s in (args.indices or "1").split(",")]
+            indices = [int(s) for s in text.split(",")]
         except ValueError:
             raise ConfigError(f"--indices must be comma-separated integers, "
-                              f"got {args.indices!r}") from None
+                              f"got {text!r}") from None
+        if not all(1 <= i <= space.n for i in indices):
+            raise ConfigError(f"--indices must satisfy 1 <= index <= n={space.n}, got {text!r}")
         mapping = legendre_map(space, IndexSubset.of(indices))
     else:
-        mapping = scaling_map(space, args.t)
+        mapping = _scaling_map(space, _finite_t(args.t))
     pulled = pullback(mapping, metric, point)
     original = metric.tensor.evaluate(point)
     record = {

@@ -130,26 +130,30 @@ class TransformedRelation:
         self.coords = tuple(f"{c}_dual" if k + 1 in I else c for k, c in enumerate(base.coords))
         self._lo, self._hi = np.array(base.domain, dtype=float)[self._I].T
         self._last = (None, None)
-        self.domain = self._probe()
+        # a non-finite block counts as indefinite (and would make eigvalsh raise)
+        blocks = np.array([self.base.hessian(p)[self._II] for p in self._samples()])
+        eig = np.linalg.eigvalsh(blocks) if np.isfinite(blocks).all() else np.array([np.nan])
+        if not ((eig > 0.0).all() or (eig < 0.0).all()):
+            names = ", ".join(repr(self.base.coords[k]) for k in self._I)
+            raise ValueError(f"conjugate map of {names} is not monotone on the domain")
 
     @property
     def n(self) -> int:
         return self.base.n
 
-    def _probe(self):
-        """Check at 32 seeded samples that the I-block of the base Hessian is definite,
-        and return the domain whose transformed slots are the ranges of their
-        conjugates over those samples and the corners of the box."""
+    def _samples(self) -> np.ndarray:
+        """32 seeded points of the base domain box, at which construction checks that
+        the I-block of the base Hessian is definite."""
         box = np.array(self.base.domain, dtype=float)
         rng = np.random.default_rng(170)
-        pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((32, self.n))
-        blocks = np.array([self.base.hessian(p)[self._II] for p in pts])
-        # a non-finite block counts as indefinite (and would make eigvalsh raise)
-        eig = np.linalg.eigvalsh(blocks) if np.isfinite(blocks).all() else np.array([np.nan])
-        if not ((eig > 0.0).all() or (eig < 0.0).all()):
-            names = ", ".join(repr(self.base.coords[k]) for k in self._I)
-            raise ValueError(f"conjugate map of {names} is not monotone on the domain")
-        pts = np.vstack([pts, list(itertools.product(*self.base.domain))])
+        return box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((32, self.n))
+
+    @cached_property
+    def domain(self) -> tuple[tuple[float, float], ...]:
+        """The base domain with each transformed slot replaced by the range of its
+        conjugate over the seeded samples and the corners of the box.  Only a transform
+        of this transform reads it, so it is computed on first read."""
+        pts = np.vstack([self._samples(), list(itertools.product(*self.base.domain))])
         vals = np.array([self.base.gradient(p)[self._I] for p in pts])
         domain = list(self.base.domain)
         for k, lo, hi in zip(self._I, vals.min(axis=0), vals.max(axis=0)):

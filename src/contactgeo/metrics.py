@@ -35,8 +35,8 @@ __all__ = [
     "MetricKind",
     "Metric",
     "metric_from_structure",
-    "compatibility_residual",
-    "associated_residual",
+    "compatibility_pairs",
+    "associated_pairs",
     "pullback",
 ]
 
@@ -177,35 +177,22 @@ def metric_from_structure(space: PhaseSpace, kind: MetricKind,
     return Metric(kind, space, TensorField((0, 2), comps), _inverse_components(space, kind, lam))
 
 
-def compatibility_residual(metric: Metric, phi: TensorField, X, Y,
-                           point: PhasePoint) -> float:
-    """``|g(phi X, phi Y) - s (g(X, Y) - eta(X) eta(Y))|``.
+def compatibility_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
+    """``g(phi X, phi Y) = s (g(X, Y) - eta(X) eta(Y))`` for all ``X, Y`` as one
+    ``(lhs, rhs)`` pair of symbolic component arrays, ``phi^T g phi`` against
+    ``(g - eta (x) eta) s``.
 
     ``s`` is +1 for the almost-contact metric and -1 for the reflection-type
     tensors, matching the compatibility conventions of the two families.
     """
-    space = metric.space
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    g = metric.tensor.evaluate(point)
-    m = phi.evaluate(point)
-    eta_vals = contact_form(space).evaluate(point)
-    s = 1.0 if metric.kind == MetricKind.ACS else -1.0
-    lhs = (m @ X) @ g @ (m @ Y)
-    rhs = s * (X @ g @ Y - (eta_vals @ X) * (eta_vals @ Y))
-    return float(abs(lhs - rhs))
+    g, eta = metric.tensor.comps, contact_form(metric.space).comps
+    sign = expr.const(1.0 if metric.kind == MetricKind.ACS else -1.0)
+    return [(phi.comps.T @ g @ phi.comps, (g - np.outer(eta, eta)) * sign)]
 
 
-def associated_residual(metric: Metric, phi: TensorField, X, Y,
-                        point: PhasePoint) -> float:
-    """``|g(X, phi Y) - d_eta(X, Y)|``."""
-    space = metric.space
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    g = metric.tensor.evaluate(point)
-    m = phi.evaluate(point)
-    deta = d_eta(space).evaluate(point)
-    return float(abs(X @ g @ (m @ Y) - X @ deta @ Y))
+def associated_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
+    """``g(X, phi Y) = d_eta(X, Y)`` for all ``X, Y``: ``g phi`` against ``d_eta``."""
+    return [(metric.tensor.comps @ phi.comps, d_eta(metric.space).comps)]
 
 
 def pullback(mapping: CoordinateMap, T: TensorField | Metric,

@@ -54,8 +54,8 @@ class StructureKind(Enum):
 class LambdaFamily:
     """Index-wise scaling functions ``L_a(w, q, p)``.
 
-    What a family satisfies is not declared but checked: :attr:`scaling_tape`
-    computes the residual of invariance under the polarization scalings and
+    What a family satisfies is not declared but checked: :attr:`scaling_residuals`
+    states the residual of invariance under the polarization scalings and
     :func:`lambda_legendre_residual` that under the partial Legendre maps.
     """
 
@@ -70,9 +70,9 @@ class LambdaFamily:
         """The scaling functions, compiled on first use against the coordinate order."""
         return expr.compile(self.exprs, PhaseSpace(self.n).coord_names())
 
-    @cached_property
-    def scaling_tape(self) -> expr.Tape:
-        """``sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b)`` for each ``a``, compiled on first use."""
+    @property
+    def scaling_residuals(self) -> list[Expr]:
+        """``sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b)`` for each ``a``, built on each read."""
         residuals = []
         for la in self.exprs:
             acc = expr.ZERO
@@ -80,7 +80,7 @@ class LambdaFamily:
                 acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
                 acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
             residuals.append(acc)
-        return expr.compile(residuals, PhaseSpace(self.n).coord_names())
+        return residuals
 
     @classmethod
     def of(cls, items) -> "LambdaFamily":

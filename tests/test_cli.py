@@ -213,6 +213,30 @@ class TestVerify:
         assert summary["suite"] == "structures"
         assert summary["seed"] == 9
 
+    def test_options_given_override_the_config_file(self, tmp_path, capsys):
+        # RunConfig's defaults, under the --config values, under the options given
+        cfg = tmp_path / "run.cfg"
+        cfg_out, cli_out = tmp_path / "config.jsonl", tmp_path / "option.jsonl"
+        cfg.write_text('suite = "structures"\nn = 1\nseed = 9\npoints = 6\n'
+                       f'lambda.1 = "q1"\noutput = "{cfg_out}"\n')
+        code, out, _ = _run(capsys, ["verify", "--config", str(cfg), "--seed", "3",
+                                     "--lambda", "q1*p1", "--json", str(cli_out)])
+        assert code == 0  # the option's family, not the config's q1, which fails
+        assert json.loads(out.splitlines()[-1]) == {
+            "check": "summary", "suite": "structures", "n": 1, "m": 1, "seed": 3,
+            "points": 6, "checks": 7, "failures": 0, "passed": True}
+        assert cli_out.read_text() == out and not cfg_out.exists()
+        code, out, _ = _run(capsys, ["verify", "--config", str(cfg), "--suite", "heisenberg"])
+        assert code == 0 and cfg_out.read_text() == out
+        assert json.loads(out.splitlines()[-1])["suite"] == "heisenberg"
+
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" named nothing
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        for argv in (["verify", "--seed", "-1"], ["verify", "--config", str(cfg)]):
+            assert _run(capsys, argv) == (2, "", "error: seed=-1 must be at least 0\n")
+
     @pytest.mark.parametrize("text, message", [
         # misspelt seed and points used to run with the defaults and exit 0
         ("seeds = 3", "unknown config key 'seeds'"),
@@ -449,7 +473,7 @@ class TestRunSuiteApi:
         monkeypatch.undo()
         assert {"TensorField.tape", "CoordinateMap.tape", "CoordinateMap.jacobian_tape",
                 "Metric.ricci_tape",
-                "LambdaFamily.tape", "LambdaFamily.scaling_tape",
+                "LambdaFamily.tape",
                 "_hamiltonian_eta", "_differences", "FundamentalRelation._value_tape",
                 "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
                 } <= {caller for caller, _ in compiled.values()}
@@ -636,6 +660,16 @@ class TestCurvatureCommand:
                                        "--point", "0.1,1,2,3,4"])
         assert (code, out, err) == (2, "", "error: alpha_pi is not a metric; no connection\n")
 
+    @pytest.mark.parametrize("point, message", [
+        # these said "could not convert string to float" and "phase point has
+        # non-finite entries"
+        ("0.1,a,2,3,4", "--point must be comma-separated numbers, got '0.1,a,2,3,4'"),
+        ("0.1,1,2,3,inf", "--point must be finite, got '0.1,1,2,3,inf'"),
+    ])
+    def test_a_bad_point_names_the_option(self, capsys, point, message):
+        code, out, err = _run(capsys, ["curvature", "--point", point])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_wrong_point_length(self, capsys):
         code, _, err = _run(capsys, ["curvature", "--metric", "acs", "--n", "2",
                                      "--point", "1,2,3"])
@@ -716,6 +750,18 @@ class TestFlowCommand:
                                        "--steps", "2", "--point", "1,2,3"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("hamiltonian, t, message", [
+        # these said "math domain error", "phase point has non-finite entries" and
+        # "math range error"
+        ("hL", "inf", "--t must be finite, got inf"),
+        ("hL", "nan", "--t must be finite, got nan"),
+        ("hS", "1000", "--t must keep the scaling factor exp(|t|) finite, got 1000.0"),
+    ])
+    def test_a_bad_time_names_the_option(self, capsys, hamiltonian, t, message):
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", hamiltonian, "--t", t,
+                                       "--point", "1,2,3"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_m_above_n_is_config_error(self, capsys):
         # the words verify uses, not the closed form's "index out of range"
         code, out, err = _run(capsys, ["flow", "--n", "2", "--m", "3", "--hamiltonian", "hL",
@@ -757,6 +803,19 @@ class TestPullbackCommand:
         assert (code, out, err) == (
             2, "", "error: --indices must be comma-separated integers, got '1,a'\n")
 
+    @pytest.mark.parametrize("option, message", [
+        # an empty list ran as index 1 and exited 0; index 3 said "index out of range"
+        (["--indices", ""], "--indices must be comma-separated integers, got ''"),
+        (["--indices", "3"], "--indices must satisfy 1 <= index <= n=2, got '3'"),
+        # these said "phase point has non-finite entries" and "math range error"
+        (["--map", "scaling", "--t", "nan"], "--t must be finite, got nan"),
+        (["--map", "scaling", "--t", "1000"],
+         "--t must keep the scaling factor exp(|t|) finite, got 1000.0"),
+    ])
+    def test_a_bad_map_option_is_named(self, capsys, option, message):
+        code, out, err = _run(capsys, ["pullback", "--point", "0.1,1,2,3,4", *option])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_non_finite_value_is_not_printed(self, capsys):
         code, out, err = _run(capsys, ["pullback", "--map", "legendre", "--indices", "1",
                                        "--metric", "lambda", "--lambda", "1e200*1e200*q1*p1;q2*p2",
@@ -784,3 +843,29 @@ class TestTableCommand:
         code, out, _ = _run(capsys, ["table", "--config", str(cfg), "--n", "2"])
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN / "table_n2_m1_seed11_p10.jsonl").read_bytes()
+
+
+_POINT = ["--point", "0.2,1.0,-0.8,0.7,1.1"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("flow_hL_n2_m1", ["flow", "--n", "2", "--m", "1", "--hamiltonian", "hL", "--t", "0.7",
+                       "--steps", "1000", *_POINT]),
+    ("flow_hS_n2", ["flow", "--n", "2", "--hamiltonian", "hS", "--t", "0.3", "--steps", "1000",
+                    *_POINT]),
+    ("flow_parsed_n2", ["flow", "--n", "2", "--hamiltonian", "q1*p2 + sin(w) - cos(q1)/2",
+                        "--t", "0.3", "--steps", "500", *_POINT]),
+    ("pullback_legendre_n2", ["pullback", "--n", "2", "--map", "legendre", "--indices", "1,2",
+                              "--metric", "lambda", "--lambda", "qp", *_POINT]),
+    ("pullback_scaling_n2", ["pullback", "--n", "2", "--map", "scaling", "--t", "0.2",
+                             "--metric", "acs", *_POINT]),
+    ("curvature_acs_n2", ["curvature", "--n", "2", "--metric", "acs", *_POINT]),
+    ("curvature_lambda_n2_fit", ["curvature", "--n", "2", "--metric", "lambda", "--lambda",
+                                 "q1*p1+3;1.7*q2*p2", "--fit", *_POINT]),
+])
+def test_command_report_is_golden(capsys, name, argv):
+    # byte for byte, like verify's goldens: the commands' option handling is rewritten
+    # around the same computations
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.jsonl").read_bytes()

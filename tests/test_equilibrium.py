@@ -406,6 +406,20 @@ class TestJointTransform:
         with pytest.raises(RootFindError, match="singular or non-finite"):
             F.hessian([0.5])
 
+    def test_the_dual_box_is_computed_on_first_read(self, monkeypatch):
+        # construction evaluates only the 32 Hessian blocks of the monotonicity check;
+        # the gradient sweep of the dual box waits for a nested transform to read it
+        calls = []
+        gradient = FundamentalRelation.gradient
+        monkeypatch.setattr(FundamentalRelation, "gradient",
+                            lambda self, q: calls.append(1) or gradient(self, q))
+        F = legendre_potential(IDEAL, 1)
+        assert calls == []
+        lo, hi = F.domain[0]
+        assert len(calls) == 32 + 4 and F.domain[1] == IDEAL.domain[1]
+        assert F.domain is F.domain and len(calls) == 36
+        assert lo < hi
+
     def test_odd_root_branch_is_not_entered(self):
         # an unclipped Newton step from the box middle crosses V = 0, where the
         # odd root makes V^(-2/3) real and convex again

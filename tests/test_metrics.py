@@ -8,12 +8,12 @@ import pytest
 from conftest import add_tensors, coframe, outer_02
 from contactgeo import expr
 from contactgeo.calculus import SingularMetricError, lie_derivative
+from contactgeo.cli import _differences
 from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
                                     legendre_map, rotation_generator,
                                     scaling_generator, scaling_map)
-from contactgeo.metrics import (MetricKind, associated_residual,
-                                compatibility_residual, metric_from_structure,
-                                pullback)
+from contactgeo.metrics import (MetricKind, associated_pairs, compatibility_pairs,
+                                metric_from_structure, pullback)
 from contactgeo.phase_space import (PhaseSpace, TensorField, contact_form, frame,
                                     sample_points)
 from contactgeo.structures import StructureKind, build_structure, product_lambda
@@ -100,8 +100,8 @@ class TestFrameGram:
 
 
 class TestCompatibility:
-    def _random_vectors(self, rng, dim, count=10):
-        return [rng.standard_normal(dim) for _ in range(count)]
+    """The identities hold for all X, Y when every component of ``lhs - rhs`` vanishes;
+    the pairs run through verify's residual tape."""
 
     @pytest.mark.parametrize("metric_kind,structure_kind", [
         (MetricKind.ACS, StructureKind.ALMOST_CONTACT),
@@ -110,12 +110,11 @@ class TestCompatibility:
     ])
     def test_compatible_pairs(self, metric_kind, structure_kind):
         rng = np.random.default_rng(53)
-        metric = _metric(SP2, metric_kind)
         phi = build_structure(SP2, structure_kind)
-        for pt in sample_points(SP2, rng, 10):
-            for X, Y in zip(self._random_vectors(rng, SP2.dim),
-                            self._random_vectors(rng, SP2.dim)):
-                assert compatibility_residual(metric, phi, X, Y, pt) < 1e-12
+        pairs = compatibility_pairs(_metric(SP2, metric_kind), phi)
+        (diffs,) = _differences(SP2, pairs, sample_points(SP2, rng, 10))
+        assert diffs.shape == (10, SP2.dim ** 2)
+        assert np.max(np.abs(diffs)) < 1e-12
 
     @pytest.mark.parametrize("metric_kind,structure_kind", [
         (MetricKind.ACS, StructureKind.ALMOST_CONTACT),
@@ -124,23 +123,26 @@ class TestCompatibility:
     ])
     def test_associated_pairs(self, metric_kind, structure_kind):
         rng = np.random.default_rng(54)
-        metric = _metric(SP2, metric_kind)
         phi = build_structure(SP2, structure_kind)
-        for pt in sample_points(SP2, rng, 10):
-            for X, Y in zip(self._random_vectors(rng, SP2.dim),
-                            self._random_vectors(rng, SP2.dim)):
-                assert associated_residual(metric, phi, X, Y, pt) < 1e-12
+        pairs = associated_pairs(_metric(SP2, metric_kind), phi)
+        (diffs,) = _differences(SP2, pairs, sample_points(SP2, rng, 10))
+        assert diffs.shape == (10, SP2.dim ** 2)
+        assert np.max(np.abs(diffs)) < 1e-12
 
     def test_scaled_family_is_neither(self):
         # the scaled reflection loses both properties at generic points
         metric = _metric(SP1, MetricKind.LAMBDA)
         phi = build_structure(SP1, StructureKind.LAMBDA, product_lambda(1))
-        dq = np.array([0.0, 1.0, 0.0])
-        dp = np.array([0.0, 0.0, 1.0])
+
+        def at_dq_dp(pairs):
+            (diffs,) = _differences(SP1, pairs, [PT])
+            return diffs.reshape(SP1.dim, SP1.dim)[SP1.q_index(1), SP1.p_index(1)]
+
         # hand values at (1,2,3), Lambda = 6: g(phi dq, phi dp) = -Lambda^2 g(Q,P) = 108
-        assert compatibility_residual(metric, phi, dq, dp, PT) == pytest.approx(105.0)
+        # against -(g(dq, dp) - eta(dq) eta(dp)) = 3
+        assert at_dq_dp(compatibility_pairs(metric, phi)) == pytest.approx(105.0)
         # g(dq, phi dp) = Lambda^2/2 = 18 vs d_eta = 1/2
-        assert associated_residual(metric, phi, dq, dp, PT) == pytest.approx(17.5)
+        assert at_dq_dp(associated_pairs(metric, phi)) == pytest.approx(17.5)
 
 
 class TestPullback:

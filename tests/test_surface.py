@@ -24,12 +24,15 @@ MODULES = (expr, phase_space, hamiltonian, structures, metrics, calculus, equili
 
 # public names no command enters, each with the reason it stays
 UNREACHED = {
-    "metrics.compatibility_residual":
+    "metrics.compatibility_pairs":
         "the paper's compatibility identity g(phi X, phi Y) = +-(g(X, Y) - eta(X) eta(Y)); "
         "it becomes a verify check once perfbench/run.py's fixed list of check ids takes it",
-    "metrics.associated_residual":
+    "metrics.associated_pairs":
         "the paper's associated-metric identity g(X, phi Y) = d_eta(X, Y); "
         "waits for the same change of check ids",
+    "equilibrium.TransformedRelation.domain":
+        "the box a transform of this transform solves in; verify transforms only "
+        "catalog relations, so it is computed on first read",
     "equilibrium.TransformedRelation.hessian":
         "lets a transformed relation be transformed again or embedded with its "
         "Jacobian; verify's checks only embed it",
