@@ -18,11 +18,10 @@ from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda,
                          structure_identities)
 from .metrics import (Metric, MetricKind, associated_pairs, compatibility_pairs,
-                      metric_from_structure, pullback)
+                      metric_from_structure)
 from .calculus import (CurvatureReport, SingularMetricError, lie_bracket,
                        lie_derivative, require_nonsingular, ricci)
 from .equilibrium import (FundamentalRelation, SystemCatalogEntry, catalog,
-                          embed, involution_check, legendre_potential,
-                          pullback_metric_on_E)
+                          embed, involution_check, legendre_potential)
 
 __version__ = "0.1.0"

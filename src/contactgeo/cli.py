@@ -29,8 +29,8 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
                           legendre_map, legendre_rows,
                           random_polynomial_hamiltonian, rotation_flow,
                           rotation_generator, scaling_generator, scaling_map)
-from .metrics import Metric, MetricKind, metric_from_structure, pullback
-from .phase_space import (PhasePoint, PhaseSpace, contact_form,
+from .metrics import Metric, MetricKind, metric_from_structure
+from .phase_space import (PhasePoint, PhaseSpace, TensorField, contact_form,
                           d_eta, frame, outer_11, sample_points)
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda, structure_identities)
@@ -224,12 +224,21 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
                        check.mode, time.perf_counter() - t0)
 
 
-def _differences(space: PhaseSpace, pairs, points: list[PhasePoint]) -> Cases:
-    """One case per point: ``lhs - rhs`` for every component of every ``(lhs, rhs)``
-    pair of symbolic arrays, compiled into one tape and run as one block."""
+def _differences(coords, pairs, rows) -> Cases:
+    """One case per row of coordinate values: ``lhs - rhs`` for every component of every
+    ``(lhs, rhs)`` pair of symbolic arrays, compiled against ``coords`` and run as one block."""
     diffs = [expr.sub(a, b) for lhs, rhs in pairs for a, b in np.broadcast(lhs, rhs)]
-    tape = expr.compile(diffs, space.coord_names())
-    return Cases(tape.run_batch([pt.values for pt in points]).T)
+    return Cases(expr.compile(diffs, coords).run_batch(rows).T)
+
+
+def _sample_rows(space: PhaseSpace, rng, count: int, *metrics: Metric) -> list[tuple]:
+    """The coordinate values of ``count`` sampled points, one row per point, each
+    checked by ``calculus.require_nonsingular`` for every metric, in point order."""
+    points = sample_points(space, rng, count)
+    for pt in points:
+        for metric in metrics:
+            calculus.require_nonsingular(metric, pt)
+    return [pt.values for pt in points]
 
 
 def _subsets(n: int) -> list[IndexSubset]:
@@ -250,7 +259,7 @@ def _heisenberg_commutators(cfg, rng):
         pairs = [(lie_bracket(space, P[a], Q[b]).comps, xi.comps if a == b else expr.ZERO)
                  for a in range(n) for b in range(n)]
         pairs += [(lie_bracket(space, xi, X).comps, expr.ZERO) for X in Q + P]
-        yield _differences(space, pairs, sample_points(space, rng, cfg.points))
+        yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
 
 
 def _heisenberg_reeb(cfg, rng):
@@ -258,7 +267,7 @@ def _heisenberg_reeb(cfg, rng):
         space = PhaseSpace(n)
         eta, xi = contact_form(space).comps, frame(space)[0].comps
         pairs = [(eta @ xi, expr.ONE), (xi @ d_eta(space).comps, expr.ZERO)]
-        yield _differences(space, pairs, sample_points(space, rng, cfg.points))
+        yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
 
 
 def _heisenberg_gram(cfg, rng):
@@ -288,7 +297,7 @@ def _hamiltonian_lie_eta(cfg, rng):
         h = random_polynomial_hamiltonian(space, rng)
         led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
         pair = (led.comps, eta.comps * expr.differentiate(h, "w"))
-        yield _differences(space, [pair], sample_points(space, rng, 5))
+        yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, 5))
 
 
 def _flows_rotation(cfg, rng):
@@ -328,28 +337,28 @@ def _flows_eta_preserved(cfg, rng):
     maps = [legendre_map(space, IndexSubset.of(range(1, space.n + 1))),
             legendre_map(space, IndexSubset.of(1)),
             scaling_map(space, 0.37)]
-    for pt in sample_points(space, rng, cfg.points):
-        for mapping in maps:
-            yield mapping.jacobian(pt).T @ eta.evaluate(mapping.apply(pt)) - eta.evaluate(pt)
+    rows = _sample_rows(space, rng, cfg.points)
+    for mapping in maps:
+        yield _differences(space.coord_names(), [(mapping.pullback(eta), eta.comps)], rows)
 
 
 def _commutator(cfg, rng):
     space = PhaseSpace(cfg.n)
     pair = (generator_commutator(space, cfg.m).comps, closed_form_commutator(space, cfg.m).comps)
-    yield _differences(space, [pair], sample_points(space, rng, cfg.points))
+    yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
 
 
 def _structure(kind: StructureKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family() if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
     pairs = structure_identities(space, kind, lam)
-    yield _differences(space, pairs, sample_points(space, rng, cfg.points))
+    yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
 
 
 def _structures_scaling_pde(cfg, rng):
     space = PhaseSpace(cfg.n)
-    points = sample_points(space, rng, cfg.points)
-    yield _differences(space, [(cfg.lambda_family().scaling_residuals, expr.ZERO)], points)
+    pair = (cfg.lambda_family().scaling_residuals, expr.ZERO)
+    yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
 
 
 def _table1(kind: MetricKind, cfg, rng):
@@ -360,27 +369,17 @@ def _table1(kind: MetricKind, cfg, rng):
     pairs = [(lie_derivative(space, metric.tensor, hamiltonian_vector_field(space, h)).comps,
               tables.lie_derivative_closed_form(space, kind, name, m=cfg.m, lam=lam).comps)
              for name, h in generators.items()]
-    yield _differences(space, pairs, sample_points(space, rng, cfg.points))
-
-
-def _nonsingular_points(space: PhaseSpace, rng, count: int, *metrics: Metric):
-    """``count`` sampled points, each checked by ``calculus.require_nonsingular``
-    for every metric, in point order."""
-    points = sample_points(space, rng, count)
-    for pt in points:
-        for metric in metrics:
-            calculus.require_nonsingular(metric, pt)
-    return points
+    yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
 
 
 def _einstein(cfg, rng):
     space = PhaseSpace(cfg.n)
     metric = cfg.metric(MetricKind.ACS, cfg.n)
-    points = _nonsingular_points(space, rng, min(cfg.points, 20), metric)
+    rows = _sample_rows(space, rng, min(cfg.points, 20), metric)
     eta = contact_form(space).comps
     # the grouping of the numeric ric - lam * ee - nu * g; an Expr takes no array operand
     lhs = metric.ricci - np.outer(eta, eta) * expr.const(2 * space.n + 2)
-    yield _differences(space, [(lhs, metric.tensor.comps * expr.const(-2.0))], points)
+    yield _differences(space.coord_names(), [(lhs, metric.tensor.comps * expr.const(-2.0))], rows)
 
 
 def _einstein_fit(cfg, rng):
@@ -395,24 +394,22 @@ def _legendre_invariance(power: int, cfg, rng):
     for n in range(1, min(cfg.n, 3) + 1):
         space = PhaseSpace(n)
         metric = cfg.metric(MetricKind.LAMBDA, n, product_lambda(n, power=power))
-        pts = sample_points(space, rng, cfg.points)
+        rows = _sample_rows(space, rng, cfg.points)
         for I in _subsets(n):
-            mapping = legendre_map(space, I)
-            for pt in pts:
-                yield pullback(mapping, metric, pt) - metric.tensor.evaluate(pt)
+            pair = (legendre_map(space, I).pullback(metric.tensor), metric.tensor.comps)
+            yield _differences(space.coord_names(), [pair], rows)
 
 
 def _legendre_even_control(cfg, rng):
     space = PhaseSpace(cfg.n)
     metric = cfg.metric(MetricKind.LAMBDA, space.n, product_lambda(space.n, power=2))
-    mapping = legendre_map(space, IndexSubset.of(1))
-    for pt in sample_points(space, rng, cfg.points):
-        yield pullback(mapping, metric, pt) - metric.tensor.evaluate(pt)
+    pair = (legendre_map(space, IndexSubset.of(1)).pullback(metric.tensor), metric.tensor.comps)
+    yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
 
 
 def _legendre_conditions(cfg, rng):
     space = PhaseSpace(cfg.n)
-    pts = np.array([pt.values for pt in sample_points(space, rng, cfg.points)])
+    pts = np.array(_sample_rows(space, rng, cfg.points))
     masks = _subset_masks(space.n)
     sizes = masks.sum(axis=1)
     for power in (1, 3):
@@ -432,9 +429,9 @@ def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
     space = PhaseSpace(cfg.n)
     lam = cfg.lambda_family()
     metric = cfg.metric(kind, cfg.n, lam)
-    points = _nonsingular_points(space, rng, cfg.points, metric)
+    rows = _sample_rows(space, rng, cfg.points, metric)
     pair = (metric.gamma[:, 0, :], -build_structure(space, dual_kind, lam).comps)
-    yield _differences(space, [pair], points)
+    yield _differences(space.coord_names(), [pair], rows)
 
 
 def _nabla_duality(cfg, rng):
@@ -442,11 +439,11 @@ def _nabla_duality(cfg, rng):
     lam = cfg.lambda_family()
     m_lam = cfg.metric(MetricKind.LAMBDA, cfg.n, lam)
     m_bar = cfg.metric(MetricKind.LAMBDA_BAR, cfg.n, lam)
-    points = _nonsingular_points(space, rng, cfg.points, m_lam, m_bar)
+    rows = _sample_rows(space, rng, cfg.points, m_lam, m_bar)
     identity = np.where(np.eye(space.dim, dtype=bool), expr.ONE, expr.ZERO)
     eta_xi = outer_11(contact_form(space), frame(space)[0]).comps
     pair = (m_lam.gamma[:, 0, :] @ m_bar.gamma[:, 0, :], identity - eta_xi)
-    yield _differences(space, [pair], points)
+    yield _differences(space.coord_names(), [pair], rows)
 
 
 def _builtin_relation(cfg: RunConfig, entry_id: str):
@@ -458,24 +455,24 @@ def _domain_samples(rel, rng, count):
     lo = np.array([d[0] for d in rel.domain])
     hi = np.array([d[1] for d in rel.domain])
     margin = 0.05 * (hi - lo)
-    return lo + margin + (hi - lo - 2 * margin) * rng.random((count, rel.n))
+    rows = lo + margin + (hi - lo - 2 * margin) * rng.random((count, rel.n))
+    for qvals in rows:  # names a potential or gradient that cannot be evaluated there
+        equilibrium.embed(rel, qvals)
+    return rows
 
 
 def _equilibrium_hessian(cfg, rng):
     for entry in cfg.catalog:
-        rel = entry.relation
-        gr = cfg.metric(MetricKind.R, rel.n)
-        for qvals in _domain_samples(rel, rng, cfg.points):
-            yield equilibrium.pullback_metric_on_E(rel, gr, qvals) + rel.hessian(qvals)
+        rel, psi = entry.relation, entry.relation.embedding
+        pair = (psi.pullback(cfg.metric(MetricKind.R, rel.n).tensor), -psi.jacobian[rel.n + 1:])
+        yield _differences(rel.coords, [pair], _domain_samples(rel, rng, cfg.points))
 
 
 def _equilibrium_eta(cfg, rng):
     for entry in cfg.catalog:
         rel = entry.relation
-        eta = contact_form(PhaseSpace(rel.n))
-        for qvals in _domain_samples(rel, rng, cfg.points):
-            x = equilibrium.embed(rel, qvals)
-            yield eta.evaluate(x) @ equilibrium.embedding_jacobian(rel, qvals)
+        pair = (rel.embedding.pullback(contact_form(PhaseSpace(rel.n))), expr.ZERO)
+        yield _differences(rel.coords, [pair], _domain_samples(rel, rng, cfg.points))
 
 
 def _equilibrium_transform(cfg, rng):
@@ -781,10 +778,16 @@ def _cmd_pullback(args) -> int:
                               f"got {text!r}") from None
         if not all(1 <= i <= space.n for i in indices):
             raise ConfigError(f"--indices must satisfy 1 <= index <= n={space.n}, got {text!r}")
+        if len(set(indices)) != len(indices):
+            raise ConfigError(f"--indices must not repeat an index, got {text!r}")
         mapping = legendre_map(space, IndexSubset.of(indices))
     else:
         mapping = _scaling_map(space, _finite_t(args.t))
-    pulled = pullback(mapping, metric, point)
+    pulled = TensorField((0, 2), mapping.pullback(metric.tensor)).evaluate(point)
+    if not np.isfinite(pulled).all():
+        named = (f"--t {args.t}" if args.map == "scaling"
+                 else f"--metric {args.metric} through {mapping.label}")
+        raise ConfigError(f"the pulled-back components are not finite for {named}")
     original = metric.tensor.evaluate(point)
     record = {
         "map": mapping.label,
@@ -865,7 +868,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, expr.ExprError, ValueError, OSError, ArithmeticError,
-            RecursionError) as err:
+            RecursionError, equilibrium.RootFindError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """Legendre submanifolds from fundamental relations.
 
 A fundamental relation ``wbar(q^1..q^n)`` embeds its state space into the
-phase space as ``q -> (w = wbar(q), q, p = grad wbar(q))``, which kills the
-pulled-back contact form identically.  The pullback of the reflection metric
-onto the embedded submanifold is minus the Hessian of the potential -- the
-classical Hessian metric of the equilibrium state space.
+phase space by the map ``embedding``, ``q -> (w = wbar(q), q, p = grad wbar(q))``,
+which kills the pulled-back contact form identically.  The pullback of the
+reflection metric onto the embedded submanifold is minus the Hessian of the
+potential -- the classical Hessian metric of the equilibrium state space.
 
 Potential transforms: ``legendre_potential`` replaces the coordinates of an
 index set ``I`` (one coordinate is ``|I| = 1``) by their conjugates in one
@@ -29,8 +29,7 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .hamiltonian import IndexSubset, legendre_rows
-from .metrics import Metric
-from .phase_space import PhasePoint
+from .phase_space import CoordinateMap, PhasePoint
 
 __all__ = [
     "FundamentalRelation",
@@ -38,8 +37,6 @@ __all__ = [
     "SystemCatalogEntry",
     "RootFindError",
     "embed",
-    "embedding_jacobian",
-    "pullback_metric_on_E",
     "legendre_potential",
     "involution_check",
     "catalog",
@@ -76,6 +73,13 @@ class FundamentalRelation:
     def n(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def embedding(self) -> CoordinateMap:
+        """The symbolic map ``q -> (wbar, q, grad wbar)`` from ``coords``, built on first use."""
+        grad = [expr.differentiate(self.wbar, c) for c in self.coords]
+        images = [self.wbar, *map(expr.var, self.coords), *grad]
+        return CoordinateMap(np.array(images, dtype=object), self.coords, self.potential)
+
     # compiled against ``coords`` on first use and kept for the relation's
     # lifetime: the conjugate solves call gradient and hessian tens of
     # thousands of times.  Each reads ``qvals`` as Python floats in that order.
@@ -85,13 +89,11 @@ class FundamentalRelation:
 
     @cached_property
     def _gradient_tape(self) -> expr.Tape:
-        return expr.compile([expr.differentiate(self.wbar, c) for c in self.coords], self.coords)
+        return expr.compile(self.embedding.exprs[self.n + 1:], self.coords)
 
     @cached_property
     def _hessian_tape(self) -> expr.Tape:
-        firsts = [expr.differentiate(self.wbar, c) for c in self.coords]
-        return expr.compile([expr.differentiate(di, cj) for di in firsts for cj in self.coords],
-                            self.coords)
+        return expr.compile(self.embedding.jacobian[self.n + 1:].reshape(-1), self.coords)
 
     def value(self, qvals) -> float:
         return self._value_tape.run(np.asarray(qvals, dtype=float).tolist())[0]
@@ -271,28 +273,6 @@ def embed(rel, qvals) -> PhasePoint:
     if not (np.isfinite(w) and np.all(np.isfinite(p))):
         raise ValueError("non-finite potential value or gradient")
     return PhasePoint(float(w), tuple(qvals.tolist()), tuple(p.tolist()))
-
-
-def embedding_jacobian(rel, qvals) -> np.ndarray:
-    """d(embedding)/dq: rows are (dw, dq^1..dq^n, dp_1..dp_n) against the q's."""
-    qvals = np.asarray(qvals, dtype=float)
-    J = np.zeros((2 * rel.n + 1, rel.n))
-    J[0, :] = rel.gradient(qvals)
-    J[1:rel.n + 1, :] = np.eye(rel.n)
-    J[rel.n + 1:, :] = rel.hessian(qvals)
-    return J
-
-
-def pullback_metric_on_E(rel, metric: Metric, qvals) -> np.ndarray:
-    """``J^T g(psi(q)) J`` of a phase-space metric onto the equilibrium space.
-
-    For the reflection metric this equals minus the Hessian of ``wbar``.
-    """
-    if not metric.is_metric:
-        raise ValueError(f"{getattr(metric.kind, 'value', metric.kind)} is not a metric")
-    x = embed(rel, qvals)
-    J = embedding_jacobian(rel, qvals)
-    return J.T @ metric.tensor.evaluate(x) @ J
 
 
 def legendre_potential(rel, indices) -> TransformedRelation:

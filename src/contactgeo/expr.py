@@ -43,6 +43,7 @@ import builtins
 import itertools
 import math
 import re
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from weakref import WeakValueDictionary
@@ -73,6 +74,7 @@ __all__ = [
     "Tape",
     "to_string",
     "free_variables",
+    "substitute",
 ]
 
 class ExprError(Exception):
@@ -236,12 +238,13 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if b is ONE:
         return a
-    # keep constants in front and collapse nested constant factors
+    # keep constants in front and collapse nested constant factors, unless their
+    # product leaves the normal range, where c1*(c2*x) as written can still be normal
     if _is_const(b) and not _is_const(a):
         a, b = b, a
     if _is_const(a) and b.kind == "mul" and _is_const(b.args[0]):
         s = a.value * b.args[0].value
-        if math.isfinite(s):
+        if math.isfinite(s) and abs(s) >= sys.float_info.min:
             return mul(const(s), b.args[1])
     return Expr("mul", (a, b))
 
@@ -386,6 +389,35 @@ def _rule(e: Expr, name: str) -> Expr:
     if k == "cos":
         return neg(mul(sin(a), da))
     raise AssertionError(f"unknown node kind {k!r}")
+
+
+# each compound kind's constructor; a power also takes its node's exponent
+_CONSTRUCTOR = {"add": add, "sub": sub, "mul": mul, "div": div, "neg": neg, "pow": power,
+                "exp": exp, "log": log, "sin": sin, "cos": cos}
+
+
+def substitute(exprs, env) -> list[Expr]:
+    """``exprs`` with each variable named in ``env`` replaced by its expression there.
+
+    Each node is rebuilt once, children first and through an explicit stack, by
+    its constructor, which folds as usual; a node whose operands are unchanged is
+    kept, so an empty ``env`` returns the same nodes."""
+    roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
+    done: dict[int, Expr] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        pending = [a for a in node.args if id(a) not in done]
+        if pending:
+            stack += [node, *pending]
+        elif node.kind == "var":
+            done[id(node)] = env.get(node.name, node)
+        elif id(node) not in done:
+            args = [done[id(a)] for a in node.args]
+            exponent = (node.exponent,) if node.kind == "pow" else ()
+            same = all(a is b for a, b in zip(args, node.args))
+            done[id(node)] = node if same else _CONSTRUCTOR[node.kind](*args, *exponent)
+    return [done[id(root)] for root in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def legendre_map(space: PhaseSpace, I: IndexSubset) -> CoordinateMap:
         exprs[space.q_index(i)] = expr.neg(pi)
         exprs[space.p_index(i)] = qi
     exprs[0] = w
-    return CoordinateMap(exprs, label=f"legendre{I.indices}")
+    return CoordinateMap(exprs, space.coord_names(), label=f"legendre{I.indices}")
 
 
 def scaling_map(space: PhaseSpace, t: float) -> CoordinateMap:
@@ -247,7 +247,7 @@ def scaling_map(space: PhaseSpace, t: float) -> CoordinateMap:
     for a in range(1, space.n + 1):
         exprs[space.q_index(a)] = expr.const(em) * expr.var(f"q{a}")
         exprs[space.p_index(a)] = expr.const(ep) * expr.var(f"p{a}")
-    return CoordinateMap(exprs, label=f"scaling(t={t})")
+    return CoordinateMap(exprs, space.coord_names(), label=f"scaling(t={t})")
 
 
 def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator) -> Expr:

@@ -1,4 +1,4 @@
-"""(0,2) tensors built from the structures, their defining identities, and pullbacks.
+"""(0,2) tensors built from the structures and their defining identities.
 
 Every tensor here is ``eta (x) eta + s * d_eta o (phi (x) 1)`` with ``s = +1``
 for the quarter-turn structure and the half turn, and ``s = -1`` for the
@@ -27,8 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus, expr
-from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
-                          _obj, contact_form, d_eta, frame)
+from .phase_space import PhaseSpace, TensorField, _obj, contact_form, d_eta, frame
 from .structures import LambdaFamily, StructureKind, build_structure
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "metric_from_structure",
     "compatibility_pairs",
     "associated_pairs",
-    "pullback",
 ]
 
 
@@ -78,11 +76,6 @@ class Metric:
     space: PhaseSpace
     tensor: TensorField
     inverse: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def is_metric(self) -> bool:
-        """False only for the half-turn tensor, whose horizontal part is antisymmetric."""
-        return self.kind != MetricKind.ALPHA_PI
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -193,14 +186,3 @@ def compatibility_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
 def associated_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
     """``g(X, phi Y) = d_eta(X, Y)`` for all ``X, Y``: ``g phi`` against ``d_eta``."""
     return [(metric.tensor.comps @ phi.comps, d_eta(metric.space).comps)]
-
-
-def pullback(mapping: CoordinateMap, T: TensorField | Metric,
-             point: PhasePoint) -> np.ndarray:
-    """Pullback components ``J^T T(map(x)) J`` with the map's exact Jacobian."""
-    tensor = T.tensor if isinstance(T, Metric) else T
-    if tensor.valence != (0, 2):
-        raise ValueError("pullback expects a (0,2) tensor")
-    image = mapping.apply(point)
-    J = mapping.jacobian(point)
-    return J.T @ tensor.evaluate(image) @ J

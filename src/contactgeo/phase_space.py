@@ -13,6 +13,8 @@ so ``d_eta = -(1/2) sum_a (dp_a (x) dq^a - dq^a (x) dp_a)`` componentwise and
 ``d_eta(Q_a, P^a) = 1/2``.  Consequently the duals of the frame under the
 flat map ``X -> eta(X) eta + i_X d_eta`` carry a factor 1/2 as well
 (``i_{Q_a} d_eta = dp_a / 2``).
+
+A :class:`CoordinateMap` pulls (0,1) and (0,2) fields back symbolically.
 """
 
 from __future__ import annotations
@@ -214,37 +216,35 @@ def outer_11(alpha: TensorField, X: TensorField) -> TensorField:
 
 @dataclass(frozen=True, eq=False)
 class CoordinateMap:
-    """A phase-space map given by exact coordinate expressions.
-
-    The Jacobian is obtained by symbolic differentiation of the component
-    expressions, so pullbacks through these maps are exact.
-    """
+    """A map into the phase space: ``exprs[i]``, an exact expression of the source
+    coordinates ``coords``, is the image's i-th phase coordinate, and
+    ``jacobian[i, j]`` its symbolic derivative by ``coords[j]``, so pullbacks are exact."""
 
     exprs: np.ndarray
+    coords: tuple[str, ...]
     label: str = ""
+    jacobian: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def dim(self) -> int:
-        return self.exprs.shape[0]
+    def __post_init__(self):
+        object.__setattr__(self, "jacobian", np.array(
+            [[expr.differentiate(e, c) for c in self.coords] for e in self.exprs], dtype=object))
 
     @cached_property
     def tape(self) -> expr.Tape:
         """The image coordinates, compiled on first use."""
-        return expr.compile(self.exprs, PhaseSpace((self.dim - 1) // 2).coord_names())
-
-    @cached_property
-    def jacobian_tape(self) -> expr.Tape:
-        """The Jacobian entries row by row, differentiated and compiled on first use."""
-        names = PhaseSpace((self.dim - 1) // 2).coord_names()
-        return expr.compile([expr.differentiate(e, name) for e in self.exprs for name in names],
-                            names)
+        return expr.compile(self.exprs, self.coords)
 
     def apply(self, point: PhasePoint) -> PhasePoint:
         return PhasePoint.from_array(self.tape.run(point.values))
 
-    def jacobian(self, point: PhasePoint) -> np.ndarray:
-        J = np.array(self.jacobian_tape.run(point.values), dtype=float)
-        return J.reshape(self.dim, self.dim)
+    def pullback(self, T: TensorField) -> np.ndarray:
+        """The symbolic components of ``T`` pulled back to ``coords``: ``J^T (T o phi)``
+        for a (0,1) field and ``J^T (T o phi) J`` for a (0,2) field."""
+        if T.valence not in ((0, 1), (0, 2)):
+            raise ValueError(f"pullback expects a (0,1) or (0,2) tensor, got {T.valence}")
+        env = dict(zip(PhaseSpace((len(self.exprs) - 1) // 2).coord_names(), self.exprs))
+        moved = self.jacobian.T @ np.reshape(expr.substitute(T.comps.flat, env), T.comps.shape)
+        return moved if T.valence == (0, 1) else moved @ self.jacobian
 
 
 def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> list[PhasePoint]:

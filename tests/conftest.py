@@ -35,6 +35,18 @@ def partial_legendre_scalar(I, x):
     return PhasePoint(w, tuple(q), tuple(p))
 
 
+def evaluated(comps, coords, values):
+    """The symbolic component array ``comps`` compiled against ``coords`` and run at
+    the coordinate ``values``."""
+    tape = expr.compile(comps.reshape(-1), coords)
+    return np.array(tape.run(list(values))).reshape(comps.shape)
+
+
+def pulled_back(mapping, tensor, values):
+    """``mapping``'s symbolic pullback of ``tensor`` at the source coordinate ``values``."""
+    return evaluated(mapping.pullback(tensor), mapping.coords, values)
+
+
 def gamma_at(metric, point):
     """``Gamma^c_ab`` of ``metric`` at ``point``: the singular-metric guard, then the
     symbolic connection ``Metric.gamma`` compiled and run there."""

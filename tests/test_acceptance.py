@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bindings, gamma_at
+from conftest import bindings, gamma_at, pulled_back
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative, ricci
 from contactgeo.equilibrium import (catalog, embed, involution_check,
-                                    legendre_potential, pullback_metric_on_E)
+                                    legendre_potential)
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     generator_commutator,
                                     hamiltonian_vector_field, integrate_flow,
@@ -24,7 +24,7 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     random_polynomial_hamiltonian,
                                     rotation_flow, rotation_generator,
                                     scaling_generator, scaling_map)
-from contactgeo.metrics import MetricKind, metric_from_structure, pullback
+from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import (PhasePoint, PhaseSpace, contact_form,
                                     d_eta, frame, sample_points)
 from contactgeo.structures import (StructureKind, build_structure, product_lambda,
@@ -122,7 +122,8 @@ def test_criterion_05_structure_identities():
     worst = 0.0
     for kind in StructureKind:
         fam = lam if kind.value.startswith("lambda") else None
-        cases = cli._differences(space, structure_identities(space, kind, fam), pts)
+        cases = cli._differences(space.coord_names(), structure_identities(space, kind, fam),
+                                 [pt.values for pt in pts])
         worst = max(worst, *cli._worst(cases))
     _report(5, worst < 1e-12, f"residual {worst:.3e} over all six structures, 100 points")
 
@@ -179,13 +180,14 @@ def test_criterion_08_finite_legendre_invariance():
                 for combo in itertools.combinations(range(1, n + 1), r):
                     mapping = legendre_map(space, IndexSubset.of(combo))
                     for pt in pts:
-                        worst = max(worst, _max_abs(pullback(mapping, metric, pt)
-                                                    - metric.tensor.evaluate(pt)))
+                        pulled = pulled_back(mapping, metric.tensor, pt.values)
+                        worst = max(worst, _max_abs(pulled - metric.tensor.evaluate(pt)))
     # negative control: the even family must visibly break invariance
     space = PhaseSpace(2)
     even = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(2, power=2))
     mapping = legendre_map(space, IndexSubset.of(1))
-    control = min(_max_abs(pullback(mapping, even, pt) - even.tensor.evaluate(pt))
+    control = min(_max_abs(pulled_back(mapping, even.tensor, pt.values)
+                           - even.tensor.evaluate(pt))
                   for pt in sample_points(space, rng, 20))
     _report(8, worst < 1e-9 and control > 1e-2,
             f"invariance residual {worst:.3e}, even-family control {control:.3e}")
@@ -216,7 +218,7 @@ def test_criterion_10_hessian_pullback_and_involution():
         hi = np.array([d[1] for d in rel.domain])
         margin = 0.05 * (hi - lo)
         for qvals in lo + margin + (hi - lo - 2 * margin) * rng.random((50, rel.n)):
-            pulled = pullback_metric_on_E(rel, gr, qvals)
+            pulled = pulled_back(rel.embedding, gr.tensor, qvals)
             worst_hessian = max(worst_hessian, _max_abs(pulled + rel.hessian(qvals)))
 
     ideal = next(e.relation for e in catalog() if e.id == "ideal_gas")

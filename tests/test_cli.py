@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from contactgeo import cli, equilibrium, expr, metrics, structures, tables
+from contactgeo import cli, equilibrium, expr, hamiltonian, metrics, structures, tables
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
 from contactgeo.metrics import MetricKind
-from contactgeo.phase_space import PhasePoint, PhaseSpace, TensorField
+from contactgeo.phase_space import CoordinateMap, PhasePoint, PhaseSpace, TensorField
 from contactgeo.structures import StructureKind
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -280,6 +280,15 @@ class TestVerify:
                                      "--catalog", str(path)])
         assert code == 0
 
+    def test_potential_undefined_on_its_domain_is_an_error(self, tmp_path, capsys):
+        # only wbar itself is undefined; the pulled-back tensors read its derivatives alone
+        path = tmp_path / "bad.cfg"
+        path.write_text('potential = "Phi"\ncoords = ["x"]\nwbar = "x^2 + log(x - 10)"\n'
+                        'domain = [[0.5, 1.5]]\n')
+        code, out, err = _run(capsys, ["verify", "--suite", "equilibrium", "--points", "2",
+                                       "--catalog", str(path)])
+        assert (code, out, err) == (2, "", "error: log of a non-positive value\n")
+
     def test_hostile_coordinate_name_is_only_data(self, tmp_path, monkeypatch, capsys):
         # a catalog coordinate is any string; it must reach tapes only as data
         monkeypatch.chdir(tmp_path)
@@ -471,8 +480,7 @@ class TestRunSuiteApi:
         monkeypatch.setattr(expr, "compile", recording)
         run_suite(RunConfig(n=3, m=2, seed=5, points=2))
         monkeypatch.undo()
-        assert {"TensorField.tape", "CoordinateMap.tape", "CoordinateMap.jacobian_tape",
-                "Metric.ricci_tape",
+        assert {"TensorField.tape", "CoordinateMap.tape", "Metric.ricci_tape",
                 "LambdaFamily.tape",
                 "_hamiltonian_eta", "_differences", "FundamentalRelation._value_tape",
                 "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
@@ -616,6 +624,21 @@ class TestDeclaredResiduals:
         assert [c.check for c in report.checks if not c.passed] == failing
         assert metrics._inverse_components is inverse
 
+    def test_a_flipped_legendre_w_shift_fails_the_map_checks(self, monkeypatch):
+        def flipped(space, I):
+            # w - sum q^i p_i becomes w + sum q^i p_i
+            mapping = hamiltonian.legendre_map(space, I)
+            exprs = mapping.exprs.copy()
+            exprs[0] = expr.const(2.0) * expr.var("w") - exprs[0]
+            return CoordinateMap(exprs, mapping.coords, mapping.label)
+
+        monkeypatch.setattr(cli, "legendre_map", flipped)
+        report = run_suite(RunConfig(suite="all", n=2, seed=3, points=5))
+        monkeypatch.undo()
+        assert [c.check for c in report.checks if not c.passed] == [
+            "flows.eta_preserved", "legendre.invariance_qp", "legendre.invariance_qp_cubed"]
+        assert cli.legendre_map is hamiltonian.legendre_map
+
     @pytest.mark.parametrize("lam, message", [
         ("q1-q1", "metric is singular at the point"),
         ("log(q1)", "metric undefined at point: log of a non-positive value"),
@@ -635,6 +658,16 @@ class TestDeclaredResiduals:
         code, out, err = _run(capsys, ["verify", "--suite", "structures", "--n", "1",
                                        "--lambda", lam, "--points", points])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_failed_conjugate_solve_is_an_error_line(self, capsys, monkeypatch):
+        # a RootFindError is a RuntimeError, and main let it out as a traceback with exit 1
+        def failing(rel, I, qvals):
+            raise equilibrium.RootFindError("could not bracket the conjugate-variable root")
+
+        monkeypatch.setattr(equilibrium, "involution_check", failing)
+        code, out, err = _run(capsys, ["verify", "--suite", "equilibrium", "--points", "2"])
+        assert (code, out, err) == (
+            2, "", "error: could not bracket the conjugate-variable root\n")
 
 
 class TestCurvatureCommand:
@@ -811,6 +844,14 @@ class TestPullbackCommand:
         (["--map", "scaling", "--t", "nan"], "--t must be finite, got nan"),
         (["--map", "scaling", "--t", "1000"],
          "--t must keep the scaling factor exp(|t|) finite, got 1000.0"),
+        # ran as legendre(1,) and exited 0
+        (["--indices", "1,1"], "--indices must not repeat an index, got '1,1'"),
+        # these said "cannot write the non-finite value nan as JSON" and "phase point has
+        # non-finite entries": exp(700)^2 overflows in the pulled-back acs components
+        (["--map", "scaling", "--t", "700"],
+         "the pulled-back components are not finite for --t 700.0"),
+        (["--map", "scaling", "--t", "709"],
+         "the pulled-back components are not finite for --t 709.0"),
     ])
     def test_a_bad_map_option_is_named(self, capsys, option, message):
         code, out, err = _run(capsys, ["pullback", "--point", "0.1,1,2,3,4", *option])
@@ -822,7 +863,8 @@ class TestPullbackCommand:
                                        "--n", "2", "--point", "0.5,1,2,3,4"])
         assert code == 2
         assert out == ""
-        assert err == "error: cannot write the non-finite value nan as JSON\n"
+        assert err == ("error: the pulled-back components are not finite for "
+                       "--metric lambda through legendre(1,)\n")
 
 
 class TestTableCommand:

@@ -627,6 +627,52 @@ def test_light_simplification_only():
     assert parse("q1*p1") != parse("p1*q1")
 
 
+@pytest.mark.parametrize("c1, c2", [
+    # 1e-200 * 1e-200 underflows to 0, so the product folded to the constant 0
+    (1e-200, 1e-200),
+    # 1e-320 is subnormal, so (1e-160*1e-160)*x loses the digits c1*(c2*x) keeps
+    (1e-160, 1e-160),
+])
+def test_nested_constants_fold_only_to_a_normal_product(c1, c2):
+    e = parse(f"{c1!r}*({c2!r}*x)")
+    assert evaluate(e, {"x": 1e300}) == c1 * (c2 * 1e300)
+    assert parse("2*(3*x)") is parse("6*x")
+
+
+class TestSubstitute:
+    def test_values_are_those_at_the_image_point(self):
+        rng = np.random.default_rng(31)
+        compared = 0
+        for _ in range(60):
+            e = random_expression(rng, NAMES, depth=3)
+            env = {name: random_expression(rng, NAMES, depth=2) for name in NAMES}
+            (moved,) = expr.substitute([e], env)
+            point = {name: float(rng.uniform(-2.0, 2.0)) for name in NAMES}
+            try:
+                image = {name: evaluate(env[name], point) for name in NAMES}
+                want = evaluate(e, image)
+            except (EvalError, OverflowError):
+                continue
+            # folding may regroup constant factors, so the last bits may differ
+            assert evaluate(moved, point) == pytest.approx(want, rel=1e-9, abs=1e-12)
+            compared += 1
+        assert compared >= 40
+
+    def test_empty_env_returns_the_same_nodes(self):
+        rng = np.random.default_rng(32)
+        trees = [random_expression(rng, NAMES, depth=4) for _ in range(30)]
+        assert all(a is b for a, b in zip(expr.substitute(trees, {}), trees))
+
+    def test_deep_sum_has_no_recursion_limit(self):
+        q = expr.var("q1")
+        e = expr.ZERO
+        for i in range(1, 3001):
+            e = e + expr.const(float(i)) * q
+        (moved,) = expr.substitute([e], {"q1": expr.var("x") * expr.const(0.5)})
+        assert evaluate(moved, {"x": 1.0}) == evaluate(e, {"q1": 0.5})
+        assert expr.free_variables(moved) == {"x"}
+
+
 # the parser against the recursive-descent parser it replaced (conftest.reference_parse):
 # the same node for a text the reference parses, the same message and offset for a
 # text it rejects, and a ParseError where it crashed.  The one new error is an

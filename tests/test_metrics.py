@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import add_tensors, coframe, outer_02
+from conftest import add_tensors, coframe, outer_02, pulled_back
 from contactgeo import expr
 from contactgeo.calculus import SingularMetricError, lie_derivative
 from contactgeo.cli import _differences
@@ -13,7 +13,7 @@ from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
                                     legendre_map, rotation_generator,
                                     scaling_generator, scaling_map)
 from contactgeo.metrics import (MetricKind, associated_pairs, compatibility_pairs,
-                                metric_from_structure, pullback)
+                                metric_from_structure)
 from contactgeo.phase_space import (PhaseSpace, TensorField, contact_form, frame,
                                     sample_points)
 from contactgeo.structures import StructureKind, build_structure, product_lambda
@@ -43,7 +43,6 @@ class TestConstruction:
 
     def test_alpha_pi_is_not_a_metric(self):
         alpha = _metric(SP1, MetricKind.ALPHA_PI)
-        assert not alpha.is_metric
         mat = alpha.tensor.evaluate(PT)
         ee = np.outer([1.0, -3.0, 0.0], [1.0, -3.0, 0.0])
         horizontal = mat - ee
@@ -112,7 +111,8 @@ class TestCompatibility:
         rng = np.random.default_rng(53)
         phi = build_structure(SP2, structure_kind)
         pairs = compatibility_pairs(_metric(SP2, metric_kind), phi)
-        (diffs,) = _differences(SP2, pairs, sample_points(SP2, rng, 10))
+        rows = [pt.values for pt in sample_points(SP2, rng, 10)]
+        (diffs,) = _differences(SP2.coord_names(), pairs, rows)
         assert diffs.shape == (10, SP2.dim ** 2)
         assert np.max(np.abs(diffs)) < 1e-12
 
@@ -125,7 +125,8 @@ class TestCompatibility:
         rng = np.random.default_rng(54)
         phi = build_structure(SP2, structure_kind)
         pairs = associated_pairs(_metric(SP2, metric_kind), phi)
-        (diffs,) = _differences(SP2, pairs, sample_points(SP2, rng, 10))
+        rows = [pt.values for pt in sample_points(SP2, rng, 10)]
+        (diffs,) = _differences(SP2.coord_names(), pairs, rows)
         assert diffs.shape == (10, SP2.dim ** 2)
         assert np.max(np.abs(diffs)) < 1e-12
 
@@ -135,7 +136,7 @@ class TestCompatibility:
         phi = build_structure(SP1, StructureKind.LAMBDA, product_lambda(1))
 
         def at_dq_dp(pairs):
-            (diffs,) = _differences(SP1, pairs, [PT])
+            (diffs,) = _differences(SP1.coord_names(), pairs, [PT.values])
             return diffs.reshape(SP1.dim, SP1.dim)[SP1.q_index(1), SP1.p_index(1)]
 
         # hand values at (1,2,3), Lambda = 6: g(phi dq, phi dp) = -Lambda^2 g(Q,P) = 108
@@ -153,7 +154,7 @@ class TestPullback:
         for I in (IndexSubset.of(1), IndexSubset.of([1, 2])):
             mapping = legendre_map(SP2, I)
             for pt in sample_points(SP2, rng, 10):
-                pulled = pullback(mapping, ee, pt)
+                pulled = pulled_back(mapping, ee, pt.values)
                 assert np.max(np.abs(pulled - ee.evaluate(pt))) < 1e-12
 
     @pytest.mark.parametrize("power", [1, 3])
@@ -168,7 +169,7 @@ class TestPullback:
                 for combo in itertools.combinations(range(1, n + 1), r):
                     mapping = legendre_map(space, IndexSubset.of(combo))
                     for pt in pts:
-                        pulled = pullback(mapping, metric, pt)
+                        pulled = pulled_back(mapping, metric.tensor, pt.values)
                         assert np.max(np.abs(pulled - metric.tensor.evaluate(pt))) < 1e-9
 
     def test_even_family_is_not_invariant(self):
@@ -176,7 +177,7 @@ class TestPullback:
         metric = metric_from_structure(SP2, MetricKind.LAMBDA, product_lambda(2, power=2))
         mapping = legendre_map(SP2, IndexSubset.of(1))
         for pt in sample_points(SP2, rng, 20):
-            pulled = pullback(mapping, metric, pt)
+            pulled = pulled_back(mapping, metric.tensor, pt.values)
             assert np.max(np.abs(pulled - metric.tensor.evaluate(pt))) > 1e-2
 
     def test_reflection_metric_is_not_invariant(self):
@@ -187,7 +188,7 @@ class TestPullback:
         co = coframe(SP2)
         defect = add_tensors(outer_02(co[1], co[3]), outer_02(co[3], co[1]))
         for pt in sample_points(SP2, rng, 10):
-            diff = pullback(mapping, metric, pt) - metric.tensor.evaluate(pt)
+            diff = pulled_back(mapping, metric.tensor, pt.values) - metric.tensor.evaluate(pt)
             assert np.max(np.abs(diff)) == pytest.approx(1.0)
             assert np.max(np.abs(diff - defect.evaluate(pt))) < 1e-12
 
@@ -196,12 +197,23 @@ class TestPullback:
         metric = _metric(SP2, MetricKind.LAMBDA)
         mapping = scaling_map(SP2, 0.6)
         for pt in sample_points(SP2, rng, 10):
-            pulled = pullback(mapping, metric, pt)
+            pulled = pulled_back(mapping, metric.tensor, pt.values)
             assert np.max(np.abs(pulled - metric.tensor.evaluate(pt))) < 1e-12
 
+    def test_contact_form_is_invariant(self):
+        # a (0,1) field pulls back as J^T (eta o phi)
+        rng = np.random.default_rng(62)
+        eta = contact_form(SP2)
+        for mapping in (legendre_map(SP2, IndexSubset.of([1, 2])), scaling_map(SP2, 0.6)):
+            for pt in sample_points(SP2, rng, 10):
+                pulled = pulled_back(mapping, eta, pt.values)
+                assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
+
     def test_rejects_wrong_valence(self):
-        with pytest.raises(ValueError):
-            pullback(legendre_map(SP1, IndexSubset.of(1)), contact_form(SP1), PT)
+        # vectors and endomorphisms push forward; only (0,1) and (0,2) fields pull back
+        for field in (frame(SP1)[0], build_structure(SP1, StructureKind.REFLECTION)):
+            with pytest.raises(ValueError, match="expects a \\(0,1\\) or \\(0,2\\) tensor"):
+                legendre_map(SP1, IndexSubset.of(1)).pullback(field)
 
 
 class TestLieDerivativeTable:

@@ -81,7 +81,8 @@ class TestBuildStructure:
 def _worst_identity_residuals(kind, lam, pts):
     """The worst residual of the structure's declared identities at each point,
     as verify's residual helper and runner reduce them."""
-    return cli._worst(cli._differences(SP2, structure_identities(SP2, kind, lam), pts))
+    pairs = structure_identities(SP2, kind, lam)
+    return cli._worst(cli._differences(SP2.coord_names(), pairs, [pt.values for pt in pts]))
 
 
 class TestDefiningIdentities:
@@ -193,7 +194,9 @@ class TestSymmetriesUnderGenerators:
 def _scaling_residual(lam, pts):
     """``(len(pts), n)``: the scaling condition of each ``L_a`` at each point, run
     through verify's residual tape."""
-    (diffs,) = cli._differences(PhaseSpace(lam.n), [(lam.scaling_residuals, expr.ZERO)], pts)
+    coords = PhaseSpace(lam.n).coord_names()
+    (diffs,) = cli._differences(coords, [(lam.scaling_residuals, expr.ZERO)],
+                                [pt.values for pt in pts])
     return diffs
 
 
