@@ -738,6 +738,8 @@ def _cmd_flow(args) -> int:
     space = PhaseSpace(n)
     point = _parse_point(args.point, n)
     t = _finite_t(args.t)
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     m = args.m if args.m is not None else n
     closed = None
     if args.hamiltonian == "hL":
@@ -751,7 +753,18 @@ def _cmd_flow(args) -> int:
     else:
         h = expr.parse(args.hamiltonian)
     X = hamiltonian_vector_field(space, h)
-    end = integrate_flow(X, point, t, args.steps)
+    start = X.tape.run(point.values)  # a field that fails at --point names its own failure
+    try:
+        end = integrate_flow(X, point, t, args.steps)
+    except (FloatingPointError, expr.EvalError) as err:
+        # a math call fails only by overflow (a range error, or sin or cos of an
+        # infinity), and only its error carries a step: like a state that is not
+        # finite, that is --t and --steps at work on a field finite at --point;
+        # a domain test keeps its own message
+        overflow = isinstance(err, FloatingPointError) or hasattr(err, "step")
+        if not (overflow and all(map(math.isfinite, start))):
+            raise
+        raise ConfigError(f"the flow is not finite for --t {t} and --steps {args.steps}") from None
     record = {
         "hamiltonian": args.hamiltonian,
         "t": t,

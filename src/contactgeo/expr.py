@@ -32,7 +32,8 @@ expressions into a :class:`Tape` once, equal subtrees sharing a slot;
 ``Tape.run`` then evaluates each node once per point without recursion, by
 interpreting the tape at first and through a generated Python function once
 the tape has run often; ``Tape.run_batch`` evaluates it at many points at
-once, one numpy operation per instruction.  A tape is compiled against a
+once, one numpy operation per instruction; ``Tape.rk4`` runs a whole RK4
+flow of a vector field's tape in one generated function.  A tape is compiled against a
 coordinate order and reads a point as the sequence of its coordinate values,
 in that order.
 """
@@ -471,7 +472,9 @@ _OPCODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV, "neg": _NEG, "pow
 # of every later run (10th to 90th percentile, tapes with powers included), so
 # it pays for itself after 120 to 280 runs, mostly about 160.  Of the 300 or
 # more tapes that verify compiles, about 300 run fewer than 50 times and would
-# never repay it; the RK4 and scaling-family tapes run 25,000 to 40,000 times.
+# never repay it; the scaling-family tapes run 25,000 to 40,000 times.  An RK4
+# flow does not run its field's tape through run at all but through the
+# stepper (Tape.rk4), generated on its first call.
 _HOT_RUNS = 128
 
 # The statements of each instruction, formatted with integer slot numbers only:
@@ -501,43 +504,85 @@ def _wrong_length(arity: int, point):
     raise EvalError(f"expected {arity} coordinate values, got {len(point)}")
 
 
-_KERNEL_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len,
+_KERNEL_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len, "range": range,
+                   "OverflowError": OverflowError, "ValueError": ValueError,
+                   "FloatingPointError": FloatingPointError, "_isfinite": math.isfinite,
                    "_wrong_length": _wrong_length, "_zero_power": _zero_power,
                    "_pow_value": _pow_value, "_pow": math.pow,
                    "_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
 
 
-def _generate(template: list, code: list, outputs: list, arity: int):
-    """The function ``point -> values`` that runs ``code`` as Python statements.
+def _generate(template: list, code: list, outputs: list, arity: int, stepper: bool = False):
+    """The function that runs ``code`` as Python statements.
 
-    Every constant slot, variable position and exponent is a parameter
-    whose value is set as the function's default arguments, so a call passes
-    the point alone.
+    By default it is ``point -> values``.  The stepper form is the function
+    ``(y, h, steps) -> (k, y)`` that :meth:`Tape.rk4` describes: one loop over
+    the steps whose body holds the statements four times, once per stage,
+    with a variable read from the stage's input ``x<pos>``; its source grows
+    with the tape, not with ``steps``.  Every constant slot and exponent, and
+    in the point form every variable position, is a parameter whose value is
+    set as the function's default arguments, so a call passes its own
+    arguments alone.
     """
     assigned = {dst for _, dst, _, _ in code}
     params = {f"v{s:d}": template[s] for s in range(len(template)) if s not in assigned}
     for op, dst, a, b in code:
-        if op == _VAR:
+        if op == _VAR and not stepper:
             params[f"n{dst:d}"] = a
         elif op == _POWI:
             params[f"r{dst:d}"] = b
         elif op == _POW:
             params[f"r{dst:d}"], params[f"s{dst:d}"] = b
-    body = [f"if len(b) != {arity:d}: _wrong_length({arity:d}, b)"]
+    body = []
     for op, dst, a, b in code:
+        if op == _VAR and stepper:
+            body.append(f"v{dst:d} = x{a:d}")
+            continue
         text = _STATEMENT[op].format(dst, None if op == _VAR else a,
                                      b if op in _BINARY else None)
         body += text.split("\n")
-    source = "\n".join([
-        f"def kernel(b, {', '.join(params)}):",
-        *["    " + line for line in body],
-        "    return [" + "".join(f"v{s:d}, " for s in outputs) + "]",
-    ])
+    if stepper:
+        body = _stepper_body(body, outputs, arity)
+        head = "def rk4(y, h, steps, "
+    else:
+        body = [f"if len(b) != {arity:d}: _wrong_length({arity:d}, b)", *body,
+                "return [" + "".join(f"v{s:d}, " for s in outputs) + "]"]
+        head = "def kernel(b, "
+    source = "\n".join([head + ", ".join(params) + "):", *["    " + line for line in body]])
     scope: dict = {}
     exec(builtins.compile(source, "<tape>", "exec"), dict(_KERNEL_GLOBALS), scope)
-    kernel = scope["kernel"]
-    kernel.__defaults__ = tuple(params.values())
-    return kernel
+    function = scope["rk4" if stepper else "kernel"]
+    function.__defaults__ = tuple(params.values())
+    return function
+
+
+def _stepper_body(stage: list, outputs: list, arity: int) -> list:
+    """The lines of the stepper: the statements of one evaluation, ``stage``,
+    run at each RK4 stage in a loop over the steps, on scalar locals and in
+    the association order of numpy's array form ``y + (0.5*h)*k`` and
+    ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``."""
+    coords = range(arity)
+    state = "".join(f"y{j:d}, " for j in coords)
+    lines = [f"if len(y) != {arity:d}: _wrong_length({arity:d}, y)",
+             f"{state}= y",
+             "half, sixth = 0.5 * h, h / 6.0",
+             "for k in range(steps):",
+             "    try:"]
+    # each stage's input, and the name of the local that keeps its derivative
+    inputs = [("a", "y{0:d}"), ("b", "y{0:d} + half * a{0:d}"),
+              ("c", "y{0:d} + half * b{0:d}"), ("d", "y{0:d} + h * c{0:d}")]
+    for name, point in inputs:
+        lines += [f"        x{j:d} = " + point.format(j) for j in coords]
+        lines += ["        " + line for line in stage]
+        lines += [f"        {name}{j:d} = v{s:d}" for j, s in enumerate(outputs)]
+    lines += ["    except (OverflowError, ValueError):  # a math call failed: replay the step",
+              f"        return k, [{state}]"]
+    lines += [f"    y{j:d} = y{j:d} + sixth * (((a{j:d} + 2.0 * b{j:d}) + 2.0 * c{j:d}) + d{j:d})"
+              for j in coords]
+    lines += ["    if not (" + " and ".join(f"_isfinite(y{j:d})" for j in coords) + "):",
+              "        raise FloatingPointError(f'non-finite state at step {k + 1}')",
+              f"return steps, [{state}]"]
+    return lines
 
 
 def _powi_value(x: float, e: float) -> float:
@@ -575,6 +620,12 @@ class Tape:
     values and raise the same first :class:`EvalError`, which names a failing
     ``math`` call and its operand: ``exp(1000.0): math range error``.
 
+    :meth:`rk4` runs a vector field's tape as the right-hand side of an RK4
+    flow: its first call generates a third form, the stepper, which holds the
+    statements of the generated function four times, once per stage, in one
+    loop over all the steps.  It is kept beside that function and dies with
+    the tape.
+
     :meth:`run_batch` runs the same list over many points at once, through
     the interpreter's own loop with a column of values in each slot.
     Arithmetic and negation are then numpy operations, which round as the
@@ -585,7 +636,7 @@ class Tape:
     point, so it raises the scalar tier's error.
     """
 
-    __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel")
+    __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel", "_stepper")
 
     def __init__(self, template: list, code: list, outputs: list, arity: int):
         self._template = template
@@ -594,6 +645,7 @@ class Tape:
         self._arity = arity
         self._runs = 0
         self._kernel = None
+        self._stepper = None
 
     def run(self, point) -> list:
         """Values of the compiled expressions, in order, at ``point``.
@@ -619,6 +671,31 @@ class Tape:
             return kernel(point)
         except (OverflowError, ValueError):  # the interpreter names the failing call
             return self._interpret(point)
+
+    def rk4(self, state: list, h: float, steps: int) -> tuple[int, list]:
+        """``steps`` classical RK4 steps of length ``h`` of ``ydot = f(y)`` from
+        ``state``, where ``f`` is the tape's outputs, one per coordinate.
+
+        The first call generates the stepper, one Python function that runs
+        all the steps and is kept for every later call.  It does at each stage
+        what :meth:`run` does, on Python floats, so its states are those of
+        stepping with :meth:`run` in numpy's association order
+        ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, bit
+        for bit.  Returns ``(steps, end state)``.  If a ``math`` call fails in
+        step ``k + 1`` it returns ``(k, the state that step started from)``
+        instead, so that the caller can replay that step through :meth:`run`,
+        which names the call.  A state that is not finite after step ``k``
+        raises ``FloatingPointError("non-finite state at step k")``; a domain
+        test that fails raises :meth:`run`'s :class:`EvalError`.
+        """
+        stepper = self._stepper
+        if stepper is None:
+            if len(self._outputs) != self._arity:
+                raise ValueError(f"rk4 needs one output per coordinate, got "
+                                 f"{len(self._outputs)} for {self._arity}")
+            stepper = self._stepper = _generate(self._template, self._code, self._outputs,
+                                                self._arity, stepper=True)
+        return stepper(state, h, steps)
 
     def run_batch(self, rows) -> np.ndarray:
         """Values of the compiled expressions at each row of ``rows``.
@@ -657,6 +734,7 @@ class Tape:
         if len(point) != self._arity:
             _wrong_length(self._arity, point)
         v = self._template.copy()  # a constant stays a float, broadcast by numpy
+        scalar = test is bool
         try:
             # branches in the order of how often the verify suites execute them
             for op, dst, a, b in self._code:
@@ -667,7 +745,11 @@ class Tape:
                 elif op == _ADD:
                     v[dst] = v[a] + v[b]
                 elif op == _POWI:
-                    v[dst] = _mapped(_powi_value, v[a], b)
+                    if scalar:
+                        x = v[a]
+                        v[dst] = math.pow(x, b) if x != 0.0 else _zero_power(b)
+                    else:
+                        v[dst] = _mapped(_powi_value, v[a], b)
                 elif op == _NEG:
                     v[dst] = -v[a]
                 elif op == _SUB:

@@ -166,30 +166,36 @@ def legendre_rows(mask, rows) -> np.ndarray:
 
 
 def integrate_flow(X: TensorField, x: PhasePoint, t: float, steps: int) -> PhasePoint:
-    """Classical fixed-step RK4 integration of ``xdot = X(x)`` over time ``t``."""
+    """Classical fixed-step RK4 integration of ``xdot = X(x)`` over time ``t``.
+
+    All the steps run in the stepper of the field's tape (:meth:`expr.Tape.rk4`),
+    on Python floats in numpy's association order, so the endpoint is that
+    of stepping numpy vectors, bit for bit.  A state that is not finite raises
+    ``FloatingPointError("non-finite state at step k")``.  A ``math`` call
+    that fails is replayed, with the stages of its step, through
+    ``Tape.run``, so it raises the :class:`expr.EvalError` that names the
+    call, such as ``exp(2000.0): math range error``; that error's ``step``
+    is the number of the failing step.  A domain test that fails (a zero
+    divisor, the log of a value that is not positive, a negative base under
+    an even root, zero to a negative power) raises ``Tape.run``'s
+    :class:`expr.EvalError`, which has no ``step``.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if X.valence != (1, 0):
         raise ValueError("integrate_flow expects a vector field")
-    run = X.tape.run
-    isfinite = math.isfinite
-
-    # Python floats, with numpy's association order of the array form
-    # y + (0.5*h)*k and y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), so the result is
-    # bit-identical to stepping numpy vectors; each stage passes its state list
-    # to the tape as the point
     h = t / steps
-    half, sixth = 0.5 * h, h / 6.0
-    y = x.as_array().tolist()
-    for k in range(steps):
-        k1 = run(y)
-        k2 = run([a + half * b for a, b in zip(y, k1)])
-        k3 = run([a + half * b for a, b in zip(y, k2)])
-        k4 = run([a + h * b for a, b in zip(y, k3)])
-        y = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if not all(map(isfinite, y)):
-            raise FloatingPointError(f"non-finite state at step {k + 1}")
+    done, y = X.tape.rk4(x.as_array().tolist(), h, steps)
+    if done < steps:  # a math call failed in step done + 1: Tape.run names it
+        run, half = X.tape.run, 0.5 * h
+        try:
+            k = run(y)
+            for scale in (half, half, h):
+                k = run([a + scale * b for a, b in zip(y, k)])
+        except expr.EvalError as err:
+            err.step = done + 1
+            raise
+        raise AssertionError(f"step {done + 1} failed in the stepper but not through Tape.run")
     return PhasePoint.from_array(y)
 
 

@@ -795,6 +795,27 @@ class TestFlowCommand:
                                        "--point", "1,2,3"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("hamiltonian", [
+        # these said "pow(-1.4999999999999999e+296, 2.0): math range error" and
+        # "non-finite state at step 1"
+        "hL", "q1*p1",
+        # wdot = w^3/3 blows up at t = 1.5: "pow(8.426334048822159e+234, 3.0): math range error"
+        "w^3/3",
+    ])
+    def test_an_overflowing_flow_names_t_and_steps(self, capsys, hamiltonian):
+        t = "2" if hamiltonian == "w^3/3" else "1e300"
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", hamiltonian, "--t", t,
+                                       "--steps", "10", "--point", "1,2,3"])
+        message = f"the flow is not finite for --t {float(t)} and --steps 10"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_names_the_option(self, capsys, steps):
+        # these said "steps must be >= 1"
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", "hL", "--t", "1",
+                                       "--steps", steps, "--point", "1,2,3"])
+        assert (code, out, err) == (2, "", f"error: --steps must be at least 1, got {steps}\n")
+
     def test_m_above_n_is_config_error(self, capsys):
         # the words verify uses, not the closed form's "index out of range"
         code, out, err = _run(capsys, ["flow", "--n", "2", "--m", "3", "--hamiltonian", "hL",

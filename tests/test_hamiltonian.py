@@ -15,8 +15,8 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     random_polynomial_hamiltonian,
                                     rotation_flow, rotation_generator,
                                     scaling_generator, scaling_map)
-from contactgeo.phase_space import (PhasePoint, PhaseSpace, contact_form, frame,
-                                    sample_points)
+from contactgeo.phase_space import (PhasePoint, PhaseSpace, TensorField, _obj, contact_form,
+                                    frame, sample_points)
 
 SP1 = PhaseSpace(1)
 PT = SP1.point(1.0, [2.0], [3.0])
@@ -211,6 +211,25 @@ class TestPartialLegendre:
                 assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
 
 
+def _numpy_rk4(X, x, t, steps):
+    """RK4 on numpy vectors, each component evaluated alone: neither the
+    stepper nor a tape of the whole field is in it."""
+
+    def rhs(arr):
+        b = bindings(PhasePoint.from_array(arr))
+        return np.array([expr.evaluate(c, b) for c in X.comps])
+
+    h = t / steps
+    y = x.as_array()
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 class TestIntegrateFlow:
     def test_rotation_against_closed_form(self):
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
@@ -246,24 +265,64 @@ class TestIntegrateFlow:
         # the steps are long enough that summing k1..k4 in another order shows
         space = PhaseSpace(2)
         rng = np.random.default_rng(9)
-
-        def rhs(X, arr):
-            b = bindings(PhasePoint.from_array(arr))
-            return np.array([expr.evaluate(c, b) for c in X.comps])
-
         for _ in range(2):
             X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
             x = sample_points(space, rng, 1)[0]
-            t, steps = 0.5, 300
-            h = t / steps
-            y = x.as_array()
-            for _ in range(steps):
-                k1 = rhs(X, y)
-                k2 = rhs(X, y + 0.5 * h * k1)
-                k3 = rhs(X, y + 0.5 * h * k2)
-                k4 = rhs(X, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            assert integrate_flow(X, x, t, steps).as_array().tolist() == y.tolist()
+            y = _numpy_rk4(X, x, 0.5, 300)
+            assert integrate_flow(X, x, 0.5, 300).as_array().tolist() == y.tolist()
+
+    @pytest.mark.parametrize("n, seed", [(1, 40), (2, 40), (3, 44)])  # flows that stay finite
+    def test_stepper_equals_numpy_rk4_exactly(self, n, seed):
+        # a random field, and the same field with a constant w component and a
+        # zero q1 component, which the stepper reads from its default arguments
+        space = PhaseSpace(n)
+        rng = np.random.default_rng(seed)
+        X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
+        comps = X.comps.copy()
+        comps[0], comps[1] = expr.const(0.7), expr.ZERO
+        x = sample_points(space, rng, 1)[0]
+        for field in (X, TensorField((1, 0), comps)):
+            y = _numpy_rk4(field, x, 0.5, 300)
+            assert integrate_flow(field, x, 0.5, 300).as_array().tolist() == y.tolist()
+
+    def test_math_range_error_late_in_a_run_names_its_call(self):
+        # w = 700 + t, so exp(w) overflows in step 98 of 200, past the 32 steps after
+        # which stepping through Tape.run used the tape's generated function
+        comps = _obj(3)
+        comps[0] = expr.const(1.0)
+        comps[1] = expr.const(1e-300) * expr.exp(expr.var("w"))
+        with pytest.raises(expr.EvalError) as info:
+            integrate_flow(TensorField((1, 0), comps), SP1.point(700.0, [0.0], [0.0]), 20.0, 200)
+        assert str(info.value) == "exp(709.8000000000022): math range error"
+        assert info.value.step == 98
+
+    def test_nonfinite_state_names_its_step(self):
+        # wdot = w^2 from w = 1 blows up at t = 1, which step 203 of 400 passes
+        comps = _obj(3)
+        comps[0] = expr.parse("w*w")
+        with pytest.raises(FloatingPointError) as info:
+            integrate_flow(TensorField((1, 0), comps), PT, 2.0, 400)
+        assert str(info.value) == "non-finite state at step 203"
+
+    def test_stepper_is_generated_once_per_tape(self, monkeypatch):
+        # the oracle's pattern: many short flows of one field from nearby points
+        forms = []
+        generate = expr._generate
+        monkeypatch.setattr(expr, "_generate", lambda *args, **kwargs: (
+            forms.append(kwargs.get("stepper", False)), generate(*args, **kwargs))[1])
+        X = hamiltonian_vector_field(SP1, rotation_generator(1))
+        for shift in (0.0, 1e-5, -1e-5):
+            for t in (1e-4, -1e-4):
+                integrate_flow(X, SP1.point(1.0 + shift, [2.0], [3.0]), t, 32)
+        assert forms == [True]
+
+    def test_stepper_source_does_not_grow_with_steps(self):
+        def source_lines(steps):
+            X = hamiltonian_vector_field(SP1, rotation_generator(1))
+            integrate_flow(X, PT, 0.1, steps)
+            return max(line for *_, line in X.tape._stepper.__code__.co_lines() if line)
+
+        assert source_lines(1) == source_lines(5000) < 100
 
     def test_domain_error_late_in_a_long_run(self, capsys):
         # w reaches 0 at step 3552, long after the field's tape runs generated code
