@@ -19,6 +19,8 @@ the node the dense sum builds.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,22 +80,46 @@ def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorF
 
     Each component sums over ``c`` the term ``X^c d_c T``, then slot by slot
     ``- T[..c..] d_c X^i`` for an upper slot holding ``i``, ``+ T[..c..] d_i X^c``
-    for a lower one."""
+    for a lower one.  The components are read as flat lists, ``T[..c..]`` at
+    its flat offset, and a term with a structurally zero factor is skipped
+    before any call."""
     if X.valence != (1, 0):
         raise ValueError("the direction X must be a vector field")
     names = space.coord_names()
-    comps = _obj(T.comps.shape)
-    for idx in np.ndindex(T.comps.shape):
-        acc = expr.ZERO
+    ZERO, add, sub, mul = expr.ZERO, expr.add, expr.sub, expr.mul
+    differentiate = expr.differentiate
+    shape = T.comps.shape
+    t = T.comps.reshape(-1).tolist()
+    x = X.comps.tolist()
+    t_free = list(map(expr.free_variables, t))
+    x_free = list(map(expr.free_variables, x))
+    # per slot: the flat distance between indices one apart there, and whether it is upper
+    slots = [(math.prod(shape[s + 1:]), s < T.valence[0]) for s in range(len(shape))]
+    comps = _obj(shape)
+    flat = comps.reshape(-1)
+    for off, idx in enumerate(itertools.product(*map(range, shape))):
+        e, e_free = t[off], t_free[off]
+        acc = ZERO
         for c, name in enumerate(names):
-            acc = _add_times_d(acc, X.comps[c], T.comps[idx], name)
-            for slot, i in enumerate(idx):
-                moved = T.comps[idx[:slot] + (c,) + idx[slot + 1:]]
-                if slot < T.valence[0]:
-                    acc = _add_times_d(acc, moved, X.comps[i], name, expr.sub)
-                else:
-                    acc = _add_times_d(acc, moved, X.comps[c], names[i])
-        comps[idx] = acc
+            f = x[c]
+            if f is not ZERO and name in e_free:
+                de = differentiate(e, name)
+                if de is not ZERO:
+                    acc = add(acc, mul(f, de))
+            for i, (stride, upper) in zip(idx, slots):
+                moved = t[off + (c - i) * stride]
+                if moved is ZERO:
+                    continue
+                if upper:
+                    if name in x_free[i]:
+                        de = differentiate(x[i], name)
+                        if de is not ZERO:
+                            acc = sub(acc, mul(moved, de))
+                elif names[i] in x_free[c]:
+                    de = differentiate(x[c], names[i])
+                    if de is not ZERO:
+                        acc = add(acc, mul(moved, de))
+        flat[off] = acc
     return TensorField(T.valence, comps)
 
 

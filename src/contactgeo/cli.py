@@ -754,6 +754,8 @@ def _cmd_flow(args) -> int:
         h = expr.parse(args.hamiltonian)
     X = hamiltonian_vector_field(space, h)
     start = X.tape.run(point.values)  # a field that fails at --point names its own failure
+    if not all(map(math.isfinite, start)):
+        raise ConfigError("the Hamiltonian vector field is not finite at --point")
     try:
         end = integrate_flow(X, point, t, args.steps)
     except (FloatingPointError, expr.EvalError) as err:
@@ -761,8 +763,7 @@ def _cmd_flow(args) -> int:
         # infinity), and only its error carries a step: like a state that is not
         # finite, that is --t and --steps at work on a field finite at --point;
         # a domain test keeps its own message
-        overflow = isinstance(err, FloatingPointError) or hasattr(err, "step")
-        if not (overflow and all(map(math.isfinite, start))):
+        if not (isinstance(err, FloatingPointError) or hasattr(err, "step")):
             raise
         raise ConfigError(f"the flow is not finite for --t {t} and --steps {args.steps}") from None
     record = {

@@ -2,6 +2,7 @@
 independent oracles."""
 
 import math
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -596,3 +597,131 @@ class _Parser:
 
 def reference_parse(text):
     return _Parser(text).parse()
+
+
+# the constructors and compile as they were before they tested a node's kind
+# inline and walked one stack of bare nodes: the oracles of the constructors,
+# which must return the very same node, and of compile, which must emit the
+# same tape.
+
+def _is_const(e):
+    return e.kind == "const"
+
+
+def reference_add(a, b):
+    if _is_const(a) and _is_const(b):
+        s = a.value + b.value
+        if math.isfinite(s):
+            return const(s)
+    if a is expr.ZERO:
+        return b
+    if b is expr.ZERO:
+        return a
+    return Expr("add", (a, b))
+
+
+def reference_sub(a, b):
+    if _is_const(a) and _is_const(b):
+        s = a.value - b.value
+        if math.isfinite(s):
+            return const(s)
+    if b is expr.ZERO:
+        return a
+    if a is expr.ZERO:
+        return reference_neg(b)
+    if a is b:
+        return expr.ZERO
+    return Expr("sub", (a, b))
+
+
+def reference_mul(a, b):
+    if _is_const(a) and _is_const(b):
+        s = a.value * b.value
+        if math.isfinite(s):
+            return const(s)
+    if a is expr.ZERO or b is expr.ZERO:
+        return expr.ZERO
+    if a is expr.ONE:
+        return b
+    if b is expr.ONE:
+        return a
+    if _is_const(b) and not _is_const(a):
+        a, b = b, a
+    if _is_const(a) and b.kind == "mul" and _is_const(b.args[0]):
+        s = a.value * b.args[0].value
+        if math.isfinite(s) and abs(s) >= sys.float_info.min:
+            return reference_mul(const(s), b.args[1])
+    return Expr("mul", (a, b))
+
+
+def reference_div(a, b):
+    if b is expr.ONE:
+        return a
+    if a is expr.ZERO and b is not expr.ZERO:
+        return expr.ZERO
+    if _is_const(a) and _is_const(b) and b.value != 0.0:
+        s = a.value / b.value
+        if math.isfinite(s):
+            return const(s)
+    return Expr("div", (a, b))
+
+
+def reference_neg(a):
+    if _is_const(a):
+        return const(-a.value)
+    if a.kind == "neg":
+        return a.args[0]
+    return Expr("neg", (a,))
+
+
+def reference_compile(exprs, coords):
+    roots = tuple(exprs)
+    position = {name: k for k, name in enumerate(coords)}
+    slot = {}
+    template, code, outputs = [], [], []
+    for root in roots:
+        stack = [(root, 0)]
+        while stack:
+            node, phase = stack.pop()
+            if phase == 0:  # reached
+                if id(node) in slot:
+                    continue
+                k = node.kind
+                if k == "const":
+                    slot[id(node)] = len(template)
+                    template.append(node.value)
+                    continue
+                if k == "var":
+                    if node.name not in position:
+                        raise expr.EvalError(f"unbound variable '{node.name}'")
+                    slot[id(node)] = len(template)
+                    code.append((expr._VAR, len(template), position[node.name], None))
+                    template.append(0.0)
+                    continue
+                stack.append((node, 2))
+                if k == "div":
+                    num, den = node.args
+                    stack += ((num, 0), (node, 1), (den, 0))
+                else:
+                    stack.extend((a, 0) for a in reversed(node.args))
+            elif phase == 1:  # denominator done, numerator next
+                code.append((expr._NONZERO, -1, slot[id(node.args[1])], None))
+            else:  # operands done
+                args = node.args
+                op, second = expr._OPCODE[node.kind], None
+                if len(args) == 2:
+                    second = slot[id(args[1])]
+                elif op == expr._POW:
+                    second = expr._exponent(node.exponent)
+                    if second[1] == expr._INTEGER:
+                        op, second = expr._POWI, second[0]
+                code.append((op, len(template), slot[id(args[0])], second))
+                slot[id(node)] = len(template)
+                template.append(0.0)
+        outputs.append(slot[id(root)])
+    return expr.Tape(template, code, outputs, len(coords))
+
+
+def live_nodes():
+    """The number of entries of the intern table whose node is alive."""
+    return sum(ref() is not None for ref in expr._NODES.values())

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import live_nodes
 from contactgeo import cli, equilibrium, expr, hamiltonian, metrics, structures, tables
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
@@ -103,6 +104,26 @@ class TestVerify:
         code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "1", "--seed", "0"])
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert done.stdout == f"1 0 {code} {digest}\n"
+
+    def test_report_sweep_against_a_saved_sweep(self, tmp_path):
+        sweep = [sys.executable, str(Path(__file__).parent / "report_sweep.py"), "1", "0-1"]
+        saved = subprocess.run(sweep, capture_output=True, text=True, check=True,
+                               timeout=120).stdout
+        path = tmp_path / "saved.txt"
+        path.write_text(saved)
+        same = subprocess.run([*sweep, "--against", str(path)], capture_output=True,
+                              text=True, timeout=120)
+        assert (same.returncode, same.stdout) == (0, saved)
+        assert same.stderr == f"0 of 2 lines differ from {path}\n"
+        # one digest changed and one line missing: both are printed, and the exit is 1
+        first, second = saved.splitlines()
+        path.write_text(first[:-1] + ("0" if first[-1] != "0" else "1") + "\n")
+        changed = subprocess.run([*sweep, "--against", str(path)], capture_output=True,
+                                 text=True, timeout=120)
+        assert (changed.returncode, changed.stdout) == (1, saved)
+        assert f"this checkout: {first}\n" in changed.stderr
+        assert f"differs: {path}: (none)\n         this checkout: {second}\n" in changed.stderr
+        assert changed.stderr.endswith(f"2 of 2 lines differ from {path}\n")
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
@@ -385,15 +406,16 @@ class TestVerify:
 class TestRunSuiteApi:
     def test_runs_leave_no_expression_nodes_alive(self):
         # symbolic work lives on nodes owned by the run, so it all dies with the run.
-        # exp(S) holds itself through its derivative memo; the intern table keys
-        # hold no node, so one collection frees such a cycle and its parent together.
+        # exp(S) holds itself through its derivative memo; the intern table holds
+        # no node strongly, so one collection frees such a cycle and its parent
+        # together.  The table keeps dead entries until a sweep, so live ones count.
         while gc.collect():
             pass
-        before = len(expr._NODES)
+        before = live_nodes()
         for _ in range(2):
             run_suite(RunConfig(suite="all", n=2, points=2))
         gc.collect()
-        assert len(expr._NODES) == before
+        assert live_nodes() == before
 
     def test_wall_time_tracked_in_memory_only(self):
         report = run_suite(RunConfig(suite="flows", seed=1, points=4))
@@ -807,6 +829,18 @@ class TestFlowCommand:
         code, out, err = _run(capsys, ["flow", "--hamiltonian", hamiltonian, "--t", t,
                                        "--steps", "10", "--point", "1,2,3"])
         message = f"the flow is not finite for --t {float(t)} and --steps 10"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("hamiltonian", [
+        # these said "non-finite state at step 1": no math call fails, but the field
+        # is already inf, and nan, at --point
+        "1e200*1e200*q1*p1",
+        "1e200*1e200*q1 - 1e200*1e200*p1",
+    ])
+    def test_a_field_not_finite_at_the_point_names_the_point(self, capsys, hamiltonian):
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", hamiltonian, "--t", "0.1",
+                                       "--steps", "2", "--point", "1,2,3"])
+        message = "the Hamiltonian vector field is not finite at --point"
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -12,10 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference, random_expression, reference_parse
+from conftest import (central_difference, live_nodes, random_expression, reference_add,
+                      reference_compile, reference_div, reference_mul, reference_neg,
+                      reference_parse, reference_sub)
 from contactgeo import expr
+from contactgeo.calculus import lie_derivative
 from contactgeo.expr import (EvalError, ParseError, differentiate, evaluate,
                              parse, to_string)
+from contactgeo.hamiltonian import hamiltonian_vector_field, random_polynomial_hamiltonian
+from contactgeo.phase_space import PhaseSpace, contact_form
 
 
 class TestParse:
@@ -234,6 +239,59 @@ class TestCompile:
             expr.compile(trees, hostile[:1])
         assert str(err.value) == "unbound variable 'a\nb'"
         assert list(tmp_path.iterdir()) == []
+
+
+def _same_tape(exprs, coords):
+    got, want = expr.compile(exprs, coords), reference_compile(exprs, coords)
+    assert got._template == want._template
+    assert got._code == want._code
+    assert got._outputs == want._outputs
+
+
+def _quotients(rng, depth):
+    """A tree of mostly quotients, its operands shared between some of them."""
+    if depth == 0:
+        return random_expression(rng, NAMES, depth=2)
+    num, den = _quotients(rng, depth - 1), _quotients(rng, depth - 1)
+    pick = rng.random()
+    if pick < 0.6:
+        return num / den
+    return num / (den / num) if pick < 0.8 else (num - den) * (den / expr.var("w"))
+
+
+class TestCompileMatchesReference:
+    # compile against the two-phase tuple stacks it replaced (conftest.reference_compile):
+    # the same constants, instructions and output slots
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(23)
+        trees = [random_expression(rng, NAMES, depth=4) for _ in range(200)]
+        for tree in trees[:50]:
+            _same_tape([tree], NAMES)
+        _same_tape(trees, NAMES)
+        _same_tape(trees, NAMES[::-1])
+
+    def test_division_heavy_trees(self):
+        rng = np.random.default_rng(29)
+        trees = [_quotients(rng, 4) for _ in range(30)]
+        assert sum(op == expr._NONZERO for op, *_ in expr.compile(trees, NAMES)._code) > 300
+        _same_tape(trees, NAMES)
+
+    def test_lie_eta_differences_at_n_eight(self):
+        space = PhaseSpace(8)
+        h = random_polynomial_hamiltonian(space, np.random.default_rng(3))
+        eta = contact_form(space)
+        led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
+        diffs = [expr.sub(a, b) for a, b in zip(led.comps, eta.comps * differentiate(h, "w"))]
+        assert len(expr.compile(diffs, space.coord_names())._code) > 500
+        _same_tape(diffs, space.coord_names())
+
+    def test_deep_sum(self):
+        q = expr.var("q1")
+        e = expr.ZERO
+        for i in range(1, 3001):
+            e = e + expr.const(float(i)) * q
+        _same_tape([e, differentiate(e, "q1")], NAMES)
 
 
 def _outcome(fn):
@@ -497,6 +555,26 @@ class TestHash:
         assert ref() is None
         assert all(d() is None for d in derivatives)
 
+    def test_table_stays_within_the_live_nodes_and_a_quarter_plus_the_floor(self):
+        # 100,000 nodes built and dropped in batches of 5,000: dead entries stay
+        # until a sweep, which comes once the table holds a quarter more than the
+        # last sweep kept plus the floor, so the table is bounded by the nodes
+        # alive at once, and a dead entry, whose ids new nodes reuse, never
+        # answers a lookup
+        while gc.collect():
+            pass
+        expr._sweep()
+        x = expr.var("u8")
+        for batch in range(20):
+            values = [0.5 + 2500 * batch + k for k in range(2500)]
+            nodes = [expr.const(v) * x for v in values]  # a constant and a product each
+            assert len(expr._NODES) <= live_nodes() * 5 // 4 + expr._SWEEP_FLOOR
+            assert all(e.kind == "mul" and e.args == (expr.const(v), x)
+                       for v, e in zip(values, nodes))
+            assert all(expr.const(v) * x is e for v, e in zip(values, nodes))
+            del nodes
+        assert len(expr._NODES) <= (live_nodes() + 5000) * 5 // 4 + expr._SWEEP_FLOOR
+
     def test_pickle_returns_the_live_node(self):
         e = parse("exp(S)*V^(-2/3) + q1")
         state = e.__reduce__()
@@ -625,6 +703,23 @@ def test_light_simplification_only():
     assert expr.power(q, 1) is q
     # but no deep canonicalization: q*p and p*q stay distinct trees
     assert parse("q1*p1") != parse("p1*q1")
+
+
+def test_constructors_return_the_reference_nodes():
+    # the constructors that test kinds inline against the ones that called a
+    # helper (conftest.reference_*): the very same node for every pair of operands
+    q = expr.var("q1")
+    grid = [expr.ZERO, expr.ONE, expr.const(-1.0), expr.const(1e-160), expr.const(1e-200),
+            expr.const(1e300), expr.const(math.inf), expr.const(2.5) * q,
+            expr.const(1e-160) * q, q, -q, q / expr.var("p1")]
+    pairs = [(expr.add, reference_add), (expr.sub, reference_sub), (expr.mul, reference_mul),
+             (expr.div, reference_div)]
+    for build, reference in pairs:
+        for a in grid:
+            for b in grid:
+                assert build(a, b) is reference(a, b), (build.__name__, a, b)
+    for a in grid:
+        assert expr.neg(a) is reference_neg(a)
 
 
 @pytest.mark.parametrize("c1, c2", [
