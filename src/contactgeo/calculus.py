@@ -14,7 +14,9 @@ Darboux components are mostly zero, so no sum here builds a product with a
 structurally zero factor (one that ``is expr.ZERO``), and a derivative is
 taken only for a variable free in the node.  The zeros would fold away
 (``add(acc, ZERO) is acc``, ``mul(x, ZERO) is ZERO``), so every component is
-the node the dense sum builds.
+the node the dense sum builds.  The connection and curvature read the metric,
+its inverse and the connection as nested lists and call ``expr.add``, ``sub``
+and ``mul`` directly, in the dense sum's order.
 """
 
 from __future__ import annotations
@@ -131,78 +133,95 @@ def christoffel_symbolic(metric) -> np.ndarray:
     if metric.inverse is None:
         kind = getattr(metric.kind, "value", metric.kind)  # as --metric spells it
         raise SingularMetricError(f"{kind} is not a metric; no connection")
-    space = metric.space
-    names = space.coord_names()
-    dim = space.dim
-    g = metric.tensor.comps
-    ginv = metric.inverse
+    ZERO, add, sub, mul = expr.ZERO, expr.add, expr.sub, expr.mul
+    names = metric.space.coord_names()
+    dim = len(names)
+    g = metric.tensor.comps.tolist()
+    ginv = metric.inverse.tolist()
+    dg = [[[_d(g_ab, name) for g_ab in g_a] for g_a in g] for name in names]  # dg[d][a][b]
 
-    dg = np.empty((dim, dim, dim), dtype=object)  # dg[d][a][b] = d_d g_ab
-    for d_i, name in enumerate(names):
-        for a in range(dim):
-            for b in range(dim):
-                dg[d_i, a, b] = _d(g[a, b], name)
-
-    gamma = np.empty((dim, dim, dim), dtype=object)
+    gamma = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     half = expr.const(0.5)
     for a in range(dim):
         for b in range(a, dim):
-            brackets = [dg[a, d_i, b] + dg[b, d_i, a] - dg[d_i, a, b] for d_i in range(dim)]
-            live = [d_i for d_i in range(dim) if brackets[d_i] is not expr.ZERO]
+            # the bracket d_a g_db + d_b g_da - d_d g_ab of each live d, in increasing d
+            live = []
+            for d_i in range(dim):
+                s = sub(add(dg[a][d_i][b], dg[b][d_i][a]), dg[d_i][a][b])
+                if s is not ZERO:
+                    live.append((d_i, s))
             for c in range(dim):
-                acc = expr.ZERO
-                for d_i in live:
-                    if ginv[c, d_i] is not expr.ZERO:
-                        acc = acc + ginv[c, d_i] * brackets[d_i]
-                val = half * acc
-                gamma[c, a, b] = val
-                gamma[c, b, a] = val
-    return gamma
+                ginv_c = ginv[c]
+                acc = ZERO
+                for d_i, s in live:
+                    f = ginv_c[d_i]
+                    if f is not ZERO:
+                        acc = add(acc, mul(f, s))
+                val = ZERO if acc is ZERO else mul(half, acc)
+                gamma[c][a][b] = gamma[c][b][a] = val
+    return np.array(gamma, dtype=object)
 
 
 def require_nonsingular(metric, point: PhasePoint) -> np.ndarray:
     """The metric's components at ``point``; raises :class:`SingularMetricError`
-    where they are undefined or their determinant is below 1e-12 in size."""
+    where they are undefined, where they or their determinant are not finite,
+    and where the determinant is below 1e-12 in size."""
     try:
         g_mat = metric.tensor.evaluate(point)
     except expr.EvalError as err:
         raise SingularMetricError(f"metric undefined at point: {err}") from None
-    if abs(np.linalg.det(g_mat)) < 1e-12:
+    if not np.isfinite(g_mat).all():
+        raise SingularMetricError("metric is not finite at the point")
+    det = np.linalg.det(g_mat)
+    if not math.isfinite(det):
+        raise SingularMetricError("metric determinant is not finite at the point")
+    if abs(det) < 1e-12:
         raise SingularMetricError("metric is singular at the point")
     return g_mat
 
 
 def ricci_symbolic(metric) -> np.ndarray:
     """Build the symbolic Ricci tensor from the metric's symbolic connection."""
-    space = metric.space
-    names = space.coord_names()
-    dim = space.dim
-    gamma = metric.gamma
+    ZERO, add, sub, mul = expr.ZERO, expr.add, expr.sub, expr.mul
+    names = metric.space.coord_names()
+    dim = len(names)
+    gamma = metric.gamma.tolist()  # gamma[c][a][b] = Gamma^c_ab
 
     # contracted symbol Gamma^c_cb, reused by two of the four terms
-    contracted = np.empty(dim, dtype=object)
+    contracted = []
     for b in range(dim):
-        acc = expr.ZERO
+        acc = ZERO
         for c in range(dim):
-            acc = acc + gamma[c, c, b]
-        contracted[b] = acc
+            x = gamma[c][c][b]
+            if x is not ZERO:
+                acc = add(acc, x)
+        contracted.append(acc)
 
-    ric = np.empty((dim, dim), dtype=object)
+    ric = [[ZERO] * dim for _ in range(dim)]
     for a in range(dim):
+        # live[d] holds (c, Gamma^c_ad) for the non-zero symbols, in increasing c
+        live = [[(c, gamma[c][a][d_i]) for c in range(dim) if gamma[c][a][d_i] is not ZERO]
+                for d_i in range(dim)]
         for b in range(a, dim):
-            acc = expr.ZERO
+            acc = ZERO
             for c in range(dim):
-                acc = acc + _d(gamma[c, a, b], names[c])
-            acc = acc - _d(contracted[b], names[a])
+                de = _d(gamma[c][a][b], names[c])
+                if de is not ZERO:
+                    acc = add(acc, de)
+            de = _d(contracted[b], names[a])
+            if de is not ZERO:
+                acc = sub(acc, de)
             for d_i in range(dim):
-                if contracted[d_i] is not expr.ZERO and gamma[d_i, a, b] is not expr.ZERO:
-                    acc = acc + contracted[d_i] * gamma[d_i, a, b]
-                for c in range(dim):
-                    if gamma[c, a, d_i] is not expr.ZERO and gamma[d_i, c, b] is not expr.ZERO:
-                        acc = acc - gamma[c, a, d_i] * gamma[d_i, c, b]
-            ric[a, b] = acc
-            ric[b, a] = acc
-    return ric
+                gamma_d = gamma[d_i]
+                x, y = contracted[d_i], gamma_d[a][b]
+                if x is not ZERO and y is not ZERO:
+                    acc = add(acc, mul(x, y))
+                for c, x in live[d_i]:
+                    y = gamma_d[c][b]
+                    if y is not ZERO:
+                        acc = sub(acc, mul(x, y))
+            ric[a][b] = ric[b][a] = acc
+    return np.array(ric, dtype=object)
 
 
 @dataclass

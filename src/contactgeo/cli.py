@@ -31,7 +31,7 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
                           rotation_generator, scaling_generator, scaling_map)
 from .metrics import Metric, MetricKind, metric_from_structure
 from .phase_space import (PhasePoint, PhaseSpace, TensorField, contact_form,
-                          d_eta, frame, outer_11, sample_points)
+                          d_eta, frame, matmul, outer_11, sample_points)
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda, structure_identities)
 
@@ -266,7 +266,7 @@ def _heisenberg_reeb(cfg, rng):
     for n in (1, 2, 3):
         space = PhaseSpace(n)
         eta, xi = contact_form(space).comps, frame(space)[0].comps
-        pairs = [(eta @ xi, expr.ONE), (xi @ d_eta(space).comps, expr.ZERO)]
+        pairs = [(matmul(eta, xi), expr.ONE), (matmul(xi, d_eta(space).comps), expr.ZERO)]
         yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
 
 
@@ -442,7 +442,7 @@ def _nabla_duality(cfg, rng):
     rows = _sample_rows(space, rng, cfg.points, m_lam, m_bar)
     identity = np.where(np.eye(space.dim, dtype=bool), expr.ONE, expr.ZERO)
     eta_xi = outer_11(contact_form(space), frame(space)[0]).comps
-    pair = (m_lam.gamma[:, 0, :] @ m_bar.gamma[:, 0, :], identity - eta_xi)
+    pair = (matmul(m_lam.gamma[:, 0, :], m_bar.gamma[:, 0, :]), identity - eta_xi)
     yield _differences(space.coord_names(), [pair], rows)
 
 

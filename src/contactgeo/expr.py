@@ -468,22 +468,22 @@ def substitute(exprs, env) -> list[Expr]:
     Each node is rebuilt once, children first and through an explicit stack, by
     its constructor, which folds as usual; a node whose operands are unchanged is
     kept, so an empty ``env`` returns the same nodes."""
-    roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
-    done: dict[int, Expr] = {}
+    roots = tuple(exprs)
+    done: dict[Expr, Expr] = {}  # an Expr hashes by identity
     stack = list(roots)
     while stack:
         node = stack.pop()
-        pending = [a for a in node.args if id(a) not in done]
+        pending = [a for a in node.args if a not in done]
         if pending:
             stack += [node, *pending]
         elif node.kind == "var":
-            done[id(node)] = env.get(node.name, node)
-        elif id(node) not in done:
-            args = [done[id(a)] for a in node.args]
+            done[node] = env.get(node.name, node)
+        elif node not in done:
+            args = [done[a] for a in node.args]
             exponent = (node.exponent,) if node.kind == "pow" else ()
             same = all(a is b for a, b in zip(args, node.args))
-            done[id(node)] = node if same else _CONSTRUCTOR[node.kind](*args, *exponent)
-    return [done[id(root)] for root in roots]
+            done[node] = node if same else _CONSTRUCTOR[node.kind](*args, *exponent)
+    return [done[root] for root in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -844,18 +844,18 @@ def compile(exprs, coords) -> Tape:
     raises :class:`EvalError` here.  Nodes are interned, so equal subtrees, even
     of expressions built apart, are one node and share one slot.
     """
-    roots = tuple(exprs)  # holds every node alive, so the ids below stay unique
     position = {name: k for k, name in enumerate(coords)}
-    slot: dict[int, int] = {}
+    slot: dict[Expr, int] = {}  # keyed by the node itself: an Expr hashes by identity
     template: list = []
     code: list = []
     outputs: list = []
     fill, emit = template.append, code.append
-    # a node is pushed bare when reached, and again under _READY below its
-    # operands; a quotient also goes under _CHECKED between its two operands
+    # a node is pushed bare when reached, and again under _READY below those of
+    # its operands that have no slot yet; a quotient also goes under _CHECKED
+    # between its two operands
     stack: list = []
     pop, push = stack.pop, stack.append
-    for root in roots:
+    for root in exprs:
         push(root)
         while stack:
             node = pop()
@@ -864,29 +864,29 @@ def compile(exprs, coords) -> Tape:
                 args = node.args
                 op, second = _OPCODE[node.kind], None
                 if len(args) == 2:
-                    second = slot[id(args[1])]
+                    second = slot[args[1]]
                 elif op == _POW:
                     second = _exponent(node.exponent)
                     if second[1] == _INTEGER:
                         op, second = _POWI, second[0]
-                emit((op, len(template), slot[id(args[0])], second))
-                slot[id(node)] = len(template)
+                emit((op, len(template), slot[args[0]], second))
+                slot[node] = len(template)
                 fill(0.0)
                 continue
             if node is _CHECKED:  # denominator done, numerator next
-                emit((_NONZERO, -1, slot[id(pop().args[1])], None))
+                emit((_NONZERO, -1, slot[pop().args[1]], None))
                 continue
-            if id(node) in slot:
+            if node in slot:
                 continue
             k = node.kind
             if k == "const":
-                slot[id(node)] = len(template)
+                slot[node] = len(template)
                 fill(node.value)
                 continue
             if k == "var":
                 if node.name not in position:
                     raise EvalError(f"unbound variable '{node.name}'")
-                slot[id(node)] = len(template)
+                slot[node] = len(template)
                 emit((_VAR, len(template), position[node.name], None))
                 fill(0.0)
                 continue
@@ -894,15 +894,24 @@ def compile(exprs, coords) -> Tape:
                 raise AssertionError(f"unknown node kind {k!r}")
             push(node)
             push(_READY)
+            args = node.args
+            if len(args) == 1:
+                push(args[0])
+                continue
+            first, second = args
             if k == "div":
-                num, den = node.args
-                push(num)
+                if first not in slot:
+                    push(first)
                 push(node)
                 push(_CHECKED)
-                push(den)
+                if second not in slot:
+                    push(second)
             else:
-                stack.extend(reversed(node.args))
-        outputs.append(slot[id(root)])
+                if second not in slot:
+                    push(second)
+                if first not in slot:
+                    push(first)
+        outputs.append(slot[root])
     return Tape(template, code, outputs, len(coords))
 
 

@@ -260,15 +260,15 @@ def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator) -
     """A random polynomial in ``(w, q, p)`` of four terms with small integer
     coefficients, each coordinate to a power from 0 to 2."""
     names = space.coord_names()
+    k = len(names)
+    # row i: the coefficient of term i, then each coordinate's power; one draw gives
+    # the stream of drawing them one at a time, in this order
+    draws = rng.integers([-3] + [0] * k, [4] + [3] * k, size=(4, k + 1)).tolist()
     h = expr.ZERO
-    for _ in range(4):
-        coeff = float(rng.integers(-3, 4))
-        if coeff == 0.0:
-            coeff = 1.0
-        term = expr.const(coeff)
-        for name in names:
-            d = int(rng.integers(0, 3))
+    for coeff, *powers in draws:
+        term = expr.const(float(coeff) or 1.0)
+        for name, d in zip(names, powers):
             if d:
-                term = term * expr.power(expr.var(name), d)
-        h = h + term
+                term = expr.mul(term, expr.power(expr.var(name), d))
+        h = expr.add(h, term)
     return h

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus, expr
-from .phase_space import PhaseSpace, TensorField, _obj, contact_form, d_eta, frame
+from .phase_space import PhaseSpace, TensorField, _obj, contact_form, d_eta, frame, matmul
 from .structures import LambdaFamily, StructureKind, build_structure
 
 __all__ = [
@@ -180,9 +180,9 @@ def compatibility_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
     """
     g, eta = metric.tensor.comps, contact_form(metric.space).comps
     sign = expr.const(1.0 if metric.kind == MetricKind.ACS else -1.0)
-    return [(phi.comps.T @ g @ phi.comps, (g - np.outer(eta, eta)) * sign)]
+    return [(matmul(matmul(phi.comps.T, g), phi.comps), (g - np.outer(eta, eta)) * sign)]
 
 
 def associated_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
     """``g(X, phi Y) = d_eta(X, Y)`` for all ``X, Y``: ``g phi`` against ``d_eta``."""
-    return [(metric.tensor.comps @ phi.comps, d_eta(metric.space).comps)]
+    return [(matmul(metric.tensor.comps, phi.comps), d_eta(metric.space).comps)]

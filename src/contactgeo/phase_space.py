@@ -15,6 +15,9 @@ flat map ``X -> eta(X) eta + i_X d_eta`` carry a factor 1/2 as well
 (``i_{Q_a} d_eta = dp_a / 2``).
 
 A :class:`CoordinateMap` pulls (0,1) and (0,2) fields back symbolically.
+:func:`matmul` is ``@`` for arrays of expressions: it reads each row and
+column once, skips their structurally zero entries (those that ``is
+expr.ZERO``) and builds the very nodes numpy's object ``@`` builds.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "frame",
     "d_eta",
     "outer_11",
+    "matmul",
     "sample_points",
 ]
 
@@ -214,6 +218,40 @@ def outer_11(alpha: TensorField, X: TensorField) -> TensorField:
     return TensorField((1, 1), comps)
 
 
+def matmul(A, B):
+    """``A @ B`` for 1-D or 2-D object arrays of :class:`Expr`, with numpy's
+    shapes (two 1-D operands give the bare ``Expr``).
+
+    Each entry folds ``acc = add(acc, mul(x, y))`` from ``ZERO`` over the
+    contracted index in increasing order, only where neither factor is ZERO.
+    Since ``mul(x, ZERO) is ZERO``, ``add(acc, ZERO) is acc`` and ``add(ZERO, p)
+    is p``, that is numpy's ``(a0*b0 + a1*b1) + ...``, node for node."""
+    ZERO, add, mul = expr.ZERO, expr.add, expr.mul
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape[-1] != B.shape[0]:
+        raise ValueError(f"matmul: shapes {A.shape} and {B.shape} do not contract")
+    rows = A.tolist() if A.ndim == 2 else [A.tolist()]
+    cols = B.T.tolist() if B.ndim == 2 else [B.tolist()]
+    rows = [[(j, x) for j, x in enumerate(row) if x is not ZERO] for row in rows]
+    cols = [{j: y for j, y in enumerate(col) if y is not ZERO} for col in cols]
+    out = []
+    for row in rows:
+        line = []
+        for col in cols:
+            acc = ZERO
+            for j, x in row:
+                y = col.get(j)
+                if y is not None:
+                    acc = add(acc, mul(x, y))
+            line.append(acc)
+        out.append(line)
+    result = np.empty((len(rows), len(cols)), dtype=object)
+    result[...] = out
+    if B.ndim == 1:
+        result = result[:, 0]
+    return result[0] if A.ndim == 1 else result
+
+
 @dataclass(frozen=True, eq=False)
 class CoordinateMap:
     """A map into the phase space: ``exprs[i]``, an exact expression of the source
@@ -243,8 +281,12 @@ class CoordinateMap:
         if T.valence not in ((0, 1), (0, 2)):
             raise ValueError(f"pullback expects a (0,1) or (0,2) tensor, got {T.valence}")
         env = dict(zip(PhaseSpace((len(self.exprs) - 1) // 2).coord_names(), self.exprs))
-        moved = self.jacobian.T @ np.reshape(expr.substitute(T.comps.flat, env), T.comps.shape)
-        return moved if T.valence == (0, 1) else moved @ self.jacobian
+        moved = matmul(self.jacobian.T,
+                       np.reshape(expr.substitute(T.comps.flat, env), T.comps.shape))
+        return moved if T.valence == (0, 1) else matmul(moved, self.jacobian)
+
+
+_SIGNS = np.array((-1.0, 1.0))
 
 
 def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> list[PhasePoint]:
@@ -257,7 +299,7 @@ def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> li
     for _ in range(count):
         w = rng.uniform(-1.0, 1.0)
         mags = rng.uniform(0.5, 2.0, size=2 * space.n)
-        signs = rng.choice((-1.0, 1.0), size=2 * space.n)
+        signs = _SIGNS[rng.integers(0, 2, size=2 * space.n)]  # the draw rng.choice(_SIGNS) makes
         vals = (mags * signs).tolist()
         pts.append(PhasePoint(w, tuple(vals[:space.n]), tuple(vals[space.n:])))
     return pts

@@ -28,7 +28,8 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .hamiltonian import legendre_rows
-from .phase_space import PhaseSpace, TensorField, _obj, contact_form, frame, outer_11
+from .phase_space import (PhaseSpace, TensorField, _obj, contact_form, frame, matmul,
+                          outer_11)
 
 __all__ = [
     "StructureKind",
@@ -164,8 +165,8 @@ def structure_identities(space: PhaseSpace, kind: StructureKind,
     of symbolic component arrays: ``phi o phi`` against the horizontal identity
     ``1 - eta (x) xi`` scaled index-wise by -1, 1 or ``c_a^2``, where ``phi(Q_a) =
     c_a Q_a``; ``eta o phi`` and ``phi(xi)`` against zero; and for the scaled
-    families ``phi_L o phi_Lbar`` against ``1 - eta (x) xi``.  An object-array
-    ``@`` sums the contracted index in increasing order."""
+    families ``phi_L o phi_Lbar`` against ``1 - eta (x) xi``.  ``matmul`` sums
+    the contracted index in increasing order."""
     phi = build_structure(space, kind, lam).comps
     eta, xi = contact_form(space), frame(space)[0]
     eta_xi = outer_11(eta, xi).comps
@@ -173,12 +174,12 @@ def structure_identities(space: PhaseSpace, kind: StructureKind,
     square = (expr.const(-1.0),) * space.n if kind == StructureKind.ALMOST_CONTACT else ones
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
         square = tuple(expr.mul(c, c) for c in _pair_action(space, kind, lam)[0])
-    pairs = [(phi @ phi, scaled_horizontal_identity(space, square).comps - eta_xi),
-             (eta.comps @ phi, expr.ZERO), (phi @ xi.comps, expr.ZERO)]
+    pairs = [(matmul(phi, phi), scaled_horizontal_identity(space, square).comps - eta_xi),
+             (matmul(eta.comps, phi), expr.ZERO), (matmul(phi, xi.comps), expr.ZERO)]
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
         other = StructureKind.LAMBDA_BAR if kind == StructureKind.LAMBDA else StructureKind.LAMBDA
         dual = build_structure(space, other, lam).comps
-        pairs.append((phi @ dual, scaled_horizontal_identity(space, ones).comps - eta_xi))
+        pairs.append((matmul(phi, dual), scaled_horizontal_identity(space, ones).comps - eta_xi))
     return pairs
 
 

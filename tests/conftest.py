@@ -279,6 +279,36 @@ def dense_ricci_symbolic(space, gamma):
     return ric
 
 
+def loop_random_polynomial_hamiltonian(space, rng):
+    """``random_polynomial_hamiltonian`` as it drew before: one scalar draw per
+    coefficient and per power, in the order of one broadcast draw's rows."""
+    names = space.coord_names()
+    h = expr.ZERO
+    for _ in range(4):
+        coeff = float(rng.integers(-3, 4))
+        if coeff == 0.0:
+            coeff = 1.0
+        term = expr.const(coeff)
+        for name in names:
+            d = int(rng.integers(0, 3))
+            if d:
+                term = term * expr.power(expr.var(name), d)
+        h = h + term
+    return h
+
+
+def choice_sample_points(space, rng, count):
+    """``sample_points`` as it drew before, with the signs from ``rng.choice``."""
+    pts = []
+    for _ in range(count):
+        w = rng.uniform(-1.0, 1.0)
+        mags = rng.uniform(0.5, 2.0, size=2 * space.n)
+        signs = rng.choice((-1.0, 1.0), size=2 * space.n)
+        vals = (mags * signs).tolist()
+        pts.append(PhasePoint(w, tuple(vals[:space.n]), tuple(vals[space.n:])))
+    return pts
+
+
 def dense_metric_sum(eta, deta, phi, sign):
     """``eta (x) eta + sign * d_eta o (phi (x) 1)``, the sum of ``metric_from_structure``."""
     dim = eta.comps.shape[0]

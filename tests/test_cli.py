@@ -725,6 +725,20 @@ class TestCurvatureCommand:
         code, out, err = _run(capsys, ["curvature", "--point", point])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("metric, point, message", [
+        # g_qq = p^2 overflows: this wrote "cannot write the non-finite value nan as JSON"
+        ("acs", "1,1,1e160", "metric is not finite at the point"),
+        # the same entry of g_s: numpy's least squares then did not converge
+        ("s", "1,1,1e160", "metric is not finite at the point"),
+        # L = q1 p1 = 1e160 is finite, L^2 in the determinant is not: this exited 0
+        # with a Ricci tensor of rounding noise
+        ("lambda", "1,1e160,1", "metric determinant is not finite at the point"),
+    ])
+    def test_a_metric_that_is_not_finite_at_the_point(self, capsys, metric, point, message):
+        code, out, err = _run(capsys, ["curvature", "--metric", metric, "--n", "1",
+                                       "--point", point])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_wrong_point_length(self, capsys):
         code, _, err = _run(capsys, ["curvature", "--metric", "acs", "--n", "2",
                                      "--point", "1,2,3"])

@@ -575,6 +575,13 @@ class TestHash:
             del nodes
         assert len(expr._NODES) <= (live_nodes() + 5000) * 5 // 4 + expr._SWEEP_FLOOR
 
+    def test_a_node_hashes_and_compares_by_identity(self):
+        # compile and substitute key their memos by the node itself
+        assert expr.Expr.__hash__ is object.__hash__
+        assert "__eq__" not in vars(expr.Expr) and expr.Expr.__eq__ is object.__eq__
+        e = parse("q1*p1")
+        assert {e: 1}[parse("q1*p1")] == 1
+
     def test_pickle_returns_the_live_node(self):
         e = parse("exp(S)*V^(-2/3) + q1")
         state = e.__reduce__()

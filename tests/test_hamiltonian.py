@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bindings, coframe, evaluated, partial_legendre_scalar
+from conftest import (bindings, coframe, evaluated, loop_random_polynomial_hamiltonian,
+                      partial_legendre_scalar)
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
@@ -412,3 +413,15 @@ class TestFrameTransport:
                                     (lie_derivative(space, dp, XS), dp, 1.0)):
                 for pt in pts:
                     assert np.max(np.abs(got.evaluate(pt) - sign * want.evaluate(pt))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_random_hamiltonian_is_the_scalar_draws_tree(n):
+    # one broadcast draw per Hamiltonian reads the stream the scalar draws read
+    space = PhaseSpace(n)
+    for seed in range(60):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert (random_polynomial_hamiltonian(space, rng)
+                    is loop_random_polynomial_hamiltonian(space, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state

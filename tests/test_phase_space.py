@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import coframe, outer_02
+from conftest import choice_sample_points, coframe, outer_02
 from contactgeo import expr
 from contactgeo.calculus import lie_bracket
 from contactgeo.phase_space import (PhasePoint, PhaseSpace, TensorField, contact_form,
@@ -176,3 +176,14 @@ def test_sample_points_respect_boxes():
         assert -1.0 <= pt.w <= 1.0
         for v in (*pt.q, *pt.p):
             assert 0.5 <= abs(v) <= 2.0
+
+
+def test_sample_points_draw_what_the_choice_loop_drew():
+    # the signs index (-1, 1) by rng.integers(0, 2), the draw rng.choice makes
+    for n in (1, 2, 3, 8):
+        space = PhaseSpace(n)
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = sample_points(space, rng, 7), choice_sample_points(space, ref, 7)
+            assert [p.values for p in got] == [p.values for p in want]
+            assert rng.bit_generator.state == ref.bit_generator.state

@@ -1,9 +1,10 @@
 """The sparse symbolic builders against their dense originals, node for node.
 
 ``lie_derivative``, ``directional_derivative``, ``christoffel_symbolic``,
-``ricci_symbolic`` and ``metric_from_structure`` build a product only when no
-factor is structurally zero and a derivative only for a free variable.  Nodes
-are interned, so each component must be the very node the dense sum builds.
+``ricci_symbolic``, ``metric_from_structure`` and ``phase_space.matmul`` build a
+product only when no factor is structurally zero and a derivative only for a
+free variable.  Nodes are interned, so each component must be the very node the
+dense sum (for ``matmul``, numpy's ``@``) builds.
 Table 1's closed forms, written as one coefficient row per conjugate pair, are
 held to the sums of scaled coframe products they replace in the same way.
 """
@@ -17,11 +18,11 @@ from conftest import (composed_lie_derivative_closed_form, dense_christoffel_sym
 from contactgeo import metrics
 from contactgeo.calculus import (christoffel_symbolic, directional_derivative,
                                  lie_derivative, ricci_symbolic)
-from contactgeo.hamiltonian import (hamiltonian_vector_field,
+from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field, legendre_map,
                                     random_polynomial_hamiltonian,
-                                    rotation_generator, scaling_generator)
+                                    rotation_generator, scaling_generator, scaling_map)
 from contactgeo.metrics import MetricKind, metric_from_structure
-from contactgeo.phase_space import PhaseSpace, contact_form, d_eta, frame
+from contactgeo.phase_space import PhaseSpace, contact_form, d_eta, frame, matmul
 from contactgeo.structures import (LambdaFamily, StructureKind, build_structure,
                                    product_lambda)
 from contactgeo.tables import lie_derivative_closed_form
@@ -110,3 +111,30 @@ def test_table1_rows(kind, n):
             want = composed_lie_derivative_closed_form(space, kind, generator, m=m, lam=lam)
             assert got.valence == want.valence == (0, 2)
             _assert_same_nodes(got.comps, want.comps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_matmul_is_numpy_matmul(n):
+    space = PhaseSpace(n)
+    lam = product_lambda(n)
+    squares = [build_structure(space, kind, _lambda(kind, n)).comps for kind in StructureKind]
+    for kind in MetricKind:
+        metric = metric_from_structure(space, kind, _lambda(kind, n))
+        squares.append(metric.tensor.comps)
+        if metric.inverse is not None:
+            squares.append(metric.inverse)
+    squares.append(d_eta(space).comps)
+    squares += [legendre_map(space, IndexSubset.of(range(1, m + 1))).jacobian
+                for m in range(1, n + 1)]
+    squares.append(scaling_map(space, 0.3).jacobian)
+    squares.append(build_structure(space, StructureKind.LAMBDA, lam).comps.T)
+    vectors = [contact_form(space).comps] + [f.comps for f in frame(space)]
+    for A in squares:
+        for B in squares:
+            _assert_same_nodes(matmul(A, B), A @ B)
+        for v in vectors:
+            _assert_same_nodes(matmul(A, v), A @ v)
+            _assert_same_nodes(matmul(v, A), v @ A)
+    for u in vectors:
+        for v in vectors:
+            assert matmul(u, v) is u @ v
