@@ -874,9 +874,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_value_options(parser: argparse.ArgumentParser) -> set[str]:
+    """The option strings of ``parser`` and its subcommands that take one value."""
+    names = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                names |= _one_value_options(sub)
+        elif action.option_strings and action.nargs is None:
+            names.update(action.option_strings)
+    return names
+
+
+def _join_values(argv: list[str], options: set[str]) -> list[str]:
+    """``argv`` with each option of ``options`` joined to the token after it,
+    ``--point v`` as ``--point=v``: argparse takes a value that begins with
+    ``-``, such as ``-1,2,3``, ``-1e-3`` or ``-q1*p1``, for an option unless
+    it is a plain negative decimal."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in options else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_values(argv, _one_value_options(parser)))
     try:
         # non-finite results are caught by the runner and by _fmt, not by numpy's warnings
         with np.errstate(all="ignore"):

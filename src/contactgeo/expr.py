@@ -34,12 +34,12 @@ A node keeps its free variables and derivatives in its own slots, so that
 work dies with the node.  :func:`compile` orders the unique nodes of some
 expressions into a :class:`Tape` once, equal subtrees sharing a slot;
 ``Tape.run`` then evaluates each node once per point without recursion, by
-interpreting the tape at first and through a generated Python function once
-the tape has run often; ``Tape.run_batch`` evaluates it at many points at
-once, one numpy operation per instruction; ``Tape.rk4`` runs a whole RK4
-flow of a vector field's tape in one generated function.  A tape is compiled against a
-coordinate order and reads a point as the sequence of its coordinate values,
-in that order.
+interpreting the tape, the one scalar evaluator; ``Tape.run_batch`` runs the
+same interpreter at many points at once, one numpy operation per
+instruction; ``Tape.rk4`` runs a whole RK4 flow of a vector field's tape in
+one generated function, the only code a tape generates.  A tape is compiled
+against a coordinate order and reads a point as the sequence of its
+coordinate values, in that order.
 """
 
 from __future__ import annotations
@@ -530,24 +530,13 @@ def _pow_value(base: float, e: float, root: int) -> float:
 _OPCODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV, "neg": _NEG, "pow": _POW,
            "exp": _EXP, "log": _LOG, "sin": _SIN, "cos": _COS}
 
-# A tape is interpreted for its first _HOT_RUNS runs; the next run generates one
-# straight-line Python function from it, used from then on.  Measured on the 154
-# verify tapes of five or more instructions at n=2: generating costs about
-# 0.2 ms plus 10 us per instruction, and the function saves 70 to 80 per cent
-# of every later run (10th to 90th percentile, tapes with powers included), so
-# it pays for itself after 120 to 280 runs, mostly about 160.  Of the 300 or
-# more tapes that verify compiles, about 300 run fewer than 50 times and would
-# never repay it; the scaling-family tapes run 25,000 to 40,000 times.  An RK4
-# flow does not run its field's tape through run at all but through the
-# stepper (Tape.rk4), generated on its first call.
-_HOT_RUNS = 128
-
 # The statements of each instruction, formatted with integer slot numbers only:
-# {0} is the destination, {1} and {2} the operand slots.  A variable's position
-# is the parameter n<dst> and a power's exponent data r<dst> (and s<dst>), so no
-# constant or exponent ever becomes source text.
+# {0} is the destination and {1} and {2} the operand slots; a variable's {1} is
+# its position, read from the stage input x<pos>.  A power's exponent data is
+# the parameter r<dst> (and s<dst>), so no constant or exponent ever becomes
+# source text.
 _STATEMENT = {
-    _VAR: "v{0:d} = b[n{0:d}]",
+    _VAR: "v{0:d} = x{1:d}",
     _ADD: "v{0:d} = v{1:d} + v{2:d}",
     _SUB: "v{0:d} = v{1:d} - v{2:d}",
     _MUL: "v{0:d} = v{1:d} * v{2:d}",
@@ -569,54 +558,40 @@ def _wrong_length(arity: int, point):
     raise EvalError(f"expected {arity} coordinate values, got {len(point)}")
 
 
-_KERNEL_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len, "range": range,
-                   "OverflowError": OverflowError, "ValueError": ValueError,
-                   "FloatingPointError": FloatingPointError, "_isfinite": math.isfinite,
-                   "_wrong_length": _wrong_length, "_zero_power": _zero_power,
-                   "_pow_value": _pow_value, "_pow": math.pow,
-                   "_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
+_STEPPER_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len, "range": range,
+                    "OverflowError": OverflowError, "ValueError": ValueError,
+                    "FloatingPointError": FloatingPointError, "_isfinite": math.isfinite,
+                    "_wrong_length": _wrong_length, "_zero_power": _zero_power,
+                    "_pow_value": _pow_value, "_pow": math.pow,
+                    "_exp": math.exp, "_log": math.log, "_sin": math.sin, "_cos": math.cos}
 
 
-def _generate(template: list, code: list, outputs: list, arity: int, stepper: bool = False):
-    """The function that runs ``code`` as Python statements.
+def _generate(template: list, code: list, outputs: list, arity: int):
+    """The stepper of :meth:`Tape.rk4`: the function ``(y, h, steps) -> (k, y)``
+    that runs ``code`` as Python statements.
 
-    By default it is ``point -> values``.  The stepper form is the function
-    ``(y, h, steps) -> (k, y)`` that :meth:`Tape.rk4` describes: one loop over
-    the steps whose body holds the statements four times, once per stage,
-    with a variable read from the stage's input ``x<pos>``; its source grows
-    with the tape, not with ``steps``.  Every constant slot and exponent, and
-    in the point form every variable position, is a parameter whose value is
-    set as the function's default arguments, so a call passes its own
-    arguments alone.
+    It is one loop over the steps whose body holds the statements four times,
+    once per stage, with a variable read from the stage's input ``x<pos>``;
+    its source grows with the tape, not with ``steps``.  Every constant slot
+    and exponent is a parameter whose value is set as the function's default
+    arguments, so a call passes its own arguments alone.
     """
     assigned = {dst for _, dst, _, _ in code}
     params = {f"v{s:d}": template[s] for s in range(len(template)) if s not in assigned}
     for op, dst, a, b in code:
-        if op == _VAR and not stepper:
-            params[f"n{dst:d}"] = a
-        elif op == _POWI:
+        if op == _POWI:
             params[f"r{dst:d}"] = b
         elif op == _POW:
             params[f"r{dst:d}"], params[f"s{dst:d}"] = b
-    body = []
+    stage = []
     for op, dst, a, b in code:
-        if op == _VAR and stepper:
-            body.append(f"v{dst:d} = x{a:d}")
-            continue
-        text = _STATEMENT[op].format(dst, None if op == _VAR else a,
-                                     b if op in _BINARY else None)
-        body += text.split("\n")
-    if stepper:
-        body = _stepper_body(body, outputs, arity)
-        head = "def rk4(y, h, steps, "
-    else:
-        body = [f"if len(b) != {arity:d}: _wrong_length({arity:d}, b)", *body,
-                "return [" + "".join(f"v{s:d}, " for s in outputs) + "]"]
-        head = "def kernel(b, "
-    source = "\n".join([head + ", ".join(params) + "):", *["    " + line for line in body]])
+        stage += _STATEMENT[op].format(dst, a, b if op in _BINARY else None).split("\n")
+    body = _stepper_body(stage, outputs, arity)
+    source = "\n".join(["def rk4(y, h, steps, " + ", ".join(params) + "):",
+                        *["    " + line for line in body]])
     scope: dict = {}
-    exec(builtins.compile(source, "<tape>", "exec"), dict(_KERNEL_GLOBALS), scope)
-    function = scope["rk4" if stepper else "kernel"]
+    exec(builtins.compile(source, "<tape>", "exec"), dict(_STEPPER_GLOBALS), scope)
+    function = scope["rk4"]
     function.__defaults__ = tuple(params.values())
     return function
 
@@ -660,7 +635,7 @@ _CALL_NAME = {_POWI: "pow", _POW: "pow", _EXP: "exp", _LOG: "log", _SIN: "sin", 
 
 def _mapped(f, x, *data):
     """``f(value, *data)`` for a constant slot, or for each value of a column as
-    a column: the scalar tier's own call, so the bits are its bits."""
+    a column: the scalar evaluator's own call, so the bits are its bits."""
     if not isinstance(x, np.ndarray):
         return f(x, *data)
     return np.array(list(map(f, x.tolist(), *map(itertools.repeat, data))), dtype=float)
@@ -676,40 +651,33 @@ class Tape:
     where that is an integer (``_POWI``), and the pair :func:`_exponent` gives
     otherwise (``_POW``).
 
-    A tape runs in two tiers.  Its first ``_HOT_RUNS`` runs interpret the
-    instruction list.  The run after that generates one straight-line Python
-    function from the same list, one statement per instruction in tape order,
-    and every later run calls it.  Generating costs about as much as a hundred
-    interpreted runs save, so only a tape that runs often repays it.  Both tiers
-    do the same operations in the same order, so they return bit-identical
-    values and raise the same first :class:`EvalError`, which names a failing
-    ``math`` call and its operand: ``exp(1000.0): math range error``.
+    :meth:`run` interprets the instruction list: one pass per point, in tape
+    order.  It is the one scalar evaluator.  A failing ``math`` call raises an
+    :class:`EvalError` that names the call and its operand: ``exp(1000.0):
+    math range error``.
 
     :meth:`rk4` runs a vector field's tape as the right-hand side of an RK4
-    flow: its first call generates a third form, the stepper, which holds the
-    statements of the generated function four times, once per stage, in one
-    loop over all the steps.  It is kept beside that function and dies with
-    the tape.
+    flow: its first call generates the stepper, one Python function that holds
+    a statement per instruction four times, once per stage, in one loop over
+    all the steps.  It is the only generated code of a tape, and dies with it.
 
     :meth:`run_batch` runs the same list over many points at once, through
     the interpreter's own loop with a column of values in each slot.
     Arithmetic and negation are then numpy operations, which round as the
-    scalar ones do; powers and the functions apply the scalar tier's own
+    scalar ones do; powers and the functions apply the scalar evaluator's own
     ``math`` calls to each value of the column, since numpy's differ from them
     in the last bit.  Its values are therefore those of ``run`` at each point,
     bit for bit, and a batch in which any point fails is re-run point by
-    point, so it raises the scalar tier's error.
+    point, so it raises the scalar evaluator's error.
     """
 
-    __slots__ = ("_template", "_code", "_outputs", "_arity", "_runs", "_kernel", "_stepper")
+    __slots__ = ("_template", "_code", "_outputs", "_arity", "_stepper")
 
     def __init__(self, template: list, code: list, outputs: list, arity: int):
         self._template = template
         self._code = code
         self._outputs = outputs
         self._arity = arity
-        self._runs = 0
-        self._kernel = None
         self._stepper = None
 
     def run(self, point) -> list:
@@ -719,23 +687,14 @@ class Tape:
         tape was compiled against, best as Python floats; a sequence of another
         length raises :class:`EvalError`.
 
-        Each node is evaluated once, children first, in the order a recursive
-        walk of the expressions in turn finishes them (a quotient's denominator
-        and its zero check come before its numerator), so the values and the
-        first :class:`EvalError` raised are those of evaluating each
-        expression alone.
+        The instruction list is interpreted once.  Each node is evaluated
+        once, children first, in the order a recursive walk of the
+        expressions in turn finishes them (a quotient's denominator and its
+        zero check come before its numerator), so the values and the first
+        :class:`EvalError` raised are those of evaluating each expression
+        alone.
         """
-        kernel = self._kernel
-        if kernel is None:
-            self._runs += 1
-            if self._runs <= _HOT_RUNS:
-                return self._interpret(point)
-            kernel = self._kernel = _generate(self._template, self._code, self._outputs,
-                                              self._arity)
-        try:
-            return kernel(point)
-        except (OverflowError, ValueError):  # the interpreter names the failing call
-            return self._interpret(point)
+        return self._interpret(point)
 
     def rk4(self, state: list, h: float, steps: int) -> tuple[int, list]:
         """``steps`` classical RK4 steps of length ``h`` of ``ydot = f(y)`` from
@@ -759,7 +718,7 @@ class Tape:
                 raise ValueError(f"rk4 needs one output per coordinate, got "
                                  f"{len(self._outputs)} for {self._arity}")
             stepper = self._stepper = _generate(self._template, self._code, self._outputs,
-                                                self._arity, stepper=True)
+                                                self._arity)
         return stepper(state, h, steps)
 
     def run_batch(self, rows) -> np.ndarray:

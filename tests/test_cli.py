@@ -489,7 +489,7 @@ class TestRunSuiteApi:
 
     def test_positional_tapes_equal_name_keyed_evaluation(self, monkeypatch):
         # every tape verify compiles against a coordinate order at n=3 reads a
-        # point by position exactly as expr.evaluate reads it by name, cold and hot
+        # point by position exactly as expr.evaluate reads it by name
         compiled = {}
         compile_ = expr.compile
 
@@ -527,16 +527,13 @@ class TestRunSuiteApi:
 
         values_compared = 0
         for (exprs, coords), (_, tape) in compiled.items():
-            hot = compile_(exprs, coords)
-            hot._runs = expr._HOT_RUNS  # the next run generates the kernel
             for _ in range(2):
                 point = [coordinate(c) for c in coords]
                 named = dict(zip(coords, point))
                 want = outcome(lambda: [expr.evaluate(e, named) for e in exprs])
-                for positional in (tape, compile_(exprs, coords), hot):
+                for positional in (tape, compile_(exprs, coords)):
                     assert outcome(lambda: positional.run(point)) == want, coords
                 values_compared += isinstance(want, list)
-            assert hot._kernel is not None
         assert values_compared == 2 * len(compiled)
 
 
@@ -549,6 +546,29 @@ def test_commands_reject_options_they_would_ignore(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, option, value, rest", [
+    ("flow", "--point", "-1,2,3", ["--hamiltonian", "hS", "--t", "0.5", "--n", "1"]),
+    ("curvature", "--point", "-1,2,3", ["--n", "1"]),
+    ("flow", "--t", "-1e-3", ["--hamiltonian", "hS", "--n", "1", "--point", "1,2,3"]),
+    ("pullback", "--t", "-2e-1", ["--map", "scaling", "--n", "1", "--point", "1,2,3"]),
+    ("flow", "--hamiltonian", "-q1*p1", ["--t", "0.5", "--n", "1", "--point", "1,2,3"]),
+    ("verify", "--lambda", "-q1*p1", ["--suite", "legendre", "--n", "1", "--points", "2"]),
+])
+def test_an_option_value_may_begin_with_a_minus(capsys, command, option, value, rest):
+    # argparse alone takes each value for an option and exits 2: "argument
+    # --point: expected one argument"
+    code, out, _ = _run(capsys, [command, f"{option}={value}", *rest])
+    assert code == 0
+    assert _run(capsys, [command, option, value, *rest])[:2] == (0, out)
+
+
+def test_an_option_without_its_value_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["flow", "--hamiltonian", "hS", "--t", "0.5", "--point"])
+    assert exc.value.code == 2
+    assert "argument --point: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", ["flow --hamiltonian", "verify --lambda", "config lambda.1",

@@ -174,19 +174,12 @@ class TestEvaluate:
         assert parse(to_string(e)) is e
 
 
-def _heat(tape, point):
-    """Run ``tape`` until its next run calls the generated function."""
-    for _ in range(expr._HOT_RUNS):
-        try:
-            tape.run(point)
-        except EvalError:
-            pass
+# "cold": a test checks the runs of tapes fresh from compile
+COLD = pytest.mark.parametrize("tier", ["cold"])
 
 
 class TestCompile:
-    # "hot" runs each tape past the threshold first, so every checked run
-    # calls the generated function instead of the interpreter
-    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    @COLD
     def test_shared_subtrees_give_the_values_of_each_tree_alone(self, tier):
         rng = np.random.default_rng(11)
         for _ in range(40):
@@ -195,8 +188,6 @@ class TestCompile:
             trees = parts + [a + b, b * c, a / (c * c + expr.const(1.0)), expr.sin(a - c),
                              expr.log(a) / b, c / (a - b)]
             tape = expr.compile(trees, NAMES)
-            if tier == "hot":
-                _heat(tape, [0.0] * len(NAMES))
             cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in NAMES} for _ in range(5)]
             # zero denominators and log arguments: the first error raised must
             # be the one of the trees in turn, where a quotient checks its
@@ -212,7 +203,6 @@ class TestCompile:
                     assert str(raised.value) == str(err)
                     continue
                 assert tape.run(point) == alone
-            assert (tape._kernel is not None) == (tier == "hot")
 
     def test_empty_and_constant_outputs(self):
         assert expr.compile([], ()).run([]) == []
@@ -232,7 +222,7 @@ class TestCompile:
         x, y, z = map(expr.var, hostile)
         trees = [x * y + expr.const(math.inf), z ** Fraction(1, 3), y]
         tape = expr.compile(trees, hostile)
-        _heat(tape, [2.0, 3.0, 8.0])
+        assert tape.rk4([2.0, 3.0, 8.0], 0.1, 0) == (0, [2.0, 3.0, 8.0])  # generates the stepper
         assert tape.run([2.0, 3.0, 8.0]) == [math.inf, 2.0, 3.0]
         assert evaluate(trees[0], dict(zip(hostile, (2.0, 3.0, 8.0)))) == math.inf
         with pytest.raises(EvalError) as err:
@@ -307,7 +297,7 @@ OTHER_ORDER = ("p2", "q1", "x", "w", "p1", "q2")
 
 
 class TestPositional:
-    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    @COLD
     def test_values_and_errors_equal_name_keyed_evaluation(self, tier):
         # by name through evaluate, and by position in two coordinate orders
         rng = np.random.default_rng(12)
@@ -316,9 +306,6 @@ class TestPositional:
             a, b, c = parts
             trees = parts + [a * b, expr.log(a) / b, c / (a - b), expr.power(a - c, -3)]
             tapes = [expr.compile(trees, NAMES), expr.compile(trees, OTHER_ORDER)]
-            if tier == "hot":
-                _heat(tapes[0], [0.5] * len(NAMES))
-                _heat(tapes[1], [0.5] * len(OTHER_ORDER))
             cases = [{name: float(rng.uniform(-2.0, 2.0)) for name in OTHER_ORDER}
                      for _ in range(5)]
             cases += [dict.fromkeys(OTHER_ORDER, 0.0), dict.fromkeys(OTHER_ORDER, -0.0)]
@@ -326,7 +313,6 @@ class TestPositional:
                 by_name = _outcome(lambda: [evaluate(t, bindings) for t in trees])
                 for tape, order in zip(tapes, (NAMES, OTHER_ORDER)):
                     assert _outcome(lambda: tape.run([bindings[n] for n in order])) == by_name
-            assert all((tape._kernel is not None) == (tier == "hot") for tape in tapes)
 
     def test_instruction_lists_differ_only_in_variable_positions(self):
         trees = [parse("q1^3*p1 - w/q1 + exp(p1)^(2/3)"), parse("q1*p1")]
@@ -342,17 +328,14 @@ class TestPositional:
         with pytest.raises(EvalError, match="unbound variable 'p7'"):
             expr.compile([parse("q1"), parse("q1 + p7")], ("q1", "p1"))
 
-    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    @COLD
     @pytest.mark.parametrize("point", [[1.0], [1.0, 2.0], (), [1.0] * 4])
     def test_point_of_another_length(self, tier, point):
         tape = expr.compile([parse("q1*p1 + w"), parse("q1")], ("w", "q1", "p1"))
-        if tier == "hot":
-            _heat(tape, [1.0, 2.0, 3.0])
         assert tape.run([1.0, 2.0, 3.0]) == [7.0, 2.0]
         with pytest.raises(EvalError) as err:
             tape.run(point)
         assert str(err.value) == f"expected 3 coordinate values, got {len(point)}"
-        assert (tape._kernel is not None) == (tier == "hot")
 
     def test_constant_tape_still_checks_the_length(self):
         tape = expr.compile([expr.ONE], ("w",))
@@ -360,46 +343,39 @@ class TestPositional:
         with pytest.raises(EvalError, match="expected 1 coordinate values, got 0"):
             tape.run([])
 
-    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    @COLD
     def test_integer_power_opcode_equals_pow_value_bit_for_bit(self, tier):
         x = expr.var("x")
         bases = [-2.5, -1.0, -0.3, -0.0, 0.0, 1e-300, 0.3, 1.0, 1.7, 1e200, -1e200]
         for r in [*range(-7, 0), *range(2, 8)]:
             tape = expr.compile([expr.power(x, r)], ("x",))
             assert [op for op, *_ in tape._code] == [expr._VAR, expr._POWI]
-            if tier == "hot":
-                _heat(tape, [1.5])
             for base in bases:
                 want = _outcome(lambda: [expr._pow_value(base, *expr._exponent(Fraction(r)))])
                 if want[0] is OverflowError:  # the tape names the call that overflowed
                     want = (EvalError, f"pow({base}, {float(r)}): {want[1]}")
                 assert _outcome(lambda: tape.run([base])) == want
-            assert (tape._kernel is not None) == (tier == "hot")
         # a zero base gives +0.0 for any sign, and raises for a negative exponent
         assert _outcome(lambda: [expr._pow_value(-0.0, 3.0, expr._INTEGER)]) == [(0.0).hex()]
         assert _outcome(lambda: [expr._pow_value(-0.0, -2.0, expr._INTEGER)]) == (
             EvalError, "zero raised to a negative power")
 
-    @pytest.mark.parametrize("tier", ["cold", "hot"])
+    @COLD
     def test_rational_powers_keep_their_rules(self, tier):
         x = expr.var("x")
         cases = {Fraction(2, 3): 4.0, Fraction(1, 3): -2.0, Fraction(-1, 3): -0.5}
         for r, want in cases.items():
             tape = expr.compile([expr.power(x, r)], ("x",))
             assert tape._code[1] == (expr._POW, 1, 0, expr._exponent(r))
-            if tier == "hot":
-                _heat(tape, [1.0])
             assert tape.run([-8.0]) == [pytest.approx(want)]
             assert tape.run([-8.0]) == [evaluate(expr.power(x, r), {"x": -8.0})]
         tape = expr.compile([expr.power(x, Fraction(1, 2))], ("x",))
-        if tier == "hot":
-            _heat(tape, [1.0])
         with pytest.raises(EvalError, match="even-root"):
             tape.run([-4.0])
         assert tape.run([-0.0]) == [0.0]
 
 
-# values that reach every rule of the scalar tier: zeros of both signs (a divisor,
+# values that reach every rule of the scalar evaluator: zeros of both signs (a divisor,
 # a zero base, log), negative bases (roots, log), and magnitudes that overflow pow
 # and exp or make an infinity that sin and cos reject
 _BATCH_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -8.0, 800.0, 1e200, -1e200]),
@@ -434,30 +410,24 @@ class TestNamedMathErrors:
     ])
     def test_every_tier_names_the_call_and_its_operand(self, text, value, message):
         # these raised a bare OverflowError or ValueError: "math range error"
-        cold, hot = (expr.compile([parse(text)], ("x",)) for _ in range(2))
-        _heat(hot, [0.5])
-        for run in (lambda: cold.run([value]), lambda: hot.run([value]),
-                    lambda: cold.run_batch([[0.5], [value], [0.5]])):
+        cold = expr.compile([parse(text)], ("x",))
+        for run in (lambda: cold.run([value]), lambda: cold.run_batch([[0.5], [value], [0.5]])):
             with pytest.raises(EvalError) as err:
                 run()
             assert str(err.value) == message
-        assert hot._kernel is not None
-        assert hot.run([0.5]) == cold.run([0.5])  # the kernel stays in use
 
 
 class TestRunBatch:
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), hot=st.booleans(),
+    @given(seed=st.integers(0, 2**32 - 1),
            rows=st.lists(st.tuples(_BATCH_VALUE, _BATCH_VALUE, _BATCH_VALUE),
                          min_size=1, max_size=6))
-    def test_equals_run_row_by_row_bit_for_bit(self, seed, hot, rows):
+    def test_equals_run_row_by_row_bit_for_bit(self, seed, rows):
         trees = _batch_trees(seed)
         # each tree alone, where most rows succeed, and all trees in one tape
         tapes = [expr.compile([t], _BATCH_COORDS) for t in trees]
         tapes.append(expr.compile(trees, _BATCH_COORDS))
         for tape in tapes:
-            if hot:
-                _heat(tape, [0.5, 0.5, 0.5])
             want = [_row_outcome(tape, list(row)) for row in rows]
             failed = [w for w in want if isinstance(w, tuple)]
             try:
