@@ -874,26 +874,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _one_value_options(parser: argparse.ArgumentParser) -> set[str]:
-    """The option strings of ``parser`` and its subcommands that take one value."""
-    names = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                names |= _one_value_options(sub)
-        elif action.option_strings and action.nargs is None:
-            names.update(action.option_strings)
-    return names
+def _subcommand_options(parser: argparse.ArgumentParser) -> dict[str, dict[str, bool]]:
+    """For each subcommand of ``parser``, its option strings, each mapped to whether
+    it takes one value."""
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {s: a.nargs is None for a in sub._actions for s in a.option_strings}
+            for name, sub in subparsers.choices.items()}
 
 
-def _join_values(argv: list[str], options: set[str]) -> list[str]:
-    """``argv`` with each option of ``options`` joined to the token after it,
+def _join_values(argv: list[str], options: dict[str, dict[str, bool]]) -> list[str]:
+    """``argv`` with each option that takes one value joined to the token after it,
     ``--point v`` as ``--point=v``: argparse takes a value that begins with
     ``-``, such as ``-1,2,3``, ``-1e-3`` or ``-q1*p1``, for an option unless
-    it is a plain negative decimal."""
-    out, tokens = [], iter(argv)
+    it is a plain negative decimal.  As argparse does, a token names an option
+    of its own subcommand (``options[command]``) that it spells in full, or
+    that is the one such option it is a prefix of; an ambiguous prefix is left
+    for argparse to refuse."""
+    out, tokens, own = [], iter(argv), None
     for token in tokens:
-        value = next(tokens, None) if token in options else None
+        if own is None:
+            own = options.get(token)
+            out.append(token)
+            continue
+        names = [token] if token in own else (
+            [s for s in own if s.startswith(token)] if token.startswith("--") else [])
+        value = next(tokens, None) if len(names) == 1 and own[names[0]] else None
         out.append(token if value is None else f"{token}={value}")
     return out
 
@@ -901,7 +906,7 @@ def _join_values(argv: list[str], options: set[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_join_values(argv, _one_value_options(parser)))
+    args = parser.parse_args(_join_values(argv, _subcommand_options(parser)))
     try:
         # non-finite results are caught by the runner and by _fmt, not by numpy's warnings
         with np.errstate(all="ignore"):

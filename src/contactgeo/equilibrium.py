@@ -47,6 +47,14 @@ class RootFindError(RuntimeError):
     """Conjugate-variable inversion failed to converge or to bracket a root."""
 
 
+def _guard_samples(domain, n) -> np.ndarray:
+    """32 seeded points of the ``n``-coordinate box ``domain``, at which a transform
+    checks that its block of the base Hessian is definite."""
+    box = np.array(domain, dtype=float)
+    rng = np.random.default_rng(170)
+    return box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((32, n))
+
+
 @dataclass(frozen=True)
 class FundamentalRelation:
     """A potential ``wbar`` over named independent coordinates with a domain box."""
@@ -82,9 +90,9 @@ class FundamentalRelation:
 
     # compiled against ``coords`` on first use and kept for the relation's
     # lifetime: the conjugate solves call gradient and hessian hundreds of
-    # times (perfbench's conjugate_n4, 39 involution checks, makes 1,668 tape
-    # runs, at most 510 on one tape).  Each reads ``qvals`` as Python floats in
-    # that order.
+    # times (perfbench's conjugate_n4, 39 involution checks, makes 420 tape
+    # runs, at most 70 on one tape, and one batched run per relation).  Each
+    # reads ``qvals`` as Python floats in that order.
     @cached_property
     def _value_tape(self) -> expr.Tape:
         return expr.compile((self.wbar,), self.coords)
@@ -112,6 +120,14 @@ class FundamentalRelation:
         return all(lo - 1e-9 <= v <= hi + 1e-9
                    for v, (lo, hi) in zip(qvals, self.domain))
 
+    @cached_property
+    def _guard_hessians(self) -> np.ndarray:
+        """The Hessians at the guard samples, ``(32, n, n)``, in one batched tape run
+        kept for every transform of this relation; each is ``hessian`` bit for bit,
+        and a failing sample raises the first one's error, as ``hessian`` does."""
+        rows = _guard_samples(self.domain, self.n)
+        return self._hessian_tape.run_batch(rows).T.reshape(len(rows), self.n, self.n)
+
 
 class TransformedRelation:
     """Numeric relation with the coordinates of an index set replaced by their conjugates.
@@ -135,7 +151,7 @@ class TransformedRelation:
         self._lo, self._hi = np.array(base.domain, dtype=float)[self._I].T
         self._last = (None, None)
         # a non-finite block counts as indefinite (and would make eigvalsh raise)
-        blocks = np.array([self.base.hessian(p)[self._II] for p in self._samples()])
+        blocks = self.base._guard_hessians[:, self._I[:, None], self._I]
         eig = np.linalg.eigvalsh(blocks) if np.isfinite(blocks).all() else np.array([np.nan])
         if not ((eig > 0.0).all() or (eig < 0.0).all()):
             names = ", ".join(repr(self.base.coords[k]) for k in self._I)
@@ -145,19 +161,19 @@ class TransformedRelation:
     def n(self) -> int:
         return self.base.n
 
-    def _samples(self) -> np.ndarray:
-        """32 seeded points of the base domain box, at which construction checks that
-        the I-block of the base Hessian is definite."""
-        box = np.array(self.base.domain, dtype=float)
-        rng = np.random.default_rng(170)
-        return box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((32, self.n))
+    @cached_property
+    def _guard_hessians(self) -> np.ndarray:
+        """The Hessians at the guard samples of this relation's domain, point by point,
+        for a transform of this transform."""
+        return np.array([self.hessian(p) for p in _guard_samples(self.domain, self.n)])
 
     @cached_property
     def domain(self) -> tuple[tuple[float, float], ...]:
         """The base domain with each transformed slot replaced by the range of its
-        conjugate over the seeded samples and the corners of the box.  Only a transform
-        of this transform reads it, so it is computed on first read."""
-        pts = np.vstack([self._samples(), list(itertools.product(*self.base.domain))])
+        conjugate over the base's guard samples and the corners of the box.  Only a
+        transform of this transform reads it, so it is computed on first read."""
+        pts = np.vstack([_guard_samples(self.base.domain, self.n),
+                         list(itertools.product(*self.base.domain))])
         vals = np.array([self.base.gradient(p)[self._I] for p in pts])
         domain = list(self.base.domain)
         for k, lo, hi in zip(self._I, vals.min(axis=0), vals.max(axis=0)):

@@ -8,7 +8,8 @@ import pytest
 from conftest import (christoffel_fd, flat_metric, flow_lie_derivative, gamma_at,
                       metric_from_components, ricci_fd)
 from contactgeo import expr
-from contactgeo.calculus import SingularMetricError, lie_bracket, lie_derivative, ricci
+from contactgeo.calculus import (SingularMetricError, lie_bracket, lie_derivative,
+                                 require_nonsingular, ricci)
 from contactgeo.hamiltonian import (hamiltonian_vector_field,
                                     random_polynomial_hamiltonian,
                                     rotation_generator, scaling_generator)
@@ -216,6 +217,33 @@ class TestRicci:
     def test_singular_metric_raises(self):
         with pytest.raises(SingularMetricError):
             ricci(_lambda_metric(SP1), SP1.point(0.0, [0.0], [1.0]))
+
+
+class TestRequireNonsingular:
+    SP8 = PhaseSpace(8)  # dimension 17
+
+    def _constant_metric(self, mat):
+        comps = _obj(mat.shape)
+        for (a, b), v in np.ndenumerate(mat):
+            if v != 0.0:
+                comps[a, b] = expr.const(float(v))
+        return metric_from_components(self.SP8, comps)
+
+    def test_a_small_scale_is_not_singular(self):
+        # det(0.01 I) = 1e-34 at dimension 17, below the 1e-12 that alone refused it
+        mat = 0.01 * np.eye(17)
+        point = self.SP8.point(0.0, [1.0] * 8, [1.0] * 8)
+        assert np.array_equal(require_nonsingular(self._constant_metric(mat), point), mat)
+
+    @pytest.mark.parametrize("mat", [
+        np.diag([0.0] + [1.0] * 16),                             # determinant exactly 0
+        np.diag([1e-13] + [1.0] * 16),                           # condition number 1e13
+        np.outer(np.arange(1.0, 18.0), np.arange(1.0, 18.0)),   # rank 1
+    ])
+    def test_a_rank_deficient_metric_is_refused(self, mat):
+        point = self.SP8.point(0.0, [1.0] * 8, [1.0] * 8)
+        with pytest.raises(SingularMetricError, match="^metric is singular at the point$"):
+            require_nonsingular(self._constant_metric(mat), point)
 
 
 class TestNablaReeb:

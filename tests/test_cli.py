@@ -564,6 +564,22 @@ def test_an_option_value_may_begin_with_a_minus(capsys, command, option, value, 
     assert _run(capsys, [command, option, value, *rest])[:2] == (0, out)
 
 
+def test_an_abbreviated_option_may_take_a_value_that_begins_with_a_minus(capsys):
+    # argparse accepts --poin for --point, but it was joined to its value only
+    # when spelt in full: "argument --point: expected one argument"
+    rest = ["--hamiltonian", "hS", "--t", "0.5", "--n", "1"]
+    code, out, _ = _run(capsys, ["flow", *rest, "--point=-1,2,3"])
+    assert code == 0
+    assert _run(capsys, ["flow", *rest, "--poin", "-1,2,3"]) == (0, out, "")
+
+
+def test_an_ambiguous_option_prefix_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pullback", "--point", "0.1,1,2,3,4", "--m", "-1"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --m could match --map, --metric" in capsys.readouterr().err
+
+
 def test_an_option_without_its_value_is_still_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["flow", "--hamiltonian", "hS", "--t", "0.5", "--point"])
@@ -680,6 +696,13 @@ class TestDeclaredResiduals:
         assert [c.check for c in report.checks if not c.passed] == [
             "flows.eta_preserved", "legendre.invariance_qp", "legendre.invariance_qp_cubed"]
         assert cli.legendre_map is hamiltonian.legendre_map
+
+    def test_the_connection_guard_does_not_scale_with_the_dimension(self, capsys):
+        # the determinant of the lambda metric at n = 10 falls below 1e-12 at
+        # well-conditioned points, which made this exit 2 as "metric is singular"
+        code, _, err = _run(capsys, ["verify", "--suite", "nablaxi", "--n", "10",
+                                     "--seed", "0"])
+        assert code == 0 and "3 checks, 0 failures" in err
 
     @pytest.mark.parametrize("lam, message", [
         ("q1-q1", "metric is singular at the point"),

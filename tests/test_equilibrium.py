@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import bindings, partial_legendre_scalar, pulled_back
 from contactgeo import expr
-from contactgeo.equilibrium import (FundamentalRelation, RootFindError,
+from contactgeo.equilibrium import (FundamentalRelation, RootFindError, _guard_samples,
                                     catalog, embed, involution_check,
                                     legendre_potential, load_catalog)
 from contactgeo.hamiltonian import IndexSubset
@@ -410,6 +410,51 @@ class TestJointTransform:
         assert len(calls) == 32 + 4 and F.domain[1] == IDEAL.domain[1]
         assert F.domain is F.domain and len(calls) == 36
         assert lo < hi
+
+    @pytest.mark.parametrize("rel", [QUAD, IDEAL, VDW, _quadratic_relation(COUPLED_A, COUPLED_B),
+                                     FundamentalRelation("huge", ("x",), expr.parse("1e308*x^2"),
+                                                         ((-1.0, 1.0),))])
+    def test_guard_hessians_are_the_pointwise_hessians(self, rel):
+        want = np.array([rel.hessian(p) for p in _guard_samples(rel.domain, rel.n)])
+        got = rel._guard_hessians
+        assert got.shape == (32, rel.n, rel.n)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_the_guard_runs_one_batch_per_relation(self, monkeypatch):
+        # the 32 guard Hessians are one run_batch on the relation's Hessian tape,
+        # kept for each further transform; construction calls hessian not at all
+        rel = _quadratic_relation(COUPLED_A, COUPLED_B)
+        tape = rel._hessian_tape
+        batches, hessians = [], []
+        run_batch = type(tape).run_batch
+        monkeypatch.setattr(type(tape), "run_batch",
+                            lambda self, rows: batches.append(self) or run_batch(self, rows))
+        hessian = FundamentalRelation.hessian
+        monkeypatch.setattr(FundamentalRelation, "hessian",
+                            lambda self, q: hessians.append(1) or hessian(self, q))
+        for I in _subsets(4):
+            legendre_potential(rel, I)
+        assert batches == [tape] and hessians == []
+
+    def test_a_failing_guard_sample_raises_the_first_failing_points_error(self):
+        # the second sample has y < 0 (a root error); the batch meets log(x < 0) first
+        rel = FundamentalRelation("mixed", ("x", "y", "z"),
+                                  expr.parse("log(x)*y^2 + z^2*y^(1/2)"),
+                                  ((-1.0, 1.0), (-1.0, 1.0), (1.0, 2.0)))
+        for I in (3, (1, 3)):
+            with pytest.raises(expr.EvalError) as exc:
+                legendre_potential(rel, I)
+            assert str(exc.value) == "negative base with even-root exponent"
+
+    def test_nested_transform_guard_is_unchanged(self):
+        F = legendre_potential(legendre_potential(IDEAL, 1), 2)
+        assert F.domain == ((1.0386293171822574, 11.729395424494554),
+                            (-15.639193899326074, -0.3462097723940858))
+        u = IDEAL.gradient([1.2, 0.8])
+        assert F.value(u) == 1.7979053907339915
+        assert F.gradient(u).tolist() == [-1.2, -0.8000000000000002]
+        assert F.hessian(u).tolist() == [[-0.43260217238697507, -0.20764904274574805],
+                                         [-0.20764904274574805, -0.24917885129489775]]
 
     def test_odd_root_branch_is_not_entered(self):
         # an unclipped Newton step from the box middle crosses V = 0, where the
