@@ -73,18 +73,27 @@ class TestVerify:
         # the index-set sweeps reach all 255 sets at n = 8, but only 3 and 15 at n = 2 and 4
         self._assert_golden(capsys, 8, suite)
 
-    def test_golden_report_n8(self):
-        # the whole report at n = 8, where the index-set sweeps reach all 255 sets, in a
-        # fresh process under the hash seed perfbench sets.  Exit 1 is the known float
-        # defect: hamiltonian.eta_of_field and hamiltonian.lie_eta miss their 1e-12 gates
+    @staticmethod
+    def _assert_golden_failing(n):
+        # the whole report in a fresh process under the hash seed perfbench sets.  Exit 1
+        # is the known float defect: hamiltonian.eta_of_field and hamiltonian.lie_eta
+        # miss their 1e-12 gates
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         done = subprocess.run(
-            [sys.executable, "-m", "contactgeo.cli", "verify", "--suite", "all", "--n", "8",
+            [sys.executable, "-m", "contactgeo.cli", "verify", "--suite", "all", "--n", str(n),
              "--seed", "7"], capture_output=True, timeout=600,
             env={**os.environ, "PYTHONHASHSEED": "601", "PYTHONPATH": path})
         assert done.returncode == 1
-        assert done.stdout == (GOLDEN / "verify_all_n8_seed7.jsonl").read_bytes()
+        assert done.stdout == (GOLDEN / f"verify_all_n{n}_seed7.jsonl").read_bytes()
+
+    def test_golden_report_n8(self):
+        # n = 8, where the index-set sweeps reach all 255 sets
+        self._assert_golden_failing(8)
+
+    def test_golden_report_n10(self):
+        # n = 10, the first run over two-digit coordinate names (q10, p10)
+        self._assert_golden_failing(10)
 
     def test_golden_report_custom_lambda(self, capsys):
         # every other golden uses the product family (q^a p_a)^k; this one reaches the
