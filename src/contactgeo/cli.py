@@ -17,7 +17,7 @@ import time
 import zlib
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -118,36 +118,48 @@ class Report:
         return lines
 
 
-@dataclass
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """The inputs of one ``verify`` run, each checked when the config is built.
+
+    ``lam`` is the product family unless given.  ``catalog`` holds the relations
+    the run walks, the built-in ones first; built once per run, so every check
+    walks the same relations and reuses their compiled tapes.
+    """
+
     suite: str = "all"
     n: int = 2
     m: int = 1
     seed: int = 0
     points: int = 50
     lam: LambdaFamily | None = None
-    catalog_path: str | None = None
-    json_path: str | None = None
+    catalog: tuple[equilibrium.SystemCatalogEntry, ...] = field(
+        default_factory=equilibrium.catalog)
     _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def lambda_family(self) -> LambdaFamily:
-        if self.lam is None:
-            return product_lambda(self.n)
-        if self.lam.n != self.n:
-            raise ConfigError(f"lambda family has {self.lam.n} entries, need {self.n}")
-        return self.lam
-
-    @cached_property
-    def catalog(self) -> tuple[equilibrium.SystemCatalogEntry, ...]:
-        """The built-in relations, then those of ``catalog_path``; built on first use.
-
-        Built once per run, so every check walks the same relations and reuses
-        their compiled tapes.
-        """
-        entries = equilibrium.catalog()
-        if self.catalog_path:
-            entries += equilibrium.load_catalog(self.catalog_path)
-        return entries
+    def __post_init__(self):
+        if self.suite != "all" and self.suite not in _CHECKS:
+            raise ConfigError(f"unknown suite {self.suite!r}")
+        if self.n < 1:
+            raise ConfigError(f"n={self.n} must be at least 1")
+        if not 1 <= self.m <= self.n:
+            raise ConfigError(f"m={self.m} must satisfy 1 <= m <= n={self.n}")
+        if self.points < 1:
+            raise ConfigError(f"points={self.points} must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be at least 0")
+        lam = product_lambda(self.n) if self.lam is None else self.lam
+        if lam.n != self.n:
+            raise ConfigError(f"lambda family has {lam.n} entries, need {self.n}")
+        coords = PhaseSpace(self.n).coord_names()
+        unbound = sorted(set().union(*map(expr.free_variables, lam.exprs)) - set(coords))
+        if unbound:
+            raise ConfigError(f"unbound variable '{unbound[0]}'")
+        object.__setattr__(self, "lam", lam)
 
     def metric(self, kind: MetricKind, n: int, lam: LambdaFamily | None = None) -> Metric:
         """The ``kind`` metric on ``n`` pairs, built on first use: the run's checks
@@ -159,10 +171,6 @@ class RunConfig:
 
     def rng(self, check_id: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -350,20 +358,20 @@ def _commutator(cfg, rng):
 
 def _structure(kind: StructureKind, cfg, rng):
     space = PhaseSpace(cfg.n)
-    lam = cfg.lambda_family() if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
+    lam = cfg.lam if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
     pairs = structure_identities(space, kind, lam)
     yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
 
 
 def _structures_scaling_pde(cfg, rng):
     space = PhaseSpace(cfg.n)
-    pair = (cfg.lambda_family().scaling_residuals, expr.ZERO)
+    pair = (cfg.lam.scaling_residuals, expr.ZERO)
     yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
 
 
 def _table1(kind: MetricKind, cfg, rng):
     space = PhaseSpace(cfg.n)
-    lam = cfg.lambda_family() if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
+    lam = cfg.lam if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
     metric = cfg.metric(kind, cfg.n, lam)
     generators = {"rotation": rotation_generator(cfg.m), "scaling": scaling_generator(space.n)}
     pairs = [(lie_derivative(space, metric.tensor, hamiltonian_vector_field(space, h)).comps,
@@ -427,18 +435,16 @@ def _legendre_conditions(cfg, rng):
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
     # (nabla xi)^c_b = Gamma^c_{w b}
     space = PhaseSpace(cfg.n)
-    lam = cfg.lambda_family()
-    metric = cfg.metric(kind, cfg.n, lam)
+    metric = cfg.metric(kind, cfg.n, cfg.lam)
     rows = _sample_rows(space, rng, cfg.points, metric)
-    pair = (metric.gamma[:, 0, :], -build_structure(space, dual_kind, lam).comps)
+    pair = (metric.gamma[:, 0, :], -build_structure(space, dual_kind, cfg.lam).comps)
     yield _differences(space.coord_names(), [pair], rows)
 
 
 def _nabla_duality(cfg, rng):
     space = PhaseSpace(cfg.n)
-    lam = cfg.lambda_family()
-    m_lam = cfg.metric(MetricKind.LAMBDA, cfg.n, lam)
-    m_bar = cfg.metric(MetricKind.LAMBDA_BAR, cfg.n, lam)
+    m_lam = cfg.metric(MetricKind.LAMBDA, cfg.n, cfg.lam)
+    m_bar = cfg.metric(MetricKind.LAMBDA_BAR, cfg.n, cfg.lam)
     rows = _sample_rows(space, rng, cfg.points, m_lam, m_bar)
     identity = np.where(np.eye(space.dim, dtype=bool), expr.ONE, expr.ZERO)
     eta_xi = outer_11(contact_form(space), frame(space)[0]).comps
@@ -591,16 +597,6 @@ _SUITES = tuple(_CHECKS)
 
 def run_suite(config: RunConfig) -> Report:
     """Run the selected verification suites and collect one record per check."""
-    if config.suite != "all" and config.suite not in _CHECKS:
-        raise ConfigError(f"unknown suite {config.suite!r}")
-    if config.n < 1:
-        raise ConfigError(f"n={config.n} must be at least 1")
-    if not 1 <= config.m <= config.n:
-        raise ConfigError(f"m={config.m} must satisfy 1 <= m <= n={config.n}")
-    if config.points < 1:
-        raise ConfigError(f"points={config.points} must be at least 1")
-    if config.seed < 0:
-        raise ConfigError(f"seed={config.seed} must be at least 0")
     suites = _SUITES if config.suite == "all" else (config.suite,)
     return Report([_run_check(check, config) for suite in suites for check in _CHECKS[suite]])
 
@@ -697,17 +693,18 @@ def _read_config(path: str) -> dict:
 def _cmd_verify(args) -> int:
     # RunConfig's defaults, under the --config values, under the options given
     values = _read_config(args.config) if args.config else {}
-    values["json_path"] = values.pop("output", None)
+    output = values.pop("output", None)
     given = {"suite": args.suite, "n": args.n, "m": args.m, "seed": args.seed,
-             "points": args.points, "json_path": args.json or None}
+             "points": args.points}
     values.update((key, value) for key, value in given.items() if value is not None)
-    cfg = RunConfig(**values, catalog_path=args.catalog)
     if args.lam:
-        cfg.lam = _parse_lambda(args.lam, cfg.n)
+        values["lam"] = _parse_lambda(args.lam, values.get("n", RunConfig.n))
+    extra = equilibrium.load_catalog(args.catalog) if args.catalog else ()
+    cfg = RunConfig(**values, catalog=equilibrium.catalog() + extra)
     t0 = time.perf_counter()
     report = run_suite(cfg)
     elapsed = time.perf_counter() - t0
-    _emit(report.lines(cfg), cfg.json_path)
+    _emit(report.lines(cfg), args.json or output)
     print(f"{len(report.checks)} checks, {report.failures} failures in {elapsed:.2f} s",
           file=sys.stderr)
     return 0 if report.failures == 0 else 1

@@ -406,10 +406,13 @@ class TestVerify:
         monkeypatch.setattr(equilibrium, "load_catalog", lambda p: calls.append(p) or load(p))
         assert _run(capsys, argv)[:2] == want
         assert calls == [str(path)]
-        # a suite that walks no catalog never reads the file
-        code, _, _ = _run(capsys, ["verify", "--suite", "heisenberg", "--points", "2",
-                                   "--catalog", str(tmp_path / "missing.cfg")])
-        assert code == 0 and calls == [str(path)]
+        # the catalog is an input of the run, read before any check: a missing file
+        # exits 2 even for a suite that walks no catalog
+        missing = str(tmp_path / "missing.cat")
+        code, out, err = _run(capsys, ["verify", "--suite", "heisenberg", "--points", "2",
+                                       "--catalog", missing])
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+        assert calls == [str(path), missing]
 
 
 class TestRunSuiteApi:

@@ -231,14 +231,19 @@ class TestScalingCondition:
     def test_family_size_must_match_the_space(self, tmp_path, capsys):
         # the compiled condition sums over the family's own n conjugate pairs, so a
         # run refuses a family of another size, from a config file or the command line
+        # and one whose variables are not coordinates of the space; it does so when the
+        # run is configured, so a suite that reads no family refuses it as well
         with pytest.raises(cli.ConfigError, match="lambda family has 1 entries, need 2"):
-            cli.RunConfig(n=2, lam=LambdaFamily.of(["q1*p1"])).lambda_family()
+            cli.RunConfig(n=2, lam=LambdaFamily.of(["q1*p1"]))
         config = tmp_path / "run.cfg"
         config.write_text('n = 2\nlambda.1 = "q1*p1"\n')
-        code = cli.main(["verify", "--suite", "structures", "--config", str(config)])
-        assert (code, capsys.readouterr().err) == (2, "error: lambda family has 1 entries, need 2\n")
-        code = cli.main(["verify", "--suite", "structures", "--n", "2", "--lambda", "q1*p1;q2;w"])
-        assert (code, capsys.readouterr().err) == (2, "error: need 2 lambda expressions, got 3\n")
+        for argv, message in (
+                (["--config", str(config)], "lambda family has 1 entries, need 2"),
+                (["--n", "2", "--lambda", "q1*p1;q2;w"], "need 2 lambda expressions, got 3"),
+                (["--n", "2", "--lambda", "q1*p1;q7*p2"], "unbound variable 'q7'")):
+            for suite in ("structures", "heisenberg"):
+                code = cli.main(["verify", "--suite", suite, *argv])
+                assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
 def _legendre_residual(lam, I, pts):
