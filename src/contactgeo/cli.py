@@ -281,10 +281,12 @@ def _heisenberg_reeb(cfg, rng):
 def _heisenberg_gram(cfg, rng):
     for n in (1, 2, 3):
         space = PhaseSpace(n)
-        deta, fields = d_eta(space), frame(space)[1:]
-        for pt in sample_points(space, rng, cfg.points):
-            E = np.column_stack([f.evaluate(pt) for f in fields])
-            yield abs(np.linalg.det(E.T @ deta.evaluate(pt) @ E)) - 0.25 ** n
+        E = np.column_stack([f.comps for f in frame(space)[1:]])  # Q_1..Q_n, P^1..P^n
+        closed = np.full((2 * n, 2 * n), expr.ZERO)
+        closed[range(n), range(n, 2 * n)] = expr.const(0.5)
+        closed[range(n, 2 * n), range(n)] = expr.const(-0.5)
+        pair = (matmul(matmul(E.T, d_eta(space).comps), E), closed)
+        yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
 
 
 def _hamiltonian_eta(cfg, rng):
@@ -515,7 +517,7 @@ _CHECKS: dict[str, tuple[Check, ...]] = {
         Check("heisenberg.commutators", "[P^a,Q_b] = delta^a_b xi; [xi,Q_a] = [xi,P^a] = 0",
               1e-12, _heisenberg_commutators),
         Check("heisenberg.reeb", "eta(xi) = 1 and d_eta(xi, .) = 0", 1e-12, _heisenberg_reeb),
-        Check("heisenberg.gram", "d_eta restricted to span(Q, P) has |det| = (1/2)^(2n)",
+        Check("heisenberg.gram", "d_eta on (Q_1..Q_n, P^1..P^n) is [[0, I/2], [-I/2, 0]]",
               1e-12, _heisenberg_gram),
     ),
     "hamiltonian": (
