@@ -16,7 +16,7 @@ import sys
 import time
 import zlib
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -180,10 +180,10 @@ class RunConfig:
 class Check:
     """One verification check, declared as data.
 
-    ``residuals(cfg, rng)`` yields one residual per case the record counts: a
-    number, an array, or a tuple of them; or a :class:`Cases` block of many
-    cases.  ``_run_check`` reduces each case to its largest absolute value and
-    the cases with ``max`` (``min`` for ``mode="min"``).
+    ``residuals(cfg, rng)`` yields blocks of the cases the record counts: case
+    ``j`` of a block is its item ``j``, a number or a flat array of numbers.
+    ``_run_check`` reduces each case to its largest absolute value and the
+    cases with ``max`` (``min`` for ``mode="min"``).
     """
 
     id: str
@@ -193,36 +193,22 @@ class Check:
     mode: str = "max"
 
 
-class Cases(tuple):
-    """A block of cases, yielded as one: ``Cases(a, b)`` holds ``len(a)`` cases,
-    case ``j`` being ``(a[j], b[j])``.  Only this marker makes a block: an
-    array yielded alone is one case, whatever its shape."""
-
-    def __new__(cls, *parts):
-        return super().__new__(cls, parts)
-
-
 def _max_abs(x) -> float:
     return float(np.max(np.abs(x)))
 
 
-def _worst(case) -> list[float]:
-    """The largest absolute value of each case in ``case``, NaN where a case
-    holds a non-finite value."""
-    if isinstance(case, Cases):
-        # np.max propagates NaN, so a row is finite only if all its values are
-        return np.max([np.abs(x).reshape(len(x), -1).max(axis=1) for x in case],
-                      axis=0).tolist()
-    parts = [_max_abs(x) for x in (case if isinstance(case, tuple) else (case,))]
-    return [max(parts) if all(map(math.isfinite, parts)) else math.nan]
+def _worst(block) -> list[float]:
+    """The largest absolute value of each case in ``block``; np.max propagates
+    NaN, so a case holding a non-finite value gives a non-finite one."""
+    return np.abs(np.asarray(block, float)).reshape(len(block), -1).max(axis=1).tolist()
 
 
 def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
     """Draw from the check's own stream, reduce its residuals, and time it."""
     t0 = time.perf_counter()
     worst = []
-    for case in check.residuals(cfg, cfg.rng(check.id)):
-        rows = _worst(case)
+    for block in check.residuals(cfg, cfg.rng(check.id)):
+        rows = _worst(block)
         if not all(map(math.isfinite, rows)):
             first = next(k for k, v in enumerate(rows, len(worst) + 1) if not math.isfinite(v))
             raise expr.EvalError(f"check {check.id}: non-finite residual in case {first}")
@@ -232,11 +218,11 @@ def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
                        check.mode, time.perf_counter() - t0)
 
 
-def _differences(coords, pairs, rows) -> Cases:
+def _differences(coords, pairs, rows) -> np.ndarray:
     """One case per row of coordinate values: ``lhs - rhs`` for every component of every
     ``(lhs, rhs)`` pair of symbolic arrays, compiled against ``coords`` and run as one block."""
     diffs = [expr.sub(a, b) for lhs, rhs in pairs for a, b in np.broadcast(lhs, rhs)]
-    return Cases(expr.compile(diffs, coords).run_batch(rows).T)
+    return expr.compile(diffs, coords).run_batch(rows).T
 
 
 def _sample_rows(space: PhaseSpace, rng, count: int, *metrics: Metric) -> list[tuple]:
@@ -297,7 +283,7 @@ def _hamiltonian_eta(cfg, rng):
         X = hamiltonian_vector_field(space, h)
         h_tape = expr.compile((h,), space.coord_names())
         for pt in sample_points(space, rng, 5):
-            yield eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.values)[0]
+            yield [eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.values)[0]]
 
 
 def _hamiltonian_lie_eta(cfg, rng):
@@ -310,22 +296,25 @@ def _hamiltonian_lie_eta(cfg, rng):
         yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, 5))
 
 
-def _flows_rotation(cfg, rng):
-    space = PhaseSpace(1)
-    start = space.point(1.0, [2.0], [3.0])
-    X = hamiltonian_vector_field(space, rotation_generator(1))
-    end = integrate_flow(X, start, math.pi / 2, 10_000).as_array()
-    target = rotation_flow(math.pi / 2, IndexSubset.of(1), start).as_array()
-    yield end - target, target - np.array([-5.0, -3.0, 2.0])
+def _generator_flow(name: str, space: PhaseSpace, m: int, t: float):
+    """The generator ``name`` on ``space``, ``hL`` rotating the first ``m`` pairs or
+    ``hS`` scaling them all, and its closed-form time-``t`` flow of a point."""
+    if name == "hL":
+        if m > space.n:
+            raise ConfigError(f"m={m} must satisfy 1 <= m <= n={space.n}")
+        subset = IndexSubset.of(range(1, m + 1))
+        return rotation_generator(m), partial(rotation_flow, t, subset)
+    return scaling_generator(space.n), _scaling_map(space, t).apply
 
 
-def _flows_scaling(cfg, rng):
+def _flows_vs_rk4(name: str, t: float, image: tuple, cfg, rng):
+    # one case: the RK4 endpoint against the closed form, and that against its known image
     space = PhaseSpace(1)
     start = space.point(1.0, [2.0], [3.0])
-    X = hamiltonian_vector_field(space, scaling_generator(1))
-    end = integrate_flow(X, start, math.log(2.0), 10_000).as_array()
-    target = scaling_map(space, math.log(2.0)).apply(start).as_array()
-    yield end - target, target - np.array([1.0, 1.0, 6.0])
+    h, flow = _generator_flow(name, space, 1, t)
+    end = integrate_flow(hamiltonian_vector_field(space, h), start, t, 10_000).as_array()
+    target = flow(start).as_array()
+    yield [np.concatenate([end - target, target - np.array(image)])]
 
 
 def _flows_legendre_order(cfg, rng):
@@ -338,7 +327,7 @@ def _flows_legendre_order(cfg, rng):
         image = start
         for _ in range(4):
             image = legendre_rows(masks, image)
-        yield Cases(image - start)
+        yield image - start
 
 
 def _flows_eta_preserved(cfg, rng):
@@ -397,7 +386,7 @@ def _einstein_fit(cfg, rng):
     metric = cfg.metric(MetricKind.ACS, cfg.n)
     for pt in sample_points(space, rng, min(cfg.points, 20)):
         rep = calculus.ricci(metric, pt, fit=True)
-        yield rep.lam - (2 * space.n + 2), rep.nu + 2.0
+        yield [(rep.lam - (2 * space.n + 2), rep.nu + 2.0)]
 
 
 def _legendre_invariance(power: int, cfg, rng):
@@ -429,9 +418,9 @@ def _legendre_conditions(cfg, rng):
         # of n = 8 in one block would hold 12,750 rows at once
         for r in range(1, space.n + 1):
             block = masks[sizes == r]
-            yield Cases(lambda_legendre_residual(
+            yield lambda_legendre_residual(
                 lam, np.repeat(block, len(pts), axis=0), np.tile(pts, (len(block), 1)),
-                np.tile(here, len(block))))
+                np.tile(here, len(block)))
 
 
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
@@ -489,17 +478,17 @@ def _equilibrium_transform(cfg, rng):
     for S, V in _domain_samples(ideal, rng, 20):
         T = math.exp(S) * V ** (-2.0 / 3.0)
         closed = T * (1.0 - math.log(T) - (2.0 / 3.0) * math.log(V))
-        yield F.value([T, V]) - closed, F.gradient([T, V])[0] + S
+        yield [(F.value([T, V]) - closed, F.gradient([T, V])[0] + S)]
 
 
 def _equilibrium_involution(cfg, rng):
     ideal = _builtin_relation(cfg, "ideal_gas")
     for qvals in _domain_samples(ideal, rng, 10):
-        yield equilibrium.involution_check(ideal, IndexSubset.of(1), qvals)
+        yield [equilibrium.involution_check(ideal, IndexSubset.of(1), qvals)]
     quad = _builtin_relation(cfg, "quadratic")
     for I in _subsets(quad.n):
         for qvals in _domain_samples(quad, rng, 10):
-            yield equilibrium.involution_check(quad, I, qvals)
+            yield [equilibrium.involution_check(quad, I, qvals)]
 
 
 _STRUCTURE_ANCHORS = {
@@ -526,9 +515,11 @@ _CHECKS: dict[str, tuple[Check, ...]] = {
     ),
     "flows": (
         Check("flows.rotation_vs_rk4",
-              "RK4 flow of the rotation generator matches the closed form", 1e-8, _flows_rotation),
+              "RK4 flow of the rotation generator matches the closed form", 1e-8,
+              partial(_flows_vs_rk4, "hL", math.pi / 2, (-5.0, -3.0, 2.0))),
         Check("flows.scaling_vs_rk4",
-              "RK4 flow of the scaling generator matches q e^-t, p e^t", 1e-8, _flows_scaling),
+              "RK4 flow of the scaling generator matches q e^-t, p e^t", 1e-8,
+              partial(_flows_vs_rk4, "hS", math.log(2.0), (1.0, 1.0, 6.0))),
         Check("flows.legendre_order_four",
               "the partial Legendre map applied four times is the identity",
               0.0, _flows_legendre_order),
@@ -696,13 +687,16 @@ def _cmd_verify(args) -> int:
     # RunConfig's defaults, under the --config values, under the options given
     values = _read_config(args.config) if args.config else {}
     output = values.pop("output", None)
+    lam = values.pop("lam", None)
     given = {"suite": args.suite, "n": args.n, "m": args.m, "seed": args.seed,
              "points": args.points}
     values.update((key, value) for key, value in given.items() if value is not None)
+    # the scalars are checked first, so a bad n is named before --lambda is parsed against it
+    cfg = RunConfig(**values, catalog=())
     if args.lam:
-        values["lam"] = _parse_lambda(args.lam, values.get("n", RunConfig.n))
+        lam = _parse_lambda(args.lam, cfg.n)
     extra = equilibrium.load_catalog(args.catalog) if args.catalog else ()
-    cfg = RunConfig(**values, catalog=equilibrium.catalog() + extra)
+    cfg = replace(cfg, lam=lam, catalog=equilibrium.catalog() + extra)
     t0 = time.perf_counter()
     report = run_suite(cfg)
     elapsed = time.perf_counter() - t0
@@ -741,14 +735,9 @@ def _cmd_flow(args) -> int:
         raise ConfigError(f"--steps must be at least 1, got {args.steps}")
     m = args.m if args.m is not None else n
     closed = None
-    if args.hamiltonian == "hL":
-        if m > n:
-            raise ConfigError(f"m={m} must satisfy 1 <= m <= n={n}")
-        h = rotation_generator(m)
-        closed = rotation_flow(t, IndexSubset.of(range(1, m + 1)), point)
-    elif args.hamiltonian == "hS":
-        h = scaling_generator(n)
-        closed = _scaling_map(space, t).apply(point)
+    if args.hamiltonian in ("hL", "hS"):
+        h, flow = _generator_flow(args.hamiltonian, space, m, t)
+        closed = flow(point)
     else:
         h = expr.parse(args.hamiltonian)
     X = hamiltonian_vector_field(space, h)

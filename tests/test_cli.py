@@ -191,10 +191,11 @@ class TestVerify:
         assert records["einstein.acs"]["max_residual"] < 1e-8
 
     def test_m_out_of_range_is_config_error(self, capsys):
-        code, _, err = _run(capsys, ["verify", "--suite", "table1", "--n", "1",
-                                     "--m", "2", "--seed", "0"])
-        assert code == 2
-        assert "error" in err
+        # m is checked before --lambda is parsed against n
+        for argv, n, m in ((["--suite", "table1", "--n", "1", "--m", "2", "--seed", "0"], 1, 2),
+                           (["--n", "2", "--m", "3", "--lambda", "q1*p1"], 2, 3)):
+            code, out, err = _run(capsys, ["verify", *argv])
+            assert (code, out, err) == (2, "", f"error: m={m} must satisfy 1 <= m <= n={n}\n")
 
     def test_bad_lambda_is_config_error(self, capsys):
         code, _, err = _run(capsys, ["verify", "--suite", "structures", "--n", "2",
@@ -211,10 +212,16 @@ class TestVerify:
         assert out == ""
         assert err == "error: check structures.lambda: non-finite residual in case 1\n"
 
-    @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_n_below_one_is_config_error(self, capsys, n):
+    @pytest.mark.parametrize("n, extra", [
+        pytest.param("0", [], id="0"),
+        pytest.param("-1", [], id="-1"),
+        # and before --lambda is parsed against it or --catalog is read
+        pytest.param("-2", ["--lambda", "q1*p1;q2*p2"], id="-2-lambda"),
+        pytest.param("0", ["--catalog", "missing.cat"], id="0-catalog"),
+    ])
+    def test_n_below_one_is_config_error(self, capsys, n, extra):
         # n is checked before m, whose range it bounds
-        code, out, err = _run(capsys, ["verify", "--n", n])
+        code, out, err = _run(capsys, ["verify", "--n", n, *extra])
         assert (code, out, err) == (2, "", f"error: n={n} must be at least 1\n")
 
     @pytest.mark.parametrize("points", ["0", "-1"])
@@ -448,52 +455,51 @@ class TestRunSuiteApi:
         assert ids == sorted(ids)
 
     def test_runner_reduces_each_case_to_one_residual(self):
-        cases = [0.25, (-0.5, np.array([0.1, -0.3])), np.array([[0.0, 0.2]])]
+        # case j of a block is its item j: a number or a flat array of numbers
+        blocks = [[0.25], [(-0.5, 0.1, -0.3)], np.array([[0.0, 0.2], [0.1, -0.4]])]
         for mode, want in (("max", 0.5), ("min", 0.2)):
-            check = cli.Check("demo.cases", "a", 1.0, lambda cfg, rng: cases, mode=mode)
+            check = cli.Check("demo.cases", "a", 1.0, lambda cfg, rng: blocks, mode=mode)
             record = cli._run_check(check, RunConfig())
-            assert (record.max_residual, record.points, record.mode) == (want, 3, mode)
+            assert (record.max_residual, record.points, record.mode) == (want, 4, mode)
 
     @pytest.mark.parametrize("case", [math.nan, (0.5, math.nan), np.array([0.5, -math.inf])])
     def test_non_finite_residual_names_the_check(self, case):
-        check = cli.Check("demo.nan", "a", 1.0, lambda cfg, rng: [0.5, case])
+        check = cli.Check("demo.nan", "a", 1.0, lambda cfg, rng: [[0.5], [case]])
         with pytest.raises(EvalError, match="check demo.nan: non-finite residual in case 2"):
             cli._run_check(check, RunConfig())
 
     @staticmethod
-    def _block_and_rows(block_parts, mode="max"):
-        """The records of a check yielding ``Cases(*block_parts)`` between two single
-        cases, and of one yielding the same rows one by one."""
-        rows = list(zip(*block_parts))
-        blocked = cli.Check("demo.block", "a", 1.0, lambda cfg, rng: [
-            0.25, cli.Cases(*block_parts), (0.5, np.array([0.1]))], mode)
+    def _block_and_rows(block, mode="max"):
+        """The records of a check yielding ``block`` between two blocks of one case,
+        and of one yielding the same rows one by one."""
+        ends = [0.25], [(0.5, 0.1)]
+        blocked = cli.Check("demo.block", "a", 1.0, lambda cfg, rng: [ends[0], block, ends[1]],
+                            mode)
         single = cli.Check("demo.block", "a", 1.0, lambda cfg, rng: [
-            0.25, *rows, (0.5, np.array([0.1]))], mode)
+            ends[0], *([row] for row in block), ends[1]], mode)
         return [cli._run_check(check, RunConfig()) for check in (blocked, single)]
 
     @pytest.mark.parametrize("mode", ["max", "min"])
     def test_a_block_reduces_as_its_rows_one_by_one(self, mode):
-        rng = np.random.default_rng(4)
-        parts = (rng.standard_normal((6, 3, 2)), rng.standard_normal(6) * 3.0)
-        blocked, single = self._block_and_rows(parts, mode)
+        block = np.random.default_rng(4).standard_normal((6, 7))
+        blocked, single = self._block_and_rows(block, mode)
         assert blocked.to_record() == single.to_record()
         assert blocked.points == 8
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("row", [0, 3, 5])
     def test_a_non_finite_row_of_a_block_names_its_case(self, bad, row):
-        parts = (np.ones((6, 4)), np.zeros(6))
-        parts[0][row, 2] = bad
-        for check in (lambda cfg, rng: [0.25, cli.Cases(*parts)],
-                      lambda cfg, rng: [0.25, *zip(*parts)]):
+        block = np.ones((6, 4))
+        block[row, 2] = bad
+        for check in (lambda cfg, rng: [[0.25], block],
+                      lambda cfg, rng: [[0.25], *([r] for r in block)]):
             with pytest.raises(EvalError) as err:
                 cli._run_check(cli.Check("demo.nan", "a", 1.0, check), RunConfig())
             assert str(err.value) == f"check demo.nan: non-finite residual in case {row + 2}"
 
-    def test_an_array_yielded_alone_is_one_case(self):
-        # only the Cases marker makes a block, never an array's shape
-        check = cli.Check("demo.one", "a", 1.0, lambda cfg, rng: [np.full((6, 4), 0.5)])
-        assert cli._run_check(check, RunConfig()).points == 1
+    def test_an_array_yielded_alone_is_one_case_per_row(self):
+        check = cli.Check("demo.rows", "a", 1.0, lambda cfg, rng: [np.full((6, 4), 0.5)])
+        assert cli._run_check(check, RunConfig()).points == 6
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(cli.ConfigError):
@@ -924,6 +930,14 @@ class TestFlowCommand:
         code, out, err = _run(capsys, ["flow", "--n", "2", "--m", "3", "--hamiltonian", "hL",
                                        "--t", "1", "--point", "1,2,3,4,5"])
         assert (code, out, err) == (2, "", "error: m=3 must satisfy 1 <= m <= n=2\n")
+
+    @pytest.mark.parametrize("hamiltonian", ["hS", "q1*p1"])
+    def test_m_is_read_by_hl_alone(self, capsys, hamiltonian):
+        argv = ["flow", "--n", "1", "--hamiltonian", hamiltonian, "--t", "0.5", "--steps", "10",
+                "--point", "1,2,3"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert _run(capsys, [*argv, "--m", "3"]) == (0, out, "")
 
     def test_evaluation_error_exits_two(self, capsys):
         # w goes negative along the flow of log(w), where log is undefined

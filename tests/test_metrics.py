@@ -112,7 +112,7 @@ class TestCompatibility:
         phi = build_structure(SP2, structure_kind)
         pairs = compatibility_pairs(_metric(SP2, metric_kind), phi)
         rows = [pt.values for pt in sample_points(SP2, rng, 10)]
-        (diffs,) = _differences(SP2.coord_names(), pairs, rows)
+        diffs = _differences(SP2.coord_names(), pairs, rows)
         assert diffs.shape == (10, SP2.dim ** 2)
         assert np.max(np.abs(diffs)) < 1e-12
 
@@ -126,7 +126,7 @@ class TestCompatibility:
         phi = build_structure(SP2, structure_kind)
         pairs = associated_pairs(_metric(SP2, metric_kind), phi)
         rows = [pt.values for pt in sample_points(SP2, rng, 10)]
-        (diffs,) = _differences(SP2.coord_names(), pairs, rows)
+        diffs = _differences(SP2.coord_names(), pairs, rows)
         assert diffs.shape == (10, SP2.dim ** 2)
         assert np.max(np.abs(diffs)) < 1e-12
 
@@ -136,7 +136,7 @@ class TestCompatibility:
         phi = build_structure(SP1, StructureKind.LAMBDA, product_lambda(1))
 
         def at_dq_dp(pairs):
-            (diffs,) = _differences(SP1.coord_names(), pairs, [PT.values])
+            diffs = _differences(SP1.coord_names(), pairs, [PT.values])
             return diffs.reshape(SP1.dim, SP1.dim)[SP1.q_index(1), SP1.p_index(1)]
 
         # hand values at (1,2,3), Lambda = 6: g(phi dq, phi dp) = -Lambda^2 g(Q,P) = 108

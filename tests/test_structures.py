@@ -195,9 +195,8 @@ def _scaling_residual(lam, pts):
     """``(len(pts), n)``: the scaling condition of each ``L_a`` at each point, run
     through verify's residual tape."""
     coords = PhaseSpace(lam.n).coord_names()
-    (diffs,) = cli._differences(coords, [(lam.scaling_residuals, expr.ZERO)],
-                                [pt.values for pt in pts])
-    return diffs
+    return cli._differences(coords, [(lam.scaling_residuals, expr.ZERO)],
+                            [pt.values for pt in pts])
 
 
 class TestScalingCondition:
