@@ -84,7 +84,12 @@ def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorF
     ``- T[..c..] d_c X^i`` for an upper slot holding ``i``, ``+ T[..c..] d_i X^c``
     for a lower one.  The components are read as flat lists, ``T[..c..]`` at
     its flat offset, and a term with a structurally zero factor is skipped
-    before any call."""
+    before any call.  Only the ``c`` that can give a term are visited, in
+    increasing order: those of the component's free variables where ``X^c`` is
+    not ZERO, those of the free variables of ``X^i`` for an upper slot holding
+    ``i``, and those whose ``X^c`` has coordinate ``i`` free for a lower one.
+    Every other ``c`` adds nothing, so each component is the node the full sum
+    over ``c`` builds."""
     if X.valence != (1, 0):
         raise ValueError("the direction X must be a vector field")
     names = space.coord_names()
@@ -97,13 +102,23 @@ def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorF
     x_free = list(map(expr.free_variables, x))
     # per slot: the flat distance between indices one apart there, and whether it is upper
     slots = [(math.prod(shape[s + 1:]), s < T.valence[0]) for s in range(len(shape))]
+    # the c that can give a term: by a free variable of the component where X^c is
+    # not ZERO, and per slot by the index i it holds
+    moving = {name: c for c, name in enumerate(names) if x[c] is not ZERO}
+    position = {name: c for c, name in enumerate(names)}
+    of_upper = [{position[v] for v in free if v in position} for free in x_free]
+    of_lower = [{c for c, free in enumerate(x_free) if name in free} for name in names]
+    by_slot = [of_upper if up else of_lower for _, up in slots]
     comps = _obj(shape)
     flat = comps.reshape(-1)
     for off, idx in enumerate(itertools.product(*map(range, shape))):
         e, e_free = t[off], t_free[off]
+        candidates = {moving[v] for v in e_free if v in moving}
+        for i, sets in zip(idx, by_slot):
+            candidates |= sets[i]
         acc = ZERO
-        for c, name in enumerate(names):
-            f = x[c]
+        for c in sorted(candidates):
+            name, f = names[c], x[c]
             if f is not ZERO and name in e_free:
                 de = differentiate(e, name)
                 if de is not ZERO:

@@ -100,13 +100,18 @@ class EvalError(ExprError):
 
 
 # The intern table maps a node's key to a plain weak reference to the node, one
-# with no callback: a node lives while something outside the table holds it, and
-# its entry stays behind when it dies.  A dead entry reads as a miss and is
-# overwritten by the next node of its key; the rest are swept out once the table
-# holds a quarter more entries than the last sweep kept, plus _SWEEP_FLOOR, so
-# it never holds more than 5/4 of the nodes alive at the last sweep plus the
-# floor.  (With twice in place of 5/4, the dead entries raised the peak RSS of
-# one verify run at n = 8 by 2.5 per cent; with 5/4, by 0.2 per cent.)
+# with no callback.  A key holds what tells the nodes of one kind apart:
+# ("const", value), ("var", name), ("pow", exponent, id(base)), (kind, id(a))
+# for neg, exp, log, sin and cos, and (kind, id(a), id(b)) for add, sub, mul
+# and div.  Each constructor builds its own key and hands it to _node;
+# Expr.__new__ builds the same key from a node's fields.
+# A node lives while something outside the table holds it, and its entry stays
+# behind when it dies.  A dead entry reads as a miss and is overwritten by the
+# next node of its key; the rest are swept out once the table holds a quarter
+# more entries than the last sweep kept, plus _SWEEP_FLOOR, so it never holds
+# more than 5/4 of the nodes alive at the last sweep plus the floor.  (With
+# twice in place of 5/4, the dead entries raised the peak RSS of one verify run
+# at n = 8 by 2.5 per cent; with 5/4, by 0.2 per cent.)
 # A stale key never matches a live node: a live node holds its children alive,
 # so the ids in the key of a live entry are those of live objects, which no
 # other object can have.
@@ -130,7 +135,10 @@ class Expr:
     sin, cos``.  ``value`` is used for constants, ``name`` for variables and
     ``exponent`` (an exact rational) for ``pow`` nodes.  Building a node equal
     to a live one returns that node, so ``==`` is ``is``; the intern table
-    ``_NODES`` holds each node through a plain weak reference.  ``_free`` and
+    ``_NODES`` holds each node through a plain weak reference, under a key of
+    its kind's distinguishing fields and its children's ids.  The constructors
+    (:func:`const`, :func:`add`, ...) build that key themselves; ``Expr(...)``
+    builds the same one, and unpickling goes through it.  ``_free`` and
     ``_derivs`` are the memos of :func:`free_variables` and
     :func:`differentiate`, None until first asked for.
     """
@@ -139,30 +147,8 @@ class Expr:
 
     def __new__(cls, kind: str, args: tuple["Expr", ...] = (), value: float = 0.0,
                 name: str = "", exponent: Fraction | None = None):
-        # children are interned, so the key holds their ids (see _NODES); the table
-        # holds no node strongly, so a collection frees a dead cycle and its
-        # children at once
-        if len(args) == 2:  # the common case, spelt out
-            key = (kind, value, name, exponent, id(args[0]), id(args[1]))
-        else:
-            key = (kind, value, name, exponent, *map(id, args))
-        ref = _NODES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = _new_object(cls)
-        _set_kind(node, kind)
-        _set_args(node, args)
-        _set_value(node, value)
-        _set_name(node, name)
-        _set_exponent(node, exponent)
-        _set_free(node, None)
-        _set_derivs(node, None)
-        _NODES[key] = _weak(node)
-        if len(_NODES) > _sweep_at:
-            _sweep()
-        return node
+        return _node(_key(kind, args, value, name, exponent), kind, args, value, name,
+                     exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Expr is immutable: cannot set {name!r}")
@@ -219,6 +205,42 @@ _weak = weakref.ref
  _set_derivs) = (getattr(Expr, slot).__set__ for slot in Expr.__slots__[:7])
 
 
+def _key(kind: str, args: tuple, value: float, name: str, exponent) -> tuple:
+    """The intern key of the node with these fields (see _NODES)."""
+    if kind == "const":
+        return ("const", value)
+    if kind == "var":
+        return ("var", name)
+    if kind == "pow":
+        return ("pow", exponent, id(args[0]))
+    return (kind, *map(id, args))
+
+
+def _node(key: tuple, kind: str, args: tuple = (), value: float = 0.0, name: str = "",
+          exponent: Fraction | None = None) -> Expr:
+    """The live node of ``key``, or a new node of these fields entered under it."""
+    # children are interned, so the key holds their ids (see _NODES); the table
+    # holds no node strongly, so a collection frees a dead cycle and its
+    # children at once
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = _new_object(Expr)
+    _set_kind(node, kind)
+    _set_args(node, args)
+    _set_value(node, value)
+    _set_name(node, name)
+    _set_exponent(node, exponent)
+    _set_free(node, None)
+    _set_derivs(node, None)
+    _NODES[key] = _weak(node)
+    if len(_NODES) > _sweep_at:
+        _sweep()
+    return node
+
+
 _isfinite = math.isfinite
 
 
@@ -230,8 +252,8 @@ def _lift(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} in an expression")
 
 
-ZERO = Expr("const", value=0.0)
-ONE = Expr("const", value=1.0)
+ZERO = _node(("const", 0.0), "const", value=0.0)
+ONE = _node(("const", 1.0), "const", value=1.0)
 
 
 def const(value: float) -> Expr:
@@ -240,11 +262,11 @@ def const(value: float) -> Expr:
         return ZERO
     if value == 1.0:
         return ONE
-    return Expr("const", value=value)
+    return _node(("const", value), "const", value=value)
 
 
 def var(name: str) -> Expr:
-    return Expr("var", name=name)
+    return _node(("var", name), "var", name=name)
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -256,7 +278,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if b is ZERO:
         return a
-    return Expr("add", (a, b))
+    return _node(("add", id(a), id(b)), "add", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -270,7 +292,7 @@ def sub(a: Expr, b: Expr) -> Expr:
         return neg(b)
     if a is b:
         return ZERO
-    return Expr("sub", (a, b))
+    return _node(("sub", id(a), id(b)), "sub", (a, b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -293,7 +315,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         s = a.value * b.args[0].value
         if _isfinite(s) and abs(s) >= sys.float_info.min:
             return mul(const(s), b.args[1])
-    return Expr("mul", (a, b))
+    return _node(("mul", id(a), id(b)), "mul", (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -305,7 +327,7 @@ def div(a: Expr, b: Expr) -> Expr:
         s = a.value / b.value
         if _isfinite(s):
             return const(s)
-    return Expr("div", (a, b))
+    return _node(("div", id(a), id(b)), "div", (a, b))
 
 
 def neg(a: Expr) -> Expr:
@@ -313,7 +335,7 @@ def neg(a: Expr) -> Expr:
         return const(-a.value)
     if a.kind == "neg":
         return a.args[0]
-    return Expr("neg", (a,))
+    return _node(("neg", id(a)), "neg", (a,))
 
 
 def power(base: Expr, exponent) -> Expr:
@@ -329,23 +351,23 @@ def power(base: Expr, exponent) -> Expr:
             v = None
         if v is not None and math.isfinite(v):
             return const(v)
-    return Expr("pow", (base,), exponent=r)
+    return _node(("pow", r, id(base)), "pow", (base,), exponent=r)
 
 
 def exp(a: Expr) -> Expr:
-    return Expr("exp", (a,))
+    return _node(("exp", id(a)), "exp", (a,))
 
 
 def log(a: Expr) -> Expr:
-    return Expr("log", (a,))
+    return _node(("log", id(a)), "log", (a,))
 
 
 def sin(a: Expr) -> Expr:
-    return Expr("sin", (a,))
+    return _node(("sin", id(a)), "sin", (a,))
 
 
 def cos(a: Expr) -> Expr:
-    return Expr("cos", (a,))
+    return _node(("cos", id(a)), "cos", (a,))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +460,11 @@ def _rule(e: Expr, name: str) -> Expr:
         return add(da, db)
     if k == "sub":
         return sub(da, db)
-    if k == "mul":
+    if k == "mul":  # a factor constant in name: the sum below folds to the other term
+        if db is ZERO:
+            return mul(da, b)
+        if da is ZERO:
+            return mul(a, db)
         return add(mul(da, b), mul(a, db))
     if k == "div":
         return div(sub(mul(da, b), mul(a, db)), mul(b, b))

@@ -704,6 +704,44 @@ def reference_neg(a):
     return Expr("neg", (a,))
 
 
+def reference_differentiate(e, name):
+    """``d e / d name`` by recursion and the full rules, built through the
+    reference constructors: no rule skips a term that is structurally zero.  The
+    oracle of ``expr.differentiate``, whose shortened rules must give the very
+    same node; it recurses, so it is for small trees only."""
+    k = e.kind
+    if k == "const":
+        return expr.ZERO
+    if k == "var":
+        return expr.ONE if e.name == name else expr.ZERO
+    a, b = e.args[0], e.args[-1]
+    da = reference_differentiate(a, name)
+    db = reference_differentiate(b, name) if len(e.args) == 2 else da
+    if k == "add":
+        return reference_add(da, db)
+    if k == "sub":
+        return reference_sub(da, db)
+    if k == "mul":
+        return reference_add(reference_mul(da, b), reference_mul(a, db))
+    if k == "div":
+        return reference_div(reference_sub(reference_mul(da, b), reference_mul(a, db)),
+                             reference_mul(b, b))
+    if k == "neg":
+        return reference_neg(da)
+    if k == "pow":
+        return reference_mul(reference_mul(const(float(e.exponent)),
+                                           power(a, e.exponent - 1)), da)
+    if k == "exp":
+        return reference_mul(e, da)
+    if k == "log":
+        return reference_div(da, a)
+    if k == "sin":
+        return reference_mul(expr.cos(a), da)
+    if k == "cos":
+        return reference_neg(reference_mul(expr.sin(a), da))
+    raise AssertionError(f"unknown node kind {k!r}")
+
+
 def reference_compile(exprs, coords):
     roots = tuple(exprs)
     position = {name: k for k, name in enumerate(coords)}

@@ -8,9 +8,12 @@ stdout.  Every run is in one process, under ``PYTHONHASHSEED=0``, against the
 ``src/`` of this checkout.  With ``--against FILE``, a sweep saved from another
 checkout, it also prints to stderr each swept line that differs from the line
 of its ``(n, seed)`` in FILE, or that FILE lacks, and exits 1 if there is one.
+Its last line on stderr counts the runs by exit code, e.g. ``172 exit 0, 148
+exit 1``.
 """
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -41,6 +44,7 @@ if __name__ == "__main__":
     from contactgeo.cli import main
 
     differing = []
+    codes = collections.Counter()
     for n in args.n:
         for seed in args.seeds:
             out = io.StringIO()
@@ -48,6 +52,7 @@ if __name__ == "__main__":
                 code = main(["verify", "--suite", "all", "--n", str(n), "--seed", str(seed)])
             digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
             line = f"{n} {seed} {code} {digest}"
+            codes[code] += 1
             print(line, flush=True)
             if saved is not None and saved.get((str(n), str(seed))) != line:
                 differing.append((saved.get((str(n), str(seed)), "(none)"), line))
@@ -56,4 +61,5 @@ if __name__ == "__main__":
     if saved is not None:
         print(f"{len(differing)} of {len(args.n) * len(args.seeds)} lines differ from "
               f"{args.against}", file=sys.stderr)
+    print(", ".join(f"{codes[code]} exit {code}" for code in sorted(codes)), file=sys.stderr)
     sys.exit(1 if differing else 0)

@@ -113,6 +113,18 @@ class TestVerify:
         code, out, _ = _run(capsys, ["verify", "--suite", "all", "--n", "1", "--seed", "0"])
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert done.stdout == f"1 0 {code} {digest}\n"
+        assert done.stderr == f"1 exit {code}\n"
+
+    def test_report_sweep_tallies_exit_codes_in_increasing_order(self):
+        # n = 1..2, seeds 0..1 exit 0; --n 0 is refused with exit 2; the tally is
+        # the last stderr line and leaves stdout as it was
+        sweep = [sys.executable, str(Path(__file__).parent / "report_sweep.py")]
+        done = subprocess.run([*sweep, "0-2", "0-1"], capture_output=True, text=True,
+                              timeout=120)
+        lines = done.stdout.splitlines()
+        assert [line.split()[:3] for line in lines] == [
+            [str(n), str(seed), "2" if n == 0 else "0"] for n in range(3) for seed in range(2)]
+        assert done.stderr == "4 exit 0, 2 exit 2\n"
 
     def test_report_sweep_against_a_saved_sweep(self, tmp_path):
         sweep = [sys.executable, str(Path(__file__).parent / "report_sweep.py"), "1", "0-1"]
@@ -123,7 +135,7 @@ class TestVerify:
         same = subprocess.run([*sweep, "--against", str(path)], capture_output=True,
                               text=True, timeout=120)
         assert (same.returncode, same.stdout) == (0, saved)
-        assert same.stderr == f"0 of 2 lines differ from {path}\n"
+        assert same.stderr == f"0 of 2 lines differ from {path}\n2 exit 0\n"
         # one digest changed and one line missing: both are printed, and the exit is 1
         first, second = saved.splitlines()
         path.write_text(first[:-1] + ("0" if first[-1] != "0" else "1") + "\n")
@@ -132,7 +144,7 @@ class TestVerify:
         assert (changed.returncode, changed.stdout) == (1, saved)
         assert f"this checkout: {first}\n" in changed.stderr
         assert f"differs: {path}: (none)\n         this checkout: {second}\n" in changed.stderr
-        assert changed.stderr.endswith(f"2 of 2 lines differ from {path}\n")
+        assert changed.stderr.endswith(f"2 of 2 lines differ from {path}\n2 exit 0\n")
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (central_difference, live_nodes, random_expression, reference_add,
-                      reference_compile, reference_div, reference_mul, reference_neg,
-                      reference_parse, reference_sub)
+                      reference_compile, reference_differentiate, reference_div,
+                      reference_mul, reference_neg, reference_parse, reference_sub)
 from contactgeo import expr
 from contactgeo.calculus import lie_derivative
 from contactgeo.expr import (EvalError, ParseError, differentiate, evaluate,
@@ -567,6 +567,39 @@ class TestHash:
             del e.args
         assert e.kind == "mul" and e is parse("q1*p1")
 
+    def test_every_kind_built_twice_apart_is_one_node(self):
+        for build in _ONE_OF_EACH_KIND:
+            assert build() is build()
+
+    def test_nodes_differing_only_in_kind_are_distinct(self):
+        a, b = expr.var("u5"), expr.var("v5") * expr.var("w5")
+        unary = [f(a) for f in (expr.neg, expr.exp, expr.log, expr.sin, expr.cos)]
+        binary = [f(a, b) for f in (expr.add, expr.sub, expr.mul, expr.div)]
+        swapped = [f(b, a) for f in (expr.add, expr.sub, expr.mul, expr.div)]
+        nodes = unary + binary + swapped
+        assert len({id(e) for e in nodes}) == len(nodes)
+        assert [e.kind for e in unary] == ["neg", "exp", "log", "sin", "cos"]
+        assert all(e.args == (a, b) for e in binary)
+        assert all(e.args == (b, a) for e in swapped)
+
+    def test_powers_and_constants_are_told_apart_by_their_field(self):
+        x = expr.var("u5")
+        powers = [expr.power(x, 2), expr.power(x, 3), expr.power(x, Fraction(1, 2))]
+        assert len({id(e) for e in powers}) == 3
+        assert [e.exponent for e in powers] == [2, 3, Fraction(1, 2)]
+        assert expr.const(2.5) is not expr.const(3.5)
+        assert expr.var("u5") is not expr.var("v5")
+
+    def test_expr_returns_the_node_its_constructor_returns(self):
+        for build in _ONE_OF_EACH_KIND:
+            e = build()
+            assert expr.Expr(e.kind, e.args, e.value, e.name, e.exponent) is e
+
+    def test_pickle_returns_the_live_node_of_every_kind(self):
+        for build in _ONE_OF_EACH_KIND:
+            e = build()
+            assert pickle.loads(pickle.dumps(e)) is e
+
     def test_differentiate_cache_reports_counts(self):
         info = differentiate.cache_info()
         assert isinstance(info.hits, int) and isinstance(info.misses, int)
@@ -579,6 +612,22 @@ class TestHash:
 
 
 NAMES = ("w", "q1", "p1", "q2", "p2")
+
+# one builder of a fresh node per kind, over names no other test uses
+_ONE_OF_EACH_KIND = [
+    lambda: expr.const(271.5),
+    lambda: expr.var("u6"),
+    lambda: expr.var("u6") + expr.var("v6"),
+    lambda: expr.var("u6") - expr.var("v6"),
+    lambda: expr.var("u6") * expr.var("v6"),
+    lambda: expr.var("u6") / expr.var("v6"),
+    lambda: expr.power(expr.var("u6"), Fraction(-2, 3)),
+    lambda: -expr.var("u6"),
+    lambda: expr.exp(expr.var("u6")),
+    lambda: expr.log(expr.var("u6")),
+    lambda: expr.sin(expr.var("u6")),
+    lambda: expr.cos(expr.var("u6")),
+]
 
 
 def _safe_sample(rng, e):
@@ -611,6 +660,16 @@ def test_derivative_matches_central_differences_1000_samples():
             continue
         assert abs(exact - approx) <= 1e-6 * (1.0 + abs(exact)), to_string(e)
         checked += 1
+
+
+def test_differentiate_is_the_full_rule_derivative():
+    # the rules that skip a structurally zero term build the very node the
+    # unshortened rules build, for every name, free or not
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        e = random_expression(rng, NAMES, depth=3)
+        for name in NAMES:
+            assert differentiate(e, name) is reference_differentiate(e, name), (e, name)
 
 
 def test_differentiation_is_linear():

@@ -64,6 +64,30 @@ def test_lie_derivative_of_every_valence(n):
             _assert_same_nodes(got.comps, dense_lie_derivative(space, T, X).comps)
 
 
+@pytest.mark.parametrize("n, kinds", [(4, list(MetricKind)), (8, [MetricKind.LAMBDA_BAR])])
+def test_lie_derivative_of_the_table1_metrics(n, kinds):
+    # the inputs of the table1 checks, where X has the fewest live components
+    space = PhaseSpace(n)
+    fields = [hamiltonian_vector_field(space, h)
+              for h in (rotation_generator(1), rotation_generator(n), scaling_generator(n))]
+    for kind in kinds:
+        T = metric_from_structure(space, kind, _lambda(kind, n)).tensor
+        for X in fields:
+            _assert_same_nodes(lie_derivative(space, T, X).comps,
+                               dense_lie_derivative(space, T, X).comps)
+
+
+def test_lie_derivative_of_eta_at_n_four():
+    # the inputs of hamiltonian.lie_eta
+    space = PhaseSpace(4)
+    rng = np.random.default_rng(29)
+    eta = contact_form(space)
+    for _ in range(3):
+        X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
+        _assert_same_nodes(lie_derivative(space, eta, X).comps,
+                           dense_lie_derivative(space, eta, X).comps)
+
+
 @pytest.mark.parametrize("n", NS)
 def test_directional_derivative(n):
     space = PhaseSpace(n)
