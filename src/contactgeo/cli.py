@@ -319,8 +319,8 @@ def _flows_vs_rk4(name: str, t: float, image: tuple, cfg, rng):
 
 def _flows_legendre_order(cfg, rng):
     pts = [PhasePoint(1.0, (2.0,) * cfg.n, (3.0,) * cfg.n)]
-    pts += [PhasePoint.from_array(rng.integers(-9, 10, size=2 * cfg.n + 1).astype(float))
-            for _ in range(20)]
+    draws = rng.integers(-9, 10, size=(20, 2 * cfg.n + 1)).astype(float)
+    pts += [PhasePoint.from_array(row) for row in draws]
     masks = _subset_masks(cfg.n)
     for pt in pts:  # one block per point, its cases in subset order
         start = np.tile(pt.values, (len(masks), 1))
@@ -900,7 +900,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (ConfigError, expr.ExprError, ValueError, OSError, ArithmeticError,
-            RecursionError, equilibrium.RootFindError) as err:
+            RecursionError, MemoryError, equilibrium.RootFindError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -294,12 +294,32 @@ def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> li
 
     Keeping the coordinates away from zero keeps sampled points off the
     ``Lambda = 0`` loci of the reciprocal structures.
+
+    The points, and the state ``rng`` is left in, are those of drawing each
+    point as ``rng.uniform(-1, 1)``, ``rng.uniform(0.5, 2, size=2n)`` and the
+    signs ``(-1, 1)[rng.integers(0, 2, size=2n)]``, the draw ``rng.choice``
+    makes.  They are decoded from one ``random_raw`` read of ``3n + 1`` words
+    a point, which requires ``rng`` to run on ``np.random.PCG64``: a double
+    is ``(word >> 11) * 2**-53``, and a sign is the top bit of a 32-bit half,
+    low half first, after any half the generator holds, since numpy's
+    bounded draw of ``integers(0, 2)`` is Lemire's ``(half * 2) >> 32``.
     """
-    pts = []
-    for _ in range(count):
-        w = rng.uniform(-1.0, 1.0)
-        mags = rng.uniform(0.5, 2.0, size=2 * space.n)
-        signs = _SIGNS[rng.integers(0, 2, size=2 * space.n)]  # the draw rng.choice(_SIGNS) makes
-        vals = (mags * signs).tolist()
-        pts.append(PhasePoint(w, tuple(vals[:space.n]), tuple(vals[space.n:])))
-    return pts
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"sample_points decodes the PCG64 stream, not {type(bitgen).__name__}")
+    if count <= 0:
+        return []
+    n = space.n
+    words = bitgen.random_raw(count * (3 * n + 1)).reshape(count, 3 * n + 1)
+    doubles = (words[:, :2 * n + 1] >> 11) * 2.0 ** -53
+    ws = -1.0 + 2.0 * doubles[:, 0]
+    mags = 0.5 + 1.5 * doubles[:, 1:]
+    sign_words = words[:, 2 * n + 1:]
+    bits = np.stack((sign_words >> 31 & 1, sign_words >> 63), axis=-1).ravel()
+    state = bitgen.state  # random_raw leaves the held half alone
+    if state["has_uint32"]:
+        bits = np.append(np.uint64(state["uinteger"] >> 31), bits[:-1])
+    state["uinteger"] = int(words[-1, -1] >> 32)
+    bitgen.state = state
+    vals = (mags * _SIGNS[bits.reshape(count, 2 * n)]).tolist()
+    return [PhasePoint(w, tuple(row[:n]), tuple(row[n:])) for w, row in zip(ws.tolist(), vals)]

@@ -146,6 +146,22 @@ class TestVerify:
         assert f"differs: {path}: (none)\n         this checkout: {second}\n" in changed.stderr
         assert changed.stderr.endswith(f"2 of 2 lines differ from {path}\n2 exit 0\n")
 
+    def test_report_sweep_matches_its_golden(self):
+        # exit codes and report bytes of verify --suite all for n = 1..4, seeds 0..4
+        golden = GOLDEN / "sweep_1-4_0-4.txt"
+        done = subprocess.run([sys.executable, str(Path(__file__).parent / "report_sweep.py"),
+                               "1-4", "0-4", "--against", str(golden)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == golden.read_text()
+
+    @pytest.mark.parametrize("points", ["100000000000000000", "1000000000000000000"])
+    def test_points_too_many_to_hold_is_an_error(self, capsys, points):
+        # the sample block cannot be allocated: numpy refuses it at once
+        code, out, err = _run(capsys, ["verify", "--points", points])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         for path in paths:
@@ -565,6 +581,25 @@ class TestRunSuiteApi:
                     assert outcome(lambda: positional.run(point)) == want, coords
                 values_compared += isinstance(want, list)
         assert values_compared == 2 * len(compiled)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+def test_legendre_order_points_are_the_per_point_draws(monkeypatch, n):
+    # one (20, 2n + 1) draw reads the stream twenty per-point draws read
+    starts = []
+    monkeypatch.setattr(cli, "legendre_rows", lambda masks, image: starts.append(image) or image)
+    monkeypatch.setattr(cli, "_subset_masks", lambda n: [None])  # one start row per point
+    cfg = RunConfig(suite="flows", n=n)
+    for seed in range(100):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        starts.clear()
+        for block in cli._flows_legendre_order(cfg, rng):
+            assert not block.any()
+        want = [(1.0, *(2.0,) * n, *(3.0,) * n)]
+        want += [tuple(ref.integers(-9, 10, size=2 * n + 1).astype(float).tolist())
+                 for _ in range(20)]
+        assert [tuple(image[0].tolist()) for image in starts[::4]] == want
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Darboux phase space: contact form, Heisenberg frame, exterior derivative."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,11 +181,60 @@ def test_sample_points_respect_boxes():
 
 
 def test_sample_points_draw_what_the_choice_loop_drew():
-    # the signs index (-1, 1) by rng.integers(0, 2), the draw rng.choice makes
-    for n in (1, 2, 3, 8):
+    # one raw block decodes to the doubles and signs of the per-point
+    # uniform/uniform/choice draws, after a 32-bit half the generator holds
+    for n, count, held in itertools.product((1, 2, 3, 8, 12), (0, 1, 7, 50), (False, True)):
         space = PhaseSpace(n)
         for seed in range(50):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got, want = sample_points(space, rng, 7), choice_sample_points(space, ref, 7)
+            if held:
+                for gen in (rng, ref):
+                    gen.integers(0, 2, size=1)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            got, want = sample_points(space, rng, count), choice_sample_points(space, ref, count)
             assert [p.values for p in got] == [p.values for p in want]
             assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.integers(0, 2, size=3).tolist() == ref.integers(0, 2, size=3).tolist()
+            assert rng.random(2).tolist() == ref.random(2).tolist()
+
+
+class _CountingPCG64(np.random.PCG64):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.raw_sizes = []
+
+    def random_raw(self, size=None, output=True):
+        self.raw_sizes.append(size)
+        return super().random_raw(size, output)
+
+
+class _NoDrawGenerator(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("sample_points called uniform")
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("sample_points called integers")
+
+
+def test_sample_points_read_one_raw_block_per_call():
+    bitgen = _CountingPCG64(5)
+    rng = _NoDrawGenerator(bitgen)
+    for n, count in ((1, 3), (2, 1), (8, 50)):
+        sample_points(PhaseSpace(n), rng, count)
+    assert bitgen.raw_sizes == [3 * 4, 1 * 7, 50 * 25]
+
+
+def test_sample_points_need_a_pcg64_generator():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="PCG64.*MT19937"):
+        sample_points(PhaseSpace(2), rng, 5)
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_sample_points_of_a_negative_count_draw_nothing(held):
+    rng = np.random.default_rng(9)
+    if held:
+        rng.integers(0, 2, size=1)
+    state = rng.bit_generator.state
+    assert sample_points(PhaseSpace(2), rng, -3) == []
+    assert rng.bit_generator.state == state
