@@ -10,6 +10,7 @@ into the records).  Exit codes: 0 all checks passed, 1 at least one failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import sys
@@ -206,15 +207,17 @@ def _worst(block) -> list[float]:
 def _run_check(check: Check, cfg: RunConfig) -> CheckRecord:
     """Draw from the check's own stream, reduce its residuals, and time it."""
     t0 = time.perf_counter()
-    worst = []
+    reduce = min if check.mode == "min" else max
+    extremes, cases = [], 0  # one value per block, so memory does not grow with the cases
     for block in check.residuals(cfg, cfg.rng(check.id)):
         rows = _worst(block)
         if not all(map(math.isfinite, rows)):
-            first = next(k for k, v in enumerate(rows, len(worst) + 1) if not math.isfinite(v))
+            first = next(k for k, v in enumerate(rows, cases + 1) if not math.isfinite(v))
             raise expr.EvalError(f"check {check.id}: non-finite residual in case {first}")
-        worst += rows
-    reduce = min if check.mode == "min" else max
-    return CheckRecord(check.id, check.anchor, reduce(worst), check.tolerance, len(worst),
+        if rows:
+            extremes.append(reduce(rows))
+        cases += len(rows)
+    return CheckRecord(check.id, check.anchor, reduce(extremes), check.tolerance, cases,
                        check.mode, time.perf_counter() - t0)
 
 
@@ -241,8 +244,35 @@ def _subsets(n: int) -> list[IndexSubset]:
 
 
 def _subset_masks(n: int) -> np.ndarray:
-    """The membership rows of ``_subsets(n)``, in its order (by size)."""
-    return np.array([I.mask(n) for I in _subsets(n)])
+    """The membership rows of ``_subsets(n)``, in its order (by size), filled
+    straight from the combinations of each size."""
+    masks = np.zeros((2 ** n - 1, n), dtype=bool)
+    start = 0
+    for r in range(1, n + 1):
+        members = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), r)),
+                              int).reshape(-1, r)
+        masks[np.arange(start, start + len(members))[:, None], members] = True
+        start += len(members)
+    return masks
+
+
+# the rows of one block of an index-set sweep: all 2^n - 1 sets at once would
+# hold 3.3 million rows at n = 16
+_SWEEP_ROWS = 4096
+
+
+def _sweep_cases(count: int, inner: int):
+    """Cases ``0 .. count - 1`` in blocks of ``_SWEEP_ROWS``, case ``c`` given as
+    its pair ``(c // inner, c % inner)`` of index arrays."""
+    for start in range(0, count, _SWEEP_ROWS):
+        yield np.divmod(np.arange(start, min(start + _SWEEP_ROWS, count)), inner)
+
+
+def _rows(columns: np.ndarray, index) -> np.ndarray:
+    """The rows ``index`` of ``columns.T``, laid out column by column: numpy's
+    masked operations in ``legendre_rows`` run several times faster on
+    contiguous columns than across rows."""
+    return columns.take(index, axis=1).T
 
 
 def _heisenberg_commutators(cfg, rng):
@@ -321,12 +351,14 @@ def _flows_legendre_order(cfg, rng):
     pts = [PhasePoint(1.0, (2.0,) * cfg.n, (3.0,) * cfg.n)]
     draws = rng.integers(-9, 10, size=(20, 2 * cfg.n + 1)).astype(float)
     pts += [PhasePoint.from_array(row) for row in draws]
-    masks = _subset_masks(cfg.n)
-    for pt in pts:  # one block per point, its cases in subset order
-        start = np.tile(pt.values, (len(masks), 1))
+    starts = np.array([pt.values for pt in pts]).T.copy()
+    masks = _subset_masks(cfg.n).T.copy()
+    # cases in (point, I) order
+    for k, I in _sweep_cases(starts.shape[1] * masks.shape[1], masks.shape[1]):
+        start, mask = _rows(starts, k), _rows(masks, I)
         image = start
         for _ in range(4):
-            image = legendre_rows(masks, image)
+            image = legendre_rows(mask, image)
         yield image - start
 
 
@@ -409,18 +441,13 @@ def _legendre_even_control(cfg, rng):
 def _legendre_conditions(cfg, rng):
     space = PhaseSpace(cfg.n)
     pts = np.array(_sample_rows(space, rng, cfg.points))
-    masks = _subset_masks(space.n)
-    sizes = masks.sum(axis=1)
+    columns, masks = pts.T.copy(), _subset_masks(space.n).T.copy()
     for power in (1, 3):
         lam = product_lambda(space.n, power=power)
         here = lam.tape.run_batch(pts)
-        # cases in (I, point) order, one block per subset size: all 255 index sets
-        # of n = 8 in one block would hold 12,750 rows at once
-        for r in range(1, space.n + 1):
-            block = masks[sizes == r]
-            yield lambda_legendre_residual(
-                lam, np.repeat(block, len(pts), axis=0), np.tile(pts, (len(block), 1)),
-                np.tile(here, len(block)))
+        # cases in (I, point) order
+        for I, k in _sweep_cases(masks.shape[1] * len(pts), len(pts)):
+            yield lambda_legendre_residual(lam, _rows(masks, I), _rows(columns, k), here[:, k])
 
 
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
@@ -589,9 +616,20 @@ _SUITES = tuple(_CHECKS)
 
 
 def run_suite(config: RunConfig) -> Report:
-    """Run the selected verification suites and collect one record per check."""
+    """Run the selected verification suites and collect one record per check.
+
+    The cyclic collector is paused for the run, and resumed only if it was on:
+    the run's nodes die by reference counting, and the few cycles it leaves,
+    ``exp`` nodes held by their own derivative memos, wait for the next
+    collection."""
     suites = _SUITES if config.suite == "all" else (config.suite,)
-    return Report([_run_check(check, config) for suite in suites for check in _CHECKS[suite]])
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return Report([_run_check(check, config) for suite in suites for check in _CHECKS[suite]])
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -692,9 +692,11 @@ class Tape:
     Arithmetic and negation are then numpy operations, which round as the
     scalar ones do; powers and the functions apply the scalar evaluator's own
     ``math`` calls to each value of the column, since numpy's differ from them
-    in the last bit.  Its values are therefore those of ``run`` at each point,
-    bit for bit, and a batch in which any point fails is re-run point by
-    point, so it raises the scalar evaluator's error.
+    in the last bit.  An integer power of a column that holds no zero maps
+    ``math.pow`` itself, with no Python call per value.  Its values are
+    therefore those of ``run`` at each point, bit for bit, and a batch in
+    which any point fails is re-run point by point, so it raises the scalar
+    evaluator's error.
     """
 
     __slots__ = ("_template", "_code", "_outputs", "_arity", "_stepper")
@@ -795,11 +797,14 @@ class Tape:
                 elif op == _ADD:
                     v[dst] = v[a] + v[b]
                 elif op == _POWI:
+                    x = v[a]
                     if scalar:
-                        x = v[a]
                         v[dst] = math.pow(x, b) if x != 0.0 else _zero_power(b)
+                    elif isinstance(x, np.ndarray) and x.all():  # no ±0.0, so math.pow alone
+                        v[dst] = np.fromiter(map(math.pow, x.tolist(), itertools.repeat(b)),
+                                             float, len(x))
                     else:
-                        v[dst] = _mapped(_powi_value, v[a], b)
+                        v[dst] = _mapped(_powi_value, x, b)
                 elif op == _NEG:
                     v[dst] = -v[a]
                 elif op == _SUB:

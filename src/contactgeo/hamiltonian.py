@@ -145,8 +145,12 @@ def legendre_rows(mask, rows) -> np.ndarray:
     ``rows`` is a ``(k, 2n+1)`` array of points ``(w, q1..qn, p1..pn)`` and
     ``mask`` a ``(k, n)`` boolean array.  Each row's ``w`` takes ``- q^i p_i``
     for its selected ``i`` in increasing ``i``, from the original ``q`` and
-    ``p``, and an unselected ``i`` subtracts ``+0.0``, which leaves every float
-    as it is; so a row is bit for bit the scalar map of that point.
+    ``p``; an unselected ``i`` is skipped, as ``w - 0.0`` is ``w`` for every
+    float, so a row is bit for bit the scalar map of that point.  Each step
+    writes into the result through a mask, so no temporary is larger than one
+    column.  The result keeps the layout of ``rows``: on a block laid out
+    column by column, as the ``verify`` sweeps build theirs, the masked steps
+    run several times faster than across rows.
     """
     mask = np.asarray(mask, dtype=bool)
     rows = np.asarray(rows, dtype=float)
@@ -154,14 +158,12 @@ def legendre_rows(mask, rows) -> np.ndarray:
     if rows.shape != (k, 2 * n + 1):
         raise ValueError(f"expected {k} rows of {2 * n + 1} coordinates, got shape {rows.shape}")
     q, p = rows[:, 1:n + 1], rows[:, n + 1:]
-    qp = q * p
-    out = np.empty_like(rows)
-    w = rows[:, 0]
+    out = rows.copy(order="K")
+    w = out[:, 0]
     for i in range(n):
-        w = w - np.where(mask[:, i], qp[:, i], 0.0)
-    out[:, 0] = w
-    out[:, 1:n + 1] = np.where(mask, -p, q)
-    out[:, n + 1:] = np.where(mask, q, p)
+        np.subtract(w, q[:, i] * p[:, i], out=w, where=mask[:, i])
+    np.negative(p, out=out[:, 1:n + 1], where=mask)
+    np.copyto(out[:, n + 1:], q, where=mask)
     return out
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -455,12 +456,21 @@ class TestRunSuiteApi:
         # symbolic work lives on nodes owned by the run, so it all dies with the run.
         # exp(S) holds itself through its derivative memo; the intern table holds
         # no node strongly, so one collection frees such a cycle and its parent
-        # together.  The table keeps dead entries until a sweep, so live ones count.
+        # together, also after runs that paused the collector.  The table keeps
+        # dead entries until a sweep, so live ones count.
         while gc.collect():
             pass
         before = live_nodes()
-        for _ in range(2):
-            run_suite(RunConfig(suite="all", n=2, points=2))
+        collecting = gc.isenabled()
+        try:
+            for lam in (None, "exp(q1*p1);exp(q2*p2)"):
+                for caller_collects in (True, False):
+                    (gc.enable if caller_collects else gc.disable)()
+                    run_suite(RunConfig(suite="all", n=2, points=2,
+                                        lam=cli._parse_lambda(lam, 2)))
+                    assert gc.isenabled() is caller_collects
+        finally:
+            (gc.enable if collecting else gc.disable)()
         gc.collect()
         assert live_nodes() == before
 
@@ -588,7 +598,8 @@ def test_legendre_order_points_are_the_per_point_draws(monkeypatch, n):
     # one (20, 2n + 1) draw reads the stream twenty per-point draws read
     starts = []
     monkeypatch.setattr(cli, "legendre_rows", lambda masks, image: starts.append(image) or image)
-    monkeypatch.setattr(cli, "_subset_masks", lambda n: [None])  # one start row per point
+    # one start row per point
+    monkeypatch.setattr(cli, "_subset_masks", lambda n: np.zeros((1, n), dtype=bool))
     cfg = RunConfig(suite="flows", n=n)
     for seed in range(100):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -598,8 +609,69 @@ def test_legendre_order_points_are_the_per_point_draws(monkeypatch, n):
         want = [(1.0, *(2.0,) * n, *(3.0,) * n)]
         want += [tuple(ref.integers(-9, 10, size=2 * n + 1).astype(float).tolist())
                  for _ in range(20)]
-        assert [tuple(image[0].tolist()) for image in starts[::4]] == want
+        assert [tuple(row) for image in starts[::4] for row in image.tolist()] == want
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_subset_masks_are_the_index_subsets_masks():
+    for n in range(1, 13):
+        want = np.array([I.mask(n) for I in cli._subsets(n)])
+        got = cli._subset_masks(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+class _OverflowingDraws:
+    """A generator whose integer draws hold q1 = 1e300 and p1 = 1e10 in row 4,
+    so the sweep's point 5 is not finite under a map that takes index 1."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def integers(self, *args, **kwargs):
+        draws = self._rng.integers(*args, **kwargs).astype(float)
+        n = draws.shape[1] // 2
+        draws[4, 1], draws[4, n + 1] = 1e300, 1e10
+        return draws
+
+
+def _outcome(check, cfg):
+    """The check's record without its wall time, or the text of its error."""
+    try:
+        return replace(cli._run_check(check, cfg), wall_time=0.0)
+    except EvalError as err:
+        return str(err)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("check_id", ["legendre.lambda_conditions", "flows.legendre_order_four"])
+def test_sweeps_do_not_depend_on_their_block_length(monkeypatch, check_id):
+    # the runner reduces each case alone, so cutting the cases into other
+    # blocks moves no residual, count or case number
+    (check,) = [c for c in cli._CHECKS[check_id.split(".")[0]] if c.id == check_id]
+    runs = [RunConfig(n=n, points=points, seed=seed)
+            for n, points, seed in ((1, 3, 0), (4, 6, 1), (8, 5, 2))]
+    broken, broken_cfg, family = check, RunConfig(n=3, points=20, seed=13), None
+    if check_id.startswith("flows"):
+        broken = cli.Check(check.id, check.anchor, check.tolerance,
+                           lambda cfg, rng: check.residuals(cfg, _OverflowingDraws(rng)))
+    else:  # 7e307 q1 p1 overflows at the points where q1 p1 > 2.57
+        family = structures.LambdaFamily.of(["7e307*q1*p1", "q2*p2", "q3*p3"])
+
+    def outcomes():
+        seen = [_outcome(check, cfg) for cfg in runs]
+        with monkeypatch.context() as patched:
+            if family is not None:
+                patched.setattr(cli, "product_lambda", lambda n, power=1: family)
+            seen.append(_outcome(broken, broken_cfg))
+        return seen
+
+    whole = outcomes()
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", 7)
+    assert outcomes() == whole
+    assert all(isinstance(seen, CheckRecord) for seen in whole[:-1])
+    # the non-finite case lies past the first block of 7
+    assert int(whole[-1].rsplit(" ", 1)[1]) > 7, whole[-1]
 
 
 @pytest.mark.parametrize("argv", [

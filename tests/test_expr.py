@@ -662,6 +662,29 @@ def test_derivative_matches_central_differences_1000_samples():
         checked += 1
 
 
+def test_derivative_matches_sympy():
+    # an oracle that shares no rule with differentiate: sympy's derivative of the
+    # printed tree, at points where the tree evaluates
+    sympy = pytest.importorskip("sympy")
+    symbols = {name: sympy.Symbol(name) for name in NAMES}
+    rng = np.random.default_rng(31)
+    checked = 0
+    while checked < 200:
+        e = random_expression(rng, NAMES, depth=3)
+        name = str(rng.choice(NAMES))
+        b = _safe_sample(rng, e)
+        if b is None:
+            continue
+        try:
+            exact = evaluate(differentiate(e, name), b)
+        except EvalError:
+            continue
+        oracle = sympy.diff(sympy.sympify(to_string(e), locals=symbols), symbols[name])
+        want = float(oracle.evalf(subs={symbols[k]: v for k, v in b.items()}))
+        assert abs(exact - want) <= 1e-9 * (1.0 + abs(want)), (to_string(e), name)
+        checked += 1
+
+
 def test_differentiate_is_the_full_rule_derivative():
     # the rules that skip a structurally zero term build the very node the
     # unshortened rules build, for every name, free or not
