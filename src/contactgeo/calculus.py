@@ -53,15 +53,6 @@ def _d(e: Expr, name: str) -> Expr:
     return expr.differentiate(e, name) if name in expr.free_variables(e) else expr.ZERO
 
 
-def _add_times_d(acc: Expr, f: Expr, e: Expr, name: str, op=expr.add) -> Expr:
-    """``op(acc, f * d e / d name)``; neither the derivative nor the product is
-    built when ``f`` is ZERO, and the product is not built when the derivative is."""
-    if f is expr.ZERO:
-        return acc
-    de = _d(e, name)
-    return acc if de is expr.ZERO else op(acc, expr.mul(f, de))
-
-
 def lie_bracket(space: PhaseSpace, X: TensorField, Y: TensorField) -> TensorField:
     """``[X, Y]^c = X^a d_a Y^c - Y^a d_a X^c``, the Lie derivative of ``Y`` along ``X``."""
     if X.valence != (1, 0) or Y.valence != (1, 0):
@@ -70,10 +61,14 @@ def lie_bracket(space: PhaseSpace, X: TensorField, Y: TensorField) -> TensorFiel
 
 
 def directional_derivative(space: PhaseSpace, X: TensorField, f: Expr) -> Expr:
-    """The scalar derivative ``X(f) = X^c d_c f``."""
+    """The scalar derivative ``X(f) = X^c d_c f``; no derivative is built where
+    ``X^c`` is ZERO, and no product where the derivative is."""
     acc = expr.ZERO
     for c, name in enumerate(space.coord_names()):
-        acc = _add_times_d(acc, X.comps[c], f, name)
+        if X.comps[c] is not expr.ZERO:
+            df = _d(f, name)
+            if df is not expr.ZERO:
+                acc = expr.add(acc, expr.mul(X.comps[c], df))
     return acc
 
 

@@ -784,13 +784,9 @@ def _cmd_flow(args) -> int:
         raise ConfigError("the Hamiltonian vector field is not finite at --point")
     try:
         end = integrate_flow(X, point, t, args.steps)
-    except (FloatingPointError, expr.EvalError) as err:
-        # a math call fails only by overflow (a range error, or sin or cos of an
-        # infinity), and only its error carries a step: like a state that is not
-        # finite, that is --t and --steps at work on a field finite at --point;
-        # a domain test keeps its own message
-        if not (isinstance(err, FloatingPointError) or hasattr(err, "step")):
-            raise
+    except FloatingPointError:
+        # an overflow on a field finite at --point is --t and --steps at work;
+        # a domain test's EvalError keeps its own message
         raise ConfigError(f"the flow is not finite for --t {t} and --steps {args.steps}") from None
     record = {
         "hamiltonian": args.hamiltonian,

@@ -593,7 +593,7 @@ _STEPPER_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len, "ran
 
 
 def _generate(template: list, code: list, outputs: list, arity: int):
-    """The stepper of :meth:`Tape.rk4`: the function ``(y, h, steps) -> (k, y)``
+    """The stepper of :meth:`Tape.rk4`: the function ``(y, h, steps) -> y``
     that runs ``code`` as Python statements.
 
     It is one loop over the steps whose body holds the statements four times,
@@ -641,13 +641,13 @@ def _stepper_body(stage: list, outputs: list, arity: int) -> list:
         lines += [f"        x{j:d} = " + point.format(j) for j in coords]
         lines += ["        " + line for line in stage]
         lines += [f"        {name}{j:d} = v{s:d}" for j, s in enumerate(outputs)]
-    lines += ["    except (OverflowError, ValueError):  # a math call failed: replay the step",
-              f"        return k, [{state}]"]
+    lines += ["    except (OverflowError, ValueError):  # a math call overflowed",
+              "        raise FloatingPointError(f'non-finite state at step {k + 1}') from None"]
     lines += [f"    y{j:d} = y{j:d} + sixth * (((a{j:d} + 2.0 * b{j:d}) + 2.0 * c{j:d}) + d{j:d})"
               for j in coords]
     lines += ["    if not (" + " and ".join(f"_isfinite(y{j:d})" for j in coords) + "):",
               "        raise FloatingPointError(f'non-finite state at step {k + 1}')",
-              f"return steps, [{state}]"]
+              f"return [{state}]"]
     return lines
 
 
@@ -686,6 +686,8 @@ class Tape:
     flow: its first call generates the stepper, one Python function that holds
     a statement per instruction four times, once per stage, in one loop over
     all the steps.  It is the only generated code of a tape, and dies with it.
+    A ``math`` call that overflows in a step raises ``FloatingPointError``,
+    which names the step, not the call.
 
     :meth:`run_batch` runs the same list over many points at once, through
     the interpreter's own loop with a column of values in each slot.
@@ -724,21 +726,20 @@ class Tape:
         """
         return self._interpret(point)
 
-    def rk4(self, state: list, h: float, steps: int) -> tuple[int, list]:
-        """``steps`` classical RK4 steps of length ``h`` of ``ydot = f(y)`` from
-        ``state``, where ``f`` is the tape's outputs, one per coordinate.
+    def rk4(self, state: list, h: float, steps: int) -> list:
+        """The state after ``steps`` classical RK4 steps of length ``h`` of
+        ``ydot = f(y)`` from ``state``, where ``f`` is the tape's outputs, one
+        per coordinate.
 
         The first call generates the stepper, one Python function that runs
         all the steps and is kept for every later call.  It does at each stage
         what :meth:`run` does, on Python floats, so its states are those of
         stepping with :meth:`run` in numpy's association order
         ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, bit
-        for bit.  Returns ``(steps, end state)``.  If a ``math`` call fails in
-        step ``k + 1`` it returns ``(k, the state that step started from)``
-        instead, so that the caller can replay that step through :meth:`run`,
-        which names the call.  A state that is not finite after step ``k``
-        raises ``FloatingPointError("non-finite state at step k")``; a domain
-        test that fails raises :meth:`run`'s :class:`EvalError`.
+        for bit.  A ``math`` call that overflows in step ``k``, or a state
+        that is not finite after it, raises ``FloatingPointError("non-finite
+        state at step k")``; a domain test that fails raises :meth:`run`'s
+        :class:`EvalError`.
         """
         stepper = self._stepper
         if stepper is None:

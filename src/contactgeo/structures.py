@@ -183,7 +183,7 @@ def structure_identities(space: PhaseSpace, kind: StructureKind,
     return pairs
 
 
-def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here=None) -> np.ndarray:
+def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here) -> np.ndarray:
     """Per-index residuals of the finite Legendre-invariance conditions, one row
     per point.
 
@@ -192,10 +192,9 @@ def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here=None) -> np.nda
     Legendre map ``Phi`` (see :func:`legendre_rows`).  The family must flip
     sign on the transformed indices and be unchanged on the rest:
     ``L_i(Phi x) = -L_i(x)`` for ``i in I`` and ``L_a(Phi x) = L_a(x)``
-    otherwise.  ``here`` is ``L(x)`` as ``lam.tape.run_batch(rows)`` gives it,
-    when the caller already has it.  Returns a ``(k, n)`` array.
+    otherwise.  ``here`` is ``L(x)`` as ``lam.tape.run_batch(rows)`` gives it.
+    Returns a ``(k, n)`` array.
     """
-    if here is None:
-        here = lam.tape.run_batch(rows)
     there = lam.tape.run_batch(legendre_rows(mask, rows))
-    return np.where(mask, (there + here).T, (there - here).T)
+    with np.errstate(all="ignore"):  # as in run_batch, an overflow is a value
+        return np.where(mask, (there + here).T, (there - here).T)

@@ -248,7 +248,8 @@ class TestScalingCondition:
 def _legendre_residual(lam, I, pts):
     """The residual rows of ``lam`` under the partial Legendre map on ``I`` at ``pts``."""
     mask = np.tile(I.mask(lam.n), (len(pts), 1))
-    return lambda_legendre_residual(lam, mask, [pt.values for pt in pts])
+    rows = [pt.values for pt in pts]
+    return lambda_legendre_residual(lam, mask, rows, lam.tape.run_batch(rows))
 
 
 class TestLegendreCondition:
