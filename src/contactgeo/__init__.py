@@ -8,8 +8,8 @@ curvature, and Legendre-submanifold pullbacks from fundamental relations.
 
 from .expr import (EvalError, Expr, ParseError, const, differentiate, evaluate,
                    parse, to_string, var)
-from .phase_space import (CoordinateMap, PhasePoint, PhaseSpace, TensorField,
-                          contact_form, d_eta, frame, sample_points)
+from .phase_space import (CoordinateMap, PhaseSpace, TensorField, contact_form,
+                          d_eta, frame, sample_points)
 from .hamiltonian import (IndexSubset, closed_form_commutator,
                           generator_commutator, hamiltonian_vector_field,
                           integrate_flow, legendre_map, rotation_flow,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .phase_space import PhasePoint, PhaseSpace, TensorField, _obj, contact_form
+from .phase_space import PhaseSpace, TensorField, _obj, contact_form
 
 __all__ = [
     "SingularMetricError",
@@ -172,7 +172,7 @@ def christoffel_symbolic(metric) -> np.ndarray:
     return np.array(gamma, dtype=object)
 
 
-def require_nonsingular(metric, point: PhasePoint) -> np.ndarray:
+def require_nonsingular(metric, point) -> np.ndarray:
     """The metric's components at ``point``; raises :class:`SingularMetricError`
     where they are undefined, where they or their determinant are not finite,
     and where the determinant is below 1e-12 in size and either exactly zero or
@@ -249,7 +249,7 @@ class CurvatureReport:
     symmetry_residual: float
 
 
-def ricci(metric, point: PhasePoint, fit: bool = False) -> CurvatureReport:
+def ricci(metric, point, fit: bool = False) -> CurvatureReport:
     """Ricci tensor at ``point`` and the residual of ``Ric = lam eta (x) eta + nu g``.
 
     The canonical almost-contact metric asserts ``lam = 2n + 2`` and
@@ -260,7 +260,7 @@ def ricci(metric, point: PhasePoint, fit: bool = False) -> CurvatureReport:
 
     g_mat = require_nonsingular(metric, point)
     space = metric.space
-    ric = np.array(metric.ricci_tape.run(point.values), dtype=float).reshape(g_mat.shape)
+    ric = np.array(metric.ricci_tape.run(point), dtype=float).reshape(g_mat.shape)
 
     eta_vals = contact_form(space).evaluate(point)
     ee = np.outer(eta_vals, eta_vals)

@@ -31,8 +31,8 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
                           random_polynomial_hamiltonian, rotation_flow,
                           rotation_generator, scaling_generator, scaling_map)
 from .metrics import Metric, MetricKind, metric_from_structure
-from .phase_space import (PhasePoint, PhaseSpace, TensorField, contact_form,
-                          d_eta, frame, matmul, outer_11, sample_points)
+from .phase_space import (PhaseSpace, TensorField, contact_form, d_eta, frame, matmul,
+                          outer_11, sample_points)
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda, structure_identities)
 
@@ -228,14 +228,14 @@ def _differences(coords, pairs, rows) -> np.ndarray:
     return expr.compile(diffs, coords).run_batch(rows).T
 
 
-def _sample_rows(space: PhaseSpace, rng, count: int, *metrics: Metric) -> list[tuple]:
-    """The coordinate values of ``count`` sampled points, one row per point, each
+def _sample_rows(space: PhaseSpace, rng, count: int, *metrics: Metric) -> list[list]:
+    """``count`` sampled points, one row of coordinate values per point, each
     checked by ``calculus.require_nonsingular`` for every metric, in point order."""
     points = sample_points(space, rng, count)
     for pt in points:
         for metric in metrics:
             calculus.require_nonsingular(metric, pt)
-    return [pt.values for pt in points]
+    return points
 
 
 def _subsets(n: int) -> list[IndexSubset]:
@@ -313,7 +313,7 @@ def _hamiltonian_eta(cfg, rng):
         X = hamiltonian_vector_field(space, h)
         h_tape = expr.compile((h,), space.coord_names())
         for pt in sample_points(space, rng, 5):
-            yield [eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt.values)[0]]
+            yield [eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt)[0]]
 
 
 def _hamiltonian_lie_eta(cfg, rng):
@@ -330,7 +330,7 @@ def _generator_flow(name: str, space: PhaseSpace, m: int, t: float):
     """The generator ``name`` on ``space``, ``hL`` rotating the first ``m`` pairs or
     ``hS`` scaling them all, and its closed-form time-``t`` flow of a point."""
     if name == "hL":
-        if m > space.n:
+        if not 1 <= m <= space.n:
             raise ConfigError(f"m={m} must satisfy 1 <= m <= n={space.n}")
         subset = IndexSubset.of(range(1, m + 1))
         return rotation_generator(m), partial(rotation_flow, t, subset)
@@ -340,18 +340,16 @@ def _generator_flow(name: str, space: PhaseSpace, m: int, t: float):
 def _flows_vs_rk4(name: str, t: float, image: tuple, cfg, rng):
     # one case: the RK4 endpoint against the closed form, and that against its known image
     space = PhaseSpace(1)
-    start = space.point(1.0, [2.0], [3.0])
+    start = (1.0, 2.0, 3.0)
     h, flow = _generator_flow(name, space, 1, t)
-    end = integrate_flow(hamiltonian_vector_field(space, h), start, t, 10_000).as_array()
-    target = flow(start).as_array()
+    end = np.array(integrate_flow(hamiltonian_vector_field(space, h), start, t, 10_000))
+    target = np.array(flow(start))
     yield [np.concatenate([end - target, target - np.array(image)])]
 
 
 def _flows_legendre_order(cfg, rng):
-    pts = [PhasePoint(1.0, (2.0,) * cfg.n, (3.0,) * cfg.n)]
-    draws = rng.integers(-9, 10, size=(20, 2 * cfg.n + 1)).astype(float)
-    pts += [PhasePoint.from_array(row) for row in draws]
-    starts = np.array([pt.values for pt in pts]).T.copy()
+    fixed = [1.0] + [2.0] * cfg.n + [3.0] * cfg.n
+    starts = np.vstack((fixed, rng.integers(-9, 10, size=(20, 2 * cfg.n + 1)))).T.copy()
     masks = _subset_masks(cfg.n).T.copy()
     # cases in (point, I) order
     for k, I in _sweep_cases(starts.shape[1] * masks.shape[1], masks.shape[1]):
@@ -650,7 +648,7 @@ def _parse_lambda(text: str | None, n: int) -> LambdaFamily | None:
     return LambdaFamily.of(parts)
 
 
-def _parse_point(csv: str, n: int) -> PhasePoint:
+def _parse_point(csv: str, n: int) -> list:
     try:
         vals = [float(v) for v in csv.split(",")]
     except ValueError:
@@ -659,7 +657,7 @@ def _parse_point(csv: str, n: int) -> PhasePoint:
         raise ConfigError(f"point needs {2 * n + 1} values for n={n}, got {len(vals)}")
     if not all(map(math.isfinite, vals)):
         raise ConfigError(f"--point must be finite, got {csv!r}")
-    return PhasePoint.from_array(np.array(vals))
+    return vals
 
 
 def _finite_t(t: float) -> float:
@@ -752,7 +750,7 @@ def _cmd_curvature(args) -> int:
     record = {
         "metric": args.metric,
         "n": space.n,
-        "point": point.as_array().tolist(),
+        "point": point,
         "ricci": [row.tolist() for row in rep.ricci],
         "lambda": rep.lam,
         "nu": rep.nu,
@@ -776,10 +774,13 @@ def _cmd_flow(args) -> int:
     if args.hamiltonian in ("hL", "hS"):
         h, flow = _generator_flow(args.hamiltonian, space, m, t)
         closed = flow(point)
+        if not all(map(math.isfinite, closed)):
+            raise ConfigError(f"the closed-form flow is not finite for --t {t} "
+                              f"and --point {args.point}")
     else:
         h = expr.parse(args.hamiltonian)
     X = hamiltonian_vector_field(space, h)
-    start = X.tape.run(point.values)  # a field that fails at --point names its own failure
+    start = X.tape.run(point)  # a field that fails at --point names its own failure
     if not all(map(math.isfinite, start)):
         raise ConfigError("the Hamiltonian vector field is not finite at --point")
     try:
@@ -792,11 +793,11 @@ def _cmd_flow(args) -> int:
         "hamiltonian": args.hamiltonian,
         "t": t,
         "steps": args.steps,
-        "endpoint": end.as_array().tolist(),
+        "endpoint": end,
     }
     if closed is not None:
-        record["closed_form"] = closed.as_array().tolist()
-        record["deviation"] = _max_abs(end.as_array() - closed.as_array())
+        record["closed_form"] = closed
+        record["deviation"] = _max_abs(np.subtract(end, closed))
     _emit([dump_record(record)], args.json)
     return 0
 

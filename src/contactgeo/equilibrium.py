@@ -29,7 +29,7 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .hamiltonian import IndexSubset, legendre_rows
-from .phase_space import CoordinateMap, PhasePoint
+from .phase_space import CoordinateMap
 
 __all__ = [
     "FundamentalRelation",
@@ -279,8 +279,9 @@ class TransformedRelation:
         return 0.5 * (out + out.T)  # exactly symmetric, as the Hessian of a relation is
 
 
-def embed(rel, qvals) -> PhasePoint:
-    """Embedding point ``(w = wbar(q), q, p = grad wbar(q))`` of the relation."""
+def embed(rel, qvals) -> list:
+    """Embedding point ``(w = wbar(q), q, p = grad wbar(q))`` of the relation, the
+    list of its Python-float coordinates."""
     qvals = np.asarray(qvals, dtype=float)
     if qvals.shape != (rel.n,):
         raise ValueError(f"expected {rel.n} coordinates")
@@ -290,7 +291,7 @@ def embed(rel, qvals) -> PhasePoint:
     p = rel.gradient(qvals)
     if not (np.isfinite(w) and np.all(np.isfinite(p))):
         raise ValueError("non-finite potential value or gradient")
-    return PhasePoint(float(w), tuple(qvals.tolist()), tuple(p.tolist()))
+    return [float(w), *qvals.tolist(), *p.tolist()]
 
 
 def legendre_potential(rel, indices) -> TransformedRelation:
@@ -325,10 +326,11 @@ def involution_check(rel, I: IndexSubset, qvals) -> float:
     """
     I = I if isinstance(I, IndexSubset) else IndexSubset.of(I)
     I.validate(rel.n)
-    (y,) = legendre_rows(I.mask(rel.n)[None, :], [embed(rel, qvals).values])
+    (y,) = legendre_rows(I.mask(rel.n)[None, :], [embed(rel, qvals)])
     signs = np.array([-1.0 if i in I else 1.0 for i in range(1, rel.n + 1)])
     z = embed(legendre_potential(rel, I), signs * y[1:rel.n + 1])
-    return float(max(abs(y[0] - z.w), np.max(np.abs(y[rel.n + 1:] - signs * np.array(z.p)))))
+    dp = y[rel.n + 1:] - signs * np.array(z[rel.n + 1:])
+    return float(max(abs(y[0] - z[0]), np.max(np.abs(dp))))
 
 
 @dataclass(frozen=True)

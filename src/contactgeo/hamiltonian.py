@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .phase_space import CoordinateMap, PhasePoint, PhaseSpace, TensorField, _obj, frame
+from .phase_space import CoordinateMap, PhaseSpace, TensorField, _obj, frame
 
 __all__ = [
     "IndexSubset",
@@ -119,23 +119,23 @@ def hamiltonian_vector_field(space: PhaseSpace, h: Expr) -> TensorField:
     return TensorField((1, 0), comps)
 
 
-def rotation_flow(t: float, I: IndexSubset, x: PhasePoint) -> PhasePoint:
-    """Closed-form rotation flow on the selected conjugate pairs.
+def rotation_flow(t: float, I: IndexSubset, x) -> list:
+    """Closed-form rotation flow on the selected conjugate pairs of the point
+    ``x``, returned as a list of its coordinate values.
 
     On each selected plane ``(q^i, p_i)`` rotates by angle ``t`` and shifts
     ``w`` accordingly; the remaining coordinates are untouched.
     """
-    I.validate(x.n)
+    n = (len(x) - 1) // 2
+    I.validate(n)
     ct, st = math.cos(t), math.sin(t)
-    q = list(x.q)
-    p = list(x.p)
-    w = x.w
+    y = list(x)
     for i in I:
-        q0, p0 = x.q[i - 1], x.p[i - 1]
-        w -= 0.5 * st * ((p0 * p0 - q0 * q0) * ct + 2.0 * st * q0 * p0)
-        q[i - 1] = q0 * ct - p0 * st
-        p[i - 1] = q0 * st + p0 * ct
-    return PhasePoint(w, tuple(q), tuple(p))
+        q0, p0 = x[i], x[n + i]
+        y[0] -= 0.5 * st * ((p0 * p0 - q0 * q0) * ct + 2.0 * st * q0 * p0)
+        y[i] = q0 * ct - p0 * st
+        y[n + i] = q0 * st + p0 * ct
+    return y
 
 
 def legendre_rows(mask, rows) -> np.ndarray:
@@ -168,8 +168,9 @@ def legendre_rows(mask, rows) -> np.ndarray:
     return out
 
 
-def integrate_flow(X: TensorField, x: PhasePoint, t: float, steps: int) -> PhasePoint:
-    """Classical fixed-step RK4 integration of ``xdot = X(x)`` over time ``t``.
+def integrate_flow(X: TensorField, x, t: float, steps: int) -> list:
+    """Classical fixed-step RK4 integration of ``xdot = X(x)`` over time ``t``
+    from the point ``x``; the endpoint is a list of Python floats.
 
     All the steps run in the stepper of the field's tape (:meth:`expr.Tape.rk4`),
     on Python floats in numpy's association order, so the endpoint is that
@@ -185,8 +186,7 @@ def integrate_flow(X: TensorField, x: PhasePoint, t: float, steps: int) -> Phase
         raise ValueError("steps must be >= 1")
     if X.valence != (1, 0):
         raise ValueError("integrate_flow expects a vector field")
-    y = X.tape.rk4(x.as_array().tolist(), t / steps, steps)
-    return PhasePoint.from_array(y)
+    return X.tape.rk4(list(x), t / steps, steps)
 
 
 def generator_commutator(space: PhaseSpace, m: int) -> TensorField:

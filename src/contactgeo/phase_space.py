@@ -1,7 +1,8 @@
 """The (2n+1)-dimensional phase space in Darboux coordinates.
 
 Coordinates are ordered ``(w, q1..qn, p1..pn)`` everywhere, including
-serialized output.  The contact form is ``eta = dw - sum_a p_a dq^a``, the
+serialized output, and a point is the sequence of its coordinate values in
+that order.  The contact form is ``eta = dw - sum_a p_a dq^a``, the
 Reeb field is ``xi = d/dw`` and the horizontal frame is
 
     Q_a = d/dq^a + p_a d/dw,      P^a = d/dp_a,
@@ -22,7 +23,6 @@ expr.ZERO``) and builds the very nodes numpy's object ``@`` builds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +32,6 @@ from . import expr
 
 __all__ = [
     "PhaseSpace",
-    "PhasePoint",
     "TensorField",
     "CoordinateMap",
     "contact_form",
@@ -73,51 +72,6 @@ class PhaseSpace:
             raise ValueError(f"index {a} out of range 1..{self.n}")
         return self.n + a
 
-    def point(self, w, q, p) -> "PhasePoint":
-        pt = PhasePoint(float(w), tuple(float(x) for x in np.atleast_1d(q)),
-                        tuple(float(x) for x in np.atleast_1d(p)))
-        if pt.n != self.n:
-            raise ValueError(f"point has {pt.n} pairs, space has {self.n}")
-        return pt
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point ``(w, q^1..q^n, p_1..p_n)`` of the phase space.
-
-    ``values`` is the tuple ``(w, q1..qn, p1..pn)`` in the coordinate order,
-    the form in which the compiled tapes read a point.
-    """
-
-    w: float
-    q: tuple[float, ...]
-    p: tuple[float, ...]
-    values: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.q) != len(self.p):
-            raise ValueError("q and p must have the same length")
-        vals = (self.w,) + self.q + self.p
-        if not all(map(math.isfinite, vals)):
-            raise ValueError("phase point has non-finite entries")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "PhasePoint":
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 1 or arr.size % 2 == 0 or arr.size < 3:
-            raise ValueError("expected a flat array of odd length >= 3")
-        n = (arr.size - 1) // 2
-        vals = arr.tolist()
-        return cls(vals[0], tuple(vals[1:n + 1]), tuple(vals[n + 1:]))
-
 
 @dataclass(frozen=True, eq=False)
 class TensorField:
@@ -154,8 +108,10 @@ class TensorField:
         the coordinate order."""
         return expr.compile(self.comps.reshape(-1), PhaseSpace(self.n).coord_names())
 
-    def evaluate(self, point: PhasePoint) -> np.ndarray:
-        return np.array(self.tape.run(point.values), dtype=float).reshape(self.comps.shape)
+    def evaluate(self, point) -> np.ndarray:
+        """The components at ``point``, the sequence of its coordinate values
+        ``(w, q1..qn, p1..pn)``, best as Python floats."""
+        return np.array(self.tape.run(point), dtype=float).reshape(self.comps.shape)
 
 
 def _obj(shape) -> np.ndarray:
@@ -272,8 +228,9 @@ class CoordinateMap:
         """The image coordinates, compiled on first use."""
         return expr.compile(self.exprs, self.coords)
 
-    def apply(self, point: PhasePoint) -> PhasePoint:
-        return PhasePoint.from_array(self.tape.run(point.values))
+    def apply(self, point) -> list:
+        """The image of ``point``, as a list of Python floats."""
+        return self.tape.run(point)
 
     def pullback(self, T: TensorField) -> np.ndarray:
         """The symbolic components of ``T`` pulled back to ``coords``: ``J^T (T o phi)``
@@ -289,8 +246,9 @@ class CoordinateMap:
 _SIGNS = np.array((-1.0, 1.0))
 
 
-def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> list[PhasePoint]:
-    """Draw points with ``|q|, |p|`` in ``[0.5, 2]`` (random sign) and ``w`` in ``[-1, 1]``.
+def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> list[list]:
+    """Draw points with ``|q|, |p|`` in ``[0.5, 2]`` (random sign) and ``w`` in ``[-1, 1]``,
+    each the list of its Python-float coordinates ``(w, q1..qn, p1..pn)``.
 
     Keeping the coordinates away from zero keeps sampled points off the
     ``Lambda = 0`` loci of the reciprocal structures.
@@ -321,5 +279,4 @@ def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> li
         bits = np.append(np.uint64(state["uinteger"] >> 31), bits[:-1])
     state["uinteger"] = int(words[-1, -1] >> 32)
     bitgen.state = state
-    vals = (mags * _SIGNS[bits.reshape(count, 2 * n)]).tolist()
-    return [PhasePoint(w, tuple(row[:n]), tuple(row[n:])) for w, row in zip(ws.tolist(), vals)]
+    return np.column_stack((ws, mags * _SIGNS[bits.reshape(count, 2 * n)])).tolist()

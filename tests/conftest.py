@@ -15,25 +15,26 @@ from contactgeo.expr import (_FUNCTIONS, Expr, ParseError, add, const, div, mul,
 from contactgeo.hamiltonian import (hamiltonian_vector_field, integrate_flow,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import Metric, MetricKind
-from contactgeo.phase_space import PhasePoint, PhaseSpace, TensorField, _obj
+from contactgeo.phase_space import PhaseSpace, TensorField, _obj
 from contactgeo.structures import LambdaFamily, _reciprocal
 
 
 def bindings(point):
     """The name-keyed mapping that ``expr.evaluate`` reads, for a phase point."""
-    return dict(zip(PhaseSpace(point.n).coord_names(), point.values))
+    return dict(zip(PhaseSpace((len(point) - 1) // 2).coord_names(), point))
 
 
 def partial_legendre_scalar(I, x):
     """The partial Legendre map as it was computed before it took rows: one point,
     Python floats, ``w -= q_i p_i`` in increasing ``i`` from the original ``q`` and
     ``p``.  The oracle of ``hamiltonian.legendre_rows``."""
-    q, p, w = list(x.q), list(x.p), x.w
+    n = (len(x) - 1) // 2
+    y = list(x)
     for i in I:
-        w -= x.q[i - 1] * x.p[i - 1]
-        q[i - 1] = -x.p[i - 1]
-        p[i - 1] = x.q[i - 1]
-    return PhasePoint(w, tuple(q), tuple(p))
+        y[0] -= x[i] * x[n + i]
+        y[i] = -x[n + i]
+        y[n + i] = x[i]
+    return y
 
 
 def evaluated(comps, coords, values):
@@ -53,7 +54,7 @@ def gamma_at(metric, point):
     symbolic connection ``Metric.gamma`` compiled and run there."""
     require_nonsingular(metric, point)
     tape = expr.compile(metric.gamma.reshape(-1), metric.space.coord_names())
-    return np.array(tape.run(point.values)).reshape(metric.gamma.shape)
+    return np.array(tape.run(point)).reshape(metric.gamma.shape)
 
 
 def metric_from_components(space, comps, inverse=None, label="custom"):
@@ -125,10 +126,10 @@ def flow_lie_derivative(space, tensor, X, point, t=1e-4, steps=32):
     dim = space.dim
 
     def flow(arr, tt):
-        return integrate_flow(X, PhasePoint.from_array(arr), tt, steps).as_array()
+        return np.array(integrate_flow(X, arr.tolist(), tt, steps))
 
     def pulled(tt):
-        x0 = point.as_array()
+        x0 = np.array(point, dtype=float)
         y = flow(x0, tt)
         J = np.empty((dim, dim))
         h = 1e-5
@@ -136,7 +137,7 @@ def flow_lie_derivative(space, tensor, X, point, t=1e-4, steps=32):
             step = np.zeros(dim)
             step[j] = h
             J[:, j] = (flow(x0 + step, tt) - flow(x0 - step, tt)) / (2 * h)
-        g = tensor.evaluate(PhasePoint.from_array(y))
+        g = tensor.evaluate(y.tolist())
         return J.T @ g @ J
 
     return (pulled(t) - pulled(-t)) / (2 * t)
@@ -304,8 +305,7 @@ def choice_sample_points(space, rng, count):
         w = rng.uniform(-1.0, 1.0)
         mags = rng.uniform(0.5, 2.0, size=2 * space.n)
         signs = rng.choice((-1.0, 1.0), size=2 * space.n)
-        vals = (mags * signs).tolist()
-        pts.append(PhasePoint(w, tuple(vals[:space.n]), tuple(vals[space.n:])))
+        pts.append([w, *(mags * signs).tolist()])
     return pts
 
 

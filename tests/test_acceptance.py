@@ -25,8 +25,7 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     rotation_flow, rotation_generator,
                                     scaling_generator, scaling_map)
 from contactgeo.metrics import MetricKind, metric_from_structure
-from contactgeo.phase_space import (PhasePoint, PhaseSpace, contact_form,
-                                    d_eta, frame, sample_points)
+from contactgeo.phase_space import PhaseSpace, contact_form, d_eta, frame, sample_points
 from contactgeo.structures import (StructureKind, build_structure, product_lambda,
                                    structure_identities)
 from contactgeo.tables import lie_derivative_closed_form
@@ -88,17 +87,17 @@ def test_criterion_02_hamiltonian_field_identities():
 
 def test_criterion_03_flows_and_involutivity():
     space = PhaseSpace(1)
-    start_pt = space.point(1.0, [2.0], [3.0])
+    start_pt = (1.0, 2.0, 3.0)
     XL = hamiltonian_vector_field(space, rotation_generator(1))
     XS = hamiltonian_vector_field(space, scaling_generator(1))
-    rot_dev = _max_abs(integrate_flow(XL, start_pt, math.pi / 2, 10_000).as_array()
-                       - rotation_flow(math.pi / 2, IndexSubset.of(1), start_pt).as_array())
-    scale_dev = _max_abs(integrate_flow(XS, start_pt, math.log(2.0), 10_000).as_array()
-                         - scaling_map(space, math.log(2.0)).apply(start_pt).as_array())
-    x = np.array([start_pt.values])
+    rot_dev = _max_abs(np.array(integrate_flow(XL, start_pt, math.pi / 2, 10_000))
+                       - rotation_flow(math.pi / 2, IndexSubset.of(1), start_pt))
+    scale_dev = _max_abs(np.array(integrate_flow(XS, start_pt, math.log(2.0), 10_000))
+                         - scaling_map(space, math.log(2.0)).apply(start_pt))
+    x = np.array([start_pt])
     for _ in range(4):
         x = legendre_rows(IndexSubset.of(1).mask(1)[None, :], x)
-    exact = x[0].tolist() == list(start_pt.values)
+    exact = x[0].tolist() == list(start_pt)
     _report(3, rot_dev < 1e-8 and scale_dev < 1e-8 and exact,
             f"rotation {rot_dev:.2e}, scaling {scale_dev:.2e}, "
             f"fourth power exact: {exact}")
@@ -123,7 +122,7 @@ def test_criterion_05_structure_identities():
     for kind in StructureKind:
         fam = lam if kind.value.startswith("lambda") else None
         cases = cli._differences(space.coord_names(), structure_identities(space, kind, fam),
-                                 [pt.values for pt in pts])
+                                 pts)
         worst = max(worst, *cli._worst(cases))
     _report(5, worst < 1e-12, f"residual {worst:.3e} over all six structures, 100 points")
 
@@ -180,13 +179,13 @@ def test_criterion_08_finite_legendre_invariance():
                 for combo in itertools.combinations(range(1, n + 1), r):
                     mapping = legendre_map(space, IndexSubset.of(combo))
                     for pt in pts:
-                        pulled = pulled_back(mapping, metric.tensor, pt.values)
+                        pulled = pulled_back(mapping, metric.tensor, pt)
                         worst = max(worst, _max_abs(pulled - metric.tensor.evaluate(pt)))
     # negative control: the even family must visibly break invariance
     space = PhaseSpace(2)
     even = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(2, power=2))
     mapping = legendre_map(space, IndexSubset.of(1))
-    control = min(_max_abs(pulled_back(mapping, even.tensor, pt.values)
+    control = min(_max_abs(pulled_back(mapping, even.tensor, pt)
                            - even.tensor.evaluate(pt))
                   for pt in sample_points(space, rng, 20))
     _report(8, worst < 1e-9 and control > 1e-2,

@@ -14,14 +14,13 @@ from contactgeo.hamiltonian import (hamiltonian_vector_field,
                                     random_polynomial_hamiltonian,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import MetricKind, metric_from_structure
-from contactgeo.phase_space import (PhasePoint, PhaseSpace, _obj, contact_form,
-                                    frame, sample_points)
+from contactgeo.phase_space import PhaseSpace, _obj, contact_form, frame, sample_points
 from contactgeo.structures import (LambdaFamily, StructureKind,
                                    build_structure, product_lambda)
 
 SP1 = PhaseSpace(1)
 SP2 = PhaseSpace(2)
-PT = SP1.point(1.0, [2.0], [3.0])
+PT = (1.0, 2.0, 3.0)
 
 
 def _lambda_metric(space, kind=MetricKind.LAMBDA, power=1):
@@ -91,7 +90,7 @@ class TestLieDerivative:
 
     def test_against_flow_based_oracle(self):
         # independent route: numeric flow, FD Jacobians, central time difference
-        pt = SP1.point(0.3, [0.9], [-1.2])
+        pt = (0.3, 0.9, -1.2)
         cases = [
             (metric_from_structure(SP1, MetricKind.ACS).tensor,
              hamiltonian_vector_field(SP1, scaling_generator(1))),
@@ -124,10 +123,10 @@ class TestChristoffel:
         metric = metric_from_structure(SP1, MetricKind.ACS)
 
         def g_fn(arr):
-            return metric.tensor.evaluate(PhasePoint.from_array(arr))
+            return metric.tensor.evaluate(arr.tolist())
 
         gamma = gamma_at(metric, PT)
-        gamma_fd = christoffel_fd(g_fn, PT.as_array())
+        gamma_fd = christoffel_fd(g_fn, PT)
         assert np.max(np.abs(gamma - gamma_fd)) < 1e-6
 
     def test_metric_compatibility(self):
@@ -145,7 +144,7 @@ class TestChristoffel:
             for pt in sample_points(SP2, rng, 10):
                 gamma = gamma_at(metric, pt)
                 g = metric.tensor.evaluate(pt)
-                partials = np.reshape(tape.run(pt.values), dg.shape)
+                partials = np.reshape(tape.run(pt), dg.shape)
                 for c in range(SP2.dim):
                     for a in range(SP2.dim):
                         for b in range(SP2.dim):
@@ -156,7 +155,7 @@ class TestChristoffel:
     def test_singular_point_raises(self):
         metric = _lambda_metric(SP1)
         with pytest.raises(SingularMetricError):
-            gamma_at(metric, SP1.point(0.0, [0.0], [1.0]))
+            gamma_at(metric, (0.0, 0.0, 1.0))
 
 
 class TestRicci:
@@ -169,13 +168,13 @@ class TestRicci:
         comps[2, 2] = sin_sq
         inv[2, 2] = expr.div(expr.ONE, sin_sq)
         sphere = metric_from_components(SP1, comps, inv, label="sphere")
-        pt = SP1.point(0.4, [0.7], [2.0])
+        pt = (0.4, 0.7, 2.0)
         rep = ricci(sphere, pt)
         want = np.diag([0.0, 1.0, math.sin(0.7) ** 2])
         assert np.max(np.abs(rep.ricci - want)) < 1e-12
 
     def test_flat_metric_is_ricci_flat(self):
-        rep = ricci(flat_metric(SP2), SP2.point(0.1, [1, 2], [3, 4]))
+        rep = ricci(flat_metric(SP2), (0.1, 1.0, 2.0, 3.0, 4.0))
         assert np.max(np.abs(rep.ricci)) == 0.0
         assert rep.eta_einstein_residual == 0.0
 
@@ -208,15 +207,15 @@ class TestRicci:
         metric = metric_from_structure(SP1, MetricKind.ACS)
 
         def g_fn(arr):
-            return metric.tensor.evaluate(PhasePoint.from_array(arr))
+            return metric.tensor.evaluate(arr.tolist())
 
         rep = ricci(metric, PT)
-        approx = ricci_fd(g_fn, PT.as_array())
+        approx = ricci_fd(g_fn, PT)
         assert np.max(np.abs(rep.ricci - approx)) < 1e-4
 
     def test_singular_metric_raises(self):
         with pytest.raises(SingularMetricError):
-            ricci(_lambda_metric(SP1), SP1.point(0.0, [0.0], [1.0]))
+            ricci(_lambda_metric(SP1), (0.0, 0.0, 1.0))
 
 
 class TestRequireNonsingular:
@@ -232,7 +231,7 @@ class TestRequireNonsingular:
     def test_a_small_scale_is_not_singular(self):
         # det(0.01 I) = 1e-34 at dimension 17, below the 1e-12 that alone refused it
         mat = 0.01 * np.eye(17)
-        point = self.SP8.point(0.0, [1.0] * 8, [1.0] * 8)
+        point = (0.0,) + (1.0,) * 16
         assert np.array_equal(require_nonsingular(self._constant_metric(mat), point), mat)
 
     @pytest.mark.parametrize("mat", [
@@ -241,7 +240,7 @@ class TestRequireNonsingular:
         np.outer(np.arange(1.0, 18.0), np.arange(1.0, 18.0)),   # rank 1
     ])
     def test_a_rank_deficient_metric_is_refused(self, mat):
-        point = self.SP8.point(0.0, [1.0] * 8, [1.0] * 8)
+        point = (0.0,) + (1.0,) * 16
         with pytest.raises(SingularMetricError, match="^metric is singular at the point$"):
             require_nonsingular(self._constant_metric(mat), point)
 
@@ -272,7 +271,7 @@ class TestNablaReeb:
         assert np.allclose(got, want)
 
     def test_kills_reeb_direction(self):
-        got = gamma_at(_lambda_metric(SP2), SP2.point(0.3, [1.0, -0.7], [0.9, 1.4]))[:, 0, :]
+        got = gamma_at(_lambda_metric(SP2), (0.3, 1.0, -0.7, 0.9, 1.4))[:, 0, :]
         assert np.max(np.abs(got[:, 0])) < 1e-12
 
     def test_duality_composition(self):
@@ -293,7 +292,7 @@ class TestNablaReeb:
         ones = LambdaFamily.of(["1", "1"])
         metric = metric_from_structure(SP2, MetricKind.LAMBDA, ones)
         phi_r = build_structure(SP2, StructureKind.REFLECTION)
-        pt = SP2.point(0.2, [1.1, -0.6], [0.8, 1.3])
+        pt = (0.2, 1.1, -0.6, 0.8, 1.3)
         assert np.max(np.abs(gamma_at(metric, pt)[:, 0, :] + phi_r.evaluate(pt))) < 1e-12
 
 

@@ -18,7 +18,7 @@ from contactgeo import cli, equilibrium, expr, hamiltonian, metrics, structures,
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
 from contactgeo.metrics import MetricKind
-from contactgeo.phase_space import CoordinateMap, PhasePoint, PhaseSpace, TensorField
+from contactgeo.phase_space import CoordinateMap, PhaseSpace, TensorField
 from contactgeo.structures import StructureKind
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -981,8 +981,7 @@ class TestFlowCommand:
     def test_point_of_another_dimension_exits_two(self, capsys, monkeypatch):
         # a 5-coordinate point reaching the 3-coordinate field's tape is an
         # evaluation error, not an IndexError and not a silent partial binding
-        monkeypatch.setattr(cli, "_parse_point",
-                            lambda csv, n: PhasePoint(1.0, (2.0, 3.0), (4.0, 5.0)))
+        monkeypatch.setattr(cli, "_parse_point", lambda csv, n: [1.0, 2.0, 3.0, 4.0, 5.0])
         code, out, err = _run(capsys, ["flow", "--hamiltonian", "hS", "--n", "1",
                                        "--t", "1", "--point", "1,2,3,4,5"])
         assert (code, out, err) == (2, "", "error: expected 3 coordinate values, got 5\n")
@@ -1026,6 +1025,17 @@ class TestFlowCommand:
         message = f"the flow is not finite for --t {float(t)} and --steps {steps}"
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("hamiltonian, t, point", [
+        # these said "phase point has non-finite entries": the closed form overflows
+        ("hS", "10", "1,2,1e305"),
+        ("hL", "1", "1,1e200,1e200"),
+    ])
+    def test_a_closed_form_that_overflows_names_t_and_point(self, capsys, hamiltonian, t, point):
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", hamiltonian, "--t", t,
+                                       "--point", point])
+        message = f"the closed-form flow is not finite for --t {float(t)} and --point {point}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("hamiltonian", [
         # these said "non-finite state at step 1": no math call fails, but the field
         # is already inf, and nan, at --point
@@ -1045,11 +1055,13 @@ class TestFlowCommand:
                                        "--steps", steps, "--point", "1,2,3"])
         assert (code, out, err) == (2, "", f"error: --steps must be at least 1, got {steps}\n")
 
-    def test_m_above_n_is_config_error(self, capsys):
-        # the words verify uses, not the closed form's "index out of range"
-        code, out, err = _run(capsys, ["flow", "--n", "2", "--m", "3", "--hamiltonian", "hL",
+    @pytest.mark.parametrize("m", [3, 0, -1])
+    def test_m_above_n_is_config_error(self, capsys, m):
+        # the words verify uses, not the closed form's "index out of range" or
+        # the generator's "m must be >= 1"
+        code, out, err = _run(capsys, ["flow", "--n", "2", "--m", str(m), "--hamiltonian", "hL",
                                        "--t", "1", "--point", "1,2,3,4,5"])
-        assert (code, out, err) == (2, "", "error: m=3 must satisfy 1 <= m <= n=2\n")
+        assert (code, out, err) == (2, "", f"error: m={m} must satisfy 1 <= m <= n=2\n")
 
     @pytest.mark.parametrize("hamiltonian", ["hS", "q1*p1"])
     def test_m_is_read_by_hl_alone(self, capsys, hamiltonian):

@@ -39,16 +39,14 @@ def _domain_points(rel, rng, count):
 
 class TestEmbed:
     def test_quadratic(self):
-        pt = embed(QUAD, [1.0, 2.0])
-        assert pt.w == 2.5
-        assert pt.q == (1.0, 2.0) and pt.p == (1.0, 2.0)
+        assert embed(QUAD, [1.0, 2.0]) == [2.5, 1.0, 2.0, 1.0, 2.0]
 
     def test_ideal_gas_with_darboux_signs(self):
         # q = (S, V), p = (T, -P): the volume slot carries dU/dV = -(2/3) e
         pt = embed(IDEAL, [1.0, 1.0])
-        assert pt.w == pytest.approx(E)
-        assert pt.p[0] == pytest.approx(E)
-        assert pt.p[1] == pytest.approx(-2.0 * E / 3.0)
+        assert pt[0] == pytest.approx(E)
+        assert pt[3] == pytest.approx(E)
+        assert pt[4] == pytest.approx(-2.0 * E / 3.0)
 
     def test_kills_contact_form(self):
         rng = np.random.default_rng(90)
@@ -227,10 +225,10 @@ class TestInvolution:
         x = embed(IDEAL, [1.0, 1.0])
         y = partial_legendre_scalar(IndexSubset.of(1), x)
         F = legendre_potential(IDEAL, 1)
-        z = embed(F, [-y.q[0], y.q[1]])
-        assert y.w == pytest.approx(z.w, abs=1e-10)
-        assert y.p[0] == pytest.approx(-z.p[0], abs=1e-10)
-        assert y.p[1] == pytest.approx(z.p[1], abs=1e-10)
+        z = embed(F, [-y[1], y[2]])
+        assert y[0] == pytest.approx(z[0], abs=1e-10)
+        assert y[3] == pytest.approx(-z[3], abs=1e-10)
+        assert y[4] == pytest.approx(z[4], abs=1e-10)
 
 
 class TestCatalog:

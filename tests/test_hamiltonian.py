@@ -16,18 +16,18 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     random_polynomial_hamiltonian,
                                     rotation_flow, rotation_generator,
                                     scaling_generator, scaling_map)
-from contactgeo.phase_space import (PhasePoint, PhaseSpace, TensorField, _obj, contact_form,
-                                    frame, sample_points)
+from contactgeo.phase_space import (PhaseSpace, TensorField, _obj, contact_form, frame,
+                                    sample_points)
 
 SP1 = PhaseSpace(1)
-PT = SP1.point(1.0, [2.0], [3.0])
+PT = (1.0, 2.0, 3.0)
 I1 = IndexSubset.of(1)
 
 
 def _legendre(I, pt):
     """The partial Legendre image of one point: the one-row case of ``legendre_rows``."""
-    (row,) = legendre_rows(I.mask(pt.n)[None, :], [pt.values])
-    return PhasePoint.from_array(row)
+    (row,) = legendre_rows(I.mask((len(pt) - 1) // 2)[None, :], [pt])
+    return row.tolist()
 
 
 class TestIndexSubset:
@@ -91,16 +91,15 @@ class TestHamiltonianVectorField:
 class TestRotationFlow:
     def test_quarter_turn(self):
         end = rotation_flow(math.pi / 2, I1, PT)
-        assert np.allclose(end.as_array(), [-5.0, -3.0, 2.0], atol=1e-12)
+        assert np.allclose(end, [-5.0, -3.0, 2.0], atol=1e-12)
 
     def test_zero_time_is_identity(self):
-        assert rotation_flow(0.0, I1, PT) == PT
+        assert rotation_flow(0.0, I1, PT) == list(PT)
 
     def test_group_law(self):
         # Phi_{pi/2} o Phi_{pi/2} = Phi_pi, and random-time composition
         twice = rotation_flow(math.pi / 2, I1, rotation_flow(math.pi / 2, I1, PT))
-        assert np.allclose(twice.as_array(), rotation_flow(math.pi, I1, PT).as_array(),
-                           atol=1e-12)
+        assert np.allclose(twice, rotation_flow(math.pi, I1, PT), atol=1e-12)
         rng = np.random.default_rng(13)
         space = PhaseSpace(2)
         I = IndexSubset.of([1, 2])
@@ -108,22 +107,22 @@ class TestRotationFlow:
             t1, t2 = rng.uniform(-2, 2, size=2)
             composed = rotation_flow(t2, I, rotation_flow(t1, I, pt))
             direct = rotation_flow(t1 + t2, I, pt)
-            assert np.allclose(composed.as_array(), direct.as_array(), atol=1e-12)
+            assert np.allclose(composed, direct, atol=1e-12)
 
     def test_untouched_indices(self):
         space = PhaseSpace(2)
-        pt = space.point(0.5, [1.0, 2.0], [3.0, 4.0])
+        pt = (0.5, 1.0, 2.0, 3.0, 4.0)
         end = rotation_flow(0.7, IndexSubset.of(1), pt)
-        assert end.q[1] == 2.0 and end.p[1] == 4.0
+        assert end[2] == 2.0 and end[4] == 4.0
 
 
 class TestScalingFlow:
     def test_log_two(self):
         end = scaling_map(SP1, math.log(2.0)).apply(PT)
-        assert np.allclose(end.as_array(), [1.0, 1.0, 6.0], atol=1e-12)
+        assert np.allclose(end, [1.0, 1.0, 6.0], atol=1e-12)
 
     def test_zero_time_is_identity(self):
-        assert scaling_map(SP1, 0.0).apply(PT) == PT
+        assert scaling_map(SP1, 0.0).apply(PT) == list(PT)
 
     def test_preserves_contact_form(self):
         rng = np.random.default_rng(14)
@@ -131,26 +130,26 @@ class TestScalingFlow:
         eta = contact_form(space)
         mapping = scaling_map(space, 0.8)
         for pt in sample_points(space, rng, 20):
-            J = evaluated(mapping.jacobian, mapping.coords, pt.values)
+            J = evaluated(mapping.jacobian, mapping.coords, pt)
             pulled = J.T @ eta.evaluate(mapping.apply(pt))
             assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
 
 
 class TestPartialLegendre:
     def test_image(self):
-        assert _legendre(I1, PT).as_array().tolist() == [-5.0, -3.0, 2.0]
+        assert _legendre(I1, PT) == [-5.0, -3.0, 2.0]
 
     def test_order_four_exactly(self):
         x = PT
         for _ in range(4):
             x = _legendre(I1, x)
-        assert x == PT
+        assert x == list(PT)
 
     def test_order_four_on_integer_points(self):
         rng = np.random.default_rng(15)
         space = PhaseSpace(3)
         for _ in range(25):
-            pt = PhasePoint.from_array(rng.integers(-9, 10, size=7).astype(float))
+            pt = rng.integers(-9, 10, size=7).astype(float).tolist()
             for I in (IndexSubset.of(1), IndexSubset.of([1, 3]), IndexSubset.of([1, 2, 3])):
                 x = pt
                 for _ in range(4):
@@ -170,10 +169,10 @@ class TestPartialLegendre:
             images.append(legendre_rows(mask, images[-1]))
         for j, (row, m) in enumerate(zip(rows, mask)):
             I = IndexSubset.of(np.flatnonzero(m) + 1)
-            x = PhasePoint.from_array(row)
+            x = row.tolist()
             for image in images[1:]:
                 x = partial_legendre_scalar(I, x)
-                assert image[j].tobytes() == x.as_array().tobytes()
+                assert image[j].tobytes() == np.array(x).tobytes()
         # four applications are the identity, exactly on integer points
         assert images[4][:len(ints)].tobytes() == ints.tobytes()
         assert np.allclose(images[4], rows, rtol=1e-12, atol=1e-9)
@@ -183,9 +182,9 @@ class TestPartialLegendre:
         space = PhaseSpace(4)
         for pt in sample_points(space, rng, 10):
             for I in (IndexSubset.of(2), IndexSubset.of([1, 3, 4])):
-                (row,) = legendre_rows(I.mask(4)[None, :], [pt.values])
+                (row,) = legendre_rows(I.mask(4)[None, :], [pt])
                 assert _legendre(I, pt) == partial_legendre_scalar(I, pt)
-                assert np.array(partial_legendre_scalar(I, pt).values).tobytes() == row.tobytes()
+                assert np.array(partial_legendre_scalar(I, pt)).tobytes() == row.tobytes()
 
     def test_rows_and_mask_must_agree(self):
         with pytest.raises(ValueError, match="expected 2 rows of 5 coordinates"):
@@ -196,8 +195,8 @@ class TestPartialLegendre:
         space = PhaseSpace(2)
         I = IndexSubset.of([1, 2])
         for pt in sample_points(space, rng, 10):
-            a = _legendre(I, pt).as_array()
-            b = rotation_flow(math.pi / 2, I, pt).as_array()
+            a = np.array(_legendre(I, pt))
+            b = np.array(rotation_flow(math.pi / 2, I, pt))
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_strict_contact_transformation(self):
@@ -207,7 +206,7 @@ class TestPartialLegendre:
         for I in (IndexSubset.of(1), IndexSubset.of([1, 2])):
             mapping = legendre_map(space, I)
             for pt in sample_points(space, rng, 10):
-                J = evaluated(mapping.jacobian, mapping.coords, pt.values)
+                J = evaluated(mapping.jacobian, mapping.coords, pt)
                 pulled = J.T @ eta.evaluate(mapping.apply(pt))
                 assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
 
@@ -217,11 +216,11 @@ def _numpy_rk4(X, x, t, steps):
     stepper nor a tape of the whole field is in it."""
 
     def rhs(arr):
-        b = bindings(PhasePoint.from_array(arr))
+        b = bindings(arr.tolist())
         return np.array([expr.evaluate(c, b) for c in X.comps])
 
     h = t / steps
-    y = x.as_array()
+    y = np.array(x, dtype=float)
     for _ in range(steps):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
@@ -235,16 +234,16 @@ class TestIntegrateFlow:
     def test_rotation_against_closed_form(self):
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
         end = integrate_flow(X, PT, math.pi / 2, 10_000)
-        assert np.max(np.abs(end.as_array() - [-5.0, -3.0, 2.0])) < 1e-8
+        assert np.max(np.abs(np.array(end) - [-5.0, -3.0, 2.0])) < 1e-8
 
     def test_scaling_against_closed_form(self):
         X = hamiltonian_vector_field(SP1, scaling_generator(1))
         end = integrate_flow(X, PT, math.log(2.0), 10_000)
-        assert np.max(np.abs(end.as_array() - [1.0, 1.0, 6.0])) < 1e-8
+        assert np.max(np.abs(np.array(end) - [1.0, 1.0, 6.0])) < 1e-8
 
     def test_zero_time_returns_start(self):
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
-        assert integrate_flow(X, PT, 0.0, 5) == PT
+        assert integrate_flow(X, PT, 0.0, 5) == list(PT)
 
     def test_nonfinite_state_raises(self):
         from contactgeo.phase_space import TensorField, _obj
@@ -253,7 +252,7 @@ class TestIntegrateFlow:
         comps[0] = expr.parse("w*w*w*w*w*w*w*w*w")
         blowup = TensorField((1, 0), comps)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            integrate_flow(blowup, SP1.point(10.0, [0.0], [0.0]), 50.0, 400)
+            integrate_flow(blowup, (10.0, 0.0, 0.0), 50.0, 400)
 
     def test_step_validation(self):
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
@@ -270,7 +269,7 @@ class TestIntegrateFlow:
             X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
             x = sample_points(space, rng, 1)[0]
             y = _numpy_rk4(X, x, 0.5, 300)
-            assert integrate_flow(X, x, 0.5, 300).as_array().tolist() == y.tolist()
+            assert integrate_flow(X, x, 0.5, 300)== y.tolist()
 
     @pytest.mark.parametrize("n, seed", [(1, 40), (2, 40), (3, 44)])  # flows that stay finite
     def test_stepper_equals_numpy_rk4_exactly(self, n, seed):
@@ -284,7 +283,7 @@ class TestIntegrateFlow:
         x = sample_points(space, rng, 1)[0]
         for field in (X, TensorField((1, 0), comps)):
             y = _numpy_rk4(field, x, 0.5, 300)
-            assert integrate_flow(field, x, 0.5, 300).as_array().tolist() == y.tolist()
+            assert integrate_flow(field, x, 0.5, 300)== y.tolist()
 
     def test_math_range_error_late_in_a_run_names_its_step(self):
         # w = 700 + t, so exp(w) overflows in step 98 of 200 inside the stepper,
@@ -293,7 +292,7 @@ class TestIntegrateFlow:
         comps[0] = expr.const(1.0)
         comps[1] = expr.const(1e-300) * expr.exp(expr.var("w"))
         with pytest.raises(FloatingPointError) as info:
-            integrate_flow(TensorField((1, 0), comps), SP1.point(700.0, [0.0], [0.0]), 20.0, 200)
+            integrate_flow(TensorField((1, 0), comps), (700.0, 0.0, 0.0), 20.0, 200)
         assert str(info.value) == "non-finite state at step 98"
 
     def test_nonfinite_state_names_its_step(self):
@@ -313,7 +312,7 @@ class TestIntegrateFlow:
         X = hamiltonian_vector_field(SP1, rotation_generator(1))
         for shift in (0.0, 1e-5, -1e-5):
             for t in (1e-4, -1e-4):
-                integrate_flow(X, SP1.point(1.0 + shift, [2.0], [3.0]), t, 32)
+                integrate_flow(X, (1.0 + shift, 2.0, 3.0), t, 32)
         assert len(calls) == 1
 
     def test_stepper_source_does_not_grow_with_steps(self):
@@ -350,7 +349,7 @@ class TestGeneratorCommutator:
         # eta([X_hS, X_hL]) = p^2 - q^2 = 0 when q = p
         comm = generator_commutator(SP1, 1)
         eta = contact_form(SP1)
-        pt = SP1.point(0.0, [1.0], [1.0])
+        pt = (0.0, 1.0, 1.0)
         assert eta.evaluate(pt) @ comm.evaluate(pt) == pytest.approx(0.0, abs=1e-12)
 
     def test_untouched_directions_vanish(self):

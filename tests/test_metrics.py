@@ -21,7 +21,7 @@ from contactgeo.tables import lie_derivative_closed_form
 
 SP1 = PhaseSpace(1)
 SP2 = PhaseSpace(2)
-PT = SP1.point(1.0, [2.0], [3.0])
+PT = (1.0, 2.0, 3.0)
 
 ALL_KINDS = list(MetricKind)
 METRIC_KINDS = [k for k in ALL_KINDS if k != MetricKind.ALPHA_PI]
@@ -81,7 +81,7 @@ def _frame_gram(metric, point):
 
 class TestFrameGram:
     def test_acs_orthogonal_frame(self):
-        gram = _frame_gram(_metric(SP2, MetricKind.ACS), SP2.point(0.2, [1, -2], [0.7, 1.1]))
+        gram = _frame_gram(_metric(SP2, MetricKind.ACS), (0.2, 1.0, -2.0, 0.7, 1.1))
         assert np.allclose(gram, np.diag([1.0, 0.5, 0.5, 0.5, 0.5]))
 
     def test_reflection_pairing(self):
@@ -89,7 +89,7 @@ class TestFrameGram:
         assert np.allclose(gram, [[1.0, 0.0, 0.0], [0.0, 0.0, -0.5], [0.0, -0.5, 0.0]])
 
     def test_composite_pseudo_orthogonal(self):
-        gram = _frame_gram(_metric(SP2, MetricKind.S), SP2.point(0.0, [1, 1], [1, 1]))
+        gram = _frame_gram(_metric(SP2, MetricKind.S), (0.0, 1.0, 1.0, 1.0, 1.0))
         assert np.allclose(gram, np.diag([1.0, 0.5, 0.5, -0.5, -0.5]))
 
     def test_alpha_pi_rejected(self):
@@ -111,7 +111,7 @@ class TestCompatibility:
         rng = np.random.default_rng(53)
         phi = build_structure(SP2, structure_kind)
         pairs = compatibility_pairs(_metric(SP2, metric_kind), phi)
-        rows = [pt.values for pt in sample_points(SP2, rng, 10)]
+        rows = sample_points(SP2, rng, 10)
         diffs = _differences(SP2.coord_names(), pairs, rows)
         assert diffs.shape == (10, SP2.dim ** 2)
         assert np.max(np.abs(diffs)) < 1e-12
@@ -125,7 +125,7 @@ class TestCompatibility:
         rng = np.random.default_rng(54)
         phi = build_structure(SP2, structure_kind)
         pairs = associated_pairs(_metric(SP2, metric_kind), phi)
-        rows = [pt.values for pt in sample_points(SP2, rng, 10)]
+        rows = sample_points(SP2, rng, 10)
         diffs = _differences(SP2.coord_names(), pairs, rows)
         assert diffs.shape == (10, SP2.dim ** 2)
         assert np.max(np.abs(diffs)) < 1e-12
@@ -136,7 +136,7 @@ class TestCompatibility:
         phi = build_structure(SP1, StructureKind.LAMBDA, product_lambda(1))
 
         def at_dq_dp(pairs):
-            diffs = _differences(SP1.coord_names(), pairs, [PT.values])
+            diffs = _differences(SP1.coord_names(), pairs, [PT])
             return diffs.reshape(SP1.dim, SP1.dim)[SP1.q_index(1), SP1.p_index(1)]
 
         # hand values at (1,2,3), Lambda = 6: g(phi dq, phi dp) = -Lambda^2 g(Q,P) = 108
@@ -154,7 +154,7 @@ class TestPullback:
         for I in (IndexSubset.of(1), IndexSubset.of([1, 2])):
             mapping = legendre_map(SP2, I)
             for pt in sample_points(SP2, rng, 10):
-                pulled = pulled_back(mapping, ee, pt.values)
+                pulled = pulled_back(mapping, ee, pt)
                 assert np.max(np.abs(pulled - ee.evaluate(pt))) < 1e-12
 
     @pytest.mark.parametrize("power", [1, 3])
@@ -169,7 +169,7 @@ class TestPullback:
                 for combo in itertools.combinations(range(1, n + 1), r):
                     mapping = legendre_map(space, IndexSubset.of(combo))
                     for pt in pts:
-                        pulled = pulled_back(mapping, metric.tensor, pt.values)
+                        pulled = pulled_back(mapping, metric.tensor, pt)
                         assert np.max(np.abs(pulled - metric.tensor.evaluate(pt))) < 1e-9
 
     def test_even_family_is_not_invariant(self):
@@ -177,7 +177,7 @@ class TestPullback:
         metric = metric_from_structure(SP2, MetricKind.LAMBDA, product_lambda(2, power=2))
         mapping = legendre_map(SP2, IndexSubset.of(1))
         for pt in sample_points(SP2, rng, 20):
-            pulled = pulled_back(mapping, metric.tensor, pt.values)
+            pulled = pulled_back(mapping, metric.tensor, pt)
             assert np.max(np.abs(pulled - metric.tensor.evaluate(pt))) > 1e-2
 
     def test_reflection_metric_is_not_invariant(self):
@@ -188,7 +188,7 @@ class TestPullback:
         co = coframe(SP2)
         defect = add_tensors(outer_02(co[1], co[3]), outer_02(co[3], co[1]))
         for pt in sample_points(SP2, rng, 10):
-            diff = pulled_back(mapping, metric.tensor, pt.values) - metric.tensor.evaluate(pt)
+            diff = pulled_back(mapping, metric.tensor, pt) - metric.tensor.evaluate(pt)
             assert np.max(np.abs(diff)) == pytest.approx(1.0)
             assert np.max(np.abs(diff - defect.evaluate(pt))) < 1e-12
 
@@ -197,7 +197,7 @@ class TestPullback:
         metric = _metric(SP2, MetricKind.LAMBDA)
         mapping = scaling_map(SP2, 0.6)
         for pt in sample_points(SP2, rng, 10):
-            pulled = pulled_back(mapping, metric.tensor, pt.values)
+            pulled = pulled_back(mapping, metric.tensor, pt)
             assert np.max(np.abs(pulled - metric.tensor.evaluate(pt))) < 1e-12
 
     def test_contact_form_is_invariant(self):
@@ -206,7 +206,7 @@ class TestPullback:
         eta = contact_form(SP2)
         for mapping in (legendre_map(SP2, IndexSubset.of([1, 2])), scaling_map(SP2, 0.6)):
             for pt in sample_points(SP2, rng, 10):
-                pulled = pulled_back(mapping, eta, pt.values)
+                pulled = pulled_back(mapping, eta, pt)
                 assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
 
     def test_rejects_wrong_valence(self):

@@ -17,7 +17,7 @@ from contactgeo.structures import (LambdaFamily, StructureKind,
 
 SP1 = PhaseSpace(1)
 SP2 = PhaseSpace(2)
-PT = SP1.point(1.0, [2.0], [3.0])
+PT = (1.0, 2.0, 3.0)
 
 
 class TestBuildStructure:
@@ -75,14 +75,14 @@ class TestBuildStructure:
     def test_reciprocal_blows_up_on_zero_locus(self):
         phi = build_structure(SP1, StructureKind.LAMBDA_BAR, product_lambda(1))
         with pytest.raises(EvalError, match="division by zero"):
-            phi.evaluate(SP1.point(0.0, [0.0], [1.0]))
+            phi.evaluate((0.0, 0.0, 1.0))
 
 
 def _worst_identity_residuals(kind, lam, pts):
     """The worst residual of the structure's declared identities at each point,
     as verify's residual helper and runner reduce them."""
     pairs = structure_identities(SP2, kind, lam)
-    return cli._worst(cli._differences(SP2.coord_names(), pairs, [pt.values for pt in pts]))
+    return cli._worst(cli._differences(SP2.coord_names(), pairs, pts))
 
 
 class TestDefiningIdentities:
@@ -195,8 +195,7 @@ def _scaling_residual(lam, pts):
     """``(len(pts), n)``: the scaling condition of each ``L_a`` at each point, run
     through verify's residual tape."""
     coords = PhaseSpace(lam.n).coord_names()
-    return cli._differences(coords, [(lam.scaling_residuals, expr.ZERO)],
-                            [pt.values for pt in pts])
+    return cli._differences(coords, [(lam.scaling_residuals, expr.ZERO)], pts)
 
 
 class TestScalingCondition:
@@ -207,7 +206,7 @@ class TestScalingCondition:
 
     def test_single_coordinate_fails(self):
         lam = LambdaFamily.of(["q1"])
-        pt = SP1.point(0.0, [2.0], [3.0])
+        pt = (0.0, 2.0, 3.0)
         assert _scaling_residual(lam, [pt])[0, 0] == pytest.approx(-2.0)
 
     def test_w_only_family_passes(self):
@@ -223,7 +222,7 @@ class TestScalingCondition:
 
     def test_separable_odd_family_breaks_scaling(self):
         lam = LambdaFamily.of(["(q1^3 + q1)*(p1^3 + p1)"])
-        pt = SP1.point(0.0, [1.0], [2.0])
+        pt = (0.0, 1.0, 2.0)
         # p f(q) g'(p) - q f'(q) g(p) = 2*2*13 - 1*4*10 = 12
         assert _scaling_residual(lam, [pt])[0, 0] == pytest.approx(12.0)
 
@@ -248,8 +247,7 @@ class TestScalingCondition:
 def _legendre_residual(lam, I, pts):
     """The residual rows of ``lam`` under the partial Legendre map on ``I`` at ``pts``."""
     mask = np.tile(I.mask(lam.n), (len(pts), 1))
-    rows = [pt.values for pt in pts]
-    return lambda_legendre_residual(lam, mask, rows, lam.tape.run_batch(rows))
+    return lambda_legendre_residual(lam, mask, pts, lam.tape.run_batch(pts))
 
 
 class TestLegendreCondition:
@@ -284,7 +282,7 @@ class TestLegendreCondition:
         lam = product_lambda(2, power=2)
         pts = sample_points(SP2, np.random.default_rng(42), 3)
         subsets = (IndexSubset.of(1), IndexSubset.of(2), IndexSubset.of([1, 2]))
-        rows = np.array([pt.values for pt in pts])
+        rows = np.array(pts)
         mask = np.array([I.mask(2) for I in subsets])
         block = lambda_legendre_residual(lam, mask, rows, lam.tape.run_batch(rows))
         for j, (I, pt) in enumerate(zip(subsets, pts)):

@@ -11,8 +11,11 @@ or move it into the tests if only they use it.
 import contextlib
 import inspect
 import io
+import os
+import subprocess
 import sys
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +141,14 @@ def test_exceptions_are_real_and_unreached(entered):
     public = dict(_public_functions())
     assert set(UNREACHED) <= set(public)
     assert sorted(name for name in UNREACHED if public[name] in codes) == []
+
+
+def test_the_readme_library_sketch_runs():
+    # the first python block under "## Library sketch", against this checkout's src/
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library sketch\n")[1]
+    sketch = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", sketch], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
