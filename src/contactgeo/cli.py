@@ -478,8 +478,16 @@ def _domain_samples(rel, rng, count):
     hi = np.array([d[1] for d in rel.domain])
     margin = 0.05 * (hi - lo)
     rows = lo + margin + (hi - lo - 2 * margin) * rng.random((count, rel.n))
-    for qvals in rows:  # names a potential or gradient that cannot be evaluated there
-        equilibrium.embed(rel, qvals)
+    # one batched run of the embedding checks the block; only where it fails does
+    # embed run row by row, to name the first potential or gradient that cannot be
+    # evaluated there (the margin keeps each row inside embed's domain test)
+    try:
+        ok = np.isfinite(rel.embedding.tape.run_batch(rows)).all()
+    except expr.EvalError:
+        ok = False
+    if not ok:
+        for qvals in rows:
+            equilibrium.embed(rel, qvals)
     return rows
 
 

@@ -19,6 +19,7 @@ the transformed patch coordinates relate to the quarter-turn image by
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .hamiltonian import IndexSubset, legendre_rows
+from .hamiltonian import IndexSubset
 from .phase_space import CoordinateMap
 
 __all__ = [
@@ -47,6 +48,29 @@ class RootFindError(RuntimeError):
     """Conjugate-variable inversion failed to converge or to bracket a root."""
 
 
+class _KeepsTransforms:
+    """A relation's part in ``legendre_potential``: the transforms it keeps, by sorted
+    index tuple, and ``_numeric``, the copy of it that they evaluate.  The copy shares
+    the relation's attributes, the cached ``_SHARED`` ones computed first, but not its
+    transforms.  Were the base the relation itself, each transform it keeps would close
+    a reference cycle, and the relation would wait for the cyclic collector instead of
+    dying by reference counting."""
+
+    _SHARED: tuple[str, ...] = ()
+
+    @cached_property
+    def _transforms(self) -> dict:
+        return {}
+
+    @cached_property
+    def _numeric(self):
+        for name in self._SHARED:
+            getattr(self, name)
+        twin = copy.copy(self)
+        twin.__dict__.pop("_transforms", None)
+        return twin
+
+
 def _guard_samples(domain, n) -> np.ndarray:
     """32 seeded points of the ``n``-coordinate box ``domain``, at which a transform
     checks that its block of the base Hessian is definite."""
@@ -56,8 +80,10 @@ def _guard_samples(domain, n) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FundamentalRelation:
+class FundamentalRelation(_KeepsTransforms):
     """A potential ``wbar`` over named independent coordinates with a domain box."""
+
+    _SHARED = ("_value_tape", "_gradient_tape", "_guard_hessians")
 
     potential: str
     coords: tuple[str, ...]
@@ -129,7 +155,7 @@ class FundamentalRelation:
         return self._hessian_tape.run_batch(rows).T.reshape(len(rows), self.n, self.n)
 
 
-class TransformedRelation:
+class TransformedRelation(_KeepsTransforms):
     """Numeric relation with the coordinates of an index set replaced by their conjugates.
 
     With ``I`` the transformed slots and ``R`` the rest, the base coordinates
@@ -140,19 +166,25 @@ class TransformedRelation:
     restricted to a block (Rockafellar, Convex Analysis, section 26).
     """
 
+    _SHARED = ("_guard_hessians", "domain")
+
     def __init__(self, base, indices):
         I = IndexSubset.of(indices)
         I.validate(base.n)
-        self.base, self.indices = base, I.indices
+        self.base, self.indices = base._numeric, I.indices
         self._I = np.array(I.indices) - 1
         self._II = np.ix_(self._I, self._I)
         self.potential = f"L{','.join(map(str, I))}[{base.potential}]"
         self.coords = tuple(f"{c}_dual" if k + 1 in I else c for k, c in enumerate(base.coords))
         self._lo, self._hi = np.array(base.domain, dtype=float)[self._I].T
         self._last = (None, None)
-        # a non-finite block counts as indefinite (and would make eigvalsh raise)
+        # a non-finite block counts as indefinite (and would make eigvalsh raise); a
+        # 1 x 1 block is its own eigenvalue, as LAPACK returns it
         blocks = self.base._guard_hessians[:, self._I[:, None], self._I]
-        eig = np.linalg.eigvalsh(blocks) if np.isfinite(blocks).all() else np.array([np.nan])
+        if not np.isfinite(blocks).all():
+            eig = np.array([np.nan])
+        else:
+            eig = blocks if len(self._I) == 1 else np.linalg.eigvalsh(blocks)
         if not ((eig > 0.0).all() or (eig < 0.0).all()):
             names = ", ".join(repr(self.base.coords[k]) for k in self._I)
             raise ValueError(f"conjugate map of {names} is not monotone on the domain")
@@ -186,7 +218,7 @@ class TransformedRelation:
             g = self.base.gradient(q)[self._I] - target
         except (expr.EvalError, OverflowError, RootFindError):
             return None
-        return g if all(map(math.isfinite, g)) else None
+        return g if all(map(math.isfinite, g.tolist())) else None
 
     def _solve(self, u) -> np.ndarray:
         """Base coordinates ``x*`` at ``u``: damped Newton on ``phi(x_I) = s (wbar(x_I,
@@ -219,14 +251,16 @@ class TransformedRelation:
                     raise np.linalg.LinAlgError("Singular matrix")
             except (np.linalg.LinAlgError, expr.EvalError, OverflowError) as err:
                 raise RootFindError(f"no Newton step at {q.tolist()}: {err}") from None
-            if not all(map(math.isfinite, dx)):
+            steps = dx.tolist()
+            if not all(map(math.isfinite, steps)):
                 raise RootFindError(f"non-finite conjugate block at {q.tolist()}")
             new = x + dx
-            if all(abs(d) <= 1e-12 * (1.0 + abs(v)) for v, d in zip(new, dx)):
+            ends = new.tolist()
+            if all(abs(d) <= 1e-12 * (1.0 + abs(v)) for v, d in zip(ends, steps)):
                 q[I] = new
                 self._last = (key, q)
                 return q
-            if not all(a <= v <= b for a, v, b in zip(lo, new, hi)):
+            if not all(a <= v <= b for a, v, b in zip(lo.tolist(), ends, hi.tolist())):
                 down, up = (x <= lo) & (dx < 0.0), (x >= hi) & (dx > 0.0)
                 if (down | up).any():
                     expansions += 1
@@ -302,6 +336,10 @@ def legendre_potential(rel, indices) -> TransformedRelation:
     evaluates ``wbar - sum_{i in I} q^i p_i`` numerically; its own gradient
     carries the quarter-turn sign rules (the new conjugate of a transformed
     slot is minus the old coordinate).
+
+    ``rel`` keeps the transform it returns, one for each index set however it
+    is spelled; a transform whose monotonicity guard fails is not kept, so
+    every call for it raises.
     """
     if isinstance(indices, (int, np.integer, str)):
         indices = (indices,)
@@ -312,25 +350,44 @@ def legendre_potential(rel, indices) -> TransformedRelation:
                 raise ValueError(f"no coordinate named {i!r}")
             i = rel.coords.index(i) + 1
         positions.append(int(i))
-    return TransformedRelation(rel, positions)
+    key = IndexSubset.of(positions).indices
+    found = rel._transforms.get(key)
+    if found is None:
+        found = rel._transforms[key] = TransformedRelation(rel, key)
+    return found
+
+
+def _legendre_point(I: IndexSubset, x) -> list:
+    """The partial Legendre map of ``I`` at the point ``x``, a list of Python floats
+    equal bit for bit to its row of :func:`hamiltonian.legendre_rows`: ``w`` takes
+    ``- q^i p_i`` for each ``i`` of ``I`` in increasing ``i``, from the original ``q``
+    and ``p``; then ``q_i`` becomes ``-p_i`` and ``p_i`` becomes ``q_i``."""
+    n = (len(x) - 1) // 2
+    y = list(x)
+    for i in I:
+        y[0] -= x[i] * x[n + i]
+        y[i] = -x[n + i]
+        y[n + i] = x[i]
+    return y
 
 
 def involution_check(rel, I: IndexSubset, qvals) -> float:
     """Residual of: quarter-turn image of the submanifold lies on the transformed one.
 
-    The embedding image under the partial Legendre map of ``I``, one row of
-    :func:`legendre_rows`, is compared against the embedding of the
+    The embedding image under the partial Legendre map of ``I``
+    (:func:`_legendre_point`) is compared against the embedding of the
     numerically transformed relation through the sign dictionary
     ``q'_i = -u_i, p'_i = -v_i`` on transformed slots (identity on the rest),
     where ``(u, v)`` are the transformed relation's coordinates and conjugates.
     """
     I = I if isinstance(I, IndexSubset) else IndexSubset.of(I)
-    I.validate(rel.n)
-    (y,) = legendre_rows(I.mask(rel.n)[None, :], [embed(rel, qvals)])
-    signs = np.array([-1.0 if i in I else 1.0 for i in range(1, rel.n + 1)])
-    z = embed(legendre_potential(rel, I), signs * y[1:rel.n + 1])
-    dp = y[rel.n + 1:] - signs * np.array(z[rel.n + 1:])
-    return float(max(abs(y[0] - z[0]), np.max(np.abs(dp))))
+    n = rel.n
+    I.validate(n)
+    y = _legendre_point(I, embed(rel, qvals))
+    signs = [-1.0 if i in I else 1.0 for i in range(1, n + 1)]
+    z = embed(legendre_potential(rel, I), [s * v for s, v in zip(signs, y[1:n + 1])])
+    dp = max(abs(a - s * b) for a, s, b in zip(y[n + 1:], signs, z[n + 1:]))
+    return max(abs(y[0] - z[0]), dp)
 
 
 @dataclass(frozen=True)

@@ -68,13 +68,6 @@ class IndexSubset:
         if any(i > n for i in self.indices):
             raise ValueError(f"index out of range for n={n}")
 
-    def mask(self, n: int) -> np.ndarray:
-        """Membership of the indices 1..n, as the boolean row :func:`legendre_rows` takes."""
-        self.validate(n)
-        mask = np.zeros(n, dtype=bool)
-        mask[[i - 1 for i in self.indices]] = True
-        return mask
-
     def __iter__(self):
         return iter(self.indices)
 
@@ -126,6 +119,8 @@ def rotation_flow(t: float, I: IndexSubset, x) -> list:
     On each selected plane ``(q^i, p_i)`` rotates by angle ``t`` and shifts
     ``w`` accordingly; the remaining coordinates are untouched.
     """
+    if len(x) < 3 or len(x) % 2 == 0:
+        raise ValueError(f"a phase point has an odd number >= 3 of coordinates, got {len(x)}")
     n = (len(x) - 1) // 2
     I.validate(n)
     ct, st = math.cos(t), math.sin(t)

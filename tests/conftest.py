@@ -37,6 +37,15 @@ def partial_legendre_scalar(I, x):
     return y
 
 
+def index_mask(I, n):
+    """Membership of the indices 1..n in the index set ``I``, as the boolean row
+    ``hamiltonian.legendre_rows`` takes."""
+    I.validate(n)
+    mask = np.zeros(n, dtype=bool)
+    mask[[i - 1 for i in I]] = True
+    return mask
+
+
 def evaluated(comps, coords, values):
     """The symbolic component array ``comps`` compiled against ``coords`` and run at
     the coordinate ``values``."""

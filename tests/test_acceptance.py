@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bindings, gamma_at, pulled_back
+from conftest import bindings, gamma_at, index_mask, pulled_back
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative, ricci
 from contactgeo.equilibrium import (catalog, embed, involution_check,
@@ -96,7 +96,7 @@ def test_criterion_03_flows_and_involutivity():
                          - scaling_map(space, math.log(2.0)).apply(start_pt))
     x = np.array([start_pt])
     for _ in range(4):
-        x = legendre_rows(IndexSubset.of(1).mask(1)[None, :], x)
+        x = legendre_rows(index_mask(IndexSubset.of(1), 1)[None, :], x)
     exact = x[0].tolist() == list(start_pt)
     _report(3, rot_dev < 1e-8 and scale_dev < 1e-8 and exact,
             f"rotation {rot_dev:.2e}, scaling {scale_dev:.2e}, "

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import live_nodes
+from conftest import index_mask, live_nodes
 from contactgeo import cli, equilibrium, expr, hamiltonian, metrics, structures, tables
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
@@ -355,6 +355,23 @@ class TestVerify:
                                        "--catalog", str(path)])
         assert (code, out, err) == (2, "", "error: log of a non-positive value\n")
 
+    @pytest.mark.parametrize("coords, wbar, domain, error", [
+        ('["x"]', "log(x - 1.3)", "[[1, 2]]", "log of a non-positive value"),
+        ('["x", "y"]', "y*exp(800*x)", "[[0, 1], [1, 2]]",
+         "exp(736.4197710011798): math range error"),
+        ('["x"]', "1e306*x^2", "[[0, 100]]", "non-finite potential value or gradient"),
+    ])
+    def test_a_sampled_row_that_fails_names_its_own_error(self, tmp_path, capsys, coords, wbar,
+                                                          domain, error):
+        # the sampled rows are checked in one batch; the first failing row still
+        # names its error, the operand of the failing call included
+        path = tmp_path / "bad.cfg"
+        path.write_text(f'potential = "G"\ncoords = {coords}\nwbar = "{wbar}"\n'
+                        f'domain = {domain}\n')
+        code, out, err = _run(capsys, ["verify", "--suite", "equilibrium",
+                                       "--catalog", str(path)])
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
     def test_hostile_coordinate_name_is_only_data(self, tmp_path, monkeypatch, capsys):
         # a catalog coordinate is any string; it must reach tapes only as data
         monkeypatch.chdir(tmp_path)
@@ -615,7 +632,7 @@ def test_legendre_order_points_are_the_per_point_draws(monkeypatch, n):
 
 def test_subset_masks_are_the_index_subsets_masks():
     for n in range(1, 13):
-        want = np.array([I.mask(n) for I in cli._subsets(n)])
+        want = np.array([index_mask(I, n) for I in cli._subsets(n)])
         got = cli._subset_masks(n)
         assert got.dtype == want.dtype and np.array_equal(got, want), n
 

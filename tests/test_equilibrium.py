@@ -1,19 +1,24 @@
 """Legendre submanifolds: embeddings, Hessian pullbacks, potential transforms."""
 
+import gc
 import itertools
+import json
 import math
+import weakref
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bindings, partial_legendre_scalar, pulled_back
+from conftest import bindings, index_mask, partial_legendre_scalar, pulled_back
 from contactgeo import expr
 from contactgeo.equilibrium import (FundamentalRelation, RootFindError, _guard_samples,
-                                    catalog, embed, involution_check,
+                                    _legendre_point, catalog, embed, involution_check,
                                     legendre_potential, load_catalog)
-from contactgeo.hamiltonian import IndexSubset
+from contactgeo.hamiltonian import IndexSubset, legendre_rows
 from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import PhaseSpace, contact_form
 from contactgeo.structures import product_lambda
@@ -25,9 +30,33 @@ def _entry(name) -> FundamentalRelation:
     return next(e.relation for e in catalog() if e.id == name)
 
 
-QUAD = _entry("quadratic")
-IDEAL = _entry("ideal_gas")
-VDW = _entry("van_der_waals")
+# each test gets fresh relations: a relation keeps its compiled tapes, guard
+# Hessians and transforms, and a test must not see what an earlier one built;
+# a parametrized test takes one of these builders through the ``rel`` fixture
+QUAD = partial(_entry, "quadratic")
+IDEAL = partial(_entry, "ideal_gas")
+VDW = partial(_entry, "van_der_waals")
+
+
+@pytest.fixture
+def quad() -> FundamentalRelation:
+    return QUAD()
+
+
+@pytest.fixture
+def ideal() -> FundamentalRelation:
+    return IDEAL()
+
+
+@pytest.fixture
+def vdw() -> FundamentalRelation:
+    return VDW()
+
+
+@pytest.fixture
+def rel(request) -> FundamentalRelation:
+    """A fresh relation from the builder the test is parametrized with."""
+    return request.param()
 
 
 def _domain_points(rel, rng, count):
@@ -38,26 +67,26 @@ def _domain_points(rel, rng, count):
 
 
 class TestEmbed:
-    def test_quadratic(self):
-        assert embed(QUAD, [1.0, 2.0]) == [2.5, 1.0, 2.0, 1.0, 2.0]
+    def test_quadratic(self, quad):
+        assert embed(quad, [1.0, 2.0]) == [2.5, 1.0, 2.0, 1.0, 2.0]
 
-    def test_ideal_gas_with_darboux_signs(self):
+    def test_ideal_gas_with_darboux_signs(self, ideal):
         # q = (S, V), p = (T, -P): the volume slot carries dU/dV = -(2/3) e
-        pt = embed(IDEAL, [1.0, 1.0])
+        pt = embed(ideal, [1.0, 1.0])
         assert pt[0] == pytest.approx(E)
         assert pt[3] == pytest.approx(E)
         assert pt[4] == pytest.approx(-2.0 * E / 3.0)
 
-    def test_kills_contact_form(self):
+    def test_kills_contact_form(self, quad, ideal, vdw):
         rng = np.random.default_rng(90)
-        for rel in (QUAD, IDEAL, VDW):
+        for rel in (quad, ideal, vdw):
             eta = contact_form(PhaseSpace(rel.n))
             for qvals in _domain_points(rel, rng, 20):
                 assert np.max(np.abs(pulled_back(rel.embedding, eta, qvals))) < 1e-12
 
-    def test_domain_violation(self):
+    def test_domain_violation(self, ideal):
         with pytest.raises(ValueError, match="outside the domain"):
-            embed(IDEAL, [5.0, 1.0])
+            embed(ideal, [5.0, 1.0])
 
     def test_relation_validation(self):
         with pytest.raises(ValueError, match="unknown variables"):
@@ -80,25 +109,25 @@ class TestEmbed:
 
 
 class TestHessian:
-    def test_quadratic_is_identity(self):
-        assert np.array_equal(QUAD.hessian([0.3, -0.7]), np.eye(2))
+    def test_quadratic_is_identity(self, quad):
+        assert np.array_equal(quad.hessian([0.3, -0.7]), np.eye(2))
 
-    def test_ideal_gas_frozen(self):
+    def test_ideal_gas_frozen(self, ideal):
         want = np.array([[E, -2 * E / 3], [-2 * E / 3, 10 * E / 9]])
-        assert np.allclose(IDEAL.hessian([1.0, 1.0]), want)
+        assert np.allclose(ideal.hessian([1.0, 1.0]), want)
 
-    def test_symmetry_is_exact(self):
+    def test_symmetry_is_exact(self, ideal, vdw):
         rng = np.random.default_rng(91)
-        for rel in (IDEAL, VDW):
+        for rel in (ideal, vdw):
             for qvals in _domain_points(rel, rng, 10):
                 H = rel.hessian(qvals)
                 assert np.array_equal(H, H.T)
 
 
 class TestPullbackOntoStateSpace:
-    def test_reflection_metric_gives_minus_hessian(self):
+    def test_reflection_metric_gives_minus_hessian(self, quad, ideal, vdw):
         rng = np.random.default_rng(92)
-        for rel in (QUAD, IDEAL, VDW):
+        for rel in (quad, ideal, vdw):
             gr = metric_from_structure(PhaseSpace(rel.n), MetricKind.R)
             for qvals in _domain_points(rel, rng, 50):
                 pulled = pulled_back(rel.embedding, gr.tensor, qvals)
@@ -118,10 +147,10 @@ class TestPullbackOntoStateSpace:
         pulled = pulled_back(rel.embedding, gl.tensor, [1.0])
         assert pulled[0, 0] == pytest.approx(-1.0)  # -Lambda * d2wbar with Lambda = 1
 
-    def test_scaled_metric_componentwise_symmetrization(self):
+    def test_scaled_metric_componentwise_symmetrization(self, quad, ideal):
         # components are -(L_a + L_b)/2 * d_a d_b wbar for the product family
         rng = np.random.default_rng(93)
-        for rel in (QUAD, IDEAL):
+        for rel in (quad, ideal):
             space = PhaseSpace(rel.n)
             lam = product_lambda(rel.n)
             gl = metric_from_structure(space, MetricKind.LAMBDA, lam)
@@ -135,10 +164,10 @@ class TestPullbackOntoStateSpace:
 
 
 class TestLegendrePotential:
-    def test_ideal_gas_closed_form(self):
-        F = legendre_potential(IDEAL, "S")
+    def test_ideal_gas_closed_form(self, ideal):
+        F = legendre_potential(ideal, "S")
         rng = np.random.default_rng(94)
-        for S, V in _domain_points(IDEAL, rng, 20):
+        for S, V in _domain_points(ideal, rng, 20):
             T = math.exp(S) * V ** (-2.0 / 3.0)
             closed = T * (1.0 - math.log(T) - (2.0 / 3.0) * math.log(V))
             assert F.value([T, V]) == pytest.approx(closed, abs=1e-8)
@@ -152,27 +181,27 @@ class TestLegendrePotential:
         for p in (-1.5, -0.3, 0.8, 1.9):
             assert F.value([p]) == pytest.approx(-0.5 * p * p, abs=1e-12)
 
-    def test_names_and_coords(self):
-        F = legendre_potential(IDEAL, "S")
+    def test_names_and_coords(self, ideal):
+        F = legendre_potential(ideal, "S")
         assert F.potential == "L1[U]"
         assert F.coords == ("S_dual", "V")
 
-    def test_double_transform_recovers_potential(self):
+    def test_double_transform_recovers_potential(self, quad, ideal):
         # the quarter turn squared is the half turn: wbar comes back at -q
-        FF = legendre_potential(legendre_potential(QUAD, 1), 1)
+        FF = legendre_potential(legendre_potential(quad, 1), 1)
         rng = np.random.default_rng(95)
-        for qvals in _domain_points(QUAD, rng, 10):
+        for qvals in _domain_points(quad, rng, 10):
             flipped = np.array([-qvals[0], qvals[1]])
-            assert FF.value(flipped) == pytest.approx(QUAD.value(qvals), abs=1e-8)
-        GG = legendre_potential(legendre_potential(IDEAL, 1), 1)
-        for qvals in _domain_points(IDEAL, rng, 10):
+            assert FF.value(flipped) == pytest.approx(quad.value(qvals), abs=1e-8)
+        GG = legendre_potential(legendre_potential(ideal, 1), 1)
+        for qvals in _domain_points(ideal, rng, 10):
             flipped = np.array([-qvals[0], qvals[1]])
-            assert GG.value(flipped) == pytest.approx(IDEAL.value(qvals), abs=1e-8)
+            assert GG.value(flipped) == pytest.approx(ideal.value(qvals), abs=1e-8)
 
-    def test_transformed_hessian_schur_update(self):
-        F = legendre_potential(IDEAL, "S")
+    def test_transformed_hessian_schur_update(self, ideal):
+        F = legendre_potential(ideal, "S")
         rng = np.random.default_rng(96)
-        for S, V in _domain_points(IDEAL, rng, 5):
+        for S, V in _domain_points(ideal, rng, 5):
             T = math.exp(S) * V ** (-2.0 / 3.0)
             H = F.hessian([T, V])
             # exact second derivatives of T (1 - log T - (2/3) log V)
@@ -185,46 +214,90 @@ class TestLegendrePotential:
         with pytest.raises(ValueError, match="not monotone"):
             legendre_potential(rel, 1)
 
-    def test_out_of_range_target_raises(self):
-        F = legendre_potential(IDEAL, "S")
+    def test_out_of_range_target_raises(self, ideal):
+        F = legendre_potential(ideal, "S")
         with pytest.raises(RootFindError):
             F.value([-1.0, 1.0])  # conjugate exp(S) V^(-2/3) is always positive
 
-    def test_index_validation(self):
+    def test_one_transform_per_index_set(self, ideal):
+        F = legendre_potential(ideal, 1)
+        for spelled in ("S", [1], IndexSubset.of(1)):
+            assert legendre_potential(ideal, spelled) is F
+        assert legendre_potential(ideal, ["V", "S"]) is legendre_potential(ideal, (1, 2))
+        assert legendre_potential(F, 2) is legendre_potential(F, "V")
+        assert legendre_potential(ideal, 2) is not legendre_potential(F, 2)
+
+    def test_relations_and_kept_transforms_die_by_reference_counting(self):
+        # a transform evaluates a copy of its base that does not keep transforms,
+        # so no relation is in a reference cycle with the transforms it keeps
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            rel = IDEAL()
+            F = legendre_potential(rel, 1)
+            G = legendre_potential(F, 2)
+            refs = [weakref.ref(x) for x in (rel, F, G)]
+            del rel, F, G
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            (gc.enable if collecting else gc.disable)()
+
+    def test_a_failing_guard_is_not_kept(self, vdw):
+        # every call for a transform that is not monotone raises, not only the first
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not monotone") as exc:
+                legendre_potential(vdw, (1, 2))
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_index_validation(self, ideal):
         with pytest.raises(ValueError, match="no coordinate named"):
-            legendre_potential(IDEAL, "Z")
+            legendre_potential(ideal, "Z")
         with pytest.raises(ValueError, match="out of range"):
-            legendre_potential(IDEAL, 3)
+            legendre_potential(ideal, 3)
 
 
 class TestInvolution:
-    def test_ideal_gas(self):
+    def test_ideal_gas(self, ideal):
         rng = np.random.default_rng(97)
-        for qvals in _domain_points(IDEAL, rng, 10):
-            assert involution_check(IDEAL, IndexSubset.of(1), qvals) < 1e-8
+        for qvals in _domain_points(ideal, rng, 10):
+            assert involution_check(ideal, IndexSubset.of(1), qvals) < 1e-8
 
-    def test_quadratic_every_subset(self):
+    def test_quadratic_every_subset(self, quad):
         rng = np.random.default_rng(98)
         for I in (IndexSubset.of(1), IndexSubset.of(2), IndexSubset.of([1, 2])):
-            for qvals in _domain_points(QUAD, rng, 10):
-                assert involution_check(QUAD, I, qvals) < 1e-12
+            for qvals in _domain_points(quad, rng, 10):
+                assert involution_check(quad, I, qvals) < 1e-12
 
-    def test_image_lies_on_a_legendre_submanifold(self):
+    def test_image_lies_on_a_legendre_submanifold(self, ideal):
         # the transformed relation's own embedding kills the contact form
         rng = np.random.default_rng(99)
-        F = legendre_potential(IDEAL, 1)
+        F = legendre_potential(ideal, 1)
         eta = contact_form(PhaseSpace(2))
-        for S, V in _domain_points(IDEAL, rng, 10):
+        for S, V in _domain_points(ideal, rng, 10):
             T = math.exp(S) * V ** (-2.0 / 3.0)
             x = embed(F, [T, V])
             J = np.vstack([F.gradient([T, V]), np.eye(2), F.hessian([T, V])])
             assert np.max(np.abs(eta.evaluate(x) @ J)) < 1e-8
 
-    def test_image_point_matches_quarter_turn(self):
+    def test_the_point_map_is_legendre_rows_bit_for_bit(self):
+        # signed zeros, infinities, NaNs of either sign and q p products that overflow
+        special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                            1e200, -1e200, 1.5, -2.25, 5e-324])
+        rng = np.random.default_rng(104)
+        for n in range(1, 6):
+            rows = rng.choice(special, size=(40, 2 * n + 1))
+            for I in map(IndexSubset.of, _subsets(n)):
+                want = legendre_rows(np.tile(index_mask(I, n), (len(rows), 1)), rows)
+                got = np.array([_legendre_point(I, row) for row in rows.tolist()])
+                assert got.tobytes() == want.tobytes()
+
+    def test_image_point_matches_quarter_turn(self, ideal):
         # spot check of the sign dictionary at one state
-        x = embed(IDEAL, [1.0, 1.0])
+        x = embed(ideal, [1.0, 1.0])
         y = partial_legendre_scalar(IndexSubset.of(1), x)
-        F = legendre_potential(IDEAL, 1)
+        F = legendre_potential(ideal, 1)
         z = embed(F, [-y[1], y[2]])
         assert y[0] == pytest.approx(z[0], abs=1e-10)
         assert y[3] == pytest.approx(-z[3], abs=1e-10)
@@ -308,12 +381,13 @@ def _quadratic_oracle_gradient(A, b, I, u):
     return x, grad
 
 
-class TestJointTransform:
-    COUPLED = _quadratic_relation(COUPLED_A, COUPLED_B)
+COUPLED = partial(_quadratic_relation, COUPLED_A, COUPLED_B)
 
+
+class TestJointTransform:
     def test_coupled_quadratic_every_index_set_against_direct_solve(self):
         rng = np.random.default_rng(101)
-        rel = self.COUPLED
+        rel = COUPLED()
         for I in _subsets(4):
             F = legendre_potential(rel, I)
             idx = [i - 1 for i in I]
@@ -329,28 +403,28 @@ class TestJointTransform:
                     for e in np.eye(4)])
                 assert np.max(np.abs(F.hessian(u) - want_hess)) < 1e-12
 
-    def test_index_set_forms_and_labels(self):
-        F = legendre_potential(IDEAL, IndexSubset.of([1, 2]))
+    def test_index_set_forms_and_labels(self, ideal):
+        F = legendre_potential(ideal, IndexSubset.of([1, 2]))
         assert F.potential == "L1,2[U]"
         assert F.coords == ("S_dual", "V_dual")
         assert F.indices == (1, 2)
-        assert legendre_potential(IDEAL, ["V", "S"]).indices == (1, 2)
-        assert legendre_potential(IDEAL, [2]).potential == "L2[U]"
+        assert legendre_potential(ideal, ["V", "S"]).indices == (1, 2)
+        assert legendre_potential(ideal, [2]).potential == "L2[U]"
         with pytest.raises(ValueError, match="non-empty"):
-            legendre_potential(IDEAL, [])
+            legendre_potential(ideal, [])
 
-    def test_ideal_gas_joint_equals_nested(self):
-        joint = legendre_potential(IDEAL, (1, 2))
-        nested = legendre_potential(legendre_potential(IDEAL, 1), 2)
+    def test_ideal_gas_joint_equals_nested(self, ideal):
+        joint = legendre_potential(ideal, (1, 2))
+        nested = legendre_potential(legendre_potential(ideal, 1), 2)
         rng = np.random.default_rng(102)
-        for q in _domain_points(IDEAL, rng, 10):
-            u = IDEAL.gradient(q)
+        for q in _domain_points(ideal, rng, 10):
+            u = ideal.gradient(q)
             assert abs(joint.value(u) - nested.value(u)) < 1e-10
             assert np.max(np.abs(joint.gradient(u) - nested.gradient(u))) < 1e-10
             assert np.max(np.abs(joint.gradient(u) + q)) < 1e-10  # recovers (S, V)
 
     @pytest.mark.parametrize("rel, I", [(IDEAL, (1, 2)), (IDEAL, (2,)), (VDW, (1,)),
-                                        (_quadratic_relation(COUPLED_A, COUPLED_B), (1, 3, 4))])
+                                        (COUPLED, (1, 3, 4))], indirect=["rel"])
     def test_hessian_matches_central_differences(self, rel, I):
         F = legendre_potential(rel, I)
         rng = np.random.default_rng(103)
@@ -363,11 +437,11 @@ class TestJointTransform:
             assert np.array_equal(H, H.T)
             assert np.max(np.abs(H - fd)) < 1e-6 * (1.0 + np.max(np.abs(H)))
 
-    def test_indefinite_block_rejected_at_construction(self):
+    def test_indefinite_block_rejected_at_construction(self, vdw):
         # F_TT < 0 < F_VV: the joint van der Waals map is not monotone; it used
         # to fail deep in a nested solve with a log-domain RootFindError
         with pytest.raises(ValueError, match="not monotone"):
-            legendre_potential(VDW, (1, 2))
+            legendre_potential(vdw, (1, 2))
 
     def test_non_finite_block_rejected_at_construction(self):
         rel = FundamentalRelation("huge", ("x",), expr.parse("1e308*x^2"), ((-1.0, 1.0),))
@@ -395,23 +469,24 @@ class TestJointTransform:
         with pytest.raises(RootFindError, match="singular or non-finite"):
             F.hessian([0.5])
 
-    def test_the_dual_box_is_computed_on_first_read(self, monkeypatch):
+    def test_the_dual_box_is_computed_on_first_read(self, ideal, monkeypatch):
         # construction evaluates only the 32 Hessian blocks of the monotonicity check;
         # the gradient sweep of the dual box waits for a nested transform to read it
         calls = []
         gradient = FundamentalRelation.gradient
         monkeypatch.setattr(FundamentalRelation, "gradient",
                             lambda self, q: calls.append(1) or gradient(self, q))
-        F = legendre_potential(IDEAL, 1)
+        F = legendre_potential(ideal, 1)
         assert calls == []
         lo, hi = F.domain[0]
-        assert len(calls) == 32 + 4 and F.domain[1] == IDEAL.domain[1]
+        assert len(calls) == 32 + 4 and F.domain[1] == ideal.domain[1]
         assert F.domain is F.domain and len(calls) == 36
         assert lo < hi
 
-    @pytest.mark.parametrize("rel", [QUAD, IDEAL, VDW, _quadratic_relation(COUPLED_A, COUPLED_B),
-                                     FundamentalRelation("huge", ("x",), expr.parse("1e308*x^2"),
-                                                         ((-1.0, 1.0),))])
+    @pytest.mark.parametrize("rel", [QUAD, IDEAL, VDW, COUPLED,
+                                     partial(FundamentalRelation, "huge", ("x",),
+                                             expr.parse("1e308*x^2"), ((-1.0, 1.0),))],
+                             indirect=True)
     def test_guard_hessians_are_the_pointwise_hessians(self, rel):
         want = np.array([rel.hessian(p) for p in _guard_samples(rel.domain, rel.n)])
         got = rel._guard_hessians
@@ -421,7 +496,7 @@ class TestJointTransform:
     def test_the_guard_runs_one_batch_per_relation(self, monkeypatch):
         # the 32 guard Hessians are one run_batch on the relation's Hessian tape,
         # kept for each further transform; construction calls hessian not at all
-        rel = _quadratic_relation(COUPLED_A, COUPLED_B)
+        rel = COUPLED()
         tape = rel._hessian_tape
         batches, hessians = [], []
         run_batch = type(tape).run_batch
@@ -444,21 +519,21 @@ class TestJointTransform:
                 legendre_potential(rel, I)
             assert str(exc.value) == "negative base with even-root exponent"
 
-    def test_nested_transform_guard_is_unchanged(self):
-        F = legendre_potential(legendre_potential(IDEAL, 1), 2)
+    def test_nested_transform_guard_is_unchanged(self, ideal):
+        F = legendre_potential(legendre_potential(ideal, 1), 2)
         assert F.domain == ((1.0386293171822574, 11.729395424494554),
                             (-15.639193899326074, -0.3462097723940858))
-        u = IDEAL.gradient([1.2, 0.8])
+        u = ideal.gradient([1.2, 0.8])
         assert F.value(u) == 1.7979053907339915
         assert F.gradient(u).tolist() == [-1.2, -0.8000000000000002]
         assert F.hessian(u).tolist() == [[-0.43260217238697507, -0.20764904274574805],
                                          [-0.20764904274574805, -0.24917885129489775]]
 
-    def test_odd_root_branch_is_not_entered(self):
+    def test_odd_root_branch_is_not_entered(self, ideal):
         # an unclipped Newton step from the box middle crosses V = 0, where the
         # odd root makes V^(-2/3) real and convex again
         q = [1.9052991806869062, 0.60682829079533]
-        assert involution_check(IDEAL, IndexSubset.of(2), q) <= 1e-12
+        assert involution_check(ideal, IndexSubset.of(2), q) <= 1e-12
 
 
 @st.composite
@@ -479,3 +554,51 @@ def test_involution_on_random_spd_quadratics(case):
     A, b, I, q = case
     rel = _quadratic_relation(A, b)
     assert involution_check(rel, IndexSubset.of(I), q) <= 1e-10
+
+
+# perfbench's conjugate_n4 cases, rebuilt here rather than imported: three points for
+# each index set of the catalog relations, then one for each index set of a coupled
+# convex quadratic on [-1, 1]^4
+BENCH_SUBSETS = {
+    "quadratic": [(1,), (2,), (1, 2)],
+    "ideal_gas": [(1,), (2,), (1, 2)],
+    "van_der_waals": [(1,), (2,)],
+}
+BENCH_COUPLED = (
+    "0.5*x1^2 + 0.52*x2^2 + 0.63*x3^2 + 0.455*x4^2 + 0.05*x1*x2 + 0.08*x1*x4"
+    " - 0.15*x3*x4 + 0.44*x1 - 0.12*x2 + 0.27*x3 - 0.46*x4")
+INVOLUTION_GOLDEN = Path(__file__).parent / "golden" / "involution_residuals.json"
+
+
+def _bench_involution_cases(seed):
+    rng = np.random.default_rng([seed, 4])
+
+    def inside(rel):
+        return [lo + (hi - lo) * (0.05 + 0.9 * rng.random()) for lo, hi in rel.domain]
+
+    relations = {entry.id: entry.relation for entry in catalog()}
+    cases = [(relations[rid], IndexSubset.of(I), inside(relations[rid]))
+             for rid, subsets in BENCH_SUBSETS.items() for I in subsets for _ in range(3)]
+    coupled = FundamentalRelation("U", ("x1", "x2", "x3", "x4"), expr.parse(BENCH_COUPLED),
+                                  ((-1.0, 1.0),) * 4)
+    return cases + [(coupled, IndexSubset.of(I), inside(coupled)) for I in _subsets(4)]
+
+
+def involution_residuals() -> dict:
+    """The ``repr`` of every ``involution_check`` residual of the conjugate benchmark at
+    seeds 0-3 and of ``verify``'s ``equilibrium.involution`` at seed 7."""
+    from contactgeo import cli
+
+    out = {f"conjugate_n4 seed {seed}": [repr(involution_check(*case))
+                                         for case in _bench_involution_cases(seed)]
+           for seed in range(4)}
+    cfg = cli.RunConfig(seed=7)
+    blocks = cli._equilibrium_involution(cfg, cfg.rng("equilibrium.involution"))
+    out["verify equilibrium.involution seed 7"] = [repr(r) for (r,) in blocks]
+    return out
+
+
+def test_involution_residuals_match_their_golden():
+    # bit for bit: verify's report keeps only each check's largest residual
+    want = json.loads(INVOLUTION_GOLDEN.read_text(encoding="utf-8"))
+    assert involution_residuals() == want

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (bindings, coframe, evaluated, loop_random_polynomial_hamiltonian,
-                      partial_legendre_scalar)
+from conftest import (bindings, coframe, evaluated, index_mask,
+                      loop_random_polynomial_hamiltonian, partial_legendre_scalar)
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
 from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
@@ -26,7 +26,7 @@ I1 = IndexSubset.of(1)
 
 def _legendre(I, pt):
     """The partial Legendre image of one point: the one-row case of ``legendre_rows``."""
-    (row,) = legendre_rows(I.mask((len(pt) - 1) // 2)[None, :], [pt])
+    (row,) = legendre_rows(index_mask(I, (len(pt) - 1) // 2)[None, :], [pt])
     return row.tolist()
 
 
@@ -115,6 +115,13 @@ class TestRotationFlow:
         end = rotation_flow(0.7, IndexSubset.of(1), pt)
         assert end[2] == 2.0 and end[4] == 4.0
 
+    @pytest.mark.parametrize("pt", [(), (1.0,), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0),
+                                    (0.5, 1.0, 2.0, 3.0, 4.0, 5.0)])
+    def test_a_point_of_even_or_short_length_is_refused(self, pt):
+        # an even length was read as the n below it, the last value left alone
+        with pytest.raises(ValueError, match=f"odd number >= 3 of coordinates, got {len(pt)}$"):
+            rotation_flow(0.5, I1, pt)
+
 
 class TestScalingFlow:
     def test_log_two(self):
@@ -182,7 +189,7 @@ class TestPartialLegendre:
         space = PhaseSpace(4)
         for pt in sample_points(space, rng, 10):
             for I in (IndexSubset.of(2), IndexSubset.of([1, 3, 4])):
-                (row,) = legendre_rows(I.mask(4)[None, :], [pt])
+                (row,) = legendre_rows(index_mask(I, 4)[None, :], [pt])
                 assert _legendre(I, pt) == partial_legendre_scalar(I, pt)
                 assert np.array(partial_legendre_scalar(I, pt)).tobytes() == row.tobytes()
 
