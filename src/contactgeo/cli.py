@@ -691,11 +691,13 @@ def _metric_for(args, space: PhaseSpace) -> Metric:
 
 
 def _emit(lines: list[str], json_path: str | None):
+    """Write the report to ``json_path`` first, so that a path that cannot be written
+    exits 2 with nothing on stdout, then to stdout."""
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 # the keys a --config file may set besides lambda.<k>, with the type of each value

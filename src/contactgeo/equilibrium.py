@@ -20,7 +20,6 @@ the transformed patch coordinates relate to the quarter-turn image by
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,29 +47,6 @@ class RootFindError(RuntimeError):
     """Conjugate-variable inversion failed to converge or to bracket a root."""
 
 
-class _KeepsTransforms:
-    """A relation's part in ``legendre_potential``: the transforms it keeps, by sorted
-    index tuple, and ``_numeric``, the copy of it that they evaluate.  The copy shares
-    the relation's attributes, the cached ``_SHARED`` ones computed first, but not its
-    transforms.  Were the base the relation itself, each transform it keeps would close
-    a reference cycle, and the relation would wait for the cyclic collector instead of
-    dying by reference counting."""
-
-    _SHARED: tuple[str, ...] = ()
-
-    @cached_property
-    def _transforms(self) -> dict:
-        return {}
-
-    @cached_property
-    def _numeric(self):
-        for name in self._SHARED:
-            getattr(self, name)
-        twin = copy.copy(self)
-        twin.__dict__.pop("_transforms", None)
-        return twin
-
-
 def _guard_samples(domain, n) -> np.ndarray:
     """32 seeded points of the ``n``-coordinate box ``domain``, at which a transform
     checks that its block of the base Hessian is definite."""
@@ -80,10 +56,12 @@ def _guard_samples(domain, n) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FundamentalRelation(_KeepsTransforms):
-    """A potential ``wbar`` over named independent coordinates with a domain box."""
+class FundamentalRelation:
+    """A potential ``wbar`` over named independent coordinates with a domain box.
 
-    _SHARED = ("_value_tape", "_gradient_tape", "_guard_hessians")
+    It keeps the transforms ``legendre_potential`` builds of it in ``_transforms``; they
+    evaluate ``_numeric``, a copy of it with its tapes and guard Hessians but no
+    transforms, so that no reference cycle keeps it from dying by reference counting."""
 
     potential: str
     coords: tuple[str, ...]
@@ -154,9 +132,22 @@ class FundamentalRelation(_KeepsTransforms):
         rows = _guard_samples(self.domain, self.n)
         return self._hessian_tape.run_batch(rows).T.reshape(len(rows), self.n, self.n)
 
+    @cached_property
+    def _transforms(self) -> dict:
+        return {}
 
-class TransformedRelation(_KeepsTransforms):
-    """Numeric relation with the coordinates of an index set replaced by their conjugates.
+    @cached_property
+    def _numeric(self) -> FundamentalRelation:
+        for name in ("_value_tape", "_gradient_tape", "_guard_hessians"):
+            getattr(self, name)  # computed first, so that the copy shares them
+        twin = copy.copy(self)
+        twin.__dict__.pop("_transforms", None)
+        return twin
+
+
+class TransformedRelation:
+    """Numeric relation: a fundamental relation with the coordinates of an index set
+    replaced by their conjugates.  It is a leaf: ``legendre_potential`` refuses it.
 
     With ``I`` the transformed slots and ``R`` the rest, the base coordinates
     ``x*`` keep ``x*_R = u_R`` and solve ``grad_I wbar(x*) = u_I``.  Value and
@@ -165,8 +156,6 @@ class TransformedRelation(_KeepsTransforms):
     Schur complement of the base Hessian.  This is the convex conjugate
     restricted to a block (Rockafellar, Convex Analysis, section 26).
     """
-
-    _SHARED = ("_guard_hessians", "domain")
 
     def __init__(self, base, indices):
         I = IndexSubset.of(indices)
@@ -193,30 +182,11 @@ class TransformedRelation(_KeepsTransforms):
     def n(self) -> int:
         return self.base.n
 
-    @cached_property
-    def _guard_hessians(self) -> np.ndarray:
-        """The Hessians at the guard samples of this relation's domain, point by point,
-        for a transform of this transform."""
-        return np.array([self.hessian(p) for p in _guard_samples(self.domain, self.n)])
-
-    @cached_property
-    def domain(self) -> tuple[tuple[float, float], ...]:
-        """The base domain with each transformed slot replaced by the range of its
-        conjugate over the base's guard samples and the corners of the box.  Only a
-        transform of this transform reads it, so it is computed on first read."""
-        pts = np.vstack([_guard_samples(self.base.domain, self.n),
-                         list(itertools.product(*self.base.domain))])
-        vals = np.array([self.base.gradient(p)[self._I] for p in pts])
-        domain = list(self.base.domain)
-        for k, lo, hi in zip(self._I, vals.min(axis=0), vals.max(axis=0)):
-            domain[k] = (float(lo), float(hi))
-        return tuple(domain)
-
     def _mismatch(self, q, target):
         """``grad_I wbar(q) - u_I``, or None where the base cannot be evaluated."""
         try:
             g = self.base.gradient(q)[self._I] - target
-        except (expr.EvalError, OverflowError, RootFindError):
+        except (expr.EvalError, OverflowError):
             return None
         return g if all(map(math.isfinite, g.tolist())) else None
 
@@ -295,14 +265,10 @@ class TransformedRelation(_KeepsTransforms):
         """Block Schur complement: ``-A^-1`` on I x I, ``A^-1 B`` across and
         ``C - B^T A^-1 B`` on the rest, for the base Hessian ``[[A, B], [B^T, C]]``."""
         H = self.base.hessian(self._solve(qvals))
-        A = H[self._II]
-        if A.shape == (1, 1):  # 1 / a is LAPACK's inverse bit for bit
-            A_inv = 1.0 / A if A[0, 0] != 0.0 else None
-        else:
-            try:
-                A_inv = np.linalg.inv(A)
-            except np.linalg.LinAlgError:
-                A_inv = None
+        try:
+            A_inv = np.linalg.inv(H[self._II])
+        except np.linalg.LinAlgError:
+            A_inv = None
         if A_inv is None or not np.isfinite(A_inv).all():
             raise RootFindError(f"singular or non-finite conjugate block at {qvals}")
         M = H[:, self._I] @ A_inv  # (A^-1 H_I.)^T: identity on I, B^T A^-1 on R
@@ -328,8 +294,9 @@ def embed(rel, qvals) -> list:
     return [float(w), *qvals.tolist(), *p.tolist()]
 
 
-def legendre_potential(rel, indices) -> TransformedRelation:
-    """Replace the coordinates of ``indices`` by their conjugates, in one transform.
+def legendre_potential(rel: FundamentalRelation, indices) -> TransformedRelation:
+    """Replace the coordinates of ``indices`` of the fundamental relation ``rel`` by
+    their conjugates, in one transform; any other ``rel`` raises ``TypeError``.
 
     ``indices`` is one coordinate -- a 1-based position or a name -- or an index
     set of them (an ``IndexSubset`` or any iterable).  The returned relation
@@ -341,6 +308,8 @@ def legendre_potential(rel, indices) -> TransformedRelation:
     is spelled; a transform whose monotonicity guard fails is not kept, so
     every call for it raises.
     """
+    if not isinstance(rel, FundamentalRelation):
+        raise TypeError(f"only a FundamentalRelation is transformed, not a {type(rel).__name__}")
     if isinstance(indices, (int, np.integer, str)):
         indices = (indices,)
     positions = []

@@ -1198,3 +1198,23 @@ def test_command_report_is_golden(capsys, name, argv):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "commutator", "--n", "1", "--points", "2", "--json", "{missing}"],
+    ["verify", "--suite", "commutator", "--n", "1", "--points", "2", "--config", "{config}"],
+    ["table", "--n", "1", "--points", "2", "--json", "{missing}"],
+    ["curvature", "--point", "0.1,1,2,3,4", "--json", "{missing}"],
+    ["flow", "--hamiltonian", "hL", "--t", "0.1", "--steps", "2", "--point", "1,2,3",
+     "--json", "{missing}"],
+    ["pullback", "--point", "0.1,1,2,3,4", "--json", "{missing}"],
+], ids=["verify", "verify_config_output", "table", "curvature", "flow", "pullback"])
+def test_an_unwritable_report_path_prints_no_report(tmp_path, capsys, argv):
+    # the file is written before stdout, so exit 2 leaves stdout empty
+    missing = tmp_path / "no_such_dir" / "report.jsonl"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"output = {json.dumps(str(missing))}\n")
+    argv = [a.format(missing=missing, config=config) for a in argv]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

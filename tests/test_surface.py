@@ -12,6 +12,7 @@ import contextlib
 import inspect
 import io
 import os
+import shlex
 import subprocess
 import sys
 from functools import cached_property
@@ -33,12 +34,9 @@ UNREACHED = {
     "metrics.associated_pairs":
         "the paper's associated-metric identity g(X, phi Y) = d_eta(X, Y); "
         "waits for the same change of check ids",
-    "equilibrium.TransformedRelation.domain":
-        "the box a transform of this transform solves in; verify transforms only "
-        "catalog relations, so it is computed on first read",
     "equilibrium.TransformedRelation.hessian":
-        "lets a transformed relation be transformed again or embedded with its "
-        "Jacobian; verify's checks only embed it",
+        "the Hessian of the potential in the new polarization, for a check of the "
+        "paper's Hessian-metric statement; verify's checks only embed the transform",
     "expr.evaluate": "one expression by variable name, for tests and perfbench's "
                      "expr.evaluate span; verify runs compiled tapes",
     "expr.to_string": "printing, the inverse of parse; no report prints an expression",
@@ -152,3 +150,17 @@ def test_the_readme_library_sketch_runs():
     done = subprocess.run([sys.executable, "-c", sketch], capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+
+
+def test_the_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # each "contactgeo" line of the first fenced block under "## Command line", with
+    # lines that end in a backslash joined to the next, run where it may write files
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n")[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("contactgeo ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    exits = {" ".join(argv): cli.main(argv) for argv in commands}
+    capsys.readouterr()
+    assert all(code == 0 for code in exits.values()), exits
