@@ -8,7 +8,7 @@ curvature, and Legendre-submanifold pullbacks from fundamental relations.
 
 from .expr import (EvalError, Expr, ParseError, const, differentiate, evaluate,
                    parse, to_string, var)
-from .phase_space import (CoordinateMap, PhaseSpace, TensorField, contact_form,
+from .phase_space import (CoordinateMap, TensorField, contact_form, coord_names,
                           d_eta, frame, sample_points)
 from .hamiltonian import (IndexSubset, closed_form_commutator,
                           generator_commutator, hamiltonian_vector_field,

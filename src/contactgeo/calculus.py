@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .phase_space import PhaseSpace, TensorField, _obj, contact_form
+from .phase_space import TensorField, _obj, contact_form, coord_names
 
 __all__ = [
     "SingularMetricError",
@@ -48,31 +48,31 @@ class SingularMetricError(ValueError):
     """The metric is singular (or undefined) at the requested point."""
 
 
-def _d(e: Expr, name: str) -> Expr:
-    """``d e / d name``, differentiated only where ``name`` is free in ``e``."""
-    return expr.differentiate(e, name) if name in expr.free_variables(e) else expr.ZERO
-
-
-def lie_bracket(space: PhaseSpace, X: TensorField, Y: TensorField) -> TensorField:
+def lie_bracket(X: TensorField, Y: TensorField) -> TensorField:
     """``[X, Y]^c = X^a d_a Y^c - Y^a d_a X^c``, the Lie derivative of ``Y`` along ``X``."""
     if X.valence != (1, 0) or Y.valence != (1, 0):
         raise ValueError("lie_bracket expects vector fields")
-    return lie_derivative(space, Y, X)
+    return lie_derivative(Y, X)
 
 
-def directional_derivative(space: PhaseSpace, X: TensorField, f: Expr) -> Expr:
+def directional_derivative(X: TensorField, f: Expr) -> Expr:
     """The scalar derivative ``X(f) = X^c d_c f``; no derivative is built where
-    ``X^c`` is ZERO, and no product where the derivative is."""
+    ``X^c`` is ZERO, and no product where the derivative is.  ``f`` may have no
+    free variable outside the coordinates of ``X``."""
+    names = coord_names(X.n)
+    unbound = sorted(expr.free_variables(f) - set(names))
+    if unbound:
+        raise ValueError(f"'{unbound[0]}' is not a coordinate of the {X.dim}-dimensional field")
     acc = expr.ZERO
-    for c, name in enumerate(space.coord_names()):
+    for c, name in enumerate(names):
         if X.comps[c] is not expr.ZERO:
-            df = _d(f, name)
+            df = expr.differentiate(f, name)
             if df is not expr.ZERO:
                 acc = expr.add(acc, expr.mul(X.comps[c], df))
     return acc
 
 
-def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorField:
+def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
     """Lie derivative of ``T`` along the vector field ``X`` (same valence out).
 
     Each component sums over ``c`` the term ``X^c d_c T``, then slot by slot
@@ -87,7 +87,9 @@ def lie_derivative(space: PhaseSpace, T: TensorField, X: TensorField) -> TensorF
     over ``c`` builds."""
     if X.valence != (1, 0):
         raise ValueError("the direction X must be a vector field")
-    names = space.coord_names()
+    if T.dim != X.dim:
+        raise ValueError(f"fields of dimension {T.dim} and {X.dim} live on different phase spaces")
+    names = coord_names(X.n)
     ZERO, add, sub, mul = expr.ZERO, expr.add, expr.sub, expr.mul
     differentiate = expr.differentiate
     shape = T.comps.shape
@@ -144,11 +146,12 @@ def christoffel_symbolic(metric) -> np.ndarray:
         kind = getattr(metric.kind, "value", metric.kind)  # as --metric spells it
         raise SingularMetricError(f"{kind} is not a metric; no connection")
     ZERO, add, sub, mul = expr.ZERO, expr.add, expr.sub, expr.mul
-    names = metric.space.coord_names()
+    names = coord_names(metric.tensor.n)
     dim = len(names)
     g = metric.tensor.comps.tolist()
     ginv = metric.inverse.tolist()
-    dg = [[[_d(g_ab, name) for g_ab in g_a] for g_a in g] for name in names]  # dg[d][a][b]
+    # dg[d][a][b] = d_d g_ab
+    dg = [[[expr.differentiate(g_ab, name) for g_ab in g_a] for g_a in g] for name in names]
 
     gamma = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
     half = expr.const(0.5)
@@ -196,7 +199,7 @@ def require_nonsingular(metric, point) -> np.ndarray:
 def ricci_symbolic(metric) -> np.ndarray:
     """Build the symbolic Ricci tensor from the metric's symbolic connection."""
     ZERO, add, sub, mul = expr.ZERO, expr.add, expr.sub, expr.mul
-    names = metric.space.coord_names()
+    names = coord_names(metric.tensor.n)
     dim = len(names)
     gamma = metric.gamma.tolist()  # gamma[c][a][b] = Gamma^c_ab
 
@@ -218,10 +221,10 @@ def ricci_symbolic(metric) -> np.ndarray:
         for b in range(a, dim):
             acc = ZERO
             for c in range(dim):
-                de = _d(gamma[c][a][b], names[c])
+                de = expr.differentiate(gamma[c][a][b], names[c])
                 if de is not ZERO:
                     acc = add(acc, de)
-            de = _d(contracted[b], names[a])
+            de = expr.differentiate(contracted[b], names[a])
             if de is not ZERO:
                 acc = sub(acc, de)
             for d_i in range(dim):
@@ -259,10 +262,10 @@ def ricci(metric, point, fit: bool = False) -> CurvatureReport:
     from .metrics import MetricKind
 
     g_mat = require_nonsingular(metric, point)
-    space = metric.space
+    n = metric.tensor.n
     ric = np.array(metric.ricci_tape.run(point), dtype=float).reshape(g_mat.shape)
 
-    eta_vals = contact_form(space).evaluate(point)
+    eta_vals = contact_form(n).evaluate(point)
     ee = np.outer(eta_vals, eta_vals)
     fitted = fit or metric.kind != MetricKind.ACS
     if fitted:
@@ -270,7 +273,7 @@ def ricci(metric, point, fit: bool = False) -> CurvatureReport:
         sol, *_ = np.linalg.lstsq(design, ric.reshape(-1), rcond=None)
         lam, nu = float(sol[0]), float(sol[1])
     else:
-        lam, nu = float(2 * space.n + 2), -2.0
+        lam, nu = float(2 * n + 2), -2.0
     residual = float(np.max(np.abs(ric - lam * ee - nu * g_mat)))
     sym_residual = float(np.max(np.abs(ric - ric.T)))
     return CurvatureReport(ric, lam, nu, fitted, residual, sym_residual)

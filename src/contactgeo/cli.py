@@ -31,7 +31,7 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
                           random_polynomial_hamiltonian, rotation_flow,
                           rotation_generator, scaling_generator, scaling_map)
 from .metrics import Metric, MetricKind, metric_from_structure
-from .phase_space import (PhaseSpace, TensorField, contact_form, d_eta, frame, matmul,
+from .phase_space import (TensorField, contact_form, coord_names, d_eta, frame, matmul,
                           outer_11, sample_points)
 from .structures import (LambdaFamily, StructureKind, build_structure,
                          lambda_legendre_residual, product_lambda, structure_identities)
@@ -156,8 +156,8 @@ class RunConfig:
         lam = product_lambda(self.n) if self.lam is None else self.lam
         if lam.n != self.n:
             raise ConfigError(f"lambda family has {lam.n} entries, need {self.n}")
-        coords = PhaseSpace(self.n).coord_names()
-        unbound = sorted(set().union(*map(expr.free_variables, lam.exprs)) - set(coords))
+        free = set().union(*map(expr.free_variables, lam.exprs))
+        unbound = sorted(free - set(coord_names(self.n)))
         if unbound:
             raise ConfigError(f"unbound variable '{unbound[0]}'")
         object.__setattr__(self, "lam", lam)
@@ -167,7 +167,7 @@ class RunConfig:
         share it, so its symbolic work is done once per run and dies with it."""
         key = (n, kind, lam)
         if key not in self._metrics:
-            self._metrics[key] = metric_from_structure(PhaseSpace(n), kind, lam)
+            self._metrics[key] = metric_from_structure(n, kind, lam)
         return self._metrics[key]
 
     def rng(self, check_id: str) -> np.random.Generator:
@@ -228,24 +228,20 @@ def _differences(coords, pairs, rows) -> np.ndarray:
     return expr.compile(diffs, coords).run_batch(rows).T
 
 
-def _sample_rows(space: PhaseSpace, rng, count: int, *metrics: Metric) -> list[list]:
-    """``count`` sampled points, one row of coordinate values per point, each
-    checked by ``calculus.require_nonsingular`` for every metric, in point order."""
-    points = sample_points(space, rng, count)
+def _sample_rows(n: int, rng, count: int, *metrics: Metric) -> list[list]:
+    """``count`` sampled points on ``n`` pairs, one row of coordinate values per point,
+    each checked by ``calculus.require_nonsingular`` for every metric, in point order."""
+    points = sample_points(n, rng, count)
     for pt in points:
         for metric in metrics:
             calculus.require_nonsingular(metric, pt)
     return points
 
 
-def _subsets(n: int) -> list[IndexSubset]:
-    return [IndexSubset.of(c) for r in range(1, n + 1)
-            for c in itertools.combinations(range(1, n + 1), r)]
-
-
 def _subset_masks(n: int) -> np.ndarray:
-    """The membership rows of ``_subsets(n)``, in its order (by size), filled
-    straight from the combinations of each size."""
+    """The membership rows of the non-empty index sets of ``1..n``, by size and
+    within a size in the order of ``itertools.combinations``, filled straight from
+    the combinations of each size."""
     masks = np.zeros((2 ** n - 1, n), dtype=bool)
     start = 0
     for r in range(1, n + 1):
@@ -254,6 +250,11 @@ def _subset_masks(n: int) -> np.ndarray:
         masks[np.arange(start, start + len(members))[:, None], members] = True
         start += len(members)
     return masks
+
+
+def _subsets(n: int) -> list[IndexSubset]:
+    """The index sets of ``_subset_masks(n)``, in its order."""
+    return [IndexSubset.of(np.flatnonzero(row) + 1) for row in _subset_masks(n)]
 
 
 # the rows of one block of an index-set sweep: all 2^n - 1 sets at once would
@@ -277,72 +278,66 @@ def _rows(columns: np.ndarray, index) -> np.ndarray:
 
 def _heisenberg_commutators(cfg, rng):
     for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        fields = frame(space)
+        fields = frame(n)
         xi, Q, P = fields[0], fields[1:n + 1], fields[n + 1:]
-        pairs = [(lie_bracket(space, P[a], Q[b]).comps, xi.comps if a == b else expr.ZERO)
+        pairs = [(lie_bracket(P[a], Q[b]).comps, xi.comps if a == b else expr.ZERO)
                  for a in range(n) for b in range(n)]
-        pairs += [(lie_bracket(space, xi, X).comps, expr.ZERO) for X in Q + P]
-        yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
+        pairs += [(lie_bracket(xi, X).comps, expr.ZERO) for X in Q + P]
+        yield _differences(coord_names(n), pairs, _sample_rows(n, rng, cfg.points))
 
 
 def _heisenberg_reeb(cfg, rng):
     for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        eta, xi = contact_form(space).comps, frame(space)[0].comps
-        pairs = [(matmul(eta, xi), expr.ONE), (matmul(xi, d_eta(space).comps), expr.ZERO)]
-        yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
+        eta, xi = contact_form(n).comps, frame(n)[0].comps
+        pairs = [(matmul(eta, xi), expr.ONE), (matmul(xi, d_eta(n).comps), expr.ZERO)]
+        yield _differences(coord_names(n), pairs, _sample_rows(n, rng, cfg.points))
 
 
 def _heisenberg_gram(cfg, rng):
     for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        E = np.column_stack([f.comps for f in frame(space)[1:]])  # Q_1..Q_n, P^1..P^n
+        E = np.column_stack([f.comps for f in frame(n)[1:]])  # Q_1..Q_n, P^1..P^n
         closed = np.full((2 * n, 2 * n), expr.ZERO)
         closed[range(n), range(n, 2 * n)] = expr.const(0.5)
         closed[range(n, 2 * n), range(n)] = expr.const(-0.5)
-        pair = (matmul(matmul(E.T, d_eta(space).comps), E), closed)
-        yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
+        pair = (matmul(matmul(E.T, d_eta(n).comps), E), closed)
+        yield _differences(coord_names(n), [pair], _sample_rows(n, rng, cfg.points))
 
 
 def _hamiltonian_eta(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    eta = contact_form(space)
+    eta = contact_form(cfg.n)
     for _ in range(20):
-        h = random_polynomial_hamiltonian(space, rng)
-        X = hamiltonian_vector_field(space, h)
-        h_tape = expr.compile((h,), space.coord_names())
-        for pt in sample_points(space, rng, 5):
+        h = random_polynomial_hamiltonian(cfg.n, rng)
+        X = hamiltonian_vector_field(cfg.n, h)
+        h_tape = expr.compile((h,), coord_names(cfg.n))
+        for pt in sample_points(cfg.n, rng, 5):
             yield [eta.evaluate(pt) @ X.evaluate(pt) - h_tape.run(pt)[0]]
 
 
 def _hamiltonian_lie_eta(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    eta = contact_form(space)
+    eta = contact_form(cfg.n)
     for _ in range(20):
-        h = random_polynomial_hamiltonian(space, rng)
-        led = lie_derivative(space, eta, hamiltonian_vector_field(space, h))
+        h = random_polynomial_hamiltonian(cfg.n, rng)
+        led = lie_derivative(eta, hamiltonian_vector_field(cfg.n, h))
         pair = (led.comps, eta.comps * expr.differentiate(h, "w"))
-        yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, 5))
+        yield _differences(coord_names(cfg.n), [pair], _sample_rows(cfg.n, rng, 5))
 
 
-def _generator_flow(name: str, space: PhaseSpace, m: int, t: float):
-    """The generator ``name`` on ``space``, ``hL`` rotating the first ``m`` pairs or
+def _generator_flow(name: str, n: int, m: int, t: float):
+    """The generator ``name`` on ``n`` pairs, ``hL`` rotating the first ``m`` or
     ``hS`` scaling them all, and its closed-form time-``t`` flow of a point."""
     if name == "hL":
-        if not 1 <= m <= space.n:
-            raise ConfigError(f"m={m} must satisfy 1 <= m <= n={space.n}")
+        if not 1 <= m <= n:
+            raise ConfigError(f"m={m} must satisfy 1 <= m <= n={n}")
         subset = IndexSubset.of(range(1, m + 1))
         return rotation_generator(m), partial(rotation_flow, t, subset)
-    return scaling_generator(space.n), _scaling_map(space, t).apply
+    return scaling_generator(n), _scaling_map(n, t).apply
 
 
 def _flows_vs_rk4(name: str, t: float, image: tuple, cfg, rng):
     # one case: the RK4 endpoint against the closed form, and that against its known image
-    space = PhaseSpace(1)
     start = (1.0, 2.0, 3.0)
-    h, flow = _generator_flow(name, space, 1, t)
-    end = np.array(integrate_flow(hamiltonian_vector_field(space, h), start, t, 10_000))
+    h, flow = _generator_flow(name, 1, 1, t)
+    end = np.array(integrate_flow(hamiltonian_vector_field(1, h), start, t, 10_000))
     target = np.array(flow(start))
     yield [np.concatenate([end - target, target - np.array(image)])]
 
@@ -361,87 +356,77 @@ def _flows_legendre_order(cfg, rng):
 
 
 def _flows_eta_preserved(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    eta = contact_form(space)
-    maps = [legendre_map(space, IndexSubset.of(range(1, space.n + 1))),
-            legendre_map(space, IndexSubset.of(1)),
-            scaling_map(space, 0.37)]
-    rows = _sample_rows(space, rng, cfg.points)
+    eta = contact_form(cfg.n)
+    maps = [legendre_map(cfg.n, IndexSubset.of(range(1, cfg.n + 1))),
+            legendre_map(cfg.n, IndexSubset.of(1)),
+            scaling_map(cfg.n, 0.37)]
+    rows = _sample_rows(cfg.n, rng, cfg.points)
     for mapping in maps:
-        yield _differences(space.coord_names(), [(mapping.pullback(eta), eta.comps)], rows)
+        yield _differences(coord_names(cfg.n), [(mapping.pullback(eta), eta.comps)], rows)
 
 
 def _commutator(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    pair = (generator_commutator(space, cfg.m).comps, closed_form_commutator(space, cfg.m).comps)
-    yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
+    pair = (generator_commutator(cfg.n, cfg.m).comps, closed_form_commutator(cfg.n, cfg.m).comps)
+    yield _differences(coord_names(cfg.n), [pair], _sample_rows(cfg.n, rng, cfg.points))
 
 
 def _structure(kind: StructureKind, cfg, rng):
-    space = PhaseSpace(cfg.n)
     lam = cfg.lam if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
-    pairs = structure_identities(space, kind, lam)
-    yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
+    pairs = structure_identities(cfg.n, kind, lam)
+    yield _differences(coord_names(cfg.n), pairs, _sample_rows(cfg.n, rng, cfg.points))
 
 
 def _structures_scaling_pde(cfg, rng):
-    space = PhaseSpace(cfg.n)
     pair = (cfg.lam.scaling_residuals, expr.ZERO)
-    yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
+    yield _differences(coord_names(cfg.n), [pair], _sample_rows(cfg.n, rng, cfg.points))
 
 
 def _table1(kind: MetricKind, cfg, rng):
-    space = PhaseSpace(cfg.n)
     lam = cfg.lam if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
     metric = cfg.metric(kind, cfg.n, lam)
-    generators = {"rotation": rotation_generator(cfg.m), "scaling": scaling_generator(space.n)}
-    pairs = [(lie_derivative(space, metric.tensor, hamiltonian_vector_field(space, h)).comps,
-              tables.lie_derivative_closed_form(space, kind, name, m=cfg.m, lam=lam).comps)
+    generators = {"rotation": rotation_generator(cfg.m), "scaling": scaling_generator(cfg.n)}
+    pairs = [(lie_derivative(metric.tensor, hamiltonian_vector_field(cfg.n, h)).comps,
+              tables.lie_derivative_closed_form(cfg.n, kind, name, m=cfg.m, lam=lam).comps)
              for name, h in generators.items()]
-    yield _differences(space.coord_names(), pairs, _sample_rows(space, rng, cfg.points))
+    yield _differences(coord_names(cfg.n), pairs, _sample_rows(cfg.n, rng, cfg.points))
 
 
 def _einstein(cfg, rng):
-    space = PhaseSpace(cfg.n)
     metric = cfg.metric(MetricKind.ACS, cfg.n)
-    rows = _sample_rows(space, rng, min(cfg.points, 20), metric)
-    eta = contact_form(space).comps
+    rows = _sample_rows(cfg.n, rng, min(cfg.points, 20), metric)
+    eta = contact_form(cfg.n).comps
     # the grouping of the numeric ric - lam * ee - nu * g; an Expr takes no array operand
-    lhs = metric.ricci - np.outer(eta, eta) * expr.const(2 * space.n + 2)
-    yield _differences(space.coord_names(), [(lhs, metric.tensor.comps * expr.const(-2.0))], rows)
+    lhs = metric.ricci - np.outer(eta, eta) * expr.const(2 * cfg.n + 2)
+    yield _differences(coord_names(cfg.n), [(lhs, metric.tensor.comps * expr.const(-2.0))], rows)
 
 
 def _einstein_fit(cfg, rng):
-    space = PhaseSpace(cfg.n)
     metric = cfg.metric(MetricKind.ACS, cfg.n)
-    for pt in sample_points(space, rng, min(cfg.points, 20)):
+    for pt in sample_points(cfg.n, rng, min(cfg.points, 20)):
         rep = calculus.ricci(metric, pt, fit=True)
-        yield [(rep.lam - (2 * space.n + 2), rep.nu + 2.0)]
+        yield [(rep.lam - (2 * cfg.n + 2), rep.nu + 2.0)]
 
 
 def _legendre_invariance(power: int, cfg, rng):
     for n in range(1, min(cfg.n, 3) + 1):
-        space = PhaseSpace(n)
         metric = cfg.metric(MetricKind.LAMBDA, n, product_lambda(n, power=power))
-        rows = _sample_rows(space, rng, cfg.points)
+        rows = _sample_rows(n, rng, cfg.points)
         for I in _subsets(n):
-            pair = (legendre_map(space, I).pullback(metric.tensor), metric.tensor.comps)
-            yield _differences(space.coord_names(), [pair], rows)
+            pair = (legendre_map(n, I).pullback(metric.tensor), metric.tensor.comps)
+            yield _differences(coord_names(n), [pair], rows)
 
 
 def _legendre_even_control(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    metric = cfg.metric(MetricKind.LAMBDA, space.n, product_lambda(space.n, power=2))
-    pair = (legendre_map(space, IndexSubset.of(1)).pullback(metric.tensor), metric.tensor.comps)
-    yield _differences(space.coord_names(), [pair], _sample_rows(space, rng, cfg.points))
+    metric = cfg.metric(MetricKind.LAMBDA, cfg.n, product_lambda(cfg.n, power=2))
+    pair = (legendre_map(cfg.n, IndexSubset.of(1)).pullback(metric.tensor), metric.tensor.comps)
+    yield _differences(coord_names(cfg.n), [pair], _sample_rows(cfg.n, rng, cfg.points))
 
 
 def _legendre_conditions(cfg, rng):
-    space = PhaseSpace(cfg.n)
-    pts = np.array(_sample_rows(space, rng, cfg.points))
-    columns, masks = pts.T.copy(), _subset_masks(space.n).T.copy()
+    pts = np.array(_sample_rows(cfg.n, rng, cfg.points))
+    columns, masks = pts.T.copy(), _subset_masks(cfg.n).T.copy()
     for power in (1, 3):
-        lam = product_lambda(space.n, power=power)
+        lam = product_lambda(cfg.n, power=power)
         here = lam.tape.run_batch(pts)
         # cases in (I, point) order
         for I, k in _sweep_cases(masks.shape[1] * len(pts), len(pts)):
@@ -450,22 +435,20 @@ def _legendre_conditions(cfg, rng):
 
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
     # (nabla xi)^c_b = Gamma^c_{w b}
-    space = PhaseSpace(cfg.n)
     metric = cfg.metric(kind, cfg.n, cfg.lam)
-    rows = _sample_rows(space, rng, cfg.points, metric)
-    pair = (metric.gamma[:, 0, :], -build_structure(space, dual_kind, cfg.lam).comps)
-    yield _differences(space.coord_names(), [pair], rows)
+    rows = _sample_rows(cfg.n, rng, cfg.points, metric)
+    pair = (metric.gamma[:, 0, :], -build_structure(cfg.n, dual_kind, cfg.lam).comps)
+    yield _differences(coord_names(cfg.n), [pair], rows)
 
 
 def _nabla_duality(cfg, rng):
-    space = PhaseSpace(cfg.n)
     m_lam = cfg.metric(MetricKind.LAMBDA, cfg.n, cfg.lam)
     m_bar = cfg.metric(MetricKind.LAMBDA_BAR, cfg.n, cfg.lam)
-    rows = _sample_rows(space, rng, cfg.points, m_lam, m_bar)
-    identity = np.where(np.eye(space.dim, dtype=bool), expr.ONE, expr.ZERO)
-    eta_xi = outer_11(contact_form(space), frame(space)[0]).comps
+    rows = _sample_rows(cfg.n, rng, cfg.points, m_lam, m_bar)
+    identity = np.where(np.eye(m_lam.tensor.dim, dtype=bool), expr.ONE, expr.ZERO)
+    eta_xi = outer_11(contact_form(cfg.n), frame(cfg.n)[0]).comps
     pair = (matmul(m_lam.gamma[:, 0, :], m_bar.gamma[:, 0, :]), identity - eta_xi)
-    yield _differences(space.coord_names(), [pair], rows)
+    yield _differences(coord_names(cfg.n), [pair], rows)
 
 
 def _builtin_relation(cfg: RunConfig, entry_id: str):
@@ -501,7 +484,7 @@ def _equilibrium_hessian(cfg, rng):
 def _equilibrium_eta(cfg, rng):
     for entry in cfg.catalog:
         rel = entry.relation
-        pair = (rel.embedding.pullback(contact_form(PhaseSpace(rel.n))), expr.ZERO)
+        pair = (rel.embedding.pullback(contact_form(rel.n)), expr.ZERO)
         yield _differences(rel.coords, [pair], _domain_samples(rel, rng, cfg.points))
 
 
@@ -674,20 +657,20 @@ def _finite_t(t: float) -> float:
     return t
 
 
-def _scaling_map(space: PhaseSpace, t: float):
+def _scaling_map(n: int, t: float):
     """``scaling_map`` at ``--t``, whose factors ``exp(-t)`` and ``exp(t)`` must be finite."""
     try:
-        return scaling_map(space, t)
+        return scaling_map(n, t)
     except OverflowError:
         raise ConfigError(f"--t must keep the scaling factor exp(|t|) finite, got {t}") from None
 
 
-def _metric_for(args, space: PhaseSpace) -> Metric:
+def _metric_for(args, n: int) -> Metric:
     kind = MetricKind(args.metric)
     lam = None
     if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
-        lam = _parse_lambda(args.lam, space.n) or product_lambda(space.n)
-    return metric_from_structure(space, kind, lam)
+        lam = _parse_lambda(args.lam, n) or product_lambda(n)
+    return metric_from_structure(n, kind, lam)
 
 
 def _emit(lines: list[str], json_path: str | None):
@@ -752,14 +735,21 @@ def _cmd_verify(args) -> int:
     return 0 if report.failures == 0 else 1
 
 
+def _pairs(args, default: int) -> int:
+    """``--n``, or ``default`` without it; checked before anything is parsed against it."""
+    n = args.n if args.n is not None else default
+    coord_names(n)
+    return n
+
+
 def _cmd_curvature(args) -> int:
-    space = PhaseSpace(args.n if args.n is not None else 2)
-    metric = _metric_for(args, space)
-    point = _parse_point(args.point, space.n)
+    n = _pairs(args, 2)
+    metric = _metric_for(args, n)
+    point = _parse_point(args.point, n)
     rep = calculus.ricci(metric, point, fit=args.fit)
     record = {
         "metric": args.metric,
-        "n": space.n,
+        "n": n,
         "point": point,
         "ricci": [row.tolist() for row in rep.ricci],
         "lambda": rep.lam,
@@ -773,8 +763,7 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    n = args.n if args.n is not None else 1
-    space = PhaseSpace(n)
+    n = _pairs(args, 1)
     point = _parse_point(args.point, n)
     t = _finite_t(args.t)
     if args.steps < 1:
@@ -782,14 +771,14 @@ def _cmd_flow(args) -> int:
     m = args.m if args.m is not None else n
     closed = None
     if args.hamiltonian in ("hL", "hS"):
-        h, flow = _generator_flow(args.hamiltonian, space, m, t)
+        h, flow = _generator_flow(args.hamiltonian, n, m, t)
         closed = flow(point)
         if not all(map(math.isfinite, closed)):
             raise ConfigError(f"the closed-form flow is not finite for --t {t} "
                               f"and --point {args.point}")
     else:
         h = expr.parse(args.hamiltonian)
-    X = hamiltonian_vector_field(space, h)
+    X = hamiltonian_vector_field(n, h)
     start = X.tape.run(point)  # a field that fails at --point names its own failure
     if not all(map(math.isfinite, start)):
         raise ConfigError("the Hamiltonian vector field is not finite at --point")
@@ -813,9 +802,9 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_pullback(args) -> int:
-    space = PhaseSpace(args.n if args.n is not None else 2)
-    metric = _metric_for(args, space)
-    point = _parse_point(args.point, space.n)
+    n = _pairs(args, 2)
+    metric = _metric_for(args, n)
+    point = _parse_point(args.point, n)
     if args.map == "legendre":
         text = "1" if args.indices is None else args.indices
         try:
@@ -823,13 +812,13 @@ def _cmd_pullback(args) -> int:
         except ValueError:
             raise ConfigError(f"--indices must be comma-separated integers, "
                               f"got {text!r}") from None
-        if not all(1 <= i <= space.n for i in indices):
-            raise ConfigError(f"--indices must satisfy 1 <= index <= n={space.n}, got {text!r}")
+        if not all(1 <= i <= n for i in indices):
+            raise ConfigError(f"--indices must satisfy 1 <= index <= n={n}, got {text!r}")
         if len(set(indices)) != len(indices):
             raise ConfigError(f"--indices must not repeat an index, got {text!r}")
-        mapping = legendre_map(space, IndexSubset.of(indices))
+        mapping = legendre_map(n, IndexSubset.of(indices))
     else:
-        mapping = _scaling_map(space, _finite_t(args.t))
+        mapping = _scaling_map(n, _finite_t(args.t))
     pulled = TensorField((0, 2), mapping.pullback(metric.tensor)).evaluate(point)
     if not np.isfinite(pulled).all():
         named = (f"--t {args.t}" if args.map == "scaling"

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import expr
 from .expr import Expr
-from .phase_space import CoordinateMap, PhaseSpace, TensorField, _obj, frame
+from .calculus import lie_bracket
+from .phase_space import CoordinateMap, TensorField, _dim, _obj, coord_names, frame
 
 __all__ = [
     "IndexSubset",
@@ -98,15 +99,15 @@ def scaling_generator(n: int) -> Expr:
     return h
 
 
-def hamiltonian_vector_field(space: PhaseSpace, h: Expr) -> TensorField:
-    """The unique field with ``eta(X_h) = h``, via Hamilton's equations."""
-    comps = _obj(space.dim)
+def hamiltonian_vector_field(n: int, h: Expr) -> TensorField:
+    """The unique field on ``n`` pairs with ``eta(X_h) = h``, via Hamilton's equations."""
+    comps = _obj(_dim(n))
     dh_dw = expr.differentiate(h, "w")
     wdot = h
-    for a in range(1, space.n + 1):
+    for a in range(1, n + 1):
         dh_dpa = expr.differentiate(h, f"p{a}")
-        comps[space.q_index(a)] = expr.neg(dh_dpa)
-        comps[space.p_index(a)] = expr.differentiate(h, f"q{a}") + expr.var(f"p{a}") * dh_dw
+        comps[a] = expr.neg(dh_dpa)
+        comps[n + a] = expr.differentiate(h, f"q{a}") + expr.var(f"p{a}") * dh_dw
         wdot = wdot - expr.var(f"p{a}") * dh_dpa
     comps[0] = wdot
     return TensorField((1, 0), comps)
@@ -184,67 +185,64 @@ def integrate_flow(X: TensorField, x, t: float, steps: int) -> list:
     return X.tape.rk4(list(x), t / steps, steps)
 
 
-def generator_commutator(space: PhaseSpace, m: int) -> TensorField:
-    """``[X_hS, X_hL]`` computed with the generic Lie bracket."""
-    if not 1 <= m <= space.n:
-        raise ValueError(f"m must satisfy 1 <= m <= {space.n}")
-    from .calculus import lie_bracket
-
-    XS = hamiltonian_vector_field(space, scaling_generator(space.n))
-    XL = hamiltonian_vector_field(space, rotation_generator(m))
-    return lie_bracket(space, XS, XL)
+def generator_commutator(n: int, m: int) -> TensorField:
+    """``[X_hS, X_hL]`` on ``n`` pairs computed with the generic Lie bracket."""
+    if not 1 <= m <= n:
+        raise ValueError(f"m must satisfy 1 <= m <= {n}")
+    XS = hamiltonian_vector_field(n, scaling_generator(n))
+    XL = hamiltonian_vector_field(n, rotation_generator(m))
+    return lie_bracket(XS, XL)
 
 
-def closed_form_commutator(space: PhaseSpace, m: int) -> TensorField:
+def closed_form_commutator(n: int, m: int) -> TensorField:
     """``sum_{i<=m} [(p_i^2 - q_i^2) xi - 2 (p_i Q_i + q^i P^i)]`` built from the frame."""
-    if not 1 <= m <= space.n:
-        raise ValueError(f"m must satisfy 1 <= m <= {space.n}")
-    fields = frame(space)
+    if not 1 <= m <= n:
+        raise ValueError(f"m must satisfy 1 <= m <= {n}")
+    fields = frame(n)
     xi = fields[0]
-    comps = _obj(space.dim)
+    dim = xi.dim
+    comps = _obj(dim)
     for i in range(1, m + 1):
         qi, pi = expr.var(f"q{i}"), expr.var(f"p{i}")
         Qi = fields[i]
-        Pi = fields[space.n + i]
+        Pi = fields[n + i]
         coef_xi = pi * pi - qi * qi
-        for c in range(space.dim):
+        for c in range(dim):
             term = coef_xi * xi.comps[c] - expr.const(2.0) * (pi * Qi.comps[c] + qi * Pi.comps[c])
             comps[c] = comps[c] + term
     return TensorField((1, 0), comps)
 
 
-def _identity_exprs(space: PhaseSpace) -> np.ndarray:
-    return np.array([expr.var(name) for name in space.coord_names()], dtype=object)
-
-
-def legendre_map(space: PhaseSpace, I: IndexSubset) -> CoordinateMap:
-    """The partial Legendre transformation as a symbolic coordinate map."""
-    I.validate(space.n)
-    exprs = _identity_exprs(space)
+def legendre_map(n: int, I: IndexSubset) -> CoordinateMap:
+    """The partial Legendre transformation on ``n`` pairs as a symbolic coordinate map."""
+    names = coord_names(n)
+    I.validate(n)
+    exprs = np.array([expr.var(name) for name in names], dtype=object)
     w = exprs[0]
     for i in I:
         qi, pi = expr.var(f"q{i}"), expr.var(f"p{i}")
         w = w - qi * pi
-        exprs[space.q_index(i)] = expr.neg(pi)
-        exprs[space.p_index(i)] = qi
+        exprs[i] = expr.neg(pi)
+        exprs[n + i] = qi
     exprs[0] = w
-    return CoordinateMap(exprs, space.coord_names(), label=f"legendre{I.indices}")
+    return CoordinateMap(exprs, names, label=f"legendre{I.indices}")
 
 
-def scaling_map(space: PhaseSpace, t: float) -> CoordinateMap:
-    """The finite scaling ``delta_t`` as a symbolic coordinate map."""
-    exprs = _identity_exprs(space)
+def scaling_map(n: int, t: float) -> CoordinateMap:
+    """The finite scaling ``delta_t`` on ``n`` pairs as a symbolic coordinate map."""
+    names = coord_names(n)
+    exprs = np.array([expr.var(name) for name in names], dtype=object)
     em, ep = math.exp(-t), math.exp(t)
-    for a in range(1, space.n + 1):
-        exprs[space.q_index(a)] = expr.const(em) * expr.var(f"q{a}")
-        exprs[space.p_index(a)] = expr.const(ep) * expr.var(f"p{a}")
-    return CoordinateMap(exprs, space.coord_names(), label=f"scaling(t={t})")
+    for a in range(1, n + 1):
+        exprs[a] = expr.const(em) * expr.var(f"q{a}")
+        exprs[n + a] = expr.const(ep) * expr.var(f"p{a}")
+    return CoordinateMap(exprs, names, label=f"scaling(t={t})")
 
 
-def random_polynomial_hamiltonian(space: PhaseSpace, rng: np.random.Generator) -> Expr:
-    """A random polynomial in ``(w, q, p)`` of four terms with small integer
-    coefficients, each coordinate to a power from 0 to 2."""
-    names = space.coord_names()
+def random_polynomial_hamiltonian(n: int, rng: np.random.Generator) -> Expr:
+    """A random polynomial in ``(w, q, p)`` on ``n`` pairs of four terms with small
+    integer coefficients, each coordinate to a power from 0 to 2."""
+    names = coord_names(n)
     k = len(names)
     # row i: the coefficient of term i, then each coordinate's power; one draw gives
     # the stream of drawing them one at a time, in this order

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus, expr
-from .phase_space import PhaseSpace, TensorField, _obj, contact_form, d_eta, frame, matmul
+from .phase_space import TensorField, _obj, contact_form, coord_names, d_eta, frame, matmul
 from .structures import LambdaFamily, StructureKind, build_structure
 
 __all__ = [
@@ -73,7 +73,6 @@ class Metric:
     """A (0,2) tensor with, for metrics, its symbolic inverse."""
 
     kind: MetricKind | str
-    space: PhaseSpace
     tensor: TensorField
     inverse: np.ndarray | None = field(default=None, repr=False)
 
@@ -90,14 +89,14 @@ class Metric:
     @cached_property
     def ricci_tape(self) -> expr.Tape:
         """All of ``ricci`` in C order, compiled on first use; ``R_ba`` shares a slot."""
-        return expr.compile(self.ricci.reshape(-1), self.space.coord_names())
+        return expr.compile(self.ricci.reshape(-1), coord_names(self.tensor.n))
 
 
-def _frame_block_inverse(space: PhaseSpace, qq, pp, qp) -> np.ndarray:
+def _frame_block_inverse(n: int, qq, pp, qp) -> np.ndarray:
     """``xi (x) xi + sum_a [qq_a Q (x) Q + pp_a P (x) P + qp_a (Q (x) P + P (x) Q)]``."""
-    fields = frame(space)
+    fields = frame(n)
     xi = fields[0]
-    dim = space.dim
+    dim = xi.dim
     out = _obj((dim, dim))
 
     def acc_outer(coef, A, B):
@@ -112,8 +111,8 @@ def _frame_block_inverse(space: PhaseSpace, qq, pp, qp) -> np.ndarray:
                 out[i, j] = expr.add(out[i, j], term)
 
     acc_outer(expr.ONE, xi, xi)
-    for a in range(1, space.n + 1):
-        Q, P = fields[a], fields[space.n + a]
+    for a in range(1, n + 1):
+        Q, P = fields[a], fields[n + a]
         acc_outer(qq[a - 1] if qq else None, Q, Q)
         acc_outer(pp[a - 1] if pp else None, P, P)
         if qp:
@@ -122,40 +121,39 @@ def _frame_block_inverse(space: PhaseSpace, qq, pp, qp) -> np.ndarray:
     return out
 
 
-def _inverse_components(space: PhaseSpace, kind: MetricKind,
+def _inverse_components(n: int, kind: MetricKind,
                         lam: LambdaFamily | None) -> np.ndarray | None:
     two = expr.const(2.0)
     minus_two = expr.const(-2.0)
-    n = space.n
     if kind == MetricKind.ACS:
-        return _frame_block_inverse(space, (two,) * n, (two,) * n, None)
+        return _frame_block_inverse(n, (two,) * n, (two,) * n, None)
     if kind == MetricKind.R:
-        return _frame_block_inverse(space, None, None, (minus_two,) * n)
+        return _frame_block_inverse(n, None, None, (minus_two,) * n)
     if kind == MetricKind.S:
-        return _frame_block_inverse(space, (two,) * n, (minus_two,) * n, None)
+        return _frame_block_inverse(n, (two,) * n, (minus_two,) * n, None)
     if kind == MetricKind.LAMBDA:
         qp = tuple(expr.div(minus_two, la) for la in lam.exprs)
-        return _frame_block_inverse(space, None, None, qp)
+        return _frame_block_inverse(n, None, None, qp)
     if kind == MetricKind.LAMBDA_BAR:
         qp = tuple(expr.mul(minus_two, la) for la in lam.exprs)
-        return _frame_block_inverse(space, None, None, qp)
+        return _frame_block_inverse(n, None, None, qp)
     return None
 
 
-def metric_from_structure(space: PhaseSpace, kind: MetricKind,
+def metric_from_structure(n: int, kind: MetricKind,
                           lam: LambdaFamily | None = None) -> Metric:
-    """Construct ``eta (x) eta + s * d_eta o (phi (x) 1)``.
+    """Construct ``eta (x) eta + s * d_eta o (phi (x) 1)`` on ``n`` pairs.
 
     The half-turn tensor has an antisymmetric horizontal part, so it is no
     metric and has no inverse; it is retained for its invariance checks but
     excluded from the metric-only operations.
     """
     kind = MetricKind(kind)
-    phi = build_structure(space, _STRUCTURE_OF[kind], lam)
-    eta = contact_form(space)
-    deta = d_eta(space)
+    phi = build_structure(n, _STRUCTURE_OF[kind], lam)
+    eta = contact_form(n)
+    deta = d_eta(n)
     sign = expr.const(_SIGN_OF[kind])
-    dim = space.dim
+    dim = phi.dim
 
     comps = _obj((dim, dim))
     for a in range(dim):
@@ -167,7 +165,7 @@ def metric_from_structure(space: PhaseSpace, kind: MetricKind,
                 term = expr.mul(phi.comps[c, a], deta.comps[c, b])
                 acc = expr.add(acc, expr.mul(sign, term))
             comps[a, b] = acc
-    return Metric(kind, space, TensorField((0, 2), comps), _inverse_components(space, kind, lam))
+    return Metric(kind, TensorField((0, 2), comps), _inverse_components(n, kind, lam))
 
 
 def compatibility_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
@@ -178,11 +176,11 @@ def compatibility_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
     ``s`` is +1 for the almost-contact metric and -1 for the reflection-type
     tensors, matching the compatibility conventions of the two families.
     """
-    g, eta = metric.tensor.comps, contact_form(metric.space).comps
+    g, eta = metric.tensor.comps, contact_form(metric.tensor.n).comps
     sign = expr.const(1.0 if metric.kind == MetricKind.ACS else -1.0)
     return [(matmul(matmul(phi.comps.T, g), phi.comps), (g - np.outer(eta, eta)) * sign)]
 
 
 def associated_pairs(metric: Metric, phi: TensorField) -> list[tuple]:
     """``g(X, phi Y) = d_eta(X, Y)`` for all ``X, Y``: ``g phi`` against ``d_eta``."""
-    return [(matmul(metric.tensor.comps, phi.comps), d_eta(metric.space).comps)]
+    return [(matmul(metric.tensor.comps, phi.comps), d_eta(metric.tensor.n).comps)]

@@ -1,8 +1,10 @@
 """The (2n+1)-dimensional phase space in Darboux coordinates.
 
-Coordinates are ordered ``(w, q1..qn, p1..pn)`` everywhere, including
-serialized output, and a point is the sequence of its coordinate values in
-that order.  The contact form is ``eta = dw - sum_a p_a dq^a``, the
+The phase space is its number ``n >= 1`` of conjugate pairs: :func:`coord_names`
+names its coordinates, the builders take ``n`` and a field reads it from its
+components.  Coordinates are ordered ``(w, q1..qn, p1..pn)`` everywhere,
+including serialized output, and a point is the sequence of its coordinate
+values in that order.  The contact form is ``eta = dw - sum_a p_a dq^a``, the
 Reeb field is ``xi = d/dw`` and the horizontal frame is
 
     Q_a = d/dq^a + p_a d/dw,      P^a = d/dp_a,
@@ -31,7 +33,7 @@ import numpy as np
 from . import expr
 
 __all__ = [
-    "PhaseSpace",
+    "coord_names",
     "TensorField",
     "CoordinateMap",
     "contact_form",
@@ -43,34 +45,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
-    """Phase space with ``n`` conjugate coordinate pairs (dimension ``2n+1``)."""
+def _dim(n: int) -> int:
+    """``2n + 1``, the dimension of the phase space with ``n`` conjugate pairs."""
+    if n < 1:
+        raise ValueError("phase space needs n >= 1 conjugate pairs")
+    return 2 * n + 1
 
-    n: int
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("phase space needs n >= 1 conjugate pairs")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + 1
-
-    def coord_names(self) -> tuple[str, ...]:
-        n = self.n
-        return ("w",) + tuple(f"q{a}" for a in range(1, n + 1)) + tuple(f"p{a}" for a in range(1, n + 1))
-
-    def q_index(self, a: int) -> int:
-        """Position of q^a (1-based a) in the coordinate ordering."""
-        if not 1 <= a <= self.n:
-            raise ValueError(f"index {a} out of range 1..{self.n}")
-        return a
-
-    def p_index(self, a: int) -> int:
-        if not 1 <= a <= self.n:
-            raise ValueError(f"index {a} out of range 1..{self.n}")
-        return self.n + a
+def coord_names(n: int) -> tuple[str, ...]:
+    """The coordinate order ``(w, q1..qn, p1..pn)`` for ``n`` conjugate pairs."""
+    _dim(n)
+    return ("w", *(f"q{a}" for a in range(1, n + 1)), *(f"p{a}" for a in range(1, n + 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +78,8 @@ class TensorField:
             raise ValueError("component array rank does not match valence")
         if rank == 2 and self.comps.shape[0] != self.comps.shape[1]:
             raise ValueError("component array must be square")
+        if self.dim < 3 or self.dim % 2 == 0:
+            raise ValueError(f"a phase-space field has 2n + 1 >= 3 components, got {self.dim}")
 
     @property
     def dim(self) -> int:
@@ -106,7 +93,7 @@ class TensorField:
     def tape(self) -> expr.Tape:
         """The components, flattened in C order, compiled on first use against
         the coordinate order."""
-        return expr.compile(self.comps.reshape(-1), PhaseSpace(self.n).coord_names())
+        return expr.compile(self.comps.reshape(-1), coord_names(self.n))
 
     def evaluate(self, point) -> np.ndarray:
         """The components at ``point``, the sequence of its coordinate values
@@ -120,45 +107,47 @@ def _obj(shape) -> np.ndarray:
     return a
 
 
-def contact_form(space: PhaseSpace) -> TensorField:
-    """The Darboux contact form ``eta = dw - sum_a p_a dq^a`` as a covector field."""
-    comps = _obj(space.dim)
+def contact_form(n: int) -> TensorField:
+    """The Darboux contact form ``eta = dw - sum_a p_a dq^a`` on ``n`` pairs as a covector field."""
+    comps = _obj(_dim(n))
     comps[0] = expr.ONE
-    for a in range(1, space.n + 1):
-        comps[space.q_index(a)] = expr.neg(expr.var(f"p{a}"))
+    for a in range(1, n + 1):
+        comps[a] = expr.neg(expr.var(f"p{a}"))
     return TensorField((0, 1), comps)
 
 
-def frame(space: PhaseSpace) -> tuple[TensorField, ...]:
-    """The Reeb field and horizontal frame ``(xi, Q_1..Q_n, P^1..P^n)``."""
+def frame(n: int) -> tuple[TensorField, ...]:
+    """The Reeb field and horizontal frame ``(xi, Q_1..Q_n, P^1..P^n)`` on ``n`` pairs."""
+    dim = _dim(n)
     fields = []
-    xi = _obj(space.dim)
+    xi = _obj(dim)
     xi[0] = expr.ONE
     fields.append(TensorField((1, 0), xi))
-    for a in range(1, space.n + 1):
-        comps = _obj(space.dim)
-        comps[space.q_index(a)] = expr.ONE
+    for a in range(1, n + 1):
+        comps = _obj(dim)
+        comps[a] = expr.ONE
         comps[0] = expr.var(f"p{a}")
         fields.append(TensorField((1, 0), comps))
-    for a in range(1, space.n + 1):
-        comps = _obj(space.dim)
-        comps[space.p_index(a)] = expr.ONE
+    for a in range(1, n + 1):
+        comps = _obj(dim)
+        comps[n + a] = expr.ONE
         fields.append(TensorField((1, 0), comps))
     return tuple(fields)
 
 
-def d_eta(space: PhaseSpace) -> TensorField:
-    """Exterior derivative of the contact form under the 1/2 convention.
+def d_eta(n: int) -> TensorField:
+    """Exterior derivative of the contact form on ``n`` pairs under the 1/2 convention.
 
     The only nonzero components are ``[q^a, p_a] = +1/2`` and
     ``[p_a, q^a] = -1/2``; on the horizontal distribution this is the
     symplectic form of each contact plane.
     """
-    comps = _obj((space.dim, space.dim))
+    dim = _dim(n)
+    comps = _obj((dim, dim))
     half = expr.const(0.5)
-    for a in range(1, space.n + 1):
-        comps[space.q_index(a), space.p_index(a)] = half
-        comps[space.p_index(a), space.q_index(a)] = expr.const(-0.5)
+    for a in range(1, n + 1):
+        comps[a, n + a] = half
+        comps[n + a, a] = expr.const(-0.5)
     return TensorField((0, 2), comps)
 
 
@@ -237,7 +226,7 @@ class CoordinateMap:
         for a (0,1) field and ``J^T (T o phi) J`` for a (0,2) field."""
         if T.valence not in ((0, 1), (0, 2)):
             raise ValueError(f"pullback expects a (0,1) or (0,2) tensor, got {T.valence}")
-        env = dict(zip(PhaseSpace((len(self.exprs) - 1) // 2).coord_names(), self.exprs))
+        env = dict(zip(coord_names((len(self.exprs) - 1) // 2), self.exprs))
         moved = matmul(self.jacobian.T,
                        np.reshape(expr.substitute(T.comps.flat, env), T.comps.shape))
         return moved if T.valence == (0, 1) else matmul(moved, self.jacobian)
@@ -246,9 +235,10 @@ class CoordinateMap:
 _SIGNS = np.array((-1.0, 1.0))
 
 
-def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> list[list]:
-    """Draw points with ``|q|, |p|`` in ``[0.5, 2]`` (random sign) and ``w`` in ``[-1, 1]``,
-    each the list of its Python-float coordinates ``(w, q1..qn, p1..pn)``.
+def sample_points(n: int, rng: np.random.Generator, count: int) -> list[list]:
+    """Draw points on ``n`` pairs with ``|q|, |p|`` in ``[0.5, 2]`` (random sign) and
+    ``w`` in ``[-1, 1]``, each the list of its Python-float coordinates
+    ``(w, q1..qn, p1..pn)``.
 
     Keeping the coordinates away from zero keeps sampled points off the
     ``Lambda = 0`` loci of the reciprocal structures.
@@ -262,12 +252,12 @@ def sample_points(space: PhaseSpace, rng: np.random.Generator, count: int) -> li
     low half first, after any half the generator holds, since numpy's
     bounded draw of ``integers(0, 2)`` is Lemire's ``(half * 2) >> 32``.
     """
+    _dim(n)
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
         raise TypeError(f"sample_points decodes the PCG64 stream, not {type(bitgen).__name__}")
     if count <= 0:
         return []
-    n = space.n
     words = bitgen.random_raw(count * (3 * n + 1)).reshape(count, 3 * n + 1)
     doubles = (words[:, :2 * n + 1] >> 11) * 2.0 ** -53
     ws = -1.0 + 2.0 * doubles[:, 0]

@@ -28,7 +28,7 @@ import numpy as np
 from . import expr
 from .expr import Expr
 from .hamiltonian import legendre_rows
-from .phase_space import (PhaseSpace, TensorField, _obj, contact_form, frame, matmul,
+from .phase_space import (TensorField, _dim, _obj, contact_form, coord_names, frame, matmul,
                           outer_11)
 
 __all__ = [
@@ -69,7 +69,7 @@ class LambdaFamily:
     @cached_property
     def tape(self) -> expr.Tape:
         """The scaling functions, compiled on first use against the coordinate order."""
-        return expr.compile(self.exprs, PhaseSpace(self.n).coord_names())
+        return expr.compile(self.exprs, coord_names(self.n))
 
     @property
     def scaling_residuals(self) -> list[Expr]:
@@ -98,22 +98,22 @@ def _reciprocal(lam: LambdaFamily) -> tuple[Expr, ...]:
     return tuple(expr.div(expr.ONE, e) for e in lam.exprs)
 
 
-def _pair_action(space: PhaseSpace, kind: StructureKind, lam: LambdaFamily | None):
-    """Per-index frame action (alpha, beta, gamma, delta):
+def _pair_action(n: int, kind: StructureKind, lam: LambdaFamily | None):
+    """Per-index frame action (alpha, beta, gamma, delta) on ``n`` pairs:
     phi(Q_a) = alpha_a Q_a + beta_a P^a, phi(P^a) = gamma_a Q_a + delta_a P^a."""
     one, zero = expr.ONE, expr.ZERO
-    none = (zero,) * space.n
+    none = (zero,) * n
 
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
         if lam is None:
             raise ValueError(f"{kind.value} structure requires a LambdaFamily")
-        if lam.n != space.n:
-            raise ValueError(f"LambdaFamily has {lam.n} entries, space needs {space.n}")
+        if lam.n != n:
+            raise ValueError(f"LambdaFamily has {lam.n} entries, space needs {n}")
         coeffs = lam.exprs if kind == StructureKind.LAMBDA else _reciprocal(lam)
         return coeffs, none, none, tuple(expr.neg(c) for c in coeffs)
 
-    ones = (one,) * space.n
-    neg_ones = (expr.const(-1.0),) * space.n
+    ones = (one,) * n
+    neg_ones = (expr.const(-1.0),) * n
     if kind == StructureKind.ALMOST_CONTACT:
         return none, neg_ones, ones, none
     if kind == StructureKind.PI_ROTATION:
@@ -125,13 +125,14 @@ def _pair_action(space: PhaseSpace, kind: StructureKind, lam: LambdaFamily | Non
     raise ValueError(f"unknown structure kind {kind}")
 
 
-def build_structure(space: PhaseSpace, kind: StructureKind,
+def build_structure(n: int, kind: StructureKind,
                     lam: LambdaFamily | None = None) -> TensorField:
-    """The (1,1) automorphism field for ``kind`` in coordinate components."""
-    alpha, beta, gamma, delta = _pair_action(space, kind, lam)
-    comps = _obj((space.dim, space.dim))
-    for a in range(1, space.n + 1):
-        qi, pi = space.q_index(a), space.p_index(a)
+    """The (1,1) automorphism field for ``kind`` on ``n`` pairs in coordinate components."""
+    dim = _dim(n)
+    alpha, beta, gamma, delta = _pair_action(n, kind, lam)
+    comps = _obj((dim, dim))
+    for a in range(1, n + 1):
+        qi, pi = a, n + a
         pa = expr.var(f"p{a}")
         al, be, ga, de = alpha[a - 1], beta[a - 1], gamma[a - 1], delta[a - 1]
         # phi(d/dq^a) = phi(Q_a) since phi kills xi and d/dq^a = Q_a - p_a xi
@@ -144,12 +145,14 @@ def build_structure(space: PhaseSpace, kind: StructureKind,
     return TensorField((1, 1), comps)
 
 
-def scaled_horizontal_identity(space: PhaseSpace, coeffs: tuple[Expr, ...]) -> TensorField:
-    """``eta (x) xi + sum_a c_a (dq^a (x) Q_a + dp_a (x) P^a)`` for given coefficients."""
-    comps = _obj((space.dim, space.dim))
+def scaled_horizontal_identity(n: int, coeffs: tuple[Expr, ...]) -> TensorField:
+    """``eta (x) xi + sum_a c_a (dq^a (x) Q_a + dp_a (x) P^a)`` on ``n`` pairs for given
+    coefficients."""
+    dim = _dim(n)
+    comps = _obj((dim, dim))
     comps[0, 0] = expr.ONE
-    for a in range(1, space.n + 1):
-        qi, pi = space.q_index(a), space.p_index(a)
+    for a in range(1, n + 1):
+        qi, pi = a, n + a
         pa = expr.var(f"p{a}")
         c = coeffs[a - 1]
         # eta (x) xi contributes -p_a on the (w, q^a) slot; dq^a (x) Q_a adds c_a p_a
@@ -159,27 +162,27 @@ def scaled_horizontal_identity(space: PhaseSpace, coeffs: tuple[Expr, ...]) -> T
     return TensorField((1, 1), comps)
 
 
-def structure_identities(space: PhaseSpace, kind: StructureKind,
+def structure_identities(n: int, kind: StructureKind,
                          lam: LambdaFamily | None) -> list[tuple]:
-    """The defining identities of the ``kind`` structure as ``(lhs, rhs)`` pairs
+    """The defining identities of the ``kind`` structure on ``n`` pairs as ``(lhs, rhs)`` pairs
     of symbolic component arrays: ``phi o phi`` against the horizontal identity
     ``1 - eta (x) xi`` scaled index-wise by -1, 1 or ``c_a^2``, where ``phi(Q_a) =
     c_a Q_a``; ``eta o phi`` and ``phi(xi)`` against zero; and for the scaled
     families ``phi_L o phi_Lbar`` against ``1 - eta (x) xi``.  ``matmul`` sums
     the contracted index in increasing order."""
-    phi = build_structure(space, kind, lam).comps
-    eta, xi = contact_form(space), frame(space)[0]
+    phi = build_structure(n, kind, lam).comps
+    eta, xi = contact_form(n), frame(n)[0]
     eta_xi = outer_11(eta, xi).comps
-    ones = (expr.ONE,) * space.n
-    square = (expr.const(-1.0),) * space.n if kind == StructureKind.ALMOST_CONTACT else ones
+    ones = (expr.ONE,) * n
+    square = (expr.const(-1.0),) * n if kind == StructureKind.ALMOST_CONTACT else ones
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
-        square = tuple(expr.mul(c, c) for c in _pair_action(space, kind, lam)[0])
-    pairs = [(matmul(phi, phi), scaled_horizontal_identity(space, square).comps - eta_xi),
+        square = tuple(expr.mul(c, c) for c in _pair_action(n, kind, lam)[0])
+    pairs = [(matmul(phi, phi), scaled_horizontal_identity(n, square).comps - eta_xi),
              (matmul(eta.comps, phi), expr.ZERO), (matmul(phi, xi.comps), expr.ZERO)]
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
         other = StructureKind.LAMBDA_BAR if kind == StructureKind.LAMBDA else StructureKind.LAMBDA
-        dual = build_structure(space, other, lam).comps
-        pairs.append((matmul(phi, dual), scaled_horizontal_identity(space, ones).comps - eta_xi))
+        dual = build_structure(n, other, lam).comps
+        pairs.append((matmul(phi, dual), scaled_horizontal_identity(n, ones).comps - eta_xi))
     return pairs
 
 

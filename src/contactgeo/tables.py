@@ -26,19 +26,20 @@ from .calculus import directional_derivative
 from .hamiltonian import (hamiltonian_vector_field, rotation_generator,
                           scaling_generator)
 from .metrics import MetricKind
-from .phase_space import PhaseSpace, TensorField, _obj
+from .phase_space import TensorField, _dim, _obj
 from .structures import LambdaFamily, _reciprocal
 
 __all__ = ["lie_derivative_closed_form"]
 
 
-def lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: str,
+def lie_derivative_closed_form(n: int, kind: MetricKind, generator: str,
                                m: int | None = None,
                                lam: LambdaFamily | None = None) -> TensorField:
-    """Expected ``L_X g`` for the tensor of ``kind`` along one generator.
+    """Expected ``L_X g`` on ``n`` pairs for the tensor of ``kind`` along one generator.
 
     ``generator`` is ``"rotation"`` (needs ``m``) or ``"scaling"``.
     """
+    dim = _dim(n)
     kind = MetricKind(kind)
     if generator not in ("rotation", "scaling"):
         raise ValueError("generator must be 'rotation' or 'scaling'")
@@ -46,10 +47,10 @@ def lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: s
     if rotation:
         if m is None:
             raise ValueError("the rotation generator needs m")
-        if not 1 <= m <= space.n:
-            raise ValueError(f"m must satisfy 1 <= m <= {space.n}")
+        if not 1 <= m <= n:
+            raise ValueError(f"m must satisfy 1 <= m <= {n}")
     zero, one, minus = expr.ZERO, expr.ONE, expr.const(-1.0)
-    pairs = range(m) if rotation else range(space.n)
+    pairs = range(m) if rotation else range(n)
     # pair a -> the coefficients of (dq (x) dq, dp (x) dp, dq (x) dp + dp (x) dq)
     rows = {}
     if (kind == MetricKind.ACS and not rotation) or (kind == MetricKind.R and rotation):
@@ -60,17 +61,17 @@ def lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: s
         if lam is None:
             raise ValueError(f"{kind.value} needs a LambdaFamily")
         coeffs = lam.exprs if kind == MetricKind.LAMBDA else _reciprocal(lam)
-        gen = rotation_generator(m) if rotation else scaling_generator(space.n)
-        X = hamiltonian_vector_field(space, gen)
-        for a in range(space.n):
-            rate = directional_derivative(space, X, coeffs[a])
+        gen = rotation_generator(m) if rotation else scaling_generator(n)
+        X = hamiltonian_vector_field(n, gen)
+        for a in range(n):
+            rate = directional_derivative(X, coeffs[a])
             rows[a] = (zero, zero, expr.mul(expr.const(-0.5), rate))
         if rotation:
             for i in range(m):
                 c = expr.neg(coeffs[i])
                 rows[i] = (c, expr.mul(c, minus), rows[i][2])
-    comps = _obj((space.dim, space.dim))
+    comps = _obj((dim, dim))
     for a, (qq, pp, sym) in rows.items():
-        q, p = space.q_index(a + 1), space.p_index(a + 1)
+        q, p = a + 1, n + a + 1
         comps[q, q], comps[p, p], comps[q, p], comps[p, q] = qq, pp, sym, sym
     return TensorField((0, 2), comps)

@@ -15,13 +15,13 @@ from contactgeo.expr import (_FUNCTIONS, Expr, ParseError, add, const, div, mul,
 from contactgeo.hamiltonian import (hamiltonian_vector_field, integrate_flow,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import Metric, MetricKind
-from contactgeo.phase_space import PhaseSpace, TensorField, _obj
+from contactgeo.phase_space import TensorField, _obj, coord_names
 from contactgeo.structures import LambdaFamily, _reciprocal
 
 
 def bindings(point):
     """The name-keyed mapping that ``expr.evaluate`` reads, for a phase point."""
-    return dict(zip(PhaseSpace((len(point) - 1) // 2).coord_names(), point))
+    return dict(zip(coord_names((len(point) - 1) // 2), point))
 
 
 def partial_legendre_scalar(I, x):
@@ -62,24 +62,24 @@ def gamma_at(metric, point):
     """``Gamma^c_ab`` of ``metric`` at ``point``: the singular-metric guard, then the
     symbolic connection ``Metric.gamma`` compiled and run there."""
     require_nonsingular(metric, point)
-    tape = expr.compile(metric.gamma.reshape(-1), metric.space.coord_names())
+    tape = expr.compile(metric.gamma.reshape(-1), coord_names(metric.tensor.n))
     return np.array(tape.run(point)).reshape(metric.gamma.shape)
 
 
-def metric_from_components(space, comps, inverse=None, label="custom"):
+def metric_from_components(comps, inverse=None, label="custom"):
     """Wrap explicit (0,2) components (plus optional symbolic inverse) as a metric."""
-    return Metric(label, space, TensorField((0, 2), comps), inverse)
+    return Metric(label, TensorField((0, 2), comps), inverse)
 
 
-def flat_metric(space):
-    """The Euclidean test metric (identity components) with its trivial inverse."""
-    dim = space.dim
+def flat_metric(n):
+    """The Euclidean test metric on ``n`` pairs (identity components) with its trivial inverse."""
+    dim = 2 * n + 1
     comps = _obj((dim, dim))
     inverse = _obj((dim, dim))
     for i in range(dim):
         comps[i, i] = expr.ONE
         inverse[i, i] = expr.ONE
-    return metric_from_components(space, comps, inverse, label="flat")
+    return metric_from_components(comps, inverse, label="flat")
 
 
 def central_difference(e, name, bindings, h=1e-5):
@@ -124,7 +124,7 @@ def random_expression(rng, names, depth=3):
     return expr.log(arg * arg + expr.const(float(rng.uniform(0.5, 1.5))))
 
 
-def flow_lie_derivative(space, tensor, X, point, t=1e-4, steps=32):
+def flow_lie_derivative(tensor, X, point, t=1e-4, steps=32):
     """Flow-based Lie derivative oracle for (0,2) tensors.
 
     Computes ``d/dt (Phi_t^* T)(x)`` at ``t = 0`` by central differences of the
@@ -132,7 +132,7 @@ def flow_lie_derivative(space, tensor, X, point, t=1e-4, steps=32):
     differences over perturbed initial conditions.  Fully independent of the
     coordinate Lie-derivative formula; accuracy is a few 1e-6.
     """
-    dim = space.dim
+    dim = tensor.dim
 
     def flow(arr, tt):
         return np.array(integrate_flow(X, arr.tolist(), tt, steps))
@@ -210,15 +210,15 @@ def ricci_fd(metric_fn, arr: np.ndarray, h: float = 1e-4) -> np.ndarray:
 # mul/add fold the zeros away.  They are the oracle for the sparse builders,
 # which must give the same interned node for every component.
 
-def dense_directional_derivative(space, X, f):
+def dense_directional_derivative(X, f):
     acc = expr.ZERO
-    for c, name in enumerate(space.coord_names()):
+    for c, name in enumerate(coord_names(X.n)):
         acc = acc + X.comps[c] * expr.differentiate(f, name)
     return acc
 
 
-def dense_lie_derivative(space, T, X):
-    names = space.coord_names()
+def dense_lie_derivative(T, X):
+    names = coord_names(X.n)
     comps = _obj(T.comps.shape)
     for idx in np.ndindex(T.comps.shape):
         acc = expr.ZERO
@@ -235,9 +235,8 @@ def dense_lie_derivative(space, T, X):
 
 
 def dense_christoffel_symbolic(metric):
-    space = metric.space
-    names = space.coord_names()
-    dim = space.dim
+    names = coord_names(metric.tensor.n)
+    dim = len(names)
     g = metric.tensor.comps
     ginv = metric.inverse
 
@@ -262,9 +261,9 @@ def dense_christoffel_symbolic(metric):
     return gamma
 
 
-def dense_ricci_symbolic(space, gamma):
-    names = space.coord_names()
-    dim = space.dim
+def dense_ricci_symbolic(gamma):
+    dim = gamma.shape[0]
+    names = coord_names((dim - 1) // 2)
 
     contracted = np.empty(dim, dtype=object)
     for b in range(dim):
@@ -289,10 +288,10 @@ def dense_ricci_symbolic(space, gamma):
     return ric
 
 
-def loop_random_polynomial_hamiltonian(space, rng):
+def loop_random_polynomial_hamiltonian(n, rng):
     """``random_polynomial_hamiltonian`` as it drew before: one scalar draw per
     coefficient and per power, in the order of one broadcast draw's rows."""
-    names = space.coord_names()
+    names = coord_names(n)
     h = expr.ZERO
     for _ in range(4):
         coeff = float(rng.integers(-3, 4))
@@ -307,13 +306,13 @@ def loop_random_polynomial_hamiltonian(space, rng):
     return h
 
 
-def choice_sample_points(space, rng, count):
+def choice_sample_points(n, rng, count):
     """``sample_points`` as it drew before, with the signs from ``rng.choice``."""
     pts = []
     for _ in range(count):
         w = rng.uniform(-1.0, 1.0)
-        mags = rng.uniform(0.5, 2.0, size=2 * space.n)
-        signs = rng.choice((-1.0, 1.0), size=2 * space.n)
+        mags = rng.uniform(0.5, 2.0, size=2 * n)
+        signs = rng.choice((-1.0, 1.0), size=2 * n)
         pts.append([w, *(mags * signs).tolist()])
     return pts
 
@@ -335,11 +334,12 @@ def dense_metric_sum(eta, deta, phi, sign):
 # covector algebra that only the tests use: the coordinate coframe, tensor
 # products of covectors, and sums and scalar multiples of fields
 
-def coframe(space: PhaseSpace) -> tuple[TensorField, ...]:
-    """The coordinate coframe ``(dw, dq^1..dq^n, dp_1..dp_n)``."""
+def coframe(n: int) -> tuple[TensorField, ...]:
+    """The coordinate coframe ``(dw, dq^1..dq^n, dp_1..dp_n)`` on ``n`` pairs."""
+    dim = 2 * n + 1
     fields = []
-    for c in range(space.dim):
-        comps = _obj(space.dim)
+    for c in range(dim):
+        comps = _obj(dim)
         comps[c] = expr.ONE
         fields.append(TensorField((0, 1), comps))
     return tuple(fields)
@@ -386,7 +386,7 @@ def _sym(dq: TensorField, dp: TensorField) -> TensorField:
     return add_tensors(outer_02(dp, dq), outer_02(dq, dp))
 
 
-def composed_lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, generator: str,
+def composed_lie_derivative_closed_form(n: int, kind: MetricKind, generator: str,
                                         m: int | None = None,
                                         lam: LambdaFamily | None = None) -> TensorField:
     """Expected ``L_X g`` for the tensor of ``kind`` along one generator.
@@ -400,12 +400,11 @@ def composed_lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, gen
     if rotation:
         if m is None:
             raise ValueError("the rotation generator needs m")
-        if not 1 <= m <= space.n:
-            raise ValueError(f"m must satisfy 1 <= m <= {space.n}")
-    co = coframe(space)
-    dq = [co[space.q_index(a)] for a in range(1, space.n + 1)]
-    dp = [co[space.p_index(a)] for a in range(1, space.n + 1)]
-    zero = TensorField((0, 2), _obj((space.dim, space.dim)))
+        if not 1 <= m <= n:
+            raise ValueError(f"m must satisfy 1 <= m <= {n}")
+    co = coframe(n)
+    dq, dp = co[1:n + 1], co[n + 1:]
+    zero = TensorField((0, 2), _obj((2 * n + 1, 2 * n + 1)))
 
     if kind == MetricKind.ALPHA_PI:
         return zero
@@ -415,7 +414,7 @@ def composed_lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, gen
             return zero
         return add_tensors(*[add_tensors(outer_02(dp[a], dp[a]),
                                          scale_tensor(outer_02(dq[a], dq[a]), -1.0))
-                             for a in range(space.n)])
+                             for a in range(n)])
 
     if kind == MetricKind.R:
         if not rotation:
@@ -429,17 +428,17 @@ def composed_lie_derivative_closed_form(space: PhaseSpace, kind: MetricKind, gen
             return add_tensors(*[scale_tensor(_sym(dq[i], dp[i]), -1.0) for i in range(m)])
         return add_tensors(*[scale_tensor(add_tensors(outer_02(dp[a], dp[a]),
                                                       outer_02(dq[a], dq[a])), -1.0)
-                             for a in range(space.n)])
+                             for a in range(n)])
 
     if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
         if lam is None:
             raise ValueError(f"{kind.value} needs a LambdaFamily")
         coeffs = lam.exprs if kind == MetricKind.LAMBDA else _reciprocal(lam)
-        gen = rotation_generator(m) if rotation else scaling_generator(space.n)
-        X = hamiltonian_vector_field(space, gen)
+        gen = rotation_generator(m) if rotation else scaling_generator(n)
+        X = hamiltonian_vector_field(n, gen)
         pieces = []
-        for a in range(space.n):
-            rate = directional_derivative(space, X, coeffs[a])
+        for a in range(n):
+            rate = directional_derivative(X, coeffs[a])
             pieces.append(scale_tensor(_sym(dq[a], dp[a]),
                                        expr.mul(expr.const(-0.5), rate)))
         if rotation:

@@ -25,7 +25,7 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     rotation_flow, rotation_generator,
                                     scaling_generator, scaling_map)
 from contactgeo.metrics import MetricKind, metric_from_structure
-from contactgeo.phase_space import PhaseSpace, contact_form, d_eta, frame, sample_points
+from contactgeo.phase_space import contact_form, coord_names, d_eta, frame, sample_points
 from contactgeo.structures import (StructureKind, build_structure, product_lambda,
                                    structure_identities)
 from contactgeo.tables import lie_derivative_closed_form
@@ -45,17 +45,16 @@ def test_criterion_01_heisenberg_and_reeb():
     rng = np.random.default_rng(1)
     worst = 0.0
     for n in (1, 2, 3):
-        space = PhaseSpace(n)
-        fields = frame(space)
+        fields = frame(n)
         xi, Q, P = fields[0], fields[1:n + 1], fields[n + 1:]
-        eta, deta = contact_form(space), d_eta(space)
+        eta, deta = contact_form(n), d_eta(n)
         brackets = []
         for a in range(n):
             for b in range(n):
-                brackets.append((lie_bracket(space, P[a], Q[b]), a == b))
-            brackets.append((lie_bracket(space, xi, Q[a]), False))
-            brackets.append((lie_bracket(space, xi, P[a]), False))
-        for pt in sample_points(space, rng, 100):
+                brackets.append((lie_bracket(P[a], Q[b]), a == b))
+            brackets.append((lie_bracket(xi, Q[a]), False))
+            brackets.append((lie_bracket(xi, P[a]), False))
+        for pt in sample_points(n, rng, 100):
             xv = xi.evaluate(pt)
             for bracket, is_reeb in brackets:
                 want = xv if is_reeb else 0.0
@@ -69,15 +68,15 @@ def test_criterion_01_heisenberg_and_reeb():
 
 def test_criterion_02_hamiltonian_field_identities():
     rng = np.random.default_rng(2)
-    space = PhaseSpace(2)
-    eta = contact_form(space)
+    n = 2
+    eta = contact_form(n)
     worst = 0.0
     for _ in range(20):
-        h = random_polynomial_hamiltonian(space, rng)
-        X = hamiltonian_vector_field(space, h)
-        led = lie_derivative(space, eta, X)
+        h = random_polynomial_hamiltonian(n, rng)
+        X = hamiltonian_vector_field(n, h)
+        led = lie_derivative(eta, X)
         dh_dw = expr.differentiate(h, "w")
-        for pt in sample_points(space, rng, 5):
+        for pt in sample_points(n, rng, 5):
             b = bindings(pt)
             worst = max(worst, abs(eta.evaluate(pt) @ X.evaluate(pt) - expr.evaluate(h, b)))
             scale = expr.evaluate(dh_dw, b)
@@ -86,14 +85,14 @@ def test_criterion_02_hamiltonian_field_identities():
 
 
 def test_criterion_03_flows_and_involutivity():
-    space = PhaseSpace(1)
+    n = 1
     start_pt = (1.0, 2.0, 3.0)
-    XL = hamiltonian_vector_field(space, rotation_generator(1))
-    XS = hamiltonian_vector_field(space, scaling_generator(1))
+    XL = hamiltonian_vector_field(n, rotation_generator(1))
+    XS = hamiltonian_vector_field(n, scaling_generator(1))
     rot_dev = _max_abs(np.array(integrate_flow(XL, start_pt, math.pi / 2, 10_000))
                        - rotation_flow(math.pi / 2, IndexSubset.of(1), start_pt))
     scale_dev = _max_abs(np.array(integrate_flow(XS, start_pt, math.log(2.0), 10_000))
-                         - scaling_map(space, math.log(2.0)).apply(start_pt))
+                         - scaling_map(n, math.log(2.0)).apply(start_pt))
     x = np.array([start_pt])
     for _ in range(4):
         x = legendre_rows(index_mask(IndexSubset.of(1), 1)[None, :], x)
@@ -105,24 +104,23 @@ def test_criterion_03_flows_and_involutivity():
 
 def test_criterion_04_generator_commutator():
     rng = np.random.default_rng(4)
-    space = PhaseSpace(2)
-    bracket = generator_commutator(space, 1)
-    closed = closed_form_commutator(space, 1)
+    n = 2
+    bracket = generator_commutator(n, 1)
+    closed = closed_form_commutator(n, 1)
     worst = max(_max_abs(bracket.evaluate(pt) - closed.evaluate(pt))
-                for pt in sample_points(space, rng, 50))
+                for pt in sample_points(n, rng, 50))
     _report(4, worst < 1e-10, f"residual {worst:.3e} at 50 points, n=2, m=1")
 
 
 def test_criterion_05_structure_identities():
     rng = np.random.default_rng(5)
-    space = PhaseSpace(2)
-    pts = sample_points(space, rng, 100)
+    n = 2
+    pts = sample_points(n, rng, 100)
     lam = product_lambda(2)
     worst = 0.0
     for kind in StructureKind:
         fam = lam if kind.value.startswith("lambda") else None
-        cases = cli._differences(space.coord_names(), structure_identities(space, kind, fam),
-                                 pts)
+        cases = cli._differences(coord_names(n), structure_identities(n, kind, fam), pts)
         worst = max(worst, *cli._worst(cases))
     _report(5, worst < 1e-12, f"residual {worst:.3e} over all six structures, 100 points")
 
@@ -130,19 +128,19 @@ def test_criterion_05_structure_identities():
 def test_criterion_06_lie_derivative_table():
     start = time.perf_counter()
     rng = np.random.default_rng(6)
-    space = PhaseSpace(2)
+    n = 2
     m = 1
     lam = product_lambda(2)
-    pts = sample_points(space, rng, 50)
-    XL = hamiltonian_vector_field(space, rotation_generator(m))
-    XS = hamiltonian_vector_field(space, scaling_generator(2))
+    pts = sample_points(n, rng, 50)
+    XL = hamiltonian_vector_field(n, rotation_generator(m))
+    XS = hamiltonian_vector_field(n, scaling_generator(2))
     worst = 0.0
     for kind in MetricKind:
         fam = lam if kind.value.startswith("lambda") else None
-        metric = metric_from_structure(space, kind, fam)
+        metric = metric_from_structure(n, kind, fam)
         for X, generator in ((XL, "rotation"), (XS, "scaling")):
-            got = lie_derivative(space, metric.tensor, X)
-            want = lie_derivative_closed_form(space, kind, generator, m=m, lam=fam)
+            got = lie_derivative(metric.tensor, X)
+            want = lie_derivative_closed_form(n, kind, generator, m=m, lam=fam)
             for pt in pts:
                 worst = max(worst, _max_abs(got.evaluate(pt) - want.evaluate(pt)))
     elapsed = time.perf_counter() - start
@@ -156,9 +154,8 @@ def test_criterion_07_eta_einstein():
     runtime_n3 = 0.0
     for n in (1, 2, 3):
         start = time.perf_counter()
-        space = PhaseSpace(n)
-        metric = metric_from_structure(space, MetricKind.ACS)
-        for pt in sample_points(space, rng, 20):
+        metric = metric_from_structure(n, MetricKind.ACS)
+        for pt in sample_points(n, rng, 20):
             worst = max(worst, ricci(metric, pt).eta_einstein_residual)
         if n == 3:
             runtime_n3 = time.perf_counter() - start
@@ -171,37 +168,35 @@ def test_criterion_08_finite_legendre_invariance():
     worst = 0.0
     for power in (1, 3):
         for n in (1, 2, 3):
-            space = PhaseSpace(n)
-            metric = metric_from_structure(space, MetricKind.LAMBDA,
+            metric = metric_from_structure(n, MetricKind.LAMBDA,
                                            product_lambda(n, power=power))
-            pts = sample_points(space, rng, 10)
+            pts = sample_points(n, rng, 10)
             for r in range(1, n + 1):
                 for combo in itertools.combinations(range(1, n + 1), r):
-                    mapping = legendre_map(space, IndexSubset.of(combo))
+                    mapping = legendre_map(n, IndexSubset.of(combo))
                     for pt in pts:
                         pulled = pulled_back(mapping, metric.tensor, pt)
                         worst = max(worst, _max_abs(pulled - metric.tensor.evaluate(pt)))
     # negative control: the even family must visibly break invariance
-    space = PhaseSpace(2)
-    even = metric_from_structure(space, MetricKind.LAMBDA, product_lambda(2, power=2))
-    mapping = legendre_map(space, IndexSubset.of(1))
+    even = metric_from_structure(2, MetricKind.LAMBDA, product_lambda(2, power=2))
+    mapping = legendre_map(2, IndexSubset.of(1))
     control = min(_max_abs(pulled_back(mapping, even.tensor, pt)
                            - even.tensor.evaluate(pt))
-                  for pt in sample_points(space, rng, 20))
+                  for pt in sample_points(2, rng, 20))
     _report(8, worst < 1e-9 and control > 1e-2,
             f"invariance residual {worst:.3e}, even-family control {control:.3e}")
 
 
 def test_criterion_09_reeb_covariant_derivative():
     rng = np.random.default_rng(9)
-    space = PhaseSpace(2)
+    n = 2
     lam = product_lambda(2)
-    g_lam = metric_from_structure(space, MetricKind.LAMBDA, lam)
-    g_bar = metric_from_structure(space, MetricKind.LAMBDA_BAR, lam)
-    phi_lam = build_structure(space, StructureKind.LAMBDA, lam)
-    phi_bar = build_structure(space, StructureKind.LAMBDA_BAR, lam)
+    g_lam = metric_from_structure(n, MetricKind.LAMBDA, lam)
+    g_bar = metric_from_structure(n, MetricKind.LAMBDA_BAR, lam)
+    phi_lam = build_structure(n, StructureKind.LAMBDA, lam)
+    phi_bar = build_structure(n, StructureKind.LAMBDA_BAR, lam)
     worst = 0.0
-    for pt in sample_points(space, rng, 50):
+    for pt in sample_points(n, rng, 50):
         worst = max(worst, _max_abs(gamma_at(g_lam, pt)[:, 0, :] + phi_bar.evaluate(pt)))
         worst = max(worst, _max_abs(gamma_at(g_bar, pt)[:, 0, :] + phi_lam.evaluate(pt)))
     _report(9, worst < 1e-9, f"residual {worst:.3e} at 50 points off the zero locus")
@@ -212,7 +207,7 @@ def test_criterion_10_hessian_pullback_and_involution():
     worst_hessian = 0.0
     for entry in catalog():
         rel = entry.relation
-        gr = metric_from_structure(PhaseSpace(rel.n), MetricKind.R)
+        gr = metric_from_structure(rel.n, MetricKind.R)
         lo = np.array([d[0] for d in rel.domain])
         hi = np.array([d[1] for d in rel.domain])
         margin = 0.05 * (hi - lo)

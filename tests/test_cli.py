@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from contactgeo import cli, equilibrium, expr, hamiltonian, metrics, structures,
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
 from contactgeo.metrics import MetricKind
-from contactgeo.phase_space import CoordinateMap, PhaseSpace, TensorField
+from contactgeo.phase_space import CoordinateMap, TensorField
 from contactgeo.structures import StructureKind
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -631,10 +632,14 @@ def test_legendre_order_points_are_the_per_point_draws(monkeypatch, n):
 
 
 def test_subset_masks_are_the_index_subsets_masks():
+    # both are the non-empty index sets of 1..n by size, each size in combinations order
     for n in range(1, 13):
-        want = np.array([index_mask(I, n) for I in cli._subsets(n)])
+        subsets = [hamiltonian.IndexSubset.of(c) for r in range(1, n + 1)
+                   for c in itertools.combinations(range(1, n + 1), r)]
+        want = np.array([index_mask(I, n) for I in subsets])
         got = cli._subset_masks(n)
         assert got.dtype == want.dtype and np.array_equal(got, want), n
+        assert cli._subsets(n) == subsets, n
 
 
 class _OverflowingDraws:
@@ -773,13 +778,13 @@ class TestDeclaredResiduals:
     def test_a_flipped_structure_sign_fails_its_check(self, monkeypatch):
         build = structures.build_structure
 
-        def flipped(space, kind, lam=None):
+        def flipped(n, kind, lam=None):
             # phi(Q_1) = -P^1 becomes +P^1 for the quarter turn alone
-            phi = build(space, kind, lam)
+            phi = build(n, kind, lam)
             if kind != StructureKind.ALMOST_CONTACT:
                 return phi
             comps = phi.comps.copy()
-            comps[space.p_index(1), space.q_index(1)] = expr.ONE
+            comps[n + 1, 1] = expr.ONE
             return TensorField((1, 1), comps)
 
         monkeypatch.setattr(structures, "build_structure", flipped)
@@ -792,13 +797,13 @@ class TestDeclaredResiduals:
     def test_a_flipped_closed_form_coefficient_fails_its_row(self, monkeypatch):
         closed_form = tables.lie_derivative_closed_form
 
-        def flipped(space, kind, generator, m=None, lam=None):
+        def flipped(n, kind, generator, m=None, lam=None):
             # L_{X_S} g has -dq^1 (x) dq^1; the flip makes it +dq^1 (x) dq^1
-            field = closed_form(space, kind, generator, m=m, lam=lam)
+            field = closed_form(n, kind, generator, m=m, lam=lam)
             if (kind, generator) != (MetricKind.ACS, "scaling"):
                 return field
             comps = field.comps.copy()
-            comps[space.q_index(1), space.q_index(1)] = expr.ONE
+            comps[1, 1] = expr.ONE
             return TensorField((0, 2), comps)
 
         monkeypatch.setattr(tables, "lie_derivative_closed_form", flipped)
@@ -816,18 +821,18 @@ class TestDeclaredResiduals:
             self, monkeypatch, kind, suite, failing):
         inverse = metrics._inverse_components
 
-        def scaled(space, k, family):
+        def scaled(n, k, family):
             # one entry, g^{q1 p1} or g^{q1 q1}, times 1.5; the metric tensor is untouched
-            inv = inverse(space, k, family)
+            inv = inverse(n, k, family)
             if k == kind:
-                j = space.p_index(1) if k == MetricKind.LAMBDA else space.q_index(1)
-                inv[space.q_index(1), j] = expr.mul(expr.const(1.5), inv[space.q_index(1), j])
+                j = n + 1 if k == MetricKind.LAMBDA else 1
+                inv[1, j] = expr.mul(expr.const(1.5), inv[1, j])
             return inv
 
         lam = structures.product_lambda(2)
-        clean = metrics.metric_from_structure(PhaseSpace(2), kind, lam)
+        clean = metrics.metric_from_structure(2, kind, lam)
         monkeypatch.setattr(metrics, "_inverse_components", scaled)
-        patched = metrics.metric_from_structure(PhaseSpace(2), kind, lam)
+        patched = metrics.metric_from_structure(2, kind, lam)
         report = run_suite(RunConfig(suite=suite, n=2, seed=3, points=5))
         monkeypatch.undo()
         assert (patched.tensor.comps == clean.tensor.comps).all()  # so the guard passes
@@ -835,9 +840,9 @@ class TestDeclaredResiduals:
         assert metrics._inverse_components is inverse
 
     def test_a_flipped_legendre_w_shift_fails_the_map_checks(self, monkeypatch):
-        def flipped(space, I):
+        def flipped(n, I):
             # w - sum q^i p_i becomes w + sum q^i p_i
-            mapping = hamiltonian.legendre_map(space, I)
+            mapping = hamiltonian.legendre_map(n, I)
             exprs = mapping.exprs.copy()
             exprs[0] = expr.const(2.0) * expr.var("w") - exprs[0]
             return CoordinateMap(exprs, mapping.coords, mapping.label)
@@ -885,6 +890,17 @@ class TestDeclaredResiduals:
         code, out, err = _run(capsys, ["verify", "--suite", "equilibrium", "--points", "2"])
         assert (code, out, err) == (
             2, "", "error: could not bracket the conjugate-variable root\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["curvature"], ["curvature", "--metric", "lambda", "--lambda", "qp"],
+    ["flow", "--hamiltonian", "hS", "--t", "1"], ["flow", "--hamiltonian", "hL", "--t", "1"],
+    ["pullback"], ["pullback", "--map", "scaling"],
+])
+@pytest.mark.parametrize("point", ["1,2,3", "not,a,point"])
+def test_n_zero_is_named_before_anything_is_parsed_against_it(capsys, command, point):
+    code, out, err = _run(capsys, [*command, "--n", "0", "--point", point])
+    assert (code, out, err) == (2, "", "error: phase space needs n >= 1 conjugate pairs\n")
 
 
 class TestCurvatureCommand:

@@ -20,7 +20,7 @@ from contactgeo.equilibrium import (FundamentalRelation, RootFindError, _guard_s
                                     legendre_potential, load_catalog)
 from contactgeo.hamiltonian import IndexSubset, legendre_rows
 from contactgeo.metrics import MetricKind, metric_from_structure
-from contactgeo.phase_space import PhaseSpace, contact_form
+from contactgeo.phase_space import contact_form
 from contactgeo.structures import product_lambda
 
 E = math.e
@@ -80,7 +80,7 @@ class TestEmbed:
     def test_kills_contact_form(self, quad, ideal, vdw):
         rng = np.random.default_rng(90)
         for rel in (quad, ideal, vdw):
-            eta = contact_form(PhaseSpace(rel.n))
+            eta = contact_form(rel.n)
             for qvals in _domain_points(rel, rng, 20):
                 assert np.max(np.abs(pulled_back(rel.embedding, eta, qvals))) < 1e-12
 
@@ -128,7 +128,7 @@ class TestPullbackOntoStateSpace:
     def test_reflection_metric_gives_minus_hessian(self, quad, ideal, vdw):
         rng = np.random.default_rng(92)
         for rel in (quad, ideal, vdw):
-            gr = metric_from_structure(PhaseSpace(rel.n), MetricKind.R)
+            gr = metric_from_structure(rel.n, MetricKind.R)
             for qvals in _domain_points(rel, rng, 50):
                 pulled = pulled_back(rel.embedding, gr.tensor, qvals)
                 assert np.max(np.abs(pulled + rel.hessian(qvals))) < 1e-10
@@ -136,14 +136,14 @@ class TestPullbackOntoStateSpace:
     def test_mixed_quadratic(self):
         rel = FundamentalRelation("mixed", ("x1", "x2"), expr.parse("x1*x2"),
                                   ((-2.0, 2.0), (-2.0, 2.0)))
-        gr = metric_from_structure(PhaseSpace(2), MetricKind.R)
+        gr = metric_from_structure(2, MetricKind.R)
         pulled = pulled_back(rel.embedding, gr.tensor, [0.5, 1.5])
         assert np.allclose(pulled, [[0.0, -1.0], [-1.0, 0.0]])
 
     def test_scaled_metric_single_pair(self):
         rel = FundamentalRelation("half_square", ("x",), expr.parse("0.5*x^2"),
                                   ((0.5, 2.0),))
-        gl = metric_from_structure(PhaseSpace(1), MetricKind.LAMBDA, product_lambda(1))
+        gl = metric_from_structure(1, MetricKind.LAMBDA, product_lambda(1))
         pulled = pulled_back(rel.embedding, gl.tensor, [1.0])
         assert pulled[0, 0] == pytest.approx(-1.0)  # -Lambda * d2wbar with Lambda = 1
 
@@ -151,9 +151,8 @@ class TestPullbackOntoStateSpace:
         # components are -(L_a + L_b)/2 * d_a d_b wbar for the product family
         rng = np.random.default_rng(93)
         for rel in (quad, ideal):
-            space = PhaseSpace(rel.n)
             lam = product_lambda(rel.n)
-            gl = metric_from_structure(space, MetricKind.LAMBDA, lam)
+            gl = metric_from_structure(rel.n, MetricKind.LAMBDA, lam)
             for qvals in _domain_points(rel, rng, 15):
                 x = embed(rel, qvals)
                 lam_vals = np.array([expr.evaluate(e, bindings(x)) for e in lam.exprs])
@@ -262,7 +261,7 @@ class TestInvolution:
         # the transformed relation's own embedding kills the contact form
         rng = np.random.default_rng(99)
         F = legendre_potential(ideal, 1)
-        eta = contact_form(PhaseSpace(2))
+        eta = contact_form(2)
         for S, V in _domain_points(ideal, rng, 10):
             T = math.exp(S) * V ** (-2.0 / 3.0)
             x = embed(F, [T, V])

@@ -16,10 +16,8 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     random_polynomial_hamiltonian,
                                     rotation_flow, rotation_generator,
                                     scaling_generator, scaling_map)
-from contactgeo.phase_space import (PhaseSpace, TensorField, _obj, contact_form, frame,
-                                    sample_points)
+from contactgeo.phase_space import TensorField, _obj, contact_form, frame, sample_points
 
-SP1 = PhaseSpace(1)
 PT = (1.0, 2.0, 3.0)
 I1 = IndexSubset.of(1)
 
@@ -49,41 +47,41 @@ class TestIndexSubset:
 
 class TestHamiltonianVectorField:
     def test_rotation_generator_components(self):
-        X = hamiltonian_vector_field(SP1, rotation_generator(1))
+        X = hamiltonian_vector_field(1, rotation_generator(1))
         assert np.allclose(X.evaluate(PT), [-2.5, -3.0, 2.0])
         # cross-check eta(X) = h = 6.5
-        assert contact_form(SP1).evaluate(PT) @ X.evaluate(PT) == pytest.approx(6.5)
+        assert contact_form(1).evaluate(PT) @ X.evaluate(PT) == pytest.approx(6.5)
 
     def test_scaling_generator_components(self):
-        X = hamiltonian_vector_field(SP1, scaling_generator(1))
+        X = hamiltonian_vector_field(1, scaling_generator(1))
         assert np.allclose(X.evaluate(PT), [0.0, -2.0, 3.0])
 
     def test_zero_hamiltonian_gives_zero_field(self):
-        X = hamiltonian_vector_field(SP1, expr.ZERO)
+        X = hamiltonian_vector_field(1, expr.ZERO)
         assert np.array_equal(X.evaluate(PT), [0.0, 0.0, 0.0])
 
     def test_defining_relation_for_random_hamiltonians(self):
         rng = np.random.default_rng(11)
-        space = PhaseSpace(2)
-        eta = contact_form(space)
+        n = 2
+        eta = contact_form(n)
         for _ in range(20):
-            h = random_polynomial_hamiltonian(space, rng)
-            X = hamiltonian_vector_field(space, h)
-            for pt in sample_points(space, rng, 5):
+            h = random_polynomial_hamiltonian(n, rng)
+            X = hamiltonian_vector_field(n, h)
+            for pt in sample_points(n, rng, 5):
                 got = eta.evaluate(pt) @ X.evaluate(pt)
                 assert got == pytest.approx(expr.evaluate(h, bindings(pt)), abs=1e-12)
 
     def test_contact_transformation_property(self):
         # L_{X_h} eta = (dh/dw) eta, componentwise
         rng = np.random.default_rng(12)
-        space = PhaseSpace(2)
-        eta = contact_form(space)
+        n = 2
+        eta = contact_form(n)
         for _ in range(20):
-            h = random_polynomial_hamiltonian(space, rng)
-            X = hamiltonian_vector_field(space, h)
-            led = lie_derivative(space, eta, X)
+            h = random_polynomial_hamiltonian(n, rng)
+            X = hamiltonian_vector_field(n, h)
+            led = lie_derivative(eta, X)
             dh_dw = expr.differentiate(h, "w")
-            for pt in sample_points(space, rng, 5):
+            for pt in sample_points(n, rng, 5):
                 scale = expr.evaluate(dh_dw, bindings(pt))
                 assert np.max(np.abs(led.evaluate(pt) - scale * eta.evaluate(pt))) < 1e-12
 
@@ -101,16 +99,16 @@ class TestRotationFlow:
         twice = rotation_flow(math.pi / 2, I1, rotation_flow(math.pi / 2, I1, PT))
         assert np.allclose(twice, rotation_flow(math.pi, I1, PT), atol=1e-12)
         rng = np.random.default_rng(13)
-        space = PhaseSpace(2)
+        n = 2
         I = IndexSubset.of([1, 2])
-        for pt in sample_points(space, rng, 5):
+        for pt in sample_points(n, rng, 5):
             t1, t2 = rng.uniform(-2, 2, size=2)
             composed = rotation_flow(t2, I, rotation_flow(t1, I, pt))
             direct = rotation_flow(t1 + t2, I, pt)
             assert np.allclose(composed, direct, atol=1e-12)
 
     def test_untouched_indices(self):
-        space = PhaseSpace(2)
+        n = 2
         pt = (0.5, 1.0, 2.0, 3.0, 4.0)
         end = rotation_flow(0.7, IndexSubset.of(1), pt)
         assert end[2] == 2.0 and end[4] == 4.0
@@ -125,18 +123,18 @@ class TestRotationFlow:
 
 class TestScalingFlow:
     def test_log_two(self):
-        end = scaling_map(SP1, math.log(2.0)).apply(PT)
+        end = scaling_map(1, math.log(2.0)).apply(PT)
         assert np.allclose(end, [1.0, 1.0, 6.0], atol=1e-12)
 
     def test_zero_time_is_identity(self):
-        assert scaling_map(SP1, 0.0).apply(PT) == list(PT)
+        assert scaling_map(1, 0.0).apply(PT) == list(PT)
 
     def test_preserves_contact_form(self):
         rng = np.random.default_rng(14)
-        space = PhaseSpace(2)
-        eta = contact_form(space)
-        mapping = scaling_map(space, 0.8)
-        for pt in sample_points(space, rng, 20):
+        n = 2
+        eta = contact_form(n)
+        mapping = scaling_map(n, 0.8)
+        for pt in sample_points(n, rng, 20):
             J = evaluated(mapping.jacobian, mapping.coords, pt)
             pulled = J.T @ eta.evaluate(mapping.apply(pt))
             assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
@@ -154,7 +152,7 @@ class TestPartialLegendre:
 
     def test_order_four_on_integer_points(self):
         rng = np.random.default_rng(15)
-        space = PhaseSpace(3)
+        n = 3
         for _ in range(25):
             pt = rng.integers(-9, 10, size=7).astype(float).tolist()
             for I in (IndexSubset.of(1), IndexSubset.of([1, 3]), IndexSubset.of([1, 2, 3])):
@@ -186,8 +184,8 @@ class TestPartialLegendre:
 
     def test_point_form_is_the_one_row_case(self):
         rng = np.random.default_rng(18)
-        space = PhaseSpace(4)
-        for pt in sample_points(space, rng, 10):
+        n = 4
+        for pt in sample_points(n, rng, 10):
             for I in (IndexSubset.of(2), IndexSubset.of([1, 3, 4])):
                 (row,) = legendre_rows(index_mask(I, 4)[None, :], [pt])
                 assert _legendre(I, pt) == partial_legendre_scalar(I, pt)
@@ -199,20 +197,20 @@ class TestPartialLegendre:
 
     def test_matches_quarter_rotation(self):
         rng = np.random.default_rng(16)
-        space = PhaseSpace(2)
+        n = 2
         I = IndexSubset.of([1, 2])
-        for pt in sample_points(space, rng, 10):
+        for pt in sample_points(n, rng, 10):
             a = np.array(_legendre(I, pt))
             b = np.array(rotation_flow(math.pi / 2, I, pt))
             assert np.max(np.abs(a - b)) < 1e-12
 
     def test_strict_contact_transformation(self):
         rng = np.random.default_rng(17)
-        space = PhaseSpace(2)
-        eta = contact_form(space)
+        n = 2
+        eta = contact_form(n)
         for I in (IndexSubset.of(1), IndexSubset.of([1, 2])):
-            mapping = legendre_map(space, I)
-            for pt in sample_points(space, rng, 10):
+            mapping = legendre_map(n, I)
+            for pt in sample_points(n, rng, 10):
                 J = evaluated(mapping.jacobian, mapping.coords, pt)
                 pulled = J.T @ eta.evaluate(mapping.apply(pt))
                 assert np.max(np.abs(pulled - eta.evaluate(pt))) < 1e-12
@@ -239,17 +237,17 @@ def _numpy_rk4(X, x, t, steps):
 
 class TestIntegrateFlow:
     def test_rotation_against_closed_form(self):
-        X = hamiltonian_vector_field(SP1, rotation_generator(1))
+        X = hamiltonian_vector_field(1, rotation_generator(1))
         end = integrate_flow(X, PT, math.pi / 2, 10_000)
         assert np.max(np.abs(np.array(end) - [-5.0, -3.0, 2.0])) < 1e-8
 
     def test_scaling_against_closed_form(self):
-        X = hamiltonian_vector_field(SP1, scaling_generator(1))
+        X = hamiltonian_vector_field(1, scaling_generator(1))
         end = integrate_flow(X, PT, math.log(2.0), 10_000)
         assert np.max(np.abs(np.array(end) - [1.0, 1.0, 6.0])) < 1e-8
 
     def test_zero_time_returns_start(self):
-        X = hamiltonian_vector_field(SP1, rotation_generator(1))
+        X = hamiltonian_vector_field(1, rotation_generator(1))
         assert integrate_flow(X, PT, 0.0, 5) == list(PT)
 
     def test_nonfinite_state_raises(self):
@@ -262,7 +260,7 @@ class TestIntegrateFlow:
             integrate_flow(blowup, (10.0, 0.0, 0.0), 50.0, 400)
 
     def test_step_validation(self):
-        X = hamiltonian_vector_field(SP1, rotation_generator(1))
+        X = hamiltonian_vector_field(1, rotation_generator(1))
         with pytest.raises(ValueError):
             integrate_flow(X, PT, 1.0, 0)
 
@@ -270,11 +268,11 @@ class TestIntegrateFlow:
         # the reference steps numpy vectors and evaluates each component alone,
         # so neither the float-list stepping nor the generated tape is in it;
         # the steps are long enough that summing k1..k4 in another order shows
-        space = PhaseSpace(2)
+        n = 2
         rng = np.random.default_rng(9)
         for _ in range(2):
-            X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
-            x = sample_points(space, rng, 1)[0]
+            X = hamiltonian_vector_field(n, random_polynomial_hamiltonian(n, rng))
+            x = sample_points(n, rng, 1)[0]
             y = _numpy_rk4(X, x, 0.5, 300)
             assert integrate_flow(X, x, 0.5, 300)== y.tolist()
 
@@ -282,12 +280,11 @@ class TestIntegrateFlow:
     def test_stepper_equals_numpy_rk4_exactly(self, n, seed):
         # a random field, and the same field with a constant w component and a
         # zero q1 component, which the stepper reads from its default arguments
-        space = PhaseSpace(n)
         rng = np.random.default_rng(seed)
-        X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
+        X = hamiltonian_vector_field(n, random_polynomial_hamiltonian(n, rng))
         comps = X.comps.copy()
         comps[0], comps[1] = expr.const(0.7), expr.ZERO
-        x = sample_points(space, rng, 1)[0]
+        x = sample_points(n, rng, 1)[0]
         for field in (X, TensorField((1, 0), comps)):
             y = _numpy_rk4(field, x, 0.5, 300)
             assert integrate_flow(field, x, 0.5, 300)== y.tolist()
@@ -316,7 +313,7 @@ class TestIntegrateFlow:
         generate = expr._generate
         monkeypatch.setattr(expr, "_generate", lambda *args: (
             calls.append(args), generate(*args))[1])
-        X = hamiltonian_vector_field(SP1, rotation_generator(1))
+        X = hamiltonian_vector_field(1, rotation_generator(1))
         for shift in (0.0, 1e-5, -1e-5):
             for t in (1e-4, -1e-4):
                 integrate_flow(X, (1.0 + shift, 2.0, 3.0), t, 32)
@@ -324,7 +321,7 @@ class TestIntegrateFlow:
 
     def test_stepper_source_does_not_grow_with_steps(self):
         def source_lines(steps):
-            X = hamiltonian_vector_field(SP1, rotation_generator(1))
+            X = hamiltonian_vector_field(1, rotation_generator(1))
             integrate_flow(X, PT, 0.1, steps)
             return max(line for *_, line in X.tape._stepper.__code__.co_lines() if line)
 
@@ -341,36 +338,36 @@ class TestIntegrateFlow:
 
 class TestGeneratorCommutator:
     def test_value_at_point(self):
-        comm = generator_commutator(SP1, 1)
+        comm = generator_commutator(1, 1)
         assert np.allclose(comm.evaluate(PT), [-13.0, -6.0, -4.0])
 
     def test_closed_form_matches_bracket(self):
         rng = np.random.default_rng(18)
-        space = PhaseSpace(2)
-        comm = generator_commutator(space, 1)
-        closed = closed_form_commutator(space, 1)
-        for pt in sample_points(space, rng, 50):
+        n = 2
+        comm = generator_commutator(n, 1)
+        closed = closed_form_commutator(n, 1)
+        for pt in sample_points(n, rng, 50):
             assert np.max(np.abs(comm.evaluate(pt) - closed.evaluate(pt))) < 1e-10
 
     def test_reeb_component_vanishes_on_diagonal(self):
         # eta([X_hS, X_hL]) = p^2 - q^2 = 0 when q = p
-        comm = generator_commutator(SP1, 1)
-        eta = contact_form(SP1)
+        comm = generator_commutator(1, 1)
+        eta = contact_form(1)
         pt = (0.0, 1.0, 1.0)
         assert eta.evaluate(pt) @ comm.evaluate(pt) == pytest.approx(0.0, abs=1e-12)
 
     def test_untouched_directions_vanish(self):
         rng = np.random.default_rng(19)
-        space = PhaseSpace(2)
-        comm = generator_commutator(space, 1)
-        for pt in sample_points(space, rng, 10):
+        n = 2
+        comm = generator_commutator(n, 1)
+        for pt in sample_points(n, rng, 10):
             vals = comm.evaluate(pt)
-            assert abs(vals[space.q_index(2)]) < 1e-12
-            assert abs(vals[space.p_index(2)]) < 1e-12
+            assert abs(vals[2]) < 1e-12
+            assert abs(vals[n + 2]) < 1e-12
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
-            generator_commutator(SP1, 2)
+            generator_commutator(1, 2)
 
 
 class TestFrameTransport:
@@ -378,44 +375,44 @@ class TestFrameTransport:
 
     def test_along_rotation_generator(self):
         rng = np.random.default_rng(20)
-        space = PhaseSpace(2)
+        n = 2
         m = 1
-        XL = hamiltonian_vector_field(space, rotation_generator(m))
-        fields = frame(space)
+        XL = hamiltonian_vector_field(n, rotation_generator(m))
+        fields = frame(n)
         xi, Q, P = fields[0], fields[1:3], fields[3:]
-        co = coframe(space)
+        co = coframe(n)
         dq, dp = co[1:3], co[3:]
-        pts = sample_points(space, rng, 10)
+        pts = sample_points(n, rng, 10)
 
         def check(got, want_field, sign=1.0):
             for pt in pts:
                 want = sign * want_field.evaluate(pt) if want_field is not None else 0.0
                 assert np.max(np.abs(got.evaluate(pt) - want)) < 1e-12
 
-        check(lie_derivative(space, xi, XL), None)
-        check(lie_derivative(space, Q[0], XL), P[0], -1.0)   # L Q_i = -P^i for i <= m
-        check(lie_derivative(space, P[0], XL), Q[0])         # L P^i = Q_i
-        check(lie_derivative(space, Q[1], XL), None)         # untouched beyond m
-        check(lie_derivative(space, P[1], XL), None)
-        check(lie_derivative(space, dq[0], XL), dp[0], -1.0)  # L dq^i = -dp_i
-        check(lie_derivative(space, dp[0], XL), dq[0])        # L dp_i = dq^i
-        check(lie_derivative(space, dq[1], XL), None)
-        check(lie_derivative(space, dp[1], XL), None)
+        check(lie_derivative(xi, XL), None)
+        check(lie_derivative(Q[0], XL), P[0], -1.0)   # L Q_i = -P^i for i <= m
+        check(lie_derivative(P[0], XL), Q[0])         # L P^i = Q_i
+        check(lie_derivative(Q[1], XL), None)         # untouched beyond m
+        check(lie_derivative(P[1], XL), None)
+        check(lie_derivative(dq[0], XL), dp[0], -1.0)  # L dq^i = -dp_i
+        check(lie_derivative(dp[0], XL), dq[0])        # L dp_i = dq^i
+        check(lie_derivative(dq[1], XL), None)
+        check(lie_derivative(dp[1], XL), None)
 
     def test_along_scaling_generator(self):
         rng = np.random.default_rng(21)
-        space = PhaseSpace(2)
-        XS = hamiltonian_vector_field(space, scaling_generator(2))
-        fields = frame(space)
-        co = coframe(space)
-        pts = sample_points(space, rng, 10)
+        n = 2
+        XS = hamiltonian_vector_field(n, scaling_generator(2))
+        fields = frame(n)
+        co = coframe(n)
+        pts = sample_points(n, rng, 10)
         for a in (1, 2):
             Q, P = fields[a], fields[2 + a]
-            dq, dp = co[space.q_index(a)], co[space.p_index(a)]
-            for got, want, sign in ((lie_derivative(space, Q, XS), Q, 1.0),
-                                    (lie_derivative(space, P, XS), P, -1.0),
-                                    (lie_derivative(space, dq, XS), dq, -1.0),
-                                    (lie_derivative(space, dp, XS), dp, 1.0)):
+            dq, dp = co[a], co[n + a]
+            for got, want, sign in ((lie_derivative(Q, XS), Q, 1.0),
+                                    (lie_derivative(P, XS), P, -1.0),
+                                    (lie_derivative(dq, XS), dq, -1.0),
+                                    (lie_derivative(dp, XS), dp, 1.0)):
                 for pt in pts:
                     assert np.max(np.abs(got.evaluate(pt) - sign * want.evaluate(pt))) < 1e-12
 
@@ -423,10 +420,9 @@ class TestFrameTransport:
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_random_hamiltonian_is_the_scalar_draws_tree(n):
     # one broadcast draw per Hamiltonian reads the stream the scalar draws read
-    space = PhaseSpace(n)
     for seed in range(60):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
-            assert (random_polynomial_hamiltonian(space, rng)
-                    is loop_random_polynomial_hamiltonian(space, ref))
+            assert (random_polynomial_hamiltonian(n, rng)
+                    is loop_random_polynomial_hamiltonian(n, ref))
         assert rng.bit_generator.state == ref.bit_generator.state

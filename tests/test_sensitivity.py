@@ -37,7 +37,7 @@ def _wdot_negated(field, *args):
     return TensorField(field.valence, comps)
 
 
-def _map_w_plus_qp(mapping, space, I):
+def _map_w_plus_qp(mapping, n, I):
     exprs = mapping.exprs.copy()
     exprs[0] = expr.var("w")
     for i in I:

@@ -22,7 +22,7 @@ from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field, legen
                                     random_polynomial_hamiltonian,
                                     rotation_generator, scaling_generator, scaling_map)
 from contactgeo.metrics import MetricKind, metric_from_structure
-from contactgeo.phase_space import PhaseSpace, contact_form, d_eta, frame, matmul
+from contactgeo.phase_space import contact_form, d_eta, frame, matmul
 from contactgeo.structures import (LambdaFamily, StructureKind, build_structure,
                                    product_lambda)
 from contactgeo.tables import lie_derivative_closed_form
@@ -37,10 +37,10 @@ def _assert_same_nodes(got, want):
     assert not bad, f"{len(bad)} of {got.size} components differ, first at {bad[0]}"
 
 
-def _hamiltonians(space):
-    rng = np.random.default_rng(140 + space.n)
-    return [random_polynomial_hamiltonian(space, rng) for _ in range(3)] + [
-        rotation_generator(space.n), rotation_generator(1), scaling_generator(space.n)]
+def _hamiltonians(n):
+    rng = np.random.default_rng(140 + n)
+    return [random_polynomial_hamiltonian(n, rng) for _ in range(3)] + [
+        rotation_generator(n), rotation_generator(1), scaling_generator(n)]
 
 
 def _lambda(kind, n):
@@ -49,81 +49,75 @@ def _lambda(kind, n):
 
 @pytest.mark.parametrize("n", NS)
 def test_lie_derivative_of_every_valence(n):
-    space = PhaseSpace(n)
     lam = product_lambda(n)
-    fields = frame(space)
-    tensors = [contact_form(space), d_eta(space), fields[0], fields[n], fields[-1],
-               build_structure(space, StructureKind.ALMOST_CONTACT),
-               build_structure(space, StructureKind.LAMBDA, lam),
-               build_structure(space, StructureKind.LAMBDA_BAR, lam)]
-    for h in _hamiltonians(space):
-        X = hamiltonian_vector_field(space, h)
+    fields = frame(n)
+    tensors = [contact_form(n), d_eta(n), fields[0], fields[n], fields[-1],
+               build_structure(n, StructureKind.ALMOST_CONTACT),
+               build_structure(n, StructureKind.LAMBDA, lam),
+               build_structure(n, StructureKind.LAMBDA_BAR, lam)]
+    for h in _hamiltonians(n):
+        X = hamiltonian_vector_field(n, h)
         for T in tensors:
-            got = lie_derivative(space, T, X)
+            got = lie_derivative(T, X)
             assert got.valence == T.valence
-            _assert_same_nodes(got.comps, dense_lie_derivative(space, T, X).comps)
+            _assert_same_nodes(got.comps, dense_lie_derivative(T, X).comps)
 
 
 @pytest.mark.parametrize("n, kinds", [(4, list(MetricKind)), (8, [MetricKind.LAMBDA_BAR])])
 def test_lie_derivative_of_the_table1_metrics(n, kinds):
     # the inputs of the table1 checks, where X has the fewest live components
-    space = PhaseSpace(n)
-    fields = [hamiltonian_vector_field(space, h)
+    fields = [hamiltonian_vector_field(n, h)
               for h in (rotation_generator(1), rotation_generator(n), scaling_generator(n))]
     for kind in kinds:
-        T = metric_from_structure(space, kind, _lambda(kind, n)).tensor
+        T = metric_from_structure(n, kind, _lambda(kind, n)).tensor
         for X in fields:
-            _assert_same_nodes(lie_derivative(space, T, X).comps,
-                               dense_lie_derivative(space, T, X).comps)
+            _assert_same_nodes(lie_derivative(T, X).comps,
+                               dense_lie_derivative(T, X).comps)
 
 
 def test_lie_derivative_of_eta_at_n_four():
     # the inputs of hamiltonian.lie_eta
-    space = PhaseSpace(4)
+    n = 4
     rng = np.random.default_rng(29)
-    eta = contact_form(space)
+    eta = contact_form(n)
     for _ in range(3):
-        X = hamiltonian_vector_field(space, random_polynomial_hamiltonian(space, rng))
-        _assert_same_nodes(lie_derivative(space, eta, X).comps,
-                           dense_lie_derivative(space, eta, X).comps)
+        X = hamiltonian_vector_field(n, random_polynomial_hamiltonian(n, rng))
+        _assert_same_nodes(lie_derivative(eta, X).comps,
+                           dense_lie_derivative(eta, X).comps)
 
 
 @pytest.mark.parametrize("n", NS)
 def test_directional_derivative(n):
-    space = PhaseSpace(n)
-    hs = _hamiltonians(space)
+    hs = _hamiltonians(n)
     for h in hs:
-        X = hamiltonian_vector_field(space, h)
+        X = hamiltonian_vector_field(n, h)
         for f in [*hs, *product_lambda(n).exprs]:
-            assert directional_derivative(space, X, f) is dense_directional_derivative(space, X, f)
+            assert directional_derivative(X, f) is dense_directional_derivative(X, f)
 
 
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("kind", list(MetricKind))
 def test_metric_from_structure(kind, n):
-    space = PhaseSpace(n)
     lam = _lambda(kind, n)
-    metric = metric_from_structure(space, kind, lam)
-    phi = build_structure(space, metrics._STRUCTURE_OF[kind], lam)
-    want = dense_metric_sum(contact_form(space), d_eta(space), phi, metrics._SIGN_OF[kind])
+    metric = metric_from_structure(n, kind, lam)
+    phi = build_structure(n, metrics._STRUCTURE_OF[kind], lam)
+    want = dense_metric_sum(contact_form(n), d_eta(n), phi, metrics._SIGN_OF[kind])
     _assert_same_nodes(metric.tensor.comps, want)
 
 
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("kind", [k for k in MetricKind if k != MetricKind.ALPHA_PI])
 def test_christoffel_and_ricci(kind, n):
-    space = PhaseSpace(n)
-    metric = metric_from_structure(space, kind, _lambda(kind, n))
+    metric = metric_from_structure(n, kind, _lambda(kind, n))
     gamma = christoffel_symbolic(metric)
     dense_gamma = dense_christoffel_symbolic(metric)
     _assert_same_nodes(gamma, dense_gamma)
-    _assert_same_nodes(ricci_symbolic(metric), dense_ricci_symbolic(space, dense_gamma))
+    _assert_same_nodes(ricci_symbolic(metric), dense_ricci_symbolic(dense_gamma))
 
 
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("kind", list(MetricKind))
 def test_table1_rows(kind, n):
-    space = PhaseSpace(n)
     # invariant, non-invariant, constant (whose rates fold to zero) and mixed families
     families = [product_lambda(n), product_lambda(n, power=2),
                 LambdaFamily.of([str(a + 2) for a in range(n)]),
@@ -131,28 +125,27 @@ def test_table1_rows(kind, n):
     cases = [("scaling", None)] + [("rotation", m) for m in range(1, n + 1)]
     for lam in families if kind.value.startswith("lambda") else [None]:
         for generator, m in cases:
-            got = lie_derivative_closed_form(space, kind, generator, m=m, lam=lam)
-            want = composed_lie_derivative_closed_form(space, kind, generator, m=m, lam=lam)
+            got = lie_derivative_closed_form(n, kind, generator, m=m, lam=lam)
+            want = composed_lie_derivative_closed_form(n, kind, generator, m=m, lam=lam)
             assert got.valence == want.valence == (0, 2)
             _assert_same_nodes(got.comps, want.comps)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_matmul_is_numpy_matmul(n):
-    space = PhaseSpace(n)
     lam = product_lambda(n)
-    squares = [build_structure(space, kind, _lambda(kind, n)).comps for kind in StructureKind]
+    squares = [build_structure(n, kind, _lambda(kind, n)).comps for kind in StructureKind]
     for kind in MetricKind:
-        metric = metric_from_structure(space, kind, _lambda(kind, n))
+        metric = metric_from_structure(n, kind, _lambda(kind, n))
         squares.append(metric.tensor.comps)
         if metric.inverse is not None:
             squares.append(metric.inverse)
-    squares.append(d_eta(space).comps)
-    squares += [legendre_map(space, IndexSubset.of(range(1, m + 1))).jacobian
+    squares.append(d_eta(n).comps)
+    squares += [legendre_map(n, IndexSubset.of(range(1, m + 1))).jacobian
                 for m in range(1, n + 1)]
-    squares.append(scaling_map(space, 0.3).jacobian)
-    squares.append(build_structure(space, StructureKind.LAMBDA, lam).comps.T)
-    vectors = [contact_form(space).comps] + [f.comps for f in frame(space)]
+    squares.append(scaling_map(n, 0.3).jacobian)
+    squares.append(build_structure(n, StructureKind.LAMBDA, lam).comps.T)
+    vectors = [contact_form(n).comps] + [f.comps for f in frame(n)]
     for A in squares:
         for B in squares:
             _assert_same_nodes(matmul(A, B), A @ B)
