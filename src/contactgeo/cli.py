@@ -33,8 +33,8 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
 from .metrics import Metric, MetricKind, metric_from_structure
 from .phase_space import (TensorField, contact_form, coord_names, d_eta, frame, matmul,
                           outer_11, sample_points)
-from .structures import (LambdaFamily, StructureKind, build_structure,
-                         lambda_legendre_residual, product_lambda, structure_identities)
+from .structures import (StructureKind, build_structure, lambda_legendre_residual,
+                         product_lambda, scaling_residuals, structure_identities)
 
 __all__ = ["main", "run_suite", "RunConfig", "CheckRecord", "Report"]
 
@@ -127,9 +127,10 @@ class ConfigError(ValueError):
 class RunConfig:
     """The inputs of one ``verify`` run, each checked when the config is built.
 
-    ``lam`` is the product family unless given.  ``catalog`` holds the relations
-    the run walks, the built-in ones first; built once per run, so every check
-    walks the same relations and reuses their compiled tapes.
+    ``lam``, the scaling family as a tuple of ``n`` expressions, is the product
+    family unless given.  ``catalog`` holds the relations the run walks, the
+    built-in ones first; built once per run, so every check walks the same
+    relations and reuses their compiled tapes.
     """
 
     suite: str = "all"
@@ -137,7 +138,7 @@ class RunConfig:
     m: int = 1
     seed: int = 0
     points: int = 50
-    lam: LambdaFamily | None = None
+    lam: tuple[expr.Expr, ...] | None = None
     catalog: tuple[equilibrium.SystemCatalogEntry, ...] = field(
         default_factory=equilibrium.catalog)
     _metrics: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -154,15 +155,15 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be at least 0")
         lam = product_lambda(self.n) if self.lam is None else self.lam
-        if lam.n != self.n:
-            raise ConfigError(f"lambda family has {lam.n} entries, need {self.n}")
-        free = set().union(*map(expr.free_variables, lam.exprs))
+        if len(lam) != self.n:
+            raise ConfigError(f"lambda family has {len(lam)} entries, need {self.n}")
+        free = set().union(*map(expr.free_variables, lam))
         unbound = sorted(free - set(coord_names(self.n)))
         if unbound:
             raise ConfigError(f"unbound variable '{unbound[0]}'")
         object.__setattr__(self, "lam", lam)
 
-    def metric(self, kind: MetricKind, n: int, lam: LambdaFamily | None = None) -> Metric:
+    def metric(self, kind: MetricKind, n: int, lam: tuple[expr.Expr, ...] | None = None) -> Metric:
         """The ``kind`` metric on ``n`` pairs, built on first use: the run's checks
         share it, so its symbolic work is done once per run and dies with it."""
         key = (n, kind, lam)
@@ -377,7 +378,7 @@ def _structure(kind: StructureKind, cfg, rng):
 
 
 def _structures_scaling_pde(cfg, rng):
-    pair = (cfg.lam.scaling_residuals, expr.ZERO)
+    pair = (scaling_residuals(cfg.lam), expr.ZERO)
     yield _differences(coord_names(cfg.n), [pair], _sample_rows(cfg.n, rng, cfg.points))
 
 
@@ -426,11 +427,11 @@ def _legendre_conditions(cfg, rng):
     pts = np.array(_sample_rows(cfg.n, rng, cfg.points))
     columns, masks = pts.T.copy(), _subset_masks(cfg.n).T.copy()
     for power in (1, 3):
-        lam = product_lambda(cfg.n, power=power)
-        here = lam.tape.run_batch(pts)
+        tape = expr.compile(product_lambda(cfg.n, power=power), coord_names(cfg.n))
+        here = tape.run_batch(pts)
         # cases in (I, point) order
         for I, k in _sweep_cases(masks.shape[1] * len(pts), len(pts)):
-            yield lambda_legendre_residual(lam, _rows(masks, I), _rows(columns, k), here[:, k])
+            yield lambda_legendre_residual(tape, _rows(masks, I), _rows(columns, k), here[:, k])
 
 
 def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
@@ -624,7 +625,7 @@ def run_suite(config: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _parse_lambda(text: str | None, n: int) -> LambdaFamily | None:
+def _parse_lambda(text: str | None, n: int) -> tuple[expr.Expr, ...] | None:
     if text is None:
         return None
     if text == "qp":
@@ -636,7 +637,7 @@ def _parse_lambda(text: str | None, n: int) -> LambdaFamily | None:
         raise ConfigError(f"need {n} lambda expressions separated by ';' (or 'qp'/'qp3')")
     if len(parts) != n:
         raise ConfigError(f"need {n} lambda expressions, got {len(parts)}")
-    return LambdaFamily.of(parts)
+    return tuple(map(expr.parse, parts))
 
 
 def _parse_point(csv: str, n: int) -> list:
@@ -690,7 +691,8 @@ _CONFIG_KEYS = {"suite": "a string", "n": "an integer", "m": "an integer",
 
 def _read_config(path: str) -> dict:
     """The typed values of a ``--config`` file; ``lam`` holds its ``lambda.<k>``
-    entries as one family, ordered by ``k``.  Any other key exits 2."""
+    entries as one family, a tuple of expressions ordered by ``k``.  Any other
+    key exits 2."""
     with open(path, encoding="utf-8") as fh:
         raw = parse_flat(fh.read())
     lam_keys: dict[int, str] = {}
@@ -707,8 +709,8 @@ def _read_config(path: str) -> dict:
             raise ConfigError(f"unknown config key '{key}'")
     values = {key: typed(raw, key, kind) for key, kind in _CONFIG_KEYS.items() if key in raw}
     if lam_keys:
-        values["lam"] = LambdaFamily.of([typed(raw, lam_keys[k], "a string")
-                                         for k in sorted(lam_keys)])
+        values["lam"] = tuple(map(expr.parse, [typed(raw, lam_keys[k], "a string")
+                                               for k in sorted(lam_keys)]))
     return values
 
 

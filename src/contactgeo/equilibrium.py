@@ -330,7 +330,9 @@ def _legendre_point(I: IndexSubset, x) -> list:
     """The partial Legendre map of ``I`` at the point ``x``, a list of Python floats
     equal bit for bit to its row of :func:`hamiltonian.legendre_rows`: ``w`` takes
     ``- q^i p_i`` for each ``i`` of ``I`` in increasing ``i``, from the original ``q``
-    and ``p``; then ``q_i`` becomes ``-p_i`` and ``p_i`` becomes ``q_i``."""
+    and ``p``; then ``q_i`` becomes ``-p_i`` and ``p_i`` becomes ``q_i``.  One case
+    is only NaN on both sides: a ``w`` that takes the product of a NaN ``q^i`` and a
+    NaN ``p_i``, since IEEE 754 leaves open which operand's NaN that product returns."""
     n = (len(x) - 1) // 2
     y = list(x)
     for i in I:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import calculus, expr
 from .phase_space import TensorField, _obj, contact_form, coord_names, d_eta, frame, matmul
-from .structures import LambdaFamily, StructureKind, build_structure
+from .structures import StructureKind, build_structure
 
 __all__ = [
     "MetricKind",
@@ -122,7 +122,7 @@ def _frame_block_inverse(n: int, qq, pp, qp) -> np.ndarray:
 
 
 def _inverse_components(n: int, kind: MetricKind,
-                        lam: LambdaFamily | None) -> np.ndarray | None:
+                        lam: tuple[expr.Expr, ...] | None) -> np.ndarray | None:
     two = expr.const(2.0)
     minus_two = expr.const(-2.0)
     if kind == MetricKind.ACS:
@@ -132,16 +132,16 @@ def _inverse_components(n: int, kind: MetricKind,
     if kind == MetricKind.S:
         return _frame_block_inverse(n, (two,) * n, (minus_two,) * n, None)
     if kind == MetricKind.LAMBDA:
-        qp = tuple(expr.div(minus_two, la) for la in lam.exprs)
+        qp = tuple(expr.div(minus_two, la) for la in lam)
         return _frame_block_inverse(n, None, None, qp)
     if kind == MetricKind.LAMBDA_BAR:
-        qp = tuple(expr.mul(minus_two, la) for la in lam.exprs)
+        qp = tuple(expr.mul(minus_two, la) for la in lam)
         return _frame_block_inverse(n, None, None, qp)
     return None
 
 
 def metric_from_structure(n: int, kind: MetricKind,
-                          lam: LambdaFamily | None = None) -> Metric:
+                          lam: tuple[expr.Expr, ...] | None = None) -> Metric:
     """Construct ``eta (x) eta + s * d_eta o (phi (x) 1)`` on ``n`` pairs.
 
     The half-turn tensor has an antisymmetric horizontal part, so it is no

@@ -15,26 +15,28 @@ reflection and their composition satisfy ``phi^2 = 1 - eta (x) xi``.  The
 scaled families satisfy the generalized identity with the index-wise scaled
 horizontal identity, and the pair is mutually inverse on the horizontal
 distribution: ``phi_L o phi_Lbar = 1 - eta (x) xi``.
+
+A scaling family is the tuple of its ``n`` expressions ``L_a(w, q, p)``.  What
+a family satisfies is not declared but checked: :func:`scaling_residuals`
+states the residual of its invariance under the polarization scalings and
+:func:`lambda_legendre_residual` that under the partial Legendre maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
 from . import expr
 from .expr import Expr
 from .hamiltonian import legendre_rows
-from .phase_space import (TensorField, _dim, _obj, contact_form, coord_names, frame, matmul,
-                          outer_11)
+from .phase_space import TensorField, _dim, _obj, contact_form, frame, matmul, outer_11
 
 __all__ = [
     "StructureKind",
-    "LambdaFamily",
     "product_lambda",
+    "scaling_residuals",
     "build_structure",
     "structure_identities",
     "scaled_horizontal_identity",
@@ -51,65 +53,43 @@ class StructureKind(Enum):
     LAMBDA_BAR = "lambdabar"
 
 
-@dataclass(frozen=True)
-class LambdaFamily:
-    """Index-wise scaling functions ``L_a(w, q, p)``.
-
-    What a family satisfies is not declared but checked: :attr:`scaling_residuals`
-    states the residual of invariance under the polarization scalings and
-    :func:`lambda_legendre_residual` that under the partial Legendre maps.
-    """
-
-    exprs: tuple[Expr, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.exprs)
-
-    @cached_property
-    def tape(self) -> expr.Tape:
-        """The scaling functions, compiled on first use against the coordinate order."""
-        return expr.compile(self.exprs, coord_names(self.n))
-
-    @property
-    def scaling_residuals(self) -> list[Expr]:
-        """``sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b)`` for each ``a``, built on each read."""
-        residuals = []
-        for la in self.exprs:
-            acc = expr.ZERO
-            for b in range(1, self.n + 1):
-                acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
-                acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
-            residuals.append(acc)
-        return residuals
-
-    @classmethod
-    def of(cls, items) -> "LambdaFamily":
-        return cls(tuple(e if isinstance(e, Expr) else expr.parse(e) for e in items))
-
-
-def product_lambda(n: int, power: int = 1) -> LambdaFamily:
+def product_lambda(n: int, power: int = 1) -> tuple[Expr, ...]:
     """The product family ``L_a = (q^a p_a)^power``; odd powers are invariant."""
-    return LambdaFamily(tuple(expr.power(expr.var(f"q{a}") * expr.var(f"p{a}"), power)
-                              for a in range(1, n + 1)))
+    return tuple(expr.power(expr.var(f"q{a}") * expr.var(f"p{a}"), power)
+                 for a in range(1, n + 1))
 
 
-def _reciprocal(lam: LambdaFamily) -> tuple[Expr, ...]:
-    return tuple(expr.div(expr.ONE, e) for e in lam.exprs)
+def scaling_residuals(lam: tuple[Expr, ...]) -> list[Expr]:
+    """``sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b)`` for each ``a``: the residual of the
+    family's invariance under the polarization scalings."""
+    residuals = []
+    for la in lam:
+        acc = expr.ZERO
+        for b in range(1, len(lam) + 1):
+            acc = acc + expr.var(f"p{b}") * expr.differentiate(la, f"p{b}")
+            acc = acc - expr.var(f"q{b}") * expr.differentiate(la, f"q{b}")
+        residuals.append(acc)
+    return residuals
 
 
-def _pair_action(n: int, kind: StructureKind, lam: LambdaFamily | None):
+def _lambda_coeffs(n: int, kind, lam: tuple[Expr, ...] | None) -> tuple[Expr, ...]:
+    """The family ``L_a`` on ``n`` pairs for the ``lambda`` kind of a structure or
+    metric, its reciprocals ``1 / L_a`` for the ``lambdabar`` kind."""
+    if lam is None:
+        raise ValueError(f"{kind.value} needs a lambda family")
+    if len(lam) != n:
+        raise ValueError(f"lambda family has {len(lam)} entries, need {n}")
+    return lam if kind.value == "lambda" else tuple(expr.div(expr.ONE, e) for e in lam)
+
+
+def _pair_action(n: int, kind: StructureKind, lam: tuple[Expr, ...] | None):
     """Per-index frame action (alpha, beta, gamma, delta) on ``n`` pairs:
     phi(Q_a) = alpha_a Q_a + beta_a P^a, phi(P^a) = gamma_a Q_a + delta_a P^a."""
     one, zero = expr.ONE, expr.ZERO
     none = (zero,) * n
 
     if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
-        if lam is None:
-            raise ValueError(f"{kind.value} structure requires a LambdaFamily")
-        if lam.n != n:
-            raise ValueError(f"LambdaFamily has {lam.n} entries, space needs {n}")
-        coeffs = lam.exprs if kind == StructureKind.LAMBDA else _reciprocal(lam)
+        coeffs = _lambda_coeffs(n, kind, lam)
         return coeffs, none, none, tuple(expr.neg(c) for c in coeffs)
 
     ones = (one,) * n
@@ -126,7 +106,7 @@ def _pair_action(n: int, kind: StructureKind, lam: LambdaFamily | None):
 
 
 def build_structure(n: int, kind: StructureKind,
-                    lam: LambdaFamily | None = None) -> TensorField:
+                    lam: tuple[Expr, ...] | None = None) -> TensorField:
     """The (1,1) automorphism field for ``kind`` on ``n`` pairs in coordinate components."""
     dim = _dim(n)
     alpha, beta, gamma, delta = _pair_action(n, kind, lam)
@@ -163,7 +143,7 @@ def scaled_horizontal_identity(n: int, coeffs: tuple[Expr, ...]) -> TensorField:
 
 
 def structure_identities(n: int, kind: StructureKind,
-                         lam: LambdaFamily | None) -> list[tuple]:
+                         lam: tuple[Expr, ...] | None) -> list[tuple]:
     """The defining identities of the ``kind`` structure on ``n`` pairs as ``(lhs, rhs)`` pairs
     of symbolic component arrays: ``phi o phi`` against the horizontal identity
     ``1 - eta (x) xi`` scaled index-wise by -1, 1 or ``c_a^2``, where ``phi(Q_a) =
@@ -186,7 +166,7 @@ def structure_identities(n: int, kind: StructureKind,
     return pairs
 
 
-def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here) -> np.ndarray:
+def lambda_legendre_residual(tape: expr.Tape, mask, rows, here) -> np.ndarray:
     """Per-index residuals of the finite Legendre-invariance conditions, one row
     per point.
 
@@ -195,9 +175,10 @@ def lambda_legendre_residual(lam: LambdaFamily, mask, rows, here) -> np.ndarray:
     Legendre map ``Phi`` (see :func:`legendre_rows`).  The family must flip
     sign on the transformed indices and be unchanged on the rest:
     ``L_i(Phi x) = -L_i(x)`` for ``i in I`` and ``L_a(Phi x) = L_a(x)``
-    otherwise.  ``here`` is ``L(x)`` as ``lam.tape.run_batch(rows)`` gives it.
-    Returns a ``(k, n)`` array.
+    otherwise.  ``tape`` is the family compiled against ``coord_names(n)`` and
+    ``here`` is ``L(x)`` as ``tape.run_batch(rows)`` gives it.  Returns a
+    ``(k, n)`` array.
     """
-    there = lam.tape.run_batch(legendre_rows(mask, rows))
+    there = tape.run_batch(legendre_rows(mask, rows))
     with np.errstate(all="ignore"):  # as in run_batch, an overflow is a value
         return np.where(mask, (there + here).T, (there - here).T)

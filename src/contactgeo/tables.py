@@ -27,17 +27,18 @@ from .hamiltonian import (hamiltonian_vector_field, rotation_generator,
                           scaling_generator)
 from .metrics import MetricKind
 from .phase_space import TensorField, _dim, _obj
-from .structures import LambdaFamily, _reciprocal
+from .structures import _lambda_coeffs
 
 __all__ = ["lie_derivative_closed_form"]
 
 
 def lie_derivative_closed_form(n: int, kind: MetricKind, generator: str,
                                m: int | None = None,
-                               lam: LambdaFamily | None = None) -> TensorField:
+                               lam: tuple[expr.Expr, ...] | None = None) -> TensorField:
     """Expected ``L_X g`` on ``n`` pairs for the tensor of ``kind`` along one generator.
 
-    ``generator`` is ``"rotation"`` (needs ``m``) or ``"scaling"``.
+    ``generator`` is ``"rotation"`` (needs ``m``) or ``"scaling"``.  The ``lambda``
+    kinds need ``lam``, a family of ``n`` expressions.
     """
     dim = _dim(n)
     kind = MetricKind(kind)
@@ -58,9 +59,7 @@ def lie_derivative_closed_form(n: int, kind: MetricKind, generator: str,
     elif kind == MetricKind.S:
         rows = {a: (zero, zero, minus) if rotation else (minus, minus, zero) for a in pairs}
     elif kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
-        if lam is None:
-            raise ValueError(f"{kind.value} needs a LambdaFamily")
-        coeffs = lam.exprs if kind == MetricKind.LAMBDA else _reciprocal(lam)
+        coeffs = _lambda_coeffs(n, kind, lam)
         gen = rotation_generator(m) if rotation else scaling_generator(n)
         X = hamiltonian_vector_field(n, gen)
         for a in range(n):

@@ -16,7 +16,6 @@ from contactgeo.hamiltonian import (hamiltonian_vector_field, integrate_flow,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import Metric, MetricKind
 from contactgeo.phase_space import TensorField, _obj, coord_names
-from contactgeo.structures import LambdaFamily, _reciprocal
 
 
 def bindings(point):
@@ -388,7 +387,7 @@ def _sym(dq: TensorField, dp: TensorField) -> TensorField:
 
 def composed_lie_derivative_closed_form(n: int, kind: MetricKind, generator: str,
                                         m: int | None = None,
-                                        lam: LambdaFamily | None = None) -> TensorField:
+                                        lam: tuple[Expr, ...] | None = None) -> TensorField:
     """Expected ``L_X g`` for the tensor of ``kind`` along one generator.
 
     ``generator`` is ``"rotation"`` (needs ``m``) or ``"scaling"``.
@@ -432,8 +431,8 @@ def composed_lie_derivative_closed_form(n: int, kind: MetricKind, generator: str
 
     if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
         if lam is None:
-            raise ValueError(f"{kind.value} needs a LambdaFamily")
-        coeffs = lam.exprs if kind == MetricKind.LAMBDA else _reciprocal(lam)
+            raise ValueError(f"{kind.value} needs a lambda family")
+        coeffs = lam if kind == MetricKind.LAMBDA else tuple(div(expr.ONE, e) for e in lam)
         gen = rotation_generator(m) if rotation else scaling_generator(n)
         X = hamiltonian_vector_field(n, gen)
         pieces = []

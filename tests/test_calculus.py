@@ -15,8 +15,7 @@ from contactgeo.hamiltonian import (hamiltonian_vector_field,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import _obj, contact_form, coord_names, frame, sample_points
-from contactgeo.structures import (LambdaFamily, StructureKind,
-                                   build_structure, product_lambda)
+from contactgeo.structures import StructureKind, build_structure, product_lambda
 
 PT = (1.0, 2.0, 3.0)
 
@@ -310,7 +309,7 @@ class TestNablaReeb:
 
     def test_reflection_limit(self):
         # constant family L = 1 reduces the scaled metric to g_r: nabla xi = -phi_r
-        ones = LambdaFamily.of(["1", "1"])
+        ones = tuple(map(expr.parse, ["1", "1"]))
         metric = metric_from_structure(2, MetricKind.LAMBDA, ones)
         phi_r = build_structure(2, StructureKind.REFLECTION)
         pt = (0.2, 1.1, -0.6, 0.8, 1.3)
@@ -329,7 +328,7 @@ class TestKappa:
                 assert np.max(np.abs(lie.evaluate(pt))) == 0.0
 
     def test_w_dependent_family(self):
-        lam = LambdaFamily.of(["w*q1*p1"])
+        lam = tuple(map(expr.parse, ["w*q1*p1"]))
         lie = lie_derivative(build_structure(1, StructureKind.LAMBDA, lam), frame(1)[0])
         # (1/2)(q p)(dq (x) Q - dp (x) P): columns q -> (qp/2) Q, p -> -(qp/2) P
         got = 0.5 * lie.evaluate(PT)

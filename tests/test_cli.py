@@ -332,7 +332,7 @@ class TestVerify:
         path = tmp_path / "run.cfg"
         path.write_text("".join(f'lambda.{k} = "q{k}"\n' for k in (10, 9, 1)))
         lam = cli._read_config(str(path))["lam"]
-        assert [str(e) for e in lam.exprs] == ["q1", "q9", "q10"]
+        assert [str(e) for e in lam] == ["q1", "q9", "q10"]
 
     def test_extra_catalog(self, tmp_path, capsys):
         path = tmp_path / "extra.cfg"
@@ -492,6 +492,25 @@ class TestRunSuiteApi:
         gc.collect()
         assert live_nodes() == before
 
+    @pytest.mark.parametrize("n, builds", [(2, 10), (3, 13)])
+    def test_a_run_builds_each_metric_once(self, monkeypatch, n, builds):
+        keys = []
+        build = cli.metric_from_structure
+
+        def counting(n, kind, lam=None):
+            keys.append((n, kind, lam))
+            return build(n, kind, lam)
+
+        monkeypatch.setattr(cli, "metric_from_structure", counting)
+        run_suite(RunConfig(n=n, points=2, seed=7))
+        assert len(keys) == len(set(keys)) == builds
+
+    def test_families_built_apart_key_one_metric(self):
+        # interned nodes make two product families one key while the first lives
+        cfg = RunConfig(n=2, points=2, seed=7)
+        first = cfg.metric(MetricKind.LAMBDA, 2, structures.product_lambda(2))
+        assert cfg.metric(MetricKind.LAMBDA, 2, structures.product_lambda(2)) is first
+
     def test_wall_time_tracked_in_memory_only(self):
         report = run_suite(RunConfig(suite="flows", seed=1, points=4))
         assert all(c.wall_time >= 0.0 for c in report.checks)
@@ -577,7 +596,7 @@ class TestRunSuiteApi:
         run_suite(RunConfig(n=3, m=2, seed=5, points=2))
         monkeypatch.undo()
         assert {"TensorField.tape", "CoordinateMap.tape", "Metric.ricci_tape",
-                "LambdaFamily.tape",
+                "_legendre_conditions",
                 "_hamiltonian_eta", "_differences", "FundamentalRelation._value_tape",
                 "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
                 } <= {caller for caller, _ in compiled.values()}
@@ -676,7 +695,7 @@ def test_sweeps_do_not_depend_on_their_block_length(monkeypatch, check_id):
         broken = cli.Check(check.id, check.anchor, check.tolerance,
                            lambda cfg, rng: check.residuals(cfg, _OverflowingDraws(rng)))
     else:  # 7e307 q1 p1 overflows at the points where q1 p1 > 2.57
-        family = structures.LambdaFamily.of(["7e307*q1*p1", "q2*p2", "q3*p3"])
+        family = tuple(map(expr.parse, ["7e307*q1*p1", "q2*p2", "q3*p3"]))
 
     def outcomes():
         seen = [_outcome(check, cfg) for cfg in runs]

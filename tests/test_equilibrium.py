@@ -155,7 +155,7 @@ class TestPullbackOntoStateSpace:
             gl = metric_from_structure(rel.n, MetricKind.LAMBDA, lam)
             for qvals in _domain_points(rel, rng, 15):
                 x = embed(rel, qvals)
-                lam_vals = np.array([expr.evaluate(e, bindings(x)) for e in lam.exprs])
+                lam_vals = np.array([expr.evaluate(e, bindings(x)) for e in lam])
                 H = rel.hessian(qvals)
                 want = -0.5 * (lam_vals[:, None] + lam_vals[None, :]) * H
                 pulled = pulled_back(rel.embedding, gl.tensor, qvals)
@@ -269,15 +269,24 @@ class TestInvolution:
             assert np.max(np.abs(eta.evaluate(x) @ J)) < 1e-8
 
     def test_the_point_map_is_legendre_rows_bit_for_bit(self):
-        # signed zeros, infinities, NaNs of either sign and q p products that overflow
+        # signed zeros, infinities, NaNs of either sign and q p products that overflow;
+        # IEEE 754 leaves open which operand's NaN NaN * NaN returns, and CPython's
+        # specialized float multiply and its generic one (which a line tracer forces)
+        # choose differently, so a w that takes the product of a NaN q_i and a NaN p_i
+        # need only be NaN on both sides
         special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                             1e200, -1e200, 1.5, -2.25, 5e-324])
         rng = np.random.default_rng(104)
         for n in range(1, 6):
             rows = rng.choice(special, size=(40, 2 * n + 1))
+            nan_products = np.isnan(rows[:, 1:n + 1]) & np.isnan(rows[:, n + 1:])
             for I in map(IndexSubset.of, _subsets(n)):
-                want = legendre_rows(np.tile(index_mask(I, n), (len(rows), 1)), rows)
+                mask = np.tile(index_mask(I, n), (len(rows), 1))
+                want = legendre_rows(mask, rows)
                 got = np.array([_legendre_point(I, row) for row in rows.tolist()])
+                open_sign = (mask & nan_products).any(axis=1)
+                assert np.isnan(got[open_sign, 0]).all() and np.isnan(want[open_sign, 0]).all()
+                got[open_sign, 0] = want[open_sign, 0]
                 assert got.tobytes() == want.tobytes()
 
     def test_image_point_matches_quarter_turn(self, ideal):

@@ -233,6 +233,17 @@ class TestLieDerivativeTable:
             for pt in self.pts:
                 assert np.max(np.abs(got.evaluate(pt) - want.evaluate(pt))) < 1e-9
 
+    @pytest.mark.parametrize("generator", ["rotation", "scaling"])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_a_family_of_another_size_is_refused(self, generator, size):
+        # one entry per pair: a shorter family once raised a bare IndexError and a
+        # longer one silently lost its last entries
+        for kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
+            with pytest.raises(ValueError, match=f"lambda family has {size} entries, need 2"):
+                lie_derivative_closed_form(2, kind, generator, m=1, lam=product_lambda(size))
+            with pytest.raises(ValueError, match=f"{kind.value} needs a lambda family"):
+                lie_derivative_closed_form(2, kind, generator, m=1)
+
     def test_frozen_scaling_row_of_acs(self):
         # L_{X_S} g = dp (x) dp - dq (x) dq has constant components
         got = lie_derivative(_metric(1, MetricKind.ACS).tensor,
