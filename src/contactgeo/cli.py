@@ -491,11 +491,12 @@ def _equilibrium_eta(cfg, rng):
 
 def _equilibrium_transform(cfg, rng):
     ideal = _builtin_relation(cfg, "ideal_gas")
-    F = equilibrium.legendre_potential(ideal, "S")
+    F = equilibrium.legendre_potential(ideal, 1)
     for S, V in _domain_samples(ideal, rng, 20):
         T = math.exp(S) * V ** (-2.0 / 3.0)
         closed = T * (1.0 - math.log(T) - (2.0 / 3.0) * math.log(V))
-        yield [(F.value([T, V]) - closed, F.gradient([T, V])[0] + S)]
+        x = equilibrium.embed(F, [T, V])  # (F, T, V, dF/dT, dF/dV)
+        yield [(x[0] - closed, x[3] + S)]
 
 
 def _equilibrium_involution(cfg, rng):

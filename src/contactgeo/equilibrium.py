@@ -8,10 +8,11 @@ potential -- the classical Hessian metric of the equilibrium state space.
 
 Potential transforms: ``legendre_potential`` replaces the coordinates of an
 index set ``I`` (one coordinate is ``|I| = 1``) by their conjugates in one
-transform: it solves ``p_I = grad_I wbar(q)`` for ``q_I`` numerically (damped,
-box-safeguarded Newton on the I x I Hessian block) and returns a relation that
-evaluates ``wbar - sum_{i in I} q^i p_i``.  Sign bookkeeping linking these numeric
-transforms to the phase-space quarter-turn map: with the Darboux
+transform.  The relation it returns embeds a point by solving ``p_I = grad_I
+wbar(q)`` for ``q_I`` numerically (damped, box-safeguarded Newton on the I x I
+Hessian block) and reading its potential ``wbar - sum_{i in I} q^i p_i`` and
+gradient off one run of the base's embedding tape.  Sign bookkeeping linking
+these numeric transforms to the phase-space quarter-turn map: with the Darboux
 identification ``q = (S, V), p = (T, -P)`` for ``eta = dU - T dS + P dV``,
 the transformed patch coordinates relate to the quarter-turn image by
 ``T = -q'`` and ``S = p'``.
@@ -19,7 +20,6 @@ the transformed patch coordinates relate to the quarter-turn image by
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,11 +57,7 @@ def _guard_samples(domain, n) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FundamentalRelation:
-    """A potential ``wbar`` over named independent coordinates with a domain box.
-
-    It keeps the transforms ``legendre_potential`` builds of it in ``_transforms``; they
-    evaluate ``_numeric``, a copy of it with its tapes and guard Hessians but no
-    transforms, so that no reference cycle keeps it from dying by reference counting."""
+    """A potential ``wbar`` over named independent coordinates with a domain box."""
 
     potential: str
     coords: tuple[str, ...]
@@ -93,27 +89,17 @@ class FundamentalRelation:
         return CoordinateMap(np.array(images, dtype=object), self.coords, self.potential)
 
     # compiled against ``coords`` on first use and kept for the relation's
-    # lifetime: the conjugate solves call gradient and hessian hundreds of
-    # times (perfbench's conjugate_n4, 39 involution checks, makes 420 tape
-    # runs, at most 70 on one tape, and one batched run per relation).  Each
-    # reads ``qvals`` as Python floats in that order.
-    @cached_property
-    def _value_tape(self) -> expr.Tape:
-        return expr.compile((self.wbar,), self.coords)
-
-    @cached_property
-    def _gradient_tape(self) -> expr.Tape:
-        return expr.compile(self.embedding.exprs[self.n + 1:], self.coords)
-
+    # lifetime, as the embedding's tape is: the conjugate solves call gradient
+    # and hessian hundreds of times.  Both read ``qvals`` as Python floats in
+    # that order.
     @cached_property
     def _hessian_tape(self) -> expr.Tape:
         return expr.compile(self.embedding.jacobian[self.n + 1:].reshape(-1), self.coords)
 
-    def value(self, qvals) -> float:
-        return self._value_tape.run(np.asarray(qvals, dtype=float).tolist())[0]
-
     def gradient(self, qvals) -> np.ndarray:
-        return np.array(self._gradient_tape.run(np.asarray(qvals, dtype=float).tolist()))
+        """``grad wbar``, sliced from a run of the embedding's tape."""
+        point = self.embedding.apply(np.asarray(qvals, dtype=float).tolist())
+        return np.array(point[self.n + 1:])
 
     def hessian(self, qvals) -> np.ndarray:
         out = np.array(self._hessian_tape.run(np.asarray(qvals, dtype=float).tolist()),
@@ -132,41 +118,29 @@ class FundamentalRelation:
         rows = _guard_samples(self.domain, self.n)
         return self._hessian_tape.run_batch(rows).T.reshape(len(rows), self.n, self.n)
 
-    @cached_property
-    def _transforms(self) -> dict:
-        return {}
-
-    @cached_property
-    def _numeric(self) -> FundamentalRelation:
-        for name in ("_value_tape", "_gradient_tape", "_guard_hessians"):
-            getattr(self, name)  # computed first, so that the copy shares them
-        twin = copy.copy(self)
-        twin.__dict__.pop("_transforms", None)
-        return twin
-
 
 class TransformedRelation:
     """Numeric relation: a fundamental relation with the coordinates of an index set
     replaced by their conjugates.  It is a leaf: ``legendre_potential`` refuses it.
 
     With ``I`` the transformed slots and ``R`` the rest, the base coordinates
-    ``x*`` keep ``x*_R = u_R`` and solve ``grad_I wbar(x*) = u_I``.  Value and
-    gradient come from the envelope identities ``F(u) = wbar(x*) - x*_I . u_I``,
-    ``dF/du_I = -x*_I`` and ``dF/du_R = d wbar / dx_R``; the Hessian is one block
-    Schur complement of the base Hessian.  This is the convex conjugate
-    restricted to a block (Rockafellar, Convex Analysis, section 26).
+    ``x*`` keep ``x*_R = u_R`` and solve ``grad_I wbar(x*) = u_I``.  The potential
+    and gradient of the embedded point come from the envelope identities
+    ``F(u) = wbar(x*) - x*_I . u_I``, ``dF/du_I = -x*_I`` and
+    ``dF/du_R = d wbar / dx_R``; the Hessian is one block Schur complement of the
+    base Hessian.  This is the convex conjugate restricted to a block
+    (Rockafellar, Convex Analysis, section 26).
     """
 
     def __init__(self, base, indices):
         I = IndexSubset.of(indices)
         I.validate(base.n)
-        self.base, self.indices = base._numeric, I.indices
+        self.base, self.indices = base, I.indices
         self._I = np.array(I.indices) - 1
         self._II = np.ix_(self._I, self._I)
         self.potential = f"L{','.join(map(str, I))}[{base.potential}]"
         self.coords = tuple(f"{c}_dual" if k + 1 in I else c for k, c in enumerate(base.coords))
         self._lo, self._hi = np.array(base.domain, dtype=float)[self._I].T
-        self._last = (None, None)
         # a non-finite block counts as indefinite (and would make eigvalsh raise); a
         # 1 x 1 block is its own eigenvalue, as LAPACK returns it
         blocks = self.base._guard_hessians[:, self._I[:, None], self._I]
@@ -190,6 +164,7 @@ class TransformedRelation:
             return None
         return g if all(map(math.isfinite, g.tolist())) else None
 
+    @np.errstate(over="ignore")
     def _solve(self, u) -> np.ndarray:
         """Base coordinates ``x*`` at ``u``: damped Newton on ``phi(x_I) = s (wbar(x_I,
         u_R) - u_I . x_I)``, ``s`` the sign of the I-block, from the middle of the box.
@@ -197,12 +172,9 @@ class TransformedRelation:
         where the iterate is on its edge and the step points out; a step is halved
         while its end cannot be evaluated or does not reduce ``|grad phi|``; one that
         passes the size test ``|dx| <= 1e-12 (1 + |x|)`` is taken in full, within 100
-        steps.  The last solve is kept, for ``embed`` asks for value and gradient at
-        one point."""
+        steps.  Numpy overflows silently here: an overflowing ``|grad phi|^2`` is
+        ``inf``, and the steps are those taken with the warning shown."""
         u = np.asarray(u, dtype=float)
-        key = u.tobytes()
-        if self._last[0] == key:
-            return self._last[1]
         I, target, lo, hi = self._I, u[self._I], self._lo, self._hi
         q = u.copy()
         q[I] = x = 0.5 * (lo + hi)
@@ -228,7 +200,6 @@ class TransformedRelation:
             ends = new.tolist()
             if all(abs(d) <= 1e-12 * (1.0 + abs(v)) for v, d in zip(ends, steps)):
                 q[I] = new
-                self._last = (key, q)
                 return q
             if not all(a <= v <= b for a, v, b in zip(lo.tolist(), ends, hi.tolist())):
                 down, up = (x <= lo) & (dx < 0.0), (x >= hi) & (dx > 0.0)
@@ -250,16 +221,15 @@ class TransformedRelation:
             x, g = new, g_new
         raise RootFindError("inversion did not converge within 100 iterations")
 
-    def value(self, qvals) -> float:
-        qstar = self._solve(qvals)
-        u = np.asarray(qvals, dtype=float)
-        return self.base.value(qstar) - float(qstar[self._I] @ u[self._I])
-
-    def gradient(self, qvals) -> np.ndarray:
-        qstar = self._solve(qvals)
-        grad = self.base.gradient(qstar)
-        grad[self._I] = -qstar[self._I]
-        return grad
+    def _point(self, u) -> list:
+        """The embedded point ``(F(u), u, dF/du)`` at the float array ``u``, from one
+        solve and one run of the base's embedding tape at its solution."""
+        qstar = self._solve(u)
+        x = self.base.embedding.apply(qstar.tolist())
+        p = x[self.n + 1:]
+        for i, v in zip(self._I.tolist(), qstar[self._I].tolist()):
+            p[i] = -v
+        return [x[0] - float(qstar[self._I] @ u[self._I]), *u.tolist(), *p]
 
     def hessian(self, qvals) -> np.ndarray:
         """Block Schur complement: ``-A^-1`` on I x I, ``A^-1 B`` across and
@@ -285,45 +255,33 @@ def embed(rel, qvals) -> list:
     qvals = np.asarray(qvals, dtype=float)
     if qvals.shape != (rel.n,):
         raise ValueError(f"expected {rel.n} coordinates")
-    if isinstance(rel, FundamentalRelation) and not rel.contains(qvals):
+    if isinstance(rel, TransformedRelation):
+        x = rel._point(qvals)
+    elif rel.contains(qvals):
+        x = rel.embedding.apply(qvals.tolist())
+    else:
         raise ValueError(f"point {qvals.tolist()} outside the domain of '{rel.potential}'")
-    w = rel.value(qvals)
-    p = rel.gradient(qvals)
-    if not (np.isfinite(w) and np.all(np.isfinite(p))):
+    if not all(map(math.isfinite, x)):
         raise ValueError("non-finite potential value or gradient")
-    return [float(w), *qvals.tolist(), *p.tolist()]
+    return x
 
 
 def legendre_potential(rel: FundamentalRelation, indices) -> TransformedRelation:
     """Replace the coordinates of ``indices`` of the fundamental relation ``rel`` by
     their conjugates, in one transform; any other ``rel`` raises ``TypeError``.
 
-    ``indices`` is one coordinate -- a 1-based position or a name -- or an index
-    set of them (an ``IndexSubset`` or any iterable).  The returned relation
-    evaluates ``wbar - sum_{i in I} q^i p_i`` numerically; its own gradient
-    carries the quarter-turn sign rules (the new conjugate of a transformed
-    slot is minus the old coordinate).
+    ``indices`` is what ``IndexSubset.of`` takes: one 1-based position, or an
+    iterable of them (an ``IndexSubset`` included).  The returned relation's
+    embedded point has the potential ``wbar - sum_{i in I} q^i p_i``, computed
+    numerically, and a gradient that carries the quarter-turn sign rules (the new
+    conjugate of a transformed slot is minus the old coordinate).
 
-    ``rel`` keeps the transform it returns, one for each index set however it
-    is spelled; a transform whose monotonicity guard fails is not kept, so
-    every call for it raises.
+    Each call builds a new transform; the relation keeps only the guard Hessians
+    they share, so a transform that is not monotone raises on every call.
     """
     if not isinstance(rel, FundamentalRelation):
         raise TypeError(f"only a FundamentalRelation is transformed, not a {type(rel).__name__}")
-    if isinstance(indices, (int, np.integer, str)):
-        indices = (indices,)
-    positions = []
-    for i in indices:
-        if isinstance(i, str):
-            if i not in rel.coords:
-                raise ValueError(f"no coordinate named {i!r}")
-            i = rel.coords.index(i) + 1
-        positions.append(int(i))
-    key = IndexSubset.of(positions).indices
-    found = rel._transforms.get(key)
-    if found is None:
-        found = rel._transforms[key] = TransformedRelation(rel, key)
-    return found
+    return TransformedRelation(rel, indices)
 
 
 def _legendre_point(I: IndexSubset, x) -> list:

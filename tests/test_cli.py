@@ -280,6 +280,20 @@ class TestVerify:
         assert summary["suite"] == "structures"
         assert summary["seed"] == 9
 
+    def test_a_bare_word_config_value_is_a_string(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        runs = []
+        for value in ("heisenberg", '"heisenberg"'):
+            cfg.write_text(f"suite = {value}\n")
+            runs.append(_run(capsys, ["verify", "--config", str(cfg)])[:2])  # stderr times
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert json.loads(runs[0][1].splitlines()[-1])["suite"] == "heisenberg"
+
+    def test_lambda_qp3_is_the_cubed_product_family(self, capsys):
+        runs = [_run(capsys, ["verify", "--n", "2", "--points", "3", "--lambda", lam])[:2]
+                for lam in ("qp3", "(q1*p1)^3; (q2*p2)^3")]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
     def test_options_given_override_the_config_file(self, tmp_path, capsys):
         # RunConfig's defaults, under the --config values, under the options given
         cfg = tmp_path / "run.cfg"
@@ -596,9 +610,8 @@ class TestRunSuiteApi:
         run_suite(RunConfig(n=3, m=2, seed=5, points=2))
         monkeypatch.undo()
         assert {"TensorField.tape", "CoordinateMap.tape", "Metric.ricci_tape",
-                "_legendre_conditions",
-                "_hamiltonian_eta", "_differences", "FundamentalRelation._value_tape",
-                "FundamentalRelation._gradient_tape", "FundamentalRelation._hessian_tape",
+                "_legendre_conditions", "_hamiltonian_eta", "_differences",
+                "FundamentalRelation._hessian_tape",
                 } <= {caller for caller, _ in compiled.values()}
 
         def outcome(fn):

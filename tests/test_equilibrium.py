@@ -30,8 +30,8 @@ def _entry(name) -> FundamentalRelation:
     return next(e.relation for e in catalog() if e.id == name)
 
 
-# each test gets fresh relations: a relation keeps its compiled tapes, guard
-# Hessians and transforms, and a test must not see what an earlier one built;
+# each test gets fresh relations: a relation keeps its compiled tapes and guard
+# Hessians, and a test must not see what an earlier one built;
 # a parametrized test takes one of these builders through the ``rel`` fixture
 QUAD = partial(_entry, "quadratic")
 IDEAL = partial(_entry, "ideal_gas")
@@ -164,29 +164,30 @@ class TestPullbackOntoStateSpace:
 
 class TestLegendrePotential:
     def test_ideal_gas_closed_form(self, ideal):
-        F = legendre_potential(ideal, "S")
+        F = legendre_potential(ideal, 1)
         rng = np.random.default_rng(94)
         for S, V in _domain_points(ideal, rng, 20):
             T = math.exp(S) * V ** (-2.0 / 3.0)
             closed = T * (1.0 - math.log(T) - (2.0 / 3.0) * math.log(V))
-            assert F.value([T, V]) == pytest.approx(closed, abs=1e-8)
+            x = embed(F, [T, V])
+            assert x[0] == pytest.approx(closed, abs=1e-8)
             # the recovered entropy: -dF/dT = S
-            assert -F.gradient([T, V])[0] == pytest.approx(S, abs=1e-8)
+            assert -x[3] == pytest.approx(S, abs=1e-8)
 
     def test_quadratic_self_conjugate(self):
         rel = FundamentalRelation("half_square", ("x",), expr.parse("0.5*x^2"),
                                   ((-2.0, 2.0),))
         F = legendre_potential(rel, 1)
         for p in (-1.5, -0.3, 0.8, 1.9):
-            assert F.value([p]) == pytest.approx(-0.5 * p * p, abs=1e-12)
+            assert embed(F, [p])[0] == pytest.approx(-0.5 * p * p, abs=1e-12)
 
     def test_names_and_coords(self, ideal):
-        F = legendre_potential(ideal, "S")
+        F = legendre_potential(ideal, 1)
         assert F.potential == "L1[U]"
         assert F.coords == ("S_dual", "V")
 
     def test_transformed_hessian_schur_update(self, ideal):
-        F = legendre_potential(ideal, "S")
+        F = legendre_potential(ideal, 1)
         rng = np.random.default_rng(96)
         for S, V in _domain_points(ideal, rng, 5):
             T = math.exp(S) * V ** (-2.0 / 3.0)
@@ -202,21 +203,27 @@ class TestLegendrePotential:
             legendre_potential(rel, 1)
 
     def test_out_of_range_target_raises(self, ideal):
-        F = legendre_potential(ideal, "S")
-        with pytest.raises(RootFindError):
-            F.value([-1.0, 1.0])  # conjugate exp(S) V^(-2/3) is always positive
-
-    def test_one_transform_per_index_set(self, ideal):
         F = legendre_potential(ideal, 1)
-        for spelled in ("S", [1], IndexSubset.of(1)):
-            assert legendre_potential(ideal, spelled) is F
-        assert legendre_potential(ideal, ["V", "S"]) is legendre_potential(ideal, (1, 2))
+        with pytest.raises(RootFindError):
+            embed(F, [-1.0, 1.0])  # conjugate exp(S) V^(-2/3) is always positive
+
+    @pytest.mark.parametrize("I, u", [(1, [1e308, 1.0]), (1, [-1e160, 1.0]), (2, [1.0, 1e200]),
+                                      ((1, 2), [1e200, 1e200])])
+    def test_a_huge_target_fails_without_a_warning(self, ideal, I, u):
+        # |grad phi|^2 overflows numpy once a target passes about 1e154; a leaked
+        # overflow warning, an error under this suite's warning filter, would
+        # replace the RootFindError
+        with pytest.raises(RootFindError, match="made no progress"):
+            embed(legendre_potential(ideal, I), u)
+
+    def test_only_a_fundamental_relation_is_transformed(self, ideal):
+        F = legendre_potential(ideal, 1)
         with pytest.raises(TypeError, match="FundamentalRelation"):
             legendre_potential(F, 2)
 
     def test_relations_and_kept_transforms_die_by_reference_counting(self):
-        # a transform evaluates a copy of its base that does not keep transforms,
-        # so no relation is in a reference cycle with the transforms it keeps
+        # a transform holds its relation and the relation no transform, so no
+        # reference cycle keeps either alive
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -239,8 +246,6 @@ class TestLegendrePotential:
         assert errors[0] == errors[1]
 
     def test_index_validation(self, ideal):
-        with pytest.raises(ValueError, match="no coordinate named"):
-            legendre_potential(ideal, "Z")
         with pytest.raises(ValueError, match="out of range"):
             legendre_potential(ideal, 3)
 
@@ -265,7 +270,7 @@ class TestInvolution:
         for S, V in _domain_points(ideal, rng, 10):
             T = math.exp(S) * V ** (-2.0 / 3.0)
             x = embed(F, [T, V])
-            J = np.vstack([F.gradient([T, V]), np.eye(2), F.hessian([T, V])])
+            J = np.vstack([x[3:], np.eye(2), F.hessian([T, V])])
             assert np.max(np.abs(eta.evaluate(x) @ J)) < 1e-8
 
     def test_the_point_map_is_legendre_rows_bit_for_bit(self):
@@ -326,7 +331,7 @@ class TestCatalog:
         )
         entries = load_catalog(path)
         assert [e.id for e in entries] == ["quartic", "G"]
-        assert entries[0].relation.value([1.0]) == 1.0
+        assert embed(entries[0].relation, [1.0])[0] == 1.0
         assert entries[1].relation.gradient([0.0, 0.5]).tolist() == [1.0, 1.0]
 
     def test_load_catalog_missing_keys(self, tmp_path):
@@ -390,9 +395,10 @@ class TestJointTransform:
             for q in _domain_points(rel, rng, 3):
                 u = _conjugate_point(rel, I, q)
                 x, want_grad = _quadratic_oracle_gradient(COUPLED_A, COUPLED_B, I, u)
-                want_value = rel.value(x) - x[idx] @ u[idx]
-                assert F.value(u) == pytest.approx(want_value, abs=1e-12)
-                assert np.max(np.abs(F.gradient(u) - want_grad)) < 1e-12
+                want_value = embed(rel, x)[0] - x[idx] @ u[idx]
+                got = embed(F, u)
+                assert got[0] == pytest.approx(want_value, abs=1e-12)
+                assert np.max(np.abs(got[5:] - want_grad)) < 1e-12
                 # the gradient is affine in u: unit differences give the Hessian exactly
                 want_hess = np.column_stack([
                     _quadratic_oracle_gradient(COUPLED_A, COUPLED_B, I, u + e)[1] - want_grad
@@ -404,7 +410,7 @@ class TestJointTransform:
         assert F.potential == "L1,2[U]"
         assert F.coords == ("S_dual", "V_dual")
         assert F.indices == (1, 2)
-        assert legendre_potential(ideal, ["V", "S"]).indices == (1, 2)
+        assert legendre_potential(ideal, [2, 1]).indices == (1, 2)
         assert legendre_potential(ideal, [2]).potential == "L2[U]"
         with pytest.raises(ValueError, match="non-empty"):
             legendre_potential(ideal, [])
@@ -414,7 +420,7 @@ class TestJointTransform:
         rng = np.random.default_rng(102)
         for q in _domain_points(ideal, rng, 10):
             u = ideal.gradient(q)
-            assert np.max(np.abs(joint.gradient(u) + q)) < 1e-10  # recovers (S, V)
+            assert np.max(np.abs(embed(joint, u)[3:] + q)) < 1e-10  # recovers (S, V)
 
     @pytest.mark.parametrize("rel, I", [(IDEAL, (1, 2)), (IDEAL, (2,)), (VDW, (1,)),
                                         (COUPLED, (1, 3, 4))], indirect=["rel"])
@@ -422,9 +428,13 @@ class TestJointTransform:
         F = legendre_potential(rel, I)
         rng = np.random.default_rng(103)
         h = 1e-5
+
+        def grad(u):
+            return np.array(embed(F, u)[rel.n + 1:])
+
         for q in _domain_points(rel, rng, 4):
             u = _conjugate_point(rel, I, q)
-            fd = np.column_stack([(F.gradient(u + h * e) - F.gradient(u - h * e)) / (2 * h)
+            fd = np.column_stack([(grad(u + h * e) - grad(u - h * e)) / (2 * h)
                                   for e in np.eye(rel.n)])
             H = F.hessian(u)
             assert np.array_equal(H, H.T)
@@ -446,7 +456,7 @@ class TestJointTransform:
         rel = FundamentalRelation("quartic", ("x",), expr.parse("x^4"), ((-1.0, 1.0),))
         F = legendre_potential(rel, 1)
         with pytest.raises(RootFindError, match="no Newton step"):
-            F.value([0.5])
+            embed(F, [0.5])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("pivot", [0.0, math.nan])
@@ -457,7 +467,7 @@ class TestJointTransform:
         F = legendre_potential(rel, 1)
         monkeypatch.setattr(FundamentalRelation, "hessian", lambda self, q: np.array([[pivot]]))
         with pytest.raises(RootFindError, match="no Newton step|non-finite conjugate block"):
-            F.value([0.5])
+            embed(F, [0.5])
         F._solve = lambda u: np.array([0.25])
         with pytest.raises(RootFindError, match="singular or non-finite"):
             F.hessian([0.5])
