@@ -555,29 +555,36 @@ def _pow_value(base: float, e: float, root: int) -> float:
 (_VAR, _ADD, _SUB, _MUL, _DIV, _NEG, _POWI, _POW, _EXP, _LOG, _SIN, _COS, _NONZERO) = range(13)
 _OPCODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV, "neg": _NEG, "pow": _POW,
            "exp": _EXP, "log": _LOG, "sin": _SIN, "cos": _COS}
-
-# The statements of each instruction, formatted with integer slot numbers only:
-# {0} is the destination and {1} and {2} the operand slots; a variable's {1} is
-# its position, read from the stage input x<pos>.  A power's exponent data is
-# the parameter r<dst> (and s<dst>), so no constant or exponent ever becomes
-# source text.
-_STATEMENT = {
-    _VAR: "v{0:d} = x{1:d}",
-    _ADD: "v{0:d} = v{1:d} + v{2:d}",
-    _SUB: "v{0:d} = v{1:d} - v{2:d}",
-    _MUL: "v{0:d} = v{1:d} * v{2:d}",
-    _DIV: "v{0:d} = v{1:d} / v{2:d}",
-    _NEG: "v{0:d} = -v{1:d}",
-    _POWI: "v{0:d} = _pow(v{1:d}, r{0:d}) if v{1:d} != 0.0 else _zero_power(r{0:d})",
-    _POW: "v{0:d} = _pow_value(v{1:d}, r{0:d}, s{0:d})",
-    _EXP: "v{0:d} = _exp(v{1:d})",
-    _LOG: "if v{1:d} <= 0.0: raise EvalError('log of a non-positive value')\n"
-          "v{0:d} = _log(v{1:d})",
-    _SIN: "v{0:d} = _sin(v{1:d})",
-    _COS: "v{0:d} = _cos(v{1:d})",
-    _NONZERO: "if v{1:d} == 0.0: raise EvalError('division by zero')",
-}
 _BINARY = (_ADD, _SUB, _MUL, _DIV)
+
+# The stepper's source.  An arithmetic instruction is an expression over the
+# text of its operands, {0} and {1}.  Any other instruction is a statement: {0}
+# is the local it assigns, {1} the text of its operand and {2} its slot, which
+# names its exponent's parameters r<slot> and s<slot>, so no constant or
+# exponent ever becomes source text.  A positive even integer power has no zero
+# test, since math.pow(+-0.0, e) is then +0.0, the value of _zero_power(e).
+_EXPRESSION = {_ADD: "{0} + {1}", _SUB: "{0} - {1}", _MUL: "{0} * {1}", _DIV: "{0} / {1}",
+               _NEG: "-{0}"}
+_STATEMENT = {
+    _POWI: "{0} = _pow({1}, r{2:d}) if {1} != 0.0 else _zero_power(r{2:d})",
+    _POW: "{0} = _pow_value({1}, r{2:d}, s{2:d})",
+    _EXP: "{0} = _exp({1})",
+    _LOG: "if {1} <= 0.0: raise EvalError('log of a non-positive value')\n{0} = _log({1})",
+    _SIN: "{0} = _sin({1})",
+    _COS: "{0} = _cos({1})",
+    _NONZERO: "if {1} == 0.0: raise EvalError('division by zero')",
+}
+_EVEN_POWER = "{0} = _pow({1}, r{2:d})"
+# The deepest that an inlined expression nests its parentheses; an arithmetic
+# instruction that would nest deeper is a statement of its own.  Python's parser
+# refuses more than 200 nested parentheses, which the chain of single-use sums
+# of a Hamiltonian of 400 terms would pass.
+_MAX_NESTING = 32
+
+
+def _even(e: float) -> bool:
+    """Whether a _POWI exponent is a positive even integer."""
+    return e > 0.0 and e % 2.0 == 0.0
 
 
 def _wrong_length(arity: int, point):
@@ -594,27 +601,42 @@ _STEPPER_GLOBALS = {"__builtins__": {}, "EvalError": EvalError, "len": len, "ran
 
 def _generate(template: list, code: list, outputs: list, arity: int):
     """The stepper of :meth:`Tape.rk4`: the function ``(y, h, steps) -> y``
-    that runs ``code`` as Python statements.
+    that runs ``code`` at each of the four stages of every step.
 
-    It is one loop over the steps whose body holds the statements four times,
-    once per stage, with a variable read from the stage's input ``x<pos>``;
-    its source grows with the tape, not with ``steps``.  Every constant slot
-    and exponent is a parameter whose value is set as the function's default
-    arguments, so a call passes its own arguments alone.
+    A stage is written as fused expressions, the rule for generating code from
+    an expression DAG (Sethi and Ullman, JACM 17(4), 1970): an add, sub, mul,
+    div or neg that one other instruction alone reads goes, in parentheses,
+    inside that one, up to ``_MAX_NESTING`` parentheses deep; a shared one, a
+    deeper one and a stage output are each assigned to a local.  A variable
+    reads the stage's input local directly, and an input that no variable
+    reads is not computed.  Each math call and domain test (a power, ``exp``,
+    ``log``, ``sin`` and ``cos``, a divisor's zero test and a ``log``'s domain
+    test) stays one statement, in tape order, so the values and the first
+    error raised are those of :meth:`Tape.run`: the arithmetic that moves
+    later cannot raise, since its divisors are tested before it.  Each
+    constant slot and exponent is a parameter whose value is set as the
+    function's default arguments, so a call passes its own arguments alone
+    and no value becomes source text.
     """
+    # the source is built with %-formatting: an f-string takes about ten times
+    # as long to compile, which every import pays where no bytecode is cached
     assigned = {dst for _, dst, _, _ in code}
-    params = {f"v{s:d}": template[s] for s in range(len(template)) if s not in assigned}
+    params = {"v%d" % s: template[s] for s in range(len(template)) if s not in assigned}
+    # how often a stage reads each slot: a log and a power with a zero test
+    # read their operand twice, a divisor is read by its test and its quotient
+    reads = [0] * len(template)
     for op, dst, a, b in code:
         if op == _POWI:
-            params[f"r{dst:d}"] = b
+            params["r%d" % dst] = b
         elif op == _POW:
-            params[f"r{dst:d}"], params[f"s{dst:d}"] = b
-    stage = []
-    for op, dst, a, b in code:
-        stage += _STATEMENT[op].format(dst, a, b if op in _BINARY else None).split("\n")
-    body = _stepper_body(stage, outputs, arity)
+            params["r%d" % dst], params["s%d" % dst] = b
+        if op in _BINARY:
+            reads[b] += 1
+        if op != _VAR:
+            reads[a] += 2 if op == _LOG or op == _POWI and not _even(b) else 1
+    stages = [_stage(code, reads, outputs, letter) for letter in "abcd"]
     source = "\n".join(["def rk4(y, h, steps, " + ", ".join(params) + "):",
-                        *["    " + line for line in body]])
+                        *["    " + line for line in _stepper_body(stages, arity)]])
     scope: dict = {}
     exec(builtins.compile(source, "<tape>", "exec"), dict(_STEPPER_GLOBALS), scope)
     function = scope["rk4"]
@@ -622,32 +644,76 @@ def _generate(template: list, code: list, outputs: list, arity: int):
     return function
 
 
-def _stepper_body(stage: list, outputs: list, arity: int) -> list:
-    """The lines of the stepper: the statements of one evaluation, ``stage``,
-    run at each RK4 stage in a loop over the steps, on scalar locals and in
-    the association order of numpy's array form ``y + (0.5*h)*k`` and
-    ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``."""
-    coords = range(arity)
-    state = "".join(f"y{j:d}, " for j in coords)
-    lines = [f"if len(y) != {arity:d}: _wrong_length({arity:d}, y)",
-             f"{state}= y",
+def _stage(code: list, reads: list, outputs: list, letter: str) -> tuple:
+    """One stage of the stepper: its inputs ``(j, local)``, its statements and
+    the text of each of its outputs.
+
+    An output slot is assigned to the stage's local ``<letter><j>`` of its
+    first output ``j``, and another statement to ``v<slot>``; a constant is
+    its parameter ``v<slot>``.  A variable at position ``j`` reads the state
+    ``y<j>`` in the first stage, and after it the stage's input ``x<j>``, or
+    its own output where it is one, so that a stage output keeps its value
+    until the step's update.  An inlined slot's text is its expression in
+    parentheses.
+    """
+    first: dict = {}
+    for j, s in enumerate(outputs):
+        first.setdefault(s, j)
+    text = {s: "v%d" % s for s in range(len(reads))}
+    depth: dict = {}  # the nesting of parentheses of each inlined slot's text
+    inputs, lines = [], []
+    for op, dst, a, b in code:
+        name = "%s%d" % (letter, first[dst]) if dst in first else "v%d" % dst
+        if op == _VAR:
+            text[dst] = "y%d" % a if letter == "a" else name if dst in first else "x%d" % a
+            inputs.append((a, text[dst]))
+            continue
+        if op in _EXPRESSION:
+            value = _EXPRESSION[op].format(text[a], text.get(b))
+            nesting = 1 + max(depth.get(a, 0), depth.get(b, 0))
+            if reads[dst] == 1 and dst not in first and nesting <= _MAX_NESTING:
+                text[dst], depth[dst] = "(" + value + ")", nesting
+                continue
+            lines.append(name + " = " + value)
+        else:
+            form = _EVEN_POWER if op == _POWI and _even(b) else _STATEMENT[op]
+            lines += form.format(name, text[a], dst).split("\n")
+        text[dst] = name
+    return inputs, lines, [text[s] for s in outputs]
+
+
+def _stepper_body(stages: list, arity: int) -> list:
+    """The lines of the stepper: a loop over the steps that runs the four
+    ``stages``, each ``(inputs, statements, outputs)`` as :func:`_stage` makes
+    them, on scalar locals and in the association order of numpy's array form
+    ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``.
+
+    A stage after the first assigns its inputs, only those that a variable
+    reads, from the state and the outputs of the stage before.  The state is
+    updated at once, since an output of the first stage may be a coordinate
+    of the state.
+    """
+    state = "".join("y%d, " % j for j in range(arity))
+    lines = ["if len(y) != %d: _wrong_length(%d, y)" % (arity, arity),
+             state + "= y",
              "half, sixth = 0.5 * h, h / 6.0",
              "for k in range(steps):",
              "    try:"]
-    # each stage's input, and the name of the local that keeps its derivative
-    inputs = [("a", "y{0:d}"), ("b", "y{0:d} + half * a{0:d}"),
-              ("c", "y{0:d} + half * b{0:d}"), ("d", "y{0:d} + h * c{0:d}")]
-    for name, point in inputs:
-        lines += [f"        x{j:d} = " + point.format(j) for j in coords]
+    before = None
+    for (inputs, stage, outputs), step in zip(stages, ("", "half", "half", "h")):
+        lines += ["        %s = y%d + %s * %s" % (x, j, step, before[j]) for j, x in inputs if step]
         lines += ["        " + line for line in stage]
-        lines += [f"        {name}{j:d} = v{s:d}" for j, s in enumerate(outputs)]
+        before = outputs
+    if lines[-1] == "    try:":  # a field of constants
+        lines.append("        pass")
+    ks = zip(*[outputs for _, _, outputs in stages])
     lines += ["    except (OverflowError, ValueError):  # a math call overflowed",
-              "        raise FloatingPointError(f'non-finite state at step {k + 1}') from None"]
-    lines += [f"    y{j:d} = y{j:d} + sixth * (((a{j:d} + 2.0 * b{j:d}) + 2.0 * c{j:d}) + d{j:d})"
-              for j in coords]
-    lines += ["    if not (" + " and ".join(f"_isfinite(y{j:d})" for j in coords) + "):",
+              "        raise FloatingPointError(f'non-finite state at step {k + 1}') from None",
+              "    %s= %s" % (state, "".join("y%d + sixth * (((%s + 2.0 * %s) + 2.0 * %s) + %s), "
+                                          % (j, *k) for j, k in enumerate(ks))),
+              "    if not (%s):" % " and ".join("_isfinite(y%d)" % j for j in range(arity)),
               "        raise FloatingPointError(f'non-finite state at step {k + 1}')",
-              f"return [{state}]"]
+              "return [%s]" % state]
     return lines
 
 
@@ -684,10 +750,13 @@ class Tape:
 
     :meth:`rk4` runs a vector field's tape as the right-hand side of an RK4
     flow: its first call generates the stepper, one Python function that holds
-    a statement per instruction four times, once per stage, in one loop over
-    all the steps.  It is the only generated code of a tape, and dies with it.
-    A ``math`` call that overflows in a step raises ``FloatingPointError``,
-    which names the step, not the call.
+    the instructions four times, once per stage, in one loop over all the
+    steps.  There a single-use arithmetic instruction is inlined into the one
+    that reads it, up to ``_MAX_NESTING`` parentheses deep, and each math call
+    and domain test is a statement of its own, in tape order.  It is the only
+    generated code of a tape, and dies with it.  A ``math`` call that
+    overflows in a step raises ``FloatingPointError``, which names the step,
+    not the call.
 
     :meth:`run_batch` runs the same list over many points at once, through
     the interpreter's own loop with a column of values in each slot.
@@ -731,15 +800,19 @@ class Tape:
         ``ydot = f(y)`` from ``state``, where ``f`` is the tape's outputs, one
         per coordinate.
 
-        The first call generates the stepper, one Python function that runs
-        all the steps and is kept for every later call.  It does at each stage
-        what :meth:`run` does, on Python floats, so its states are those of
-        stepping with :meth:`run` in numpy's association order
-        ``y + (0.5*h)*k`` and ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, bit
-        for bit.  A ``math`` call that overflows in step ``k``, or a state
-        that is not finite after it, raises ``FloatingPointError("non-finite
-        state at step k")``; a domain test that fails raises :meth:`run`'s
-        :class:`EvalError`.
+        The first call generates the stepper (:func:`_generate`), one Python
+        function that runs all the steps and is kept for every later call.  It
+        does at each stage what :meth:`run` does, on Python floats: an
+        arithmetic instruction that one other alone reads is inlined into it,
+        up to ``_MAX_NESTING`` parentheses deep, each math call and domain test
+        is a statement, in tape order, and each operation rounds as it does
+        alone.  So its states are those of stepping with :meth:`run` in numpy's
+        association order ``y + (0.5*h)*k`` and
+        ``y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, bit for bit.  A ``math`` call
+        that overflows in step ``k``, or a state that is not finite after it,
+        raises ``FloatingPointError("non-finite state at step k")``; a domain
+        test that fails raises the :class:`EvalError` that :meth:`run` raises
+        first at that stage's point.
         """
         stepper = self._stepper
         if stepper is None:

@@ -18,6 +18,7 @@ flow is the finite map ``scaling_map``: ``q -> q e^-t, p -> p e^t``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -59,9 +60,12 @@ class IndexSubset:
 
     @classmethod
     def of(cls, indices: Iterable[int] | int) -> "IndexSubset":
-        if isinstance(indices, int):
+        """The set of one index or of an iterable of them.  An index is what
+        ``operator.index`` takes, a numpy integer included, but not a ``bool``;
+        a string, a float or a ``bool`` raises a ``TypeError`` that names it."""
+        if isinstance(indices, (str, bytes)) or not hasattr(indices, "__iter__"):
             indices = (indices,)
-        return cls(tuple(int(i) for i in indices))
+        return cls(tuple(map(_index, indices)))
 
     def validate(self, n: int):
         if not self.indices:
@@ -77,6 +81,15 @@ class IndexSubset:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+def _index(i) -> int:
+    if not isinstance(i, bool):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise TypeError(f"an index must be an integer, not {i!r}")
 
 
 def rotation_generator(m: int) -> Expr:

@@ -305,6 +305,14 @@ def loop_random_polynomial_hamiltonian(n, rng):
     return h
 
 
+def long_sum_hamiltonian(terms=400):
+    """The text of a Hamiltonian of ``terms`` summands, alternating ``k*w^j*q1`` and
+    ``0.5*p1*q1^j``.  Each partial sum of it, and of its derivatives, is read once,
+    so its vector field's tape holds chains of single-use additions hundreds long."""
+    return " + ".join(f"{i % 7 + 1}*w^{i % 5 + 1}*q1" if i % 2 == 0 else f"0.5*p1*q1^{i % 5 + 1}"
+                      for i in range(terms))
+
+
 def choice_sample_points(n, rng, count):
     """``sample_points`` as it drew before, with the signs from ``rng.choice``."""
     pts = []

@@ -239,6 +239,55 @@ class TestRicci:
             ricci(_lambda_metric(1), (0.0, 0.0, 1.0))
 
 
+def _sympy_curvature(metric, point):
+    """``Gamma^c_ab`` and ``R_ab`` at ``point`` from sympy's first and second
+    derivatives of the metric's components, with the algebra done in numpy: an
+    oracle that shares neither ``differentiate`` nor the symbolic connection and
+    Ricci builders.  ``R_ab = d_c G^c_ab - d_b G^c_ac + G^c_cd G^d_ab - G^c_bd G^d_ac``,
+    with ``d_e g^-1 = -g^-1 (d_e g) g^-1``."""
+    sympy = pytest.importorskip("sympy")
+    names = coord_names(metric.tensor.n)
+    symbols = sympy.symbols(names)
+    scope = dict(zip(names, symbols))
+    g = sympy.Matrix([[sympy.sympify(expr.to_string(c), locals=scope) for c in row]
+                      for row in metric.tensor.comps])
+    dg = [g.diff(x) for x in symbols]
+    ddg = [[d.diff(x) for x in symbols] for d in dg]
+    entries = [g.tolist(), [d.tolist() for d in dg], [[d.tolist() for d in row] for row in ddg]]
+    values = sympy.lambdify(symbols, entries, "math")(*point)
+    g, dg, ddg = (np.array(v, dtype=float) for v in values)
+    ginv = np.linalg.inv(g)
+    # bracket[d, a, b] = d_a g_db + d_b g_da - d_d g_ab, and its derivatives d_e
+    bracket = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    dbracket = ddg.transpose(0, 2, 1, 3) + ddg.transpose(0, 2, 3, 1) - ddg
+    dginv = -np.einsum("cd,edf,fg->ecg", ginv, dg, ginv)
+    gamma = 0.5 * np.einsum("cd,dab->cab", ginv, bracket)
+    dgamma = 0.5 * (np.einsum("ecd,dab->ecab", dginv, bracket)
+                    + np.einsum("cd,edab->ecab", ginv, dbracket))
+    ric = (np.einsum("ccab->ab", dgamma) - np.einsum("bcac->ab", dgamma)
+           + np.einsum("ccd,dab->ab", gamma, gamma) - np.einsum("cbd,dac->ab", gamma, gamma))
+    return gamma, ric
+
+
+class TestCurvatureAgainstSympy:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", [k for k in MetricKind if k is not MetricKind.ALPHA_PI])
+    def test_christoffel_and_ricci(self, kind, n):
+        # the lambda metrics' volume is not constant, so their contracted symbol
+        # G^c_cb, which two terms of ricci_symbolic sum, is not 0
+        metric = _lambda_metric(n, kind) if kind.value.startswith("lambda") else (
+            metric_from_structure(n, kind))
+        for point in sample_points(n, np.random.default_rng(77), 3):
+            gamma, ric = _sympy_curvature(metric, point)
+            assert np.allclose(gamma_at(metric, point), gamma, rtol=1e-10, atol=1e-10)
+            assert np.allclose(ricci(metric, point).ricci, ric, rtol=1e-10, atol=1e-10)
+
+    def test_the_half_turn_tensor_has_no_connection(self):
+        # the sixth structure tensor, a_pi, is antisymmetric: no metric, so no oracle
+        with pytest.raises(SingularMetricError, match="alpha_pi is not a metric"):
+            gamma_at(metric_from_structure(2, MetricKind.ALPHA_PI), [0.1, 1.0, 2.0, 3.0, 4.0])
+
+
 class TestRequireNonsingular:
 
     def _constant_metric(self, mat):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import index_mask, live_nodes
+from conftest import index_mask, live_nodes, long_sum_hamiltonian
 from contactgeo import cli, equilibrium, expr, hamiltonian, metrics, structures, tables
 from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
@@ -1031,6 +1031,15 @@ class TestFlowCommand:
         assert code == 0
         plain = json.loads(_run(capsys, [*argv, "q1*p1"])[1])
         assert json.loads(out)["endpoint"] == plain["endpoint"]
+
+    def test_a_400_term_hamiltonian(self, capsys):
+        # its field's chains of single-use sums are hundreds deep; inlined whole into
+        # the stepper they passed the parser's 200 nested parentheses, a SyntaxError
+        code, out, err = _run(capsys, ["flow", "--hamiltonian", long_sum_hamiltonian(),
+                                       "--point", "0.1,0.2,0.3", "--t", "0.5", "--steps", "200"])
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f8a89cf468b6eb2c41b1510415a4e3dec706b3698c042b89165f269f07775e2d")
 
     def test_parse_error_is_config_error(self, capsys):
         code, _, err = _run(capsys, ["flow", "--hamiltonian", "q1*(",

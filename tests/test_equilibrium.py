@@ -249,6 +249,22 @@ class TestLegendrePotential:
         with pytest.raises(ValueError, match="out of range"):
             legendre_potential(ideal, 3)
 
+    @pytest.mark.parametrize("indices, named", [("12", "'12'"), ("S", "'S'"), ([1.7], "1.7"),
+                                                ([2.0], "2.0"), (True, "True"),
+                                                ([1, False], "False"), (b"\x01", "b'\\x01'")])
+    def test_an_index_that_is_no_integer_is_refused(self, ideal, indices, named):
+        # a string was iterated ("12" gave the joint transform) and a float truncated
+        with pytest.raises(TypeError) as err:
+            legendre_potential(ideal, indices)
+        assert str(err.value) == f"an index must be an integer, not {named}"
+
+    def test_numpy_integers_are_indices(self, ideal):
+        # a lone numpy integer, and the int64 arrays cli._subsets passes
+        assert legendre_potential(ideal, np.int64(2)).indices == (2,)
+        F = legendre_potential(ideal, np.flatnonzero([True, True]) + 1)
+        assert F.indices == (1, 2) and all(type(i) is int for i in F.indices)
+        assert F.potential == legendre_potential(ideal, [1, 2]).potential == "L1,2[U]"
+
 
 class TestInvolution:
     def test_ideal_gas(self, ideal):

@@ -1,11 +1,12 @@
 """Contact Hamiltonian fields, closed-form flows, and the RK4 integrator."""
 
+import ast
 import math
 
 import numpy as np
 import pytest
 
-from conftest import (bindings, coframe, evaluated, index_mask,
+from conftest import (bindings, coframe, evaluated, index_mask, long_sum_hamiltonian,
                       loop_random_polynomial_hamiltonian, partial_legendre_scalar)
 from contactgeo import cli, expr
 from contactgeo.calculus import lie_bracket, lie_derivative
@@ -235,6 +236,18 @@ def _numpy_rk4(X, x, t, steps):
     return y
 
 
+def _field(*texts):
+    """The vector field whose components, w first, are the expressions ``texts``."""
+    comps = _obj(len(texts))
+    comps[:] = [expr.parse(text) for text in texts]
+    return TensorField((1, 0), comps)
+
+
+def _bits(values):
+    """Each float of ``values`` as its exact hex text, which tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
 class TestIntegrateFlow:
     def test_rotation_against_closed_form(self):
         X = hamiltonian_vector_field(1, rotation_generator(1))
@@ -289,6 +302,52 @@ class TestIntegrateFlow:
             y = _numpy_rk4(field, x, 0.5, 300)
             assert integrate_flow(field, x, 0.5, 300)== y.tolist()
 
+    @pytest.mark.parametrize("texts, x", [
+        # a quotient and its zero test, log, exp, sin, cos, negation, rational
+        # powers of odd and even root, and integer powers negative, odd and even,
+        # with q1*p1 shared by two powers
+        (("log(q1)/(p1^2 + 1) + exp(-w)*sin(p1)", "cos(w*q1) - q1^(1/3) + (q1 + 2)^-2",
+          "(q1*p1)^3 + (q1*p1)^2 - q1^(2/3) + q1^(1/2)"), (0.3, 1.2, 0.7)),
+        (("w/(q1 - p1) - (w*w)^-1", "-(q1^2)*exp(p1*w)", "sin(q1)^3 + cos(p1)^(5/3) + 1/w"),
+         (-0.4, 0.5, 1.5)),
+    ])
+    def test_every_opcode_equals_numpy_rk4_exactly(self, texts, x):
+        field = _field(*texts)
+        if texts[0].startswith("log"):
+            assert {op for op, *_ in field.tape._code} == set(range(13))
+        y = _numpy_rk4(field, x, 0.2, 40)
+        assert _bits(integrate_flow(field, x, 0.2, 40)) == _bits(y)
+
+    def test_negative_zero_through_odd_and_even_powers(self):
+        # q stays -0.0 (qdot = q), so every stage raises -0.0 to the third and the
+        # second power: the odd power's zero test gives +0.0 where math.pow gives
+        # -0.0, and the even power needs none, math.pow giving +0.0 itself
+        field = _field("q1^3", "q1", "q1^2")
+        x = (-0.0, -0.0, -0.0)
+        end = integrate_flow(field, x, 0.5, 10)
+        assert _bits(end) == _bits(_numpy_rk4(field, x, 0.5, 10)) == _bits([0.0, -0.0, 0.0])
+
+    def test_first_domain_error_in_tape_order(self):
+        # at w = -1 and q1 = 0 the log's test and the divisor's both fail in the
+        # first stage; the first in tape order raises, as in Tape.run
+        messages = []
+        for text in ("log(w) + 1/q1", "1/q1 + log(w)"):
+            field = _field(text, "0", "0")
+            with pytest.raises(expr.EvalError) as want:
+                field.tape.run([-1.0, 0.0, 1.0])
+            with pytest.raises(expr.EvalError) as got:
+                integrate_flow(field, (-1.0, 0.0, 1.0), 0.1, 5)
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        assert messages == ["log of a non-positive value", "division by zero"]
+
+    def test_a_400_term_sum(self):
+        # the endpoint of one statement per instruction; inlined without a cap,
+        # the chains of sums nest past the parser's 200 parentheses
+        X = hamiltonian_vector_field(1, expr.parse(long_sum_hamiltonian()))
+        end = integrate_flow(X, (0.1, 0.2, 0.3), 0.5, 200)
+        assert end == [0.9492867570936296, 7.434520064261467e-06, 1309987.6199212624]
+
     def test_math_range_error_late_in_a_run_names_its_step(self):
         # w = 700 + t, so exp(w) overflows in step 98 of 200 inside the stepper,
         # which names the step as a state that is not finite does
@@ -326,6 +385,23 @@ class TestIntegrateFlow:
             return max(line for *_, line in X.tape._stepper.__code__.co_lines() if line)
 
         assert source_lines(1) == source_lines(5000) < 100
+
+    def test_rotation_stepper_has_no_copy_and_no_unread_input(self, monkeypatch):
+        # a copy (a name assigned from a bare name) and a stage input that no
+        # instruction reads (w here) are work the fused stepper does not do
+        bodies = []
+        body = expr._stepper_body
+        monkeypatch.setattr(expr, "_stepper_body", lambda *args: (
+            bodies.append(body(*args)), bodies[-1])[1])
+        integrate_flow(hamiltonian_vector_field(1, rotation_generator(1)), PT, 0.1, 1)
+        tree = ast.parse("\n".join(bodies[0]))
+        copies = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Name)
+                  and all(isinstance(target, ast.Name) for target in node.targets)]
+        assert copies == []
+        names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+        assert stored <= {node.id for node in names if isinstance(node.ctx, ast.Load)}
 
     def test_domain_error_late_in_a_long_run(self, capsys):
         # w reaches 0 at step 3552, deep inside the stepper's loop over the steps
