@@ -14,10 +14,9 @@ from .hamiltonian import (IndexSubset, closed_form_commutator,
                           generator_commutator, hamiltonian_vector_field,
                           integrate_flow, legendre_map, rotation_flow,
                           rotation_generator, scaling_generator, scaling_map)
-from .structures import (StructureKind, build_structure, lambda_legendre_residual,
+from .structures import (MetricKind, build_structure, lambda_legendre_residual,
                          product_lambda, scaling_residuals, structure_identities)
-from .metrics import (Metric, MetricKind, associated_pairs, compatibility_pairs,
-                      metric_from_structure)
+from .metrics import Metric, associated_pairs, compatibility_pairs, metric_from_structure
 from .calculus import (CurvatureReport, SingularMetricError, lie_bracket,
                        lie_derivative, require_nonsingular, ricci)
 from .equilibrium import (FundamentalRelation, SystemCatalogEntry, catalog,

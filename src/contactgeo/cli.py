@@ -30,10 +30,10 @@ from .hamiltonian import (IndexSubset, closed_form_commutator, generator_commuta
                           legendre_map, legendre_rows,
                           random_polynomial_hamiltonian, rotation_flow,
                           rotation_generator, scaling_generator, scaling_map)
-from .metrics import Metric, MetricKind, metric_from_structure
+from .metrics import Metric, metric_from_structure
 from .phase_space import (TensorField, contact_form, coord_names, d_eta, frame, matmul,
                           outer_11, sample_points)
-from .structures import (StructureKind, build_structure, lambda_legendre_residual,
+from .structures import (MetricKind, build_structure, lambda_legendre_residual,
                          product_lambda, scaling_residuals, structure_identities)
 
 __all__ = ["main", "run_suite", "RunConfig", "CheckRecord", "Report"]
@@ -165,7 +165,10 @@ class RunConfig:
 
     def metric(self, kind: MetricKind, n: int, lam: tuple[expr.Expr, ...] | None = None) -> Metric:
         """The ``kind`` metric on ``n`` pairs, built on first use: the run's checks
-        share it, so its symbolic work is done once per run and dies with it."""
+        share it, so its symbolic work is done once per run and dies with it.  Only
+        the two scaled kinds read the family ``lam``; the others ignore it."""
+        if kind not in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
+            lam = None
         key = (n, kind, lam)
         if key not in self._metrics:
             self._metrics[key] = metric_from_structure(n, kind, lam)
@@ -371,9 +374,8 @@ def _commutator(cfg, rng):
     yield _differences(coord_names(cfg.n), [pair], _sample_rows(cfg.n, rng, cfg.points))
 
 
-def _structure(kind: StructureKind, cfg, rng):
-    lam = cfg.lam if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR) else None
-    pairs = structure_identities(cfg.n, kind, lam)
+def _structure(kind: MetricKind, cfg, rng):
+    pairs = structure_identities(cfg.n, kind, cfg.lam)
     yield _differences(coord_names(cfg.n), pairs, _sample_rows(cfg.n, rng, cfg.points))
 
 
@@ -383,11 +385,10 @@ def _structures_scaling_pde(cfg, rng):
 
 
 def _table1(kind: MetricKind, cfg, rng):
-    lam = cfg.lam if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR) else None
-    metric = cfg.metric(kind, cfg.n, lam)
+    metric = cfg.metric(kind, cfg.n, cfg.lam)
     generators = {"rotation": rotation_generator(cfg.m), "scaling": scaling_generator(cfg.n)}
     pairs = [(lie_derivative(metric.tensor, hamiltonian_vector_field(cfg.n, h)).comps,
-              tables.lie_derivative_closed_form(cfg.n, kind, name, m=cfg.m, lam=lam).comps)
+              tables.lie_derivative_closed_form(cfg.n, kind, name, m=cfg.m, lam=cfg.lam).comps)
              for name, h in generators.items()]
     yield _differences(coord_names(cfg.n), pairs, _sample_rows(cfg.n, rng, cfg.points))
 
@@ -434,11 +435,12 @@ def _legendre_conditions(cfg, rng):
             yield lambda_legendre_residual(tape, _rows(masks, I), _rows(columns, k), here[:, k])
 
 
-def _nabla_reeb(kind: MetricKind, dual_kind: StructureKind, cfg, rng):
-    # (nabla xi)^c_b = Gamma^c_{w b}
+def _nabla_reeb(kind: MetricKind, cfg, rng):
+    # (nabla xi)^c_b = Gamma^c_{w b}, minus the other scaled structure
+    dual = MetricKind.LAMBDA_BAR if kind is MetricKind.LAMBDA else MetricKind.LAMBDA
     metric = cfg.metric(kind, cfg.n, cfg.lam)
     rows = _sample_rows(cfg.n, rng, cfg.points, metric)
-    pair = (metric.gamma[:, 0, :], -build_structure(cfg.n, dual_kind, cfg.lam).comps)
+    pair = (metric.gamma[:, 0, :], -build_structure(cfg.n, dual, cfg.lam).comps)
     yield _differences(coord_names(cfg.n), [pair], rows)
 
 
@@ -509,13 +511,16 @@ def _equilibrium_involution(cfg, rng):
             yield [equilibrium.involution_check(quad, I, qvals)]
 
 
+# kind -> (suffix of its check id, anchor); each id keys its check's random stream
 _STRUCTURE_ANCHORS = {
-    StructureKind.ALMOST_CONTACT: "phi^2 = -1 + eta (x) xi, phi(xi) = 0, eta o phi = 0",
-    StructureKind.PI_ROTATION: "phi_pi^2 = 1 - eta (x) xi, phi_pi(xi) = 0, eta o phi_pi = 0",
-    StructureKind.REFLECTION: "phi_r^2 = 1 - eta (x) xi, phi_r(xi) = 0, eta o phi_r = 0",
-    StructureKind.COMPOSITE: "phi_s^2 = 1 - eta (x) xi, phi_s(xi) = 0, eta o phi_s = 0",
-    StructureKind.LAMBDA: "phi_L^2 = 1_L - eta (x) xi and phi_L o phi_Lbar = 1 - eta (x) xi",
-    StructureKind.LAMBDA_BAR: "phi_Lbar^2 = 1_Lbar - eta (x) xi and duality with phi_L",
+    MetricKind.ACS: ("phi", "phi^2 = -1 + eta (x) xi, phi(xi) = 0, eta o phi = 0"),
+    MetricKind.ALPHA_PI: ("pi", "phi_pi^2 = 1 - eta (x) xi, phi_pi(xi) = 0, eta o phi_pi = 0"),
+    MetricKind.R: ("r", "phi_r^2 = 1 - eta (x) xi, phi_r(xi) = 0, eta o phi_r = 0"),
+    MetricKind.S: ("s", "phi_s^2 = 1 - eta (x) xi, phi_s(xi) = 0, eta o phi_s = 0"),
+    MetricKind.LAMBDA: ("lambda",
+                        "phi_L^2 = 1_L - eta (x) xi and phi_L o phi_Lbar = 1 - eta (x) xi"),
+    MetricKind.LAMBDA_BAR: ("lambdabar",
+                            "phi_Lbar^2 = 1_Lbar - eta (x) xi and duality with phi_L"),
 }
 
 # suite -> its checks, in run order; each check draws from its own id-keyed stream
@@ -551,8 +556,8 @@ _CHECKS: dict[str, tuple[Check, ...]] = {
               1e-10, _commutator),
     ),
     "structures": (
-        *(Check(f"structures.{kind.value}", anchor, 1e-12, partial(_structure, kind))
-          for kind, anchor in _STRUCTURE_ANCHORS.items()),
+        *(Check(f"structures.{suffix}", anchor, 1e-12, partial(_structure, kind))
+          for kind, (suffix, anchor) in _STRUCTURE_ANCHORS.items()),
         Check("structures.scaling_pde",
               "sum_b (p_b dL_a/dp_b - q^b dL_a/dq^b) = 0 for the product family",
               1e-12, _structures_scaling_pde),
@@ -584,10 +589,10 @@ _CHECKS: dict[str, tuple[Check, ...]] = {
     "nablaxi": (
         Check("nabla_reeb.lambda",
               "nabla xi of the lambda metric equals minus the lambdabar automorphism", 1e-9,
-              partial(_nabla_reeb, MetricKind.LAMBDA, StructureKind.LAMBDA_BAR)),
+              partial(_nabla_reeb, MetricKind.LAMBDA)),
         Check("nabla_reeb.lambdabar",
               "nabla xi of the lambdabar metric equals minus the lambda automorphism", 1e-9,
-              partial(_nabla_reeb, MetricKind.LAMBDA_BAR, StructureKind.LAMBDA)),
+              partial(_nabla_reeb, MetricKind.LAMBDA_BAR)),
         Check("nabla_reeb.duality", "the two nabla xi endomorphisms compose to 1 - eta (x) xi",
               1e-9, _nabla_duality),
     ),
@@ -668,11 +673,9 @@ def _scaling_map(n: int, t: float):
 
 
 def _metric_for(args, n: int) -> Metric:
-    kind = MetricKind(args.metric)
-    lam = None
-    if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
-        lam = _parse_lambda(args.lam, n) or product_lambda(n)
-    return metric_from_structure(n, kind, lam)
+    # the family is checked for every kind, as verify checks it for every suite
+    return metric_from_structure(n, MetricKind(args.metric),
+                                 _parse_lambda(args.lam, n) or product_lambda(n))
 
 
 def _emit(lines: list[str], json_path: str | None):

@@ -65,6 +65,8 @@ class FundamentalRelation:
     domain: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        if not self.coords:
+            raise ValueError(f"relation '{self.potential}' has no coordinates")
         if len(set(self.coords)) != len(self.coords):
             raise ValueError(f"duplicate coordinate names in {list(self.coords)}")
         if len(self.coords) != len(self.domain):
@@ -309,7 +311,7 @@ def involution_check(rel, I: IndexSubset, qvals) -> float:
     ``q'_i = -u_i, p'_i = -v_i`` on transformed slots (identity on the rest),
     where ``(u, v)`` are the transformed relation's coordinates and conjugates.
     """
-    I = I if isinstance(I, IndexSubset) else IndexSubset.of(I)
+    I = IndexSubset.of(I)
     n = rel.n
     I.validate(n)
     y = _legendre_point(I, embed(rel, qvals))

@@ -47,25 +47,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IndexSubset:
-    """A sorted set of distinct conjugate-pair indices (1-based)."""
+    """A sorted set of distinct conjugate-pair indices (1-based).  An index is what
+    ``operator.index`` takes, a numpy integer included (kept as ``int``), but not a
+    ``bool``; a string, a float or a ``bool`` raises a ``TypeError`` that names it."""
 
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(sorted(set(self.indices)))
-        if idx != self.indices:
-            object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", tuple(sorted(set(map(_index, self.indices)))))
         if any(i < 1 for i in self.indices):
             raise ValueError("indices are 1-based")
 
     @classmethod
     def of(cls, indices: Iterable[int] | int) -> "IndexSubset":
-        """The set of one index or of an iterable of them.  An index is what
-        ``operator.index`` takes, a numpy integer included, but not a ``bool``;
-        a string, a float or a ``bool`` raises a ``TypeError`` that names it."""
+        """The set of one index or of an iterable of them; an ``IndexSubset`` is itself."""
+        if isinstance(indices, cls):
+            return indices
         if isinstance(indices, (str, bytes)) or not hasattr(indices, "__iter__"):
             indices = (indices,)
-        return cls(tuple(map(_index, indices)))
+        return cls(tuple(indices))
 
     def validate(self, n: int):
         if not self.indices:

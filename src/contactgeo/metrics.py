@@ -1,15 +1,16 @@
 """(0,2) tensors built from the structures and their defining identities.
 
-Every tensor here is ``eta (x) eta + s * d_eta o (phi (x) 1)`` with ``s = +1``
+Every tensor here is ``eta (x) eta + s * d_eta o (phi (x) 1)`` with ``phi`` the
+structure of the same :class:`~contactgeo.structures.MetricKind`, ``s = +1``
 for the quarter-turn structure and the half turn, and ``s = -1`` for the
 reflection-type structures.  In coordinates the horizontal parts are
 
-    g      :  (1/2) sum (dq (x) dq + dp (x) dp)         Riemannian
-    a_pi   :  (1/2) sum (dp (x) dq - dq (x) dp)         antisymmetric, not a metric
-    g_r    : -(1/2) sum (dp (x) dq + dq (x) dp)         neutral signature
-    g_s    :  (1/2) sum (dq (x) dq - dp (x) dp)         neutral signature
-    g_L    : -(1/2) sum L_a (dp_a (x) dq^a + dq^a (x) dp_a)
-    g_Lbar :  same with 1/L_a
+    acs        g      :  (1/2) sum (dq (x) dq + dp (x) dp)    Riemannian
+    alpha_pi   a_pi   :  (1/2) sum (dp (x) dq - dq (x) dp)    antisymmetric, not a metric
+    r          g_r    : -(1/2) sum (dp (x) dq + dq (x) dp)    neutral signature
+    s          g_s    :  (1/2) sum (dq (x) dq - dp (x) dp)    neutral signature
+    lambda     g_L    : -(1/2) sum L_a (dp_a (x) dq^a + dq^a (x) dp_a)
+    lambdabar  g_Lbar :  same with 1/L_a
 
 The inverse of each metric is assembled symbolically from the frame Gram
 blocks (the frame is g-orthogonal in pairs), so the Levi-Civita pipeline in
@@ -21,14 +22,13 @@ one non-zero, so the sum over ``c`` keeps at most one of its ``2n + 1`` terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from . import calculus, expr
 from .phase_space import TensorField, _obj, contact_form, coord_names, d_eta, frame, matmul
-from .structures import StructureKind, build_structure
+from .structures import MetricKind, build_structure
 
 __all__ = [
     "MetricKind",
@@ -38,24 +38,6 @@ __all__ = [
     "associated_pairs",
 ]
 
-
-class MetricKind(Enum):
-    ACS = "acs"
-    ALPHA_PI = "alpha_pi"
-    R = "r"
-    S = "s"
-    LAMBDA = "lambda"
-    LAMBDA_BAR = "lambdabar"
-
-
-_STRUCTURE_OF = {
-    MetricKind.ACS: StructureKind.ALMOST_CONTACT,
-    MetricKind.ALPHA_PI: StructureKind.PI_ROTATION,
-    MetricKind.R: StructureKind.REFLECTION,
-    MetricKind.S: StructureKind.COMPOSITE,
-    MetricKind.LAMBDA: StructureKind.LAMBDA,
-    MetricKind.LAMBDA_BAR: StructureKind.LAMBDA_BAR,
-}
 
 # sign s in  eta (x) eta + s * d_eta o (phi (x) 1)
 _SIGN_OF = {
@@ -149,7 +131,7 @@ def metric_from_structure(n: int, kind: MetricKind,
     excluded from the metric-only operations.
     """
     kind = MetricKind(kind)
-    phi = build_structure(n, _STRUCTURE_OF[kind], lam)
+    phi = build_structure(n, kind, lam)
     eta = contact_form(n)
     deta = d_eta(n)
     sign = expr.const(_SIGN_OF[kind])

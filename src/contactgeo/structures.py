@@ -1,14 +1,15 @@
 """Almost contact / para-contact structures and their scaled deformations.
 
 Each structure is a (1,1) field that kills the Reeb direction and acts on the
-horizontal frame per pair:
+horizontal frame per pair.  One :class:`MetricKind` names a structure and the
+(0,2) tensor :mod:`contactgeo.metrics` builds from it:
 
-    phi      : Q_a -> -P^a,            P^a -> Q_a      (quarter turn)
-    phi_pi   : Q_a -> -Q_a,            P^a -> -P^a     (half turn)
-    phi_r    : Q_a ->  Q_a,            P^a -> -P^a     (polarization reflection)
-    phi_s    : Q_a ->  P^a,            P^a -> Q_a      (reflection o quarter turn)
-    phi_L    : Q_a ->  L_a Q_a,        P^a -> -L_a P^a (index-wise scaled reflection)
-    phi_Lbar : Q_a ->  Q_a / L_a,      P^a -> -P^a / L_a
+    acs       phi      : Q_a -> -P^a,        P^a -> Q_a        (quarter turn)
+    alpha_pi  phi_pi   : Q_a -> -Q_a,        P^a -> -P^a       (half turn)
+    r         phi_r    : Q_a ->  Q_a,        P^a -> -P^a       (polarization reflection)
+    s         phi_s    : Q_a ->  P^a,        P^a -> Q_a        (reflection o quarter turn)
+    lambda    phi_L    : Q_a ->  L_a Q_a,    P^a -> -L_a P^a   (index-wise scaled reflection)
+    lambdabar phi_Lbar : Q_a ->  Q_a / L_a,  P^a -> -P^a / L_a
 
 The quarter turn satisfies ``phi^2 = -1 + eta (x) xi``; the half turn, the
 reflection and their composition satisfy ``phi^2 = 1 - eta (x) xi``.  The
@@ -34,7 +35,7 @@ from .hamiltonian import legendre_rows
 from .phase_space import TensorField, _dim, _obj, contact_form, frame, matmul, outer_11
 
 __all__ = [
-    "StructureKind",
+    "MetricKind",
     "product_lambda",
     "scaling_residuals",
     "build_structure",
@@ -44,11 +45,11 @@ __all__ = [
 ]
 
 
-class StructureKind(Enum):
-    ALMOST_CONTACT = "phi"
-    PI_ROTATION = "pi"
-    REFLECTION = "r"
-    COMPOSITE = "s"
+class MetricKind(Enum):
+    ACS = "acs"
+    ALPHA_PI = "alpha_pi"
+    R = "r"
+    S = "s"
     LAMBDA = "lambda"
     LAMBDA_BAR = "lambdabar"
 
@@ -72,40 +73,40 @@ def scaling_residuals(lam: tuple[Expr, ...]) -> list[Expr]:
     return residuals
 
 
-def _lambda_coeffs(n: int, kind, lam: tuple[Expr, ...] | None) -> tuple[Expr, ...]:
-    """The family ``L_a`` on ``n`` pairs for the ``lambda`` kind of a structure or
-    metric, its reciprocals ``1 / L_a`` for the ``lambdabar`` kind."""
+def _lambda_coeffs(n: int, kind: MetricKind, lam: tuple[Expr, ...] | None) -> tuple[Expr, ...]:
+    """The family ``L_a`` on ``n`` pairs for the ``lambda`` kind, its reciprocals
+    ``1 / L_a`` for the ``lambdabar`` kind."""
     if lam is None:
         raise ValueError(f"{kind.value} needs a lambda family")
     if len(lam) != n:
         raise ValueError(f"lambda family has {len(lam)} entries, need {n}")
-    return lam if kind.value == "lambda" else tuple(expr.div(expr.ONE, e) for e in lam)
+    return lam if kind is MetricKind.LAMBDA else tuple(expr.div(expr.ONE, e) for e in lam)
 
 
-def _pair_action(n: int, kind: StructureKind, lam: tuple[Expr, ...] | None):
+def _pair_action(n: int, kind: MetricKind, lam: tuple[Expr, ...] | None):
     """Per-index frame action (alpha, beta, gamma, delta) on ``n`` pairs:
     phi(Q_a) = alpha_a Q_a + beta_a P^a, phi(P^a) = gamma_a Q_a + delta_a P^a."""
     one, zero = expr.ONE, expr.ZERO
     none = (zero,) * n
 
-    if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
+    if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
         coeffs = _lambda_coeffs(n, kind, lam)
         return coeffs, none, none, tuple(expr.neg(c) for c in coeffs)
 
     ones = (one,) * n
     neg_ones = (expr.const(-1.0),) * n
-    if kind == StructureKind.ALMOST_CONTACT:
+    if kind == MetricKind.ACS:
         return none, neg_ones, ones, none
-    if kind == StructureKind.PI_ROTATION:
+    if kind == MetricKind.ALPHA_PI:
         return neg_ones, none, none, neg_ones
-    if kind == StructureKind.REFLECTION:
+    if kind == MetricKind.R:
         return ones, none, none, neg_ones
-    if kind == StructureKind.COMPOSITE:
+    if kind == MetricKind.S:
         return none, ones, ones, none
     raise ValueError(f"unknown structure kind {kind}")
 
 
-def build_structure(n: int, kind: StructureKind,
+def build_structure(n: int, kind: MetricKind,
                     lam: tuple[Expr, ...] | None = None) -> TensorField:
     """The (1,1) automorphism field for ``kind`` on ``n`` pairs in coordinate components."""
     dim = _dim(n)
@@ -142,7 +143,7 @@ def scaled_horizontal_identity(n: int, coeffs: tuple[Expr, ...]) -> TensorField:
     return TensorField((1, 1), comps)
 
 
-def structure_identities(n: int, kind: StructureKind,
+def structure_identities(n: int, kind: MetricKind,
                          lam: tuple[Expr, ...] | None) -> list[tuple]:
     """The defining identities of the ``kind`` structure on ``n`` pairs as ``(lhs, rhs)`` pairs
     of symbolic component arrays: ``phi o phi`` against the horizontal identity
@@ -154,13 +155,13 @@ def structure_identities(n: int, kind: StructureKind,
     eta, xi = contact_form(n), frame(n)[0]
     eta_xi = outer_11(eta, xi).comps
     ones = (expr.ONE,) * n
-    square = (expr.const(-1.0),) * n if kind == StructureKind.ALMOST_CONTACT else ones
-    if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
+    square = (expr.const(-1.0),) * n if kind == MetricKind.ACS else ones
+    if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
         square = tuple(expr.mul(c, c) for c in _pair_action(n, kind, lam)[0])
     pairs = [(matmul(phi, phi), scaled_horizontal_identity(n, square).comps - eta_xi),
              (matmul(eta.comps, phi), expr.ZERO), (matmul(phi, xi.comps), expr.ZERO)]
-    if kind in (StructureKind.LAMBDA, StructureKind.LAMBDA_BAR):
-        other = StructureKind.LAMBDA_BAR if kind == StructureKind.LAMBDA else StructureKind.LAMBDA
+    if kind in (MetricKind.LAMBDA, MetricKind.LAMBDA_BAR):
+        other = MetricKind.LAMBDA_BAR if kind == MetricKind.LAMBDA else MetricKind.LAMBDA
         dual = build_structure(n, other, lam).comps
         pairs.append((matmul(phi, dual), scaled_horizontal_identity(n, ones).comps - eta_xi))
     return pairs

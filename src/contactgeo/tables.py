@@ -25,9 +25,8 @@ from . import expr
 from .calculus import directional_derivative
 from .hamiltonian import (hamiltonian_vector_field, rotation_generator,
                           scaling_generator)
-from .metrics import MetricKind
 from .phase_space import TensorField, _dim, _obj
-from .structures import _lambda_coeffs
+from .structures import MetricKind, _lambda_coeffs
 
 __all__ = ["lie_derivative_closed_form"]
 

@@ -26,8 +26,7 @@ from contactgeo.hamiltonian import (IndexSubset, closed_form_commutator,
                                     scaling_generator, scaling_map)
 from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import contact_form, coord_names, d_eta, frame, sample_points
-from contactgeo.structures import (StructureKind, build_structure, product_lambda,
-                                   structure_identities)
+from contactgeo.structures import build_structure, product_lambda, structure_identities
 from contactgeo.tables import lie_derivative_closed_form
 
 
@@ -118,7 +117,7 @@ def test_criterion_05_structure_identities():
     pts = sample_points(n, rng, 100)
     lam = product_lambda(2)
     worst = 0.0
-    for kind in StructureKind:
+    for kind in MetricKind:
         fam = lam if kind.value.startswith("lambda") else None
         cases = cli._differences(coord_names(n), structure_identities(n, kind, fam), pts)
         worst = max(worst, *cli._worst(cases))
@@ -193,8 +192,8 @@ def test_criterion_09_reeb_covariant_derivative():
     lam = product_lambda(2)
     g_lam = metric_from_structure(n, MetricKind.LAMBDA, lam)
     g_bar = metric_from_structure(n, MetricKind.LAMBDA_BAR, lam)
-    phi_lam = build_structure(n, StructureKind.LAMBDA, lam)
-    phi_bar = build_structure(n, StructureKind.LAMBDA_BAR, lam)
+    phi_lam = build_structure(n, MetricKind.LAMBDA, lam)
+    phi_bar = build_structure(n, MetricKind.LAMBDA_BAR, lam)
     worst = 0.0
     for pt in sample_points(n, rng, 50):
         worst = max(worst, _max_abs(gamma_at(g_lam, pt)[:, 0, :] + phi_bar.evaluate(pt)))

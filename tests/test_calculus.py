@@ -15,7 +15,7 @@ from contactgeo.hamiltonian import (hamiltonian_vector_field,
                                     rotation_generator, scaling_generator)
 from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import _obj, contact_form, coord_names, frame, sample_points
-from contactgeo.structures import StructureKind, build_structure, product_lambda
+from contactgeo.structures import build_structure, product_lambda
 
 PT = (1.0, 2.0, 3.0)
 
@@ -71,14 +71,14 @@ class TestLieDerivative:
     def test_w_free_tensors_are_reeb_invariant(self):
         xi = frame(2)[0]
         for tensor in (metric_from_structure(2, MetricKind.R).tensor,
-                       build_structure(2, StructureKind.COMPOSITE)):
+                       build_structure(2, MetricKind.S)):
             led = lie_derivative(tensor, xi)
             rng = np.random.default_rng(73)
             for pt in sample_points(2, rng, 5):
                 assert np.max(np.abs(led.evaluate(pt))) < 1e-15
 
     def test_reflection_defect_frozen(self):
-        phi_r = build_structure(1, StructureKind.REFLECTION)
+        phi_r = build_structure(1, MetricKind.R)
         XL = hamiltonian_vector_field(1, rotation_generator(1))
         got = lie_derivative(phi_r, XL).evaluate(PT)
         want = np.array([[0.0, 0.0, -6.0], [0.0, 0.0, -2.0], [0.0, -2.0, 0.0]])
@@ -326,9 +326,9 @@ class TestNablaReeb:
         lam = product_lambda(2)
         pairs = [
             (metric_from_structure(2, MetricKind.LAMBDA, lam),
-             build_structure(2, StructureKind.LAMBDA_BAR, lam)),
+             build_structure(2, MetricKind.LAMBDA_BAR, lam)),
             (metric_from_structure(2, MetricKind.LAMBDA_BAR, lam),
-             build_structure(2, StructureKind.LAMBDA, lam)),
+             build_structure(2, MetricKind.LAMBDA, lam)),
         ]
         for metric, dual in pairs:
             for pt in sample_points(2, rng, 25):
@@ -360,7 +360,7 @@ class TestNablaReeb:
         # constant family L = 1 reduces the scaled metric to g_r: nabla xi = -phi_r
         ones = tuple(map(expr.parse, ["1", "1"]))
         metric = metric_from_structure(2, MetricKind.LAMBDA, ones)
-        phi_r = build_structure(2, StructureKind.REFLECTION)
+        phi_r = build_structure(2, MetricKind.R)
         pt = (0.2, 1.1, -0.6, 0.8, 1.3)
         assert np.max(np.abs(gamma_at(metric, pt)[:, 0, :] + phi_r.evaluate(pt))) < 1e-12
 
@@ -370,15 +370,15 @@ class TestKappa:
     def test_w_free_structures_have_zero_kappa(self):
         rng = np.random.default_rng(79)
         xi = frame(1)[0]
-        for structure in (build_structure(1, StructureKind.REFLECTION),
-                          build_structure(1, StructureKind.LAMBDA, product_lambda(1))):
+        for structure in (build_structure(1, MetricKind.R),
+                          build_structure(1, MetricKind.LAMBDA, product_lambda(1))):
             lie = lie_derivative(structure, xi)
             for pt in sample_points(1, rng, 5):
                 assert np.max(np.abs(lie.evaluate(pt))) == 0.0
 
     def test_w_dependent_family(self):
         lam = tuple(map(expr.parse, ["w*q1*p1"]))
-        lie = lie_derivative(build_structure(1, StructureKind.LAMBDA, lam), frame(1)[0])
+        lie = lie_derivative(build_structure(1, MetricKind.LAMBDA, lam), frame(1)[0])
         # (1/2)(q p)(dq (x) Q - dp (x) P): columns q -> (qp/2) Q, p -> -(qp/2) P
         got = 0.5 * lie.evaluate(PT)
         want = np.array([[0.0, 9.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, -3.0]])

@@ -20,7 +20,6 @@ from contactgeo.cli import CheckRecord, RunConfig, run_suite
 from contactgeo.expr import EvalError
 from contactgeo.metrics import MetricKind
 from contactgeo.phase_space import CoordinateMap, TensorField
-from contactgeo.structures import StructureKind
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -414,6 +413,8 @@ class TestVerify:
                        id=f"domain-{name}")
           for name, domain in (("number", "7"), ("string-bound", '[[0.1, "1"]]'),
                                ("bool-bound", "[[true, 1.0]]"), ("triple", "[[0.1, 1.0, 2.0]]"))),
+        pytest.param("[]", "[]", "error: relation 'Phi' has no coordinates\n",
+                     id="no-coordinates"),
     ])
     def test_malformed_catalog_is_config_error(self, tmp_path, capsys, coords, domain, message):
         # duplicate names used to pass, evaluating both slots at the last value
@@ -518,6 +519,14 @@ class TestRunSuiteApi:
         monkeypatch.setattr(cli, "metric_from_structure", counting)
         run_suite(RunConfig(n=n, points=2, seed=7))
         assert len(keys) == len(set(keys)) == builds
+
+    @pytest.mark.parametrize("kind", [MetricKind.ACS, MetricKind.ALPHA_PI, MetricKind.R,
+                                      MetricKind.S])
+    def test_an_unscaled_kind_is_one_metric_whatever_the_family(self, kind):
+        # only lambda and lambdabar read a family; the other kinds key on (n, kind)
+        cfg = RunConfig(n=2, points=2, seed=7)
+        first = cfg.metric(kind, 2)
+        assert cfg.metric(kind, 2, structures.product_lambda(2)) is first
 
     def test_families_built_apart_key_one_metric(self):
         # interned nodes make two product families one key while the first lives
@@ -813,7 +822,7 @@ class TestDeclaredResiduals:
         def flipped(n, kind, lam=None):
             # phi(Q_1) = -P^1 becomes +P^1 for the quarter turn alone
             phi = build(n, kind, lam)
-            if kind != StructureKind.ALMOST_CONTACT:
+            if kind != MetricKind.ACS:
                 return phi
             comps = phi.comps.copy()
             comps[n + 1, 1] = expr.ONE
@@ -957,6 +966,15 @@ class TestCurvatureCommand:
         code, out, err = _run(capsys, ["curvature", "--metric", "alpha_pi",
                                        "--point", "0.1,1,2,3,4"])
         assert (code, out, err) == (2, "", "error: alpha_pi is not a metric; no connection\n")
+
+    @pytest.mark.parametrize("command", ["curvature", "pullback"])
+    @pytest.mark.parametrize("metric", ["acs", "lambda"])
+    def test_a_malformed_family_exits_two_whatever_the_metric(self, capsys, command, metric):
+        # an unscaled kind reads no family, but it used to drop a malformed one unread
+        code, out, err = _run(capsys, [command, "--metric", metric, "--lambda", "q1*p1",
+                                       "--point", "0.1,1,2,3,4"])
+        assert (code, out, err) == (
+            2, "", "error: need 2 lambda expressions separated by ';' (or 'qp'/'qp3')\n")
 
     @pytest.mark.parametrize("point, message", [
         # these said "could not convert string to float" and "phase point has
@@ -1255,6 +1273,44 @@ def test_command_report_is_golden(capsys, name, argv):
     code, out, err = _run(capsys, argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.jsonl").read_bytes()
+
+
+# (exit code, stdout sha256, stderr) of each command at _POINT for every --metric: each
+# kind reaches its metric through one path, and the half-turn tensor has no connection
+_KIND_REPORTS = {
+    ("curvature", "acs"):
+        (0, "27d2eb740f600d05c3534b0a7f2ded205270be85d8333f76488b357ca0144ab2", ""),
+    ("curvature", "alpha_pi"):
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "error: alpha_pi is not a metric; no connection\n"),
+    ("curvature", "r"):
+        (0, "e5117bda44d40b69bd7fcf6a7c9994dd0ffcad3679cf01d7ba92ed49d0ef942e", ""),
+    ("curvature", "s"):
+        (0, "0367c63853985c8db92455ebbf434b4f46224265e6b8901e45814b98b125a1a0", ""),
+    ("curvature", "lambda"):
+        (0, "a99c44723b330a02c5fbe6a1ecd4076fc03c2aec03ea4527b3677347fc29b8ce", ""),
+    ("curvature", "lambdabar"):
+        (0, "161b579f97c07d00f050f943fbc01f9eff6ba0c6e00d8bb60505682d69a80e5e", ""),
+    ("pullback", "acs"):
+        (0, "7ec4873774fa7f430519891e8d94f32a4f8c684a8be500f5459050dd976476be", ""),
+    ("pullback", "alpha_pi"):
+        (0, "feb1ca500fd2e4dd7763afe33cb8970334457031eb2a0fa454b28f50ffe71b46", ""),
+    ("pullback", "r"):
+        (0, "b00c5567f68d9b90c179cd7d5b9b994b1989bf96273a0a0c20de81a58c73deda", ""),
+    ("pullback", "s"):
+        (0, "dc8e12a2f6ac47da4cbc98fba3c55eab33f6c2fb76eb98c5842415f2e094c578", ""),
+    ("pullback", "lambda"):
+        (0, "7c2e79a19b6315a3448b888f940c4f00b29ee89430078caba912bf8d44af891d", ""),
+    ("pullback", "lambdabar"):
+        (0, "6cbc9c3cc26ee6cbb6c5be173c2443b7de4ba4eaec85f27a23de99382fc66e29", ""),
+}
+
+
+@pytest.mark.parametrize("command, kind", list(_KIND_REPORTS))
+def test_every_metric_kind_report_is_pinned(capsys, command, kind):
+    code, out, err = _run(capsys, [command, "--n", "2", "--metric", kind, *_POINT])
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert (code, digest, err) == _KIND_REPORTS[command, kind]
 
 
 @pytest.mark.parametrize("argv", [

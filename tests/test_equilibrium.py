@@ -100,10 +100,12 @@ class TestEmbed:
         (("x", "y"), ((0.0, 1.0), (1.0, 1.0)), "lo < hi"),
         (("x", "y"), ((0.0, math.inf), (0.0, 1.0)), "finite"),
         (("x", "y"), ((math.nan, 1.0), (0.0, 1.0)), "finite"),
+        pytest.param((), (), "relation 'bad' has no coordinates", id="no-coordinates"),
     ])
     def test_rejects_malformed_relations(self, coords, box, match):
         # duplicate names evaluated both slots at the last value; a reversed box
-        # failed later as a misleading "outside the domain"
+        # failed later as a misleading "outside the domain", and no coordinates as
+        # a phase space of n = 0
         with pytest.raises(ValueError, match=match):
             FundamentalRelation("bad", coords, expr.parse("x^2"), box)
 

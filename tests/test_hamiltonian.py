@@ -41,6 +41,19 @@ class TestIndexSubset:
         with pytest.raises(ValueError):
             IndexSubset.of([1, 4]).validate(3)
 
+    @pytest.mark.parametrize("index", [1.5, True, "a"])
+    def test_the_constructor_refuses_an_index_that_is_no_integer(self, index):
+        # it took them as given: legendre_map then failed inside numpy and
+        # rotation_flow read True as index 1
+        with pytest.raises(TypeError) as err:
+            IndexSubset((index,))
+        assert str(err.value) == f"an index must be an integer, not {index!r}"
+
+    def test_the_constructor_keeps_numpy_integers_as_int(self):
+        I = IndexSubset((np.int64(2), 1))
+        assert I.indices == (1, 2) and all(type(i) is int for i in I.indices)
+        assert IndexSubset.of(I) is I
+
     def test_nonempty_required_by_maps(self):
         with pytest.raises(ValueError):
             _legendre(IndexSubset(()), PT)

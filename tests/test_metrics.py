@@ -15,7 +15,7 @@ from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
 from contactgeo.metrics import (MetricKind, associated_pairs, compatibility_pairs,
                                 metric_from_structure)
 from contactgeo.phase_space import TensorField, contact_form, coord_names, frame, sample_points
-from contactgeo.structures import StructureKind, build_structure, product_lambda
+from contactgeo.structures import build_structure, product_lambda
 from contactgeo.tables import lie_derivative_closed_form
 
 PT = (1.0, 2.0, 3.0)
@@ -99,29 +99,19 @@ class TestCompatibility:
     """The identities hold for all X, Y when every component of ``lhs - rhs`` vanishes;
     the pairs run through verify's residual tape."""
 
-    @pytest.mark.parametrize("metric_kind,structure_kind", [
-        (MetricKind.ACS, StructureKind.ALMOST_CONTACT),
-        (MetricKind.R, StructureKind.REFLECTION),
-        (MetricKind.S, StructureKind.COMPOSITE),
-    ])
-    def test_compatible_pairs(self, metric_kind, structure_kind):
+    @pytest.mark.parametrize("kind", [MetricKind.ACS, MetricKind.R, MetricKind.S])
+    def test_compatible_pairs(self, kind):
         rng = np.random.default_rng(53)
-        phi = build_structure(2, structure_kind)
-        pairs = compatibility_pairs(_metric(2, metric_kind), phi)
+        pairs = compatibility_pairs(_metric(2, kind), build_structure(2, kind))
         rows = sample_points(2, rng, 10)
         diffs = _differences(coord_names(2), pairs, rows)
         assert diffs.shape == (10, 25)
         assert np.max(np.abs(diffs)) < 1e-12
 
-    @pytest.mark.parametrize("metric_kind,structure_kind", [
-        (MetricKind.ACS, StructureKind.ALMOST_CONTACT),
-        (MetricKind.R, StructureKind.REFLECTION),
-        (MetricKind.S, StructureKind.COMPOSITE),
-    ])
-    def test_associated_pairs(self, metric_kind, structure_kind):
+    @pytest.mark.parametrize("kind", [MetricKind.ACS, MetricKind.R, MetricKind.S])
+    def test_associated_pairs(self, kind):
         rng = np.random.default_rng(54)
-        phi = build_structure(2, structure_kind)
-        pairs = associated_pairs(_metric(2, metric_kind), phi)
+        pairs = associated_pairs(_metric(2, kind), build_structure(2, kind))
         rows = sample_points(2, rng, 10)
         diffs = _differences(coord_names(2), pairs, rows)
         assert diffs.shape == (10, 25)
@@ -130,7 +120,7 @@ class TestCompatibility:
     def test_scaled_family_is_neither(self):
         # the scaled reflection loses both properties at generic points
         metric = _metric(1, MetricKind.LAMBDA)
-        phi = build_structure(1, StructureKind.LAMBDA, product_lambda(1))
+        phi = build_structure(1, MetricKind.LAMBDA, product_lambda(1))
 
         def at_dq_dp(pairs):
             diffs = _differences(coord_names(1), pairs, [PT])
@@ -207,7 +197,7 @@ class TestPullback:
 
     def test_rejects_wrong_valence(self):
         # vectors and endomorphisms push forward; only (0,1) and (0,2) fields pull back
-        for field in (frame(1)[0], build_structure(1, StructureKind.REFLECTION)):
+        for field in (frame(1)[0], build_structure(1, MetricKind.R)):
             with pytest.raises(ValueError, match="expects a \\(0,1\\) or \\(0,2\\) tensor"):
                 legendre_map(1, IndexSubset.of(1)).pullback(field)
 

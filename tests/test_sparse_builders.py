@@ -23,7 +23,7 @@ from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field, legen
                                     rotation_generator, scaling_generator, scaling_map)
 from contactgeo.metrics import MetricKind, metric_from_structure
 from contactgeo.phase_space import contact_form, d_eta, frame, matmul
-from contactgeo.structures import StructureKind, build_structure, product_lambda
+from contactgeo.structures import build_structure, product_lambda
 from contactgeo.tables import lie_derivative_closed_form
 
 NS = (1, 2, 3)
@@ -51,9 +51,9 @@ def test_lie_derivative_of_every_valence(n):
     lam = product_lambda(n)
     fields = frame(n)
     tensors = [contact_form(n), d_eta(n), fields[0], fields[n], fields[-1],
-               build_structure(n, StructureKind.ALMOST_CONTACT),
-               build_structure(n, StructureKind.LAMBDA, lam),
-               build_structure(n, StructureKind.LAMBDA_BAR, lam)]
+               build_structure(n, MetricKind.ACS),
+               build_structure(n, MetricKind.LAMBDA, lam),
+               build_structure(n, MetricKind.LAMBDA_BAR, lam)]
     for h in _hamiltonians(n):
         X = hamiltonian_vector_field(n, h)
         for T in tensors:
@@ -99,7 +99,7 @@ def test_directional_derivative(n):
 def test_metric_from_structure(kind, n):
     lam = _lambda(kind, n)
     metric = metric_from_structure(n, kind, lam)
-    phi = build_structure(n, metrics._STRUCTURE_OF[kind], lam)
+    phi = build_structure(n, kind, lam)
     want = dense_metric_sum(contact_form(n), d_eta(n), phi, metrics._SIGN_OF[kind])
     _assert_same_nodes(metric.tensor.comps, want)
 
@@ -133,7 +133,7 @@ def test_table1_rows(kind, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_matmul_is_numpy_matmul(n):
     lam = product_lambda(n)
-    squares = [build_structure(n, kind, _lambda(kind, n)).comps for kind in StructureKind]
+    squares = [build_structure(n, kind, _lambda(kind, n)).comps for kind in MetricKind]
     for kind in MetricKind:
         metric = metric_from_structure(n, kind, _lambda(kind, n))
         squares.append(metric.tensor.comps)
@@ -143,7 +143,7 @@ def test_matmul_is_numpy_matmul(n):
     squares += [legendre_map(n, IndexSubset.of(range(1, m + 1))).jacobian
                 for m in range(1, n + 1)]
     squares.append(scaling_map(n, 0.3).jacobian)
-    squares.append(build_structure(n, StructureKind.LAMBDA, lam).comps.T)
+    squares.append(build_structure(n, MetricKind.LAMBDA, lam).comps.T)
     vectors = [contact_form(n).comps] + [f.comps for f in frame(n)]
     for A in squares:
         for B in squares:

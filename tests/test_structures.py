@@ -10,7 +10,7 @@ from contactgeo.expr import EvalError
 from contactgeo.hamiltonian import (IndexSubset, hamiltonian_vector_field,
                                     rotation_generator, scaling_generator)
 from contactgeo.phase_space import contact_form, coord_names, frame, outer_11, sample_points
-from contactgeo.structures import (StructureKind, build_structure, lambda_legendre_residual,
+from contactgeo.structures import (MetricKind, build_structure, lambda_legendre_residual,
                                    product_lambda, scaling_residuals, structure_identities)
 
 PT = (1.0, 2.0, 3.0)
@@ -19,7 +19,7 @@ PT = (1.0, 2.0, 3.0)
 class TestBuildStructure:
     def test_quarter_turn_action_on_frame(self):
         rng = np.random.default_rng(30)
-        phi = build_structure(2, StructureKind.ALMOST_CONTACT)
+        phi = build_structure(2, MetricKind.ACS)
         fields = frame(2)
         for pt in sample_points(2, rng, 10):
             m = phi.evaluate(pt)
@@ -32,9 +32,9 @@ class TestBuildStructure:
         rng = np.random.default_rng(31)
         fields = frame(2)
         actions = {
-            StructureKind.PI_ROTATION: lambda Q, P: (-Q, -P),
-            StructureKind.REFLECTION: lambda Q, P: (Q, -P),
-            StructureKind.COMPOSITE: lambda Q, P: (P, Q),
+            MetricKind.ALPHA_PI: lambda Q, P: (-Q, -P),
+            MetricKind.R: lambda Q, P: (Q, -P),
+            MetricKind.S: lambda Q, P: (P, Q),
         }
         for kind, act in actions.items():
             phi = build_structure(2, kind)
@@ -47,14 +47,14 @@ class TestBuildStructure:
                     assert np.max(np.abs(m @ P - wantP)) < 1e-12
 
     def test_scaled_family_action(self):
-        phi = build_structure(1, StructureKind.LAMBDA, product_lambda(1))
+        phi = build_structure(1, MetricKind.LAMBDA, product_lambda(1))
         Q1 = frame(1)[1].evaluate(PT)
         assert np.allclose(phi.evaluate(PT) @ Q1, [18.0, 6.0, 0.0])  # 6 * Q1
 
     def test_every_kind_kills_reeb(self):
         rng = np.random.default_rng(32)
         xi = frame(2)[0]
-        for kind in StructureKind:
+        for kind in MetricKind:
             lam = product_lambda(2) if kind.value.startswith("lambda") else None
             phi = build_structure(2, kind, lam)
             for pt in sample_points(2, rng, 5):
@@ -62,14 +62,14 @@ class TestBuildStructure:
 
     def test_lambda_required(self):
         with pytest.raises(ValueError, match="lambda needs a lambda family"):
-            build_structure(1, StructureKind.LAMBDA)
+            build_structure(1, MetricKind.LAMBDA)
 
     def test_lambda_size_mismatch(self):
         with pytest.raises(ValueError, match="entries"):
-            build_structure(2, StructureKind.LAMBDA, product_lambda(1))
+            build_structure(2, MetricKind.LAMBDA, product_lambda(1))
 
     def test_reciprocal_blows_up_on_zero_locus(self):
-        phi = build_structure(1, StructureKind.LAMBDA_BAR, product_lambda(1))
+        phi = build_structure(1, MetricKind.LAMBDA_BAR, product_lambda(1))
         with pytest.raises(EvalError, match="division by zero"):
             phi.evaluate((0.0, 0.0, 1.0))
 
@@ -82,7 +82,7 @@ def _worst_identity_residuals(kind, lam, pts):
 
 
 class TestDefiningIdentities:
-    @pytest.mark.parametrize("kind", list(StructureKind))
+    @pytest.mark.parametrize("kind", list(MetricKind))
     def test_identities_hold(self, kind):
         rng = np.random.default_rng(33)
         lam = product_lambda(2) if kind.value.startswith("lambda") else None
@@ -94,12 +94,12 @@ class TestDefiningIdentities:
         # an infinite coefficient makes phi_L o phi_L NaN; the max over points must keep it
         lam = tuple(map(expr.parse, ["1e200*1e200*q1*p1", "q2*p2"]))
         pts = sample_points(2, np.random.default_rng(35), 3)
-        worst = _worst_identity_residuals(StructureKind.LAMBDA, lam, pts)
+        worst = _worst_identity_residuals(MetricKind.LAMBDA, lam, pts)
         assert len(worst) == 3
         assert np.isnan(worst).all()
         assert np.isnan(np.max(worst))
 
-    @pytest.mark.parametrize("kind", list(StructureKind))
+    @pytest.mark.parametrize("kind", list(MetricKind))
     def test_one_pair_per_identity(self, kind):
         lam = product_lambda(2) if kind.value.startswith("lambda") else None
         pairs = structure_identities(2, kind, lam)
@@ -107,7 +107,7 @@ class TestDefiningIdentities:
         assert [np.shape(lhs) for lhs, _ in pairs] == [(5, 5), (5,), (5,), (5, 5)][:len(pairs)]
 
     def test_lambda_square_scales_quadratically(self):
-        phi = build_structure(1, StructureKind.LAMBDA, product_lambda(1))
+        phi = build_structure(1, MetricKind.LAMBDA, product_lambda(1))
         m = phi.evaluate(PT)
         Q1 = frame(1)[1].evaluate(PT)
         assert np.allclose(m @ (m @ Q1), 36.0 * Q1)
@@ -115,8 +115,8 @@ class TestDefiningIdentities:
     def test_duality_where_lambda_nonzero(self):
         rng = np.random.default_rng(34)
         lam = product_lambda(2)
-        phiL = build_structure(2, StructureKind.LAMBDA, lam)
-        phiB = build_structure(2, StructureKind.LAMBDA_BAR, lam)
+        phiL = build_structure(2, MetricKind.LAMBDA, lam)
+        phiB = build_structure(2, MetricKind.LAMBDA_BAR, lam)
         eta_xi = outer_11(contact_form(2), frame(2)[0])
         for pt in sample_points(2, rng, 25):
             target = np.eye(5) - eta_xi.evaluate(pt)
@@ -125,9 +125,9 @@ class TestDefiningIdentities:
 
     def test_composite_is_reflection_after_quarter_turn(self):
         rng = np.random.default_rng(35)
-        phi = build_structure(2, StructureKind.ALMOST_CONTACT)
-        phir = build_structure(2, StructureKind.REFLECTION)
-        phis = build_structure(2, StructureKind.COMPOSITE)
+        phi = build_structure(2, MetricKind.ACS)
+        phir = build_structure(2, MetricKind.R)
+        phis = build_structure(2, MetricKind.S)
         for pt in sample_points(2, rng, 10):
             composed = phir.evaluate(pt) @ phi.evaluate(pt)
             assert np.max(np.abs(composed - phis.evaluate(pt))) < 1e-15
@@ -148,16 +148,16 @@ class TestSymmetriesUnderGenerators:
             assert np.max(np.abs(field.evaluate(pt))) < 1e-12
 
     def test_quarter_turn_has_rotation_symmetry(self):
-        phi = build_structure(2, StructureKind.ALMOST_CONTACT)
+        phi = build_structure(2, MetricKind.ACS)
         self._assert_zero(lie_derivative(phi, self.XL))
 
     def test_half_turn_has_both_symmetries(self):
-        phi_pi = build_structure(2, StructureKind.PI_ROTATION)
+        phi_pi = build_structure(2, MetricKind.ALPHA_PI)
         self._assert_zero(lie_derivative(phi_pi, self.XL))
         self._assert_zero(lie_derivative(phi_pi, self.XS))
 
     def test_reflection_scaling_symmetry_and_rotation_defect(self):
-        phi_r = build_structure(2, StructureKind.REFLECTION)
+        phi_r = build_structure(2, MetricKind.R)
         self._assert_zero(lie_derivative(phi_r, self.XS))
         got = lie_derivative(phi_r, self.XL)
         co, fields = coframe(2), frame(2)
@@ -170,7 +170,7 @@ class TestSymmetriesUnderGenerators:
             assert np.max(np.abs(got.evaluate(pt) - want.evaluate(pt))) < 1e-12
 
     def test_reflection_rotation_defect_frozen_components(self):
-        phi_r = build_structure(1, StructureKind.REFLECTION)
+        phi_r = build_structure(1, MetricKind.R)
         XL1 = hamiltonian_vector_field(1, rotation_generator(1))
         got = lie_derivative(phi_r, XL1).evaluate(PT)
         # -2(dp (x) Q + dq (x) P) at (1,2,3): columns (q: -2P, p: -2Q)
@@ -178,7 +178,7 @@ class TestSymmetriesUnderGenerators:
         assert np.allclose(got, want)
 
     def test_composite_symmetric_under_generator_composition(self):
-        phi_s = build_structure(2, StructureKind.COMPOSITE)
+        phi_s = build_structure(2, MetricKind.S)
         inner_S = lie_derivative(phi_s, self.XS)
         self._assert_zero(lie_derivative(inner_S, self.XL))
         inner_L = lie_derivative(phi_s, self.XL)
